@@ -30,7 +30,7 @@ def _default_order(fallback: int) -> int:
         try:
             value = int(env)
         except ValueError:
-            raise SystemExit(EXIT_USAGE)
+            raise SystemExit(_fail_usage(f"bad GENUSFORGE_ORDER {env!r}; expected an integer"))
         return value
     return fallback
 
@@ -44,13 +44,21 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
+def _rational(text: str) -> Fraction:
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_params(items) -> "dict[str, Fraction]":
     params = {}
     for item in items or ():
         if "=" not in item:
             raise ValueError(f"bad --param {item!r}; expected name=p/q")
         name, value = item.split("=", 1)
-        params[name.strip()] = Fraction(value.strip())
+        params[name.strip()] = _rational(value)
     return params
 
 
@@ -75,7 +83,7 @@ def _parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
             if not base.startswith("c") or not base[1:].isdigit():
                 raise ValueError(f"bad chern class {factor!r}")
             parts.extend([int(base[1:])] * exp)
-        table[tuple(sorted(parts, reverse=True))] = Fraction(value.strip())
+        table[tuple(sorted(parts, reverse=True))] = _rational(value)
     return table
 
 

@@ -284,7 +284,7 @@ def _build(name: str, order: int) -> "tuple[Series2, str, Optional[Series1]]":
             order,
         )
         exp = log.revert()
-        return bivariate_from_exp(exp), "from-exponential", exp
+        return bivariate_from_exp(exp, log), "from-exponential", exp
     if name == "universal_additive":
         exp = Series1(
             [0, 1] + [RingElement.gen(f"e{n}") for n in range(1, order)], order
@@ -299,18 +299,32 @@ def _build(name: str, order: int) -> "tuple[Series2, str, Optional[Series1]]":
     raise UnknownLawError(name)
 
 
+_BUILT: "dict[str, tuple[Series2, str, Optional[Series1]]]" = {}
+
+
 def catalog(
     name: str,
     order: int,
     params: Optional[Mapping[str, Union[int, Fraction, RingElement]]] = None,
 ) -> FormalGroupLaw:
-    """Construct a catalog law to the given truncation order."""
+    """Construct a catalog law to the given truncation order.
+
+    Each law is built once per process, at the highest order asked for so
+    far; lower orders are served by truncating that build, which is exact
+    because truncation is functorial (see genusforge.series).  Params are
+    substituted into the truncated law, so the cache holds only unbound laws.
+    """
     name = name.replace("-", "_")
     if name not in CATALOG and name not in DEMO_LAWS:
         raise UnknownLawError(name)
     if order < 2:
         raise ValueError("order must be >= 2")
-    F, construction, exp = _build(name, order)
+    built = _BUILT.get(name)
+    if built is None or built[0].order < order:
+        built = _BUILT[name] = _build(name, order)
+    F, construction, exp = built
+    F = F.truncate(order)
+    exp = exp.truncate(order) if exp is not None else None
     bound: "dict[str, RingElement]" = {}
     if params:
         bound = {

@@ -44,7 +44,6 @@ __all__ = [
     "InsufficientOrderError",
     "ManifoldDescriptor",
     "WittenSeries",
-    "ahat_characteristic",
     "ahat_pontryagin_identity",
     "chi_rescaled_check",
     "conjugation_equivariance_check",
@@ -127,10 +126,6 @@ def half_sinh_ratio(order: int) -> Series1:
         order,
     )
     return Series1.constant(1, order) / den
-
-
-def ahat_characteristic(order: int) -> Series1:
-    return half_sinh_ratio(order)
 
 
 def genus_series(name: str, order: int, presentation: Optional[str] = None) -> GenusSeries:

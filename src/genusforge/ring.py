@@ -343,7 +343,9 @@ class RingElement:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # A rational element equals its Fraction, so it must hash like it.
+        value = self.as_rational()
+        return hash(frozenset(self._terms.items()) if value is None else value)
 
     # -- structural operations ---------------------------------------------
 

@@ -9,6 +9,7 @@ truncate_M(op(a, b)) == op(truncate_M(a), truncate_M(b)) for M <= N.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
@@ -82,10 +83,6 @@ class Series1:
         """The identity series z."""
         return Series1([0, 1], order)
 
-    @staticmethod
-    def from_function(fn: Callable[[int], Scalar], order: int) -> "Series1":
-        return Series1([fn(n) for n in range(order + 1)], order)
-
     # -- inspection ----------------------------------------------------------
 
     def __getitem__(self, n: int) -> RingElement:
@@ -98,12 +95,6 @@ class Series1:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self._coeffs)
-
-    def valuation(self) -> Optional[int]:
-        for n, c in enumerate(self._coeffs):
-            if not c.is_zero():
-                return n
-        return None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series1):
@@ -153,15 +144,8 @@ class Series1:
             k = _coerce_elem(other)
             return Series1([c * k for c in self._coeffs], self.order)
         n = self._match(other)
-        out = [_ZERO] * (n + 1)
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other._coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Series1(out, n)
+        a, b = self._coeffs, other._coeffs
+        return Series1([_dot((a[i], b[k - i]) for i in range(k + 1)) for k in range(n + 1)], n)
 
     __rmul__ = __mul__
 
@@ -188,14 +172,10 @@ class Series1:
             raise NonUnitDivisionError(
                 "division requires an invertible constant term"
             ) from exc
+        b = other._coeffs
         out: "list[RingElement]" = []
         for k in range(n + 1):
-            acc = self._coeffs[k]
-            for j in range(k):
-                b = other._coeffs[k - j]
-                if not b.is_zero() and not out[j].is_zero():
-                    acc = acc - out[j] * b
-            out.append(acc * inv0)
+            out.append((self._coeffs[k] - _dot((out[j], b[k - j]) for j in range(k))) * inv0)
         return Series1(out, n)
 
     # -- calculus ------------------------------------------------------------
@@ -231,29 +211,20 @@ class Series1:
         return result
 
     def revert(self) -> "Series1":
-        """Compositional inverse by order-doubling Newton iteration.
+        """Compositional inverse g, by the Lagrange inversion formula
+        [z^i] g = (1/i) [w^(i-1)] (w/f(w))^i (Brent & Kung, J. ACM 25(4), 1978).
 
         Requires f(0) = 0 and an invertible linear coefficient.
         """
         if not self._coeffs[0].is_zero():
             raise NotRevertibleError("series must vanish at 0")
+        if self.order == 0:
+            return self
         try:
-            inv1 = self._coeffs[1].inverse()
+            self._coeffs[1].inverse()
         except ArithmeticError as exc:
             raise NotRevertibleError("linear coefficient must be invertible") from exc
-        n = self.order
-        g = Series1([_ZERO, inv1], 1)
-        prec = 1
-        ident = Series1.x(n)
-        deriv = self.differentiate()
-        while prec < n:
-            prec = min(2 * prec, n)
-            f_t = self.truncate(prec)
-            g = Series1(g._coeffs, prec)
-            err = f_t.compose(g) - ident.truncate(prec)
-            dg = Series1(deriv.truncate(prec - 1)._coeffs, prec).compose(g)
-            g = g - err / dg
-        return Series1(g._coeffs, n)
+        return Series1(_inverse_powers(self)[1], self.order)
 
     # -- numerics / io ---------------------------------------------------------
 
@@ -344,11 +315,6 @@ class Series2:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def lowest_degree(self) -> Optional[int]:
-        if not self._coeffs:
-            return None
-        return min(i + j for i, j in self._coeffs)
-
     def is_symmetric(self) -> bool:
         return all(self[(j, i)] == c for (i, j), c in self._coeffs.items())
 
@@ -419,19 +385,6 @@ class Series2:
         return Series2(out, n)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Series2":
-        if k < 0:
-            raise ValueError("negative series powers are not supported")
-        result = Series2.constant(1, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     def inverse(self) -> "Series2":
         """Inverse of a series with invertible constant term (Newton)."""
@@ -526,6 +479,15 @@ class Series2:
         return f"Series2[{body} + O(deg {self.order + 1})]"
 
 
+def _dot(pairs) -> RingElement:
+    """sum(x * y for x, y in pairs), skipping pairs with a zero factor."""
+    acc = _ZERO
+    for x, y in pairs:
+        if not x.is_zero() and not y.is_zero():
+            acc = acc + x * y
+    return acc
+
+
 def _powers(f: Series1, order: int) -> "list[tuple[RingElement, ...]]":
     """Coefficient tuples of f^0 .. f^order, truncated at `order`."""
     out = [Series1.constant(1, order)]
@@ -544,12 +506,7 @@ def exp_series(f: Series1) -> "Series1":
     n = f.order
     out = [_ONE] + [_ZERO] * n
     for m in range(1, n + 1):
-        acc = _ZERO
-        for k in range(1, m + 1):
-            fk = f[k]
-            if not fk.is_zero() and not out[m - k].is_zero():
-                acc = acc + (k * fk) * out[m - k]
-        out[m] = acc * Fraction(1, m)
+        out[m] = _dot((k * f[k], out[m - k]) for k in range(1, m + 1)) * Fraction(1, m)
     return Series1(out, n)
 
 
@@ -569,13 +526,8 @@ def sqrt_series(f: Series1) -> "Series1":
         raise BadConstantTermError("sqrt needs f(0) = 1")
     n = f.order
     out = [_ONE] + [_ZERO] * n
-    half = Fraction(1, 2)
     for m in range(1, n + 1):
-        acc = f[m]
-        for k in range(1, m):
-            if not out[k].is_zero() and not out[m - k].is_zero():
-                acc = acc - out[k] * out[m - k]
-        out[m] = acc * half
+        out[m] = (f[m] - _dot((out[k], out[m - k]) for k in range(1, m))) * Fraction(1, 2)
     return Series1(out, n)
 
 
@@ -591,11 +543,43 @@ def compose1_2(outer: Series1, inner: Series2) -> Series2:
     return result
 
 
-def bivariate_from_exp(exp: Series1) -> Series2:
-    """The group law exp(log(z0) + log(z1)) with log the reversion of exp."""
+def _inverse_powers(f: Series1) -> "list[list[RingElement]]":
+    """Coefficient lists of g^0 .. g^n for g the compositional inverse of f.
+
+    Lagrange-Buermann: [z^i] g^a = (a/i) [w^(i-a)] (w/f(w))^i for 1 <= a <= i,
+    so one division and n powers of w/f give every row without reverting f.
+    """
+    n = f.order
+    rows = [[_ONE] + [_ZERO] * n] + [[_ZERO] * (n + 1) for _ in range(n)]
+    base = Series1.constant(1, n - 1) / Series1(f.coefficients()[1:], n - 1)
+    power = Series1.constant(1, n - 1)
+    for i in range(1, n + 1):
+        power = power * base
+        for a in range(1, i + 1):
+            rows[a][i] = power[i - a] * Fraction(a, i)
+    return rows
+
+
+def bivariate_from_exp(exp: Series1, log: Optional[Series1] = None) -> Series2:
+    """The group law exp(log(z0) + log(z1)) with log the reversion of exp.
+
+    Expanding exp(L0 + L1) = sum_m e_m (L0 + L1)^m binomially gives the
+    bilinear form F[i,j] = sum_{a<=i, b<=j} C(a+b, a) e_{a+b} P_a[i] P_b[j]
+    with P_a = log^a.  The powers P_a come straight from exp by
+    Lagrange-Buermann (Brent & Kung, J. ACM 25(4), 1978), or from a known
+    log when one is given, so nothing is reverted.
+    """
     if not exp[0].is_zero() or not exp[1].is_one():
         raise NotRevertibleError("exponential must be z + O(z^2)")
-    log = exp.revert()
     n = exp.order
-    inner = Series2.from_series1(log, 0, n) + Series2.from_series1(log, 1, n)
-    return compose1_2(exp, inner)
+    P = _inverse_powers(exp) if log is None else _powers(log.truncate(n), n)
+    # G[a][j] = sum_{b<=j} C(a+b, a) e_{a+b} P_b[j], so F[i,j] = sum_{a<=i} P_a[i] G[a][j]
+    G = []
+    for a in range(n + 1):
+        e = [exp[a + b] * math.comb(a + b, a) for b in range(n + 1 - a)]
+        G.append([_dot((e[b], P[b][j]) for b in range(j + 1)) for j in range(n + 1 - a)])
+    out: "dict[tuple[int, int], RingElement]" = {}
+    for i in range(n + 1):
+        for j in range(i, n + 1 - i):  # F is symmetric: fill both halves at once
+            out[(i, j)] = out[(j, i)] = _dot((P[a][i], G[a][j]) for a in range(i + 1))
+    return Series2(out, n)

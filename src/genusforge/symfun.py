@@ -365,18 +365,6 @@ class ChernPolynomial:
         if self.classes not in ("c", "p"):
             raise ValueError("classes must be 'c' or 'p'")
 
-    def weight_part(self, w: int) -> RingElement:
-        keep = {}
-        for mono, c in self.poly.terms():
-            cw = sum(
-                e * (int(name[1:]) * (2 if self.classes == "p" else 1))
-                for name, e in mono
-                if name[0] == self.classes and name[1:].isdigit()
-            )
-            if cw == w:
-                keep[mono] = c
-        return RingElement(keep)
-
     def to_obj(self) -> dict:
         return {"classes": self.classes, "poly": self.poly.to_obj()}
 

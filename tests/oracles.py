@@ -2,9 +2,10 @@
 
 Each oracle deliberately avoids the code path it checks: Bernoulli numbers
 via Akiyama-Tanigawa instead of the binomial recurrence, series reversion
-via the Lagrange formula instead of Newton iteration, elementary symmetric
-polynomials by brute-force subset enumeration, and CP^n Chern numbers by
-literal polynomial expansion of (1 + x)^(n+1).
+by Newton iteration instead of the Lagrange formula, group laws from an
+exponential by Horner composition instead of the bilinear form, elementary
+symmetric polynomials by brute-force subset enumeration, and CP^n Chern
+numbers by literal polynomial expansion of (1 + x)^(n+1).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from fractions import Fraction
 
 from genusforge.ring import RingElement
-from genusforge.series import Series1
+from genusforge.series import Series1, Series2, compose1_2
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
@@ -30,17 +31,29 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
     return value
 
 
-def lagrange_revert(f: Series1) -> Series1:
-    """Compositional inverse via [z^n] g = (1/n) [z^(n-1)] (z/f)^n."""
+def newton_revert(f: Series1) -> Series1:
+    """Compositional inverse by order-doubling Newton iteration
+    g <- g - (f(g) - z) / f'(g); needs f(0) = 0 and an invertible f'(0)."""
     n = f.order
-    shifted = Series1(f.coefficients()[1:], n - 1)  # f / z
-    base = Series1.constant(1, n - 1) / shifted
-    out = [RingElement.zero()]
-    power = Series1.constant(1, n - 1)
-    for k in range(1, n + 1):
-        power = power * base
-        out.append(power[k - 1] * Fraction(1, k))
-    return Series1(out, n)
+    g = Series1([0, f[1].inverse()], 1)
+    prec = 1
+    deriv = f.differentiate()
+    while prec < n:
+        prec = min(2 * prec, n)
+        g = Series1(g.coefficients(), prec)
+        err = f.truncate(prec).compose(g) - Series1.x(prec)
+        dg = Series1(deriv.truncate(prec - 1).coefficients(), prec).compose(g)
+        g = g - err / dg
+    return Series1(g.coefficients(), n)
+
+
+def horner_bivariate_from_exp(exp: Series1) -> Series2:
+    """exp(log(z0) + log(z1)) by a Horner loop of Series2 products, with log
+    the Newton reversion of exp."""
+    log = newton_revert(exp)
+    n = exp.order
+    inner = Series2.from_series1(log, 0, n) + Series2.from_series1(log, 1, n)
+    return compose1_2(exp, inner)
 
 
 def elementary_bruteforce(k: int, roots) -> RingElement:

@@ -24,6 +24,14 @@ def run_json(*args, **kw):
     return json.loads(proc.stdout)
 
 
+def assert_usage_error(proc):
+    """Exit 2 with one error line on stderr, no traceback and no stdout."""
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestFglCommand:
     def test_list(self):
         out = run_json("fgl", "list")
@@ -184,7 +192,17 @@ class TestEnvironment:
     def test_bad_env_exits_two(self):
         env = {**_ENV, "GENUSFORGE_ORDER": "many"}
         proc = run_cli("fgl", "series", "--law", "additive", env=env)
-        assert proc.returncode == 2
+        assert_usage_error(proc)
+
+
+class TestZeroDenominators:
+    def test_param(self):
+        proc = run_cli("fgl", "series", "--law", "jacobi", "--order", "4", "--param", "delta=1/0")
+        assert_usage_error(proc)
+
+    def test_chern(self):
+        proc = run_cli("genus", "chern", "--series", "todd", "--dim", "1", "--chern", "c1=1/0")
+        assert_usage_error(proc)
 
 
 class TestGoldenFiles:

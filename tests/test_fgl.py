@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from genusforge import fgl
 from genusforge.fgl import (
     CATALOG,
     FormalGroupLaw,
@@ -263,6 +264,45 @@ class TestGrading:
     def test_catches_violations(self):
         law = catalog("multiplicative", 6)  # z0z1 coefficient 1 has weight 0 != 1
         assert not grading_check(law).passed
+
+
+@pytest.fixture
+def cold_cache():
+    fgl._BUILT.clear()
+    yield
+    fgl._BUILT.clear()
+
+
+def _cold(name, order):
+    fgl._BUILT.clear()
+    law = catalog(name, order)
+    return law.F, law.exp
+
+
+class TestLawCache:
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_lower_orders_are_truncations_of_one_build(self, name, cold_cache):
+        top = _cold(name, 10)
+        for order in range(2, 10):
+            cold = _cold(name, order)
+            law = catalog(name, 10)  # a cold low order first, then the top
+            assert (law.F, law.exp) == top
+            law = catalog(name, order)  # the top first, then a low order
+            assert (law.F, law.exp) == cold
+
+    def test_one_entry_per_law_at_the_highest_order(self, cold_cache):
+        for order in (4, 8, 6):
+            catalog("hyperbolic", order)
+        assert list(fgl._BUILT) == ["hyperbolic"]
+        assert fgl._BUILT["hyperbolic"][0].order == 8
+
+    def test_params_do_not_leak_into_the_cache(self, cold_cache):
+        bound = catalog("jacobi", 6, params={"delta": Fraction(-1, 8), "epsilon": 0})
+        assert bound.F == catalog("hyperbolic", 6).F
+        free = catalog("jacobi", 6)
+        assert free.params == {}
+        gens = set().union(*(c.generators() for _, c in free.F.items()))
+        assert {"delta", "epsilon"} <= gens
 
 
 class TestChiRescaled:

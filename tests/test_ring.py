@@ -17,7 +17,7 @@ from genusforge.ring import (
     zeta_tilde_even,
 )
 
-from conftest import ring_elements
+from conftest import rationals, ring_elements
 from oracles import bernoulli_akiyama_tanigawa
 
 R = RingElement
@@ -294,6 +294,14 @@ class TestSerialization:
 def test_hash_consistent_with_eq(a):
     b = R.from_json(a.to_json())
     assert hash(a) == hash(b)
+
+
+@given(rationals)
+def test_rational_element_hashes_like_its_fraction(q):
+    a = R.from_rational(q)
+    assert a == q and hash(a) == hash(q)
+    assert len({q, a}) == 1
+    assert len({1, R.from_rational(1)}) == 1 and len({0, R.zero()}) == 1
 
 
 def test_bernoulli_concurrent_fill():

@@ -18,7 +18,7 @@ from genusforge.series import (
 )
 
 from conftest import rationals
-from oracles import lagrange_revert
+from oracles import horner_bivariate_from_exp, newton_revert
 
 R = RingElement
 gen = R.gen
@@ -31,6 +31,23 @@ def small_series(draw, order=6, constant=None, unit_linear=False):
         coeffs[0] = constant
     if unit_linear:
         coeffs[1] = 1
+    return Series1(coeffs, order)
+
+
+t_polynomials = st.builds(
+    lambda a, b, c: a + gen("t") * b + gen("t", 2) * c, rationals, rationals, rationals
+)
+
+
+@st.composite
+def exponentials(draw, coefficients, universal=False):
+    """z + c_2 z^2 + ... + c_n z^n with 2 <= n <= 9; with universal=True the
+    coefficient of z^k is a rational multiple of the generator e_(k-1)."""
+    order = draw(st.integers(min_value=2, max_value=9))
+    coeffs = [0, 1]
+    for k in range(2, order + 1):
+        c = draw(coefficients)
+        coeffs.append(gen(f"e{k - 1}") * c if universal else c)
     return Series1(coeffs, order)
 
 
@@ -106,8 +123,22 @@ class TestRevert:
         assert e.revert() == log_series(Series1.constant(1, n) + z)
 
     @given(small_series(order=7, constant=0, unit_linear=True))
-    def test_against_lagrange_oracle(self, f):
-        assert f.revert() == lagrange_revert(f)
+    def test_against_newton_oracle(self, f):
+        assert f.revert() == newton_revert(f)
+
+    @given(small_series(order=5, constant=0), rationals.filter(bool))
+    def test_non_unit_linear_against_newton_oracle(self, f, c):
+        f = f + Series1.x(5) * (c - f[1])
+        assert f.revert() == newton_revert(f)
+
+    def test_order_zero_and_one(self):
+        assert Series1.zeros(0).revert() == Series1.zeros(0)
+        assert Series1([0, 3], 1).revert() == Series1([0, Fraction(1, 3)], 1)
+        assert Series1([0, gen("t")], 1).revert() == Series1([0, gen("t", -1)], 1)
+        with pytest.raises(NotRevertibleError):
+            Series1.constant(1, 0).revert()
+        with pytest.raises(NotRevertibleError):
+            Series1.zeros(1).revert()
 
     @given(small_series(order=6, constant=0, unit_linear=True))
     def test_involution(self, f):
@@ -183,6 +214,24 @@ class TestBivariate:
     def test_requires_unit_linear(self):
         with pytest.raises(NotRevertibleError):
             bivariate_from_exp(Series1.x(4) * 2)
+        with pytest.raises(NotRevertibleError):
+            bivariate_from_exp(Series1.x(4) + 1)
+
+    @given(exponentials(rationals))
+    def test_rational_against_horner_oracle(self, exp):
+        assert bivariate_from_exp(exp) == horner_bivariate_from_exp(exp)
+
+    @given(exponentials(t_polynomials))
+    def test_one_parameter_against_horner_oracle(self, exp):
+        assert bivariate_from_exp(exp) == horner_bivariate_from_exp(exp)
+
+    @given(exponentials(rationals, universal=True))
+    def test_universal_against_horner_oracle(self, exp):
+        assert bivariate_from_exp(exp) == horner_bivariate_from_exp(exp)
+
+    @given(exponentials(t_polynomials))
+    def test_known_log_gives_the_same_law(self, exp):
+        assert bivariate_from_exp(exp, exp.revert()) == bivariate_from_exp(exp)
 
     def test_series2_mul_and_inverse(self):
         n = 6

@@ -196,9 +196,9 @@ class TestMultiplicativeSequence:
         """The sequence of H*H' is the convolution of the sequences, weight <= 6."""
         n = 6
         H1 = self._todd(n)
-        from genusforge.genus import ahat_characteristic
+        from genusforge.genus import half_sinh_ratio
 
-        H2 = ahat_characteristic(n)
+        H2 = half_sinh_ratio(n)
         K1 = [R.one()] + [k.poly for k in multiplicative_sequence(H1, n)]
         K2 = [R.one()] + [k.poly for k in multiplicative_sequence(H2, n)]
         K12 = [R.one()] + [k.poly for k in multiplicative_sequence(H1 * H2, n)]

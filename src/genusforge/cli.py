@@ -23,6 +23,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# Series are dense: an order beyond this would exhaust memory or never
+# finish, so it is a usage error.
+MAX_ORDER = 1000
+
 
 def _default_order(fallback: int) -> int:
     env = os.environ.get("GENUSFORGE_ORDER")
@@ -33,6 +37,14 @@ def _default_order(fallback: int) -> int:
             raise SystemExit(_fail_usage(f"bad GENUSFORGE_ORDER {env!r}; expected an integer"))
         return value
     return fallback
+
+
+def _order(args, fallback: int) -> int:
+    """--order, else GENUSFORGE_ORDER, else fallback; at most MAX_ORDER."""
+    order = args.order if args.order is not None else _default_order(fallback)
+    if order > MAX_ORDER:
+        raise SystemExit(_fail_usage(f"order {order} exceeds the maximum {MAX_ORDER}"))
+    return order
 
 
 def _emit(obj) -> None:
@@ -99,7 +111,7 @@ def _cmd_fgl(args) -> int:
             }
         )
         return EXIT_OK
-    order = args.order if args.order is not None else _default_order(10)
+    order = _order(args, 10)
     try:
         params = _parse_params(getattr(args, "param", None))
     except ValueError as exc:
@@ -201,10 +213,16 @@ def _cmd_witten(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    text = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
     try:
-        f = Series1.from_json(text)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        text = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
+    except (OSError, UnicodeDecodeError) as exc:
+        return _fail_usage(f"cannot read series input: {exc}")
+    try:
+        obj = json.loads(text)
+        if int(obj["order"]) > MAX_ORDER:
+            raise ValueError(f"order {obj['order']} exceeds the maximum {MAX_ORDER}")
+        f = Series1.from_obj(obj)
+    except (LookupError, TypeError, AttributeError, ValueError, ArithmeticError, RecursionError) as exc:
         return _fail_usage(f"bad series JSON: {exc}")
     ops = {
         "exp": exp_series,
@@ -221,7 +239,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    order = args.order if args.order is not None else _default_order(12)
+    order = _order(args, 12)
     if order < 2:
         return _fail_usage("order must be >= 2")
     if args.suite not in verify.SUITES:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import re
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -182,6 +183,18 @@ CATALOG = (
 # Extra demonstration entry: passes the unit axiom, fails associativity.
 DEMO_LAWS = ("broken_demo",)
 
+# The generators each law's coefficients are drawn from, at every order; a
+# param must name one of them.  The other laws are rational.
+_LAW_GENERATORS = {
+    "multiplicative_t": "t",
+    "kontsevich": "t",
+    "jacobi": "delta|epsilon",
+    "gamma_raw": r"gamma|zeta\d+",
+    "gamma_normalized": r"gamma|ipi2|zeta\d+",
+    "chi_rescaled": "u",
+    "universal_additive": r"e\d+",
+}
+
 
 def gamma_exponential(order: int, normalized: bool = False) -> Series1:
     """The reciprocal-Gamma exponential z*exp(gamma*z - sum zeta(k)(-z)^k / k).
@@ -312,13 +325,17 @@ def catalog(
     Each law is built once per process, at the highest order asked for so
     far; lower orders are served by truncating that build, which is exact
     because truncation is functorial (see genusforge.series).  Params are
-    substituted into the truncated law, so the cache holds only unbound laws.
+    substituted into the truncated law, so the cache holds only unbound laws;
+    a param that names no generator of the law is a ValueError.
     """
     name = name.replace("-", "_")
     if name not in CATALOG and name not in DEMO_LAWS:
         raise UnknownLawError(name)
     if order < 2:
         raise ValueError("order must be >= 2")
+    for key in params or ():
+        if not re.fullmatch(_LAW_GENERATORS.get(name, "(?!)"), key):
+            raise ValueError(f"param {key!r} names no generator of law {name!r}")
     built = _BUILT.get(name)
     if built is None or built[0].order < order:
         built = _BUILT[name] = _build(name, order)

@@ -32,8 +32,8 @@ from genusforge.symfun import (
     SymPoly,
     convert,
     multiplicative_sequence,
+    power_sum_over,
     series_product_over_alphabet,
-    truncate_roots,
     zeta_specialize,
 )
 
@@ -275,14 +275,14 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
     if M.chern_dim is None or M.chern is None:
         raise ValueError("descriptor carries neither projective nor chern data")
     d = M.chern_dim
-    if d == 0:
-        return _ONE
     expected = set(partitions(d))
     got = set(M.chern)
     if got != expected:
         raise IncompleteChernTableError(
             f"chern table keys {sorted(got)} != partitions of {d}"
         )
+    if d == 0:  # K_0 = 1 pairs with the point count c_()
+        return RingElement.from_rational(M.chern[()])
     if g.H.order < d:
         raise InsufficientOrderError(f"series order {g.H.order} < dim = {d}")
     K = multiplicative_sequence(g.H, d)[d - 1]
@@ -391,78 +391,52 @@ def msp_agreement_check(order: int, m: int, mutant: bool = False) -> CheckResult
     else:
         alphabet = _roots_pm(m)
     lhs = series_product_over_alphabet(g_raw.H, alphabet, order)
-
     target = _even_zeta_exponential(order)
-    rhs = series_product_over_alphabet(target, roots, order)
-    diff = lhs - rhs
-    if not diff.is_zero():
-        degree = min(
-            sum(e for name, e in mono if name[0] == "x") for mono, _ in diff.terms()
-        )
-        offending = RingElement(
-            {
-                mono: c
-                for mono, c in diff.terms()
-                if sum(e for name, e in mono if name[0] == "x") == degree
-            }
-        )
-        return CheckResult.fail(degree, offending, detail="raw layer")
+    defect = _first_defect(lhs - series_product_over_alphabet(target, roots, order))
+    if defect is not None:
+        return CheckResult.fail(*defect, detail="raw layer")
 
-    stray = [
+    stray = sorted(
         name
-        for name in lhs.generators()
+        for name in set().union(*(c.generators() for c in lhs.coefficients()))
         if name == "gamma" or (name.startswith("zeta") and int(name[4:]) % 2 == 1)
-    ]
+    )
     if stray:
         return CheckResult.fail(detail=f"gamma/odd-zeta content survived: {stray}")
 
     g_norm = gamma_series(order, "normalized")
     lhs_norm = series_product_over_alphabet(g_norm.H, alphabet, order)
-    sinh = half_sinh_ratio(order)
-    rhs_norm = series_product_over_alphabet(sinh, roots, order)
-    diff_norm = (lhs_norm - rhs_norm).reduce()
-    if not diff_norm.is_zero():
-        degree = min(
-            sum(e for name, e in mono if name[0] == "x") for mono, _ in diff_norm.terms()
-        )
-        return CheckResult.fail(degree, diff_norm, detail="normalized layer")
+    rhs_norm = series_product_over_alphabet(half_sinh_ratio(order), roots, order)
+    defect = _first_defect((lhs_norm - rhs_norm).map_coefficients(RingElement.reduce))
+    if defect is not None:
+        return CheckResult.fail(*defect, detail="normalized layer")
     return CheckResult.ok()
 
 
-def _exp_root_poly(f: RingElement, cap: int) -> RingElement:
-    """exp of a root polynomial with zero constant term, truncated by root degree."""
-    out = _ONE
-    term = _ONE
-    for j in range(1, cap + 1):
-        term = truncate_roots(term * f, cap) * Fraction(1, j)
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+def _first_defect(diff: Series1) -> "Optional[tuple[int, RingElement]]":
+    """The first nonzero graded coefficient of a difference, with its degree."""
+    for k, c in enumerate(diff.coefficients()):
+        if not c.is_zero():
+            return k, c
+    return None
 
 
 def ahat_pontryagin_identity(order: int, m: int) -> CheckResult:
     """Pi (x_i/2)/sinh(x_i/2) == exp(-sum_k B_2k/(2k)! s^SO_2k/(4k)) with
     s^SO_2k the power sums of the doubled alphabet {x_i, -x_i}; also pins the
-    k=1 exponent coefficient to zeta~(2)/2 = -1/48."""
+    k=1 exponent coefficient to zeta~(2)/2 = -1/48.  The exponent is graded
+    by root degree, s^SO_2k at index 2k."""
     if m < 1:
         raise ValueError("m must be >= 1")
     roots = [RingElement.gen(f"x{i}") for i in range(1, m + 1)]
     lhs = series_product_over_alphabet(half_sinh_ratio(order), roots, order)
-    arg = _ZERO
+    arg = [_ZERO] * (order + 1)
     for k in range(1, order // 2 + 1):
-        s_so = _ZERO
-        for r in roots:
-            s_so = s_so + 2 * r ** (2 * k)
-        coeff = -bernoulli(2 * k) / (math.factorial(2 * k) * 4 * k)
-        arg = arg + s_so * coeff
-    rhs = _exp_root_poly(arg, order)
-    diff = lhs - rhs
-    if not diff.is_zero():
-        degree = min(
-            sum(e for name, e in mono if name[0] == "x") for mono, _ in diff.terms()
-        )
-        return CheckResult.fail(degree, diff, detail="pontryagin identity")
+        s_so = power_sum_over(roots, 2 * k) * 2
+        arg[2 * k] = s_so * (-bernoulli(2 * k) / (math.factorial(2 * k) * 4 * k))
+    defect = _first_defect(lhs - exp_series(Series1(arg, order)))
+    if defect is not None:
+        return CheckResult.fail(*defect, detail="pontryagin identity")
     k1 = -bernoulli(2) / (math.factorial(2) * 4)
     if k1 != zeta_tilde_even(1) / 2 or k1 != Fraction(-1, 48):
         return CheckResult.fail(detail=f"k=1 coefficient {k1} != -1/48")

@@ -140,7 +140,8 @@ def _monomial_key(m: Monomial):
 
 def _check_exponents(m: Monomial) -> None:
     for name, e in m:
-        if e < 0 and not generator_info(name).laurent:
+        laurent = generator_info(name).laurent  # unknown names raise KeyError
+        if e < 0 and not laurent:
             raise ValueError(f"generator {name!r} does not admit negative exponents")
 
 

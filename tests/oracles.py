@@ -3,9 +3,11 @@
 Each oracle deliberately avoids the code path it checks: Bernoulli numbers
 via Akiyama-Tanigawa instead of the binomial recurrence, series reversion
 by Newton iteration instead of the Lagrange formula, group laws from an
-exponential by Horner composition instead of the bilinear form, elementary
-symmetric polynomials by brute-force subset enumeration, and CP^n Chern
-numbers by literal polynomial expansion of (1 + x)^(n+1).
+exponential by Horner composition instead of the bilinear form, products
+over an alphabet of Chern roots by full root polynomials truncated by root
+degree instead of a graded series, elementary symmetric polynomials by
+brute-force subset enumeration, and CP^n Chern numbers by literal polynomial
+expansion of (1 + x)^(n+1).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2, compose1_2
+from genusforge.symfun import truncate_roots
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
@@ -54,6 +57,36 @@ def horner_bivariate_from_exp(exp: Series1) -> Series2:
     n = exp.order
     inner = Series2.from_series1(log, 0, n) + Series2.from_series1(log, 1, n)
     return compose1_2(exp, inner)
+
+
+def root_product(H: Series1, alphabet, cap: int) -> RingElement:
+    """Pi_a H(a) as a root polynomial, truncated to root degree <= cap after
+    every factor."""
+    result = RingElement.one()
+    for a in alphabet:
+        factor = RingElement.zero()
+        apow = RingElement.one()
+        for k in range(cap + 1):
+            factor = factor + H[k] * apow
+            apow = apow * a
+        result = truncate_roots(result * factor, cap)
+    return result
+
+
+def exp_root_poly(f: RingElement, cap: int) -> RingElement:
+    """exp of a root polynomial with zero constant term, truncated by root degree."""
+    out = RingElement.one()
+    term = RingElement.one()
+    for j in range(1, cap + 1):
+        term = truncate_roots(term * f, cap) * Fraction(1, j)
+        out = out + term
+    return out
+
+
+def root_degree_part(f: RingElement, k: int) -> RingElement:
+    """The monomials of f of root degree exactly k."""
+    low = truncate_roots(f, k - 1) if k else RingElement.zero()
+    return truncate_roots(f, k) - low
 
 
 def elementary_bruteforce(k: int, roots) -> RingElement:

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+
+from hypothesis import given, settings, strategies as st
+
+from genusforge import cli
 
 _ENV = {**os.environ}
 _ENV.pop("GENUSFORGE_ORDER", None)
@@ -59,6 +65,14 @@ class TestFglCommand:
         proc = run_cli("fgl", "check", "--law", "nope", "--order", "6")
         assert proc.returncode == 2
 
+    def test_param_naming_no_generator_exits_two(self):
+        proc = run_cli("fgl", "series", "--law", "additive", "--param", "foo=1")
+        assert_usage_error(proc)
+
+    def test_order_beyond_maximum_exits_two(self):
+        proc = run_cli("fgl", "series", "--law", "additive", "--order", "100000000000")
+        assert_usage_error(proc)
+
     def test_unknown_flag_exits_two(self):
         proc = run_cli("fgl", "check", "--law", "jacobi", "--frobnicate")
         assert proc.returncode == 2
@@ -102,6 +116,10 @@ class TestGenusCommand:
             "genus", "chern", "--series", "todd", "--dim", "2", "--chern", "c1^2=9,c2=3"
         )
         assert out["value"] == {"terms": [{"num": "1", "den": "1", "exps": {}}]}
+
+    def test_dimension_zero_rejects_a_nonempty_partition(self):
+        proc = run_cli("genus", "chern", "--series", "todd", "--dim", "0", "--chern", "c1=1")
+        assert_usage_error(proc)
 
     def test_malformed_chern_exits_two(self):
         proc = run_cli("genus", "chern", "--series", "todd", "--dim", "2", "--chern", "b2=1")
@@ -147,6 +165,108 @@ class TestSeriesCommand:
         one = {"order": 2, "coeffs": [{"terms": [{"num": "1", "den": "1", "exps": {}}]}, {"terms": []}, {"terms": []}]}
         proc = run_cli("series", "log", stdin=json.dumps({**one, "coeffs": [{"terms": []}] * 3}))
         assert proc.returncode == 2
+
+
+    def test_unreadable_input_exits_two(self, tmp_path):
+        undecodable = tmp_path / "latin1.json"
+        undecodable.write_bytes(b"\xff{")
+        for path in (tmp_path / "missing.json", tmp_path, undecodable):
+            assert_usage_error(run_cli("series", "exp", "--input", str(path)))
+
+    def test_zero_denominator_exits_two(self):
+        f = {"order": 1, "coeffs": [{"terms": []}, {"terms": [{"num": "1", "den": "0", "exps": {}}]}]}
+        assert_usage_error(run_cli("series", "exp", stdin=json.dumps(f)))
+
+    def test_top_level_not_an_object_exits_two(self):
+        assert_usage_error(run_cli("series", "exp", stdin="[1,2]"))
+
+    def test_terms_not_a_list_exits_two(self):
+        f = {"order": 1, "coeffs": [{"terms": 5}, {"terms": []}]}
+        assert_usage_error(run_cli("series", "exp", stdin=json.dumps(f)))
+
+    def test_order_beyond_maximum_exits_two(self):
+        f = {"order": 100000000000, "coeffs": []}
+        assert_usage_error(run_cli("series", "exp", stdin=json.dumps(f)))
+
+
+def _run_in_process(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+
+_ring_terms = st.lists(
+    st.fixed_dictionaries(
+        {
+            "num": st.integers().map(str),
+            "den": st.integers(min_value=-3, max_value=9).map(str),
+            "exps": st.dictionaries(
+                st.sampled_from(["t", "ipi2", "gamma", "zeta3", "x1", "foo"]),
+                st.integers(min_value=-3, max_value=3),
+                max_size=2,
+            ),
+        }
+    ),
+    max_size=2,
+)
+_unit_or_zero = st.sampled_from([0, 1]).map(
+    lambda c: [{"num": "1", "den": "1", "exps": {}}] if c else []
+)
+# Orders stay small (the operations are cubic in the order) or exceed the maximum.
+_bad_orders = st.integers(min_value=cli.MAX_ORDER + 1) | st.sampled_from(
+    [None, "3", 2.5, "x", [], {}, float("inf"), float("nan")]
+)
+
+
+@st.composite
+def _series_like(draw):
+    """A series object, often valid for some operation, with at most one
+    field (anywhere in it) replaced by an arbitrary JSON value."""
+    coeffs = [
+        {"terms": draw(_unit_or_zero | _ring_terms)}
+        for _ in range(draw(st.integers(min_value=0, max_value=8)))
+    ]
+    obj = {"order": draw(st.integers(min_value=-1, max_value=7)), "coeffs": coeffs}
+    slots = [(obj, "order"), (obj, "coeffs")]
+    for c in coeffs:
+        slots.append((c, "terms"))
+        for term in c["terms"]:
+            slots.extend((term, key) for key in term)
+    if draw(st.booleans()):
+        holder, key = draw(st.sampled_from(slots))
+        holder[key] = draw(_bad_orders if key == "order" else _json_values)
+    return obj
+
+
+class TestSeriesFuzz:
+    """Any stdin keeps the contract: exit 0, 1 or 2, no exception, and stdout
+    empty or one JSON line."""
+
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from(["exp", "log", "sqrt", "revert"]),
+        st.one_of(_json_values.map(json.dumps), _series_like().map(json.dumps), st.text(max_size=20)),
+    )
+    def test_contract(self, op, stdin):
+        code, out, err = _run_in_process(["series", op], stdin)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if out:
+            assert out.endswith("\n") and out.count("\n") == 1
+            json.loads(out)
+        if code == 2:
+            assert err.startswith("error: ")
 
 
 class TestWittenCommand:

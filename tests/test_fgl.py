@@ -93,6 +93,19 @@ class TestCatalog:
         law = catalog("multiplicative_t", 6, params={"t": 1})
         assert law.F == catalog("multiplicative", 6).F
 
+    def test_param_naming_no_generator_rejected(self):
+        with pytest.raises(ValueError, match="no generator"):
+            catalog("additive", 4, params={"foo": 1})
+        with pytest.raises(ValueError, match="no generator"):
+            catalog("gamma_raw", 4, params={"t": 1})
+
+    @pytest.mark.parametrize("name", fgl.CATALOG)
+    def test_every_generator_of_a_law_can_be_bound(self, name):
+        law = catalog(name, 8)
+        coeffs = [c for _, c in law.F.items()] + list(law.exp.coefficients() if law.exp else ())
+        for g in set().union(*(c.generators() for c in coeffs)):
+            catalog(name, 8, params={g: 1})
+
     def test_unit_axiom_enforced(self):
         with pytest.raises(ValueError):
             FormalGroupLaw(F=Series2({(1, 0): 2, (0, 1): 1}, 4), name="bad")

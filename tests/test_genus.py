@@ -146,6 +146,13 @@ class TestGenusOf:
         with pytest.raises(IncompleteChernTableError):
             genus_of(g, ManifoldDescriptor.from_chern(2, {(2,): 3}))
 
+    def test_dimension_zero_checks_the_table(self):
+        g = genus_series("todd", 4)
+        with pytest.raises(IncompleteChernTableError):
+            genus_of(g, ManifoldDescriptor.from_chern(0, {(1,): 1}))
+        # K_0 = 1 pairs with the number of points
+        assert genus_of(g, ManifoldDescriptor.from_chern(0, {(): 3})) == 3
+
     def test_partitions(self):
         assert partitions(0) == [()]
         assert sorted(partitions(4)) == sorted(

@@ -112,6 +112,10 @@ class TestGenerators:
         for name in ("zeta1", "foo", "e0", "x0"):
             with pytest.raises(KeyError):
                 generator_info(name)
+            with pytest.raises(KeyError):
+                RingElement({((name, 1),): 1})
+            with pytest.raises(KeyError):
+                RingElement.from_obj({"terms": [{"num": "1", "den": "1", "exps": {name: 1}}]})
 
     def test_negative_exponent_guard(self):
         with pytest.raises(ValueError):

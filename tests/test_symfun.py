@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from genusforge.ring import RingElement
-from genusforge.series import Series1
+from genusforge.series import Series1, exp_series
 from genusforge.symfun import (
     NotSymmetricError,
     OddContentError,
@@ -16,12 +16,14 @@ from genusforge.symfun import (
     multiplicative_sequence,
     pontryagin_from_chern,
     power_sum_over,
+    series_product_over_alphabet,
     symmetric_in_elementary,
     symplectic_power_sum_check,
     zeta_specialize,
 )
 
 from conftest import rationals
+from oracles import exp_root_poly, root_degree_part, root_product
 
 R = RingElement
 gen = R.gen
@@ -212,3 +214,77 @@ class TestMultiplicativeSequence:
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):
             multiplicative_sequence(Series1.x(4), 4)
+
+
+# -- graded routes against the root-truncating oracles ----------------------------
+
+_signed_roots = st.builds(
+    lambda i, sign: gen(f"x{i}") * sign,
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([1, -1]),
+)
+
+
+@st.composite
+def scalars(draw):
+    """A rational, or a rational polynomial of degree <= 1 in the parameter t."""
+    c = R.from_rational(draw(rationals))
+    if draw(st.booleans()):
+        c = c + gen("t") * draw(rationals)
+    return c
+
+
+@st.composite
+def char_series(draw, unit=False):
+    order = draw(st.integers(min_value=0, max_value=6))
+    coeffs = draw(st.lists(scalars(), min_size=order + 1, max_size=order + 1))
+    if unit:
+        coeffs[0] = R.one()
+    return Series1(coeffs, order)
+
+
+@st.composite
+def graded_root_series(draw):
+    """A series with zero constant term whose coefficient k is homogeneous of
+    root degree k in x1..x3."""
+    cap = draw(st.integers(min_value=0, max_value=6))
+    coeffs = [R.zero()]
+    for k in range(1, cap + 1):
+        c = R.zero()
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            mono = R.one()
+            for i in draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)):
+                mono = mono * gen(f"x{i}")
+            c = c + mono * draw(scalars())
+        coeffs.append(c)
+    return Series1(coeffs, cap)
+
+
+class TestGradedAgainstRootOracles:
+    @given(
+        char_series(),
+        st.lists(_signed_roots, max_size=4),
+        st.integers(min_value=0, max_value=6),
+    )
+    def test_alphabet_product(self, H, alphabet, cap):
+        graded = series_product_over_alphabet(H, alphabet, cap)
+        oracle = root_product(H, alphabet, cap)
+        assert graded.order == cap
+        for k in range(cap + 1):
+            assert graded[k] == root_degree_part(oracle, k), k
+
+    @given(char_series(unit=True), st.integers(min_value=1, max_value=3))
+    def test_multiplicative_sequence(self, H, n):
+        prod = root_product(H, roots(n), n)
+        want = [
+            symmetric_in_elementary(root_degree_part(prod, j), n, out_prefix="c")
+            for j in range(1, n + 1)
+        ]
+        assert [k.poly for k in multiplicative_sequence(H, n)] == want
+
+    @given(graded_root_series())
+    def test_exp_of_graded_series(self, f):
+        oracle = exp_root_poly(sum(f.coefficients(), R.zero()), f.order)
+        got = exp_series(f)
+        for k in range(f.order + 1):
+            assert got[k] == root_degree_part(oracle, k), k

@@ -37,15 +37,15 @@ for n in range(1, 5):
 print()
 
 print("Mishchenko logarithm identity:", mishchenko_check(raw).status)
-print("structure of the normalized series:", normalized_gamma_report(8))
+print("structure of the normalized series:", normalized_gamma_report(8).to_obj())
 print()
 
 for m in (1, 2, 3):
     print(f"MSp agreement, {m} root pair(s):", msp_agreement_check(10, m).status)
-print("mutant (unconjugated) variant:", msp_agreement_check(6, 2, mutant=True).to_obj()["status"])
+print("mutant (unconjugated) variant:", msp_agreement_check(6, 2, mutant=True).status)
 print()
 
 print("numeric cross-check against 1/Gamma:")
 for z0 in (Fraction(1, 4), Fraction(1, 2), Fraction(-1, 3)):
     rep = numeric_gamma_validation(z0, 20, 1e-8)
-    print(f"   z0 = {z0}: {rep['status']} (residual {rep['residual']:.2e})")
+    print(f"   z0 = {z0}: {rep.status} (residual {rep.extra['residual']:.2e})")

@@ -75,7 +75,11 @@ def _parse_params(items) -> "dict[str, Fraction]":
 
 
 def _parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
-    """Parse a table like "c1^2=9,c2=3" into {partition: value}."""
+    """Parse a table like "c1^2=9,c2=3" into {partition: value}.
+
+    Classes and exponents are positive, and an entry's weight is bounded by
+    MAX_ORDER before its parts are listed.
+    """
     table: "dict[tuple[int, ...], Fraction]" = {}
     for entry in text.split(","):
         entry = entry.strip()
@@ -92,9 +96,14 @@ def _parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
                 exp = int(exp)
             else:
                 base, exp = factor, 1
-            if not base.startswith("c") or not base[1:].isdigit():
+            index = int(base[1:]) if base.startswith("c") and base[1:].isdigit() else 0
+            if index < 1:
                 raise ValueError(f"bad chern class {factor!r}")
-            parts.extend([int(base[1:])] * exp)
+            if exp < 1:
+                raise ValueError(f"exponent in {factor!r} must be >= 1")
+            if sum(parts) + index * exp > MAX_ORDER:
+                raise ValueError(f"chern entry {entry!r} has weight above {MAX_ORDER}")
+            parts.extend([index] * exp)
         table[tuple(sorted(parts, reverse=True))] = _rational(value)
     return table
 
@@ -309,6 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for size in ("n", "max_n", "dim", "x_order", "q_order"):
+        value = getattr(args, size, None)
+        if value is not None and value > MAX_ORDER:
+            flag = "--" + size.replace("_", "-")
+            return _fail_usage(f"{flag} {value} exceeds the maximum {MAX_ORDER}")
     handlers = {
         "fgl": _cmd_fgl,
         "genus": _cmd_genus,
@@ -320,6 +334,12 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except BrokenPipeError:
         return EXIT_OK
+    except ValueError as exc:
+        # An integer beyond the interpreter's int-to-str digit limit; the
+        # error has no type of its own.  The limit stays: it guards parsing.
+        if "integer string conversion" not in str(exc):
+            raise
+        return _fail_usage(f"result too large to print: {exc}")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import re
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
+from genusforge.check import CheckResult, first_defect
 from genusforge.ring import RingElement
 from genusforge.series import (
     Series1,
@@ -28,7 +29,6 @@ from genusforge.series import (
 
 __all__ = [
     "AxiomReport",
-    "CheckResult",
     "FormalGroupLaw",
     "UnknownLawError",
     "CATALOG",
@@ -52,61 +52,6 @@ _ONE = RingElement.one()
 
 class UnknownLawError(KeyError):
     """Requested a law that is not in the catalog."""
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of an exact identity check."""
-
-    status: str  # "PASS" | "FAIL"
-    degree: Optional[int] = None
-    coefficient: Optional[RingElement] = None
-    detail: Optional[str] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "PASS"
-
-    def to_obj(self) -> dict:
-        if self.passed:
-            obj: dict = {"status": "PASS"}
-        else:
-            obj = {"status": "FAIL"}
-            if self.degree is not None:
-                obj["degree"] = self.degree
-            if self.coefficient is not None:
-                obj["coefficient"] = self.coefficient.to_obj()
-        if self.detail:
-            obj["detail"] = self.detail
-        return obj
-
-    @staticmethod
-    def ok(detail: Optional[str] = None) -> "CheckResult":
-        return CheckResult("PASS", detail=detail)
-
-    @staticmethod
-    def fail(degree=None, coefficient=None, detail=None) -> "CheckResult":
-        return CheckResult("FAIL", degree, coefficient, detail)
-
-
-def _first_defect2(diff: Series2) -> "Optional[tuple[int, RingElement]]":
-    if diff.is_zero():
-        return None
-    items = diff.items()
-    degree = min(i + j for (i, j), _ in items)
-    for (i, j), c in items:
-        if i + j == degree:
-            return degree, c
-    return None
-
-
-def _first_defect_tri(diff: "dict[tuple[int, int, int], RingElement]"):
-    keys = [k for k, c in diff.items() if not c.is_zero()]
-    if not keys:
-        return None
-    degree = min(sum(k) for k in keys)
-    key = min(k for k in keys if sum(k) == degree)
-    return degree, diff[key]
 
 
 @dataclass(frozen=True)
@@ -366,22 +311,12 @@ def check_axioms(law: Union[FormalGroupLaw, Series2]) -> AxiomReport:
     F = _law_series(law)
     n = F.order
 
-    unit = CheckResult.ok()
-    for k in range(n + 1):
-        want = _ONE if k == 1 else _ZERO
-        for c, deg in ((F[(k, 0)], k), (F[(0, k)], k)):
-            if c != want:
-                unit = CheckResult.fail(deg, c - want)
-                break
-        if not unit.passed:
-            break
-
-    comm_defect = _first_defect2(F - F.swap())
-    commutativity = (
-        CheckResult.ok()
-        if comm_defect is None
-        else CheckResult.fail(*comm_defect)
+    unit = first_defect(
+        (k, F[ij] - _ONE if k == 1 else F[ij])
+        for k in range(n + 1)
+        for ij in ((k, 0), (0, k))
     )
+    commutativity = first_defect((F - F.swap()).items())
 
     powers = [Series2.constant(1, n)]
     for _ in range(n):
@@ -404,12 +339,7 @@ def check_axioms(law: Union[FormalGroupLaw, Series2]) -> AxiomReport:
     diff = dict(left)
     for key, c in right.items():
         diff[key] = diff.get(key, _ZERO) - c
-    assoc_defect = _first_defect_tri(diff)
-    associativity = (
-        CheckResult.ok()
-        if assoc_defect is None
-        else CheckResult.fail(*assoc_defect)
-    )
+    associativity = first_defect(diff.items())
     return AxiomReport(unit, commutativity, associativity)
 
 
@@ -490,8 +420,7 @@ def verify_iso(
     phi = phi.truncate(n)
     lhs = compose1_2(phi, F)
     rhs = G.compose(phi, phi)
-    defect = _first_defect2(lhs - rhs)
-    return CheckResult.ok() if defect is None else CheckResult.fail(*defect)
+    return first_defect((lhs - rhs).items())
 
 
 _MOBIUS_CONVENTIONS = {
@@ -543,15 +472,15 @@ def mobius_sweep(order: int = 12) -> "list[dict]":
         for target_name, m in _MOBIUS_TARGETS.items():
             m_elem = RingElement.gen("t") if m == "t" else RingElement.from_rational(m)
             rhs = base + cross * m_elem
-            defect = _first_defect2(lhs - rhs)
+            defect = first_defect((lhs - rhs).items())
             records.append(
                 {
                     "convention": conv_name,
                     "target": target_name,
                     "normalized_unit": normalized,
                     "strict_linear_term": strict,
-                    "status": "PASS" if defect is None else "FAIL",
-                    "fail_degree": None if defect is None else defect[0],
+                    "status": defect.status,
+                    "fail_degree": defect.degree,
                 }
             )
     return records

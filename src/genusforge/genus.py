@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
+from genusforge.check import CheckResult, first_defect
 from genusforge.fgl import (
     CATALOG,
-    CheckResult,
     catalog,
     exponential,
     gamma_exponential,
@@ -197,11 +197,9 @@ def mishchenko_check(g: GenusSeries, N: Optional[int] = None) -> CheckResult:
     if g.order < N:
         raise InsufficientOrderError(f"series order {g.order} < N = {N}")
     log = g.exp.truncate(N).revert()
-    for n in range(1, N + 1):
-        rhs = genus_cpn(g, n - 1) * Fraction(1, n)
-        if log[n] != rhs:
-            return CheckResult.fail(n, log[n] - rhs)
-    return CheckResult.ok()
+    return first_defect(
+        (n, log[n] - genus_cpn(g, n - 1) * Fraction(1, n)) for n in range(1, N + 1)
+    )
 
 
 def partitions(d: int) -> "list[tuple[int, ...]]":
@@ -307,7 +305,7 @@ def genus_table(
 # -- the reciprocal-Gamma genus ----------------------------------------------------
 
 
-def normalized_gamma_report(order: int = 10) -> "dict[str, object]":
+def normalized_gamma_report(order: int = 10) -> CheckResult:
     """Structural checks for the normalized presentation.
 
     Verifies the linear term is -gamma/ipi2, that the even part of H is the
@@ -317,9 +315,8 @@ def normalized_gamma_report(order: int = 10) -> "dict[str, object]":
     """
     g = gamma_series(order, "normalized")
     H = g.H
-    checks: "dict[str, object]" = {}
     lin_expected = RingElement.gen("gamma", coeff=-1) * RingElement.gen("ipi2", -1)
-    checks["linear_term"] = "PASS" if H[1] == lin_expected else "FAIL"
+    linear = CheckResult.from_flag(H[1] == lin_expected)
 
     # The "even part" of the sqrt-times-exponential factorization is exp(even part of
     # log H), not the even-coefficient slice of H itself.
@@ -328,7 +325,7 @@ def normalized_gamma_report(order: int = 10) -> "dict[str, object]":
     log_odd = logH - log_even
     even_factor = exp_series(log_even)
     sqrt_target = sqrt_series(half_sinh_ratio(order))
-    checks["even_part_is_sqrt_sinh"] = "PASS" if even_factor == sqrt_target else "FAIL"
+    even = CheckResult.from_flag(even_factor == sqrt_target)
 
     plus_display = Series1(
         [
@@ -341,19 +338,17 @@ def normalized_gamma_report(order: int = 10) -> "dict[str, object]":
     )
     gamma_term = Series1.x(order) * lin_expected
     if log_odd == gamma_term + plus_display:
-        checks["odd_sum_sign"] = "plus-sign convention matches expansion"
+        odd_sign = "plus-sign convention matches expansion"
     elif log_odd == gamma_term - plus_display:
-        checks["odd_sum_sign"] = "expansion carries minus; the plus-sign convention does not match"
+        odd_sign = "expansion carries minus; the plus-sign convention does not match"
     else:
-        checks["odd_sum_sign"] = "neither sign matches"
-    checks["status"] = (
-        "PASS"
-        if checks["linear_term"] == "PASS"
-        and checks["even_part_is_sqrt_sinh"] == "PASS"
-        and "neither" not in str(checks["odd_sum_sign"])
-        else "FAIL"
+        odd_sign = "neither sign matches"
+    return CheckResult.from_flag(
+        linear.passed and even.passed and "neither" not in odd_sign,
+        linear_term=linear.status,
+        even_part_is_sqrt_sinh=even.status,
+        odd_sum_sign=odd_sign,
     )
-    return checks
 
 
 def _roots_pm(m: int) -> "list[RingElement]":
@@ -392,9 +387,10 @@ def msp_agreement_check(order: int, m: int, mutant: bool = False) -> CheckResult
         alphabet = _roots_pm(m)
     lhs = series_product_over_alphabet(g_raw.H, alphabet, order)
     target = _even_zeta_exponential(order)
-    defect = _first_defect(lhs - series_product_over_alphabet(target, roots, order))
-    if defect is not None:
-        return CheckResult.fail(*defect, detail="raw layer")
+    raw = lhs - series_product_over_alphabet(target, roots, order)
+    defect = first_defect(raw.items(), "raw layer")
+    if not defect.passed:
+        return defect
 
     stray = sorted(
         name
@@ -407,18 +403,8 @@ def msp_agreement_check(order: int, m: int, mutant: bool = False) -> CheckResult
     g_norm = gamma_series(order, "normalized")
     lhs_norm = series_product_over_alphabet(g_norm.H, alphabet, order)
     rhs_norm = series_product_over_alphabet(half_sinh_ratio(order), roots, order)
-    defect = _first_defect((lhs_norm - rhs_norm).map_coefficients(RingElement.reduce))
-    if defect is not None:
-        return CheckResult.fail(*defect, detail="normalized layer")
-    return CheckResult.ok()
-
-
-def _first_defect(diff: Series1) -> "Optional[tuple[int, RingElement]]":
-    """The first nonzero graded coefficient of a difference, with its degree."""
-    for k, c in enumerate(diff.coefficients()):
-        if not c.is_zero():
-            return k, c
-    return None
+    normalized = (lhs_norm - rhs_norm).map_coefficients(RingElement.reduce)
+    return first_defect(normalized.items(), "normalized layer")
 
 
 def ahat_pontryagin_identity(order: int, m: int) -> CheckResult:
@@ -434,9 +420,10 @@ def ahat_pontryagin_identity(order: int, m: int) -> CheckResult:
     for k in range(1, order // 2 + 1):
         s_so = power_sum_over(roots, 2 * k) * 2
         arg[2 * k] = s_so * (-bernoulli(2 * k) / (math.factorial(2 * k) * 4 * k))
-    defect = _first_defect(lhs - exp_series(Series1(arg, order)))
-    if defect is not None:
-        return CheckResult.fail(*defect, detail="pontryagin identity")
+    diff = lhs - exp_series(Series1(arg, order))
+    defect = first_defect(diff.items(), "pontryagin identity")
+    if not defect.passed:
+        return defect
     k1 = -bernoulli(2) / (math.factorial(2) * 4)
     if k1 != zeta_tilde_even(1) / 2 or k1 != Fraction(-1, 48):
         return CheckResult.fail(detail=f"k=1 coefficient {k1} != -1/48")
@@ -484,10 +471,7 @@ class WittenSeries:
         return self._q_slice(self.log_H[x_pow], q_pow)
 
     def evenness_check(self) -> CheckResult:
-        for k in range(1, self.x_order + 1, 2):
-            if not self.H[k].is_zero():
-                return CheckResult.fail(k, self.H[k])
-        return CheckResult.ok()
+        return first_defect((k, self.H[k]) for k in range(1, self.x_order + 1, 2))
 
     def q0_check(self) -> CheckResult:
         """The q = 0 slice is the rational A-hat characteristic series."""
@@ -589,26 +573,20 @@ def universal_gamma(order: int) -> "dict[str, CheckResult]":
     g = _series_from_exponential(exp_full, order, "universal_additive")
     report: "dict[str, CheckResult]" = {}
 
-    h_check: CheckResult = CheckResult.ok()
-    for k in range(1, order + 1):
-        got = g.H[k] * Fraction((-1) ** k)  # coefficient of (-z)^k
-        want = convert(SymPoly.h(k), "E").poly
-        if got != want:
-            h_check = CheckResult.fail(k, got - want)
-            break
-    report["h_in_e"] = h_check
+    # g.H[k] (-1)^k is the coefficient of (-z)^k
+    report["h_in_e"] = first_defect(
+        (k, g.H[k] * Fraction((-1) ** k) - convert(SymPoly.h(k), "E").poly)
+        for k in range(1, order + 1)
+    )
 
     gamma_exp = gamma_exponential(order)
-    spec_check: CheckResult = CheckResult.ok()
-    for k in range(order + 1):
-        coeff = g.exp[k]
-        specialized = (
-            zeta_specialize(SymPoly("E", coeff), "raw") if not coeff.is_zero() else _ZERO
-        )
-        if specialized != gamma_exp[k]:
-            spec_check = CheckResult.fail(k, specialized - gamma_exp[k])
-            break
-    report["specializes_to_gamma"] = spec_check
+    specialized = [
+        zeta_specialize(SymPoly("E", c), "raw") if not c.is_zero() else _ZERO
+        for c in g.exp.coefficients()
+    ]
+    report["specializes_to_gamma"] = first_defect(
+        (k, s - gamma_exp[k]) for k, s in enumerate(specialized)
+    )
 
     law_order = min(order, 8)
     law = catalog("universal_additive", law_order)
@@ -628,18 +606,15 @@ def universal_gamma(order: int) -> "dict[str, CheckResult]":
 # -- rescaled quantum-integer law ----------------------------------------------------------
 
 
-def chi_rescaled_check(order: int) -> "dict[str, object]":
+def chi_rescaled_check(order: int) -> CheckResult:
     """Logarithm coefficients are [n](t)/n, the law is u <-> 1/u invariant,
     and the sign of the mixed term relative to the +(u + 1/u) presentation
     is recorded."""
     law = catalog("chi_rescaled", order)
     L = logarithm(law)
-    log_check: CheckResult = CheckResult.ok()
-    for n in range(1, order + 1):
-        want = gaussian_bracket(n) * Fraction(1, n)
-        if L[n] != want:
-            log_check = CheckResult.fail(n, L[n] - want)
-            break
+    log_check = first_defect(
+        (n, L[n] - gaussian_bracket(n) * Fraction(1, n)) for n in range(1, order + 1)
+    )
     inv = law.F.map_coefficients(
         lambda c: c.substitute({"u": RingElement.gen("u", -1)})
     )
@@ -655,12 +630,12 @@ def chi_rescaled_check(order: int) -> "dict[str, object]":
         )
     else:
         sign_note = f"unexpected mixed term {mixed}"
-    return {
-        "logarithm": log_check,
-        "involution": inv_check,
-        "mixed_term_sign": sign_note,
-        "status": "PASS" if log_check.passed and inv_check.passed else "FAIL",
-    }
+    return CheckResult.from_flag(
+        log_check.passed and inv_check.passed,
+        logarithm=log_check,
+        involution=inv_check,
+        mixed_term_sign=sign_note,
+    )
 
 
 # -- conjugation equivariance ------------------------------------------------------------
@@ -677,12 +652,10 @@ def conjugation_equivariance_check(n_max: int) -> CheckResult:
         [exp_full[k] * Fraction((-1) ** (k + 1)) for k in range(n_max + 2)], n_max + 1
     )
     g_conj = _series_from_exponential(conj_exp, n_max, "gamma_conjugate", "normalized")
-    for n in range(1, n_max + 1):
-        lhs = genus_cpn(g, n).conjugate().reduce()
-        rhs = genus_cpn(g_conj, n).reduce()
-        if lhs != rhs:
-            return CheckResult.fail(n, lhs - rhs)
-    return CheckResult.ok()
+    return first_defect(
+        (n, genus_cpn(g, n).conjugate().reduce() - genus_cpn(g_conj, n).reduce())
+        for n in range(1, n_max + 1)
+    )
 
 
 # -- numeric validation ----------------------------------------------------------------------
@@ -692,7 +665,7 @@ def numeric_gamma_validation(
     z0: Union[Fraction, float],
     order: int = 20,
     tolerance: float = 1e-10,
-) -> "dict[str, object]":
+) -> CheckResult:
     """Truncated exponential of the reciprocal Gamma function against the
     stdlib Gamma as an independent oracle."""
     if order < 10:
@@ -704,13 +677,9 @@ def numeric_gamma_validation(
     value = series.evaluate(complex(float(z0)))
     target = 0.0 if z0 == 0 else 1.0 / math.gamma(float(z0))
     residual = abs(value - target)
-    return {
-        "status": "PASS" if residual < tolerance else "FAIL",
-        "z0": str(z0),
-        "order": order,
-        "tolerance": tolerance,
-        "residual": residual,
-    }
+    return CheckResult.from_flag(
+        residual < tolerance, z0=str(z0), order=order, tolerance=tolerance, residual=residual
+    )
 
 
 # -- Hodge comparison for the deformation law --------------------------------------------------
@@ -724,27 +693,20 @@ def hodge_chi_minus_t(n: int) -> RingElement:
     return out
 
 
-def hodge_chi_check(n_max: int) -> "dict[str, object]":
+def hodge_chi_check(n_max: int) -> CheckResult:
     """Deformation-law genus of CP^n against Hodge chi_{-t}, recording the
     empirical (-1)^n orientation sign."""
     g = genus_series("kontsevich", n_max)
-    sign_ok = True
-    for n in range(0, n_max + 1):
-        got = genus_cpn(g, n)
-        want = hodge_chi_minus_t(n) * ((-1) ** n)
-        if got != want:
-            sign_ok = False
-            break
-    return {
-        "status": "PASS" if sign_ok else "FAIL",
-        "sign_convention": "genus(CP^n) = (-1)^n * (1 + t + ... + t^n)",
-    }
+    return first_defect(
+        ((n, genus_cpn(g, n) - hodge_chi_minus_t(n) * ((-1) ** n)) for n in range(n_max + 1)),
+        sign_convention="genus(CP^n) = (-1)^n * (1 + t + ... + t^n)",
+    )
 
 
 # -- section 3.2 sign bookkeeping --------------------------------------------------------------
 
 
-def zeta_map_report(k_max: int = 3) -> "dict[str, object]":
+def zeta_map_report(k_max: int = 3) -> CheckResult:
     """Record how the even/odd zeta-value displays compare with the exponent
     coefficients derived from direct expansion.
 
@@ -754,7 +716,7 @@ def zeta_map_report(k_max: int = 3) -> "dict[str, object]":
     (-1)^(k+1) (2 pi)^(-2k-1) zeta(2k+1) i agrees with zeta~(2k+1) exactly,
     checked numerically to 12 digits.
     """
-    report: "dict[str, object]" = {}
+    report: "dict[str, str]" = {}
     even_match = all(
         zeta_tilde_even(k) / (2 * k) == -bernoulli(2 * k) / (4 * k * math.factorial(2 * k))
         for k in range(1, k_max + 1)
@@ -784,5 +746,4 @@ def zeta_map_report(k_max: int = 3) -> "dict[str, object]":
     report["s1_map_sign"] = (
         "matches -gamma i / (2 pi)" if abs(s1 - s1_display) < 1e-12 else "MISMATCH"
     )
-    report["status"] = "PASS" if even_match and odd_ok else "FAIL"
-    return report
+    return CheckResult.from_flag(even_match and odd_ok, **report)

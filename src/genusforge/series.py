@@ -93,6 +93,10 @@ class Series1:
     def coefficients(self) -> "tuple[RingElement, ...]":
         return self._coeffs
 
+    def items(self) -> "list[tuple[int, RingElement]]":
+        """(degree, coefficient) for the nonzero coefficients, as Series2.items."""
+        return [(n, c) for n, c in enumerate(self._coeffs) if not c.is_zero()]
+
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self._coeffs)
 

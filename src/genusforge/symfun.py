@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from genusforge.fgl import CheckResult
+from genusforge.check import CheckResult
 from genusforge.ring import RingElement, generator_info
 from genusforge.series import Series1, exp_series, log_series
 

@@ -1,16 +1,17 @@
 """One-shot verification of every identity the package implements.
 
-Each check returns a JSON-ready record; run_suite collects a named subset
-(fgl, iso, gamma, witten, universal, or all) with deterministic ordering.
+Each suite maps check names to CheckResults; run_suite collects a named
+subset (fgl, iso, gamma, witten, universal, or all) into JSON records sorted
+by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from genusforge import fgl, genus
-from genusforge.fgl import CheckResult
+from genusforge.check import CheckResult, first_defect
 from genusforge.ring import RingElement, zeta_tilde_even
 from genusforge.series import Series1, bivariate_from_exp
 from genusforge.symfun import symplectic_power_sum_check
@@ -30,131 +31,83 @@ _FROM_EXPONENTIAL = (
 _MISHCHENKO_SERIES = ("todd", "ahat", "gamma_raw", "kontsevich", "chi_rescaled")
 
 
-def _jsonable(value):
-    if isinstance(value, CheckResult):
-        return value.to_obj()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return value
+Checks = "dict[str, CheckResult]"
 
 
-def _res(name: str, result, payload: Optional[dict] = None) -> dict:
-    if isinstance(result, CheckResult):
-        rec = {"name": name, **result.to_obj()}
-    elif isinstance(result, dict):
-        rec = {"name": name, **_jsonable(result)}
-    else:
-        rec = {"name": name, "status": "PASS" if result else "FAIL"}
-    if payload:
-        rec.update(_jsonable(payload))
-    return rec
-
-
-def _fgl_checks(order: int) -> "list[dict]":
-    out = []
+def _fgl_checks(order: int) -> Checks:
+    out: Checks = {}
     for name in fgl.CATALOG:
-        law = fgl.catalog(name, order)
-        report = fgl.check_axioms(law)
-        out.append(
-            _res(
-                f"axioms_{name}",
-                CheckResult.ok() if report.passed else CheckResult.fail(),
-                {"report": report.to_obj()},
-            )
-        )
+        report = fgl.check_axioms(fgl.catalog(name, order))
+        out[f"axioms_{name}"] = CheckResult.from_flag(report.passed, report=report.to_obj())
     kg = fgl.kontsevich_germ_law(order)
     kc = fgl.catalog("kontsevich", order)
+    germ = first_defect((kg - kc.F).items())
     t = RingElement.gen("t")
-    germ_ok = kg == kc.F and kc.F[(1, 1)] == 1 + t
-    out.append(_res("kontsevich_germ_vs_closed", germ_ok))
+    out["kontsevich_germ_vs_closed"] = (
+        CheckResult.from_flag(kc.F[(1, 1)] == 1 + t) if germ.passed else germ
+    )
 
     jac = fgl.catalog("jacobi", order, params={"delta": Fraction(-1, 8), "epsilon": 0})
     hyp = fgl.catalog("hyperbolic", order)
-    out.append(_res("jacobi_specializes_to_hyperbolic", jac.F == hyp.F))
+    out["jacobi_specializes_to_hyperbolic"] = first_defect((jac.F - hyp.F).items())
 
     g_ord = min(order, 10)
-    out.append(
-        _res("grading_gamma_raw", fgl.grading_check(fgl.catalog("gamma_raw", g_ord)))
-    )
-    out.append(_res("grading_jacobi", fgl.grading_check(fgl.catalog("jacobi", g_ord))))
-    out.append(
-        _res(
-            "grading_universal",
-            fgl.grading_check(fgl.catalog("universal_additive", g_ord)),
-        )
-    )
+    out["grading_gamma_raw"] = fgl.grading_check(fgl.catalog("gamma_raw", g_ord))
+    out["grading_jacobi"] = fgl.grading_check(fgl.catalog("jacobi", g_ord))
+    out["grading_universal"] = fgl.grading_check(fgl.catalog("universal_additive", g_ord))
 
     neg_order = min(order, 8)
+    z = Series1.x(neg_order)
     for name in fgl.CATALOG:
         law = fgl.catalog(name, neg_order)
-        neg = fgl.negation_series(law)
-        ident = fgl.n_series(law, 1) == Series1.x(neg_order)
-        inverse_ok = law.F.eval_at(Series1.x(neg_order), neg).is_zero()
-        out.append(_res(f"negation_{name}", ident and inverse_ok))
+        ident = first_defect((fgl.n_series(law, 1) - z).items(), "[1](z) = z")
+        inverse = first_defect(law.F.eval_at(z, fgl.negation_series(law)).items())
+        out[f"negation_{name}"] = inverse if ident.passed else ident
 
     rt_order = min(order, 8)
     for name in _FROM_EXPONENTIAL:
         law = fgl.catalog(name, rt_order)
         rebuilt = bivariate_from_exp(fgl.logarithm(law).revert())
-        out.append(_res(f"log_exp_roundtrip_{name}", rebuilt == law.F))
+        out[f"log_exp_roundtrip_{name}"] = first_defect((rebuilt - law.F).items())
     return out
 
 
-def _iso_checks(order: int) -> "list[dict]":
-    out = []
+def _iso_checks(order: int) -> Checks:
     k = fgl.catalog("kontsevich", order)
     m = fgl.catalog("multiplicative", order)
     phi = fgl.canonical_strict_iso(k, m)
-    out.append(_res("canonical_iso_kontsevich_to_multiplicative", fgl.verify_iso(phi, k, m)))
     sweep = fgl.mobius_sweep(min(order, 10))
     any_pass = any(rec["status"] == "PASS" for rec in sweep)
-    out.append(
-        _res(
-            "mobius_convention_sweep",
-            True,
-            {
-                "combinations": sweep,
-                "conclusion": (
-                    "a candidate convention validates"
-                    if any_pass
-                    else "no face-value reading of the candidate coordinate change "
-                    "verifies; the canonical strict isomorphism is authoritative"
-                ),
-            },
-        )
-    )
-    return out
+    return {
+        "canonical_iso_kontsevich_to_multiplicative": fgl.verify_iso(phi, k, m),
+        "mobius_convention_sweep": CheckResult.ok(
+            combinations=sweep,
+            conclusion=(
+                "a candidate convention validates"
+                if any_pass
+                else "no face-value reading of the candidate coordinate change "
+                "verifies; the canonical strict isomorphism is authoritative"
+            ),
+        ),
+    }
 
 
-def _gamma_checks(order: int) -> "list[dict]":
-    out = []
+def _gamma_checks(order: int) -> Checks:
+    out: Checks = {}
     glaw = fgl.catalog("gamma_raw", min(order, 8))
-    out.append(
-        _res(
-            "gamma_law_z0z1_coefficient",
-            glaw.F[(1, 1)] == RingElement.gen("gamma") * 2,
-        )
+    out["gamma_law_z0z1_coefficient"] = CheckResult.from_flag(
+        glaw.F[(1, 1)] == RingElement.gen("gamma") * 2
     )
     m_order = min(order, 10)
     for name in _MISHCHENKO_SERIES:
-        g = genus.genus_series(name, m_order)
-        out.append(_res(f"mishchenko_{name}", genus.mishchenko_check(g)))
+        out[f"mishchenko_{name}"] = genus.mishchenko_check(genus.genus_series(name, m_order))
 
     msp_order = min(order, 12)
     for m in (1, 2, 3):
-        out.append(_res(f"msp_agreement_m{m}", genus.msp_agreement_check(msp_order, m)))
+        out[f"msp_agreement_m{m}"] = genus.msp_agreement_check(msp_order, m)
     mutant = genus.msp_agreement_check(min(order, 6), 2, mutant=True)
-    out.append(
-        _res(
-            "msp_mutant_fails",
-            CheckResult.ok() if (not mutant.passed and mutant.degree == 1) else CheckResult.fail(),
-        )
-    )
-    out.append(_res("ahat_pontryagin_identity_m3", genus.ahat_pontryagin_identity(msp_order, 3)))
+    out["msp_mutant_fails"] = CheckResult.from_flag(not mutant.passed and mutant.degree == 1)
+    out["ahat_pontryagin_identity_m3"] = genus.ahat_pontryagin_identity(msp_order, 3)
 
     table_ok = True
     numeric_ok = True
@@ -165,36 +118,24 @@ def _gamma_checks(order: int) -> "list[dict]":
             table_ok = False
         if abs(z2k.evaluate() - complex(float(exact))) > 1e-12:
             numeric_ok = False
-    out.append(_res("even_zeta_table_exact", table_ok))
-    out.append(_res("even_zeta_table_numeric_1e-12", numeric_ok))
+    out["even_zeta_table_exact"] = CheckResult.from_flag(table_ok)
+    out["even_zeta_table_numeric_1e-12"] = CheckResult.from_flag(numeric_ok)
 
-    out.append(_res("normalized_gamma_structure", genus.normalized_gamma_report(min(order, 10))))
-    out.append(_res("conjugation_equivariance_cp4", genus.conjugation_equivariance_check(4)))
-    out.append(
-        _res("numeric_gamma_validation", genus.numeric_gamma_validation(Fraction(1, 4), 20, 1e-10))
-    )
-    out.append(_res("zeta_map_signs", genus.zeta_map_report()))
+    out["normalized_gamma_structure"] = genus.normalized_gamma_report(min(order, 10))
+    out["conjugation_equivariance_cp4"] = genus.conjugation_equivariance_check(4)
+    out["numeric_gamma_validation"] = genus.numeric_gamma_validation(Fraction(1, 4), 20, 1e-10)
+    out["zeta_map_signs"] = genus.zeta_map_report()
 
     todd = genus.genus_series("todd", 6)
-    out.append(
-        _res(
-            "todd_cpn_all_one",
-            all(genus.genus_cpn(todd, n) == RingElement.one() for n in range(7)),
-        )
+    out["todd_cpn_all_one"] = CheckResult.from_flag(
+        all(genus.genus_cpn(todd, n) == RingElement.one() for n in range(7))
     )
     ahat = genus.genus_series("ahat", 4)
     expected = {2: Fraction(-1, 8), 3: Fraction(0), 4: Fraction(3, 128)}
-    out.append(
-        _res(
-            "ahat_cpn_values",
-            all(
-                genus.genus_cpn(ahat, n) == RingElement.from_rational(v)
-                for n, v in expected.items()
-            ),
-        )
+    out["ahat_cpn_values"] = CheckResult.from_flag(
+        all(genus.genus_cpn(ahat, n) == RingElement.from_rational(v) for n, v in expected.items())
     )
 
-    chern_ok = True
     chern_detail = {}
     for name in genus.GENUS_SERIES:
         g = genus.genus_series(name, 5)
@@ -203,46 +144,42 @@ def _gamma_checks(order: int) -> "list[dict]":
                 g, genus.ManifoldDescriptor.from_chern(n, genus.cpn_chern_numbers(n))
             )
             if via_chern != genus.genus_cpn(g, n):
-                chern_ok = False
                 chern_detail = {"series": name, "n": n}
-    out.append(_res("chern_route_matches_product_route", chern_ok, chern_detail or None))
+    out["chern_route_matches_product_route"] = CheckResult.from_flag(
+        not chern_detail, **chern_detail
+    )
 
-    out.append(_res("hodge_chi_minus_t_cp5", genus.hodge_chi_check(5)))
+    out["hodge_chi_minus_t_cp5"] = genus.hodge_chi_check(5)
     for m, k in ((1, 1), (2, 2), (3, 2)):
-        out.append(_res(f"symplectic_power_sums_m{m}_k{k}", symplectic_power_sum_check(m, k)))
-    out.append(_res("chi_rescaled_structure", genus.chi_rescaled_check(min(order, 8))))
+        out[f"symplectic_power_sums_m{m}_k{k}"] = symplectic_power_sum_check(m, k)
+    out["chi_rescaled_structure"] = genus.chi_rescaled_check(min(order, 8))
     return out
 
 
-def _witten_checks(order: int) -> "list[dict]":
+def _witten_checks(order: int) -> Checks:
     x_order = max(min(order, 10), 6)
     w = genus.witten_series(x_order, 8)
-    out = [
-        _res("witten_evenness", w.evenness_check()),
-        _res("witten_q0_is_ahat", w.q0_check()),
-    ]
+    out: Checks = {
+        "witten_evenness": w.evenness_check(),
+        "witten_q0_is_ahat": w.q0_check(),
+    }
     for k in (1, 2, 3):
         if 2 * k <= w.x_order:
-            out.append(_res(f"witten_divisor_sum_k{k}", w.divisor_check(k)))
-    out.append(
-        _res(
-            "witten_x2q1_is_one",
-            w.log_coefficient(2, 1) == Fraction(1),
-        )
-    )
+            out[f"witten_divisor_sum_k{k}"] = w.divisor_check(k)
+    out["witten_x2q1_is_one"] = CheckResult.from_flag(w.log_coefficient(2, 1) == Fraction(1))
     return out
 
 
-def _universal_checks(order: int) -> "list[dict]":
+def _universal_checks(order: int) -> Checks:
     rep = genus.universal_gamma(min(order, 10))
-    return [
-        _res("universal_h_coefficients", rep["h_in_e"]),
-        _res("universal_specializes_to_gamma", rep["specializes_to_gamma"]),
-        _res("universal_law_integral_z_en", rep["law_integral"]),
-    ]
+    return {
+        "universal_h_coefficients": rep["h_in_e"],
+        "universal_specializes_to_gamma": rep["specializes_to_gamma"],
+        "universal_law_integral_z_en": rep["law_integral"],
+    }
 
 
-_SUITE_BUILDERS: "dict[str, Callable[[int], list[dict]]]" = {
+_SUITE_BUILDERS: "dict[str, Callable[[int], Checks]]" = {
     "fgl": _fgl_checks,
     "iso": _iso_checks,
     "gamma": _gamma_checks,
@@ -258,16 +195,15 @@ def run_suite(suite: str = "all", order: int = 12) -> dict:
     if order < 2:
         raise ValueError("order must be >= 2")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-    checks: "list[dict]" = []
+    results: Checks = {}
     for name in names:
-        checks.extend(_SUITE_BUILDERS[name](order))
-    checks.sort(key=lambda rec: rec["name"])
-    status = "PASS" if all(rec["status"] == "PASS" for rec in checks) else "FAIL"
-    failing = [rec["name"] for rec in checks if rec["status"] != "PASS"]
+        results.update(_SUITE_BUILDERS[name](order))
+    checks = [{"name": name, **results[name].to_obj()} for name in sorted(results)]
+    failing = [name for name in sorted(results) if not results[name].passed]
     report = {
         "suite": suite,
         "order": order,
-        "status": status,
+        "status": "FAIL" if failing else "PASS",
         "checks": checks,
     }
     if failing:

@@ -103,8 +103,8 @@ def test_criterion_07_numeric_gamma():
     _criterion(
         7,
         "order-20 reciprocal-Gamma exponential at 1/4 vs stdlib Gamma within 1e-10",
-        rep["status"] == "PASS",
-        f"residual {rep['residual']:.2e}",
+        rep.passed,
+        f"residual {rep.extra['residual']:.2e}",
     )
 
 
@@ -123,7 +123,7 @@ def test_criterion_08_genus_tables():
         for n in range(1, 5):
             M = genus.ManifoldDescriptor.from_chern(n, genus.cpn_chern_numbers(n))
             chern_ok = chern_ok and genus.genus_of(g, M) == genus.genus_cpn(g, n)
-    hodge_ok = genus.hodge_chi_check(5)["status"] == "PASS"
+    hodge_ok = genus.hodge_chi_check(5).passed
     _criterion(
         8,
         "Todd=1 (n<=6); Ahat(-1/8, 0, 3/128); Chern route == product route (n<=4, all "

@@ -1,13 +1,15 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from genusforge import cli
+from genusforge import cli, verify
 
 _ENV = {**os.environ}
 _ENV.pop("GENUSFORGE_ORDER", None)
@@ -129,6 +131,33 @@ class TestGenusCommand:
         proc = run_cli("genus", "cpn", "--series", "todd")
         assert proc.returncode == 2
 
+    def test_huge_chern_exponent_exits_two(self):
+        proc = run_cli(
+            "genus", "chern", "--series", "todd", "--dim", "2", "--chern", "c1^100000000000=1"
+        )
+        assert_usage_error(proc)
+
+    @pytest.mark.parametrize("chern", ["c1^-1=1", "c1^0=1,c2=3"])
+    def test_non_positive_chern_exponent_exits_two(self, chern):
+        proc = run_cli("genus", "chern", "--series", "todd", "--dim", "2", "--chern", chern)
+        assert_usage_error(proc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("genus", "cpn", "--series", "todd", "--n"),
+        ("genus", "cpn", "--series", "todd", "--max-n"),
+        ("genus", "table", "--series", "todd", "--max-n"),
+        ("genus", "chern", "--series", "todd", "--chern", "c1=1", "--dim"),
+        ("witten", "--x-order"),
+        ("witten", "--q-order"),
+    ],
+    ids=["cpn-n", "cpn-max-n", "table-max-n", "chern-dim", "witten-x-order", "witten-q-order"],
+)
+def test_size_beyond_maximum_exits_two(argv):
+    assert_usage_error(run_cli(*argv, str(cli.MAX_ORDER + 1)))
+
 
 class TestSeriesCommand:
     def test_exp_log_round_trip(self):
@@ -186,6 +215,11 @@ class TestSeriesCommand:
 
     def test_order_beyond_maximum_exits_two(self):
         f = {"order": 100000000000, "coeffs": []}
+        assert_usage_error(run_cli("series", "exp", stdin=json.dumps(f)))
+
+    def test_result_beyond_int_digit_limit_exits_two(self):
+        big = {"terms": [{"num": "9" * 1000, "den": "1", "exps": {}}]}
+        f = {"order": 6, "coeffs": [{"terms": []}, big]}
         assert_usage_error(run_cli("series", "exp", stdin=json.dumps(f)))
 
 
@@ -301,6 +335,13 @@ class TestVerifyCommand:
         b = run_cli("verify", "--suite", "universal", "--order", "6")
         assert a.stdout == b.stdout
         assert a.stdout.endswith("\n")
+
+    def test_report_bytes_at_order_6(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(verify.run_suite("all", 6))
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == "f33f3aba4a5959912bf210f0b3ee388ae88620080b96dbfc0156d390f5d9516f"
 
 
 class TestEnvironment:

@@ -188,10 +188,10 @@ class TestGammaSeries:
 
     def test_report(self):
         rep = normalized_gamma_report(8)
-        assert rep["status"] == "PASS"
-        assert rep["linear_term"] == "PASS"
-        assert rep["even_part_is_sqrt_sinh"] == "PASS"
-        assert "minus" in rep["odd_sum_sign"]
+        assert rep.passed
+        assert rep.extra["linear_term"] == "PASS"
+        assert rep.extra["even_part_is_sqrt_sinh"] == "PASS"
+        assert "minus" in rep.extra["odd_sum_sign"]
 
 
 class TestMspAgreement:
@@ -249,19 +249,19 @@ class TestConjugation:
 class TestNumericGamma:
     def test_quarter(self):
         rep = numeric_gamma_validation(Fraction(1, 4), 20, 1e-10)
-        assert rep["status"] == "PASS"
-        assert rep["residual"] < 1e-10
+        assert rep.passed
+        assert rep.extra["residual"] < 1e-10
 
     def test_half(self):
         rep = numeric_gamma_validation(Fraction(1, 2), 20, 1e-8)
-        assert rep["status"] == "PASS"
+        assert rep.passed
         # 1/Gamma(1/2) = 1/sqrt(pi)
         series = gamma_exponential(20)
         assert abs(series.evaluate(0.5) - 1 / math.sqrt(math.pi)) < 1e-8
 
     def test_zero_is_pole(self):
         rep = numeric_gamma_validation(0, 20, 1e-10)
-        assert rep["status"] == "PASS"
+        assert rep.passed
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -273,14 +273,14 @@ class TestNumericGamma:
 class TestChiRescaledAndHodge:
     def test_chi_structure(self):
         rep = chi_rescaled_check(8)
-        assert rep["status"] == "PASS"
-        assert rep["logarithm"].passed
-        assert rep["involution"].passed
-        assert "-(u + 1/u)" in rep["mixed_term_sign"]
+        assert rep.passed
+        assert rep.extra["logarithm"].passed
+        assert rep.extra["involution"].passed
+        assert "-(u + 1/u)" in rep.extra["mixed_term_sign"]
 
     def test_hodge_sign_convention(self):
         rep = hodge_chi_check(5)
-        assert rep["status"] == "PASS"
+        assert rep.passed
 
     def test_kontsevich_genus_values(self):
         g = genus_series("kontsevich", 4)
@@ -313,9 +313,9 @@ class TestUniversal:
 class TestReports:
     def test_zeta_map_report(self):
         rep = zeta_map_report()
-        assert rep["status"] == "PASS"
-        assert "opposite" in rep["even_map_sign"]
-        assert "matches" in rep["odd_map_sign"]
+        assert rep.passed
+        assert "opposite" in rep.extra["even_map_sign"]
+        assert "matches" in rep.extra["odd_map_sign"]
 
     def test_genus_table_shape(self):
         table = genus_table("todd", 3)

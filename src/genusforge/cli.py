@@ -77,8 +77,9 @@ def _parse_params(items) -> "dict[str, Fraction]":
 def _parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
     """Parse a table like "c1^2=9,c2=3" into {partition: value}.
 
-    Classes and exponents are positive, and an entry's weight is bounded by
-    MAX_ORDER before its parts are listed.
+    Classes and exponents are positive, an entry's weight is bounded by
+    MAX_ORDER before its parts are listed, and no partition is given twice
+    (c1*c1 and c1^2 are the same one).
     """
     table: "dict[tuple[int, ...], Fraction]" = {}
     for entry in text.split(","):
@@ -104,7 +105,10 @@ def _parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
             if sum(parts) + index * exp > MAX_ORDER:
                 raise ValueError(f"chern entry {entry!r} has weight above {MAX_ORDER}")
             parts.extend([index] * exp)
-        table[tuple(sorted(parts, reverse=True))] = _rational(value)
+        key = tuple(sorted(parts, reverse=True))
+        if key in table:
+            raise ValueError(f"chern entry {entry!r} repeats the partition {key}")
+        table[key] = _rational(value)
     return table
 
 

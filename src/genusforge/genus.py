@@ -219,6 +219,15 @@ def partitions(d: int) -> "list[tuple[int, ...]]":
     return out
 
 
+def _partition_count(d: int) -> int:
+    """p(d) by the recurrence over the largest part, without listing partitions."""
+    p = [1] + [0] * d
+    for part in range(1, d + 1):
+        for m in range(part, d + 1):
+            p[m] += p[m - part]
+    return p[d]
+
+
 @dataclass(frozen=True)
 class ManifoldDescriptor:
     """Either a product of complex projective spaces or a Chern-number table."""
@@ -273,9 +282,14 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
     if M.chern_dim is None or M.chern is None:
         raise ValueError("descriptor carries neither projective nor chern data")
     d = M.chern_dim
-    expected = set(partitions(d))
     got = set(M.chern)
-    if got != expected:
+    # Weights and the count p(d) come first, so a bad table is rejected
+    # before the partitions of a large d are listed.
+    if (
+        any(sum(key) != d for key in got)
+        or len(got) != _partition_count(d)
+        or got != set(partitions(d))
+    ):
         raise IncompleteChernTableError(
             f"chern table keys {sorted(got)} != partitions of {d}"
         )

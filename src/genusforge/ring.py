@@ -49,6 +49,10 @@ class NonUnitError(ArithmeticError):
     """Inversion of a ring element that is not a monomial unit."""
 
 
+class NonLaurentInverseError(NonUnitError, ValueError):
+    """Inversion of a generator that admits no negative exponents."""
+
+
 class Generator:
     """A named symbolic generator with an integer weight.
 
@@ -138,11 +142,11 @@ def _monomial_key(m: Monomial):
     return (_monomial_weight(m), m)
 
 
-def _check_exponents(m: Monomial) -> None:
+def _check_exponents(m: Monomial, error: type = ValueError) -> None:
     for name, e in m:
         laurent = generator_info(name).laurent  # unknown names raise KeyError
         if e < 0 and not laurent:
-            raise ValueError(f"generator {name!r} does not admit negative exponents")
+            raise error(f"generator {name!r} does not admit negative exponents")
 
 
 class RingElement:
@@ -327,7 +331,7 @@ class RingElement:
             raise NonUnitError(f"not a monomial unit: {self}")
         (m, c), = self._terms.items()
         inv = tuple((name, -e) for name, e in m)
-        _check_exponents(inv)
+        _check_exponents(inv, NonLaurentInverseError)
         return RingElement({inv: Fraction(1) / c}, _raw=True)
 
     def __truediv__(self, other: Scalar) -> "RingElement":

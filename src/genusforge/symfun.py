@@ -148,43 +148,29 @@ def _p_series(degree: int, signs: bool) -> Series1:
     return Series1(coeffs, degree)
 
 
+def _gen_series(prefix: str, degree: int, sign: int = 1) -> Series1:
+    """1 + sum_k sign^k g_k z^k for the generators g_k = prefix + k."""
+    gens = [RingElement.gen(f"{prefix}{k}", coeff=sign**k) for k in range(1, degree + 1)]
+    return Series1([_ONE] + gens, degree)
+
+
 def _conversion_table(src: str, dst: str, degree: int) -> "dict[str, RingElement]":
-    """Express src-basis generators up to `degree` in the dst basis."""
+    """Express src-basis generators up to `degree` in the dst basis (src != dst)."""
     if degree < 1:
         return {}
-    if src == "E" and dst == "P":
-        series = exp_series(_p_series(degree, signs=True))
-        return {f"e{k}": series[k] for k in range(1, degree + 1)}
-    if src == "H" and dst == "P":
-        series = exp_series(_p_series(degree, signs=False))
-        return {f"h{k}": series[k] for k in range(1, degree + 1)}
-    if src == "P" and dst == "E":
-        egen = Series1([_ONE] + [RingElement.gen(f"e{k}") for k in range(1, degree + 1)], degree)
-        lg = log_series(egen)
-        return {
-            f"s{k}": lg[k] * Fraction((-1) ** (k + 1) * k)
-            for k in range(1, degree + 1)
-        }
-    if src == "P" and dst == "H":
-        hgen = Series1([_ONE] + [RingElement.gen(f"h{k}") for k in range(1, degree + 1)], degree)
-        lg = log_series(hgen)
-        return {f"s{k}": lg[k] * Fraction(k) for k in range(1, degree + 1)}
-    if src == "E" and dst == "H":
-        # E(z) * H(-z) = 1, so e_k = [z^k] (sum h_j (-z)^j)^(-1)
-        hneg = Series1(
-            [_ONE] + [RingElement.gen(f"h{k}", coeff=(-1) ** k) for k in range(1, degree + 1)],
-            degree,
-        )
-        inv = Series1.constant(1, degree) / hneg
-        return {f"e{k}": inv[k] for k in range(1, degree + 1)}
-    if src == "H" and dst == "E":
-        eneg = Series1(
-            [_ONE] + [RingElement.gen(f"e{k}", coeff=(-1) ** k) for k in range(1, degree + 1)],
-            degree,
-        )
-        inv = Series1.constant(1, degree) / eneg
-        return {f"h{k}": inv[k] for k in range(1, degree + 1)}
-    raise ValueError(f"no table {src} -> {dst}")
+    names = [f"{_BASIS_PREFIX[src]}{k}" for k in range(1, degree + 1)]
+    if dst == "P":
+        # E(z) = exp(sum (-1)^(n+1) s_n z^n / n), H(z) = exp(sum s_n z^n / n)
+        series = exp_series(_p_series(degree, signs=src == "E"))
+        return {name: series[k] for k, name in enumerate(names, 1)}
+    if src == "P":
+        # the inverse: s_k = k [z^k] log H(z) = (-1)^(k+1) k [z^k] log E(z)
+        lg = log_series(_gen_series(_BASIS_PREFIX[dst], degree))
+        signs = [(-1) ** (k + 1) if dst == "E" else 1 for k in range(degree + 1)]
+        return {name: lg[k] * (signs[k] * k) for k, name in enumerate(names, 1)}
+    # E(z) * H(-z) = 1, so each of E, H is the reciprocal of the other at -z
+    inv = Series1.constant(1, degree) / _gen_series(_BASIS_PREFIX[dst], degree, -1)
+    return {name: inv[k] for k, name in enumerate(names, 1)}
 
 
 def convert(x: SymPoly, target: str) -> SymPoly:
@@ -382,14 +368,9 @@ def pontryagin_from_chern(
     if isinstance(f, RingElement):
         if m is None:
             raise ValueError("m (number of roots) required for root input")
-        epoly = symmetric_in_elementary(f, m)
-        sym = SymPoly("E", epoly) if _only_rational(epoly) else None
-        if sym is None:
-            raise ValueError("root polynomial must have rational coefficients")
-        x = sym
-    else:
-        x = f
-    p = convert(x, "P")
+        # SymPoly rejects coefficients that are not rational
+        f = SymPoly("E", symmetric_in_elementary(f, m))
+    p = convert(f, "P")
     squared: "dict[str, RingElement]" = {}
     for name in p.poly.generators():
         k = int(name[1:])
@@ -402,12 +383,6 @@ def pontryagin_from_chern(
         name: RingElement.gen(f"p{name[1:]}") for name in in_e.poly.generators()
     }
     return ChernPolynomial(in_e.poly.substitute(rename), "p")
-
-
-def _only_rational(f: RingElement) -> bool:
-    return all(
-        name[0] == "e" and name[1:].isdigit() for name in f.generators()
-    )
 
 
 def symplectic_power_sum_check(m: int, k: int) -> CheckResult:
@@ -446,16 +421,18 @@ def series_product_over_alphabet(
 def multiplicative_sequence(H: Series1, n: int) -> "list[ChernPolynomial]":
     """The Hirzebruch sequence K_1..K_n of a characteristic series H (H(0)=1).
 
-    K_j is the graded coefficient j of Pi_{i<=n} H(x_i) rewritten in the Chern
-    classes c_k = e_k(x_i); n generic roots suffice because e_1..e_n are
-    algebraically independent there.
+    With log H(x) = sum_k b_k x^k, the product Pi_i H(x_i) over the Chern
+    roots is exp(sum_k b_k s_k), so K_j is the graded coefficient j of that
+    exponential, with each power sum s_k written in c_1..c_k by Newton's
+    identity.  No roots are introduced.
     """
     if not H[0].is_one():
         raise ValueError("characteristic series must have constant term 1")
-    prod = series_product_over_alphabet(H, _roots(n), n)
-    # Emit Chern generators directly: coefficients of H may already carry
-    # e-generators (the universal ring), which must stay distinct.
-    return [
-        ChernPolynomial(symmetric_in_elementary(prod[j], n, out_prefix="c"), "c")
-        for j in range(1, n + 1)
-    ]
+    b = log_series(Series1([H[k] for k in range(n + 1)], n))
+    # Rename e_k -> c_k before multiplying by b_k: coefficients of H may
+    # already carry e-generators (the universal ring), which must stay distinct.
+    chern = {f"e{k}": RingElement.gen(f"c{k}") for k in range(1, n + 1)}
+    newton = _conversion_table("P", "E", n)
+    exponent = [_ZERO] + [b[k] * newton[f"s{k}"].substitute(chern) for k in range(1, n + 1)]
+    K = exp_series(Series1(exponent, n))
+    return [ChernPolynomial(K[j], "c") for j in range(1, n + 1)]

@@ -5,7 +5,8 @@ via Akiyama-Tanigawa instead of the binomial recurrence, series reversion
 by Newton iteration instead of the Lagrange formula, group laws from an
 exponential by Horner composition instead of the bilinear form, products
 over an alphabet of Chern roots by full root polynomials truncated by root
-degree instead of a graded series, elementary symmetric polynomials by
+degree instead of a graded series, multiplicative sequences from that root
+product instead of power sums, elementary symmetric polynomials by
 brute-force subset enumeration, and CP^n Chern numbers by literal polynomial
 expansion of (1 + x)^(n+1).
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2, compose1_2
-from genusforge.symfun import truncate_roots
+from genusforge.symfun import symmetric_in_elementary, truncate_roots
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
@@ -87,6 +88,16 @@ def root_degree_part(f: RingElement, k: int) -> RingElement:
     """The monomials of f of root degree exactly k."""
     low = truncate_roots(f, k - 1) if k else RingElement.zero()
     return truncate_roots(f, k) - low
+
+
+def root_multiplicative_sequence(H: Series1, n: int) -> "list[RingElement]":
+    """K_1..K_n as the root-degree parts of Pi_{i<=n} H(x_i), rewritten in
+    c_k = e_k(x_1..x_n) by leading-term elimination."""
+    prod = root_product(H, [RingElement.gen(f"x{i}") for i in range(1, n + 1)], n)
+    return [
+        symmetric_in_elementary(root_degree_part(prod, j), n, out_prefix="c")
+        for j in range(1, n + 1)
+    ]
 
 
 def elementary_bruteforce(k: int, roots) -> RingElement:

@@ -5,9 +5,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genusforge import cli, verify
 
@@ -142,6 +143,19 @@ class TestGenusCommand:
         proc = run_cli("genus", "chern", "--series", "todd", "--dim", "2", "--chern", chern)
         assert_usage_error(proc)
 
+    @pytest.mark.parametrize("chern", ["c1^2=1,c2=3,c1^2=9", "c1*c1=1,c2=3,c1^2=9"])
+    def test_repeated_partition_exits_two(self, chern):
+        proc = run_cli("genus", "chern", "--series", "todd", "--dim", "2", "--chern", chern)
+        assert_usage_error(proc)
+
+    def test_incomplete_table_in_high_dimension_exits_two_quickly(self):
+        start = time.perf_counter()
+        code, out, err = _run_in_process(
+            ["genus", "chern", "--series", "todd", "--dim", "60", "--chern", "c1^60=1"], ""
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == "" and err.startswith("error: ")
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -217,6 +231,11 @@ class TestSeriesCommand:
         f = {"order": 100000000000, "coeffs": []}
         assert_usage_error(run_cli("series", "exp", stdin=json.dumps(f)))
 
+    @pytest.mark.parametrize("name", ["gamma", "e1"])
+    def test_revert_with_non_laurent_linear_term_exits_two(self, name):
+        f = {"order": 1, "coeffs": [{"terms": []}, {"terms": [{"num": "1", "den": "1", "exps": {name: 1}}]}]}
+        assert_usage_error(run_cli("series", "revert", stdin=json.dumps(f)))
+
     def test_result_beyond_int_digit_limit_exits_two(self):
         big = {"terms": [{"num": "9" * 1000, "den": "1", "exps": {}}]}
         f = {"order": 6, "coeffs": [{"terms": []}, big]}
@@ -288,6 +307,10 @@ class TestSeriesFuzz:
     empty or one JSON line."""
 
     @settings(max_examples=150)
+    @example(
+        "revert",
+        '{"order":1,"coeffs":[{"terms":[]},{"terms":[{"num":"1","den":"1","exps":{"gamma":1}}]}]}',
+    )
     @given(
         st.sampled_from(["exp", "log", "sqrt", "revert"]),
         st.one_of(_json_values.map(json.dumps), _series_like().map(json.dumps), st.text(max_size=20)),

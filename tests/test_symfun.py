@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from genusforge.ring import RingElement
 from genusforge.series import Series1, exp_series
@@ -23,7 +23,7 @@ from genusforge.symfun import (
 )
 
 from conftest import rationals
-from oracles import exp_root_poly, root_degree_part, root_product
+from oracles import exp_root_poly, root_degree_part, root_multiplicative_sequence, root_product
 
 R = RingElement
 gen = R.gen
@@ -226,18 +226,21 @@ _signed_roots = st.builds(
 
 
 @st.composite
-def scalars(draw):
-    """A rational, or a rational polynomial of degree <= 1 in the parameter t."""
+def scalars(draw, universal=False):
+    """A rational, or a rational polynomial of degree <= 1 in the parameter t
+    (and, if universal, in one of the universal generators e1..e3)."""
     c = R.from_rational(draw(rationals))
     if draw(st.booleans()):
         c = c + gen("t") * draw(rationals)
+    if universal and draw(st.booleans()):
+        c = c + gen(f"e{draw(st.integers(min_value=1, max_value=3))}") * draw(rationals)
     return c
 
 
 @st.composite
-def char_series(draw, unit=False):
+def char_series(draw, unit=False, universal=False):
     order = draw(st.integers(min_value=0, max_value=6))
-    coeffs = draw(st.lists(scalars(), min_size=order + 1, max_size=order + 1))
+    coeffs = draw(st.lists(scalars(universal), min_size=order + 1, max_size=order + 1))
     if unit:
         coeffs[0] = R.one()
     return Series1(coeffs, order)
@@ -273,14 +276,26 @@ class TestGradedAgainstRootOracles:
         for k in range(cap + 1):
             assert graded[k] == root_degree_part(oracle, k), k
 
-    @given(char_series(unit=True), st.integers(min_value=1, max_value=3))
+    @given(char_series(unit=True, universal=True), st.integers(min_value=1, max_value=4))
     def test_multiplicative_sequence(self, H, n):
-        prod = root_product(H, roots(n), n)
-        want = [
-            symmetric_in_elementary(root_degree_part(prod, j), n, out_prefix="c")
-            for j in range(1, n + 1)
-        ]
-        assert [k.poly for k in multiplicative_sequence(H, n)] == want
+        got = [k.poly for k in multiplicative_sequence(H, n)]
+        assert got == root_multiplicative_sequence(H, n)
+
+    # The root oracle costs up to seconds per example at rank 6.
+    @settings(max_examples=4)
+    @given(char_series(unit=True, universal=True), st.integers(min_value=5, max_value=6))
+    def test_multiplicative_sequence_at_ranks_5_and_6(self, H, n):
+        got = [k.poly for k in multiplicative_sequence(H, n)]
+        assert got == root_multiplicative_sequence(H, n)
+
+    def test_universal_sequence_keeps_both_alphabets(self):
+        from genusforge.genus import genus_series
+
+        H = genus_series("universal_additive", 2).H
+        K2 = multiplicative_sequence(H, 2)[1].poly
+        names = K2.generators()
+        assert {"c1", "c2"} <= names and {"e1", "e2"} <= names
+        assert K2 == root_multiplicative_sequence(H, 2)[1]
 
     @given(graded_root_series())
     def test_exp_of_graded_series(self, f):

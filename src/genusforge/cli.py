@@ -198,8 +198,8 @@ def _cmd_genus(args) -> int:
             return _fail_usage("chern requires --dim and --chern")
         try:
             chern = _parse_chern(args.chern)
-            g = genus.genus_series(args.series, max(args.dim, 2), presentation)
             descriptor = genus.ManifoldDescriptor.from_chern(args.dim, chern)
+            g = genus.genus_series(args.series, max(args.dim, 2), presentation)
             value = genus.genus_of(g, descriptor)
         except (KeyError, ValueError) as exc:
             return _fail_usage(str(exc))

@@ -236,6 +236,10 @@ class ManifoldDescriptor:
     chern_dim: Optional[int] = None
     chern: "Optional[Mapping[tuple[int, ...], Fraction]]" = None
 
+    def __post_init__(self):
+        if self.chern is not None and self.chern_dim is not None:
+            _check_chern_table(self.chern_dim, set(self.chern))
+
     @staticmethod
     def projective_product(dims: Sequence[int]) -> "ManifoldDescriptor":
         return ManifoldDescriptor(projective=tuple(int(n) for n in dims))
@@ -247,6 +251,19 @@ class ManifoldDescriptor:
             for key, v in table.items()
         }
         return ManifoldDescriptor(chern_dim=int(d), chern=clean)
+
+
+def _check_chern_table(d: int, keys: "set[tuple[int, ...]]") -> None:
+    """Reject keys that are not exactly the partitions of d: weights and the
+    count p(d) first, so a bad table is rejected before listing partitions."""
+    if (
+        any(sum(key) != d for key in keys)
+        or len(keys) != _partition_count(d)
+        or keys != set(partitions(d))
+    ):
+        raise IncompleteChernTableError(
+            f"chern table keys {sorted(keys)} != partitions of {d}"
+        )
 
 
 def cpn_chern_numbers(n: int) -> "dict[tuple[int, ...], Fraction]":
@@ -282,17 +299,6 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
     if M.chern_dim is None or M.chern is None:
         raise ValueError("descriptor carries neither projective nor chern data")
     d = M.chern_dim
-    got = set(M.chern)
-    # Weights and the count p(d) come first, so a bad table is rejected
-    # before the partitions of a large d are listed.
-    if (
-        any(sum(key) != d for key in got)
-        or len(got) != _partition_count(d)
-        or got != set(partitions(d))
-    ):
-        raise IncompleteChernTableError(
-            f"chern table keys {sorted(got)} != partitions of {d}"
-        )
     if d == 0:  # K_0 = 1 pairs with the point count c_()
         return RingElement.from_rational(M.chern[()])
     if g.H.order < d:

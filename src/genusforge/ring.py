@@ -5,9 +5,9 @@ generator: Euler's constant ``gamma``, zeta values ``zeta2, zeta3, ...``,
 the invertible period ``ipi2`` (representing 2*pi*i), the deformation
 parameters ``t`` and ``u`` (with t = u**2), the Jacobi-quartic parameters
 ``delta`` and ``epsilon``, the q-expansion variable ``q``, and the universal
-generators ``e1, e2, ...``.  Coefficients are exact ``fractions.Fraction``
-values; elements are kept in a canonical form (no zero terms, monomials
-ordered graded-lexicographically).
+generators ``e1, e2, ...``.  Arithmetic runs on integer numerators over one
+common denominator; ``terms()`` and ``coefficient()`` return exact
+``fractions.Fraction`` values, monomials ordered graded-lexicographically.
 """
 
 from __future__ import annotations
@@ -150,25 +150,43 @@ def _check_exponents(m: Monomial, error: type = ValueError) -> None:
 
 
 class RingElement:
-    """An exact element of the coefficient ring, immutable and hashable."""
+    """An exact element of the coefficient ring, immutable and hashable.
 
-    __slots__ = ("_terms",)
+    Stored as integer numerators over one positive common denominator, in
+    canonical form: no zero numerator, ``gcd(_den, *numerators) == 1``, and
+    zero has ``_den == 1``.  Equal elements therefore have equal storage.
+    """
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None, *, _raw: bool = False):
-        if terms is None:
-            self._terms: "dict[Monomial, Fraction]" = {}
-        elif _raw:
-            self._terms = dict(terms)
-        else:
-            clean: "dict[Monomial, Fraction]" = {}
-            for m, c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                m = tuple(sorted((n, int(e)) for n, e in m if e))
-                _check_exponents(m)
-                clean[m] = clean.get(m, Fraction(0)) + c
-            self._terms = {m: c for m, c in clean.items() if c}
+    __slots__ = ("_terms", "_den")
+
+    def __init__(self, terms: Optional[Mapping[Monomial, Rational]] = None):
+        clean: "dict[Monomial, Fraction]" = {}
+        for m, c in (terms or {}).items():
+            c = Fraction(c)
+            if not c:
+                continue
+            m = tuple(sorted((n, int(e)) for n, e in m if e))
+            _check_exponents(m)
+            clean[m] = clean.get(m, Fraction(0)) + c
+        clean = {m: c for m, c in clean.items() if c}
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._terms = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        self._den = den
+
+    @staticmethod
+    def _make(terms: "dict[Monomial, int]", den: int) -> "RingElement":
+        """The element terms / den, from nonzero numerators and den > 0."""
+        if not terms:
+            return _ZERO
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {m: c // g for m, c in terms.items()}
+        out = object.__new__(RingElement)
+        out._terms = terms
+        out._den = den
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -185,7 +203,7 @@ class RingElement:
         value = Fraction(value)
         if not value:
             return _ZERO
-        return RingElement({(): value}, _raw=True)
+        return RingElement._make({(): value.numerator}, value.denominator)
 
     @staticmethod
     def gen(name: str, exp: int = 1, coeff: Rational = 1) -> "RingElement":
@@ -198,33 +216,37 @@ class RingElement:
             return RingElement.from_rational(coeff)
         m = ((name, exp),)
         _check_exponents(m)
-        return RingElement({m: coeff}, _raw=True)
+        return RingElement._make({m: coeff.numerator}, coeff.denominator)
 
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> "list[tuple[Monomial, Fraction]]":
         """Terms in canonical (graded-lexicographic) order."""
-        return sorted(self._terms.items(), key=lambda item: _monomial_key(item[0]))
+        den = self._den
+        return sorted(
+            ((m, Fraction(c, den)) for m, c in self._terms.items()),
+            key=lambda item: _monomial_key(item[0]),
+        )
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(): Fraction(1)}
+        return self._den == 1 and self._terms == {(): 1}
 
     def as_rational(self) -> Optional[Fraction]:
         """The value as a rational number, or None if any generator appears."""
         if not self._terms:
             return Fraction(0)
         if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
+            return Fraction(self._terms[()], self._den)
         return None
 
     def generators(self) -> "set[str]":
         return {name for m in self._terms for name, _ in m}
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self._terms.get(tuple(sorted(m)), Fraction(0))
+        return Fraction(self._terms.get(tuple(sorted(m)), 0), self._den)
 
     def weight(self) -> Optional[int]:
         """Common total weight of all monomials, or None if mixed.
@@ -260,23 +282,29 @@ class RingElement:
             return other
         if not other._terms:
             return self
-        out = dict(self._terms)
+        # Bring both numerators over lcm(den_a, den_b), then sum term-wise.
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        out = dict(self._terms) if sa == 1 else {m: c * sa for m, c in self._terms.items()}
         for m, c in other._terms.items():
+            if sb != 1:
+                c *= sb
             acc = out.get(m)
             if acc is None:
                 out[m] = c
             else:
-                acc = acc + c
+                acc += c
                 if acc:
                     out[m] = acc
                 else:
                     del out[m]
-        return RingElement(out, _raw=True)
+        return RingElement._make(out, da * sa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RingElement":
-        return RingElement({m: -c for m, c in self._terms.items()}, _raw=True)
+        return RingElement._make({m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: Scalar) -> "RingElement":
         other = RingElement._coerce(other)
@@ -296,7 +324,7 @@ class RingElement:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: "dict[Monomial, Fraction]" = {}
+        out: "dict[Monomial, int]" = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = _mul_monomials(m1, m2)
@@ -304,12 +332,12 @@ class RingElement:
                 if acc is None:
                     out[m] = c1 * c2
                 else:
-                    acc = acc + c1 * c2
+                    acc += c1 * c2
                     if acc:
                         out[m] = acc
                     else:
                         del out[m]
-        return RingElement(out, _raw=True)
+        return RingElement._make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -332,7 +360,8 @@ class RingElement:
         (m, c), = self._terms.items()
         inv = tuple((name, -e) for name, e in m)
         _check_exponents(inv, NonLaurentInverseError)
-        return RingElement({inv: Fraction(1) / c}, _raw=True)
+        # (c / den)^-1 = den / c, already in lowest terms.
+        return RingElement._make({inv: self._den if c > 0 else -self._den}, abs(c))
 
     def __truediv__(self, other: Scalar) -> "RingElement":
         other = RingElement._coerce(other)
@@ -345,12 +374,14 @@ class RingElement:
             other = RingElement.from_rational(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
         # A rational element equals its Fraction, so it must hash like it.
         value = self.as_rational()
-        return hash(frozenset(self._terms.items()) if value is None else value)
+        if value is None:
+            return hash((frozenset(self._terms.items()), self._den))
+        return hash(value)
 
     # -- structural operations ---------------------------------------------
 
@@ -363,7 +394,7 @@ class RingElement:
         out = _ZERO
         for m, c in self._terms.items():
             kept = tuple(pair for pair in m if pair[0] not in targets)
-            term = RingElement({kept: c}, _raw=True)
+            term = RingElement._make({kept: c}, self._den)
             for name, e in m:
                 tgt = targets.get(name)
                 if tgt is None:
@@ -374,11 +405,11 @@ class RingElement:
 
     def conjugate(self) -> "RingElement":
         """The ring involution ipi2 -> -ipi2 (all other generators fixed)."""
-        out: "dict[Monomial, Fraction]" = {}
+        out: "dict[Monomial, int]" = {}
         for m, c in self._terms.items():
             e = dict(m).get("ipi2", 0)
             out[m] = -c if e % 2 else c
-        return RingElement(out, _raw=True)
+        return RingElement._make(out, self._den)
 
     def reduce(self) -> "RingElement":
         """Rewrite every even-zeta period to its rational value.
@@ -395,7 +426,7 @@ class RingElement:
         for m, c in self._terms.items():
             exps = dict(m)
             a = exps.get("ipi2", 0)
-            coeff = c
+            coeff = Fraction(c, self._den)
             if a < 0:
                 zetas = sorted(
                     (int(name[4:]), name)
@@ -414,7 +445,8 @@ class RingElement:
                 exps["ipi2"] = a
             elif "ipi2" in exps:
                 del exps["ipi2"]
-            out = out + RingElement({tuple(sorted(exps.items())): coeff}, _raw=True)
+            m = tuple(sorted(exps.items()))
+            out = out + RingElement._make({m: coeff.numerator}, coeff.denominator)
         return out if changed else self
 
     def truncate_gen(self, name: str, max_exp: int) -> "RingElement":
@@ -422,7 +454,7 @@ class RingElement:
         out = {m: c for m, c in self._terms.items() if dict(m).get(name, 0) <= max_exp}
         if len(out) == len(self._terms):
             return self
-        return RingElement(out, _raw=True)
+        return RingElement._make(out, self._den)
 
     # -- numerics ------------------------------------------------------------
 
@@ -458,7 +490,7 @@ class RingElement:
             )
         total = 0j
         for m, c in self._terms.items():
-            val = complex(float(c))
+            val = complex(c / self._den)
             for name, e in m:
                 val *= values[name] ** e
             total += val
@@ -517,8 +549,8 @@ class RingElement:
         return out
 
 
-_ZERO = RingElement({}, _raw=True)
-_ONE = RingElement({(): Fraction(1)}, _raw=True)
+_ZERO = RingElement()
+_ONE = RingElement({(): 1})
 
 
 # -- named constants ---------------------------------------------------------

@@ -1,14 +1,15 @@
 """Independent oracles used to freeze expected values.
 
-Each oracle deliberately avoids the code path it checks: Bernoulli numbers
-via Akiyama-Tanigawa instead of the binomial recurrence, series reversion
-by Newton iteration instead of the Lagrange formula, group laws from an
-exponential by Horner composition instead of the bilinear form, products
-over an alphabet of Chern roots by full root polynomials truncated by root
-degree instead of a graded series, multiplicative sequences from that root
-product instead of power sums, elementary symmetric polynomials by
-brute-force subset enumeration, and CP^n Chern numbers by literal polynomial
-expansion of (1 + x)^(n+1).
+Each oracle deliberately avoids the code path it checks: ring arithmetic on
+dicts of Fraction coefficients instead of integer numerators over a common
+denominator, Bernoulli numbers via Akiyama-Tanigawa instead of the binomial
+recurrence, series reversion by Newton iteration instead of the Lagrange
+formula, group laws from an exponential by Horner composition instead of the
+bilinear form, products over an alphabet of Chern roots by full root
+polynomials truncated by root degree instead of a graded series,
+multiplicative sequences from that root product instead of power sums,
+elementary symmetric polynomials by brute-force subset enumeration, and CP^n
+Chern numbers by literal polynomial expansion of (1 + x)^(n+1).
 """
 
 from __future__ import annotations
@@ -17,9 +18,95 @@ import itertools
 import math
 from fractions import Fraction
 
-from genusforge.ring import RingElement
+from genusforge.ring import NonUnitError, RingElement, generator_info, zeta_tilde_even
 from genusforge.series import Series1, Series2, compose1_2
 from genusforge.symfun import symmetric_in_elementary, truncate_roots
+
+
+class FractionRing:
+    """Ring arithmetic on plain ``{monomial: Fraction}`` dicts with no zero
+    values: every coefficient sum and product pays its own Fraction gcd."""
+
+    @staticmethod
+    def of(a: RingElement) -> "dict":
+        return dict(a.terms())
+
+    @staticmethod
+    def _mono_mul(m1, m2):
+        exps = dict(m1)
+        for name, e in m2:
+            exps[name] = exps.get(name, 0) + e
+        return tuple(sorted((n, e) for n, e in exps.items() if e))
+
+    @staticmethod
+    def add(a: dict, b: dict) -> dict:
+        out = dict(a)
+        for m, c in b.items():
+            out[m] = out.get(m, Fraction(0)) + c
+        return {m: c for m, c in out.items() if c}
+
+    @staticmethod
+    def neg(a: dict) -> dict:
+        return {m: -c for m, c in a.items()}
+
+    @staticmethod
+    def mul(a: dict, b: dict) -> dict:
+        out: "dict" = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = FractionRing._mono_mul(m1, m2)
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+        return {m: c for m, c in out.items() if c}
+
+    @staticmethod
+    def inverse(a: dict) -> dict:
+        if len(a) != 1:
+            raise NonUnitError("not a monomial unit")
+        (m, c), = a.items()
+        if any(e > 0 and not generator_info(name).laurent for name, e in m):
+            raise NonUnitError("generator admits no negative exponents")
+        return {tuple((name, -e) for name, e in m): 1 / c}
+
+    @staticmethod
+    def pow(a: dict, n: int) -> dict:
+        if n < 0:
+            return FractionRing.pow(FractionRing.inverse(a), -n)
+        out = {(): Fraction(1)}
+        for _ in range(n):
+            out = FractionRing.mul(out, a)
+        return out
+
+    @staticmethod
+    def substitute(a: dict, mapping: "dict[str, dict]") -> dict:
+        out: "dict" = {}
+        for m, c in a.items():
+            term = {tuple(p for p in m if p[0] not in mapping): c}
+            for name, e in m:
+                if name in mapping:
+                    term = FractionRing.mul(term, FractionRing.pow(mapping[name], e))
+            out = FractionRing.add(out, term)
+        return out
+
+    @staticmethod
+    def conjugate(a: dict) -> dict:
+        return {m: -c if dict(m).get("ipi2", 0) % 2 else c for m, c in a.items()}
+
+    @staticmethod
+    def reduce(a: dict) -> dict:
+        """Each zeta(2k) * ipi2^(-2k) -> zeta~(2k), smallest k first, while
+        the ipi2^(-1) budget lasts."""
+        out: "dict" = {}
+        for m, c in a.items():
+            exps = dict(m)
+            for name in sorted((n for n in exps if n.startswith("zeta")), key=lambda n: int(n[4:])):
+                k2 = int(name[4:])
+                while k2 % 2 == 0 and exps[name] and exps.get("ipi2", 0) <= -k2:
+                    exps[name] -= 1
+                    exps["ipi2"] += k2
+                    c *= zeta_tilde_even(k2 // 2)
+            m = tuple(sorted((n, e) for n, e in exps.items() if e))
+            out = FractionRing.add(out, {m: c})
+        return out
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:

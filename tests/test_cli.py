@@ -156,6 +156,16 @@ class TestGenusCommand:
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    def test_incomplete_table_is_rejected_before_the_series_is_built(self):
+        # Building a gamma series at order 60 takes over ten seconds, so the table
+        # must be checked first.
+        start = time.perf_counter()
+        code, out, err = _run_in_process(
+            ["genus", "chern", "--series", "gamma", "--dim", "60", "--chern", "c1^60=1"], ""
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == "" and err.startswith("error: ")
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -145,6 +145,9 @@ class TestGenusOf:
         g = genus_series("todd", 4)
         with pytest.raises(IncompleteChernTableError):
             genus_of(g, ManifoldDescriptor.from_chern(2, {(2,): 3}))
+        # A descriptor built without from_chern is checked as well.
+        with pytest.raises(IncompleteChernTableError):
+            ManifoldDescriptor(chern_dim=2, chern={(2,): 3, (1, 1): 9, (3,): 1})
 
     def test_dimension_zero_checks_the_table(self):
         g = genus_series("todd", 4)

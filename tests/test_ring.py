@@ -18,6 +18,7 @@ from genusforge.ring import (
 )
 
 from conftest import rationals, ring_elements
+from oracles import FractionRing as F
 from oracles import bernoulli_akiyama_tanigawa
 
 R = RingElement
@@ -25,6 +26,24 @@ R = RingElement
 
 def gen(name, exp=1, coeff=1):
     return R.gen(name, exp, coeff)
+
+
+@st.composite
+def units(draw):
+    """A nonzero rational times a Laurent monomial in ipi2 and t."""
+    out = R.from_rational(draw(rationals.filter(bool)))
+    for name in ("ipi2", "t"):
+        out = out * gen(name, draw(st.integers(min_value=-3, max_value=3)))
+    return out
+
+
+def assert_canonical(x):
+    """Integer numerators, none zero, over a positive denominator coprime to them."""
+    nums = list(x._terms.values())
+    assert type(x._den) is int and x._den > 0
+    assert all(type(c) is int and c for c in nums)
+    assert math.gcd(x._den, *nums) == 1
+    assert nums or x._den == 1
 
 
 class TestBernoulli:
@@ -159,6 +178,111 @@ class TestArithmetic:
             (gen("gamma") + 1).inverse()
         with pytest.raises(ValueError):
             gen("gamma").inverse()  # gamma admits no negative exponents
+
+
+class TestAgainstFractionRing:
+    """The integer core against dict-of-Fraction arithmetic."""
+
+    @given(ring_elements(), ring_elements())
+    def test_add_sub_mul_neg(self, a, b):
+        fa, fb = F.of(a), F.of(b)
+        assert F.of(a + b) == F.add(fa, fb)
+        assert F.of(a - b) == F.add(fa, F.neg(fb))
+        assert F.of(-a) == F.neg(fa)
+        assert F.of(a * b) == F.mul(fa, fb)
+
+    @given(ring_elements(), st.integers(min_value=0, max_value=3))
+    def test_pow(self, a, n):
+        assert F.of(a**n) == F.pow(F.of(a), n)
+
+    @given(units(), st.integers(min_value=-3, max_value=3))
+    def test_inverse_and_pow_of_units(self, u, n):
+        assert F.of(u.inverse()) == F.inverse(F.of(u))
+        assert F.of(u**n) == F.pow(F.of(u), n)
+
+    @given(ring_elements())
+    def test_inverse_rejects_what_the_reference_rejects(self, a):
+        try:
+            expected = F.inverse(F.of(a))
+        except NonUnitError:
+            with pytest.raises(NonUnitError):
+                a.inverse()
+        else:
+            assert F.of(a.inverse()) == expected
+
+    @given(ring_elements(), ring_elements(), units())
+    def test_substitute(self, a, b, u):
+        table = {"gamma": b, "t": u}
+        assert F.of(a.substitute(table)) == F.substitute(F.of(a), {k: F.of(v) for k, v in table.items()})
+
+    @given(ring_elements(), ring_elements())
+    def test_reduce_and_conjugate(self, a, b):
+        x = a * b * gen("ipi2", -4)
+        assert F.of(x.reduce()) == F.reduce(F.of(x))
+        assert F.of(x.conjugate()) == F.conjugate(F.of(x))
+
+    @given(st.dictionaries(
+        st.sampled_from([(), (("gamma", 1),), (("ipi2", -2), ("zeta2", 1)), (("t", 3),)]),
+        rationals,
+    ))
+    def test_terms_of_a_fraction_table(self, table):
+        x = R(table)
+        expected = {m: c for m, c in table.items() if c}
+        assert dict(x.terms()) == expected
+        for m, c in expected.items():
+            assert x.coefficient(m) == c
+
+    @given(ring_elements())
+    def test_json_round_trip_keeps_fraction_terms(self, a):
+        b = R.from_obj(a.to_obj())
+        assert F.of(b) == F.of(a)
+        assert [(t["num"], t["den"]) for t in a.to_obj()["terms"]] == [
+            (str(c.numerator), str(c.denominator)) for _, c in a.terms()
+        ]
+
+
+class TestCanonicalForm:
+    @given(ring_elements(), ring_elements(), units(), st.integers(min_value=-2, max_value=3))
+    def test_every_operation_returns_canonical_storage(self, a, b, u, n):
+        results = [
+            a + b, a - b, -a, a * b, a * u, a**2, u**n, u.inverse(), a / u,
+            a.substitute({"gamma": b, "t": u}), (a * gen("ipi2", -4)).reduce(),
+            a.conjugate(), a.truncate_gen("gamma", 1), a.truncate_gen("t", 0),
+            R.from_obj(a.to_obj()), R(dict(a.terms())), a - a, a * 0,
+        ]
+        for x in results:
+            assert_canonical(x)
+
+    @given(rationals, st.integers(min_value=-3, max_value=3))
+    def test_constructors_are_canonical(self, q, e):
+        for x in (R.from_rational(q), gen("t", e, q), R.zero(), R.one(), R({(): q, (("t", 1),): q})):
+            assert_canonical(x)
+
+    def test_common_denominator_is_reduced(self):
+        x = gen("gamma", 1, Fraction(1, 6)) + gen("zeta2", 1, Fraction(1, 3))
+        assert x._den == 6 and sorted(x._terms.values()) == [1, 2]
+        y = x - gen("gamma", 1, Fraction(1, 6))
+        assert y._den == 3 and y._terms == {(("zeta2", 1),): 1}
+
+
+class TestHashAcrossRoutes:
+    @given(ring_elements(), units())
+    def test_unit_round_trip(self, a, u):
+        b = (a * u) * u.inverse()
+        assert b == a and hash(b) == hash(a)
+
+    @given(ring_elements(), ring_elements())
+    def test_add_then_subtract(self, a, b):
+        c = a + b - b
+        assert c == a and hash(c) == hash(a)
+        assert len({a, c}) == 1
+
+    @given(rationals.filter(bool), units())
+    def test_rational_reached_by_a_product_hashes_like_its_fraction(self, q, u):
+        x = (R.from_rational(q) * u) * u.inverse()
+        assert x == q and hash(x) == hash(q)
+        y = gen("gamma", 1, q) + q - gen("gamma", 1, q)
+        assert y == q and hash(y) == hash(q)
 
 
 class TestReduce:

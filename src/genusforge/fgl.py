@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from genusforge.check import CheckResult, first_defect
-from genusforge.ring import RingElement
+from genusforge.ring import NonUnitError, RingElement
 from genusforge.series import (
     Series1,
     Series2,
@@ -32,6 +32,7 @@ __all__ = [
     "FormalGroupLaw",
     "UnknownLawError",
     "CATALOG",
+    "EXPONENTIALS",
     "canonical_strict_iso",
     "catalog",
     "check_axioms",
@@ -43,6 +44,7 @@ __all__ = [
     "mobius_sweep",
     "n_series",
     "negation_series",
+    "sinh_exponential",
     "verify_iso",
 ]
 
@@ -150,18 +152,10 @@ def gamma_exponential(order: int, normalized: bool = False) -> Series1:
     arg = [_ZERO, RingElement.gen("gamma")]
     for k in range(2, order):
         arg.append(RingElement.gen(f"zeta{k}", coeff=Fraction((-1) ** (k + 1), k)))
-    body = exp_series(Series1(arg, order - 1))
-    coeffs = [_ZERO] + list(body.coefficients())
-    exp = Series1(coeffs, order)
+    coeffs = [_ZERO, *exp_series(Series1(arg, order - 1)).coefficients()]
     if normalized:
-        exp = Series1(
-            [
-                (c * RingElement.gen("ipi2", 1 - k)).reduce() if not c.is_zero() else c
-                for k, c in enumerate(exp.coefficients())
-            ],
-            order,
-        )
-    return exp
+        coeffs = [(c * RingElement.gen("ipi2", 1 - k)).reduce() for k, c in enumerate(coeffs)]
+    return Series1(coeffs, order)
 
 
 def gaussian_bracket(n: int) -> RingElement:
@@ -187,7 +181,38 @@ def kontsevich_germ_law(order: int) -> Series2:
     return uv * den.inverse() - 1
 
 
+def sinh_exponential(order: int) -> Series1:
+    """The hyperbolic exponential 2 sinh(z/2)."""
+    return Series1(
+        [Fraction(1, 4 ** (n // 2) * math.factorial(n)) if n % 2 else 0 for n in range(order + 1)],
+        order,
+    )
+
+
+def _chi_rescaled_exponential(order: int) -> Series1:
+    """The reversion of the logarithm sum_n [n](u) z^n / n."""
+    log = Series1(
+        [0] + [gaussian_bracket(n) * Fraction(1, n) for n in range(1, order + 1)], order
+    )
+    return log.revert()
+
+
+# The laws built from their exponential: name -> (order -> exponential).
+EXPONENTIALS = {
+    "hyperbolic": sinh_exponential,
+    "gamma_raw": gamma_exponential,
+    "gamma_normalized": lambda order: gamma_exponential(order, normalized=True),
+    "chi_rescaled": _chi_rescaled_exponential,
+    "universal_additive": lambda order: Series1(
+        [0, 1] + [RingElement.gen(f"e{n}") for n in range(1, order)], order
+    ),
+}
+
+
 def _build(name: str, order: int) -> "tuple[Series2, str, Optional[Series1]]":
+    if name in EXPONENTIALS:
+        exp = EXPONENTIALS[name](order)
+        return bivariate_from_exp(exp), "from-exponential", exp
     t = RingElement.gen("t")
     if name == "additive":
         return Series2({(1, 0): 1, (0, 1): 1}, order), "closed-form", Series1.x(order)
@@ -207,15 +232,6 @@ def _build(name: str, order: int) -> "tuple[Series2, str, Optional[Series1]]":
         if closed != germ:
             raise AssertionError("kontsevich germ and closed-form routes disagree")
         return closed, "closed-form", None
-    if name == "hyperbolic":
-        exp = Series1(
-            [
-                Fraction(1, 4 ** (n // 2) * math.factorial(n)) if n % 2 else 0
-                for n in range(order + 1)
-            ],
-            order,
-        )
-        return bivariate_from_exp(exp), "from-exponential", exp
     if name == "jacobi":
         delta = RingElement.gen("delta")
         eps = RingElement.gen("epsilon")
@@ -230,24 +246,6 @@ def _build(name: str, order: int) -> "tuple[Series2, str, Optional[Series1]]":
         num = Series2(zR, order)
         den = Series2({(0, 0): 1, (2, 2): -eps}, order)
         return num * den.inverse(), "closed-form", None
-    if name == "gamma_raw":
-        exp = gamma_exponential(order)
-        return bivariate_from_exp(exp), "from-exponential", exp
-    if name == "gamma_normalized":
-        exp = gamma_exponential(order, normalized=True)
-        return bivariate_from_exp(exp), "from-exponential", exp
-    if name == "chi_rescaled":
-        log = Series1(
-            [0] + [gaussian_bracket(n) * Fraction(1, n) for n in range(1, order + 1)],
-            order,
-        )
-        exp = log.revert()
-        return bivariate_from_exp(exp, log), "from-exponential", exp
-    if name == "universal_additive":
-        exp = Series1(
-            [0, 1] + [RingElement.gen(f"e{n}") for n in range(1, order)], order
-        )
-        return bivariate_from_exp(exp), "from-exponential", exp
     if name == "broken_demo":
         return (
             Series2({(1, 0): 1, (0, 1): 1, (2, 1): 1}, order),
@@ -271,7 +269,8 @@ def catalog(
     far; lower orders are served by truncating that build, which is exact
     because truncation is functorial (see genusforge.series).  Params are
     substituted into the truncated law, so the cache holds only unbound laws;
-    a param that names no generator of the law is a ValueError.
+    a param that names no generator of the law, or that is not invertible
+    where the law has negative powers of it, is a ValueError.
     """
     name = name.replace("-", "_")
     if name not in CATALOG and name not in DEMO_LAWS:
@@ -293,9 +292,16 @@ def catalog(
             k: v if isinstance(v, RingElement) else RingElement.from_rational(v)
             for k, v in params.items()
         }
-        F = F.map_coefficients(lambda c: c.substitute(bound))
-        if exp is not None:
-            exp = exp.map_coefficients(lambda c: c.substitute(bound))
+        try:
+            F = F.map_coefficients(lambda c: c.substitute(bound))
+            if exp is not None:
+                exp = exp.map_coefficients(lambda c: c.substitute(bound))
+        except NonUnitError:
+            negative = {g for _, c in F.items() for m, _ in c.terms() for g, e in m if e < 0}
+            bad = ", ".join(repr(k) for k in sorted(bound) if k in negative)
+            raise ValueError(
+                f"param {bad} must be invertible: law {name!r} has negative powers of it"
+            ) from None
     return FormalGroupLaw(F=F, name=name, params=bound, construction=construction, exp=exp)
 
 
@@ -401,9 +407,7 @@ def canonical_strict_iso(
     source: Union[FormalGroupLaw, Series2], target: Union[FormalGroupLaw, Series2]
 ) -> Series1:
     """The unique strict isomorphism exp_target o log_source."""
-    log_s = logarithm(source)
-    exp_t = logarithm(target).revert()
-    return exp_t.compose(log_s)
+    return exponential(target).compose(logarithm(source))
 
 
 def verify_iso(

@@ -14,11 +14,13 @@ from typing import Mapping, Optional, Sequence, Union
 from genusforge.check import CheckResult, first_defect
 from genusforge.fgl import (
     CATALOG,
+    EXPONENTIALS,
     catalog,
     exponential,
     gamma_exponential,
     gaussian_bracket,
     logarithm,
+    sinh_exponential,
 )
 from genusforge.ring import (
     RingElement,
@@ -118,19 +120,16 @@ GENUS_SERIES = ("todd", "ahat") + CATALOG
 
 def half_sinh_ratio(order: int) -> Series1:
     """The rational series (z/2) / sinh(z/2)."""
-    den = Series1(
-        [
-            Fraction(1, 4 ** (k // 2) * math.factorial(k + 1)) if k % 2 == 0 else 0
-            for k in range(order + 1)
-        ],
-        order,
-    )
-    return Series1.constant(1, order) / den
+    return genus_series("ahat", order).H
 
 
 def genus_series(name: str, order: int, presentation: Optional[str] = None) -> GenusSeries:
     """Catalog of characteristic series: todd, ahat, gamma (raw/normalized),
-    or any formal-group-law name (series derived from its exponential)."""
+    or any formal-group-law name (series derived from its exponential).
+
+    The exponential of a law in fgl.EXPONENTIALS is read from that table, so
+    no bivariate law is built; only the closed-form laws go through catalog.
+    """
     name = name.replace("-", "_")
     if name == "gamma":
         name = "gamma_normalized" if presentation == "normalized" else "gamma_raw"
@@ -139,30 +138,14 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
             [Fraction((-1) ** (k + 1), math.factorial(k)) if k else 0 for k in range(order + 2)],
             order + 1,
         )
-        return _series_from_exponential(exp_full, order, "todd")
-    if name == "ahat":
-        exp_full = Series1(
-            [
-                Fraction(1, 4 ** (k // 2) * math.factorial(k)) if k % 2 else 0
-                for k in range(order + 2)
-            ],
-            order + 1,
-        )
-        return _series_from_exponential(exp_full, order, "ahat")
-    if name == "gamma_raw":
-        return _series_from_exponential(
-            gamma_exponential(order + 1), order, "gamma_raw", "raw"
-        )
-    if name == "gamma_normalized":
-        return _series_from_exponential(
-            gamma_exponential(order + 1, normalized=True),
-            order,
-            "gamma_normalized",
-            "normalized",
-        )
-    law = catalog(name, order + 1)
+    elif name == "ahat":
+        exp_full = sinh_exponential(order + 1)
+    elif name in EXPONENTIALS:
+        exp_full = EXPONENTIALS[name](order + 1)
+    else:
+        exp_full = exponential(catalog(name, order + 1))
     pres = "normalized" if name.endswith("normalized") else "raw"
-    return _series_from_exponential(exponential(law), order, name, pres)
+    return _series_from_exponential(exp_full, order, name, pres)
 
 
 def gamma_series(order: int, presentation: str = "raw") -> GenusSeries:
@@ -277,12 +260,16 @@ def cpn_chern_numbers(n: int) -> "dict[tuple[int, ...], Fraction]":
     return out
 
 
-def _monomial_partition(mono) -> "tuple[int, ...]":
+def _split_chern(mono) -> "tuple[tuple[int, ...], tuple]":
+    """A monomial's Chern classes as a partition, and its other factors."""
     parts: "list[int]" = []
+    rest = []
     for name, e in mono:
         if name[0] == "c" and name[1:].isdigit():
             parts.extend([int(name[1:])] * e)
-    return tuple(sorted(parts, reverse=True))
+        else:
+            rest.append((name, e))
+    return tuple(sorted(parts, reverse=True)), tuple(rest)
 
 
 def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
@@ -306,9 +293,8 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
     K = multiplicative_sequence(g.H, d)[d - 1]
     total = _ZERO
     for mono, coeff in K.poly.terms():
-        lam = _monomial_partition(mono)
-        rest = RingElement({tuple(p for p in mono if not (p[0][0] == "c" and p[0][1:].isdigit())): coeff})
-        total = total + rest * M.chern[lam]
+        lam, rest = _split_chern(mono)
+        total = total + RingElement({rest: coeff}) * M.chern[lam]
     return total
 
 
@@ -587,10 +573,7 @@ def universal_gamma(order: int) -> "dict[str, CheckResult]":
     """The lift over Z[e_n]: H coefficients are the complete symmetric
     functions, the law is integral, and the zeta specialization recovers the
     reciprocal-Gamma data."""
-    exp_full = Series1(
-        [0, 1] + [RingElement.gen(f"e{n}") for n in range(1, order + 1)], order + 1
-    )
-    g = _series_from_exponential(exp_full, order, "universal_additive")
+    g = genus_series("universal_additive", order)
     report: "dict[str, CheckResult]" = {}
 
     # g.H[k] (-1)^k is the coefficient of (-z)^k

@@ -292,14 +292,6 @@ class Series2:
         return Series2({(0, 0): value}, order)
 
     @staticmethod
-    def z0(order: int) -> "Series2":
-        return Series2({(1, 0): 1}, order)
-
-    @staticmethod
-    def z1(order: int) -> "Series2":
-        return Series2({(0, 1): 1}, order)
-
-    @staticmethod
     def from_series1(f: Series1, variable: int, order: Optional[int] = None) -> "Series2":
         """Lift a univariate series into variable 0 or 1."""
         if order is None:
@@ -564,19 +556,19 @@ def _inverse_powers(f: Series1) -> "list[list[RingElement]]":
     return rows
 
 
-def bivariate_from_exp(exp: Series1, log: Optional[Series1] = None) -> Series2:
+def bivariate_from_exp(exp: Series1) -> Series2:
     """The group law exp(log(z0) + log(z1)) with log the reversion of exp.
 
     Expanding exp(L0 + L1) = sum_m e_m (L0 + L1)^m binomially gives the
     bilinear form F[i,j] = sum_{a<=i, b<=j} C(a+b, a) e_{a+b} P_a[i] P_b[j]
     with P_a = log^a.  The powers P_a come straight from exp by
-    Lagrange-Buermann (Brent & Kung, J. ACM 25(4), 1978), or from a known
-    log when one is given, so nothing is reverted.
+    Lagrange-Buermann (Brent & Kung, J. ACM 25(4), 1978), so nothing is
+    reverted.
     """
     if not exp[0].is_zero() or not exp[1].is_one():
         raise NotRevertibleError("exponential must be z + O(z^2)")
     n = exp.order
-    P = _inverse_powers(exp) if log is None else _powers(log.truncate(n), n)
+    P = _inverse_powers(exp)
     # G[a][j] = sum_{b<=j} C(a+b, a) e_{a+b} P_b[j], so F[i,j] = sum_{a<=i} P_a[i] G[a][j]
     G = []
     for a in range(n + 1):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from genusforge.check import CheckResult
 from genusforge.ring import RingElement, generator_info
@@ -106,30 +106,6 @@ class SymPoly:
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
         return self + SymPoly(other.basis, -other.poly)
-
-    def to_obj(self) -> dict:
-        prefix = _BASIS_PREFIX[self.basis]
-        terms = []
-        for m, c in self.poly.terms():
-            terms.append(
-                {
-                    "coeff": f"{c.numerator}/{c.denominator}",
-                    "exps": {name[len(prefix):]: e for name, e in m},
-                }
-            )
-        return {"basis": self.basis, "terms": terms}
-
-    @staticmethod
-    def from_obj(obj: Mapping) -> "SymPoly":
-        basis = str(obj["basis"]).upper()
-        prefix = _BASIS_PREFIX[basis]
-        acc = _ZERO
-        for term in obj["terms"]:
-            mono = _ONE
-            for idx, e in term["exps"].items():
-                mono = mono * RingElement.gen(f"{prefix}{int(idx)}", int(e))
-            acc = acc + mono * Fraction(term["coeff"])
-        return SymPoly(basis, acc)
 
 
 def _mono_weight(m) -> int:
@@ -349,9 +325,6 @@ class ChernPolynomial:
     def __post_init__(self):
         if self.classes not in ("c", "p"):
             raise ValueError("classes must be 'c' or 'p'")
-
-    def to_obj(self) -> dict:
-        return {"classes": self.classes, "poly": self.poly.to_obj()}
 
 
 def pontryagin_from_chern(

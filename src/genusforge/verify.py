@@ -20,14 +20,6 @@ __all__ = ["SUITES", "run_suite"]
 
 SUITES = ("all", "fgl", "gamma", "witten", "universal", "iso")
 
-_FROM_EXPONENTIAL = (
-    "hyperbolic",
-    "gamma_raw",
-    "gamma_normalized",
-    "chi_rescaled",
-    "universal_additive",
-)
-
 _MISHCHENKO_SERIES = ("todd", "ahat", "gamma_raw", "kontsevich", "chi_rescaled")
 
 
@@ -65,7 +57,7 @@ def _fgl_checks(order: int) -> Checks:
         out[f"negation_{name}"] = inverse if ident.passed else ident
 
     rt_order = min(order, 8)
-    for name in _FROM_EXPONENTIAL:
+    for name in fgl.EXPONENTIALS:
         law = fgl.catalog(name, rt_order)
         rebuilt = bivariate_from_exp(fgl.logarithm(law).revert())
         out[f"log_exp_roundtrip_{name}"] = first_defect((rebuilt - law.F).items())

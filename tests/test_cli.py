@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from genusforge import cli, verify
+from genusforge import cli, fgl, verify
 
 _ENV = {**os.environ}
 _ENV.pop("GENUSFORGE_ORDER", None)
@@ -87,6 +87,13 @@ class TestFglCommand:
         )
         hyp = run_json("fgl", "series", "--law", "hyperbolic", "--order", "4")
         assert out["F"] == hyp["F"]
+
+    @pytest.mark.parametrize("command", ["series", "check"])
+    @pytest.mark.parametrize("law, param", [("gamma_normalized", "ipi2"), ("chi_rescaled", "u")])
+    def test_zero_param_under_a_negative_power_exits_two(self, command, law, param):
+        proc = run_cli("fgl", command, "--law", law, "--order", "5", "--param", f"{param}=0")
+        assert_usage_error(proc)
+        assert f"param {param!r} must be invertible" in proc.stderr
 
     def test_iso(self):
         out = run_json(
@@ -327,6 +334,53 @@ class TestSeriesFuzz:
     )
     def test_contract(self, op, stdin):
         code, out, err = _run_in_process(["series", op], stdin)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if out:
+            assert out.endswith("\n") and out.count("\n") == 1
+            json.loads(out)
+        if code == 2:
+            assert err.startswith("error: ")
+
+
+# The generators each law accepts as params, plus names it does not accept.
+_LAW_PARAMS = {
+    "multiplicative_t": ["t"],
+    "kontsevich": ["t"],
+    "jacobi": ["delta", "epsilon"],
+    "gamma_raw": ["gamma", "zeta2", "zeta3", "zeta1"],
+    "gamma_normalized": ["gamma", "ipi2", "zeta2", "zeta3"],
+    "chi_rescaled": ["u"],
+    "universal_additive": ["e1", "e2", "e0"],
+}
+_FOREIGN_PARAMS = ["t", "u", "ipi2", "foo", ""]
+_PARAM_VALUES = st.sampled_from(["0", "1/0", "1", "-1", "1/2", "x", ""]) | st.fractions(
+    max_denominator=9
+).map(str)
+
+
+@st.composite
+def _fgl_param_argv(draw):
+    law = draw(st.sampled_from(fgl.CATALOG + fgl.DEMO_LAWS))
+    names = st.sampled_from(_LAW_PARAMS.get(law, []) + _FOREIGN_PARAMS)
+    argv = ["fgl", draw(st.sampled_from(["series", "check"])), "--law", law]
+    argv += ["--order", str(draw(st.integers(min_value=2, max_value=5)))]
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        argv += ["--param", f"{draw(names)}={draw(_PARAM_VALUES)}"]
+    return argv
+
+
+class TestFglParamFuzz:
+    """Any --param keeps the contract of fgl series|check: exit 0, 1 or 2, no
+    exception, and stdout empty or one JSON line."""
+
+    @settings(max_examples=80, deadline=None)
+    @example(["fgl", "series", "--law", "gamma_normalized", "--order", "5", "--param", "ipi2=0"])
+    @example(["fgl", "check", "--law", "chi_rescaled", "--order", "5", "--param", "u=0"])
+    @example(["fgl", "check", "--law", "chi_rescaled", "--order", "3", "--param", "u=1/0"])
+    @given(_fgl_param_argv())
+    def test_contract(self, argv):
+        code, out, err = _run_in_process(argv, "")
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         if out:

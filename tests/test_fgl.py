@@ -99,6 +99,23 @@ class TestCatalog:
         with pytest.raises(ValueError, match="no generator"):
             catalog("gamma_raw", 4, params={"t": 1})
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("gamma_normalized", {"ipi2": 0}),
+            ("chi_rescaled", {"u": 0}),
+            ("chi_rescaled", {"u": 1 + gen("u")}),
+            ("gamma_normalized", {"gamma": 0, "ipi2": 0}),
+        ],
+    )
+    def test_non_invertible_param_under_a_negative_power_rejected(self, name, params):
+        bad = "ipi2" if "ipi2" in params else "u"
+        with pytest.raises(ValueError, match=f"param '{bad}' must be invertible"):
+            catalog(name, 5, params=params)
+
+    def test_zero_param_without_negative_powers_binds(self):
+        assert catalog("multiplicative_t", 5, params={"t": 0}).F == catalog("additive", 5).F
+
     @pytest.mark.parametrize("name", fgl.CATALOG)
     def test_every_generator_of_a_law_can_be_bound(self, name):
         law = catalog(name, 8)
@@ -217,6 +234,24 @@ class TestIso:
         assert not res.passed
         assert res.degree == 2
 
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            ("kontsevich", "multiplicative"),
+            ("additive", "hyperbolic"),
+            ("gamma_raw", "gamma_normalized"),
+            ("multiplicative_t", "chi_rescaled"),
+            ("jacobi", "universal_additive"),
+            ("hyperbolic", "kontsevich"),
+            ("broken_demo", "gamma_raw"),
+        ],
+    )
+    def test_stored_exponential_matches_the_reverted_logarithm(self, source, target):
+        for n in (4, 8):
+            a, b = catalog(source, n), catalog(target, n)
+            assert canonical_strict_iso(a, b) == logarithm(b).revert().compose(logarithm(a))
+            assert canonical_strict_iso(a.F, b.F) == canonical_strict_iso(a, b)
+
     def test_exp_pair(self):
         a = catalog("additive", 8)
         m = catalog("multiplicative", 8)
@@ -316,6 +351,25 @@ class TestLawCache:
         assert free.params == {}
         gens = set().union(*(c.generators() for _, c in free.F.items()))
         assert {"delta", "epsilon"} <= gens
+
+
+class TestExponentialTable:
+    def test_names_are_the_laws_built_from_an_exponential(self):
+        assert set(fgl.EXPONENTIALS) == {
+            name for name in CATALOG if catalog(name, 4).construction == "from-exponential"
+        }
+
+    @pytest.mark.parametrize("name", sorted(fgl.EXPONENTIALS))
+    def test_law_stores_the_table_exponential(self, name):
+        law = catalog(name, 8)
+        assert law.exp == fgl.EXPONENTIALS[name](8)
+        assert law.F == bivariate_from_exp(law.exp)
+
+    def test_sinh_exponential(self):
+        x = Series1.x(9)
+        assert fgl.sinh_exponential(9) == exp_series(x * Fraction(1, 2)) - exp_series(
+            x * Fraction(-1, 2)
+        )
 
 
 class TestChiRescaled:

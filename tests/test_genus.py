@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from genusforge.fgl import gamma_exponential
+from genusforge import fgl
+from genusforge.fgl import EXPONENTIALS, catalog, exponential, gamma_exponential
 from genusforge.genus import (
+    _series_from_exponential,
     GenusSeries,
     IncompleteChernTableError,
     InsufficientOrderError,
@@ -56,6 +58,36 @@ class TestGenusSeries:
     def test_unknown_series(self):
         with pytest.raises(KeyError):
             genus_series("elliptic", 4)
+
+
+class TestExponentialTableRoute:
+    """Laws in fgl.EXPONENTIALS give their genus series without a law build."""
+
+    @pytest.mark.parametrize("name", sorted(EXPONENTIALS))
+    def test_matches_the_catalog_law(self, name):
+        presentation = "normalized" if name.endswith("normalized") else "raw"
+        for n in range(1, 9):
+            via_law = exponential(catalog(name, n + 1))
+            assert genus_series(name, n) == _series_from_exponential(
+                via_law, n, name, presentation
+            )
+
+    def test_ahat_is_the_hyperbolic_series(self):
+        for n in range(1, 9):
+            ahat, hyp = genus_series("ahat", n), genus_series("hyperbolic", n)
+            assert (ahat.H, ahat.exp) == (hyp.H, hyp.exp)
+            assert half_sinh_ratio(n) == ahat.H
+
+    @pytest.mark.parametrize("name", sorted(EXPONENTIALS) + ["ahat"])
+    def test_builds_no_law(self, name, monkeypatch):
+        monkeypatch.setattr(fgl, "_BUILT", {})
+        genus_series(name, 6)
+        assert fgl._BUILT == {}
+
+    def test_closed_form_laws_still_go_through_the_catalog(self, monkeypatch):
+        monkeypatch.setattr(fgl, "_BUILT", {})
+        genus_series("kontsevich", 6)
+        assert list(fgl._BUILT) == ["kontsevich"]
 
 
 class TestGenusCpn:

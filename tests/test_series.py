@@ -229,10 +229,6 @@ class TestBivariate:
     def test_universal_against_horner_oracle(self, exp):
         assert bivariate_from_exp(exp) == horner_bivariate_from_exp(exp)
 
-    @given(exponentials(t_polynomials))
-    def test_known_log_gives_the_same_law(self, exp):
-        assert bivariate_from_exp(exp, exp.revert()) == bivariate_from_exp(exp)
-
     def test_series2_mul_and_inverse(self):
         n = 6
         den = Series2({(0, 0): 1, (1, 1): gen("t", 1, -1)}, n)

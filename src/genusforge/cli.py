@@ -174,7 +174,7 @@ def _cmd_genus(args) -> int:
             if args.n is not None:
                 if args.n < 0:
                     return _fail_usage("--n must be >= 0")
-                g = genus.genus_series(args.series, max(args.n, 2), presentation)
+                g = genus.genus_series(args.series, args.n, presentation)
                 table = {
                     "series": g.name,
                     "rows": [{"n": args.n, "value": genus.genus_cpn(g, args.n).to_obj()}],
@@ -199,7 +199,7 @@ def _cmd_genus(args) -> int:
         try:
             chern = _parse_chern(args.chern)
             descriptor = genus.ManifoldDescriptor.from_chern(args.dim, chern)
-            g = genus.genus_series(args.series, max(args.dim, 2), presentation)
+            g = genus.genus_series(args.series, args.dim, presentation)
             value = genus.genus_of(g, descriptor)
         except (KeyError, ValueError) as exc:
             return _fail_usage(str(exc))

@@ -327,24 +327,18 @@ def check_axioms(law: Union[FormalGroupLaw, Series2]) -> AxiomReport:
     powers = [Series2.constant(1, n)]
     for _ in range(n):
         powers.append(powers[-1] * F)
-    left: "dict[tuple[int, int, int], RingElement]" = {}
-    right: "dict[tuple[int, int, int], RingElement]" = {}
+    left: "dict[tuple[int, int, int], list]" = {}
+    right: "dict[tuple[int, int, int], list]" = {}
     for (i, j), c in F.items():
         for (p, q), v in powers[i].items():
             if p + q + j <= n:
-                key = (p, q, j)
-                acc = left.get(key)
-                prod = c * v
-                left[key] = prod if acc is None else acc + prod
+                left.setdefault((p, q, j), []).append((c, v))
         for (p, q), v in powers[j].items():
             if i + p + q <= n:
-                key = (i, p, q)
-                acc = right.get(key)
-                prod = c * v
-                right[key] = prod if acc is None else acc + prod
-    diff = dict(left)
-    for key, c in right.items():
-        diff[key] = diff.get(key, _ZERO) - c
+                right.setdefault((i, p, q), []).append((c, v))
+    diff = {key: RingElement.dot(pairs) for key, pairs in left.items()}
+    for key, pairs in right.items():
+        diff[key] = diff.get(key, _ZERO) - RingElement.dot(pairs)
     associativity = first_defect(diff.items())
     return AxiomReport(unit, commutativity, associativity)
 

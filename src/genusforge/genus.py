@@ -129,10 +129,15 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
 
     The exponential of a law in fgl.EXPONENTIALS is read from that table, so
     no bivariate law is built; only the closed-form laws go through catalog.
+    Every name in GENUS_SERIES takes every order >= 0.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     name = name.replace("-", "_")
     if name == "gamma":
         name = "gamma_normalized" if presentation == "normalized" else "gamma_raw"
+    if name not in GENUS_SERIES:
+        raise ValueError(f"unknown genus series {name!r}")
     if name == "todd":
         exp_full = Series1(
             [Fraction((-1) ** (k + 1), math.factorial(k)) if k else 0 for k in range(order + 2)],
@@ -143,7 +148,7 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
     elif name in EXPONENTIALS:
         exp_full = EXPONENTIALS[name](order + 1)
     else:
-        exp_full = exponential(catalog(name, order + 1))
+        exp_full = exponential(catalog(name, max(order + 1, 2)))
     pres = "normalized" if name.endswith("normalized") else "raw"
     return _series_from_exponential(exp_full, order, name, pres)
 

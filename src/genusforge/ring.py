@@ -8,17 +8,22 @@ parameters ``t`` and ``u`` (with t = u**2), the Jacobi-quartic parameters
 generators ``e1, e2, ...``.  Arithmetic runs on integer numerators over one
 common denominator; ``terms()`` and ``coefficient()`` return exact
 ``fractions.Fraction`` values, monomials ordered graded-lexicographically.
+
+``RingElement.dot`` sums products of pairs into one numerator dict and reduces
+once; a product is its one-pair case, and every sum of products in the series
+and law layers goes through it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 __all__ = [
     "Generator",
@@ -319,25 +324,52 @@ class RingElement:
         other = RingElement._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return _ZERO
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
+        return RingElement.dot(((self, other),))
+
+    @staticmethod
+    def dot(pairs: "Iterable[tuple[RingElement, RingElement]]") -> "RingElement":
+        """sum(x * y for x, y in pairs), the one multiply-accumulate kernel.
+
+        Term products go into one {monomial: int} dict over a running common
+        denominator, grown to the lcm only when a pair's does not divide it,
+        with one gcd pass at the end.  Terms keep the order that adding the
+        canonical products one at a time gives: a monomial present before a
+        pair keeps its place, and goes only if it is zero when the pair ends.
+        """
         out: "dict[Monomial, int]" = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = _mul_monomials(m1, m2)
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = c1 * c2
-                else:
-                    acc += c1 * c2
+        get, mul, den = out.get, _mul_monomials, 1
+        for x, y in pairs:
+            a, b = x._terms, y._terms
+            if not a or not b:
+                continue
+            if len(a) > len(b):
+                a, b = b, a
+            d = x._den * y._den
+            if den % d:
+                s = d // math.gcd(den, d)
+                for m in out:
+                    out[m] *= s
+                den *= s
+            scale, n0, before, zeros = den // d, len(out), None, []
+            for m1, c1 in a.items():
+                c1 *= scale
+                for m2, c2 in b.items():
+                    m = mul(m1, m2)
+                    acc = get(m, 0) + c1 * c2
                     if acc:
                         out[m] = acc
+                        continue
+                    if before is None:  # the first n0 keys are those from before the pair
+                        before = set(itertools.islice(out, n0))
+                    if m in before:
+                        out[m] = 0
+                        zeros.append(m)
                     else:
                         del out[m]
-        return RingElement._make(out, self._den * other._den)
+            for m in zeros:
+                if out.get(m) == 0:
+                    del out[m]
+        return RingElement._make(out, den)
 
     __rmul__ = __mul__
 

@@ -148,8 +148,8 @@ class Series1:
             k = _coerce_elem(other)
             return Series1([c * k for c in self._coeffs], self.order)
         n = self._match(other)
-        a, b = self._coeffs, other._coeffs
-        return Series1([_dot((a[i], b[k - i]) for i in range(k + 1)) for k in range(n + 1)], n)
+        a, b, dot = self._coeffs, other._coeffs, RingElement.dot
+        return Series1([dot((a[i], b[k - i]) for i in range(k + 1)) for k in range(n + 1)], n)
 
     __rmul__ = __mul__
 
@@ -176,10 +176,10 @@ class Series1:
             raise NonUnitDivisionError(
                 "division requires an invertible constant term"
             ) from exc
-        b = other._coeffs
+        b, dot = other._coeffs, RingElement.dot
         out: "list[RingElement]" = []
         for k in range(n + 1):
-            out.append((self._coeffs[k] - _dot((out[j], b[k - j]) for j in range(k))) * inv0)
+            out.append((self._coeffs[k] - dot((out[j], b[k - j]) for j in range(k))) * inv0)
         return Series1(out, n)
 
     # -- calculus ------------------------------------------------------------
@@ -368,17 +368,13 @@ class Series2:
             k = _coerce_elem(other)
             return Series2({ij: c * k for ij, c in self._coeffs.items()}, self.order)
         n = self._match(other)
-        out: "dict[tuple[int, int], RingElement]" = {}
+        pairs: "dict[tuple[int, int], list]" = {}
         for (i1, j1), c1 in self._coeffs.items():
             d1 = i1 + j1
             for (i2, j2), c2 in other._coeffs.items():
-                if d1 + i2 + j2 > n:
-                    continue
-                ij = (i1 + i2, j1 + j2)
-                acc = out.get(ij)
-                prod = c1 * c2
-                out[ij] = prod if acc is None else acc + prod
-        return Series2(out, n)
+                if d1 + i2 + j2 <= n:
+                    pairs.setdefault((i1 + i2, j1 + j2), []).append((c1, c2))
+        return Series2({ij: RingElement.dot(ps) for ij, ps in pairs.items()}, n)
 
     __rmul__ = __mul__
 
@@ -410,7 +406,7 @@ class Series2:
         n = self.order
         fp = _powers(f.truncate(n), n)
         gp = _powers(g.truncate(n), n)
-        out: "dict[tuple[int, int], RingElement]" = {}
+        pairs: "dict[tuple[int, int], list]" = {}
         for (i, j), c in self._coeffs.items():
             fi, gj = fp[i], gp[j]
             for p in range(i, n + 1 - j):
@@ -419,14 +415,9 @@ class Series2:
                     continue
                 ca = c * a
                 for q in range(j, n + 1 - p):
-                    b = gj[q]
-                    if b.is_zero():
-                        continue
-                    ij = (p, q)
-                    acc = out.get(ij)
-                    prod = ca * b
-                    out[ij] = prod if acc is None else acc + prod
-        return Series2(out, n)
+                    if not gj[q].is_zero():
+                        pairs.setdefault((p, q), []).append((ca, gj[q]))
+        return Series2({ij: RingElement.dot(ps) for ij, ps in pairs.items()}, n)
 
     def eval_at(self, a: Series1, b: Series1) -> Series1:
         """self(a(z), b(z)) as a univariate series (both inner in the same z)."""
@@ -435,16 +426,13 @@ class Series2:
         n = min(self.order, a.order, b.order)
         ap = _powers(a.truncate(n), n)
         bp = _powers(b.truncate(n), n)
-        out = [_ZERO] * (n + 1)
+        pairs: "list[list]" = [[] for _ in range(n + 1)]
         for (i, j), c in self._coeffs.items():
-            if i + j > n:
-                continue
-            prod = Series1(ap[i], n) * Series1(bp[j], n)
-            for k in range(i + j, n + 1):
-                pk = prod[k]
-                if not pk.is_zero():
-                    out[k] = out[k] + c * pk
-        return Series1(out, n)
+            if i + j <= n:
+                prod = Series1(ap[i], n) * Series1(bp[j], n)
+                for k in range(i + j, n + 1):
+                    pairs[k].append((c, prod[k]))
+        return Series1([RingElement.dot(ps) for ps in pairs], n)
 
     # -- io ------------------------------------------------------------------
 
@@ -475,15 +463,6 @@ class Series2:
         return f"Series2[{body} + O(deg {self.order + 1})]"
 
 
-def _dot(pairs) -> RingElement:
-    """sum(x * y for x, y in pairs), skipping pairs with a zero factor."""
-    acc = _ZERO
-    for x, y in pairs:
-        if not x.is_zero() and not y.is_zero():
-            acc = acc + x * y
-    return acc
-
-
 def _powers(f: Series1, order: int) -> "list[tuple[RingElement, ...]]":
     """Coefficient tuples of f^0 .. f^order, truncated at `order`."""
     out = [Series1.constant(1, order)]
@@ -502,7 +481,7 @@ def exp_series(f: Series1) -> "Series1":
     n = f.order
     out = [_ONE] + [_ZERO] * n
     for m in range(1, n + 1):
-        out[m] = _dot((k * f[k], out[m - k]) for k in range(1, m + 1)) * Fraction(1, m)
+        out[m] = RingElement.dot((k * f[k], out[m - k]) for k in range(1, m + 1)) * Fraction(1, m)
     return Series1(out, n)
 
 
@@ -523,7 +502,7 @@ def sqrt_series(f: Series1) -> "Series1":
     n = f.order
     out = [_ONE] + [_ZERO] * n
     for m in range(1, n + 1):
-        out[m] = (f[m] - _dot((out[k], out[m - k]) for k in range(1, m))) * Fraction(1, 2)
+        out[m] = (f[m] - RingElement.dot((out[k], out[m - k]) for k in range(1, m))) / 2
     return Series1(out, n)
 
 
@@ -567,15 +546,15 @@ def bivariate_from_exp(exp: Series1) -> Series2:
     """
     if not exp[0].is_zero() or not exp[1].is_one():
         raise NotRevertibleError("exponential must be z + O(z^2)")
-    n = exp.order
+    n, dot = exp.order, RingElement.dot
     P = _inverse_powers(exp)
     # G[a][j] = sum_{b<=j} C(a+b, a) e_{a+b} P_b[j], so F[i,j] = sum_{a<=i} P_a[i] G[a][j]
     G = []
     for a in range(n + 1):
         e = [exp[a + b] * math.comb(a + b, a) for b in range(n + 1 - a)]
-        G.append([_dot((e[b], P[b][j]) for b in range(j + 1)) for j in range(n + 1 - a)])
+        G.append([dot((e[b], P[b][j]) for b in range(j + 1)) for j in range(n + 1 - a)])
     out: "dict[tuple[int, int], RingElement]" = {}
     for i in range(n + 1):
         for j in range(i, n + 1 - i):  # F is symmetric: fill both halves at once
-            out[(i, j)] = out[(j, i)] = _dot((P[a][i], G[a][j]) for a in range(i + 1))
+            out[(i, j)] = out[(j, i)] = dot((P[a][i], G[a][j]) for a in range(i + 1))
     return Series2(out, n)

@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the code path it checks: ring arithmetic on
 dicts of Fraction coefficients instead of integer numerators over a common
-denominator, Bernoulli numbers via Akiyama-Tanigawa instead of the binomial
+denominator, sums of products by adding one canonical product at a time
+instead of one fused accumulator, Bernoulli numbers via Akiyama-Tanigawa instead of the binomial
 recurrence, series reversion by Newton iteration instead of the Lagrange
 formula, group laws from an exponential by Horner composition instead of the
 bilinear form, products over an alphabet of Chern roots by full root
@@ -18,6 +19,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from genusforge.check import first_defect
+from genusforge.fgl import AxiomReport
 from genusforge.ring import NonUnitError, RingElement, generator_info, zeta_tilde_even
 from genusforge.series import Series1, Series2, compose1_2
 from genusforge.symfun import symmetric_in_elementary, truncate_roots
@@ -107,6 +110,98 @@ class FractionRing:
             m = tuple(sorted((n, e) for n, e in exps.items() if e))
             out = FractionRing.add(out, {m: c})
         return out
+
+
+def pairwise_dot(pairs) -> RingElement:
+    """sum(x * y for x, y in pairs), adding one canonical product at a time."""
+    acc = RingElement.zero()
+    for x, y in pairs:
+        if not x.is_zero() and not y.is_zero():
+            acc = acc + x * y
+    return acc
+
+
+def _accumulate(out: dict, key, prod: RingElement) -> None:
+    acc = out.get(key)
+    out[key] = prod if acc is None else acc + prod
+
+
+def pairwise_series1_mul(a: Series1, b: Series1) -> Series1:
+    n = a.order
+    return Series1([pairwise_dot((a[i], b[k - i]) for i in range(k + 1)) for k in range(n + 1)], n)
+
+
+def pairwise_series2_mul(a: Series2, b: Series2) -> Series2:
+    n = a.order
+    out: "dict" = {}
+    for (i1, j1), c1 in a._coeffs.items():
+        for (i2, j2), c2 in b._coeffs.items():
+            if i1 + j1 + i2 + j2 <= n:
+                _accumulate(out, (i1 + i2, j1 + j2), c1 * c2)
+    return Series2(out, n)
+
+
+def _pairwise_powers(f: Series1, order: int) -> "list[Series1]":
+    out = [Series1.constant(1, order)]
+    for _ in range(order):
+        out.append(pairwise_series1_mul(out[-1], f))
+    return out
+
+
+def pairwise_eval_at(F: Series2, a: Series1, b: Series1) -> Series1:
+    """F(a(z), b(z)), adding each c * (a^i b^j)[k] into its target in turn."""
+    n = min(F.order, a.order, b.order)
+    ap, bp = _pairwise_powers(a.truncate(n), n), _pairwise_powers(b.truncate(n), n)
+    out = [RingElement.zero()] * (n + 1)
+    for (i, j), c in F._coeffs.items():
+        if i + j <= n:
+            prod = pairwise_series1_mul(ap[i], bp[j])
+            for k in range(i + j, n + 1):
+                if not prod[k].is_zero():
+                    out[k] = out[k] + c * prod[k]
+    return Series1(out, n)
+
+
+def pairwise_compose(F: Series2, f: Series1, g: Series1) -> Series2:
+    """F(f(z0), g(z1)), adding each c * f^i[p] * g^j[q] into its target in turn."""
+    n = F.order
+    fp, gp = _pairwise_powers(f.truncate(n), n), _pairwise_powers(g.truncate(n), n)
+    out: "dict" = {}
+    for (i, j), c in F._coeffs.items():
+        for p in range(i, n + 1 - j):
+            if fp[i][p].is_zero():
+                continue
+            ca = c * fp[i][p]
+            for q in range(j, n + 1 - p):
+                if not gp[j][q].is_zero():
+                    _accumulate(out, (p, q), ca * gp[j][q])
+    return Series2(out, n)
+
+
+def pairwise_check_axioms(F: Series2) -> AxiomReport:
+    """Unit, commutativity and associativity by expanding both F(F(x,y),z)
+    and F(x,F(y,z)), each product added into its coefficient in turn."""
+    n = F.order
+    unit = first_defect(
+        (k, F[ij] - 1 if k == 1 else F[ij]) for k in range(n + 1) for ij in ((k, 0), (0, k))
+    )
+    commutativity = first_defect((F - F.swap()).items())
+    powers = [Series2.constant(1, n)]
+    for _ in range(n):
+        powers.append(pairwise_series2_mul(powers[-1], F))
+    left: "dict" = {}
+    right: "dict" = {}
+    for (i, j), c in F.items():
+        for (p, q), v in powers[i].items():
+            if p + q + j <= n:
+                _accumulate(left, (p, q, j), c * v)
+        for (p, q), v in powers[j].items():
+            if i + p + q <= n:
+                _accumulate(right, (i, p, q), c * v)
+    diff = dict(left)
+    for key, c in right.items():
+        diff[key] = diff.get(key, RingElement.zero()) - c
+    return AxiomReport(unit, commutativity, first_defect(diff.items()))
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:

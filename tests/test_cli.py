@@ -127,6 +127,19 @@ class TestGenusCommand:
         )
         assert out["value"] == {"terms": [{"num": "1", "den": "1", "exps": {}}]}
 
+    @pytest.mark.parametrize("series", ["broken_demo", "broken-demo", "elliptic"])
+    def test_series_outside_the_genus_catalog_exits_two(self, series):
+        assert_usage_error(run_cli("genus", "cpn", "--series", series, "--n", "3"))
+        assert_usage_error(
+            run_cli("genus", "chern", "--series", series, "--dim", "1", "--chern", "c1=2")
+        )
+
+    @pytest.mark.parametrize("series", ["kontsevich", "jacobi", "todd"])
+    def test_closed_form_and_table_series_at_dimension_zero_and_one(self, series):
+        one = {"terms": [{"num": "1", "den": "1", "exps": {}}]}
+        assert run_json("genus", "cpn", "--series", series, "--n", "0")["rows"][0]["value"] == one
+        run_json("genus", "chern", "--series", series, "--dim", "1", "--chern", "c1=2")
+
     def test_dimension_zero_rejects_a_nonempty_partition(self):
         proc = run_cli("genus", "chern", "--series", "todd", "--dim", "0", "--chern", "c1=1")
         assert_usage_error(proc)

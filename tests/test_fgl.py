@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from genusforge import fgl
 from genusforge.fgl import (
     CATALOG,
+    DEMO_LAWS,
     FormalGroupLaw,
     UnknownLawError,
     canonical_strict_iso,
@@ -21,6 +24,9 @@ from genusforge.fgl import (
 )
 from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2, bivariate_from_exp, exp_series, log_series
+
+from conftest import rationals, ring_elements
+from oracles import pairwise_check_axioms
 
 R = RingElement
 gen = R.gen
@@ -153,6 +159,37 @@ class TestAxioms:
     def test_report_json_shape(self):
         obj = check_axioms(catalog("additive", 6)).to_obj()
         assert obj == {"unit": "PASS", "commutativity": "PASS", "associativity": "PASS"}
+
+
+class TestAxiomsAgainstPairwiseExpansion:
+    """check_axioms through RingElement.dot against the expansion that adds
+    one product at a time: the same verdict and the same first defect."""
+
+    @staticmethod
+    def assert_same_report(F):
+        report, expected = check_axioms(F), pairwise_check_axioms(F)
+        assert report == expected
+        assert json.dumps(report.to_obj()) == json.dumps(expected.to_obj())
+
+    @pytest.mark.parametrize("name", CATALOG + DEMO_LAWS)
+    def test_catalog_laws(self, name):
+        self.assert_same_report(catalog(name, 7).F)
+
+    def test_broken_demo_first_defect_is_pinned(self):
+        self.assert_same_report(catalog("broken_demo", 10).F)
+        assert check_axioms(catalog("broken_demo", 10)).to_obj()["associativity"] == {
+            "status": "FAIL",
+            "degree": 3,
+            "coefficient": {"terms": [{"num": "2", "den": "1", "exps": {}}]},
+        }
+
+    @given(
+        st.sampled_from(CATALOG),
+        st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda ij: sum(ij) <= 5),
+        st.one_of(rationals.filter(bool), ring_elements()),
+    )
+    def test_perturbed_laws(self, name, ij, c):
+        self.assert_same_report(catalog(name, 5).F + Series2({ij: c}, 5))
 
 
 class TestLogarithm:

@@ -7,6 +7,7 @@ from genusforge import fgl
 from genusforge.fgl import EXPONENTIALS, catalog, exponential, gamma_exponential
 from genusforge.genus import (
     _series_from_exponential,
+    GENUS_SERIES,
     GenusSeries,
     IncompleteChernTableError,
     InsufficientOrderError,
@@ -56,8 +57,19 @@ class TestGenusSeries:
             assert g.H * g.exp == Series1.x(6)
 
     def test_unknown_series(self):
-        with pytest.raises(KeyError):
-            genus_series("elliptic", 4)
+        for name in ("elliptic", "broken_demo", "broken-demo"):
+            with pytest.raises(ValueError, match="unknown genus series"):
+                genus_series(name, 4)
+
+    @pytest.mark.parametrize("name", GENUS_SERIES)
+    def test_every_series_at_orders_zero_and_one(self, name):
+        full = genus_series(name, 3)
+        for order in (0, 1):
+            g = genus_series(name, order)
+            assert g.H.order == order and g.H[0] == 1
+            assert (g.H, g.exp) == (full.H.truncate(order), full.exp.truncate(order))
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            genus_series(name, -1)
 
 
 class TestExponentialTableRoute:

@@ -19,7 +19,7 @@ from genusforge.ring import (
 
 from conftest import rationals, ring_elements
 from oracles import FractionRing as F
-from oracles import bernoulli_akiyama_tanigawa
+from oracles import bernoulli_akiyama_tanigawa, pairwise_dot
 
 R = RingElement
 
@@ -263,6 +263,80 @@ class TestCanonicalForm:
         assert x._den == 6 and sorted(x._terms.values()) == [1, 2]
         y = x - gen("gamma", 1, Fraction(1, 6))
         assert y._den == 3 and y._terms == {(("zeta2", 1),): 1}
+
+
+@st.composite
+def product_sums(draw):
+    """Pairs of ring elements, with some pairs repeated negated so that whole
+    products cancel, in a drawn order."""
+    pairs = draw(st.lists(st.tuples(ring_elements(), ring_elements()), max_size=5))
+    if pairs:
+        pairs += [(-x, y) for x, y in draw(st.lists(st.sampled_from(pairs), max_size=2))]
+    return draw(st.permutations(pairs))
+
+
+def storage(x):
+    return list(x._terms.items()), x._den
+
+
+class TestDotKernel:
+    """RingElement.dot against the sum of products in the reference rings."""
+
+    @given(product_sums())
+    def test_against_fraction_ring(self, pairs):
+        expected = {}
+        for x, y in pairs:
+            expected = F.add(expected, F.mul(F.of(x), F.of(y)))
+        got = R.dot(pairs)
+        assert F.of(got) == expected
+        assert_canonical(got)
+        assert got == R(expected) and hash(got) == hash(R(expected))
+
+    @given(product_sums())
+    def test_same_storage_and_term_order_as_pairwise_sums(self, pairs):
+        assert storage(R.dot(pairs)) == storage(pairwise_dot(pairs))
+        assert storage(R.dot(iter(pairs))) == storage(pairwise_dot(pairs))
+
+    @given(ring_elements(), ring_elements())
+    def test_product_is_the_one_pair_case(self, a, b):
+        assert storage(a * b) == storage(R.dot([(a, b)]))
+
+    def test_empty_sequence_and_zero_factors(self):
+        zero = R.zero()
+        assert storage(R.dot([])) == ([], 1)
+        assert storage(R.dot([(zero, gen("gamma")), (gen("t"), zero)])) == ([], 1)
+        assert R.dot([(zero, gen("gamma")), (gen("t"), gen("t", -1))]) == 1
+
+    def test_cancellation_to_zero(self):
+        x, y = gen("gamma", 1, Fraction(1, 3)) + gen("t", -2), gen("zeta2", 1, Fraction(5, 7))
+        got = R.dot([(x, y), (x, -y)])
+        assert got.is_zero() and storage(got) == ([], 1)
+        # a sum that cancelled leaves no trace in the storage of what follows
+        got = R.dot([(x, y), (-x, y), (gen("t", -1), R.from_rational(Fraction(1, 2)))])
+        assert storage(got) == ([((("t", -1),), 1)], 2)
+
+    def test_mixed_denominators_reduce_to_lowest_terms(self):
+        half, third = R.from_rational(Fraction(1, 2)), R.from_rational(Fraction(1, 3))
+        got = R.dot([(gen("gamma"), half), (gen("gamma"), third), (gen("t", -1), third)])
+        assert got == gen("gamma", 1, Fraction(5, 6)) + gen("t", -1, Fraction(1, 3))
+        assert_canonical(got) and got._den == 6
+        got = R.dot([(gen("gamma"), half), (gen("gamma"), half), (gen("ipi2", -3), third * 3)])
+        assert storage(got) == ([((("gamma", 1),), 1), ((("ipi2", -3),), 1)], 1)
+
+    def test_laurent_exponents_meet_in_one_monomial(self):
+        pairs = [(gen("t", 2), gen("t", -2)), (gen("ipi2", -1), gen("ipi2")), (gen("t"), gen("u"))]
+        got = R.dot(pairs)
+        assert got == 2 + gen("t") * gen("u")
+
+    def test_a_term_that_passes_through_zero_inside_a_pair_keeps_its_place(self):
+        # (1 + t) * (t^-1 gamma - gamma) adds -gamma before +gamma, so gamma,
+        # already summed from the first pair, touches zero and comes back.
+        one_plus_t = R({(): 1, (("t", 1),): 1})
+        y = R({(("gamma", 1), ("t", -1)): 1, (("gamma", 1),): -1})
+        pairs = [(R.one(), gen("gamma") + gen("zeta2")), (one_plus_t, y)]
+        got = R.dot(pairs)
+        assert storage(got) == storage(pairwise_dot(pairs))
+        assert list(got._terms)[:2] == [(("gamma", 1),), (("zeta2", 1),)]
 
 
 class TestHashAcrossRoutes:

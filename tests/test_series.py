@@ -17,8 +17,15 @@ from genusforge.series import (
     sqrt_series,
 )
 
-from conftest import rationals
-from oracles import horner_bivariate_from_exp, newton_revert
+from conftest import rationals, ring_elements
+from oracles import (
+    horner_bivariate_from_exp,
+    newton_revert,
+    pairwise_compose,
+    pairwise_eval_at,
+    pairwise_series1_mul,
+    pairwise_series2_mul,
+)
 
 R = RingElement
 gen = R.gen
@@ -49,6 +56,61 @@ def exponentials(draw, coefficients, universal=False):
         c = draw(coefficients)
         coeffs.append(gen(f"e{k - 1}") * c if universal else c)
     return Series1(coeffs, order)
+
+
+# Coefficients repeat from a small drawn pool, so products share monomials.
+coefficient_pools = st.lists(ring_elements(), min_size=1, max_size=4)
+
+
+@st.composite
+def ring_series(draw, order=3, constant=None):
+    pool = draw(coefficient_pools)
+    coeffs = [draw(st.sampled_from(pool)) for _ in range(order + 1)]
+    if constant is not None:
+        coeffs[0] = constant
+    return Series1(coeffs, order)
+
+
+@st.composite
+def ring_series2(draw, order=3):
+    pool = draw(coefficient_pools)
+    ijs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    return Series2({ij: draw(st.sampled_from(pool)) for ij in ijs}, order)
+
+
+def storage(f):
+    """Every coefficient's numerators in term order, its denominator, and for a
+    Series2 the order of its stored indices."""
+    coeffs = f._coeffs.items() if isinstance(f, Series2) else enumerate(f.coefficients())
+    return [(k, list(c._terms.items()), c._den) for k, c in coeffs]
+
+
+class TestAgainstPairwiseAccumulation:
+    """Sums of products through RingElement.dot store exactly what adding one
+    canonical product at a time stores, term order included."""
+
+    @given(ring_series(order=4), ring_series(order=4))
+    def test_series1_mul(self, a, b):
+        assert storage(a * b) == storage(pairwise_series1_mul(a, b))
+
+    @given(ring_series2(), ring_series2())
+    def test_series2_mul(self, a, b):
+        assert storage(a * b) == storage(pairwise_series2_mul(a, b))
+
+    @given(ring_series2(), ring_series(constant=0), ring_series(constant=0))
+    def test_eval_at(self, F, a, b):
+        assert storage(F.eval_at(a, b)) == storage(pairwise_eval_at(F, a, b))
+
+    @given(ring_series2(), ring_series(constant=0), ring_series(constant=0))
+    def test_compose(self, F, f, g):
+        assert storage(F.compose(f, g)) == storage(pairwise_compose(F, f, g))
+
+    def test_gamma_law_at_order_8(self):
+        F = bivariate_from_exp(Series1([0, 1, gen("gamma"), gen("zeta2"), gen("zeta3")], 8))
+        f = Series1([0, 1, gen("gamma", 1, Fraction(1, 2)), gen("zeta3")], 8)
+        assert storage(F * F) == storage(pairwise_series2_mul(F, F))
+        assert storage(F.eval_at(f, f)) == storage(pairwise_eval_at(F, f, f))
+        assert storage(F.compose(f, f)) == storage(pairwise_compose(F, f, f))
 
 
 class TestArith:

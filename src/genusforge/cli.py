@@ -2,10 +2,13 @@
 
 Subcommands: fgl (catalog inspection and axiom checks), genus (projective and
 Chern-number genus tables), witten (q-expansion), series (exp/log/sqrt/revert
-on JSON series), verify (the one-shot identity verifier).  All output is
-canonical JSON on stdout; diagnostics go to stderr.  Exit codes: 0 all checks
-pass, 1 a check failed, 2 usage error.  GENUSFORGE_ORDER overrides the
-default truncation order.
+on JSON series), verify (the one-shot identity verifier).  Output is always
+canonical JSON on stdout, so there is no --json flag.  Exit codes: 0 all
+checks pass, 1 a check failed, 2 usage error.  A usage error, argparse's
+included, is one `error: <message>` line on stderr and nothing on stdout:
+handlers raise ValueError, LookupError or ArithmeticError, and main alone
+turns them into exit 2.  --presentation selects the presentation of `gamma`
+only.  GENUSFORGE_ORDER overrides the default truncation order.
 """
 
 from __future__ import annotations
@@ -28,32 +31,35 @@ EXIT_USAGE = 2
 MAX_ORDER = 1000
 
 
-def _default_order(fallback: int) -> int:
-    env = os.environ.get("GENUSFORGE_ORDER")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise SystemExit(_fail_usage(f"bad GENUSFORGE_ORDER {env!r}; expected an integer"))
-        return value
-    return fallback
+class UsageError(argparse.ArgumentTypeError, ValueError):
+    """Bad command-line input.  argparse reports an ArgumentTypeError's own
+    message, and main catches it as a ValueError."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def size(text) -> int:
+    """An integer size or order, at most MAX_ORDER.  (argparse names a
+    non-integer after this function: "invalid size value".)"""
+    value = int(text)
+    if value > MAX_ORDER:
+        raise UsageError(f"{value} exceeds the maximum {MAX_ORDER}")
+    return value
 
 
 def _order(args, fallback: int) -> int:
-    """--order, else GENUSFORGE_ORDER, else fallback; at most MAX_ORDER."""
-    order = args.order if args.order is not None else _default_order(fallback)
-    if order > MAX_ORDER:
-        raise SystemExit(_fail_usage(f"order {order} exceeds the maximum {MAX_ORDER}"))
-    return order
+    """--order, else GENUSFORGE_ORDER (bounded as --order is), else fallback."""
+    if args.order is not None:
+        return args.order
+    env = os.environ.get("GENUSFORGE_ORDER")
+    return size(env) if env else fallback
 
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _fail_usage(message: str) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return EXIT_USAGE
 
 
 def _rational(text: str) -> Fraction:
@@ -113,160 +119,99 @@ def _parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
 
 
 # -- subcommand handlers -------------------------------------------------------
+# Each returns the JSON object to print and whether its checks passed.
 
 
-def _cmd_fgl(args) -> int:
-    if args.fgl_cmd == "list":
-        _emit(
-            {
-                "laws": list(fgl.CATALOG),
-                "demo_laws": list(fgl.DEMO_LAWS),
-            }
-        )
-        return EXIT_OK
+def _fgl_list(args):
+    return {"laws": list(fgl.CATALOG), "demo_laws": list(fgl.DEMO_LAWS)}, True
+
+
+def _fgl_series(args):
+    return fgl.catalog(args.law, _order(args, 10), _parse_params(args.param)).to_obj(), True
+
+
+def _fgl_check(args):
     order = _order(args, 10)
-    try:
-        params = _parse_params(getattr(args, "param", None))
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    if args.fgl_cmd == "series":
-        try:
-            law = fgl.catalog(args.law, order, params)
-        except (fgl.UnknownLawError, ValueError) as exc:
-            return _fail_usage(str(exc))
-        _emit(law.to_obj())
-        return EXIT_OK
-    if args.fgl_cmd == "check":
-        try:
-            law = fgl.catalog(args.law, order, params)
-        except (fgl.UnknownLawError, ValueError) as exc:
-            return _fail_usage(str(exc))
-        report = fgl.check_axioms(law)
-        _emit({"law": law.name, "order": order, "report": report.to_obj()})
-        return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-    if args.fgl_cmd == "iso":
-        try:
-            src = fgl.catalog(args.src, order)
-            dst = fgl.catalog(args.dst, order)
-        except (fgl.UnknownLawError, ValueError) as exc:
-            return _fail_usage(str(exc))
-        phi = fgl.canonical_strict_iso(src, dst)
-        result = fgl.verify_iso(phi, src, dst)
-        _emit(
-            {
-                "from": src.name,
-                "to": dst.name,
-                "order": order,
-                "phi": phi.to_obj(),
-                "verify": result.to_obj(),
-            }
-        )
-        return EXIT_OK if result.passed else EXIT_CHECK_FAILED
-    return _fail_usage(f"unknown fgl subcommand {args.fgl_cmd!r}")
+    law = fgl.catalog(args.law, order, _parse_params(args.param))
+    report = fgl.check_axioms(law)
+    return {"law": law.name, "order": order, "report": report.to_obj()}, report.passed
 
 
-def _cmd_genus(args) -> int:
-    presentation = args.presentation
-    if args.genus_cmd == "cpn":
-        if (args.n is None) == (args.max_n is None):
-            return _fail_usage("cpn requires exactly one of --n or --max-n")
-        try:
-            if args.n is not None:
-                if args.n < 0:
-                    return _fail_usage("--n must be >= 0")
-                g = genus.genus_series(args.series, args.n, presentation)
-                table = {
-                    "series": g.name,
-                    "rows": [{"n": args.n, "value": genus.genus_cpn(g, args.n).to_obj()}],
-                }
-            else:
-                table = genus.genus_table(args.series, args.max_n, presentation)
-        except (KeyError, ValueError) as exc:
-            return _fail_usage(str(exc))
-        _emit(table)
-        return EXIT_OK
-    if args.genus_cmd == "table":
-        if args.max_n is None:
-            return _fail_usage("table requires --max-n")
-        try:
-            _emit(genus.genus_table(args.series, args.max_n, presentation))
-        except (KeyError, ValueError) as exc:
-            return _fail_usage(str(exc))
-        return EXIT_OK
-    if args.genus_cmd == "chern":
-        if args.dim is None or not args.chern:
-            return _fail_usage("chern requires --dim and --chern")
-        try:
-            chern = _parse_chern(args.chern)
-            descriptor = genus.ManifoldDescriptor.from_chern(args.dim, chern)
-            g = genus.genus_series(args.series, args.dim, presentation)
-            value = genus.genus_of(g, descriptor)
-        except (KeyError, ValueError) as exc:
-            return _fail_usage(str(exc))
-        _emit({"series": g.name, "dim": args.dim, "value": value.to_obj()})
-        return EXIT_OK
-    return _fail_usage(f"unknown genus subcommand {args.genus_cmd!r}")
-
-
-def _cmd_witten(args) -> int:
-    try:
-        w = genus.witten_series(args.x_order, args.q_order)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    series = w.log_H if args.log else w.H
-    _emit(
-        {
-            "x_order": w.x_order,
-            "q_order": w.q_order,
-            "what": "log" if args.log else "series",
-            "coeffs": series.to_obj(),
-        }
-    )
-    return EXIT_OK
-
-
-def _cmd_series(args) -> int:
-    try:
-        text = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
-    except (OSError, UnicodeDecodeError) as exc:
-        return _fail_usage(f"cannot read series input: {exc}")
-    try:
-        obj = json.loads(text)
-        if int(obj["order"]) > MAX_ORDER:
-            raise ValueError(f"order {obj['order']} exceeds the maximum {MAX_ORDER}")
-        f = Series1.from_obj(obj)
-    except (LookupError, TypeError, AttributeError, ValueError, ArithmeticError, RecursionError) as exc:
-        return _fail_usage(f"bad series JSON: {exc}")
-    ops = {
-        "exp": exp_series,
-        "log": log_series,
-        "sqrt": sqrt_series,
-        "revert": lambda s: s.revert(),
+def _fgl_iso(args):
+    order = _order(args, 10)
+    src, dst = fgl.catalog(args.src, order), fgl.catalog(args.dst, order)
+    phi = fgl.canonical_strict_iso(src, dst)
+    result = fgl.verify_iso(phi, src, dst)
+    obj = {
+        "from": src.name,
+        "to": dst.name,
+        "order": order,
+        "phi": phi.to_obj(),
+        "verify": result.to_obj(),
     }
+    return obj, result.passed
+
+
+def _genus_table(args):
+    return genus.genus_table(args.series, args.max_n, args.presentation), True
+
+
+def _genus_cpn(args):
+    if args.n is None:
+        return _genus_table(args)
+    g = genus.genus_series(args.series, args.n, args.presentation)
+    row = {"n": args.n, "value": genus.genus_cpn(g, args.n).to_obj()}
+    return {"series": g.name, "rows": [row]}, True
+
+
+def _genus_chern(args):
+    # The descriptor checks the table, so a bad one is rejected before the
+    # series, the costly part, is built.
+    descriptor = genus.ManifoldDescriptor.from_chern(args.dim, _parse_chern(args.chern))
+    g = genus.genus_series(args.series, args.dim, args.presentation)
+    value = genus.genus_of(g, descriptor).to_obj()
+    return {"series": g.name, "dim": args.dim, "value": value}, True
+
+
+def _witten(args):
+    w = genus.witten_series(args.x_order, args.q_order)
+    obj = {
+        "x_order": w.x_order,
+        "q_order": w.q_order,
+        "what": "log" if args.log else "series",
+        "coeffs": (w.log_H if args.log else w.H).to_obj(),
+    }
+    return obj, True
+
+
+def _series(args):
+    # Malformed JSON raises TypeError, AttributeError or RecursionError from
+    # deep inside from_obj; only here are those bad input and not a bug.
     try:
-        result = ops[args.series_cmd](f)
-    except ArithmeticError as exc:
-        return _fail_usage(str(exc))
-    _emit(result.to_obj())
-    return EXIT_OK
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input) as handle:
+                text = handle.read()
+        obj = json.loads(text)
+        size(obj["order"])
+        f = Series1.from_obj(obj)
+    except (OSError, TypeError, AttributeError, RecursionError,
+            ValueError, LookupError, ArithmeticError) as exc:
+        raise ValueError(f"bad series input: {exc}") from None
+    return args.op(f).to_obj(), True
 
 
-def _cmd_verify(args) -> int:
-    order = _order(args, 12)
-    if order < 2:
-        return _fail_usage("order must be >= 2")
-    if args.suite not in verify.SUITES:
-        return _fail_usage(f"unknown suite {args.suite!r}")
-    report = verify.run_suite(args.suite, order)
-    _emit(report)
-    return EXIT_OK if report["status"] == "PASS" else EXIT_CHECK_FAILED
+def _verify(args):
+    report = verify.run_suite(args.suite, _order(args, 12))
+    return report, report["status"] == "PASS"
 
 
 # -- parser ---------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="genusforge",
         description="Exact computer algebra for formal group laws and Hirzebruch genera.",
     )
@@ -274,76 +219,78 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fgl = sub.add_parser("fgl", help="formal group law catalog")
     fgl_sub = p_fgl.add_subparsers(dest="fgl_cmd", required=True)
-    for name in ("list", "series", "check"):
+    fgl_sub.add_parser("list").set_defaults(run=_fgl_list)
+    for name, run in (("series", _fgl_series), ("check", _fgl_check)):
         p = fgl_sub.add_parser(name)
-        # output is always canonical JSON; the flag is accepted for symmetry
-        p.add_argument("--json", action="store_true")
-        if name != "list":
-            p.add_argument("--law", required=True)
-            p.add_argument("--order", type=int, default=None)
-            p.add_argument("--param", action="append", metavar="NAME=P/Q")
-    p_iso = fgl_sub.add_parser("iso")
-    p_iso.add_argument("--from", dest="src", required=True)
-    p_iso.add_argument("--to", dest="dst", required=True)
-    p_iso.add_argument("--order", type=int, default=None)
-    p_iso.add_argument("--json", action="store_true")
+        p.add_argument("--law", required=True)
+        p.add_argument("--order", type=size)
+        p.add_argument("--param", action="append", metavar="NAME=P/Q")
+        p.set_defaults(run=run)
+    p = fgl_sub.add_parser("iso")
+    p.add_argument("--from", dest="src", required=True)
+    p.add_argument("--to", dest="dst", required=True)
+    p.add_argument("--order", type=size)
+    p.set_defaults(run=_fgl_iso)
 
     p_genus = sub.add_parser("genus", help="genus tables")
     genus_sub = p_genus.add_subparsers(dest="genus_cmd", required=True)
-    for name in ("cpn", "chern", "table"):
+    for name, run in (("cpn", _genus_cpn), ("table", _genus_table), ("chern", _genus_chern)):
         p = genus_sub.add_parser(name)
         p.add_argument("--series", required=True)
-        p.add_argument("--presentation", choices=("raw", "normalized"), default=None)
-        if name in ("cpn", "table"):
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--max-n", dest="max_n", type=int, default=None)
-        if name == "chern":
-            p.add_argument("--dim", type=int, default=None)
-            p.add_argument("--chern", default=None)
+        p.add_argument("--presentation", choices=("raw", "normalized"))
+        p.set_defaults(run=run)
+        if name == "cpn":
+            n_or_max_n = p.add_mutually_exclusive_group(required=True)
+            n_or_max_n.add_argument("--n", type=size)
+            n_or_max_n.add_argument("--max-n", dest="max_n", type=size)
+        elif name == "table":
+            p.add_argument("--max-n", dest="max_n", type=size, required=True)
+        else:
+            p.add_argument("--dim", type=size, required=True)
+            p.add_argument("--chern", required=True)
 
-    p_witten = sub.add_parser("witten", help="Witten q-expansion")
-    p_witten.add_argument("--x-order", dest="x_order", type=int, default=10)
-    p_witten.add_argument("--q-order", dest="q_order", type=int, default=8)
-    p_witten.add_argument("--log", action="store_true", help="emit log of the series")
+    p = sub.add_parser("witten", help="Witten q-expansion")
+    p.add_argument("--x-order", dest="x_order", type=size, default=10)
+    p.add_argument("--q-order", dest="q_order", type=size, default=8)
+    p.add_argument("--log", action="store_true", help="emit log of the series")
+    p.set_defaults(run=_witten)
 
     p_series = sub.add_parser("series", help="series utilities on JSON input")
     series_sub = p_series.add_subparsers(dest="series_cmd", required=True)
-    for name in ("exp", "log", "sqrt", "revert"):
+    # revert is looked up when it runs, so a wrapper installed on
+    # Series1.revert after import (the benchmark's tracer) is the one called.
+    ops = (("exp", exp_series), ("log", log_series), ("sqrt", sqrt_series),
+           ("revert", lambda f: f.revert()))
+    for name, op in ops:
         p = series_sub.add_parser(name)
-        p.add_argument("--input", default=None, help="path to Series1 JSON (default stdin)")
+        p.add_argument("--input", default="-", help="path to Series1 JSON (default stdin)")
+        p.set_defaults(run=_series, op=op)
 
-    p_verify = sub.add_parser("verify", help="run the identity verifier")
-    p_verify.add_argument("--suite", default="all")
-    p_verify.add_argument("--order", type=int, default=None)
+    p = sub.add_parser("verify", help="run the identity verifier")
+    p.add_argument("--suite", default="all")
+    p.add_argument("--order", type=size)
+    p.set_defaults(run=_verify)
 
     return parser
 
 
+_PARSER = build_parser()
+# A message may quote raw input (argparse's "unrecognized arguments" does),
+# so every character str.splitlines breaks at is escaped to keep it one line.
+_ESCAPE_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for size in ("n", "max_n", "dim", "x_order", "q_order"):
-        value = getattr(args, size, None)
-        if value is not None and value > MAX_ORDER:
-            flag = "--" + size.replace("_", "-")
-            return _fail_usage(f"{flag} {value} exceeds the maximum {MAX_ORDER}")
-    handlers = {
-        "fgl": _cmd_fgl,
-        "genus": _cmd_genus,
-        "witten": _cmd_witten,
-        "series": _cmd_series,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        args = _PARSER.parse_args(argv)
+        obj, passed = args.run(args)
+        _emit(obj)
     except BrokenPipeError:
         return EXIT_OK
-    except ValueError as exc:
-        # An integer beyond the interpreter's int-to-str digit limit; the
-        # error has no type of its own.  The limit stays: it guards parsing.
-        if "integer string conversion" not in str(exc):
-            raise
-        return _fail_usage(f"result too large to print: {exc}")
+    except (ValueError, LookupError, ArithmeticError) as exc:
+        sys.stderr.write(f"error: {str(exc).translate(_ESCAPE_LINE_BREAKS)}\n")
+        return EXIT_USAGE
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -129,7 +129,10 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
 
     The exponential of a law in fgl.EXPONENTIALS is read from that table, so
     no bivariate law is built; only the closed-form laws go through catalog.
-    Every name in GENUS_SERIES takes every order >= 0.
+    Every name in GENUS_SERIES takes every order >= 0.  A presentation, if
+    given, selects the gamma series ('raw' or 'normalized'); for every other
+    name it must be that series' own ('normalized' for gamma_normalized,
+    'raw' for the rest).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -138,6 +141,9 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
         name = "gamma_normalized" if presentation == "normalized" else "gamma_raw"
     if name not in GENUS_SERIES:
         raise ValueError(f"unknown genus series {name!r}")
+    pres = "normalized" if name.endswith("normalized") else "raw"
+    if presentation not in (None, pres):
+        raise ValueError(f"genus series {name!r} has no {presentation!r} presentation")
     if name == "todd":
         exp_full = Series1(
             [Fraction((-1) ** (k + 1), math.factorial(k)) if k else 0 for k in range(order + 2)],
@@ -149,7 +155,6 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
         exp_full = EXPONENTIALS[name](order + 1)
     else:
         exp_full = exponential(catalog(name, max(order + 1, 2)))
-    pres = "normalized" if name.endswith("normalized") else "raw"
     return _series_from_exponential(exp_full, order, name, pres)
 
 
@@ -157,8 +162,6 @@ def gamma_series(order: int, presentation: str = "raw") -> GenusSeries:
     """The reciprocal-Gamma characteristic series; H(z) is the expansion of
     Gamma(1+z) in the raw presentation, and its period-rescaled, even-zeta
     reduced form in the normalized one."""
-    if presentation not in ("raw", "normalized"):
-        raise ValueError("presentation must be 'raw' or 'normalized'")
     return genus_series("gamma", order, presentation)
 
 

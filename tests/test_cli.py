@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -78,7 +79,7 @@ class TestFglCommand:
 
     def test_unknown_flag_exits_two(self):
         proc = run_cli("fgl", "check", "--law", "jacobi", "--frobnicate")
-        assert proc.returncode == 2
+        assert_usage_error(proc)
 
     def test_param_substitution(self):
         out = run_json(
@@ -103,6 +104,14 @@ class TestFglCommand:
 
 
 class TestGenusCommand:
+    @pytest.mark.parametrize(
+        "series, presentation", [("gamma_raw", "normalized"), ("todd", "normalized")]
+    )
+    def test_presentation_that_contradicts_the_series_exits_two(self, series, presentation):
+        proc = run_cli("genus", "cpn", "--series", series, "--presentation", presentation, "--n", "1")
+        assert_usage_error(proc)
+        assert "presentation" in proc.stderr
+
     def test_cpn_ahat(self):
         out = run_json("genus", "cpn", "--series", "ahat", "--n", "2")
         assert out["rows"] == [
@@ -203,6 +212,19 @@ def test_size_beyond_maximum_exits_two(argv):
     assert_usage_error(run_cli(*argv, str(cli.MAX_ORDER + 1)))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fgl", "list", "--json"),
+        ("fgl", "iso", "--from", "kontsevich", "--to", "multiplicative", "--json"),
+        ("genus", "table", "--series", "todd", "--max-n", "2", "--n", "3"),
+    ],
+    ids=["fgl-list-json", "fgl-iso-json", "genus-table-n"],
+)
+def test_options_that_do_nothing_are_rejected(argv):
+    assert_usage_error(run_cli(*argv))
+
+
 class TestSeriesCommand:
     def test_exp_log_round_trip(self):
         z = {
@@ -283,6 +305,19 @@ def _run_in_process(argv, stdin):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_contract(code, out, err):
+    """Exit 0, 1 or 2, no traceback, stdout empty or one JSON line, and an
+    exit 2 with an error line first on stderr and nothing on stdout."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if out:
+        assert out.endswith("\n") and out.count("\n") == 1
+        json.loads(out)
+    if code == 2:
+        assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1
+        assert out == ""
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
@@ -346,14 +381,7 @@ class TestSeriesFuzz:
         st.one_of(_json_values.map(json.dumps), _series_like().map(json.dumps), st.text(max_size=20)),
     )
     def test_contract(self, op, stdin):
-        code, out, err = _run_in_process(["series", op], stdin)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
-        if out:
-            assert out.endswith("\n") and out.count("\n") == 1
-            json.loads(out)
-        if code == 2:
-            assert err.startswith("error: ")
+        _assert_contract(*_run_in_process(["series", op], stdin))
 
 
 # The generators each law accepts as params, plus names it does not accept.
@@ -393,14 +421,93 @@ class TestFglParamFuzz:
     @example(["fgl", "check", "--law", "chi_rescaled", "--order", "3", "--param", "u=1/0"])
     @given(_fgl_param_argv())
     def test_contract(self, argv):
-        code, out, err = _run_in_process(argv, "")
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
-        if out:
-            assert out.endswith("\n") and out.count("\n") == 1
-            json.loads(out)
-        if code == 2:
-            assert err.startswith("error: ")
+        _assert_contract(*_run_in_process(argv, ""))
+
+
+# Every leaf command with its flags, and values for each flag: valid ones,
+# sizes from -2 to 6, and junk.  Commands are also cut short or unknown, and
+# tokens are dropped in anywhere.  No token is -h or --help, nor an
+# abbreviation of --help.
+_SIZES = st.integers(min_value=-2, max_value=6).map(str) | st.sampled_from(["x", "1001", "1e3", ""])
+_LAWS = st.sampled_from(fgl.CATALOG + fgl.DEMO_LAWS + ("broken-demo", "nope"))
+_FLAG_VALUES = {
+    "--law": _LAWS,
+    "--from": _LAWS,
+    "--to": _LAWS,
+    "--order": _SIZES,
+    "--param": st.sampled_from(["t=2", "delta=1/3", "epsilon=0", "t=1/0", "u=0", "x=", "t"]),
+    "--series": st.sampled_from(
+        ["todd", "ahat", "gamma", "gamma_raw", "gamma_normalized", "kontsevich", "elliptic"]
+    ),
+    "--presentation": st.sampled_from(["raw", "normalized", "bogus"]),
+    "--n": _SIZES,
+    "--max-n": _SIZES,
+    "--dim": _SIZES,
+    "--chern": st.sampled_from(["c1=2", "c1^2=9,c2=3", "c2=1", "c1^0=1", "c1=1/0", "b2=1", ""]),
+    "--x-order": _SIZES,
+    "--q-order": _SIZES,
+    "--input": st.sampled_from(["-", ".", "missing.json"]),
+    "--suite": st.sampled_from(verify.SUITES + ("everything",)),
+}
+_FGL_LAW = ["--law", "--order", "--param"]
+_GENUS = ["--series", "--presentation"]
+_COMMANDS = {
+    ("fgl", "list"): [],
+    ("fgl", "series"): _FGL_LAW,
+    ("fgl", "check"): _FGL_LAW,
+    ("fgl", "iso"): ["--from", "--to", "--order"],
+    ("genus", "cpn"): _GENUS + ["--n", "--max-n"],
+    ("genus", "table"): _GENUS + ["--max-n"],
+    ("genus", "chern"): _GENUS + ["--dim", "--chern"],
+    ("witten",): ["--x-order", "--q-order", "--log"],
+    ("verify",): ["--suite", "--order"],
+    **{("series", op): ["--input"] for op in ("exp", "log", "sqrt", "revert")},
+    **{path: [] for path in [(), ("fgl",), ("genus",), ("series",), ("frobnicate",), ("genus", "x")]},
+}
+_JUNK = st.one_of(
+    st.sampled_from(sorted(_FLAG_VALUES) + ["--log", "--json", "--frobnicate", "--", "-x", "-1"]),
+    st.text(max_size=6).filter(lambda t: not t.startswith("-")),
+)
+
+
+@st.composite
+def _argv(draw):
+    path = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = list(path)
+    for flag in _COMMANDS[path]:
+        if draw(st.integers(min_value=0, max_value=3)):
+            argv.append(flag)
+            if flag in _FLAG_VALUES and draw(st.integers(min_value=0, max_value=19)):
+                argv.append(draw(_FLAG_VALUES[flag]))
+    for _ in range(draw(st.integers(min_value=-3, max_value=2))):
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), draw(_JUNK))
+    return argv
+
+
+_SERIES_STDIN = ["", "not json", json.dumps({"order": 3, "coeffs": [{"terms": []}] * 4})]
+
+
+class TestArgvFuzz:
+    """Any argv but -h/--help keeps the contract: main returns 0, 1 or 2 and
+    raises nothing, SystemExit included; stdout is empty or one JSON line; a
+    usage error is one error line on stderr."""
+
+    @settings(max_examples=1500, deadline=None)
+    @example(["fgl", "check", "--law", "jacobi", "--frobnicate"], "")
+    @example(["fgl", "series", "--law", "additive", "--order", "1001"], "")
+    @example(["genus", "cpn", "--series", "todd"], "")
+    @example(["fgl"], "")
+    @example(["fgl", "iso", "\n", "--from", "additive", "--to", "additive"], "")
+    @example(["genus", "cpn", "--\u2028"], "")
+    @given(_argv(), st.sampled_from(_SERIES_STDIN))
+    def test_contract(self, argv, stdin):
+        # A small default order keeps each example fast.
+        with mock.patch.dict(os.environ, GENUSFORGE_ORDER="4"):
+            try:
+                result = _run_in_process(argv, stdin)
+            except (Exception, SystemExit) as exc:
+                raise AssertionError(f"main({argv!r}) raised {exc!r}") from exc
+        _assert_contract(*result)
 
 
 class TestWittenCommand:

@@ -61,6 +61,27 @@ class TestGenusSeries:
             with pytest.raises(ValueError, match="unknown genus series"):
                 genus_series(name, 4)
 
+    def test_presentation_selects_gamma_and_matches_every_other_name(self):
+        assert genus_series("gamma", 3, "normalized") == genus_series("gamma_normalized", 3)
+        assert genus_series("gamma", 3, "raw") == genus_series("gamma_raw", 3)
+        assert genus_series("gamma_normalized", 3, "normalized") == genus_series("gamma_normalized", 3)
+        assert genus_series("todd", 3, "raw") == genus_series("todd", 3)
+
+    @pytest.mark.parametrize(
+        "name, presentation",
+        [
+            ("gamma", "bogus"),
+            ("todd", "bogus"),
+            ("gamma_raw", "normalized"),
+            ("gamma_normalized", "raw"),
+            ("todd", "normalized"),
+            ("kontsevich", "normalized"),
+        ],
+    )
+    def test_presentation_that_is_unknown_or_contradicts_the_name(self, name, presentation):
+        with pytest.raises(ValueError, match="presentation"):
+            genus_series(name, 3, presentation)
+
     @pytest.mark.parametrize("name", GENUS_SERIES)
     def test_every_series_at_orders_zero_and_one(self, name):
         full = genus_series(name, 3)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import math
 import re
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from genusforge.check import CheckResult, first_defect
 from genusforge.ring import NonUnitError, RingElement
@@ -21,6 +21,7 @@ from genusforge.series import (
     Series1,
     Series2,
     bivariate_from_exp,
+    build_once,
     compose1_2,
     exp_series,
     log_series,
@@ -66,7 +67,8 @@ class FormalGroupLaw:
 
     F: Series2
     name: str
-    params: "Mapping[str, RingElement]" = field(default_factory=dict)
+    # Left out of the hash (a dict is unhashable); equal laws still hash equally.
+    params: "Mapping[str, RingElement]" = field(default_factory=dict, hash=False)
     construction: str = "closed-form"
     exp: Optional[Series1] = None
 
@@ -209,6 +211,22 @@ EXPONENTIALS = {
 }
 
 
+class _Build(NamedTuple):
+    """An unbound catalog law with its construction data."""
+
+    F: Series2
+    construction: str
+    exp: Optional[Series1]
+
+    @property
+    def order(self) -> int:
+        return self.F.order
+
+    def truncate(self, order: int) -> "_Build":
+        exp = self.exp.truncate(order) if self.exp is not None else None
+        return _Build(self.F.truncate(order), self.construction, exp)
+
+
 def _build(name: str, order: int) -> "tuple[Series2, str, Optional[Series1]]":
     if name in EXPONENTIALS:
         exp = EXPONENTIALS[name](order)
@@ -255,7 +273,7 @@ def _build(name: str, order: int) -> "tuple[Series2, str, Optional[Series1]]":
     raise UnknownLawError(name)
 
 
-_BUILT: "dict[str, tuple[Series2, str, Optional[Series1]]]" = {}
+_BUILT: "dict[str, _Build]" = {}
 
 
 def catalog(
@@ -280,12 +298,7 @@ def catalog(
     for key in params or ():
         if not re.fullmatch(_LAW_GENERATORS.get(name, "(?!)"), key):
             raise ValueError(f"param {key!r} names no generator of law {name!r}")
-    built = _BUILT.get(name)
-    if built is None or built[0].order < order:
-        built = _BUILT[name] = _build(name, order)
-    F, construction, exp = built
-    F = F.truncate(order)
-    exp = exp.truncate(order) if exp is not None else None
+    F, construction, exp = build_once(_BUILT, name, order, lambda n: _Build(*_build(name, n)))
     bound: "dict[str, RingElement]" = {}
     if params:
         bound = {

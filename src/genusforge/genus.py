@@ -7,7 +7,8 @@ the elementary symmetric generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -29,8 +30,9 @@ from genusforge.ring import (
     zeta_numeric,
     zeta_tilde_even,
 )
-from genusforge.series import Series1, exp_series, log_series, sqrt_series
+from genusforge.series import Series1, build_once, exp_series, log_series, sqrt_series
 from genusforge.symfun import (
+    ChernPolynomial,
     SymPoly,
     convert,
     multiplicative_sequence,
@@ -101,6 +103,16 @@ class GenusSeries:
     def order(self) -> int:
         return self.H.order
 
+    def truncate(self, order: int) -> "GenusSeries":
+        if order >= self.order:
+            return self
+        return GenusSeries(
+            H=self.H.truncate(order),
+            exp=self.exp.truncate(order),
+            name=self.name,
+            presentation=self.presentation,
+        )
+
 
 def _series_from_exponential(
     exp_full: Series1, order: int, name: str, presentation: str = "raw"
@@ -123,6 +135,10 @@ def half_sinh_ratio(order: int) -> Series1:
     return genus_series("ahat", order).H
 
 
+# One build per canonical name, at the highest order asked for so far.
+_SERIES: "dict[str, GenusSeries]" = {}
+
+
 def genus_series(name: str, order: int, presentation: Optional[str] = None) -> GenusSeries:
     """Catalog of characteristic series: todd, ahat, gamma (raw/normalized),
     or any formal-group-law name (series derived from its exponential).
@@ -132,7 +148,8 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
     Every name in GENUS_SERIES takes every order >= 0.  A presentation, if
     given, selects the gamma series ('raw' or 'normalized'); for every other
     name it must be that series' own ('normalized' for gamma_normalized,
-    'raw' for the rest).
+    'raw' for the rest).  Each series is built once per process, as the law
+    catalog is (series.build_once), and a lower order is its truncation.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -144,6 +161,10 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
     pres = "normalized" if name.endswith("normalized") else "raw"
     if presentation not in (None, pres):
         raise ValueError(f"genus series {name!r} has no {presentation!r} presentation")
+    return build_once(_SERIES, name, order, lambda n: _build_series(name, n, pres))
+
+
+def _build_series(name: str, order: int, pres: str) -> GenusSeries:
     if name == "todd":
         exp_full = Series1(
             [Fraction((-1) ** (k + 1), math.factorial(k)) if k else 0 for k in range(order + 2)],
@@ -225,7 +246,8 @@ class ManifoldDescriptor:
 
     projective: "Optional[tuple[int, ...]]" = None
     chern_dim: Optional[int] = None
-    chern: "Optional[Mapping[tuple[int, ...], Fraction]]" = None
+    # Left out of the hash (a dict is unhashable); equal descriptors still hash equally.
+    chern: "Optional[Mapping[tuple[int, ...], Fraction]]" = field(default=None, hash=False)
 
     def __post_init__(self):
         if self.chern is not None and self.chern_dim is not None:
@@ -298,12 +320,23 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
         return RingElement.from_rational(M.chern[()])
     if g.H.order < d:
         raise InsufficientOrderError(f"series order {g.H.order} < dim = {d}")
-    K = multiplicative_sequence(g.H, d)[d - 1]
-    total = _ZERO
+    K = _hirzebruch_polynomial(g.H.truncate(d))
+    total: "dict[tuple, Fraction]" = {}
     for mono, coeff in K.poly.terms():
         lam, rest = _split_chern(mono)
-        total = total + RingElement({rest: coeff}) * M.chern[lam]
-    return total
+        total[rest] = total.get(rest, 0) + coeff * M.chern[lam]
+    return RingElement(total)
+
+
+@lru_cache(maxsize=64)
+def _hirzebruch_polynomial(H: Series1) -> ChernPolynomial:
+    """The top Hirzebruch polynomial K_d of H, d = H.order (d >= 1).
+
+    Memoised by the value of H, so a series of any name or order shares K_d
+    with every equal truncation; the 64 most recent are kept.
+    """
+    d = H.order
+    return multiplicative_sequence(H, d)[d - 1]
 
 
 def genus_table(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, MutableMapping, Optional, TypeVar, Union
 
 from genusforge.ring import RingElement
 
@@ -22,6 +22,7 @@ __all__ = [
     "NonUnitDivisionError",
     "NotRevertibleError",
     "bivariate_from_exp",
+    "build_once",
     "compose1_2",
     "exp_series",
     "log_series",
@@ -558,3 +559,27 @@ def bivariate_from_exp(exp: Series1) -> Series2:
         for j in range(i, n + 1 - i):  # F is symmetric: fill both halves at once
             out[(i, j)] = out[(j, i)] = dot((P[a][i], G[a][j]) for a in range(i + 1))
     return Series2(out, n)
+
+
+# -- build once per process ----------------------------------------------------
+
+_Built = TypeVar("_Built")
+
+
+def build_once(
+    cache: "MutableMapping[object, _Built]",
+    key: object,
+    order: int,
+    build: "Callable[[int], _Built]",
+) -> _Built:
+    """build(order), served from one build per key held in cache.
+
+    The cache keeps the build at the highest order asked for so far, and a
+    lower order is that build's truncate(order); this is exact because
+    truncation is functorial (see the module docstring).  A build must have
+    .order == order and a truncate method.
+    """
+    top = cache.get(key)
+    if top is None or top.order < order:
+        top = cache[key] = build(order)
+    return top.truncate(order)

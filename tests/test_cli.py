@@ -563,6 +563,18 @@ class TestEnvironment:
         assert_usage_error(proc)
 
 
+def test_import_builds_nothing():
+    """Importing the CLI builds no law, genus series or Hirzebruch polynomial."""
+    script = (
+        "import genusforge.cli\n"
+        "from genusforge import fgl, genus\n"
+        "assert fgl._BUILT == {} and genus._SERIES == {}\n"
+        "assert genus._hirzebruch_polynomial.cache_info().currsize == 0\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_ENV)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestZeroDenominators:
     def test_param(self):
         proc = run_cli("fgl", "series", "--law", "jacobi", "--order", "4", "--param", "delta=1/0")

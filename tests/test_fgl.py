@@ -390,6 +390,23 @@ class TestLawCache:
         assert {"delta", "epsilon"} <= gens
 
 
+class TestLawHash:
+    """Equal laws hash equally, params or not; the JSON form is untouched."""
+
+    def test_without_params(self):
+        a, b = catalog("additive", 3), catalog("additive", 3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, catalog("additive", 4)}) == 2
+
+    def test_with_params(self):
+        params = {"delta": Fraction(-1, 8), "epsilon": 0}
+        a = catalog("jacobi", 6, params=params)
+        b = catalog("jacobi", 6, params=dict(reversed(params.items())))
+        assert a == b and hash(a) == hash(b)
+        assert json.dumps(a.to_obj()) == json.dumps(b.to_obj())
+        assert a != catalog("jacobi", 6, params={"delta": 1, "epsilon": 0})
+
+
 class TestExponentialTable:
     def test_names_are_the_laws_built_from_an_exponential(self):
         assert set(fgl.EXPONENTIALS) == {

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from genusforge import fgl
+from genusforge import fgl, genus
 from genusforge.fgl import EXPONENTIALS, catalog, exponential, gamma_exponential
 from genusforge.genus import (
     _series_from_exponential,
@@ -33,6 +33,7 @@ from genusforge.genus import (
 )
 from genusforge.ring import RingElement, zeta_tilde_even
 from genusforge.series import Series1
+from genusforge.symfun import multiplicative_sequence
 
 R = RingElement
 gen = R.gen
@@ -93,6 +94,91 @@ class TestGenusSeries:
             genus_series(name, -1)
 
 
+@pytest.fixture
+def cold_series(monkeypatch):
+    """An empty genus-series memo, so a test sees the route and not the memo."""
+    monkeypatch.setattr(genus, "_SERIES", {})
+
+
+def _uncached(name, order, presentation=None):
+    """genus_series(name, order, presentation) built from an empty memo."""
+    saved = genus._SERIES
+    genus._SERIES = {}
+    try:
+        return genus_series(name, order, presentation)
+    finally:
+        genus._SERIES = saved
+
+
+class TestSeriesMemo:
+    CASES = [(name, None) for name in GENUS_SERIES] + [
+        ("gamma", None),
+        ("gamma", "raw"),
+        ("gamma", "normalized"),
+        ("gamma_normalized", "normalized"),
+        *((name, "raw") for name in GENUS_SERIES if name != "gamma_normalized"),
+    ]
+
+    @pytest.mark.parametrize("name, presentation", CASES)
+    def test_served_series_equals_an_uncached_build(self, name, presentation, cold_series):
+        cold = {n: _uncached(name, n, presentation) for n in range(9)}
+        for orders in (range(9), range(8, -1, -1)):
+            genus._SERIES.clear()
+            for n in orders:
+                assert genus_series(name, n, presentation) == cold[n]
+
+    def test_one_entry_per_canonical_name_at_the_highest_order(self, cold_series):
+        for n in (4, 8, 6):
+            genus_series("gamma", n, "normalized")
+            genus_series("gamma_raw", n)
+        assert sorted(genus._SERIES) == ["gamma_normalized", "gamma_raw"]
+        assert {g.order for g in genus._SERIES.values()} == {8}
+
+    @pytest.mark.parametrize(
+        "name, order, presentation",
+        [("elliptic", 4, None), ("broken_demo", 4, None), ("gamma", 4, "bogus"),
+         ("todd", 4, "normalized"), ("gamma_raw", 4, "normalized"), ("todd", -1, None),
+         ("gamma", -3, "raw")],
+    )
+    def test_rejected_requests_raise_every_time_and_cache_nothing(
+        self, name, order, presentation, cold_series
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                genus_series(name, order, presentation)
+        assert genus._SERIES == {}
+
+    def test_truncated_view_is_checked(self, cold_series):
+        top = genus_series("todd", 6)
+        object.__setattr__(top, "exp", top.exp * 2 - Series1.x(6))  # spoil the build
+        with pytest.raises(ValueError, match="H \\* exp != z"):
+            genus_series("todd", 4)
+
+
+class TestHirzebruchMemo:
+    @pytest.mark.parametrize("name", GENUS_SERIES)
+    def test_memoised_polynomial_is_the_top_of_the_sequence(self, name):
+        g = genus_series(name, 6)
+        for d in range(1, 7):
+            H = g.H.truncate(d)
+            assert genus._hirzebruch_polynomial(H) == multiplicative_sequence(H, d)[d - 1]
+
+    def test_user_series_that_reuses_a_catalog_name_gets_its_own_value(self):
+        todd = genus_series("todd", 4)
+        ahat = genus_series("ahat", 4)
+        impostor = GenusSeries(H=ahat.H, exp=ahat.exp, name="todd")
+        for d in range(1, 5):
+            M = ManifoldDescriptor.from_chern(d, cpn_chern_numbers(d))
+            assert genus_of(todd, M) == genus_cpn(todd, d)
+            assert genus_of(impostor, M) == genus_cpn(ahat, d)
+
+    def test_high_order_series_asked_for_a_low_dimension(self):
+        g = genus_series("gamma_raw", 12)
+        M = ManifoldDescriptor.from_chern(2, cpn_chern_numbers(2))
+        assert genus_of(g, M) == genus_cpn(g, 2)
+
+
+@pytest.mark.usefixtures("cold_series")
 class TestExponentialTableRoute:
     """Laws in fgl.EXPONENTIALS give their genus series without a law build."""
 
@@ -213,6 +299,12 @@ class TestGenusOf:
         # A descriptor built without from_chern is checked as well.
         with pytest.raises(IncompleteChernTableError):
             ManifoldDescriptor(chern_dim=2, chern={(2,): 3, (1, 1): 9, (3,): 1})
+
+    def test_equal_descriptors_hash_equally(self):
+        a = ManifoldDescriptor.from_chern(2, {(1, 1): 9, (2,): 3})
+        b = ManifoldDescriptor.from_chern(2, {(2,): 3, (1, 1): 9})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, ManifoldDescriptor.projective_product([2])}) == 2
 
     def test_dimension_zero_checks_the_table(self):
         g = genus_series("todd", 4)

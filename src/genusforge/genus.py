@@ -509,12 +509,18 @@ class WittenSeries:
                 return c
         return Fraction(0)
 
+    def _in_range(self, x_pow: int, q_pow: int) -> None:
+        if not (0 <= x_pow <= self.x_order and 0 <= q_pow <= self.q_order):
+            raise ValueError("need 0 <= x_pow <= x_order and 0 <= q_pow <= q_order")
+
     def coefficient(self, x_pow: int, q_pow: int) -> Fraction:
-        """The rational [x^a q^b] coefficient of the series."""
+        """The rational [x^a q^b] coefficient of the series, inside the truncation."""
+        self._in_range(x_pow, q_pow)
         return self._q_slice(self.H[x_pow], q_pow)
 
     def log_coefficient(self, x_pow: int, q_pow: int) -> Fraction:
-        """The rational [x^a q^b] coefficient of log H."""
+        """The rational [x^a q^b] coefficient of log H, inside the truncation."""
+        self._in_range(x_pow, q_pow)
         return self._q_slice(self.log_H[x_pow], q_pow)
 
     def evenness_check(self) -> CheckResult:
@@ -554,23 +560,44 @@ class WittenSeries:
         )
 
 
+def _pair_factor(n: int, x_order: int, q_order: int) -> Series1:
+    """(1-q^n e^x)^(-1) (1-q^n e^-x)^(-1), truncated at the given x and q orders."""
+    return Series1(
+        [
+            RingElement(
+                {
+                    (("q", n * j),): Fraction(
+                        sum((2 * a - j) ** k for a in range(j + 1)), math.factorial(k)
+                    )
+                    for j in range(q_order // n + 1)
+                }
+            )
+            for k in range(x_order + 1)
+        ],
+        x_order,
+    )
+
+
+@lru_cache(maxsize=32)
 def witten_series(x_order: int, q_order: int) -> WittenSeries:
     """The series (x/2)/sinh(x/2) * Pi_n [(1-q^n e^x)(1-q^n e^-x)]^(-1)
-    truncated at the given x and q orders."""
+    truncated at the given x and q orders.
+
+    Each n contributes one pair factor,
+
+        (1-q^n e^x)^(-1) (1-q^n e^-x)^(-1) = Sum_j q^(nj) Sum_{a=0..j} e^((2a-j)x),
+
+    whose x^k coefficient at q^(nj) is the rational Sum_{a=0..j} (2a-j)^k / k!
+    (zero for odd k).  Memoised by (x_order, q_order); the 32 most recent
+    are kept, and witten_series.__wrapped__ is the uncached build.
+    """
     if x_order < 2 or q_order < 2:
         raise ValueError("x_order and q_order must be >= 2")
     H = half_sinh_ratio(x_order)
-    q = RingElement.gen("q")
-    exp_x = {j: exp_series(Series1.x(x_order) * Fraction(j)) for j in range(q_order + 1)}
-    exp_mx = {j: exp_series(Series1.x(x_order) * Fraction(-j)) for j in range(q_order + 1)}
     for n in range(1, q_order + 1):
-        for table in (exp_x, exp_mx):
-            factor = Series1.constant(1, x_order)
-            j = 1
-            while n * j <= q_order:
-                factor = factor + table[j] * RingElement.gen("q", n * j)
-                j += 1
-            H = (H * factor).map_coefficients(lambda c: _qtrunc(c, q_order))
+        H = (H * _pair_factor(n, x_order, q_order)).map_coefficients(
+            lambda c: _qtrunc(c, q_order)
+        )
 
     log_H = log_series(half_sinh_ratio(x_order))
     extra = [_ZERO] * (x_order + 1)

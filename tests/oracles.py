@@ -9,8 +9,10 @@ formula, group laws from an exponential by Horner composition instead of the
 bilinear form, products over an alphabet of Chern roots by full root
 polynomials truncated by root degree instead of a graded series,
 multiplicative sequences from that root product instead of power sums,
-elementary symmetric polynomials by brute-force subset enumeration, and CP^n
-Chern numbers by literal polynomial expansion of (1 + x)^(n+1).
+elementary symmetric polynomials by brute-force subset enumeration, CP^n
+Chern numbers by literal polynomial expansion of (1 + x)^(n+1), and the Witten
+product from two geometric factors per n built on exp_series tables instead of
+one closed-form pair factor.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from genusforge.check import first_defect
 from genusforge.fgl import AxiomReport
 from genusforge.ring import NonUnitError, RingElement, generator_info, zeta_tilde_even
-from genusforge.series import Series1, Series2, compose1_2
+from genusforge.series import Series1, Series2, compose1_2, exp_series
 from genusforge.symfun import symmetric_in_elementary, truncate_roots
 
 
@@ -327,3 +329,27 @@ def euler_product_inv_sq(q_order: int) -> "list[Fraction]":
             for k in range(n, q_order + 1):
                 coeffs[k] += coeffs[k - n]
     return coeffs
+
+
+def geometric_factor(sign: int, n: int, x_order: int, q_order: int) -> Series1:
+    """(1 - q^n e^(sign x))^(-1) = Sum_j q^(nj) e^(sign j x), with each e^(sign j x)
+    from the general exp_series recurrence, truncated at the given x and q orders."""
+    factor = Series1.constant(1, x_order)
+    for j in range(1, q_order // n + 1):
+        exp_jx = exp_series(Series1.x(x_order) * Fraction(sign * j))
+        factor = factor + exp_jx * RingElement.gen("q", n * j)
+    return factor
+
+
+def witten_product_oracle(x_order: int, q_order: int) -> Series1:
+    """(x/2)/sinh(x/2) * Pi_n (1-q^n e^x)^(-1) (1-q^n e^-x)^(-1) with two
+    geometric factors per n, each product truncated in q on its own."""
+    from genusforge.genus import half_sinh_ratio
+
+    H = half_sinh_ratio(x_order)
+    for n in range(1, q_order + 1):
+        for sign in (1, -1):
+            H = (H * geometric_factor(sign, n, x_order, q_order)).map_coefficients(
+                lambda c: c.truncate_gen("q", q_order)
+            )
+    return H

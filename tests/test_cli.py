@@ -564,12 +564,14 @@ class TestEnvironment:
 
 
 def test_import_builds_nothing():
-    """Importing the CLI builds no law, genus series or Hirzebruch polynomial."""
+    """Importing the CLI builds no law, genus series, Hirzebruch polynomial or
+    Witten series."""
     script = (
         "import genusforge.cli\n"
         "from genusforge import fgl, genus\n"
         "assert fgl._BUILT == {} and genus._SERIES == {}\n"
         "assert genus._hirzebruch_polynomial.cache_info().currsize == 0\n"
+        "assert genus.witten_series.cache_info().currsize == 0\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_ENV)
     assert proc.returncode == 0, proc.stderr

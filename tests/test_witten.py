@@ -2,10 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from genusforge.genus import half_sinh_ratio, witten_series
+from genusforge.genus import _pair_factor, half_sinh_ratio, witten_series
 from genusforge.ring import zeta_tilde_even
 
-from oracles import divisor_sigma, euler_product_inv_sq
+from oracles import (
+    divisor_sigma,
+    euler_product_inv_sq,
+    geometric_factor,
+    witten_product_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +36,47 @@ class TestWittenStructure:
             assert w108.coefficient(0, m) == expected[m], m
 
     def test_guards(self):
+        before = witten_series.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                witten_series(1, 8)
+            with pytest.raises(ValueError):
+                witten_series(8, 1)
+        assert witten_series.cache_info().currsize == before
+
+    @pytest.mark.parametrize("x_pow, q_pow", [(11, 0), (-1, 0), (2, 9), (2, -1)])
+    def test_coefficients_outside_truncation_raise(self, w108, x_pow, q_pow):
         with pytest.raises(ValueError):
-            witten_series(1, 8)
+            w108.coefficient(x_pow, q_pow)
         with pytest.raises(ValueError):
-            witten_series(8, 1)
+            w108.log_coefficient(x_pow, q_pow)
+
+
+class TestPairFactor:
+    @pytest.mark.parametrize("x_order", range(2, 11))
+    def test_product_matches_two_factor_oracle(self, x_order):
+        for q_order in range(2, 9):
+            got = witten_series.__wrapped__(x_order, q_order).H
+            assert got == witten_product_oracle(x_order, q_order), q_order
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_pair_factor_is_product_of_geometric_factors(self, n):
+        x_order, q_order = 8, 6
+        expected = (
+            geometric_factor(1, n, x_order, q_order) * geometric_factor(-1, n, x_order, q_order)
+        ).map_coefficients(lambda c: c.truncate_gen("q", q_order))
+        assert _pair_factor(n, x_order, q_order) == expected
+
+
+class TestMemo:
+    GRID = [(x, q) for x in (2, 4, 6) for q in (2, 3, 5)]
+
+    @pytest.mark.parametrize("grid", [GRID, GRID[::-1]], ids=["ascending", "descending"])
+    def test_served_equals_uncached_build(self, grid):
+        for x_order, q_order in grid:
+            served = witten_series(x_order, q_order)
+            assert served == witten_series.__wrapped__(x_order, q_order)
+            assert witten_series(x_order, q_order) is served
 
 
 class TestEisenstein:

@@ -383,13 +383,14 @@ def exponential(law: Union[FormalGroupLaw, Series2]) -> Series1:
 
 
 def negation_series(law: Union[FormalGroupLaw, Series2]) -> Series1:
-    """The inverse series i(z) with F(z, i(z)) = 0, solved degree by degree."""
+    """The inverse series i(z) with F(z, i(z)) = 0, solved degree by degree;
+    degree m reads only degrees <= m of F and i, so step m runs at order m."""
     F = _law_series(law)
     n = F.order
     z = Series1.x(n)
     coeffs = [_ZERO, -_ONE] + [_ZERO] * (n - 1)
     for m in range(2, n + 1):
-        val = F.eval_at(z, Series1(coeffs, n))[m]
+        val = F.truncate(m).eval_at(z.truncate(m), Series1(coeffs, m))[m]
         coeffs[m] = coeffs[m] - val
     return Series1(coeffs, n)
 
@@ -425,10 +426,7 @@ def verify_iso(
     """Check phi(F(z0,z1)) == G(phi(z0), phi(z1)) to the common order."""
     F = _law_series(source)
     G = _law_series(target)
-    n = min(F.order, G.order, phi.order)
-    F = F.truncate(n)
-    G = G.truncate(n)
-    phi = phi.truncate(n)
+    phi = phi.truncate(min(F.order, G.order, phi.order))
     lhs = compose1_2(phi, F)
     rhs = G.compose(phi, phi)
     return first_defect((lhs - rhs).items())

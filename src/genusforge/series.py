@@ -204,15 +204,15 @@ class Series1:
     # -- composition ---------------------------------------------------------
 
     def compose(self, inner: "Series1") -> "Series1":
-        """self(inner(z)); inner must have zero constant term."""
+        """self(inner(z)); inner must have zero constant term.  Graded Horner:
+        the step adding self[n - m] is multiplied n - m more times by inner,
+        of valuation >= 1, so it is needed, and computed, only to order m."""
         if not inner._coeffs[0].is_zero():
             raise BadConstantTermError("inner series must have zero constant term")
         n = min(self.order, inner.order)
-        outer = self.truncate(n)
-        inner = inner.truncate(n)
-        result = Series1.constant(outer._coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            result = result * inner + outer._coeffs[k]
+        result = Series1.constant(self._coeffs[n], 0)
+        for m in range(1, n + 1):
+            result = Series1(result._coeffs, m) * inner.truncate(m) + self._coeffs[n - m]
         return result
 
     def revert(self) -> "Series1":
@@ -315,6 +315,10 @@ class Series2:
     def is_symmetric(self) -> bool:
         return all(self[(j, i)] == c for (i, j), c in self._coeffs.items())
 
+    def _top(self, variable: int) -> int:
+        """The highest exponent of variable 0 or 1 that occurs in self."""
+        return max((ij[variable] for ij in self._coeffs), default=0)
+
     def swap(self) -> "Series2":
         return Series2({(j, i): c for (i, j), c in self._coeffs.items()}, self.order)
 
@@ -401,14 +405,16 @@ class Series2:
         return self * other.inverse()
 
     def compose(self, f: Series1, g: Series1) -> "Series2":
-        """self(f(z0), g(z1)) for inner series with zero constant term."""
+        """self(f(z0), g(z1)) at the least of the three orders, for inner
+        series with zero constant term."""
         if not f[0].is_zero() or not g[0].is_zero():
             raise BadConstantTermError("inner series must have zero constant term")
-        n = self.order
-        fp = _powers(f.truncate(n), n)
-        gp = _powers(g.truncate(n), n)
+        n = min(self.order, f.order, g.order)
+        F = self.truncate(n)
+        fp = _powers(f.truncate(n), n, F._top(0))
+        gp = _powers(g.truncate(n), n, F._top(1))
         pairs: "dict[tuple[int, int], list]" = {}
-        for (i, j), c in self._coeffs.items():
+        for (i, j), c in F._coeffs.items():
             fi, gj = fp[i], gp[j]
             for p in range(i, n + 1 - j):
                 a = fi[p]
@@ -425,14 +431,14 @@ class Series2:
         if not a[0].is_zero() or not b[0].is_zero():
             raise BadConstantTermError("inner series must have zero constant term")
         n = min(self.order, a.order, b.order)
-        ap = _powers(a.truncate(n), n)
-        bp = _powers(b.truncate(n), n)
+        F = self.truncate(n)
+        ap = _powers(a.truncate(n), n, F._top(0))
+        bp = _powers(b.truncate(n), n, F._top(1))
         pairs: "list[list]" = [[] for _ in range(n + 1)]
-        for (i, j), c in self._coeffs.items():
-            if i + j <= n:
-                prod = Series1(ap[i], n) * Series1(bp[j], n)
-                for k in range(i + j, n + 1):
-                    pairs[k].append((c, prod[k]))
+        for (i, j), c in F._coeffs.items():
+            prod = Series1(ap[i], n) * Series1(bp[j], n)
+            for k in range(i + j, n + 1):
+                pairs[k].append((c, prod[k]))
         return Series1([RingElement.dot(ps) for ps in pairs], n)
 
     # -- io ------------------------------------------------------------------
@@ -464,10 +470,12 @@ class Series2:
         return f"Series2[{body} + O(deg {self.order + 1})]"
 
 
-def _powers(f: Series1, order: int) -> "list[tuple[RingElement, ...]]":
-    """Coefficient tuples of f^0 .. f^order, truncated at `order`."""
+def _powers(f: Series1, order: int, top: int) -> "list[tuple[RingElement, ...]]":
+    """Coefficient tuples of f^0 .. f^top, truncated at `order`: a composition
+    needs f^i only up to the top exponent its outer series uses (<= order,
+    as f of valuation >= 1 has f^i = O(z^i))."""
     out = [Series1.constant(1, order)]
-    for _ in range(order):
+    for _ in range(top):
         out.append(out[-1] * f)
     return [p.coefficients() for p in out]
 
@@ -508,14 +516,14 @@ def sqrt_series(f: Series1) -> "Series1":
 
 
 def compose1_2(outer: Series1, inner: Series2) -> Series2:
-    """outer(inner(z0, z1)) for an inner series with zero constant term."""
+    """outer(inner(z0, z1)) for an inner series with zero constant term, by
+    graded Horner as in Series1.compose (step m at total degree <= m)."""
     if not inner[(0, 0)].is_zero():
         raise BadConstantTermError("inner series must have zero constant term")
-    n = inner.order
-    outer = outer.truncate(n)
-    result = Series2.constant(outer[n], n)
-    for k in range(n - 1, -1, -1):
-        result = result * inner + outer[k]
+    n = min(outer.order, inner.order)
+    result = Series2.constant(outer[n], 0)
+    for m in range(1, n + 1):
+        result = Series2(result._coeffs, m) * inner.truncate(m) + outer[n - m]
     return result
 
 

@@ -6,7 +6,8 @@ denominator, sums of products by adding one canonical product at a time
 instead of one fused accumulator, Bernoulli numbers via Akiyama-Tanigawa instead of the binomial
 recurrence, series reversion by Newton iteration instead of the Lagrange
 formula, group laws from an exponential by Horner composition instead of the
-bilinear form, products over an alphabet of Chern roots by full root
+bilinear form, compositions by Horner loops at the full order instead of
+graded ones, the negation series by a full-order evaluation per degree, products over an alphabet of Chern roots by full root
 polynomials truncated by root degree instead of a graded series,
 multiplicative sequences from that root product instead of power sums,
 elementary symmetric polynomials by brute-force subset enumeration, CP^n
@@ -24,7 +25,7 @@ from fractions import Fraction
 from genusforge.check import first_defect
 from genusforge.fgl import AxiomReport
 from genusforge.ring import NonUnitError, RingElement, generator_info, zeta_tilde_even
-from genusforge.series import Series1, Series2, compose1_2, exp_series
+from genusforge.series import Series1, Series2, exp_series
 from genusforge.symfun import symmetric_in_elementary, truncate_roots
 
 
@@ -219,6 +220,36 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
     return value
 
 
+def horner_compose(outer: Series1, inner: Series1) -> Series1:
+    """outer(inner(z)) by Horner's rule, every step at the full order."""
+    n = min(outer.order, inner.order)
+    outer, inner = outer.truncate(n), inner.truncate(n)
+    result = Series1.constant(outer[n], n)
+    for k in range(n - 1, -1, -1):
+        result = result * inner + outer[k]
+    return result
+
+
+def horner_compose1_2(outer: Series1, inner: Series2) -> Series2:
+    """outer(inner(z0, z1)) by Horner's rule, every step at the full order."""
+    n = min(outer.order, inner.order)
+    outer, inner = outer.truncate(n), inner.truncate(n)
+    result = Series2.constant(outer[n], n)
+    for k in range(n - 1, -1, -1):
+        result = result * inner + outer[k]
+    return result
+
+
+def full_order_negation_series(F: Series2) -> Series1:
+    """i(z) with F(z, i(z)) = 0, each degree read off a full-order F(z, i)."""
+    n = F.order
+    z = Series1.x(n)
+    coeffs = [RingElement.zero(), -RingElement.one()] + [RingElement.zero()] * (n - 1)
+    for m in range(2, n + 1):
+        coeffs[m] = coeffs[m] - pairwise_eval_at(F, z, Series1(coeffs, n))[m]
+    return Series1(coeffs, n)
+
+
 def newton_revert(f: Series1) -> Series1:
     """Compositional inverse by order-doubling Newton iteration
     g <- g - (f(g) - z) / f'(g); needs f(0) = 0 and an invertible f'(0)."""
@@ -229,8 +260,8 @@ def newton_revert(f: Series1) -> Series1:
     while prec < n:
         prec = min(2 * prec, n)
         g = Series1(g.coefficients(), prec)
-        err = f.truncate(prec).compose(g) - Series1.x(prec)
-        dg = Series1(deriv.truncate(prec - 1).coefficients(), prec).compose(g)
+        err = horner_compose(f.truncate(prec), g) - Series1.x(prec)
+        dg = horner_compose(Series1(deriv.truncate(prec - 1).coefficients(), prec), g)
         g = g - err / dg
     return Series1(g.coefficients(), n)
 
@@ -241,7 +272,7 @@ def horner_bivariate_from_exp(exp: Series1) -> Series2:
     log = newton_revert(exp)
     n = exp.order
     inner = Series2.from_series1(log, 0, n) + Series2.from_series1(log, 1, n)
-    return compose1_2(exp, inner)
+    return horner_compose1_2(exp, inner)
 
 
 def root_product(H: Series1, alphabet, cap: int) -> RingElement:

@@ -26,7 +26,7 @@ from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2, bivariate_from_exp, exp_series, log_series
 
 from conftest import rationals, ring_elements
-from oracles import pairwise_check_axioms
+from oracles import full_order_negation_series, pairwise_check_axioms, pairwise_eval_at
 
 R = RingElement
 gen = R.gen
@@ -226,6 +226,13 @@ class TestNegation:
         neg = negation_series(law)
         assert neg[1] == R.from_rational(-1)
         assert law.F.eval_at(Series1.x(7), neg).is_zero()
+        assert pairwise_eval_at(law.F, Series1.x(7), neg).is_zero()
+
+    @pytest.mark.parametrize("name", CATALOG + DEMO_LAWS)
+    def test_against_full_order_oracle(self, name):
+        for n in range(2, 9):
+            law = catalog(name, n)
+            assert negation_series(law) == full_order_negation_series(law.F)
 
 
 class TestNSeries:
@@ -294,6 +301,13 @@ class TestIso:
         m = catalog("multiplicative", 8)
         phi = exp_series(Series1.x(8)) - 1
         assert verify_iso(phi, a, m).passed
+
+    def test_verify_iso_at_the_least_order(self):
+        k, m = catalog("kontsevich", 8), catalog("multiplicative", 6)
+        phi = canonical_strict_iso(catalog("kontsevich", 10), catalog("multiplicative", 10))
+        assert verify_iso(phi, k, m).passed
+        assert verify_iso(phi.truncate(5), k, m).passed
+        assert not verify_iso(phi, m, k).passed
 
 
 class TestMobiusSweep:

@@ -20,6 +20,8 @@ from genusforge.series import (
 from conftest import rationals, ring_elements
 from oracles import (
     horner_bivariate_from_exp,
+    horner_compose,
+    horner_compose1_2,
     newton_revert,
     pairwise_compose,
     pairwise_eval_at,
@@ -111,6 +113,69 @@ class TestAgainstPairwiseAccumulation:
         assert storage(F * F) == storage(pairwise_series2_mul(F, F))
         assert storage(F.eval_at(f, f)) == storage(pairwise_eval_at(F, f, f))
         assert storage(F.compose(f, f)) == storage(pairwise_compose(F, f, f))
+
+
+# Coefficients over t, the zeta generators and the Laurent generator u.
+u_elements = st.builds(lambda c, e: c * gen("u", e), ring_elements(), st.integers(-2, 2))
+orders = st.integers(min_value=0, max_value=6)
+
+
+@st.composite
+def graded_series1(draw, constant=None):
+    pool = draw(st.lists(u_elements, min_size=1, max_size=3))
+    order = draw(orders)
+    coeffs = [draw(st.sampled_from(pool)) for _ in range(order + 1)]
+    if constant is not None:
+        coeffs[0] = constant
+    return Series1(coeffs, order)
+
+
+@st.composite
+def graded_series2(draw, max_order=4):
+    pool = draw(st.lists(u_elements, min_size=1, max_size=3))
+    order = draw(st.integers(min_value=0, max_value=max_order))
+    ijs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i) if i + j]
+    return Series2({ij: draw(st.sampled_from(pool)) for ij in ijs}, order)
+
+
+class TestGradedComposition:
+    """Compositions at the precision each step needs equal the full-order
+    Horner loops, for inner and outer series of any two orders."""
+
+    @given(graded_series1(), graded_series1(constant=0))
+    def test_series1_compose(self, outer, inner):
+        assert outer.compose(inner) == horner_compose(outer, inner)
+
+    @given(graded_series1(), graded_series2())
+    def test_compose1_2(self, outer, inner):
+        assert compose1_2(outer, inner) == horner_compose1_2(outer, inner)
+
+    @given(graded_series2(), graded_series1(constant=0), graded_series1(constant=0))
+    def test_series2_compose(self, F, f, g):
+        n = min(F.order, f.order, g.order)
+        expected = pairwise_compose(F.truncate(n), f.truncate(n), g.truncate(n))
+        assert F.compose(f, g) == expected
+
+    @given(graded_series2(), graded_series1(constant=0), graded_series1(constant=0))
+    def test_eval_at(self, F, a, b):
+        assert F.eval_at(a, b) == pairwise_eval_at(F, a, b)
+
+    def test_compose1_2_stops_at_the_outer_order(self):
+        from genusforge.fgl import catalog
+
+        F = catalog("multiplicative", 6).F
+        out = compose1_2(Series1([0, 1, -1, 1], 3), F)
+        # z - z^2 + z^3 is z/(1+z) to order 3; degree 4 of the result is unknown.
+        assert out.order == 3 and out[(2, 2)].is_zero()
+        assert out == compose1_2(Series1([0, 1, -1, 1, -1, 1, -1], 6), F).truncate(3)
+
+    def test_series2_compose_lower_order_inner(self):
+        F = Series2({(1, 0): 1, (0, 1): 1, (1, 1): gen("t")}, 6)
+        f = exp_series(Series1.x(4)) - 1
+        g = Series1.x(5)
+        out = F.compose(f, g)
+        assert out.order == 4
+        assert out == F.truncate(4).compose(f, g.truncate(4))
 
 
 class TestArith:

@@ -70,6 +70,7 @@ __all__ = [
 
 _ZERO = RingElement.zero()
 _ONE = RingElement.one()
+_MINUS_ONE = -_ONE
 
 
 class InsufficientOrderError(ValueError):
@@ -193,13 +194,28 @@ def genus_cpn(g: GenusSeries, n: int) -> RingElement:
     """The genus of CP^n: the z^n coefficient of H(z)^(n+1).
 
     CP^n has tangent Chern roots equal to n+1 copies of the hyperplane
-    class, and pairing with the fundamental class extracts z^n.
+    class, and pairing with the fundamental class extracts z^n.  P = H^a,
+    a = n + 1, comes in one pass over k = 1..n from J.C.P. Miller's power
+    recurrence for a series with constant term 1 (Knuth, TAOCP vol. 2,
+    sec. 4.7),
+
+        k P_k = sum_{j=1..k} ((a + 1) j - k) H_j P_{k-j},
+
+    computed as P_k = (a + 1)/k * S1 - S0 with S1 = sum_j j H_j P_{k-j} and
+    S0 = sum_j H_j P_{k-j}.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if g.H.order < n:
         raise InsufficientOrderError(f"series order {g.H.order} < n = {n}")
-    return (g.H.truncate(n) ** (n + 1))[n]
+    H, dot = g.H.coefficients(), RingElement.dot
+    jH = [j * H[j] for j in range(n + 1)]
+    P = [_ONE]
+    for k in range(1, n + 1):
+        s1 = dot((jH[j], P[k - j]) for j in range(1, k + 1))
+        s0 = dot((H[j], P[k - j]) for j in range(1, k + 1))
+        P.append(dot(((s1, RingElement.from_rational(Fraction(n + 2, k))), (s0, _MINUS_ONE))))
+    return P[n]
 
 
 def mishchenko_check(g: GenusSeries, N: Optional[int] = None) -> CheckResult:
@@ -320,12 +336,13 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
         return RingElement.from_rational(M.chern[()])
     if g.H.order < d:
         raise InsufficientOrderError(f"series order {g.H.order} < dim = {d}")
-    K = _hirzebruch_polynomial(g.H.truncate(d))
-    total: "dict[tuple, Fraction]" = {}
-    for mono, coeff in K.poly.terms():
-        lam, rest = _split_chern(mono)
-        total[rest] = total.get(rest, 0) + coeff * M.chern[lam]
-    return RingElement(total)
+    rows, den = _chern_rows(g.H.truncate(d))
+    cden = math.lcm(*(v.denominator for v in M.chern.values()))
+    chern = {lam: v.numerator * (cden // v.denominator) for lam, v in M.chern.items()}
+    total: "dict[tuple, int]" = {}
+    for lam, rest, num in rows:
+        total[rest] = total.get(rest, 0) + num * chern[lam]
+    return RingElement._make({m: c for m, c in total.items() if c}, den * cden)
 
 
 @lru_cache(maxsize=64)
@@ -337,6 +354,16 @@ def _hirzebruch_polynomial(H: Series1) -> ChernPolynomial:
     """
     d = H.order
     return multiplicative_sequence(H, d)[d - 1]
+
+
+@lru_cache(maxsize=64)
+def _chern_rows(H: Series1) -> "tuple[tuple[tuple[tuple[int, ...], tuple, int], ...], int]":
+    """K_d of H compiled for pairing: one (partition, other factors,
+    numerator) row per term, in K_d's sorted term order, and K_d's common
+    denominator.  Memoised as _hirzebruch_polynomial is, by the value of H."""
+    K = _hirzebruch_polynomial(H).poly
+    den = K._den
+    return tuple((*_split_chern(m), int(c * den)) for m, c in K.terms()), den
 
 
 def genus_table(
@@ -622,16 +649,20 @@ def witten_series(x_order: int, q_order: int) -> WittenSeries:
 
 
 def _exp_mixed(L: Series1, q_order: int) -> Series1:
-    """exp of a series vanishing at (x, q) = (0, 0), with q truncation."""
-    n = L.order
-    out = Series1.constant(1, n)
-    term = Series1.constant(1, n)
-    for j in range(1, n + q_order + 2):
-        term = (term * L).map_coefficients(lambda c: _qtrunc(c, q_order)) * Fraction(1, j)
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+    """exp of a series vanishing at (x, q) = (0, 0), with q truncation.
+
+    The exp recurrence in x, m E_m = sum_{k=1..m} k L_k E_{m-k}, truncated
+    in q after each dot.  E_0 = exp(L_0) is the same recurrence in q, run by
+    exp_series over the q-degree parts of the q-only constant term L_0.
+    """
+    n, L0 = L.order, L[0]
+    parts = [_qtrunc(L0, i) - _qtrunc(L0, i - 1) for i in range(q_order + 1)]
+    kL = [k * L[k] for k in range(n + 1)]
+    out = [sum(exp_series(Series1(parts, q_order)).coefficients(), _ZERO)]
+    for m in range(1, n + 1):
+        acc = RingElement.dot((kL[k], out[m - k]) for k in range(1, m + 1))
+        out.append(_qtrunc(acc, q_order) * Fraction(1, m))
+    return Series1(out, n)
 
 
 # -- the universal lift -----------------------------------------------------------------

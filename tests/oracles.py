@@ -11,9 +11,12 @@ graded ones, the negation series by a full-order evaluation per degree, products
 polynomials truncated by root degree instead of a graded series,
 multiplicative sequences from that root product instead of power sums,
 elementary symmetric polynomials by brute-force subset enumeration, CP^n
-Chern numbers by literal polynomial expansion of (1 + x)^(n+1), and the Witten
+Chern numbers by literal polynomial expansion of (1 + x)^(n+1), the Witten
 product from two geometric factors per n built on exp_series tables instead of
-one closed-form pair factor.
+one closed-form pair factor, Chern pairings by one Fraction product per term of
+K_d instead of integer rows, genera of CP^n from H^(n+1) built by repeated
+products instead of the power recurrence, and the mixed exp of the Witten
+cross-check by summing powers of L instead of the exp recurrence.
 """
 
 from __future__ import annotations
@@ -384,3 +387,42 @@ def witten_product_oracle(x_order: int, q_order: int) -> Series1:
                 lambda c: c.truncate_gen("q", q_order)
             )
     return H
+
+
+def fraction_chern_pairing(K: RingElement, chern) -> RingElement:
+    """The polynomial K in c_1, c_2, ... paired with a Chern-number table
+    {partition: value}, one Fraction product per term of K."""
+    total: "dict" = {}
+    for mono, coeff in K.terms():
+        parts, rest = [], []
+        for name, e in mono:
+            if name[0] == "c" and name[1:].isdigit():
+                parts.extend([int(name[1:])] * e)
+            else:
+                rest.append((name, e))
+        key = tuple(rest)
+        total[key] = total.get(key, 0) + coeff * chern[tuple(sorted(parts, reverse=True))]
+    return RingElement(total)
+
+
+def pairwise_power_cpn(H: Series1, n: int) -> RingElement:
+    """[z^n] H^(n+1), with H^(n+1) built by n + 1 pairwise products."""
+    H = H.truncate(n)
+    power = Series1.constant(1, n)
+    for _ in range(n + 1):
+        power = pairwise_series1_mul(power, H)
+    return power[n]
+
+
+def power_sum_exp_mixed(L: Series1, q_order: int) -> Series1:
+    """exp(L) = sum_j L^j / j! for L vanishing at (x, q) = (0, 0), each power
+    truncated in q, until a power vanishes."""
+    n = L.order
+    out = Series1.constant(1, n)
+    term = Series1.constant(1, n)
+    for j in range(1, n + q_order + 2):
+        term = (term * L).map_coefficients(lambda c: c.truncate_gen("q", q_order)) * Fraction(1, j)
+        if term.is_zero():
+            break
+        out = out + term
+    return out

@@ -5,6 +5,7 @@ residual), the single numeric cross-check runs at 1e-10, and the even-zeta
 numeric table at 1e-12.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -212,3 +213,5 @@ def test_criterion_15_cli_verify_deterministic():
         first.returncode == 0 and second.returncode == 0 and first.stdout == second.stdout,
         f"{len(report.get('checks', []))} checks",
     )
+    digest = hashlib.sha256(first.stdout.encode()).hexdigest()
+    assert digest == "e3aafc0ea673ed2c0156c5d31f3fd781fd9eee3d1eb47980fe465cc4414bae03", digest

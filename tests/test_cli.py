@@ -136,6 +136,13 @@ class TestGenusCommand:
         )
         assert out["value"] == {"terms": [{"num": "1", "den": "1", "exps": {}}]}
 
+    def test_rational_chern_table(self):
+        # Todd K_2 = (c1^2 + c2) / 12, so (1/2 - 3/4) / 12 = -1/48.
+        out = run_json(
+            "genus", "chern", "--series", "todd", "--dim", "2", "--chern", "c1^2=1/2,c2=-3/4"
+        )
+        assert out["value"] == {"terms": [{"num": "-1", "den": "48", "exps": {}}]}
+
     @pytest.mark.parametrize("series", ["broken_demo", "broken-demo", "elliptic"])
     def test_series_outside_the_genus_catalog_exits_two(self, series):
         assert_usage_error(run_cli("genus", "cpn", "--series", series, "--n", "3"))
@@ -563,6 +570,40 @@ class TestEnvironment:
         assert_usage_error(proc)
 
 
+class TestBenchmarkReferences:
+    """Every request of the benchmark's catalog, run through cli.main in one
+    process, reproduces the exit code and stdout digest frozen in
+    bench/references.json, whatever the order the requests come in."""
+
+    @pytest.fixture(scope="class")
+    def requests_and_refs(self):
+        import pathlib
+        import random
+
+        bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+        sys.path.insert(0, str(bench))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(bench))
+        refs = json.loads((bench / "references.json").read_text())["requests"]
+        requests = workloads.all_requests(workloads.request_catalog())
+        assert sorted(requests) == sorted(refs)
+        ordered = [requests[key] for key in sorted(requests)]
+        shuffled = list(ordered)
+        random.Random(20110108).shuffle(shuffled)
+        return {"sorted": ordered, "reversed": ordered[::-1], "shuffled": shuffled}, refs
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+    def test_replay(self, requests_and_refs, order):
+        orders, refs = requests_and_refs
+        for req in orders[order]:
+            input_digest, rc, sha = refs[req.key]
+            assert req.input_digest() == input_digest, req.key
+            code, out, _ = _run_in_process(list(req.argv), req.stdin)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha), req.key
+
+
 def test_import_builds_nothing():
     """Importing the CLI builds no law, genus series, Hirzebruch polynomial or
     Witten series."""
@@ -571,6 +612,7 @@ def test_import_builds_nothing():
         "from genusforge import fgl, genus\n"
         "assert fgl._BUILT == {} and genus._SERIES == {}\n"
         "assert genus._hirzebruch_polynomial.cache_info().currsize == 0\n"
+        "assert genus._chern_rows.cache_info().currsize == 0\n"
         "assert genus.witten_series.cache_info().currsize == 0\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_ENV)

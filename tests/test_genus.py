@@ -2,7 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import rationals
 from genusforge import fgl, genus
 from genusforge.fgl import EXPONENTIALS, catalog, exponential, gamma_exponential
 from genusforge.genus import (
@@ -34,9 +36,25 @@ from genusforge.genus import (
 from genusforge.ring import RingElement, zeta_tilde_even
 from genusforge.series import Series1
 from genusforge.symfun import multiplicative_sequence
+from oracles import fraction_chern_pairing, pairwise_power_cpn
 
 R = RingElement
 gen = R.gen
+
+
+@st.composite
+def unit_constant_series(draw):
+    """H with H_0 = 1, at order 0..8, whose other coefficients are drawn from
+    a pool of two-term sums over t, zeta2, zeta3 and the Laurent u and ipi2."""
+
+    def term():
+        name = draw(st.sampled_from(("t", "zeta2", "zeta3", "u", "ipi2")))
+        low = 0 if name.startswith("zeta") else -2
+        return gen(name, draw(st.integers(low, 2)), draw(rationals))
+
+    pool = [R.zero()] + [term() + term() for _ in range(draw(st.integers(1, 2)))]
+    n = draw(st.integers(0, 8))
+    return Series1([1] + [draw(st.sampled_from(pool)) for _ in range(n)], n)
 
 
 class TestGenusSeries:
@@ -235,6 +253,18 @@ class TestGenusCpn:
         for n in range(5):
             assert genus_cpn(g, n) == R.from_rational((-1) ** n)
 
+    @pytest.mark.parametrize("name", GENUS_SERIES)
+    def test_catalog_series_against_repeated_products(self, name):
+        g = genus_series(name, 8)
+        for n in range(9):
+            assert genus_cpn(g, n) == pairwise_power_cpn(g.H, n), n
+
+    @given(unit_constant_series())
+    def test_random_series_against_repeated_products(self, H):
+        g = GenusSeries(H=H, exp=Series1.x(H.order) / H, name="random")
+        for n in range(H.order + 1):
+            assert genus_cpn(g, n) == pairwise_power_cpn(H, n), n
+
 
 class TestMishchenko:
     def test_additive_trivial(self):
@@ -285,6 +315,18 @@ class TestGenusOf:
             for n in range(1, 5):
                 M = ManifoldDescriptor.from_chern(n, cpn_chern_numbers(n))
                 assert genus_of(g, M) == genus_cpn(g, n), (name, n)
+
+    @pytest.mark.parametrize("name", GENUS_SERIES)
+    @given(d=st.integers(1, 5), data=st.data())
+    def test_pairing_against_the_fraction_oracle(self, name, d, data):
+        values = st.one_of(st.just(Fraction(0)), rationals)
+        table = {lam: data.draw(values) for lam in partitions(d)}
+        g = genus_series(name, d)
+        got = genus_of(g, ManifoldDescriptor(chern_dim=d, chern=table))
+        want = fraction_chern_pairing(genus._hirzebruch_polynomial(g.H).poly, table)
+        assert got == want
+        # The same terms in the same order: a numeric evaluation sums in this order.
+        assert list(got._terms) == list(want._terms)
 
     def test_chern_numbers_against_polynomial_oracle(self):
         from oracles import cpn_chern_numbers_oracle

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from genusforge.genus import _pair_factor, half_sinh_ratio, witten_series
+from genusforge.genus import _exp_mixed, _pair_factor, half_sinh_ratio, witten_series
 from genusforge.ring import zeta_tilde_even
 
 from oracles import (
     divisor_sigma,
     euler_product_inv_sq,
     geometric_factor,
+    power_sum_exp_mixed,
     witten_product_oracle,
 )
 
@@ -66,6 +67,16 @@ class TestPairFactor:
             geometric_factor(1, n, x_order, q_order) * geometric_factor(-1, n, x_order, q_order)
         ).map_coefficients(lambda c: c.truncate_gen("q", q_order))
         assert _pair_factor(n, x_order, q_order) == expected
+
+
+class TestExpRecurrence:
+    """The cross-check's exp recurrence equals the sum of powers of log H."""
+
+    @pytest.mark.parametrize("x_order", range(2, 11))
+    def test_matches_the_power_sum_oracle(self, x_order):
+        for q_order in range(2, 9):
+            log_H = witten_series(x_order, q_order).log_H
+            assert _exp_mixed(log_H, q_order) == power_sum_exp_mixed(log_H, q_order), q_order
 
 
 class TestMemo:

@@ -337,23 +337,23 @@ def check_axioms(law: Union[FormalGroupLaw, Series2]) -> AxiomReport:
     )
     commutativity = first_defect((F - F.swap()).items())
 
-    powers = [Series2.constant(1, n)]
-    for _ in range(n):
-        powers.append(powers[-1] * F)
-    left: "dict[tuple[int, int, int], list]" = {}
-    right: "dict[tuple[int, int, int], list]" = {}
-    for (i, j), c in F.items():
-        for (p, q), v in powers[i].items():
-            if p + q + j <= n:
-                left.setdefault((p, q, j), []).append((c, v))
-        for (p, q), v in powers[j].items():
-            if i + p + q <= n:
-                right.setdefault((i, p, q), []).append((c, v))
-    diff = {key: RingElement.dot(pairs) for key, pairs in left.items()}
-    for key, pairs in right.items():
-        diff[key] = diff.get(key, _ZERO) - RingElement.dot(pairs)
-    associativity = first_defect(diff.items())
-    return AxiomReport(unit, commutativity, associativity)
+    # F(x, F(y, z)) at (a, b, c) is G(G(x, y), z) at (c, b, a) for G = F.swap(),
+    # and G == F when the commutativity check passes: then one expansion serves.
+    sides = []
+    for G in (F,) if commutativity.passed else (F, F.swap()):
+        powers = [Series2.constant(1, n)]
+        for _ in range(n):
+            powers.append(powers[-1] * G)
+        pairs: "dict[tuple[int, int, int], list]" = {}
+        for (i, j), c in G.items():
+            for (p, q), v in powers[i].items():
+                if p + q + j <= n:
+                    pairs.setdefault((p, q, j), []).append((c, v))
+        sides.append({key: RingElement.dot(terms) for key, terms in pairs.items()})
+    diff = dict(sides[0])
+    for (a, b, c), v in sides[-1].items():
+        diff[c, b, a] = diff.get((c, b, a), _ZERO) - v
+    return AxiomReport(unit, commutativity, first_defect(diff.items()))
 
 
 def grading_check(law: FormalGroupLaw, weight_shift: int = -1) -> CheckResult:

@@ -32,7 +32,6 @@ from genusforge.ring import (
 )
 from genusforge.series import Series1, build_once, exp_series, log_series, sqrt_series
 from genusforge.symfun import (
-    ChernPolynomial,
     SymPoly,
     convert,
     multiplicative_sequence,
@@ -346,24 +345,14 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
 
 
 @lru_cache(maxsize=64)
-def _hirzebruch_polynomial(H: Series1) -> ChernPolynomial:
-    """The top Hirzebruch polynomial K_d of H, d = H.order (d >= 1).
-
-    Memoised by the value of H, so a series of any name or order shares K_d
-    with every equal truncation; the 64 most recent are kept.
-    """
-    d = H.order
-    return multiplicative_sequence(H, d)[d - 1]
-
-
-@lru_cache(maxsize=64)
 def _chern_rows(H: Series1) -> "tuple[tuple[tuple[tuple[int, ...], tuple, int], ...], int]":
-    """K_d of H compiled for pairing: one (partition, other factors,
-    numerator) row per term, in K_d's sorted term order, and K_d's common
-    denominator.  Memoised as _hirzebruch_polynomial is, by the value of H."""
-    K = _hirzebruch_polynomial(H).poly
-    den = K._den
-    return tuple((*_split_chern(m), int(c * den)) for m, c in K.terms()), den
+    """The top Hirzebruch polynomial K_d of H, d = H.order >= 1, compiled for
+    pairing: one (partition, other factors, numerator) row per term, and K_d's
+    common denominator.  Memoised by the value of H, so a series of any name
+    or order shares its rows with every equal truncation; the 64 most recent
+    are kept."""
+    K = multiplicative_sequence(H, H.order)[-1].poly
+    return tuple((*_split_chern(m), c) for m, c in K._terms.items()), K._den
 
 
 def genus_table(
@@ -635,10 +624,7 @@ def witten_series(x_order: int, q_order: int) -> WittenSeries:
             qc = RingElement.gen("q", mtot, coeff=Fraction(1, j))
             for k in range(0, x_order + 1, 2):
                 # (e^{jx} + e^{-jx}) x^k coefficient: 2 j^k / k!
-                if k == 0:
-                    extra[0] = extra[0] + 2 * qc
-                else:
-                    extra[k] = extra[k] + qc * Fraction(2 * j**k, math.factorial(k))
+                extra[k] = extra[k] + qc * Fraction(2 * j**k, math.factorial(k))
     log_H = log_H + Series1(extra, x_order)
 
     w = WittenSeries(x_order=x_order, q_order=q_order, H=H, log_H=log_H)

@@ -12,11 +12,14 @@ common denominator; ``terms()`` and ``coefficient()`` return exact
 ``RingElement.dot`` sums products of pairs into one numerator dict and reduces
 once; a product is its one-pair case, and every sum of products in the series
 and law layers goes through it.
+
+An element is a value: the order of its stored terms means nothing.  All that
+reads terms in order (``terms()``, ``to_obj``, ``str``, ``evaluate``) sorts them
+by monomial first, so equal elements print and evaluate identically.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -332,9 +335,7 @@ class RingElement:
 
         Term products go into one {monomial: int} dict over a running common
         denominator, grown to the lcm only when a pair's does not divide it,
-        with one gcd pass at the end.  Terms keep the order that adding the
-        canonical products one at a time gives: a monomial present before a
-        pair keeps its place, and goes only if it is zero when the pair ends.
+        with one gcd pass at the end; a sum that reaches zero is dropped at once.
         """
         out: "dict[Monomial, int]" = {}
         get, mul, den = out.get, _mul_monomials, 1
@@ -350,7 +351,7 @@ class RingElement:
                 for m in out:
                     out[m] *= s
                 den *= s
-            scale, n0, before, zeros = den // d, len(out), None, []
+            scale = den // d
             for m1, c1 in a.items():
                 c1 *= scale
                 for m2, c2 in b.items():
@@ -358,17 +359,8 @@ class RingElement:
                     acc = get(m, 0) + c1 * c2
                     if acc:
                         out[m] = acc
-                        continue
-                    if before is None:  # the first n0 keys are those from before the pair
-                        before = set(itertools.islice(out, n0))
-                    if m in before:
-                        out[m] = 0
-                        zeros.append(m)
                     else:
                         del out[m]
-            for m in zeros:
-                if out.get(m) == 0:
-                    del out[m]
         return RingElement._make(out, den)
 
     __rmul__ = __mul__
@@ -495,7 +487,8 @@ class RingElement:
         overrides: Optional[Mapping[str, complex]] = None,
         precision: int = 15,
     ) -> complex:
-        """Evaluate numerically as a complex number.
+        """Evaluate numerically as a complex number, summing the terms in
+        sorted monomial order so that equal elements give the same float.
 
         Defaults: gamma -> Euler-Mascheroni, zeta{k} -> zeta(k), ipi2 -> 2*pi*i.
         t, u, delta, epsilon, q, e_n and every auxiliary generator must be
@@ -521,7 +514,7 @@ class RingElement:
                 f"no value for generator(s): {', '.join(sorted(missing))}"
             )
         total = 0j
-        for m, c in self._terms.items():
+        for m, c in sorted(self._terms.items()):
             val = complex(c / self._den)
             for name, e in m:
                 val *= values[name] ** e

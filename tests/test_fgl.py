@@ -191,6 +191,25 @@ class TestAxiomsAgainstPairwiseExpansion:
     def test_perturbed_laws(self, name, ij, c):
         self.assert_same_report(catalog(name, 5).F + Series2({ij: c}, 5))
 
+    @given(
+        st.sampled_from(CATALOG),
+        st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda ij: sum(ij) <= 5),
+        st.one_of(rationals.filter(bool), ring_elements()),
+    )
+    def test_symmetrically_perturbed_laws(self, name, ij, c):
+        # Still commutative, so one nested expansion serves both sides of
+        # associativity, which the perturbation breaks in general.
+        i, j = ij
+        F = catalog(name, 5).F + Series2({(i, j): c}, 5) + Series2({(j, i): c}, 5)
+        assert check_axioms(F).commutativity.passed
+        self.assert_same_report(F)
+
+    def test_a_symmetric_perturbation_fails_associativity(self):
+        F = catalog("additive", 5).F + Series2({(1, 2): 1, (2, 1): 1}, 5)
+        report = check_axioms(F)
+        assert report.commutativity.passed and not report.associativity.passed
+        self.assert_same_report(F)
+
 
 class TestLogarithm:
     def test_known_logarithms(self):

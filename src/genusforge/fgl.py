@@ -9,11 +9,11 @@ quantum-integer law, and the universal additive-type law over Z[e_n].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 import re
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, Optional, Union
 
 from genusforge.check import CheckResult, first_defect
 from genusforge.ring import NonUnitError, RingElement
@@ -25,6 +25,7 @@ from genusforge.series import (
     compose1_2,
     exp_series,
     log_series,
+    powers,
     sqrt_series,
 )
 
@@ -82,6 +83,12 @@ class FormalGroupLaw:
     @property
     def order(self) -> int:
         return self.F.order
+
+    def truncate(self, order: int) -> "FormalGroupLaw":
+        if order >= self.order:
+            return self
+        exp = self.exp.truncate(order) if self.exp is not None else None
+        return replace(self, F=self.F.truncate(order), exp=exp)
 
     def to_obj(self) -> dict:
         return {
@@ -211,22 +218,6 @@ EXPONENTIALS = {
 }
 
 
-class _Build(NamedTuple):
-    """An unbound catalog law with its construction data."""
-
-    F: Series2
-    construction: str
-    exp: Optional[Series1]
-
-    @property
-    def order(self) -> int:
-        return self.F.order
-
-    def truncate(self, order: int) -> "_Build":
-        exp = self.exp.truncate(order) if self.exp is not None else None
-        return _Build(self.F.truncate(order), self.construction, exp)
-
-
 def _build(name: str, order: int) -> "tuple[Series2, str, Optional[Series1]]":
     if name in EXPONENTIALS:
         exp = EXPONENTIALS[name](order)
@@ -273,7 +264,7 @@ def _build(name: str, order: int) -> "tuple[Series2, str, Optional[Series1]]":
     raise UnknownLawError(name)
 
 
-_BUILT: "dict[str, _Build]" = {}
+_BUILT: "dict[str, FormalGroupLaw]" = {}
 
 
 def catalog(
@@ -298,24 +289,30 @@ def catalog(
     for key in params or ():
         if not re.fullmatch(_LAW_GENERATORS.get(name, "(?!)"), key):
             raise ValueError(f"param {key!r} names no generator of law {name!r}")
-    F, construction, exp = build_once(_BUILT, name, order, lambda n: _Build(*_build(name, n)))
-    bound: "dict[str, RingElement]" = {}
-    if params:
-        bound = {
-            k: v if isinstance(v, RingElement) else RingElement.from_rational(v)
-            for k, v in params.items()
-        }
-        try:
-            F = F.map_coefficients(lambda c: c.substitute(bound))
-            if exp is not None:
-                exp = exp.map_coefficients(lambda c: c.substitute(bound))
-        except NonUnitError:
-            negative = {g for _, c in F.items() for m, _ in c.terms() for g, e in m if e < 0}
-            bad = ", ".join(repr(k) for k in sorted(bound) if k in negative)
-            raise ValueError(
-                f"param {bad} must be invertible: law {name!r} has negative powers of it"
-            ) from None
-    return FormalGroupLaw(F=F, name=name, params=bound, construction=construction, exp=exp)
+
+    def build(n: int) -> FormalGroupLaw:
+        F, construction, exp = _build(name, n)
+        return FormalGroupLaw(F=F, name=name, construction=construction, exp=exp)
+
+    law = build_once(_BUILT, name, order, build)
+    if not params:
+        return law
+    bound = {
+        k: v if isinstance(v, RingElement) else RingElement.from_rational(v)
+        for k, v in params.items()
+    }
+    F, exp = law.F, law.exp
+    try:
+        F = F.map_coefficients(lambda c: c.substitute(bound))
+        if exp is not None:
+            exp = exp.map_coefficients(lambda c: c.substitute(bound))
+    except NonUnitError:
+        negative = {g for _, c in F.items() for m, _ in c.terms() for g, e in m if e < 0}
+        bad = ", ".join(repr(k) for k in sorted(bound) if k in negative)
+        raise ValueError(
+            f"param {bad} must be invertible: law {name!r} has negative powers of it"
+        ) from None
+    return replace(law, F=F, params=bound, exp=exp)
 
 
 # -- axioms ---------------------------------------------------------------------
@@ -341,12 +338,10 @@ def check_axioms(law: Union[FormalGroupLaw, Series2]) -> AxiomReport:
     # and G == F when the commutativity check passes: then one expansion serves.
     sides = []
     for G in (F,) if commutativity.passed else (F, F.swap()):
-        powers = [Series2.constant(1, n)]
-        for _ in range(n):
-            powers.append(powers[-1] * G)
+        Gp = powers(G, n)
         pairs: "dict[tuple[int, int, int], list]" = {}
         for (i, j), c in G.items():
-            for (p, q), v in powers[i].items():
+            for (p, q), v in Gp[i].items():
                 if p + q + j <= n:
                     pairs.setdefault((p, q, j), []).append((c, v))
         sides.append({key: RingElement.dot(terms) for key, terms in pairs.items()})
@@ -356,10 +351,10 @@ def check_axioms(law: Union[FormalGroupLaw, Series2]) -> AxiomReport:
     return AxiomReport(unit, commutativity, first_defect(diff.items()))
 
 
-def grading_check(law: FormalGroupLaw, weight_shift: int = -1) -> CheckResult:
+def grading_check(law: FormalGroupLaw) -> CheckResult:
     """Check that the coefficient of z0^i z1^j is homogeneous of weight i+j-1."""
     for (i, j), c in law.F.items():
-        if not c.is_homogeneous(i + j + weight_shift):
+        if not c.is_homogeneous(i + j - 1):
             return CheckResult.fail(i + j, c, detail=f"coefficient ({i},{j})")
     return CheckResult.ok()
 

@@ -282,18 +282,20 @@ class RingElement:
             return RingElement.from_rational(value)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other: Scalar) -> "RingElement":
+    def _plus(self, other: Scalar, sign: int = 1) -> "RingElement":
+        """self + sign * other, term-wise, for sign = 1 or -1: a difference
+        scales other's numerators by -1 and builds no negated copy of it."""
         other = RingElement._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms:
-            return other
         if not other._terms:
             return self
+        if not self._terms:
+            return other if sign == 1 else -other
         # Bring both numerators over lcm(den_a, den_b), then sum term-wise.
         da, db = self._den, other._den
         g = math.gcd(da, db)
-        sa, sb = db // g, da // g
+        sa, sb = db // g, sign * (da // g)
         out = dict(self._terms) if sa == 1 else {m: c * sa for m, c in self._terms.items()}
         for m, c in other._terms.items():
             if sb != 1:
@@ -309,16 +311,13 @@ class RingElement:
                     del out[m]
         return RingElement._make(out, da * sa)
 
-    __radd__ = __add__
+    __add__ = __radd__ = _plus
+
+    def __sub__(self, other: Scalar) -> "RingElement":
+        return self._plus(other, -1)
 
     def __neg__(self) -> "RingElement":
         return RingElement._make({m: -c for m, c in self._terms.items()}, self._den)
-
-    def __sub__(self, other: Scalar) -> "RingElement":
-        other = RingElement._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "RingElement":
         return (-self) + other
@@ -482,11 +481,7 @@ class RingElement:
 
     # -- numerics ------------------------------------------------------------
 
-    def evaluate(
-        self,
-        overrides: Optional[Mapping[str, complex]] = None,
-        precision: int = 15,
-    ) -> complex:
+    def evaluate(self, overrides: Optional[Mapping[str, complex]] = None) -> complex:
         """Evaluate numerically as a complex number, summing the terms in
         sorted monomial order so that equal elements give the same float.
 
@@ -502,11 +497,11 @@ class RingElement:
             if name in values:
                 continue
             if name == "gamma":
-                values[name] = euler_gamma(precision)
+                values[name] = euler_gamma()
             elif name == "ipi2":
                 values[name] = complex(0.0, math.tau)
             elif name.startswith("zeta") and name[4:].isdigit():
-                values[name] = float(zeta_fraction(int(name[4:]), precision))
+                values[name] = zeta_numeric(int(name[4:]))
             else:
                 missing.add(name)
         if missing:
@@ -638,13 +633,13 @@ def zeta_fraction(k: int, precision: int = 15) -> Fraction:
     return eta / (1 - Fraction(2) ** (1 - k))
 
 
-def zeta_numeric(k: int, precision: int = 15) -> float:
+def zeta_numeric(k: int) -> float:
     """zeta(k) as a float (the exact engine is zeta_fraction)."""
-    return float(zeta_fraction(k, min(precision, 17)))
+    return float(zeta_fraction(k, 15))
 
 
 @lru_cache(maxsize=None)
-def euler_gamma(precision: int = 15) -> float:
+def euler_gamma() -> float:
     """Euler-Mascheroni constant via Euler-Maclaurin applied to H_N - log N.
 
     Exact harmonic/Bernoulli tail plus a double-precision log; accuracy is

@@ -26,10 +26,12 @@ __all__ = [
     "compose1_2",
     "exp_series",
     "log_series",
+    "powers",
     "sqrt_series",
 ]
 
 Scalar = Union[int, Fraction, RingElement]
+S = TypeVar("S", "Series1", "Series2")
 
 _ZERO = RingElement.zero()
 _ONE = RingElement.one()
@@ -204,16 +206,10 @@ class Series1:
     # -- composition ---------------------------------------------------------
 
     def compose(self, inner: "Series1") -> "Series1":
-        """self(inner(z)); inner must have zero constant term.  Graded Horner:
-        the step adding self[n - m] is multiplied n - m more times by inner,
-        of valuation >= 1, so it is needed, and computed, only to order m."""
+        """self(inner(z)); inner must have zero constant term (see _horner)."""
         if not inner._coeffs[0].is_zero():
             raise BadConstantTermError("inner series must have zero constant term")
-        n = min(self.order, inner.order)
-        result = Series1.constant(self._coeffs[n], 0)
-        for m in range(1, n + 1):
-            result = Series1(result._coeffs, m) * inner.truncate(m) + self._coeffs[n - m]
-        return result
+        return _horner(self, inner)
 
     def revert(self) -> "Series1":
         """Compositional inverse g, by the Lagrange inversion formula
@@ -233,11 +229,11 @@ class Series1:
 
     # -- numerics / io ---------------------------------------------------------
 
-    def evaluate(self, z0, overrides=None, precision: int = 15) -> complex:
+    def evaluate(self, z0, overrides=None) -> complex:
         """Numeric value of the truncated polynomial at z0 (Horner)."""
         total = 0j
         for c in reversed(self._coeffs):
-            total = total * complex(z0) + c.evaluate(overrides, precision)
+            total = total * complex(z0) + c.evaluate(overrides)
         return total
 
     def to_obj(self) -> dict:
@@ -411,8 +407,8 @@ class Series2:
             raise BadConstantTermError("inner series must have zero constant term")
         n = min(self.order, f.order, g.order)
         F = self.truncate(n)
-        fp = _powers(f.truncate(n), n, F._top(0))
-        gp = _powers(g.truncate(n), n, F._top(1))
+        fp = [p.coefficients() for p in powers(f.truncate(n), F._top(0))]
+        gp = [p.coefficients() for p in powers(g.truncate(n), F._top(1))]
         pairs: "dict[tuple[int, int], list]" = {}
         for (i, j), c in F._coeffs.items():
             fi, gj = fp[i], gp[j]
@@ -427,19 +423,14 @@ class Series2:
         return Series2({ij: RingElement.dot(ps) for ij, ps in pairs.items()}, n)
 
     def eval_at(self, a: Series1, b: Series1) -> Series1:
-        """self(a(z), b(z)) as a univariate series (both inner in the same z)."""
-        if not a[0].is_zero() or not b[0].is_zero():
-            raise BadConstantTermError("inner series must have zero constant term")
-        n = min(self.order, a.order, b.order)
-        F = self.truncate(n)
-        ap = _powers(a.truncate(n), n, F._top(0))
-        bp = _powers(b.truncate(n), n, F._top(1))
-        pairs: "list[list]" = [[] for _ in range(n + 1)]
-        for (i, j), c in F._coeffs.items():
-            prod = Series1(ap[i], n) * Series1(bp[j], n)
-            for k in range(i + j, n + 1):
-                pairs[k].append((c, prod[k]))
-        return Series1([RingElement.dot(ps) for ps in pairs], n)
+        """self(a(z), b(z)) as a univariate series (both inner in the same z):
+        z0 = z1 = z sends z0^p z1^q to z^(p+q), so this is the total-degree
+        diagonal of self.compose(a, b)."""
+        c = self.compose(a, b)
+        diagonal: "list[list]" = [[] for _ in range(c.order + 1)]
+        for (p, q), v in c._coeffs.items():
+            diagonal[p + q].append((v, _ONE))
+        return Series1([RingElement.dot(ps) for ps in diagonal], c.order)
 
     # -- io ------------------------------------------------------------------
 
@@ -470,14 +461,26 @@ class Series2:
         return f"Series2[{body} + O(deg {self.order + 1})]"
 
 
-def _powers(f: Series1, order: int, top: int) -> "list[tuple[RingElement, ...]]":
-    """Coefficient tuples of f^0 .. f^top, truncated at `order`: a composition
-    needs f^i only up to the top exponent its outer series uses (<= order,
-    as f of valuation >= 1 has f^i = O(z^i))."""
-    out = [Series1.constant(1, order)]
+def powers(f: S, top: int) -> "list[S]":
+    """f^0 .. f^top at f's order, for a Series1 or Series2 f.  A composition
+    needs f^i only up to the top exponent its outer series uses (<= its
+    order, as f of valuation >= 1 has f^i = O(z^i))."""
+    out = [type(f).constant(1, f.order)]
     for _ in range(top):
         out.append(out[-1] * f)
-    return [p.coefficients() for p in out]
+    return out
+
+
+def _horner(outer: Series1, inner: S) -> S:
+    """outer(inner) at the lesser order, for a Series1 or Series2 inner with
+    zero constant term, by graded Horner: the step adding outer[n - m] is
+    multiplied n - m more times by inner, of valuation >= 1, so it is needed,
+    and computed, only to (total) order m."""
+    kind, n = type(inner), min(outer.order, inner.order)
+    result = kind.constant(outer[n], 0)
+    for m in range(1, n + 1):
+        result = kind(result._coeffs, m) * inner.truncate(m) + outer[n - m]
+    return result
 
 
 # -- analytic primitives ------------------------------------------------------
@@ -516,15 +519,11 @@ def sqrt_series(f: Series1) -> "Series1":
 
 
 def compose1_2(outer: Series1, inner: Series2) -> Series2:
-    """outer(inner(z0, z1)) for an inner series with zero constant term, by
-    graded Horner as in Series1.compose (step m at total degree <= m)."""
+    """outer(inner(z0, z1)) for an inner series with zero constant term (see
+    _horner)."""
     if not inner[(0, 0)].is_zero():
         raise BadConstantTermError("inner series must have zero constant term")
-    n = min(outer.order, inner.order)
-    result = Series2.constant(outer[n], 0)
-    for m in range(1, n + 1):
-        result = Series2(result._coeffs, m) * inner.truncate(m) + outer[n - m]
-    return result
+    return _horner(outer, inner)
 
 
 def _inverse_powers(f: Series1) -> "list[list[RingElement]]":
@@ -536,9 +535,7 @@ def _inverse_powers(f: Series1) -> "list[list[RingElement]]":
     n = f.order
     rows = [[_ONE] + [_ZERO] * n] + [[_ZERO] * (n + 1) for _ in range(n)]
     base = Series1.constant(1, n - 1) / Series1(f.coefficients()[1:], n - 1)
-    power = Series1.constant(1, n - 1)
-    for i in range(1, n + 1):
-        power = power * base
+    for i, power in enumerate(powers(base, n)):
         for a in range(1, i + 1):
             rows[a][i] = power[i - a] * Fraction(a, i)
     return rows

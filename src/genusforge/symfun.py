@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from genusforge.check import CheckResult
-from genusforge.ring import RingElement, generator_info
+from genusforge.ring import RingElement, _monomial_weight
 from genusforge.series import Series1, exp_series, log_series
 
 __all__ = [
@@ -76,7 +76,7 @@ class SymPoly:
 
     @property
     def degree(self) -> int:
-        return max((w for w in (_mono_weight(m) for m, _ in self.poly.terms())), default=0)
+        return max((_monomial_weight(m) for m, _ in self.poly.terms()), default=0)
 
     @staticmethod
     def e(k: int) -> "SymPoly":
@@ -106,10 +106,6 @@ class SymPoly:
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
         return self + SymPoly(other.basis, -other.poly)
-
-
-def _mono_weight(m) -> int:
-    return sum(generator_info(name).weight * e for name, e in m)
 
 
 # -- basis conversion tables ----------------------------------------------------

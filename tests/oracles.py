@@ -15,8 +15,10 @@ Chern numbers by literal polynomial expansion of (1 + x)^(n+1), the Witten
 product from two geometric factors per n built on exp_series tables instead of
 one closed-form pair factor, Chern pairings by one Fraction product per term of
 K_d instead of integer rows, genera of CP^n from H^(n+1) built by repeated
-products instead of the power recurrence, and the mixed exp of the Witten
-cross-check by summing powers of L instead of the exp recurrence.
+products instead of the power recurrence, the mixed exp of the Witten
+cross-check by summing powers of L instead of the exp recurrence, and genera
+of Milnor hypersurfaces from their Chern roots by bivariate products instead
+of the Chern pairing.
 """
 
 from __future__ import annotations
@@ -426,3 +428,60 @@ def power_sum_exp_mixed(L: Series1, q_order: int) -> Series1:
             break
         out = out + term
     return out
+
+
+def milnor_chern_numbers(i: int, j: int) -> "dict[tuple[int, ...], int]":
+    """Chern numbers of the Milnor hypersurface H_{i,j} in CP^i x CP^j of
+    bidegree (1, 1), in integers: c_lambda[H] = [x^i y^j] c_lambda(TH) (x + y)
+    in Z[x, y] / (x^(i+1), y^(j+1)), with
+    c(TH) = (1 + x)^(i+1) (1 + y)^(j+1) / (1 + x + y)."""
+    from genusforge.genus import partitions
+
+    def mul(a, b):
+        out: "dict" = {}
+        for (p1, q1), c1 in a.items():
+            for (p2, q2), c2 in b.items():
+                if p1 + p2 <= i and q1 + q2 <= j:
+                    key = (p1 + p2, q1 + q2)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    # 1 / (1 + x + y) = sum_k (-x - y)^k, a polynomial in the truncated ring
+    inverse, term = {(0, 0): 1}, {(0, 0): 1}
+    for _ in range(i + j):
+        term = mul(term, {(1, 0): -1, (0, 1): -1})
+        for key, c in term.items():
+            inverse[key] = inverse.get(key, 0) + c
+    ambient = {
+        (p, q): math.comb(i + 1, p) * math.comb(j + 1, q)
+        for p in range(i + 1)
+        for q in range(j + 1)
+    }
+    total = mul(ambient, inverse)
+    d = i + j - 1
+    classes = [{pq: c for pq, c in total.items() if sum(pq) == k} for k in range(d + 1)]
+    out = {}
+    for lam in partitions(d):
+        prod = {(0, 0): 1}
+        for part in lam:
+            prod = mul(prod, classes[part])
+        out[lam] = mul(prod, {(1, 0): 1, (0, 1): 1}).get((i, j), 0)
+    return out
+
+
+def milnor_residue_genus(H: Series1, exp: Series1, i: int, j: int) -> RingElement:
+    """The genus of H_{i,j} from its tangent roots (x i+1 times, y j+1 times,
+    less the normal root x + y): [x^i y^j] H(x)^(i+1) H(y)^(j+1) exp(x + y),
+    by Series2 products, with exp(x + y) summed over the powers of x + y.
+    H and exp must reach order i + j - 1 and i + j."""
+    n = i + j
+    s = Series2({(1, 0): 1, (0, 1): 1}, n)
+    power, prod = Series2.constant(1, n), Series2.zeros(n)
+    for k in range(1, n + 1):
+        power = power * s
+        prod = prod + power * exp[k]
+    for variable, count in ((0, i + 1), (1, j + 1)):
+        lifted = Series2.from_series1(H, variable, n)
+        for _ in range(count):
+            prod = prod * lifted
+    return prod[(i, j)]

@@ -412,7 +412,7 @@ class TestLawCache:
         for order in (4, 8, 6):
             catalog("hyperbolic", order)
         assert list(fgl._BUILT) == ["hyperbolic"]
-        assert fgl._BUILT["hyperbolic"][0].order == 8
+        assert fgl._BUILT["hyperbolic"].order == 8
 
     def test_params_do_not_leak_into_the_cache(self, cold_cache):
         bound = catalog("jacobi", 6, params={"delta": Fraction(-1, 8), "epsilon": 0})

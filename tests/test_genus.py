@@ -37,7 +37,12 @@ from genusforge.genus import (
 from genusforge.ring import RingElement, zeta_tilde_even
 from genusforge.series import Series1
 from genusforge.symfun import multiplicative_sequence
-from oracles import fraction_chern_pairing, pairwise_power_cpn
+from oracles import (
+    fraction_chern_pairing,
+    milnor_chern_numbers,
+    milnor_residue_genus,
+    pairwise_power_cpn,
+)
 
 R = RingElement
 gen = R.gen
@@ -365,6 +370,40 @@ class TestGenusOf:
         assert sorted(partitions(4)) == sorted(
             [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
         )
+
+
+# Every H_{i,j} with 0 <= i <= j and complex dimension i + j - 1 in 1..6.
+MILNOR_GRID = [(i, d + 1 - i) for d in range(1, 7) for i in range((d + 1) // 2 + 1)]
+
+
+def _milnor_genus(name: str, i: int, j: int) -> RingElement:
+    g = genus_series(name, i + j - 1)
+    return genus_of(g, ManifoldDescriptor.from_chern(i + j - 1, milnor_chern_numbers(i, j)))
+
+
+class TestMilnorHypersurfaces:
+    """The hypersurfaces H_{i,j} in CP^i x CP^j of bidegree (1, 1) generate
+    MU_* as a ring (Milnor; Stong, Notes on Cobordism Theory, ch. VII), so a
+    genus is integral on MU_* exactly when it is integral on every H_{i,j}."""
+
+    @pytest.mark.parametrize("name", GENUS_SERIES)
+    def test_chern_and_residue_routes_agree(self, name):
+        g = genus_series(name, 7)
+        for i, j in MILNOR_GRID:
+            residue = milnor_residue_genus(g.H, g.exp, i, j)
+            assert _milnor_genus(name, i, j) == residue, (i, j)
+
+    def test_todd_is_one(self):
+        assert all(_milnor_genus("todd", i, j) == R.one() for i, j in MILNOR_GRID)
+
+    def test_universal_additive_is_integral(self):
+        for i, j in MILNOR_GRID:
+            value = _milnor_genus("universal_additive", i, j)
+            assert all(c.denominator == 1 for _, c in value.terms()), (i, j, value)
+
+    def test_ahat_is_not_integral(self):
+        # H_{0,3} is a hyperplane in CP^3, so CP^2, and Ahat(CP^2) = -1/8
+        assert _milnor_genus("ahat", 0, 3) == R.from_rational(Fraction(-1, 8))
 
 
 class TestGammaSeries:

@@ -320,7 +320,8 @@ class RingElement:
         return RingElement._make({m: -c for m, c in self._terms.items()}, self._den)
 
     def __rsub__(self, other: Scalar) -> "RingElement":
-        return (-self) + other
+        other = RingElement._coerce(other)
+        return NotImplemented if other is NotImplemented else other._plus(self, -1)
 
     def __mul__(self, other: Scalar) -> "RingElement":
         other = RingElement._coerce(other)

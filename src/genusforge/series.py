@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction, RingElement]
-S = TypeVar("S", "Series1", "Series2")
+S = TypeVar("S", bound="_Series")
 
 _ZERO = RingElement.zero()
 _ONE = RingElement.one()
@@ -55,12 +55,104 @@ def _coerce_elem(value: Scalar) -> RingElement:
     return RingElement.from_rational(value)
 
 
-class Series1:
-    """Univariate truncated power series with RingElement coefficients."""
+class _Series:
+    """The coefficient-wise core of Series1 and Series2.
+
+    A subclass stores its coefficients by key (degree n, or bidegree (i, j))
+    and supplies _ORIGIN, the key of the constant term, _keyed(), its (key,
+    coefficient) pairs, a constructor that takes a {key: coefficient} dict
+    and an order, _divide for the series quotient, and to_obj/from_obj.
+    Everything here acts on each coefficient alone, so it is written once
+    for both kinds and builds only type(self).
+    """
 
     __slots__ = ("order", "_coeffs")
+    _ORIGIN: object
+
+    @classmethod
+    def zeros(cls: "type[S]", order: int) -> S:
+        return cls({}, order)
+
+    @classmethod
+    def constant(cls: "type[S]", value: Scalar, order: int) -> S:
+        return cls({cls._ORIGIN: value}, order)
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for _, c in self._keyed())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.order == other.order and self._coeffs == other._coeffs
+
+    def truncate(self: S, order: int) -> S:
+        """self to a lower order; each constructor drops what lies beyond it."""
+        if order >= self.order:
+            return self
+        return type(self)(self._coeffs, order)
+
+    def map_coefficients(self: S, fn: Callable[[RingElement], RingElement]) -> S:
+        """fn on each coefficient; fn(0) must be 0, as Series2 stores no zeros."""
+        return type(self)({k: fn(c) for k, c in self._keyed()}, self.order)
+
+    def _match(self, other: "_Series") -> int:
+        if self.order != other.order:
+            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
+        return self.order
+
+    def _plus(self: S, other, sign: int = 1) -> S:
+        """self + sign * other, for sign = 1 or -1 and other a series of the
+        same kind and order or a scalar (which lands on the constant term).
+        Each coefficient goes through RingElement._plus, so a difference
+        builds no negated copy of other."""
+        if isinstance(other, type(self)):
+            self._match(other)
+            pairs = other._keyed()
+        else:
+            pairs = ((self._ORIGIN, _coerce_elem(other)),)
+        out = dict(self._keyed())
+        for k, c in pairs:
+            out[k] = out.get(k, _ZERO)._plus(c, sign)
+        return type(self)(out, self.order)
+
+    __add__ = __radd__ = _plus
+
+    def __sub__(self: S, other) -> S:
+        return self._plus(other, -1)
+
+    def __rsub__(self: S, other) -> S:
+        return self.constant(other, self.order)._plus(self, -1)
+
+    def __neg__(self: S) -> S:
+        return self.map_coefficients(RingElement.__neg__)
+
+    def _scaled(self: S, k: Scalar) -> S:
+        """self * k for a scalar k."""
+        k = _coerce_elem(k)
+        return self.map_coefficients(lambda c: c * k)
+
+    def __truediv__(self: S, other) -> S:
+        if isinstance(other, type(self)):
+            return self._divide(other)
+        return self * _coerce_elem(other).inverse()
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls: "type[S]", text: str) -> S:
+        return cls.from_obj(json.loads(text))
+
+
+class Series1(_Series):
+    """Univariate truncated power series with RingElement coefficients."""
+
+    __slots__ = ()
+    _ORIGIN = 0
 
     def __init__(self, coeffs, order: Optional[int] = None):
+        if isinstance(coeffs, dict):  # {degree: coefficient}, from _Series
+            coeffs = [coeffs.get(n, _ZERO) for n in range(order + 1)]
         coeffs = [_coerce_elem(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
@@ -70,16 +162,6 @@ class Series1:
         coeffs += [_ZERO] * (order + 1 - len(coeffs))
         self.order = order
         self._coeffs = tuple(coeffs)
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zeros(order: int) -> "Series1":
-        return Series1([], order)
-
-    @staticmethod
-    def constant(value: Scalar, order: int) -> "Series1":
-        return Series1([value], order)
 
     @staticmethod
     def x(order: int) -> "Series1":
@@ -96,60 +178,21 @@ class Series1:
     def coefficients(self) -> "tuple[RingElement, ...]":
         return self._coeffs
 
+    def _keyed(self):
+        return enumerate(self._coeffs)
+
     def items(self) -> "list[tuple[int, RingElement]]":
         """(degree, coefficient) for the nonzero coefficients, as Series2.items."""
         return [(n, c) for n, c in enumerate(self._coeffs) if not c.is_zero()]
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Series1):
-            return NotImplemented
-        return self.order == other.order and self._coeffs == other._coeffs
-
     def __hash__(self) -> int:
         return hash((self.order, self._coeffs))
 
-    def truncate(self, order: int) -> "Series1":
-        if order >= self.order:
-            return self
-        return Series1(self._coeffs[: order + 1], order)
-
-    def map_coefficients(self, fn: Callable[[RingElement], RingElement]) -> "Series1":
-        return Series1([fn(c) for c in self._coeffs], self.order)
-
     # -- arithmetic ----------------------------------------------------------
-
-    def _match(self, other: "Series1") -> int:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        return self.order
-
-    def __add__(self, other) -> "Series1":
-        if isinstance(other, Series1):
-            n = self._match(other)
-            return Series1([a + b for a, b in zip(self._coeffs, other._coeffs)], n)
-        other = _coerce_elem(other)
-        coeffs = list(self._coeffs)
-        coeffs[0] = coeffs[0] + other
-        return Series1(coeffs, self.order)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Series1":
-        return Series1([-c for c in self._coeffs], self.order)
-
-    def __sub__(self, other) -> "Series1":
-        return self + (-other if isinstance(other, Series1) else -_coerce_elem(other))
-
-    def __rsub__(self, other) -> "Series1":
-        return (-self) + other
 
     def __mul__(self, other) -> "Series1":
         if not isinstance(other, Series1):
-            k = _coerce_elem(other)
-            return Series1([c * k for c in self._coeffs], self.order)
+            return self._scaled(other)
         n = self._match(other)
         a, b, dot = self._coeffs, other._coeffs, RingElement.dot
         return Series1([dot((a[i], b[k - i]) for i in range(k + 1)) for k in range(n + 1)], n)
@@ -169,9 +212,7 @@ class Series1:
                 base = base * base
         return result
 
-    def __truediv__(self, other) -> "Series1":
-        if not isinstance(other, Series1):
-            return self * _coerce_elem(other).inverse()
+    def _divide(self, other: "Series1") -> "Series1":
         n = self._match(other)
         try:
             inv0 = other._coeffs[0].inverse()
@@ -243,27 +284,17 @@ class Series1:
     def from_obj(obj: Mapping) -> "Series1":
         return Series1([RingElement.from_obj(c) for c in obj["coeffs"]], int(obj["order"]))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "Series1":
-        return Series1.from_obj(json.loads(text))
-
     def __repr__(self) -> str:
-        parts = []
-        for n, c in enumerate(self._coeffs):
-            if c.is_zero():
-                continue
-            parts.append(f"({c})*z^{n}" if n else f"({c})")
+        parts = [f"({c})*z^{n}" if n else f"({c})" for n, c in self.items()]
         body = " + ".join(parts) if parts else "0"
         return f"Series1[{body} + O(z^{self.order + 1})]"
 
 
-class Series2:
+class Series2(_Series):
     """Bivariate series truncated by total degree, sparse triangular storage."""
 
-    __slots__ = ("order", "_coeffs")
+    __slots__ = ()
+    _ORIGIN = (0, 0)
 
     def __init__(self, coeffs: Mapping["tuple[int, int]", Scalar], order: int):
         if order < 0:
@@ -277,16 +308,6 @@ class Series2:
             if not c.is_zero():
                 clean[(i, j)] = c
         self._coeffs = clean
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zeros(order: int) -> "Series2":
-        return Series2({}, order)
-
-    @staticmethod
-    def constant(value: Scalar, order: int) -> "Series2":
-        return Series2({(0, 0): value}, order)
 
     @staticmethod
     def from_series1(f: Series1, variable: int, order: Optional[int] = None) -> "Series2":
@@ -302,11 +323,11 @@ class Series2:
     def __getitem__(self, ij: "tuple[int, int]") -> RingElement:
         return self._coeffs.get(ij, _ZERO)
 
+    def _keyed(self):
+        return self._coeffs.items()
+
     def items(self):
         return sorted(self._coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def is_symmetric(self) -> bool:
         return all(self[(j, i)] == c for (i, j), c in self._coeffs.items())
@@ -318,56 +339,14 @@ class Series2:
     def swap(self) -> "Series2":
         return Series2({(j, i): c for (i, j), c in self._coeffs.items()}, self.order)
 
-    def truncate(self, order: int) -> "Series2":
-        if order >= self.order:
-            return self
-        return Series2(self._coeffs, order)
-
-    def map_coefficients(self, fn: Callable[[RingElement], RingElement]) -> "Series2":
-        return Series2({ij: fn(c) for ij, c in self._coeffs.items()}, self.order)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Series2):
-            return NotImplemented
-        return self.order == other.order and self._coeffs == other._coeffs
-
     def __hash__(self) -> int:
         return hash((self.order, frozenset(self._coeffs.items())))
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _match(self, other: "Series2") -> int:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        return self.order
-
-    def __add__(self, other) -> "Series2":
-        if isinstance(other, Series2):
-            self._match(other)
-            out = dict(self._coeffs)
-            for ij, c in other._coeffs.items():
-                acc = out.get(ij)
-                out[ij] = c if acc is None else acc + c
-            return Series2(out, self.order)
-        out = dict(self._coeffs)
-        out[(0, 0)] = out.get((0, 0), _ZERO) + _coerce_elem(other)
-        return Series2(out, self.order)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Series2":
-        return Series2({ij: -c for ij, c in self._coeffs.items()}, self.order)
-
-    def __sub__(self, other) -> "Series2":
-        return self + (-other if isinstance(other, Series2) else -_coerce_elem(other))
-
-    def __rsub__(self, other) -> "Series2":
-        return (-self) + other
-
     def __mul__(self, other) -> "Series2":
         if not isinstance(other, Series2):
-            k = _coerce_elem(other)
-            return Series2({ij: c * k for ij, c in self._coeffs.items()}, self.order)
+            return self._scaled(other)
         n = self._match(other)
         pairs: "dict[tuple[int, int], list]" = {}
         for (i1, j1), c1 in self._coeffs.items():
@@ -395,9 +374,7 @@ class Series2:
             prec *= 2
         return g
 
-    def __truediv__(self, other) -> "Series2":
-        if not isinstance(other, Series2):
-            return self * _coerce_elem(other).inverse()
+    def _divide(self, other: "Series2") -> "Series2":
         return self * other.inverse()
 
     def compose(self, f: Series1, g: Series1) -> "Series2":
@@ -447,13 +424,6 @@ class Series2:
             i, j = key.split(",")
             coeffs[(int(i), int(j))] = RingElement.from_obj(c)
         return Series2(coeffs, int(obj["order"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "Series2":
-        return Series2.from_obj(json.loads(text))
 
     def __repr__(self) -> str:
         parts = [f"({c})*z0^{i}*z1^{j}" for (i, j), c in self.items()]

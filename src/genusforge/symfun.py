@@ -8,8 +8,9 @@ Conversions run through the generating-function identities
 
 so a single engine serves basis changes, the zeta-value specialization, the
 Chern-to-Pontryagin rewriting in the squared alphabet, and Hirzebruch
-multiplicative sequences.  Root expansions over x_1..x_m provide the
-independent oracle for all of it.
+multiplicative sequences.  Root expansions over x_1..x_m, the independent
+oracle for all of it, live in the test oracles; the root polynomials kept
+here serve the symplectic check and the e-basis rewriting below.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "NotSymmetricError",
     "SymPoly",
     "convert",
-    "expand_in_roots",
     "multiplicative_sequence",
     "pontryagin_from_chern",
     "power_sum_over",
@@ -90,10 +90,13 @@ class SymPoly:
     def p(k: int) -> "SymPoly":
         return SymPoly("P", RingElement.gen(f"s{k}"))
 
-    def __add__(self, other: "SymPoly") -> "SymPoly":
+    def _plus(self, other: "SymPoly", sign: int = 1) -> "SymPoly":
+        """self + sign * other, term-wise (see RingElement._plus)."""
         if self.basis != other.basis:
             raise ValueError("mixed bases; convert first")
-        return SymPoly(self.basis, self.poly + other.poly)
+        return SymPoly(self.basis, self.poly._plus(other.poly, sign))
+
+    __add__ = _plus
 
     def __mul__(self, other: Union["SymPoly", int, Fraction]) -> "SymPoly":
         if isinstance(other, SymPoly):
@@ -105,7 +108,7 @@ class SymPoly:
     __rmul__ = __mul__
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + SymPoly(other.basis, -other.poly)
+        return self._plus(other, -1)
 
 
 # -- basis conversion tables ----------------------------------------------------
@@ -156,7 +159,7 @@ def convert(x: SymPoly, target: str) -> SymPoly:
     return SymPoly(target, x.poly.substitute(table))
 
 
-# -- root expansions (the oracle) ------------------------------------------------
+# -- root polynomials ------------------------------------------------------------
 
 
 def _roots(m: int) -> "list[RingElement]":
@@ -177,30 +180,6 @@ def power_sum_over(alphabet: Sequence[RingElement], k: int) -> RingElement:
     for a in alphabet:
         acc = acc + a**k
     return acc
-
-
-def complete_in_roots(k: int, m: int) -> RingElement:
-    """h_k(x_1..x_m) via 1 / Pi (1 - x_i z)."""
-    prod = Series1.constant(1, k)
-    for r in _roots(m):
-        prod = prod * Series1([_ONE, -r], k)
-    return (Series1.constant(1, k) / prod)[k]
-
-
-def expand_in_roots(x: SymPoly, m: int) -> RingElement:
-    """Substitute explicit root polynomials for the basis generators."""
-    table: "dict[str, RingElement]" = {}
-    prefix = _BASIS_PREFIX[x.basis]
-    degree = x.degree
-    for k in range(1, degree + 1):
-        name = f"{prefix}{k}"
-        if x.basis == "E":
-            table[name] = elementary_in_roots(k, m)
-        elif x.basis == "H":
-            table[name] = complete_in_roots(k, m)
-        else:
-            table[name] = power_sum_over(_roots(m), k)
-    return x.poly.substitute(table)
 
 
 # -- symmetric root polynomials back to the e-basis --------------------------------
@@ -254,6 +233,10 @@ def symmetric_in_elementary(f: RingElement, m: int, out_prefix: str = "e") -> Ri
     when they themselves contain e-generators (the universal coefficient
     ring), pass a different out_prefix to keep the alphabets apart.
     Raises NotSymmetricError when the leading exponent is not sorted.
+
+    The library no longer calls this (pontryagin_from_chern takes SymPoly
+    input only); it is kept because the benchmark tracer wraps it by name,
+    and the test oracle for multiplicative sequences uses it.
     """
     remaining = _split_roots(f, m)
     result = _ZERO
@@ -323,22 +306,14 @@ class ChernPolynomial:
             raise ValueError("classes must be 'c' or 'p'")
 
 
-def pontryagin_from_chern(
-    f: Union[SymPoly, RingElement], m: Optional[int] = None
-) -> ChernPolynomial:
+def pontryagin_from_chern(f: SymPoly) -> ChernPolynomial:
     """Rewrite an even symmetric expression as a polynomial in p_k = e_k(x_i^2).
 
-    Accepts a SymPoly or a symmetric root polynomial (then m is the root
-    count).  Power sums become the squared-alphabet power sums s_{2k} -> s_k,
+    Power sums become the squared-alphabet power sums s_{2k} -> s_k,
     the generic converter turns those into elementary symmetric functions,
     and the result is read off in Pontryagin generators.  Raises
     OddContentError when an odd power sum survives.
     """
-    if isinstance(f, RingElement):
-        if m is None:
-            raise ValueError("m (number of roots) required for root input")
-        # SymPoly rejects coefficients that are not rational
-        f = SymPoly("E", symmetric_in_elementary(f, m))
     p = convert(f, "P")
     squared: "dict[str, RingElement]" = {}
     for name in p.poly.generators():

@@ -10,7 +10,9 @@ bilinear form, compositions by Horner loops at the full order instead of
 graded ones, the negation series by a full-order evaluation per degree, products over an alphabet of Chern roots by full root
 polynomials truncated by root degree instead of a graded series,
 multiplicative sequences from that root product instead of power sums,
-elementary symmetric polynomials by brute-force subset enumeration, CP^n
+symmetric functions by substituting root polynomials for their basis
+generators instead of the generating-function conversions, elementary
+symmetric polynomials by brute-force subset enumeration, CP^n
 Chern numbers by literal polynomial expansion of (1 + x)^(n+1), the Witten
 product from two geometric factors per n built on exp_series tables instead of
 one closed-form pair factor, Chern pairings by one Fraction product per term of
@@ -31,7 +33,14 @@ from genusforge.check import first_defect
 from genusforge.fgl import AxiomReport
 from genusforge.ring import NonUnitError, RingElement, generator_info, zeta_tilde_even
 from genusforge.series import Series1, Series2, exp_series
-from genusforge.symfun import symmetric_in_elementary, truncate_roots
+from genusforge.symfun import (
+    SymPoly,
+    _roots,
+    elementary_in_roots,
+    power_sum_over,
+    symmetric_in_elementary,
+    truncate_roots,
+)
 
 
 class FractionRing:
@@ -318,6 +327,29 @@ def root_multiplicative_sequence(H: Series1, n: int) -> "list[RingElement]":
         symmetric_in_elementary(root_degree_part(prod, j), n, out_prefix="c")
         for j in range(1, n + 1)
     ]
+
+
+def complete_in_roots(k: int, m: int) -> RingElement:
+    """h_k(x_1..x_m) via 1 / Pi (1 - x_i z)."""
+    prod = Series1.constant(1, k)
+    for r in _roots(m):
+        prod = prod * Series1([RingElement.one(), -r], k)
+    return (Series1.constant(1, k) / prod)[k]
+
+
+def expand_in_roots(x: SymPoly, m: int) -> RingElement:
+    """Substitute explicit root polynomials for the basis generators."""
+    table: "dict[str, RingElement]" = {}
+    prefix = {"E": "e", "H": "h", "P": "s"}[x.basis]
+    for k in range(1, x.degree + 1):
+        name = f"{prefix}{k}"
+        if x.basis == "E":
+            table[name] = elementary_in_roots(k, m)
+        elif x.basis == "H":
+            table[name] = complete_in_roots(k, m)
+        else:
+            table[name] = power_sum_over(_roots(m), k)
+    return x.poly.substitute(table)
 
 
 def elementary_bruteforce(k: int, roots) -> RingElement:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from genusforge.fgl import CATALOG, catalog
 from genusforge.ring import RingElement
 from genusforge.series import (
     BadConstantTermError,
@@ -115,6 +116,15 @@ class TestAgainstPairwiseAccumulation:
         assert storage(F.eval_at(f, f)) == storage(pairwise_eval_at(F, f, f))
         assert storage(F.compose(f, f)) == storage(pairwise_compose(F, f, f))
 
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_eval_at_reaches_total_degree_6(self, name):
+        """Dense inner series carry every coefficient of an order-6 law, up
+        to total degree 6, into the result."""
+        F = catalog(name, 6).F
+        a = Series1([0, 1, Fraction(1, 2), gen("gamma"), -1, Fraction(1, 3), 2], 6)
+        b = Series1([0, -1, 1, Fraction(-1, 4), gen("t"), 1, -3], 6)
+        assert storage(F.eval_at(a, b)) == storage(pairwise_eval_at(F, a, b))
+
 
 # Coefficients over t, the zeta generators and the Laurent generator u.
 u_elements = st.builds(lambda c, e: c * gen("u", e), ring_elements(), st.integers(-2, 2))
@@ -210,6 +220,92 @@ class TestArith:
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
             Series1.x(3) + Series1.x(4)
+
+
+def _keys(kind, order):
+    if kind is Series1:
+        return list(range(order + 1))
+    return [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+
+
+def _build(kind, coeffs, order):
+    """The series of the given kind with coefficients {key: RingElement}."""
+    if kind is Series1:
+        return Series1([coeffs[n] for n in range(order + 1)], order)
+    return Series2(coeffs, order)
+
+
+@st.composite
+def same_kind_pairs(draw):
+    """Two series of one kind and one order, with coefficients from one small
+    pool (zero included), so that sums and differences cancel."""
+    kind = draw(st.sampled_from([Series1, Series2]))
+    order = draw(st.integers(min_value=0, max_value=4))
+    pool = draw(coefficient_pools) + [R.zero()]
+    f, g = (
+        _build(kind, {k: draw(st.sampled_from(pool)) for k in _keys(kind, order)}, order)
+        for _ in range(2)
+    )
+    return f, g
+
+
+scalars = st.one_of(st.integers(min_value=-3, max_value=3), ring_elements())
+units = st.builds(
+    lambda c, e: gen("t", e, c), rationals.filter(bool), st.integers(min_value=-2, max_value=2)
+)
+
+
+class TestCoefficientWiseCore:
+    """Series1 and Series2 share one coefficient-wise core: each operation
+    equals the RingElement operation on every coefficient."""
+
+    @given(same_kind_pairs(), scalars, units)
+    def test_against_each_coefficient(self, pair, c, u):
+        f, g = pair
+        kind, n = type(f), f.order
+        keys = _keys(kind, n)
+        # a scalar is the series with c at the constant term (keys[0]) alone
+        c_at = {k: R.zero() for k in keys}
+        c_at[keys[0]] = c if isinstance(c, R) else R.from_rational(c)
+
+        def each(fn):
+            return _build(kind, {k: fn(k) for k in keys}, n)
+
+        def square(a):  # sends 0 to 0, as map_coefficients requires
+            return a * a - a * 3
+
+        assert f + g == each(lambda k: f[k] + g[k])
+        assert f - g == each(lambda k: f[k] - g[k])
+        assert f + c == each(lambda k: f[k] + c_at[k])
+        assert f - c == each(lambda k: f[k] - c_at[k])
+        assert c - f == each(lambda k: c_at[k] - f[k])
+        assert -f == each(lambda k: -f[k])
+        assert f * c == each(lambda k: f[k] * c)
+        assert f / u == each(lambda k: f[k] * u.inverse())
+        assert f.map_coefficients(square) == each(lambda k: square(f[k]))
+
+    @given(same_kind_pairs())
+    def test_equal_series_hash_equally(self, pair):
+        f, g = pair
+        again = (f + g) - g
+        assert again == f and hash(again) == hash(f)
+        assert f - f == type(f).zeros(f.order) and (f - f).is_zero()
+
+    @given(ring_elements(), st.integers(min_value=0, max_value=4))
+    def test_kinds_never_equal(self, c, n):
+        for a, b in [
+            (Series1.zeros(n), Series2.zeros(n)),
+            (Series1.constant(c, n), Series2.constant(c, n)),
+        ]:
+            assert a != b and b != a
+            assert not a == b and not b == a
+
+    @pytest.mark.parametrize("kind", [Series1, Series2])
+    def test_mismatched_orders_raise(self, kind):
+        f, g = kind.constant(1, 3), kind.constant(1, 4)
+        for op in (lambda: f + g, lambda: f - g, lambda: g - f, lambda: f * g, lambda: f / g):
+            with pytest.raises(ValueError):
+                op()
 
 
 class TestCompose:

@@ -25,6 +25,8 @@ from genusforge.fgl import (
 )
 from genusforge.ring import (
     RingElement,
+    _pack,
+    _unpack,
     bernoulli,
     euler_gamma,
     zeta_numeric,
@@ -331,24 +333,28 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
         return RingElement.from_rational(M.chern[()])
     if g.H.order < d:
         raise InsufficientOrderError(f"series order {g.H.order} < dim = {d}")
-    rows, den = _chern_rows(g.H.truncate(d))
+    rows, den, emax = _chern_rows(g.H.truncate(d))
     cden = math.lcm(*(v.denominator for v in M.chern.values()))
     chern = {lam: v.numerator * (cden // v.denominator) for lam, v in M.chern.items()}
-    total: "dict[tuple, int]" = {}
+    total: "dict[int, int]" = {}
     for lam, rest, num in rows:
         total[rest] = total.get(rest, 0) + num * chern[lam]
-    return RingElement._make({m: c for m, c in total.items() if c}, den * cden)
+    return RingElement._make({m: c for m, c in total.items() if c}, den * cden, emax)
 
 
 @lru_cache(maxsize=64)
-def _chern_rows(H: Series1) -> "tuple[tuple[tuple[tuple[int, ...], tuple, int], ...], int]":
+def _chern_rows(H: Series1) -> "tuple[tuple[tuple[tuple[int, ...], int, int], ...], int, int]":
     """The top Hirzebruch polynomial K_d of H, d = H.order >= 1, compiled for
-    pairing: one (partition, other factors, numerator) row per term, and K_d's
-    common denominator.  Memoised by the value of H, so a series of any name
-    or order shares its rows with every equal truncation; the 64 most recent
-    are kept."""
+    pairing: one (partition, packed other factors, numerator) row per term,
+    K_d's common denominator and its exponent bound.  Memoised by the value
+    of H, so a series of any name or order shares its rows with every equal
+    truncation; the 64 most recent are kept."""
     K = multiplicative_sequence(H, H.order)[-1].poly
-    return tuple((*_split_chern(m), c) for m, c in K._terms.items()), K._den
+    rows = []
+    for m, c in K._terms.items():
+        lam, rest = _split_chern(_unpack(m))
+        rows.append((lam, _pack(rest), c))
+    return tuple(rows), K._den, K._emax
 
 
 def genus_table(

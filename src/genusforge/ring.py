@@ -9,6 +9,15 @@ generators ``e1, e2, ...``.  Arithmetic runs on integer numerators over one
 common denominator; ``terms()`` and ``coefficient()`` return exact
 ``fractions.Fraction`` values, monomials ordered graded-lexicographically.
 
+Each monomial is stored as one int, ``sum(e_k * 2**(24*k))`` with signed
+digits ``e_k``: slot ``k`` belongs to the k-th generator ever packed.  A product
+of monomials is then one integer addition, the unit monomial is ``0`` and an
+inverse is ``-key``.  The packing is injective while every ``|e_k| < 2**23``;
+each element carries a bound on its largest ``|exponent|``, and an input or a
+product that could leave that range raises ``ValueError`` instead of wrapping.
+One bounded cache decodes a key to its sorted (name, exponent) tuple, the form
+in which monomials enter and leave the ring.
+
 ``RingElement.dot`` sums products of pairs into one numerator dict and reduces
 once; a product is its one-pair case, and every sum of products in the series
 and law layers goes through it.
@@ -45,8 +54,15 @@ Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "RingElement"]
 
 # A monomial is a tuple of (generator name, nonzero exponent) pairs sorted by
-# name; the empty tuple is the unit monomial.
+# name; the empty tuple is the unit monomial.  This is the form the API takes
+# and returns; inside an element each monomial is a packed int key (_pack).
 Monomial = "tuple[tuple[str, int], ...]"
+
+# Packed keys: digit k of a key, _W bits wide and signed, is the exponent of
+# the generator in slot k.  Digits stay apart while every |exponent| < _LIMIT.
+_W = 24
+_LIMIT = 1 << (_W - 1)
+_MASK = (1 << _W) - 1
 
 
 class UnboundGeneratorError(KeyError):
@@ -123,20 +139,47 @@ def generator_info(name: str) -> Generator:
     raise KeyError(f"unknown generator {name!r}")
 
 
-@lru_cache(maxsize=1 << 18)
-def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for name, e in b:
-        r = exps.get(name, 0) + e
-        if r:
-            exps[name] = r
-        else:
-            del exps[name]
-    return tuple(sorted(exps.items()))
+_NAMES: "list[str]" = []  # slot -> generator name, append-only
+_SLOTS: "dict[str, int]" = {}  # generator name -> slot
+_SLOT_LOCK = threading.Lock()
+
+
+def _slot(name: str) -> int:
+    """The slot of a generator, assigned once, on its first use."""
+    k = _SLOTS.get(name)
+    if k is None:
+        with _SLOT_LOCK:
+            k = _SLOTS.get(name)
+            if k is None:
+                k = len(_NAMES)
+                _NAMES.append(name)  # before _SLOTS, so a reader finds the name
+                _SLOTS[name] = k
+    return k
+
+
+def _pack(m: "Iterable[tuple[str, int]]") -> int:
+    """The key of the (name, exponent) pairs of a monomial whose exponents
+    passed _check_exponents, in any order."""
+    return sum(e << (_W * _slot(name)) for name, e in m)
+
+
+@lru_cache(maxsize=1 << 16)
+def _unpack(key: int) -> Monomial:
+    """The sorted (name, exponent) tuple of a packed key."""
+    out = []
+    k = 0
+    while key:
+        # Step over the zero digits below the lowest set bit at once.
+        skip = ((key & -key).bit_length() - 1) // _W
+        key >>= _W * skip
+        k += skip
+        e = key & _MASK
+        if e >= _LIMIT:
+            e -= 1 << _W
+        out.append((_NAMES[k], e))
+        key = (key - e) >> _W
+        k += 1
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -150,40 +193,56 @@ def _monomial_key(m: Monomial):
     return (_monomial_weight(m), m)
 
 
-def _check_exponents(m: Monomial, error: type = ValueError) -> None:
+def _check_exponents(m: Monomial, error: type = ValueError) -> int:
+    """Check that m is a monomial the ring can hold; return its largest
+    |exponent|."""
+    top = 0
     for name, e in m:
         laurent = generator_info(name).laurent  # unknown names raise KeyError
         if e < 0 and not laurent:
             raise error(f"generator {name!r} does not admit negative exponents")
+        top = max(top, abs(e))
+    if top >= _LIMIT:
+        raise ValueError(f"exponent {top} out of range: |exponent| must be < {_LIMIT}")
+    return top
 
 
 class RingElement:
     """An exact element of the coefficient ring, immutable and hashable.
 
-    Stored as integer numerators over one positive common denominator, in
-    canonical form: no zero numerator, ``gcd(_den, *numerators) == 1``, and
-    zero has ``_den == 1``.  Equal elements therefore have equal storage.
+    Stored as integer numerators, keyed by packed monomial, over one positive
+    common denominator, in canonical form: no zero numerator,
+    ``gcd(_den, *numerators) == 1``, and zero has ``_den == 1``.  Equal
+    elements therefore have equal storage.  ``_emax`` bounds the largest
+    |exponent| of any stored monomial; it is not part of the value.
     """
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_terms", "_den", "_emax")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Rational]] = None):
-        clean: "dict[Monomial, Fraction]" = {}
+        clean: "dict[int, Fraction]" = {}
+        emax = 0
         for m, c in (terms or {}).items():
             c = Fraction(c)
             if not c:
                 continue
-            m = tuple(sorted((n, int(e)) for n, e in m if e))
-            _check_exponents(m)
-            clean[m] = clean.get(m, Fraction(0)) + c
+            exps: "dict[str, int]" = {}
+            for n, e in m:
+                exps[n] = exps.get(n, 0) + int(e)
+            m = tuple(sorted((n, e) for n, e in exps.items() if e))
+            emax = max(emax, _check_exponents(m))
+            key = _pack(m)
+            clean[key] = clean.get(key, Fraction(0)) + c
         clean = {m: c for m, c in clean.items() if c}
         den = math.lcm(*(c.denominator for c in clean.values()))
         self._terms = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
         self._den = den
+        self._emax = emax
 
     @staticmethod
-    def _make(terms: "dict[Monomial, int]", den: int) -> "RingElement":
-        """The element terms / den, from nonzero numerators and den > 0."""
+    def _make(terms: "dict[int, int]", den: int, emax: int) -> "RingElement":
+        """The element terms / den, from nonzero numerators keyed by packed
+        monomial, den > 0, and a bound emax on every |exponent| in the keys."""
         if not terms:
             return _ZERO
         if den != 1:
@@ -194,6 +253,7 @@ class RingElement:
         out = object.__new__(RingElement)
         out._terms = terms
         out._den = den
+        out._emax = emax
         return out
 
     # -- constructors ------------------------------------------------------
@@ -211,7 +271,7 @@ class RingElement:
         value = Fraction(value)
         if not value:
             return _ZERO
-        return RingElement._make({(): value.numerator}, value.denominator)
+        return RingElement._make({0: value.numerator}, value.denominator, 0)
 
     @staticmethod
     def gen(name: str, exp: int = 1, coeff: Rational = 1) -> "RingElement":
@@ -223,8 +283,8 @@ class RingElement:
         if exp == 0:
             return RingElement.from_rational(coeff)
         m = ((name, exp),)
-        _check_exponents(m)
-        return RingElement._make({m: coeff.numerator}, coeff.denominator)
+        top = _check_exponents(m)
+        return RingElement._make({_pack(m): coeff.numerator}, coeff.denominator, top)
 
     # -- inspection --------------------------------------------------------
 
@@ -232,7 +292,7 @@ class RingElement:
         """Terms in canonical (graded-lexicographic) order."""
         den = self._den
         return sorted(
-            ((m, Fraction(c, den)) for m, c in self._terms.items()),
+            ((_unpack(m), Fraction(c, den)) for m, c in self._terms.items()),
             key=lambda item: _monomial_key(item[0]),
         )
 
@@ -240,21 +300,21 @@ class RingElement:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._den == 1 and self._terms == {(): 1}
+        return self._den == 1 and self._terms == {0: 1}
 
     def as_rational(self) -> Optional[Fraction]:
         """The value as a rational number, or None if any generator appears."""
         if not self._terms:
             return Fraction(0)
-        if len(self._terms) == 1 and () in self._terms:
-            return Fraction(self._terms[()], self._den)
+        if len(self._terms) == 1 and 0 in self._terms:
+            return Fraction(self._terms[0], self._den)
         return None
 
     def generators(self) -> "set[str]":
-        return {name for m in self._terms for name, _ in m}
+        return {name for m in self._terms for name, _ in _unpack(m)}
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return Fraction(self._terms.get(tuple(sorted(m)), 0), self._den)
+        return dict(self.terms()).get(tuple(sorted(m)), Fraction(0))
 
     def weight(self) -> Optional[int]:
         """Common total weight of all monomials, or None if mixed.
@@ -263,14 +323,14 @@ class RingElement:
         """
         if not self._terms:
             return 0
-        weights = {_monomial_weight(m) for m in self._terms}
+        weights = {_monomial_weight(_unpack(m)) for m in self._terms}
         if len(weights) == 1:
             return weights.pop()
         return None
 
     def is_homogeneous(self, w: int) -> bool:
         """True if every monomial has weight w (vacuously true for zero)."""
-        return all(_monomial_weight(m) == w for m in self._terms)
+        return all(_monomial_weight(_unpack(m)) == w for m in self._terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -309,7 +369,8 @@ class RingElement:
                     out[m] = acc
                 else:
                     del out[m]
-        return RingElement._make(out, da * sa)
+        ea, eb = self._emax, other._emax
+        return RingElement._make(out, da * sa, ea if ea > eb else eb)
 
     __add__ = __radd__ = _plus
 
@@ -317,7 +378,7 @@ class RingElement:
         return self._plus(other, -1)
 
     def __neg__(self) -> "RingElement":
-        return RingElement._make({m: -c for m, c in self._terms.items()}, self._den)
+        return RingElement._make({m: -c for m, c in self._terms.items()}, self._den, self._emax)
 
     def __rsub__(self, other: Scalar) -> "RingElement":
         other = RingElement._coerce(other)
@@ -333,16 +394,25 @@ class RingElement:
     def dot(pairs: "Iterable[tuple[RingElement, RingElement]]") -> "RingElement":
         """sum(x * y for x, y in pairs), the one multiply-accumulate kernel.
 
-        Term products go into one {monomial: int} dict over a running common
-        denominator, grown to the lcm only when a pair's does not divide it,
-        with one gcd pass at the end; a sum that reaches zero is dropped at once.
+        Term products go into one {packed monomial: int} dict over a running
+        common denominator, grown to the lcm only when a pair's does not divide
+        it, with one gcd pass at the end; a sum that reaches zero is dropped at
+        once.  A monomial product is the sum of the two keys, made only after
+        the pair's exponent bounds show that no digit can leave its range.
         """
-        out: "dict[Monomial, int]" = {}
-        get, mul, den = out.get, _mul_monomials, 1
+        out: "dict[int, int]" = {}
+        get, den, emax = out.get, 1, 0
         for x, y in pairs:
             a, b = x._terms, y._terms
             if not a or not b:
                 continue
+            e = x._emax + y._emax
+            if e > emax:
+                if e >= _LIMIT:
+                    raise ValueError(
+                        f"exponent bound {e} out of range: |exponent| must be < {_LIMIT}"
+                    )
+                emax = e
             if len(a) > len(b):
                 a, b = b, a
             d = x._den * y._den
@@ -355,13 +425,13 @@ class RingElement:
             for m1, c1 in a.items():
                 c1 *= scale
                 for m2, c2 in b.items():
-                    m = mul(m1, m2)
+                    m = m1 + m2
                     acc = get(m, 0) + c1 * c2
                     if acc:
                         out[m] = acc
                     else:
                         del out[m]
-        return RingElement._make(out, den)
+        return RingElement._make(out, den, emax)
 
     __rmul__ = __mul__
 
@@ -382,10 +452,9 @@ class RingElement:
         if len(self._terms) != 1:
             raise NonUnitError(f"not a monomial unit: {self}")
         (m, c), = self._terms.items()
-        inv = tuple((name, -e) for name, e in m)
-        _check_exponents(inv, NonLaurentInverseError)
+        _check_exponents(_unpack(-m), NonLaurentInverseError)
         # (c / den)^-1 = den / c, already in lowest terms.
-        return RingElement._make({inv: self._den if c > 0 else -self._den}, abs(c))
+        return RingElement._make({-m: self._den if c > 0 else -self._den}, abs(c), self._emax)
 
     def __truediv__(self, other: Scalar) -> "RingElement":
         other = RingElement._coerce(other)
@@ -417,8 +486,9 @@ class RingElement:
         targets = {name: RingElement._coerce(v) for name, v in mapping.items()}
         out = _ZERO
         for m, c in self._terms.items():
-            kept = tuple(pair for pair in m if pair[0] not in targets)
-            term = RingElement._make({kept: c}, self._den)
+            m = _unpack(m)
+            kept = _pack(pair for pair in m if pair[0] not in targets)
+            term = RingElement._make({kept: c}, self._den, self._emax)
             for name, e in m:
                 tgt = targets.get(name)
                 if tgt is None:
@@ -429,11 +499,11 @@ class RingElement:
 
     def conjugate(self) -> "RingElement":
         """The ring involution ipi2 -> -ipi2 (all other generators fixed)."""
-        out: "dict[Monomial, int]" = {}
+        out: "dict[int, int]" = {}
         for m, c in self._terms.items():
-            e = dict(m).get("ipi2", 0)
+            e = dict(_unpack(m)).get("ipi2", 0)
             out[m] = -c if e % 2 else c
-        return RingElement._make(out, self._den)
+        return RingElement._make(out, self._den, self._emax)
 
     def reduce(self) -> "RingElement":
         """Rewrite every even-zeta period to its rational value.
@@ -448,7 +518,7 @@ class RingElement:
         out = _ZERO
         changed = False
         for m, c in self._terms.items():
-            exps = dict(m)
+            exps = dict(_unpack(m))
             a = exps.get("ipi2", 0)
             coeff = Fraction(c, self._den)
             if a < 0:
@@ -469,16 +539,16 @@ class RingElement:
                 exps["ipi2"] = a
             elif "ipi2" in exps:
                 del exps["ipi2"]
-            m = tuple(sorted(exps.items()))
-            out = out + RingElement._make({m: coeff.numerator}, coeff.denominator)
+            m = _pack(exps.items())
+            out = out + RingElement._make({m: coeff.numerator}, coeff.denominator, self._emax)
         return out if changed else self
 
     def truncate_gen(self, name: str, max_exp: int) -> "RingElement":
         """Drop every monomial where `name` appears with exponent > max_exp."""
-        out = {m: c for m, c in self._terms.items() if dict(m).get(name, 0) <= max_exp}
+        out = {m: c for m, c in self._terms.items() if dict(_unpack(m)).get(name, 0) <= max_exp}
         if len(out) == len(self._terms):
             return self
-        return RingElement._make(out, self._den)
+        return RingElement._make(out, self._den, self._emax)
 
     # -- numerics ------------------------------------------------------------
 
@@ -510,7 +580,7 @@ class RingElement:
                 f"no value for generator(s): {', '.join(sorted(missing))}"
             )
         total = 0j
-        for m, c in sorted(self._terms.items()):
+        for m, c in sorted((_unpack(m), c) for m, c in self._terms.items()):
             val = complex(c / self._den)
             for name, e in m:
                 val *= values[name] ** e

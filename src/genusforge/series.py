@@ -61,7 +61,8 @@ class _Series:
     A subclass stores its coefficients by key (degree n, or bidegree (i, j))
     and supplies _ORIGIN, the key of the constant term, _keyed(), its (key,
     coefficient) pairs, a constructor that takes a {key: coefficient} dict
-    and an order, _divide for the series quotient, and to_obj/from_obj.
+    and an order, _with_constant(c), self with constant term c, _divide for
+    the series quotient, and to_obj/from_obj.
     Everything here acts on each coefficient alone, so it is written once
     for both kinds and builds only type(self).
     """
@@ -76,6 +77,14 @@ class _Series:
     @classmethod
     def constant(cls: "type[S]", value: Scalar, order: int) -> S:
         return cls({cls._ORIGIN: value}, order)
+
+    @classmethod
+    def _raw(cls: "type[S]", coeffs, order: int) -> S:
+        """A series from coefficients already in stored form."""
+        out = object.__new__(cls)
+        out.order = order
+        out._coeffs = coeffs
+        return out
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for _, c in self._keyed())
@@ -102,16 +111,14 @@ class _Series:
 
     def _plus(self: S, other, sign: int = 1) -> S:
         """self + sign * other, for sign = 1 or -1 and other a series of the
-        same kind and order or a scalar (which lands on the constant term).
-        Each coefficient goes through RingElement._plus, so a difference
-        builds no negated copy of other."""
-        if isinstance(other, type(self)):
-            self._match(other)
-            pairs = other._keyed()
-        else:
-            pairs = ((self._ORIGIN, _coerce_elem(other)),)
+        same kind and order or a scalar (which changes the constant term
+        alone).  Each coefficient goes through RingElement._plus, so a
+        difference builds no negated copy of other."""
+        if not isinstance(other, type(self)):
+            return self._with_constant(self[self._ORIGIN]._plus(_coerce_elem(other), sign))
+        self._match(other)
         out = dict(self._keyed())
-        for k, c in pairs:
+        for k, c in other._keyed():
             out[k] = out.get(k, _ZERO)._plus(c, sign)
         return type(self)(out, self.order)
 
@@ -180,6 +187,9 @@ class Series1(_Series):
 
     def _keyed(self):
         return enumerate(self._coeffs)
+
+    def _with_constant(self, c: RingElement) -> "Series1":
+        return self._raw((c,) + self._coeffs[1:], self.order)
 
     def items(self) -> "list[tuple[int, RingElement]]":
         """(degree, coefficient) for the nonzero coefficients, as Series2.items."""
@@ -326,6 +336,13 @@ class Series2(_Series):
     def _keyed(self):
         return self._coeffs.items()
 
+    def _with_constant(self, c: RingElement) -> "Series2":
+        out = dict(self._coeffs)
+        out[(0, 0)] = c
+        if c.is_zero():
+            del out[(0, 0)]
+        return self._raw(out, self.order)
+
     def items(self):
         return sorted(self._coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
@@ -348,12 +365,19 @@ class Series2(_Series):
         if not isinstance(other, Series2):
             return self._scaled(other)
         n = self._match(other)
+        # For each d, other's terms of total degree <= d, made once: a term of
+        # self visits only the partners that stay within n, in stored order,
+        # so the result keeps the index order of the all-pairs loop.
+        terms = [(i2 + j2, i2, j2, c2) for (i2, j2), c2 in other._coeffs.items()]
+        within: "dict[int, list]" = {}
         pairs: "dict[tuple[int, int], list]" = {}
         for (i1, j1), c1 in self._coeffs.items():
-            d1 = i1 + j1
-            for (i2, j2), c2 in other._coeffs.items():
-                if d1 + i2 + j2 <= n:
-                    pairs.setdefault((i1 + i2, j1 + j2), []).append((c1, c2))
+            d = n - i1 - j1
+            row = within.get(d)
+            if row is None:
+                row = within[d] = [(i2, j2, c2) for e, i2, j2, c2 in terms if e <= d]
+            for i2, j2, c2 in row:
+                pairs.setdefault((i1 + i2, j1 + j2), []).append((c1, c2))
         return Series2({ij: RingElement.dot(ps) for ij, ps in pairs.items()}, n)
 
     __rmul__ = __mul__

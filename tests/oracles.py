@@ -3,11 +3,12 @@
 Each oracle deliberately avoids the code path it checks: ring arithmetic on
 dicts of Fraction coefficients instead of integer numerators over a common
 denominator, sums of products by adding one canonical product at a time
-instead of one fused accumulator, Bernoulli numbers via Akiyama-Tanigawa instead of the binomial
-recurrence, series reversion by Newton iteration instead of the Lagrange
-formula, group laws from an exponential by Horner composition instead of the
-bilinear form, compositions by Horner loops at the full order instead of
-graded ones, the negation series by a full-order evaluation per degree, products over an alphabet of Chern roots by full root
+instead of one fused accumulator, that accumulator on monomial tuples merged
+name by name instead of packed integer keys, Bernoulli numbers via
+Akiyama-Tanigawa instead of the binomial recurrence, series reversion by
+Newton iteration instead of the Lagrange formula, group laws from an
+exponential by Horner composition instead of the bilinear form, compositions
+by Horner loops at the full order instead of graded ones, the negation series by a full-order evaluation per degree, products over an alphabet of Chern roots by full root
 polynomials truncated by root degree instead of a graded series,
 multiplicative sequences from that root product instead of power sums,
 symmetric functions by substituting root polynomials for their basis
@@ -136,6 +137,36 @@ def pairwise_dot(pairs) -> RingElement:
         if not x.is_zero() and not y.is_zero():
             acc = acc + x * y
     return acc
+
+
+def tuple_dot(pairs) -> RingElement:
+    """sum(x * y for x, y in pairs) by RingElement.dot's fused accumulation of
+    integer numerators over a running common denominator, with monomials kept
+    as sorted (name, exponent) tuples and multiplied name by name."""
+    out: "dict" = {}
+    den = 1
+    for x, y in pairs:
+        if x.is_zero() or y.is_zero():
+            continue
+        a, b = dict(x.terms()), dict(y.terms())
+        dx, dy = (math.lcm(*(c.denominator for c in t.values())) for t in (a, b))
+        a = {m: int(c * dx) for m, c in a.items()}
+        b = {m: int(c * dy) for m, c in b.items()}
+        d = dx * dy
+        if den % d:
+            s = d // math.gcd(den, d)
+            out = {m: c * s for m, c in out.items()}
+            den *= s
+        scale = den // d
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = FractionRing._mono_mul(m1, m2)
+                acc = out.get(m, 0) + c1 * c2 * scale
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
+    return RingElement({m: Fraction(c, den) for m, c in out.items()})
 
 
 def _accumulate(out: dict, key, prod: RingElement) -> None:

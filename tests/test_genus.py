@@ -34,7 +34,7 @@ from genusforge.genus import (
     universal_gamma,
     zeta_map_report,
 )
-from genusforge.ring import RingElement, zeta_tilde_even
+from genusforge.ring import RingElement, _unpack, zeta_tilde_even
 from genusforge.series import Series1
 from genusforge.symfun import multiplicative_sequence
 from oracles import (
@@ -185,9 +185,9 @@ class TestHirzebruchMemo:
         g = genus_series(name, 6)
         for d in range(1, 7):
             H = g.H.truncate(d)
-            rows, den = genus._chern_rows(H)
+            rows, den, _ = genus._chern_rows(H)
             terms = {
-                rest + tuple(Counter(f"c{k}" for k in lam).items()): Fraction(num, den)
+                _unpack(rest) + tuple(Counter(f"c{k}" for k in lam).items()): Fraction(num, den)
                 for lam, rest, num in rows
             }
             assert len(terms) == len(rows)

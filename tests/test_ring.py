@@ -16,11 +16,12 @@ from genusforge.ring import (
     zeta_numeric,
     zeta_tilde_even,
 )
+from genusforge.ring import _unpack
 from genusforge.series import Series1
 
 from conftest import rationals, ring_elements
 from oracles import FractionRing as F
-from oracles import bernoulli_akiyama_tanigawa, pairwise_dot
+from oracles import bernoulli_akiyama_tanigawa, pairwise_dot, tuple_dot
 
 R = RingElement
 
@@ -263,7 +264,7 @@ class TestCanonicalForm:
         x = gen("gamma", 1, Fraction(1, 6)) + gen("zeta2", 1, Fraction(1, 3))
         assert x._den == 6 and sorted(x._terms.values()) == [1, 2]
         y = x - gen("gamma", 1, Fraction(1, 6))
-        assert y._den == 3 and y._terms == {(("zeta2", 1),): 1}
+        assert y._den == 3 and decoded(y) == {(("zeta2", 1),): 1}
 
 
 @st.composite
@@ -276,10 +277,15 @@ def product_sums(draw):
     return draw(st.permutations(pairs))
 
 
+def decoded(x):
+    """The stored numerators keyed by monomial tuple, not by packed key."""
+    return {_unpack(m): c for m, c in x._terms.items()}
+
+
 def storage(x):
     """The canonical form: (monomial, numerator) pairs in sorted order, and the
     denominator.  The order of the stored dict carries no meaning."""
-    return sorted(x._terms.items()), x._den
+    return sorted(decoded(x).items()), x._den
 
 
 class TestDotKernel:
@@ -339,6 +345,175 @@ class TestDotKernel:
         pairs = [(R.one(), gen("gamma") + gen("zeta2")), (one_plus_t, y)]
         got = R.dot(pairs)
         assert storage(got) == storage(pairwise_dot(pairs))
+
+
+_LAURENT = ("ipi2", "t", "u")
+_MANY = tuple(f"e{k}" for k in range(1, 41)) + tuple(f"zeta{k}" for k in range(2, 31))
+_TOP = 2**23 - 1  # the largest |exponent| a packed monomial holds
+
+
+@st.composite
+def laurent_elements(draw):
+    """Up to 4 terms in the Laurent generators, exponents in [-40, 40]."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        names = draw(st.sets(st.sampled_from(_LAURENT), max_size=3))
+        terms[tuple((n, draw(st.integers(min_value=-40, max_value=40))) for n in names)] = draw(
+            rationals
+        )
+    return R(terms)
+
+
+@st.composite
+def many_generator_elements(draw):
+    """Up to 4 terms over e1..e40 and zeta2..zeta30, so keys span many slots."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        names = draw(st.sets(st.sampled_from(_MANY), max_size=4))
+        terms[tuple((n, draw(st.integers(min_value=1, max_value=6))) for n in names)] = draw(
+            rationals
+        )
+    return R(terms)
+
+
+packed_elements = st.one_of(laurent_elements(), many_generator_elements(), ring_elements())
+
+
+@st.composite
+def laurent_units(draw):
+    """A nonzero rational times ipi2^a t^b u^c, |a|, |b|, |c| <= 1000."""
+    exps = st.integers(min_value=-1000, max_value=1000)
+    return R({tuple((n, draw(exps)) for n in _LAURENT): draw(rationals.filter(bool))})
+
+
+class TestPackedMonomials:
+    """Monomials stored as packed integer keys, against the Fraction ring and
+    the dot accumulation on monomial tuples."""
+
+    @given(st.lists(st.tuples(packed_elements, packed_elements), max_size=4))
+    def test_dot_against_both_references(self, pairs):
+        expected = {}
+        for x, y in pairs:
+            expected = F.add(expected, F.mul(F.of(x), F.of(y)))
+        got = R.dot(pairs)
+        assert F.of(got) == expected
+        assert storage(got) == storage(tuple_dot(pairs))
+        assert_canonical(got)
+
+    @given(packed_elements)
+    def test_decoded_views_agree(self, x):
+        terms = x.terms()
+        assert R(dict(terms)) == x and R.from_json(x.to_json()) == x
+        assert x.generators() == {name for m, _ in terms for name, _ in m}
+        assert all(x.coefficient(tuple(reversed(m))) == c for m, c in terms)
+        assert sorted(m for m, _ in terms) == sorted(decoded(x))
+
+    @given(laurent_units(), packed_elements)
+    def test_products_that_cancel_to_the_unit_monomial(self, u, x):
+        inv = u.inverse()
+        assert F.of(inv) == F.inverse(F.of(u))
+        assert (u * inv).is_one() and (u * inv)._terms == {0: 1}
+        assert storage(R.dot([(u, inv), (x, R.one())])) == storage(1 + x)
+        assert (x * u) * inv == x and inv.inverse() == u
+
+    def test_exponents_out_of_range_raise(self):
+        for make in (
+            lambda: gen("t", 2**23),
+            lambda: gen("t", -(2**23)),
+            lambda: gen("t", 2**22) ** 2,
+            lambda: gen("t", 2**22) * gen("t", 2**22),
+            lambda: gen("t", -(2**22)) * gen("ipi2") * gen("t", -(2**22)),
+            lambda: R({(("t", 2**23),): 1}),
+            lambda: R({(("t", 2**22), ("t", 2**22)): 1}),
+            lambda: R.from_obj({"terms": [{"num": "1", "den": "1", "exps": {"t": 2**23}}]}),
+        ):
+            with pytest.raises(ValueError):
+                make()
+
+    def test_exponents_at_the_edge_of_the_range(self):
+        x = gen("t", _TOP)
+        assert x.terms() == [((("t", _TOP),), 1)]
+        assert x.inverse().terms() == [((("t", -_TOP),), 1)]
+        assert gen("t", 2**22) * gen("t", 2**22 - 1) == x
+        y = R({(("t", -_TOP), ("u", _TOP), ("ipi2", -_TOP)): 3})
+        assert y.terms() == [((("ipi2", -_TOP), ("t", -_TOP), ("u", _TOP)), 3)]
+        inverse = [((("ipi2", _TOP), ("t", _TOP), ("u", -_TOP)), Fraction(1, 3))]
+        assert y.inverse().terms() == inverse
+        one = gen("t", 2**22 - 1) * gen("t", 1 - 2**22)
+        assert one == 1 and hash(one) == hash(1) and one._terms == {0: 1}
+        # The check adds the factors' bounds, so it refuses a product that
+        # would cancel: it never looks at the exponents themselves.
+        with pytest.raises(ValueError):
+            x * x.inverse()
+
+    def test_coefficient_of_a_generator_never_seen_is_zero(self):
+        from genusforge import ring
+
+        x = gen("gamma") + 1
+        assert x.coefficient((("x987654", 1),)) == 0 and "x987654" not in ring._SLOTS
+        assert x.coefficient((("nosuch", 1),)) == 0
+        assert x.coefficient((("gamma", 1), ("t", 0))) == 0
+        assert x.coefficient((("gamma", 1), ("gamma", 0))) == 0
+        assert x.coefficient((("t", 2**23),)) == 0
+        assert x.coefficient((("gamma", 1),)) == 1 and x.coefficient(()) == 1
+
+
+def _run_script(script):
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_slots_registered_by_concurrent_threads():
+    """Eight threads packing e1..e64 at once, each in its own order, give every
+    generator one slot and agree on every result."""
+    script = (
+        "import random\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from genusforge import ring\n"
+        "R = ring.RingElement\n"
+        "def work(seed):\n"
+        "    ks = list(range(1, 65))\n"
+        "    random.Random(seed).shuffle(ks)\n"
+        "    x, s = R.one(), R.zero()\n"
+        "    for k in ks:\n"
+        "        x = x * R.gen(f'e{k}', k)\n"
+        "        s = s + R.gen(f'e{k}', 1, k)\n"
+        "    return x, s\n"
+        "with ThreadPoolExecutor(8) as pool:\n"
+        "    results = list(pool.map(work, range(8)))\n"
+        "assert all(r == results[0] for r in results)\n"
+        "assert sorted(ring._SLOTS.values()) == list(range(len(ring._NAMES)))\n"
+        "assert all(ring._NAMES[k] == name for name, k in ring._SLOTS.items())\n"
+        "x, s = results[0]\n"
+        "assert x.terms() == [(tuple(sorted((f'e{k}', k) for k in range(1, 65))), 1)]\n"
+        "assert s.terms() == [(((f'e{k}', 1),), k) for k in range(1, 65)]\n"
+        "print(len(ring._NAMES))\n"
+    )
+    assert int(_run_script(script)) >= 64
+
+
+def test_output_does_not_depend_on_slot_order():
+    """The same computation prints the same bytes whichever order the
+    generators were first packed in."""
+    names = ["gamma", "zeta2", "zeta3", "ipi2", "t", "e1", "e2"]
+    outputs = []
+    for order in (names, names[::-1]):
+        script = (
+            "from genusforge.ring import RingElement as R\n"
+            f"for name in {order!r}:\n"
+            "    R.gen(name)\n"
+            "x = R.gen('gamma') + R.gen('ipi2', -1) * R.gen('zeta2')\n"
+            "x = x + R.gen('e2') - R.gen('t', -2)\n"
+            "y = (x * x + R.gen('e1') * R.gen('zeta3')) ** 2\n"
+            f"print(y.to_json(), y, y.generators() == {set(names)!r})\n"
+            "print(y.evaluate({'t': 0.5, 'e1': 2, 'e2': 3}), y.weight(), y.conjugate().reduce())\n"
+        )
+        outputs.append(_run_script(script))
+    assert outputs[0] == outputs[1] and "True" in outputs[0]
 
 
 class TestHashAcrossRoutes:
@@ -482,7 +657,7 @@ class TestEvaluate:
 
     @given(st.lists(wide_elements(), min_size=1, max_size=4), bound_values, st.floats(-0.9, 0.9))
     def test_stored_term_order_does_not_reach_the_value(self, elements, overrides, z0):
-        reordered = [R._make(dict(reversed(x._terms.items())), x._den) for x in elements]
+        reordered = [R._make(dict(reversed(x._terms.items())), x._den, x._emax) for x in elements]
         for x, y in zip(elements, reordered):
             assert x == y and hash(x) == hash(y)
             assert x.evaluate(overrides) == y.evaluate(overrides)

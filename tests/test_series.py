@@ -81,6 +81,15 @@ def ring_series2(draw, order=3):
     return Series2({ij: draw(st.sampled_from(pool)) for ij in ijs}, order)
 
 
+@st.composite
+def sparse_series2(draw, order=6):
+    """Some of the indices up to total degree order, stored in a drawn order."""
+    pool = draw(coefficient_pools)
+    ijs = draw(st.permutations([(i, j) for i in range(order + 1) for j in range(order + 1 - i)]))
+    kept = ijs[: draw(st.integers(min_value=0, max_value=len(ijs)))]
+    return Series2({ij: draw(st.sampled_from(pool)) for ij in kept}, order)
+
+
 def storage(f):
     """Every coefficient's canonical form (its sorted monomial and numerator
     pairs and its denominator), and for a Series2 the order of its stored
@@ -99,6 +108,10 @@ class TestAgainstPairwiseAccumulation:
 
     @given(ring_series2(), ring_series2())
     def test_series2_mul(self, a, b):
+        assert storage(a * b) == storage(pairwise_series2_mul(a, b))
+
+    @given(sparse_series2(), sparse_series2())
+    def test_series2_mul_of_sparse_operands_in_any_stored_order(self, a, b):
         assert storage(a * b) == storage(pairwise_series2_mul(a, b))
 
     @given(ring_series2(), ring_series(constant=0), ring_series(constant=0))
@@ -279,6 +292,8 @@ class TestCoefficientWiseCore:
         assert f + c == each(lambda k: f[k] + c_at[k])
         assert f - c == each(lambda k: f[k] - c_at[k])
         assert c - f == each(lambda k: c_at[k] - f[k])
+        # a scalar that cancels the constant term leaves no zero stored
+        assert f - f[keys[0]] == each(lambda k: R.zero() if k == keys[0] else f[k])
         assert -f == each(lambda k: -f[k])
         assert f * c == each(lambda k: f[k] * c)
         assert f / u == each(lambda k: f[k] * u.inverse())

@@ -156,15 +156,17 @@ def gamma_exponential(order: int, normalized: bool = False) -> Series1:
     """The reciprocal-Gamma exponential z*exp(gamma*z - sum zeta(k)(-z)^k / k).
 
     With normalized=True the variable is rescaled by the inverse period
-    (z = x / ipi2) and even zeta values are reduced to rationals.
+    (z = x / ipi2) and even zeta values are reduced to rationals.  Both act on
+    the argument of exp, term by term: each coefficient of x^k there is one
+    weight-k monomial times ipi2^(-k), of weight 0, and on those reduce is a
+    ring map, so reducing the argument reduces every expanded coefficient.
     """
     arg = [_ZERO, RingElement.gen("gamma")]
     for k in range(2, order):
         arg.append(RingElement.gen(f"zeta{k}", coeff=Fraction((-1) ** (k + 1), k)))
-    coeffs = [_ZERO, *exp_series(Series1(arg, order - 1)).coefficients()]
     if normalized:
-        coeffs = [(c * RingElement.gen("ipi2", 1 - k)).reduce() for k, c in enumerate(coeffs)]
-    return Series1(coeffs, order)
+        arg = [(c * RingElement.gen("ipi2", -k)).reduce() for k, c in enumerate(arg)]
+    return Series1([_ZERO, *exp_series(Series1(arg, order - 1)).coefficients()], order)
 
 
 def gaussian_bracket(n: int) -> RingElement:

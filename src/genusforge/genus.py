@@ -2,12 +2,15 @@
 the reciprocal-Gamma genus in both presentations, the quaternionic agreement
 with the A-hat genus, the Witten q-deformation, and the universal lift over
 the elementary symmetric generators.
+
+A genus series is its characteristic series H and a name: the exponential
+z / H is derived from H, and a lower-order view is the truncation of H.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -84,49 +87,42 @@ class IncompleteChernTableError(ValueError):
 
 @dataclass(frozen=True)
 class GenusSeries:
-    """A multiplicative characteristic series H with its exponential.
+    """A multiplicative characteristic series H, with H(0) = 1, and its name.
 
-    Invariant: H(z) * exp(z) == z to the common order (checked on build).
+    H fixes the genus; its exponential is z / H, derived on each read, and a
+    lower-order view is the truncation of H.
     """
 
     H: Series1
-    exp: Series1
     name: str
-    presentation: str = "raw"
 
     def __post_init__(self):
-        n = self.H.order
         if not self.H[0].is_one():
             raise ValueError("characteristic series must start at 1")
-        if (self.H * self.exp.truncate(n)) != Series1.x(n):
-            raise ValueError(f"H * exp != z for genus series {self.name!r}")
 
     @property
     def order(self) -> int:
         return self.H.order
 
+    @property
+    def exp(self) -> Series1:
+        """The exponential z / H, to the order of H."""
+        return Series1.x(self.order) / self.H
+
     def truncate(self, order: int) -> "GenusSeries":
         if order >= self.order:
             return self
-        return GenusSeries(
-            H=self.H.truncate(order),
-            exp=self.exp.truncate(order),
-            name=self.name,
-            presentation=self.presentation,
-        )
+        return replace(self, H=self.H.truncate(order))
 
 
-def _series_from_exponential(
-    exp_full: Series1, order: int, name: str, presentation: str = "raw"
-) -> GenusSeries:
+def _series_from_exponential(exp_full: Series1, order: int, name: str) -> GenusSeries:
     """Build H = z / exp from an exponential known to order `order + 1`."""
     if exp_full.order < order + 1:
         raise InsufficientOrderError(
             f"need exponential to order {order + 1}, have {exp_full.order}"
         )
     shifted = Series1(exp_full.coefficients()[1:], order)
-    H = Series1.constant(1, order) / shifted
-    return GenusSeries(H=H, exp=exp_full.truncate(order), name=name, presentation=presentation)
+    return GenusSeries(H=Series1.constant(1, order) / shifted, name=name)
 
 
 GENUS_SERIES = ("todd", "ahat") + CATALOG
@@ -151,7 +147,8 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
     given, selects the gamma series ('raw' or 'normalized'); for every other
     name it must be that series' own ('normalized' for gamma_normalized,
     'raw' for the rest).  Each series is built once per process, as the law
-    catalog is (series.build_once), and a lower order is its truncation.
+    catalog is (series.build_once), and a lower order is the truncation of
+    its H.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -163,10 +160,10 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
     pres = "normalized" if name.endswith("normalized") else "raw"
     if presentation not in (None, pres):
         raise ValueError(f"genus series {name!r} has no {presentation!r} presentation")
-    return build_once(_SERIES, name, order, lambda n: _build_series(name, n, pres))
+    return build_once(_SERIES, name, order, lambda n: _build_series(name, n))
 
 
-def _build_series(name: str, order: int, pres: str) -> GenusSeries:
+def _build_series(name: str, order: int) -> GenusSeries:
     if name == "todd":
         exp_full = Series1(
             [Fraction((-1) ** (k + 1), math.factorial(k)) if k else 0 for k in range(order + 2)],
@@ -178,7 +175,7 @@ def _build_series(name: str, order: int, pres: str) -> GenusSeries:
         exp_full = EXPONENTIALS[name](order + 1)
     else:
         exp_full = exponential(catalog(name, max(order + 1, 2)))
-    return _series_from_exponential(exp_full, order, name, pres)
+    return _series_from_exponential(exp_full, order, name)
 
 
 def gamma_series(order: int, presentation: str = "raw") -> GenusSeries:
@@ -221,7 +218,7 @@ def genus_cpn(g: GenusSeries, n: int) -> RingElement:
 
 def mishchenko_check(g: GenusSeries) -> CheckResult:
     """log(v) == sum_{n>=1} genus(CP^{n-1}) v^n / n, coefficientwise."""
-    log = g.exp.truncate(g.order).revert()
+    log = g.exp.revert()
     return first_defect(
         (n, log[n] - genus_cpn(g, n - 1) * Fraction(1, n)) for n in range(1, g.order + 1)
     )
@@ -502,10 +499,6 @@ def _sigma(j: int, n: int) -> int:
     return sum(d**j for d in range(1, n + 1) if n % d == 0)
 
 
-def _qtrunc(f: RingElement, q_order: int) -> RingElement:
-    return f.truncate_gen("q", q_order)
-
-
 @dataclass(frozen=True)
 class WittenSeries:
     """The q-deformed A-hat series, with its logarithm from the divisor sums.
@@ -614,7 +607,7 @@ def witten_series(x_order: int, q_order: int) -> WittenSeries:
     H = half_sinh_ratio(x_order)
     for n in range(1, q_order + 1):
         H = (H * _pair_factor(n, x_order, q_order)).map_coefficients(
-            lambda c: _qtrunc(c, q_order)
+            lambda c: c.truncate_gen("q", q_order)
         )
 
     log_H = log_series(half_sinh_ratio(x_order))
@@ -644,12 +637,12 @@ def _exp_mixed(L: Series1, q_order: int) -> Series1:
     exp_series over the q-degree parts of the q-only constant term L_0.
     """
     n, L0 = L.order, L[0]
-    parts = [_qtrunc(L0, i) - _qtrunc(L0, i - 1) for i in range(q_order + 1)]
+    parts = [L0.truncate_gen("q", i) - L0.truncate_gen("q", i - 1) for i in range(q_order + 1)]
     kL = [k * L[k] for k in range(n + 1)]
     out = [sum(exp_series(Series1(parts, q_order)).coefficients(), _ZERO)]
     for m in range(1, n + 1):
         acc = RingElement.dot((kL[k], out[m - k]) for k in range(1, m + 1))
-        out.append(_qtrunc(acc, q_order) * Fraction(1, m))
+        out.append(acc.truncate_gen("q", q_order) * Fraction(1, m))
     return Series1(out, n)
 
 
@@ -741,7 +734,7 @@ def conjugation_equivariance_check(n_max: int) -> CheckResult:
     conj_exp = Series1(
         [exp_full[k] * Fraction((-1) ** (k + 1)) for k in range(n_max + 2)], n_max + 1
     )
-    g_conj = _series_from_exponential(conj_exp, n_max, "gamma_conjugate", "normalized")
+    g_conj = _series_from_exponential(conj_exp, n_max, "gamma_conjugate")
     return first_defect(
         (n, genus_cpn(g, n).conjugate().reduce() - genus_cpn(g_conj, n).reduce())
         for n in range(1, n_max + 1)

@@ -209,19 +209,6 @@ class Series1(_Series):
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Series1":
-        if k < 0:
-            raise ValueError("negative series powers are not supported")
-        result = Series1.constant(1, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def _divide(self, other: "Series1") -> "Series1":
         n = self._match(other)
         try:
@@ -485,9 +472,10 @@ def exp_series(f: Series1) -> "Series1":
     if not f[0].is_zero():
         raise BadConstantTermError("exp needs f(0) = 0")
     n = f.order
+    kf = [k * f[k] for k in range(n + 1)]
     out = [_ONE] + [_ZERO] * n
     for m in range(1, n + 1):
-        out[m] = RingElement.dot((k * f[k], out[m - k]) for k in range(1, m + 1)) * Fraction(1, m)
+        out[m] = RingElement.dot((kf[k], out[m - k]) for k in range(1, m + 1)) * Fraction(1, m)
     return Series1(out, n)
 
 

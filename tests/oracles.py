@@ -6,9 +6,10 @@ denominator, sums of products by adding one canonical product at a time
 instead of one fused accumulator, that accumulator on monomial tuples merged
 name by name instead of packed integer keys, Bernoulli numbers via
 Akiyama-Tanigawa instead of the binomial recurrence, series reversion by
-Newton iteration instead of the Lagrange formula, group laws from an
-exponential by Horner composition instead of the bilinear form, compositions
-by Horner loops at the full order instead of graded ones, the negation series by a full-order evaluation per degree, products over an alphabet of Chern roots by full root
+Newton iteration instead of the Lagrange formula, the normalized Gamma
+exponential by reducing every expanded coefficient instead of the argument
+of exp, group laws from an exponential by Horner composition instead of
+the bilinear form, compositions by Horner loops at the full order instead of graded ones, the negation series by a full-order evaluation per degree, products over an alphabet of Chern roots by full root
 polynomials truncated by root degree instead of a graded series,
 multiplicative sequences from that root product instead of power sums,
 symmetric functions by substituting root polynomials for their basis
@@ -309,6 +310,18 @@ def newton_revert(f: Series1) -> Series1:
         dg = horner_compose(Series1(deriv.truncate(prec - 1).coefficients(), prec), g)
         g = g - err / dg
     return Series1(g.coefficients(), n)
+
+
+def expanded_normalized_gamma_exponential(order: int) -> Series1:
+    """The normalized reciprocal-Gamma exponential: the raw one expanded
+    first, then each z^k coefficient rescaled by ipi2^(1-k) and reduced."""
+    arg = [RingElement.zero(), RingElement.gen("gamma")]
+    for k in range(2, order):
+        arg.append(RingElement.gen(f"zeta{k}", coeff=Fraction((-1) ** (k + 1), k)))
+    coeffs = [RingElement.zero(), *exp_series(Series1(arg, order - 1)).coefficients()]
+    return Series1(
+        [(c * RingElement.gen("ipi2", 1 - k)).reduce() for k, c in enumerate(coeffs)], order
+    )
 
 
 def horner_bivariate_from_exp(exp: Series1) -> Series2:

@@ -26,7 +26,12 @@ from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2, bivariate_from_exp, exp_series, log_series
 
 from conftest import rationals, ring_elements
-from oracles import full_order_negation_series, pairwise_check_axioms, pairwise_eval_at
+from oracles import (
+    expanded_normalized_gamma_exponential,
+    full_order_negation_series,
+    pairwise_check_axioms,
+    pairwise_eval_at,
+)
 
 R = RingElement
 gen = R.gen
@@ -451,6 +456,11 @@ class TestExponentialTable:
         law = catalog(name, 8)
         assert law.exp == fgl.EXPONENTIALS[name](8)
         assert law.F == bivariate_from_exp(law.exp)
+
+    @pytest.mark.parametrize("order", range(2, 21))
+    def test_normalized_gamma_reduces_the_argument_as_the_expansion(self, order):
+        got = fgl.gamma_exponential(order, normalized=True)
+        assert got.to_json() == expanded_normalized_gamma_exponential(order).to_json()
 
     def test_sinh_exponential(self):
         x = Series1.x(9)

@@ -8,7 +8,9 @@ checks pass, 1 a check failed, 2 usage error.  A usage error, argparse's
 included, is one `error: <message>` line on stderr and nothing on stdout:
 handlers raise ValueError, LookupError or ArithmeticError, and main alone
 turns them into exit 2.  --presentation selects the presentation of `gamma`
-only.  GENUSFORGE_ORDER overrides the default truncation order.
+only.  GENUSFORGE_ORDER overrides the default truncation order.  A request is
+parsed once, by its command's own parser; the full parser only reports an
+incomplete command path or prints the top-level help.
 """
 
 from __future__ import annotations
@@ -211,22 +213,29 @@ def _verify(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser.  Its `leaves` maps each command path, such as
+    ("genus", "chern"), to the parser the full one hands the rest of argv."""
     parser = _Parser(
         prog="genusforge",
         description="Exact computer algebra for formal group laws and Hirzebruch genera.",
     )
+    parser.leaves = {}
+
+    def leaf(sub, path, **kw):
+        return parser.leaves.setdefault(path, sub.add_parser(path[-1], **kw))
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fgl = sub.add_parser("fgl", help="formal group law catalog")
     fgl_sub = p_fgl.add_subparsers(dest="fgl_cmd", required=True)
-    fgl_sub.add_parser("list").set_defaults(run=_fgl_list)
+    leaf(fgl_sub, ("fgl", "list")).set_defaults(run=_fgl_list)
     for name, run in (("series", _fgl_series), ("check", _fgl_check)):
-        p = fgl_sub.add_parser(name)
+        p = leaf(fgl_sub, ("fgl", name))
         p.add_argument("--law", required=True)
         p.add_argument("--order", type=size)
         p.add_argument("--param", action="append", metavar="NAME=P/Q")
         p.set_defaults(run=run)
-    p = fgl_sub.add_parser("iso")
+    p = leaf(fgl_sub, ("fgl", "iso"))
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--order", type=size)
@@ -235,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_genus = sub.add_parser("genus", help="genus tables")
     genus_sub = p_genus.add_subparsers(dest="genus_cmd", required=True)
     for name, run in (("cpn", _genus_cpn), ("table", _genus_table), ("chern", _genus_chern)):
-        p = genus_sub.add_parser(name)
+        p = leaf(genus_sub, ("genus", name))
         p.add_argument("--series", required=True)
         p.add_argument("--presentation", choices=("raw", "normalized"))
         p.set_defaults(run=run)
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dim", type=size, required=True)
             p.add_argument("--chern", required=True)
 
-    p = sub.add_parser("witten", help="Witten q-expansion")
+    p = leaf(sub, ("witten",), help="Witten q-expansion")
     p.add_argument("--x-order", dest="x_order", type=size, default=10)
     p.add_argument("--q-order", dest="q_order", type=size, default=8)
     p.add_argument("--log", action="store_true", help="emit log of the series")
@@ -262,11 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     ops = (("exp", exp_series), ("log", log_series), ("sqrt", sqrt_series),
            ("revert", lambda f: f.revert()))
     for name, op in ops:
-        p = series_sub.add_parser(name)
+        p = leaf(series_sub, ("series", name))
         p.add_argument("--input", default="-", help="path to Series1 JSON (default stdin)")
         p.set_defaults(run=_series, op=op)
 
-    p = sub.add_parser("verify", help="run the identity verifier")
+    p = leaf(sub, ("verify",), help="run the identity verifier")
     p.add_argument("--suite", default="all")
     p.add_argument("--order", type=size)
     p.set_defaults(run=_verify)
@@ -280,9 +289,18 @@ _PARSER = build_parser()
 _ESCAPE_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
+def _parse(argv):
+    """argv parsed by the parser of its command path, else by the full one."""
+    for depth in (1, 2):
+        leaf = _PARSER.leaves.get(tuple(argv[:depth]))
+        if leaf is not None:
+            return leaf.parse_args(argv[depth:])
+    return _PARSER.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         obj, passed = args.run(args)
         _emit(obj)
     except BrokenPipeError:

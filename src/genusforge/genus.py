@@ -115,16 +115,6 @@ class GenusSeries:
         return replace(self, H=self.H.truncate(order))
 
 
-def _series_from_exponential(exp_full: Series1, order: int, name: str) -> GenusSeries:
-    """Build H = z / exp from an exponential known to order `order + 1`."""
-    if exp_full.order < order + 1:
-        raise InsufficientOrderError(
-            f"need exponential to order {order + 1}, have {exp_full.order}"
-        )
-    shifted = Series1(exp_full.coefficients()[1:], order)
-    return GenusSeries(H=Series1.constant(1, order) / shifted, name=name)
-
-
 GENUS_SERIES = ("todd", "ahat") + CATALOG
 
 
@@ -164,6 +154,7 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
 
 
 def _build_series(name: str, order: int) -> GenusSeries:
+    """H = z / exp, from the exponential of `name` to order `order + 1`."""
     if name == "todd":
         exp_full = Series1(
             [Fraction((-1) ** (k + 1), math.factorial(k)) if k else 0 for k in range(order + 2)],
@@ -175,7 +166,8 @@ def _build_series(name: str, order: int) -> GenusSeries:
         exp_full = EXPONENTIALS[name](order + 1)
     else:
         exp_full = exponential(catalog(name, max(order + 1, 2)))
-    return _series_from_exponential(exp_full, order, name)
+    shifted = Series1(exp_full.coefficients()[1:], order)
+    return GenusSeries(H=Series1.constant(1, order) / shifted, name=name)
 
 
 def gamma_series(order: int, presentation: str = "raw") -> GenusSeries:
@@ -241,6 +233,7 @@ def partitions(d: int) -> "list[tuple[int, ...]]":
     return out
 
 
+@lru_cache(maxsize=64)
 def _partition_count(d: int) -> int:
     """p(d) by the recurrence over the largest part, without listing partitions."""
     p = [1] + [0] * d
@@ -248,6 +241,11 @@ def _partition_count(d: int) -> int:
         for m in range(part, d + 1):
             p[m] += p[m - part]
     return p[d]
+
+
+@lru_cache(maxsize=64)
+def _partition_set(d: int) -> "frozenset[tuple[int, ...]]":
+    return frozenset(partitions(d))
 
 
 @dataclass(frozen=True)
@@ -282,7 +280,7 @@ def _check_chern_table(d: int, keys: "set[tuple[int, ...]]") -> None:
     if (
         any(sum(key) != d for key in keys)
         or len(keys) != _partition_count(d)
-        or keys != set(partitions(d))
+        or keys != _partition_set(d)
     ):
         raise IncompleteChernTableError(
             f"chern table keys {sorted(keys)} != partitions of {d}"
@@ -726,15 +724,13 @@ def chi_rescaled_check(order: int) -> CheckResult:
 
 def conjugation_equivariance_check(n_max: int) -> CheckResult:
     """conjugate(genus(CP^n)) equals the genus from the conjugated
-    orientation exponential -exp(-x), for the normalized presentation."""
+    orientation exponential -exp(-x), for the normalized presentation.  The
+    series of -exp(-x) is x / -exp(-x) = H(-x): H with (-1)^k on x^k."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     g = gamma_series(n_max, "normalized")
-    exp_full = gamma_exponential(n_max + 1, normalized=True)
-    conj_exp = Series1(
-        [exp_full[k] * Fraction((-1) ** (k + 1)) for k in range(n_max + 2)], n_max + 1
-    )
-    g_conj = _series_from_exponential(conj_exp, n_max, "gamma_conjugate")
+    H_conj = Series1([-c if k % 2 else c for k, c in enumerate(g.H.coefficients())], n_max)
+    g_conj = GenusSeries(H=H_conj, name="gamma_conjugate")
     return first_defect(
         (n, genus_cpn(g, n).conjugate().reduce() - genus_cpn(g_conj, n).reduce())
         for n in range(1, n_max + 1)

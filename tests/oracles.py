@@ -22,7 +22,8 @@ K_d instead of integer rows, genera of CP^n from H^(n+1) built by repeated
 products instead of the power recurrence, the mixed exp of the Witten
 cross-check by summing powers of L instead of the exp recurrence, and genera
 of Milnor hypersurfaces from their Chern roots by bivariate products instead
-of the Chern pairing.
+of the Chern pairing.  The genus series H = z / exp is also built here from any
+given exponential, outside the catalog of genus.genus_series.
 """
 
 from __future__ import annotations
@@ -322,6 +323,15 @@ def expanded_normalized_gamma_exponential(order: int) -> Series1:
     return Series1(
         [(c * RingElement.gen("ipi2", 1 - k)).reduce() for k, c in enumerate(coeffs)], order
     )
+
+
+def series_from_exponential(exp_full: Series1, order: int, name: str):
+    """The genus series H = z / exp, from an exponential known to order
+    `order + 1`: the route genus.genus_series takes, with any exponential."""
+    from genusforge.genus import GenusSeries
+
+    shifted = Series1(exp_full.coefficients()[1:], order)
+    return GenusSeries(H=Series1.constant(1, order) / shifted, name=name)
 
 
 def horner_bivariate_from_exp(exp: Series1) -> Series2:

@@ -527,6 +527,50 @@ class TestArgvFuzz:
         _assert_contract(*result)
 
 
+_HELP_AND_SPELLINGS = st.sampled_from(
+    ["-h", "--help", "--he", "--ser", "--series=todd", "--order=3", "--"]
+)
+# Set by the nested subparsers only; no handler reads them.
+_PATH_DESTS = ("command", "fgl_cmd", "genus_cmd", "series_cmd")
+
+
+@st.composite
+def _argv_with_help(draw):
+    argv = draw(_argv())
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), draw(_HELP_AND_SPELLINGS))
+    return argv
+
+
+def _parse_outcome(parse, argv):
+    """What parsing argv gives: the namespace without the command-path dests,
+    the usage-error message, or the exit code and what was printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parse(argv)
+    except cli.UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    return "namespace", {k: v for k, v in vars(args).items() if k not in _PATH_DESTS}
+
+
+class TestLeafParsing:
+    """main parses argv with the parser of its command path, and the result is
+    the one the full nested parser gives."""
+
+    @settings(max_examples=2000, deadline=None)
+    @example(["genus", "chern", "-h"])
+    @example(["genus", "--help"])
+    @example(["--", "verify"])
+    @example(["verify", "--order=3", "--", "x"])
+    @example(["fgl", "series", "--he"])
+    @given(_argv_with_help())
+    def test_same_outcome_as_the_full_parser(self, argv):
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(cli._PARSER.parse_args, argv)
+
+
 class TestWittenCommand:
     def test_shape(self):
         out = run_json("witten", "--x-order", "4", "--q-order", "3")
@@ -612,6 +656,15 @@ class TestBenchmarkReferences:
             assert req.input_digest() == input_digest, req.key
             code, out, _ = _run_in_process(list(req.argv), req.stdin)
             assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha), req.key
+
+    def test_every_request_is_parsed_by_its_command_parser(self, requests_and_refs):
+        orders, refs = requests_and_refs
+        full_parse = AssertionError("the full parser was asked to parse a reference request")
+        with mock.patch.object(cli._PARSER, "parse_args", side_effect=full_parse):
+            for req in orders["sorted"]:
+                _, rc, sha = refs[req.key]
+                code, out, _ = _run_in_process(list(req.argv), req.stdin)
+                assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha), req.key
 
 
 def test_traced_benchmark_finds_what_it_wraps():

@@ -4,13 +4,14 @@ Subcommands: fgl (catalog inspection and axiom checks), genus (projective and
 Chern-number genus tables), witten (q-expansion), series (exp/log/sqrt/revert
 on JSON series), verify (the one-shot identity verifier).  Output is always
 canonical JSON on stdout, so there is no --json flag.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 usage error.  A usage error, argparse's
-included, is one `error: <message>` line on stderr and nothing on stdout:
-handlers raise ValueError, LookupError or ArithmeticError, and main alone
-turns them into exit 2.  --presentation selects the presentation of `gamma`
-only.  GENUSFORGE_ORDER overrides the default truncation order.  A request is
-parsed once, by its command's own parser; the full parser only reports an
-incomplete command path or prints the top-level help.
+checks pass, 1 a check failed, 2 usage error, 130 interrupted (SIGINT).  A
+usage error, argparse's included, or an interrupt is one `error: <message>`
+line on stderr and nothing on stdout: handlers raise ValueError, LookupError
+or ArithmeticError, and main alone turns them into exit 2.  --presentation
+selects the presentation of `gamma` only.  GENUSFORGE_ORDER overrides the
+default truncation order.  A request is parsed once, by its command's own
+parser; the full parser only reports an incomplete command path or prints
+the top-level help.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from genusforge.series import Series1, exp_series, log_series, sqrt_series
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
 
 # Series are dense: an order beyond this would exhaust memory or never
 # finish, so it is a usage error.
@@ -305,6 +307,9 @@ def main(argv=None) -> int:
         _emit(obj)
     except BrokenPipeError:
         return EXIT_OK
+    except KeyboardInterrupt:
+        sys.stderr.write("error: interrupted\n")
+        return EXIT_INTERRUPTED
     except (ValueError, LookupError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {str(exc).translate(_ESCAPE_LINE_BREAKS)}\n")
         return EXIT_USAGE

@@ -238,11 +238,7 @@ def _build(name: str, order: int) -> "tuple[Series2, str, Optional[Series1]]":
     if name == "kontsevich":
         num = Series2({(1, 0): 1, (0, 1): 1, (1, 1): 1 + t}, order)
         den = Series2({(0, 0): 1, (1, 1): -t}, order)
-        closed = num * den.inverse()
-        germ = kontsevich_germ_law(order)
-        if closed != germ:
-            raise AssertionError("kontsevich germ and closed-form routes disagree")
-        return closed, "closed-form", None
+        return num * den.inverse(), "closed-form", None
     if name == "jacobi":
         delta = RingElement.gen("delta")
         eps = RingElement.gen("epsilon")

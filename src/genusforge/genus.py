@@ -184,10 +184,11 @@ def genus_cpn(g: GenusSeries, n: int) -> RingElement:
     """The genus of CP^n: the z^n coefficient of H(z)^(n+1).
 
     CP^n has tangent Chern roots equal to n+1 copies of the hyperplane
-    class, and pairing with the fundamental class extracts z^n.  P = H^a,
-    a = n + 1, comes in one pass over k = 1..n from J.C.P. Miller's power
-    recurrence for a series with constant term 1 (Knuth, TAOCP vol. 2,
-    sec. 4.7),
+    class, and pairing with the fundamental class extracts z^n.  It depends
+    only on H_0..H_n, so it is memoised by the value of H truncated to n
+    (`_cpn`, the 256 most recent).  P = H^a, a = n + 1, comes in one pass
+    over k = 1..n from J.C.P. Miller's power recurrence for a series with
+    constant term 1 (Knuth, TAOCP vol. 2, sec. 4.7),
 
         k P_k = sum_{j=1..k} ((a + 1) j - k) H_j P_{k-j},
 
@@ -198,7 +199,13 @@ def genus_cpn(g: GenusSeries, n: int) -> RingElement:
         raise ValueError("n must be >= 0")
     if g.H.order < n:
         raise InsufficientOrderError(f"series order {g.H.order} < n = {n}")
-    H, dot = g.H.coefficients(), RingElement.dot
+    return _cpn(g.H.truncate(n))
+
+
+@lru_cache(maxsize=256)
+def _cpn(H: Series1) -> RingElement:
+    """genus_cpn at n = H.order."""
+    n, H, dot = H.order, H.coefficients(), RingElement.dot
     jH = [j * H[j] for j in range(n + 1)]
     P = [_ONE]
     for k in range(1, n + 1):

@@ -35,6 +35,7 @@ import re
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Union
 
 __all__ = [
@@ -687,21 +688,21 @@ def zeta_fraction(k: int, precision: int = 15) -> Fraction:
     if precision < 1 or precision > 30:
         raise ValueError("precision must be in 1..30")
     n = int(precision * 1.35) + 4
-    # d_j = n * sum_{i<=j} (n+i-1)! 4^i / ((n-i)! (2i)!)
-    d = []
-    acc = 0
-    for i in range(n + 1):
-        acc += Fraction(
-            math.factorial(n + i - 1) * 4**i,
-            math.factorial(n - i) * math.factorial(2 * i),
-        )
-        d.append(n * acc)
+    d = _eta_weights(n)
     s = Fraction(0)
     for j in range(n):
         term = (d[j] - d[n]) / Fraction((j + 1) ** k)
         s += -term if j % 2 else term
     eta = -s / d[n]
     return eta / (1 - Fraction(2) ** (1 - k))
+
+
+@lru_cache(maxsize=None)
+def _eta_weights(n: int) -> "tuple[Fraction, ...]":
+    """d_j = n * sum_{i<=j} (n+i-1)! 4^i / ((n-i)! (2i)!), j = 0..n, for every k."""
+    f = math.factorial
+    terms = (Fraction(f(n + i - 1) * 4**i, f(n - i) * f(2 * i)) for i in range(n + 1))
+    return tuple(n * acc for acc in accumulate(terms))
 
 
 def zeta_numeric(k: int) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from genusforge.check import CheckResult
@@ -373,10 +374,15 @@ def multiplicative_sequence(H: Series1, n: int) -> "list[ChernPolynomial]":
     if not H[0].is_one():
         raise ValueError("characteristic series must have constant term 1")
     b = log_series(Series1([H[k] for k in range(n + 1)], n))
-    # Rename e_k -> c_k before multiplying by b_k: coefficients of H may
-    # already carry e-generators (the universal ring), which must stay distinct.
-    chern = {f"e{k}": RingElement.gen(f"c{k}") for k in range(1, n + 1)}
-    newton = _conversion_table("P", "E", n)
-    exponent = [_ZERO] + [b[k] * newton[f"s{k}"].substitute(chern) for k in range(1, n + 1)]
+    exponent = [_ZERO] + [b[k] * s for k, s in enumerate(_chern_power_sums(n), 1)]
     K = exp_series(Series1(exponent, n))
     return [ChernPolynomial(K[j], "c") for j in range(1, n + 1)]
+
+
+@lru_cache(maxsize=64)
+def _chern_power_sums(n: int) -> "tuple[RingElement, ...]":
+    """s_1..s_n in c_1..c_n by Newton's identity, renamed from e_k before any
+    product with H, whose coefficients may carry e_k (the universal ring)."""
+    chern = {f"e{k}": RingElement.gen(f"c{k}") for k in range(1, n + 1)}
+    newton = _conversion_table("P", "E", n)
+    return tuple(newton[f"s{k}"].substitute(chern) for k in range(1, n + 1))

@@ -22,8 +22,9 @@ K_d instead of integer rows, genera of CP^n from H^(n+1) built by repeated
 products instead of the power recurrence, the mixed exp of the Witten
 cross-check by summing powers of L instead of the exp recurrence, and genera
 of Milnor hypersurfaces from their Chern roots by bivariate products instead
-of the Chern pairing.  The genus series H = z / exp is also built here from any
-given exponential, outside the catalog of genus.genus_series.
+of the Chern pairing, and zeta(k) with its eta weights recomputed for each k
+instead of shared per precision.  The genus series H = z / exp is also built
+here from any given exponential, outside the catalog of genus.genus_series.
 """
 
 from __future__ import annotations
@@ -500,6 +501,26 @@ def pairwise_power_cpn(H: Series1, n: int) -> RingElement:
     for _ in range(n + 1):
         power = pairwise_series1_mul(power, H)
     return power[n]
+
+
+def per_k_zeta_fraction(k: int, precision: int) -> Fraction:
+    """zeta(k) by the Cohen-Rodriguez Villegas-Zagier eta acceleration, with
+    the weights d_0..d_n rebuilt on every call."""
+    n = int(precision * 1.35) + 4
+    d = []
+    acc = 0
+    for i in range(n + 1):
+        acc += Fraction(
+            math.factorial(n + i - 1) * 4**i,
+            math.factorial(n - i) * math.factorial(2 * i),
+        )
+        d.append(n * acc)
+    s = Fraction(0)
+    for j in range(n):
+        term = (d[j] - d[n]) / Fraction((j + 1) ** k)
+        s += -term if j % 2 else term
+    eta = -s / d[n]
+    return eta / (1 - Fraction(2) ** (1 - k))
 
 
 def power_sum_exp_mixed(L: Series1, q_order: int) -> Series1:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -695,17 +696,49 @@ def test_traced_benchmark_finds_what_it_wraps():
 
 
 def test_import_builds_nothing():
-    """Importing the CLI builds no law, genus series, Hirzebruch polynomial or
-    Witten series."""
+    """Importing the CLI builds no law, genus series, Hirzebruch polynomial,
+    CP^n genus, Newton power sums or Witten series."""
     script = (
         "import genusforge.cli\n"
-        "from genusforge import fgl, genus\n"
+        "from genusforge import fgl, genus, symfun\n"
         "assert fgl._BUILT == {} and genus._SERIES == {}\n"
         "assert genus._chern_rows.cache_info().currsize == 0\n"
+        "assert genus._cpn.cache_info().currsize == 0\n"
+        "assert symfun._chern_power_sums.cache_info().currsize == 0\n"
         "assert genus.witten_series.cache_info().currsize == 0\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_ENV)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sigint_exits_130_without_a_traceback():
+    """A SIGINT during a long request ends it with exit 130 and one stderr
+    line.  The wrapper reports on stderr once the CLI is imported, so the
+    signal lands inside cli.main."""
+    script = (
+        "import sys\n"
+        "from genusforge import cli\n"
+        "print('ready', file=sys.stderr, flush=True)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["fgl", "check", "--law", "gamma_raw", "--order", "40"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_ENV,
+    )
+    try:
+        assert proc.stderr.readline() == "ready\n"
+        time.sleep(0.3)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130, err
+    assert (out, err) == ("", "error: interrupted\n")
 
 
 class TestZeroDenominators:

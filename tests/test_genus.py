@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -293,6 +294,48 @@ class TestGenusCpn:
         g = GenusSeries(H=H, name="random")
         for n in range(H.order + 1):
             assert genus_cpn(g, n) == pairwise_power_cpn(H, n), n
+
+
+class TestGenusCpnMemo:
+    def test_any_call_order_matches_repeated_products(self):
+        """Cold and warm, through genus_table, then genus_cpn in shuffled and
+        in reversed n order, every catalog series gives the oracle's values."""
+        rng = random.Random(22)
+        for name in GENUS_SERIES:
+            g = genus_series(name, 6)
+            want = [pairwise_power_cpn(g.H, n) for n in range(7)]
+            shuffled = list(range(7))
+            rng.shuffle(shuffled)
+            for cold in (True, False):
+                if cold:
+                    genus._cpn.cache_clear()
+                rows = genus_table(name, 6)["rows"]
+                assert [row["value"] for row in rows] == [w.to_obj() for w in want[1:]], name
+                for n in shuffled + list(range(6, -1, -1)):
+                    assert genus_cpn(g, n) == want[n], (name, n, cold)
+
+    def test_user_series_shares_an_equal_truncation(self):
+        g = genus_series("ahat", 8)
+        genus._cpn.cache_clear()
+        want = genus_cpn(g, 4)
+        # equal to ahat through z^4, different at z^5
+        user = GenusSeries(H=Series1(g.H.coefficients()[:5] + (gen("t"),), 5), name="user")
+        before = genus._cpn.cache_info()
+        assert genus_cpn(user, 4) == want
+        after = genus._cpn.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert genus_cpn(user, 5) == pairwise_power_cpn(user.H, 5) != genus_cpn(g, 5)
+        assert genus._cpn.cache_info().misses == before.misses + 2
+
+    def test_errors_are_raised_before_the_memo(self):
+        g = genus_series("todd", 3)
+        genus._cpn.cache_clear()
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            genus_cpn(g, -1)
+        with pytest.raises(InsufficientOrderError):
+            genus_cpn(g, 4)
+        info = genus._cpn.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 class TestMishchenko:

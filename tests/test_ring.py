@@ -21,7 +21,7 @@ from genusforge.series import Series1
 
 from conftest import rationals, ring_elements
 from oracles import FractionRing as F
-from oracles import bernoulli_akiyama_tanigawa, pairwise_dot, tuple_dot
+from oracles import bernoulli_akiyama_tanigawa, pairwise_dot, per_k_zeta_fraction, tuple_dot
 
 R = RingElement
 
@@ -104,6 +104,12 @@ class TestZetaNumeric:
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             zeta_fraction(1)
+
+    def test_shared_weights_give_the_per_k_fraction(self):
+        for precision in range(1, 31):
+            for k in range(2, 41):
+                want = per_k_zeta_fraction(k, precision)
+                assert zeta_fraction.__wrapped__(k, precision) == want, (k, precision)
 
 
 def test_euler_gamma_digits(mp):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from genusforge import symfun
 from genusforge.ring import RingElement
 from genusforge.series import Series1, exp_series
 from genusforge.symfun import (
@@ -220,6 +221,23 @@ class TestMultiplicativeSequence:
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):
             multiplicative_sequence(Series1.x(4), 4)
+
+    def test_cached_power_sums_match_a_fresh_substitution(self):
+        for n in range(1, 9):
+            chern = {f"e{k}": gen(f"c{k}") for k in range(1, n + 1)}
+            newton = symfun._conversion_table("P", "E", n)
+            fresh = tuple(newton[f"s{k}"].substitute(chern) for k in range(1, n + 1))
+            cached = symfun._chern_power_sums(n)
+            assert isinstance(cached, tuple)
+            assert cached == fresh, n
+            assert symfun._chern_power_sums(n) is cached
+            # Newton: s_k = sum_{i<k} (-1)^(i-1) c_i s_{k-i} + (-1)^(k-1) k c_k
+            for k in range(1, n + 1):
+                want = sum(
+                    ((-1) ** (i - 1) * gen(f"c{i}") * cached[k - i - 1] for i in range(1, k)),
+                    (-1) ** (k - 1) * k * gen(f"c{k}"),
+                )
+                assert cached[k - 1] == want, (n, k)
 
 
 # -- graded routes against the root-truncating oracles ----------------------------

@@ -7,7 +7,9 @@ canonical JSON on stdout, so there is no --json flag.  Exit codes: 0 all
 checks pass, 1 a check failed, 2 usage error, 130 interrupted (SIGINT).  A
 usage error, argparse's included, or an interrupt is one `error: <message>`
 line on stderr and nothing on stdout: handlers raise ValueError, LookupError
-or ArithmeticError, and main alone turns them into exit 2.  --presentation
+or ArithmeticError, and main alone turns them into exit 2.  So is a request
+too large to finish (MemoryError, RecursionError: exit 2) and a disagreement
+of two internal routes (genus.RouteDisagreementError: exit 1).  --presentation
 selects the presentation of `gamma` only.  GENUSFORGE_ORDER overrides the
 default truncation order.  A request is parsed once, by its command's own
 parser; the full parser only reports an incomplete command path or prints
@@ -67,7 +69,11 @@ def _emit(obj) -> None:
 
 
 def _rational(text: str) -> Fraction:
+    """A rational literal: int reads a plain integer, Fraction anything else."""
     text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        return Fraction(int(text))
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -170,8 +176,8 @@ def _genus_cpn(args):
 
 def _genus_chern(args):
     # The descriptor checks the table, so a bad one is rejected before the
-    # series, the costly part, is built.
-    descriptor = genus.ManifoldDescriptor.from_chern(args.dim, _parse_chern(args.chern))
+    # series, the costly part, is built.  _parse_chern gives from_chern's form.
+    descriptor = genus.ManifoldDescriptor(chern_dim=args.dim, chern=_parse_chern(args.chern))
     g = genus.genus_series(args.series, args.dim, args.presentation)
     value = genus.genus_of(g, descriptor).to_obj()
     return {"series": g.name, "dim": args.dim, "value": value}, True
@@ -300,6 +306,11 @@ def _parse(argv):
     return _PARSER.parse_args(argv)
 
 
+def _fail(code: int, message: str) -> int:
+    sys.stderr.write(f"error: {message.translate(_ESCAPE_LINE_BREAKS)}\n")
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
@@ -308,11 +319,13 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return EXIT_OK
     except KeyboardInterrupt:
-        sys.stderr.write("error: interrupted\n")
-        return EXIT_INTERRUPTED
+        return _fail(EXIT_INTERRUPTED, "interrupted")
+    except (MemoryError, RecursionError) as exc:
+        return _fail(EXIT_USAGE, f"request too large: {str(exc) or type(exc).__name__}")
+    except genus.RouteDisagreementError as exc:
+        return _fail(EXIT_CHECK_FAILED, str(exc))
     except (ValueError, LookupError, ArithmeticError) as exc:
-        sys.stderr.write(f"error: {str(exc).translate(_ESCAPE_LINE_BREAKS)}\n")
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, str(exc))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

@@ -51,6 +51,7 @@ __all__ = [
     "IncompleteChernTableError",
     "InsufficientOrderError",
     "ManifoldDescriptor",
+    "RouteDisagreementError",
     "WittenSeries",
     "ahat_pontryagin_identity",
     "chi_rescaled_check",
@@ -83,6 +84,10 @@ class InsufficientOrderError(ValueError):
 
 class IncompleteChernTableError(ValueError):
     """A Chern-number table does not cover exactly the partitions of d."""
+
+
+class RouteDisagreementError(AssertionError):
+    """Two internal routes to one result disagree: a library defect, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -630,7 +635,7 @@ def witten_series(x_order: int, q_order: int) -> WittenSeries:
     w = WittenSeries(x_order=x_order, q_order=q_order, H=H, log_H=log_H)
     recon = _exp_mixed(log_H, q_order)
     if recon != H:
-        raise AssertionError("product route and Eisenstein route disagree")
+        raise RouteDisagreementError("product route and Eisenstein route disagree")
     return w
 
 

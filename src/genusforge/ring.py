@@ -215,10 +215,12 @@ class RingElement:
     common denominator, in canonical form: no zero numerator,
     ``gcd(_den, *numerators) == 1``, and zero has ``_den == 1``.  Equal
     elements therefore have equal storage.  ``_emax`` bounds the largest
-    |exponent| of any stored monomial; it is not part of the value.
+    |exponent| of any stored monomial; it is not part of the value.  Storage
+    never changes once built, so ``_hash`` keeps the hash of its first use (two
+    threads would store one value) and ``to_obj`` reduces each stored numerator.
     """
 
-    __slots__ = ("_terms", "_den", "_emax")
+    __slots__ = ("_terms", "_den", "_emax", "_hash")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Rational]] = None):
         clean: "dict[int, Fraction]" = {}
@@ -289,13 +291,17 @@ class RingElement:
 
     # -- inspection --------------------------------------------------------
 
+    def _sorted_terms(self) -> "list[tuple[Monomial, int]]":
+        """(monomial, numerator over _den) pairs in canonical order."""
+        return sorted(
+            ((_unpack(m), c) for m, c in self._terms.items()),
+            key=lambda item: _monomial_key(item[0]),
+        )
+
     def terms(self) -> "list[tuple[Monomial, Fraction]]":
         """Terms in canonical (graded-lexicographic) order."""
         den = self._den
-        return sorted(
-            ((_unpack(m), Fraction(c, den)) for m, c in self._terms.items()),
-            key=lambda item: _monomial_key(item[0]),
-        )
+        return [(m, Fraction(c, den)) for m, c in self._sorted_terms()]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -471,11 +477,15 @@ class RingElement:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        # A rational element equals its Fraction, so it must hash like it.
-        value = self.as_rational()
-        if value is None:
-            return hash((frozenset(self._terms.items()), self._den))
-        return hash(value)
+        try:
+            return self._hash
+        except AttributeError:
+            # A rational element equals its Fraction, so it must hash like it.
+            value = self.as_rational()
+            if value is None:
+                value = (frozenset(self._terms.items()), self._den)
+            self._hash = hash(value)
+            return self._hash
 
     # -- structural operations ---------------------------------------------
 
@@ -591,16 +601,12 @@ class RingElement:
     # -- serialization -------------------------------------------------------
 
     def to_obj(self) -> dict:
-        return {
-            "terms": [
-                {
-                    "num": str(c.numerator),
-                    "den": str(c.denominator),
-                    "exps": {name: e for name, e in m},
-                }
-                for m, c in self.terms()
-            ]
-        }
+        den, gcd = self._den, math.gcd
+        terms = []
+        for m, c in self._sorted_terms():
+            g = gcd(c, den)
+            terms.append({"num": str(c // g), "den": str(den // g), "exps": dict(m)})
+        return {"terms": terms}
 
     @staticmethod
     def from_obj(obj: Mapping) -> "RingElement":

@@ -23,8 +23,13 @@ products instead of the power recurrence, the mixed exp of the Witten
 cross-check by summing powers of L instead of the exp recurrence, and genera
 of Milnor hypersurfaces from their Chern roots by bivariate products instead
 of the Chern pairing, and zeta(k) with its eta weights recomputed for each k
-instead of shared per precision.  The genus series H = z / exp is also built
-here from any given exponential, outside the catalog of genus.genus_series.
+instead of shared per precision, a ring element's hash recomputed on every
+call instead of kept, its JSON form through one Fraction per term instead of
+the stored integers, and a `genus chern` request through the normalizing
+ManifoldDescriptor.from_chern with every value read by Fraction instead of
+the parsed table as it stands with plain integers read by int.  The genus
+series H = z / exp is also built here from any given exponential, outside
+the catalog of genus.genus_series.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from genusforge import cli, genus
 from genusforge.check import first_defect
 from genusforge.fgl import AxiomReport
 from genusforge.ring import NonUnitError, RingElement, generator_info, zeta_tilde_even
@@ -592,3 +598,41 @@ def milnor_residue_genus(H: Series1, exp: Series1, i: int, j: int) -> RingElemen
         for _ in range(count):
             prod = prod * lifted
     return prod[(i, j)]
+
+
+def uncached_hash(x: RingElement) -> int:
+    """hash(x) computed afresh: a rational element hashes like its Fraction,
+    any other like its (terms, denominator) storage."""
+    value = x.as_rational()
+    if value is None:
+        return hash((frozenset(x._terms.items()), x._den))
+    return hash(value)
+
+
+def fraction_to_obj(x: RingElement) -> dict:
+    """x.to_obj() read off terms(), one Fraction per term."""
+    return {
+        "terms": [
+            {"num": str(c.numerator), "den": str(c.denominator), "exps": {n: e for n, e in m}}
+            for m, c in x.terms()
+        ]
+    }
+
+
+def fraction_rational(text: str) -> Fraction:
+    """cli._rational with every literal, plain integers included, read by Fraction."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def from_chern_genus_chern(args):
+    """The `genus chern` handler with the parsed table normalized again by
+    ManifoldDescriptor.from_chern and the value serialized by fraction_to_obj.
+    Run it with cli._rational replaced by fraction_rational."""
+    descriptor = genus.ManifoldDescriptor.from_chern(args.dim, cli._parse_chern(args.chern))
+    g = genus.genus_series(args.series, args.dim, args.presentation)
+    value = fraction_to_obj(genus.genus_of(g, descriptor))
+    return {"series": g.name, "dim": args.dim, "value": value}, True

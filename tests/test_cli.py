@@ -12,7 +12,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from genusforge import cli, fgl, verify
+from genusforge import cli, fgl, genus, verify
+
+from oracles import fraction_rational, from_chern_genus_chern
 
 _ENV = {**os.environ}
 _ENV.pop("GENUSFORGE_ORDER", None)
@@ -324,14 +326,16 @@ def _run_in_process(argv, stdin):
 
 
 def _assert_contract(code, out, err):
-    """Exit 0, 1 or 2, no traceback, stdout empty or one JSON line, and an
-    exit 2 with an error line first on stderr and nothing on stdout."""
+    """Exit 0, 1 or 2, no traceback, stdout empty or one JSON line, an exit 2
+    with one error line on stderr and nothing on stdout, and an exit 1 with
+    either a JSON line (a check failed) or one error line and nothing on
+    stdout (two internal routes disagreed)."""
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if out:
         assert out.endswith("\n") and out.count("\n") == 1
         json.loads(out)
-    if code == 2:
+    if code == 2 or (code == 1 and not out):
         assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1
         assert out == ""
 
@@ -526,6 +530,159 @@ class TestArgvFuzz:
             except (Exception, SystemExit) as exc:
                 raise AssertionError(f"main({argv!r}) raised {exc!r}") from exc
         _assert_contract(*result)
+
+
+# An internal error raised by a handler, with the exit code and the one
+# stderr line main must turn it into.
+_INTERNAL_ERRORS = [
+    (MemoryError, 2, "error: request too large: MemoryError\n"),
+    (
+        lambda: RecursionError("maximum recursion depth exceeded"),
+        2,
+        "error: request too large: maximum recursion depth exceeded\n",
+    ),
+    (
+        lambda: genus.RouteDisagreementError("product route and Eisenstein route disagree"),
+        1,
+        "error: product route and Eisenstein route disagree\n",
+    ),
+]
+
+
+class TestArgvFuzzUnderInternalErrors:
+    """Any argv whose handler raises MemoryError, RecursionError or a route
+    disagreement keeps the contract, with that error's exit code and line;
+    an argv that does not parse is still a usage error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_argv(), st.sampled_from(_SERIES_STDIN), st.sampled_from(_INTERNAL_ERRORS))
+    def test_contract(self, argv, stdin, internal_error):
+        make, code, line = internal_error
+        parsed, real_parse = [], cli._parse
+
+        def parse(argv):
+            args = real_parse(argv)
+            parsed.append(args)
+            args.run = mock.Mock(side_effect=make())
+            return args
+
+        with mock.patch.object(cli, "_parse", parse):
+            try:
+                result = _run_in_process(argv, stdin)
+            except (Exception, SystemExit) as exc:
+                raise AssertionError(f"main({argv!r}) raised {exc!r}") from exc
+        _assert_contract(*result)
+        if parsed:
+            assert result == (code, "", line)
+        else:
+            assert result[0] == 2
+
+
+class TestInternalErrors:
+    """Errors from inside the library end a request with one error line and
+    no traceback: too large a request exits 2, disagreeing routes exit 1."""
+
+    @pytest.mark.parametrize("exc", [MemoryError(), RecursionError("maximum recursion depth exceeded")])
+    def test_request_too_large_exits_two(self, exc):
+        with mock.patch.object(genus, "genus_table", side_effect=exc):
+            code, out, err = _run_in_process(["genus", "table", "--series", "todd", "--max-n", "3"], "")
+        assert (code, out) == (2, "")
+        assert err == f"error: request too large: {str(exc) or 'MemoryError'}\n"
+
+    def test_real_recursion_error_exits_two(self):
+        def deep(n):
+            return deep(n + 1)
+
+        with mock.patch.object(fgl, "catalog", side_effect=lambda *a: deep(0)):
+            code, out, err = _run_in_process(["fgl", "series", "--law", "additive"], "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: request too large: maximum recursion depth exceeded")
+        assert len(err.splitlines()) == 1
+
+    def test_route_disagreement_exits_one(self):
+        genus.witten_series.cache_clear()
+        try:
+            with mock.patch.object(genus, "_exp_mixed", side_effect=lambda L, q: L):
+                code, out, err = _run_in_process(["witten", "--x-order", "3", "--q-order", "2"], "")
+                with pytest.raises(genus.RouteDisagreementError):
+                    genus.witten_series(3, 2)
+        finally:
+            genus.witten_series.cache_clear()
+        assert (code, out, err) == (1, "", "error: product route and Eisenstein route disagree\n")
+        assert not issubclass(genus.RouteDisagreementError, (ValueError, LookupError, ArithmeticError))
+
+
+# Literals for a rational value: plain integers in every spelling int and
+# Fraction could disagree on, and what only Fraction reads or neither does.
+_LITERALS = [
+    "-3", "+3", "007", "-0", "3/6", "1.5", "1e2", " 7 ", "1_0", "\u0663", "\u00b2",
+    "--5", "3/0", "", "+-1", "0x10", "12 3", "9" * 4300, "-" + "9" * 4301,
+]
+_VALUES = st.sampled_from(_LITERALS) | st.integers().map(str) | st.fractions().map(str)
+
+
+def _both_routes(argv):
+    """main(argv), then main(argv) with every literal read by Fraction and a
+    `genus chern` table normalized again by from_chern."""
+    new = _run_in_process(argv, "")
+    leaf = cli._PARSER.leaves[("genus", "chern")]
+    spy = mock.Mock(side_effect=from_chern_genus_chern)
+    with mock.patch.object(cli, "_rational", fraction_rational), mock.patch.dict(
+        leaf._defaults, run=spy
+    ):
+        old = _run_in_process(argv, "")
+    assert spy.call_count == (argv[:2] == ["genus", "chern"])
+    return new, old
+
+
+@st.composite
+def _chern_argv(draw):
+    """A `genus chern` request: each partition of dim spelled as a product or
+    with powers, entries sometimes dropped or repeated, values from _VALUES."""
+    dim = draw(st.integers(min_value=0, max_value=4))
+    entries = []
+    for lam in genus.partitions(dim):
+        parts = [f"c{k}" for k in draw(st.permutations(lam))]
+        if draw(st.booleans()):
+            counts = {p: parts.count(p) for p in parts}
+            parts = [p if e == 1 else f"{p}^{e}" for p, e in counts.items()]
+        entries.append(f"{'*'.join(parts)}={draw(_VALUES)}")
+    if entries and not draw(st.integers(min_value=0, max_value=9)):
+        entries.pop(draw(st.integers(min_value=0, max_value=len(entries) - 1)))
+    if entries and not draw(st.integers(min_value=0, max_value=9)):
+        entries.append(draw(st.sampled_from(entries)))
+    series = draw(st.sampled_from(["todd", "ahat", "gamma_raw", "hyperbolic", "jacobi"]))
+    return ["genus", "chern", "--series", series, "--dim", str(dim), "--chern", ",".join(entries)]
+
+
+class TestRationalParity:
+    """Reading plain integers with int and taking the parsed Chern table as
+    it stands give the bytes, exit code and error line of the Fraction and
+    from_chern route."""
+
+    @pytest.mark.parametrize("value", _LITERALS)
+    def test_listed_literals(self, value):
+        for argv in (
+            ["genus", "chern", "--series", "todd", "--dim", "1", "--chern", f"c1={value}"],
+            ["genus", "chern", "--series", "ahat", "--dim", "2", "--chern", f"c2={value},c1^2=4"],
+            ["fgl", "series", "--law", "jacobi", "--order", "3", "--param", f"delta={value}"],
+        ):
+            new, old = _both_routes(argv)
+            assert new == old, argv
+
+    @settings(max_examples=200, deadline=None)
+    @given(_chern_argv())
+    def test_chern_tables(self, argv):
+        new, old = _both_routes(argv)
+        assert new == old
+        _assert_contract(*new)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_VALUES)
+    def test_fgl_params(self, value):
+        new, old = _both_routes(["fgl", "series", "--law", "jacobi", "--order", "3",
+                                 "--param", f"delta={value}", "--param", f"epsilon={value}"])
+        assert new == old
 
 
 _HELP_AND_SPELLINGS = st.sampled_from(

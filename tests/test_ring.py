@@ -1,9 +1,12 @@
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from genusforge.ring import (
     NonUnitError,
@@ -22,6 +25,7 @@ from genusforge.series import Series1
 from conftest import rationals, ring_elements
 from oracles import FractionRing as F
 from oracles import bernoulli_akiyama_tanigawa, pairwise_dot, per_k_zeta_fraction, tuple_dot
+from oracles import fraction_to_obj, uncached_hash
 
 R = RingElement
 
@@ -542,6 +546,62 @@ class TestHashAcrossRoutes:
         assert y == q and hash(y) == hash(q)
 
 
+def _routes(a):
+    """Fresh elements equal to a, each built by another route: dot, _plus,
+    the constructor and from_obj."""
+    b = gen("gamma", 2, 3)
+    return [
+        R.dot([(a, R.one()), (b, R.one()), (b, R.from_rational(-1))]),
+        (a + b) - b,
+        R(dict(a.terms())),
+        R.from_obj(a.to_obj()),
+    ]
+
+
+class TestCachedHash:
+    """An element keeps the hash of its first use; it must be the hash a fresh
+    computation gives, and equal elements hash equally before and after."""
+
+    @given(packed_elements)
+    def test_kept_hash_is_the_fresh_one(self, a):
+        fresh = uncached_hash(a)
+        assert hash(a) == fresh and a._hash == fresh
+        assert hash(a) == fresh  # read back from the slot
+
+    @given(packed_elements)
+    def test_equal_elements_by_any_route_hash_equally(self, a):
+        fresh = uncached_hash(a)
+        built = _routes(a)
+        assert all(x == a for x in built)
+        assert [hash(x) for x in built] == [fresh] * len(built)  # first use
+        assert [hash(x) for x in built] == [fresh] * len(built)  # kept
+        hash(a)
+        assert [hash(x) for x in _routes(a)] == [fresh] * len(built)  # after a's is kept
+
+    @given(rationals)
+    def test_rational_keeps_the_hash_of_its_fraction(self, q):
+        for x in [R.from_rational(q), *_routes(R.from_rational(q))]:
+            assert hash(x) == hash(q) and hash(x) == hash(q)
+            assert len({q, x}) == 1 and len({x, q}) == 1
+
+    @given(packed_elements, st.booleans())
+    def test_copy_and_pickle_round_trips_hash_equally(self, a, used):
+        if used:
+            hash(a)
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b == a and hash(b) == uncached_hash(a) == hash(a)
+
+    def test_warm_cpn_hit_hashes_no_element_again(self):
+        from genusforge import genus
+
+        g = genus.genus_series("todd", 12)
+        for n in (12, 7):
+            genus.genus_cpn(g, n)
+            with mock.patch.object(R, "as_rational", autospec=True, side_effect=R.as_rational) as spy:
+                genus.genus_cpn(g, n)
+            assert spy.call_count == 0, n
+
+
 class TestReduce:
     def test_even_zeta_rewrites(self):
         assert (gen("zeta2") * gen("ipi2", -2)).reduce() == R.from_rational(Fraction(-1, 24))
@@ -694,6 +754,28 @@ class TestSubstitute:
             x.substitute({"t": gen("t") + 1})
 
 
+_SERIAL_GENERATORS = ("u", "ipi2", "t", "gamma", "zeta3", "e2", "delta")
+_SERIAL_LAURENT = ("u", "ipi2", "t")
+
+
+@st.composite
+def serializable_elements(draw):
+    """Up to 5 terms with numerators of either sign and denominators up to
+    10**30, over several generators, Laurent ones with negative exponents."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        names = draw(st.sets(st.sampled_from(_SERIAL_GENERATORS), max_size=4))
+        m = tuple(
+            (n, draw(st.integers(min_value=-6, max_value=6).filter(bool)))
+            if n in _SERIAL_LAURENT
+            else (n, draw(st.integers(min_value=1, max_value=6)))
+            for n in names
+        )
+        num = draw(st.integers(min_value=-(10**30), max_value=10**30))
+        terms[m] = Fraction(num, draw(st.integers(min_value=1, max_value=10**30)))
+    return R(terms)
+
+
 class TestSerialization:
     @given(ring_elements())
     def test_round_trip(self, a):
@@ -712,6 +794,15 @@ class TestSerialization:
     def test_deterministic(self):
         x = gen("zeta3") * gen("gamma") + gen("t", -2) * 7
         assert x.to_json() == R.from_json(x.to_json()).to_json()
+
+    @example(R.zero())
+    @example(R.from_rational(Fraction(-6, 4)) + gen("u", -3, Fraction(5, 6)))
+    @given(st.one_of(serializable_elements(), packed_elements))
+    def test_stored_integers_give_the_fraction_form(self, x):
+        """to_obj reduces each stored numerator over the common denominator
+        itself; it must give what one Fraction per term gives."""
+        assert x.to_obj() == fraction_to_obj(x)
+        assert R.from_obj(x.to_obj()) == x
 
 
 @given(ring_elements())

@@ -1,8 +1,12 @@
 """The one shape every identity check reports in, and the first-defect rule.
 
-A check returns a CheckResult: PASS or FAIL, and on failure the degree and
-the coefficient of the first defect.  Extra fields (notes, numeric residuals,
-sub-checks) ride along in `extra` and are merged into the JSON record.
+A check returns a CheckResult: PASS or FAIL, and a FAIL always names its
+degree.  Every check decides through one of two rules here: an exact check is
+`first_defect` over (index, difference) pairs and a failure also carries the
+offending coefficient; a numeric check is `first_residual` over (degree,
+residual) pairs and a failure puts the residual in `detail`.  Extra fields
+(notes, numeric residuals, sub-checks) ride along in `extra` and are merged
+into the JSON record.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from genusforge.ring import RingElement
 
-__all__ = ["CheckResult", "first_defect"]
+__all__ = ["CheckResult", "first_defect", "first_residual"]
 
 
 @dataclass(frozen=True)
@@ -47,12 +51,8 @@ class CheckResult:
         return CheckResult("PASS", extra=extra)
 
     @staticmethod
-    def fail(degree=None, coefficient=None, detail=None, **extra) -> "CheckResult":
+    def fail(degree: int, coefficient=None, detail=None, **extra) -> "CheckResult":
         return CheckResult("FAIL", degree, coefficient, detail, extra)
-
-    @staticmethod
-    def from_flag(passed: bool, **extra) -> "CheckResult":
-        return CheckResult("PASS" if passed else "FAIL", extra=extra)
 
 
 Index = Union[int, Tuple[int, ...]]
@@ -79,3 +79,15 @@ def first_defect(
         return CheckResult.ok(**extra)
     (degree, _), diff = best
     return CheckResult.fail(degree, diff, detail, **extra)
+
+
+def first_residual(
+    pairs: "Iterable[tuple[int, float]]", tolerance: float, /, **extra
+) -> CheckResult:
+    """The lowest degree among (degree, residual) pairs whose residual is not
+    below `tolerance`, with that residual in `detail`; none is a pass."""
+    bad = [(degree, residual) for degree, residual in pairs if not residual < tolerance]
+    if not bad:
+        return CheckResult.ok(**extra)
+    degree, residual = min(bad)
+    return CheckResult.fail(degree, None, f"residual {residual!r} not below {tolerance!r}", **extra)

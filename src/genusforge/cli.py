@@ -106,8 +106,8 @@ def _parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
             raise ValueError(f"bad chern entry {entry!r}")
         mono, value = entry.split("=", 1)
         parts: "list[int]" = []
+        weight = 0
         for factor in mono.replace("*", " ").split():
-            factor = factor.strip()
             if "^" in factor:
                 base, exp = factor.split("^", 1)
                 exp = int(exp)
@@ -118,7 +118,8 @@ def _parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
                 raise ValueError(f"bad chern class {factor!r}")
             if exp < 1:
                 raise ValueError(f"exponent in {factor!r} must be >= 1")
-            if sum(parts) + index * exp > MAX_ORDER:
+            weight += index * exp
+            if weight > MAX_ORDER:
                 raise ValueError(f"chern entry {entry!r} has weight above {MAX_ORDER}")
             parts.extend([index] * exp)
         key = tuple(sorted(parts, reverse=True))

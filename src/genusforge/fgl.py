@@ -107,18 +107,18 @@ class AxiomReport:
 
     @property
     def passed(self) -> bool:
-        return self.unit.passed and self.commutativity.passed and self.associativity.passed
+        return all(part.passed for part in vars(self).values())
+
+    def as_check(self) -> CheckResult:
+        """One result: the degree and coefficient of the first failing part,
+        named in `detail`, with the whole report as the `report` extra."""
+        for name, part in vars(self).items():
+            if not part.passed:
+                return CheckResult.fail(part.degree, part.coefficient, name, report=self.to_obj())
+        return CheckResult.ok(report=self.to_obj())
 
     def to_obj(self) -> dict:
-        return {
-            "unit": "PASS" if self.unit.passed else self.unit.to_obj(),
-            "commutativity": "PASS"
-            if self.commutativity.passed
-            else self.commutativity.to_obj(),
-            "associativity": "PASS"
-            if self.associativity.passed
-            else self.associativity.to_obj(),
-        }
+        return {name: "PASS" if part.passed else part.to_obj() for name, part in vars(self).items()}
 
 
 # -- catalog ------------------------------------------------------------------
@@ -350,11 +350,11 @@ def check_axioms(law: Union[FormalGroupLaw, Series2]) -> AxiomReport:
 
 
 def grading_check(law: FormalGroupLaw) -> CheckResult:
-    """Check that the coefficient of z0^i z1^j is homogeneous of weight i+j-1."""
-    for (i, j), c in law.F.items():
-        if not c.is_homogeneous(i + j - 1):
-            return CheckResult.fail(i + j, c, detail=f"coefficient ({i},{j})")
-    return CheckResult.ok()
+    """Check that the coefficient of z0^i z1^j is homogeneous of weight i+j-1;
+    a failure names the first coefficient that is not."""
+    return first_defect(
+        ((i, j), c) for (i, j), c in law.F.items() if not c.is_homogeneous(i + j - 1)
+    )
 
 
 # -- logarithm, inverse, n-series ------------------------------------------------

@@ -15,7 +15,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from genusforge.check import CheckResult, first_defect
+from genusforge.check import CheckResult, first_defect, first_residual
 from genusforge.fgl import (
     CATALOG,
     EXPONENTIALS,
@@ -385,19 +385,15 @@ def normalized_gamma_report(order: int = 10) -> CheckResult:
     zeta sum matches the direct expansion (the classical closed form carries
     a plus sign; the expansion of Gamma(1+z) under z -> x/ipi2 gives minus).
     """
-    g = gamma_series(order, "normalized")
-    H = g.H
+    H = gamma_series(order, "normalized").H
     lin_expected = RingElement.gen("gamma", coeff=-1) * RingElement.gen("ipi2", -1)
-    linear = CheckResult.from_flag(H[1] == lin_expected)
+    linear = [(1, H[1] - lin_expected)]
 
     # The "even part" of the sqrt-times-exponential factorization is exp(even part of
     # log H), not the even-coefficient slice of H itself.
     logH = log_series(H)
     log_even = Series1([logH[k] if k % 2 == 0 else _ZERO for k in range(order + 1)], order)
-    log_odd = logH - log_even
-    even_factor = exp_series(log_even)
-    sqrt_target = sqrt_series(half_sinh_ratio(order))
-    even = CheckResult.from_flag(even_factor == sqrt_target)
+    even = (exp_series(log_even) - sqrt_series(half_sinh_ratio(order))).items()
 
     plus_display = Series1(
         [
@@ -408,17 +404,21 @@ def normalized_gamma_report(order: int = 10) -> CheckResult:
         ],
         order,
     )
-    gamma_term = Series1.x(order) * lin_expected
-    if log_odd == gamma_term + plus_display:
-        odd_sign = "plus-sign convention matches expansion"
-    elif log_odd == gamma_term - plus_display:
-        odd_sign = "expansion carries minus; the plus-sign convention does not match"
-    else:
-        odd_sign = "neither sign matches"
-    return CheckResult.from_flag(
-        linear.passed and even.passed and "neither" not in odd_sign,
-        linear_term=linear.status,
-        even_part_is_sqrt_sinh=even.status,
+    # The odd zeta sum beyond the linear term, against the sign that matches.
+    rest = logH - log_even - Series1.x(order) * lin_expected
+    plus = rest == plus_display
+    odd = (rest - plus_display if plus else rest + plus_display).items()
+    odd_sign = (
+        "plus-sign convention matches expansion"
+        if plus
+        else "neither sign matches"
+        if odd
+        else "expansion carries minus; the plus-sign convention does not match"
+    )
+    return first_defect(
+        [*linear, *even, *odd],
+        linear_term=first_defect(linear).status,
+        even_part_is_sqrt_sinh=first_defect(even).status,
         odd_sum_sign=odd_sign,
     )
 
@@ -444,7 +444,7 @@ def msp_agreement_check(order: int, m: int, mutant: bool = False) -> CheckResult
     """Conjugated product of Gamma series against the A-hat series.
 
     Layer 1 (raw): Pi H(x_i) H(-x_i) equals the even-zeta exponential per
-    root: gamma and odd zeta content cancels identically.  Layer 2
+    root, so gamma and odd zeta content cancels identically.  Layer 2
     (normalized): the same product with reduced coefficients equals
     Pi (x_i/2)/sinh(x_i/2) exactly.  The mutant variant squares H instead of
     conjugating and must fail at weight 1.
@@ -463,14 +463,6 @@ def msp_agreement_check(order: int, m: int, mutant: bool = False) -> CheckResult
     defect = first_defect(raw.items(), "raw layer")
     if not defect.passed:
         return defect
-
-    stray = sorted(
-        name
-        for name in set().union(*(c.generators() for c in lhs.coefficients()))
-        if name == "gamma" or (name.startswith("zeta") and int(name[4:]) % 2 == 1)
-    )
-    if stray:
-        return CheckResult.fail(detail=f"gamma/odd-zeta content survived: {stray}")
 
     g_norm = gamma_series(order, "normalized")
     lhs_norm = series_product_over_alphabet(g_norm.H, alphabet, order)
@@ -493,13 +485,12 @@ def ahat_pontryagin_identity(order: int, m: int) -> CheckResult:
         s_so = power_sum_over(roots, 2 * k) * 2
         arg[2 * k] = s_so * (-bernoulli(2 * k) / (math.factorial(2 * k) * 4 * k))
     diff = lhs - exp_series(Series1(arg, order))
-    defect = first_defect(diff.items(), "pontryagin identity")
-    if not defect.passed:
-        return defect
     k1 = -bernoulli(2) / (math.factorial(2) * 4)
-    if k1 != zeta_tilde_even(1) / 2 or k1 != Fraction(-1, 48):
-        return CheckResult.fail(detail=f"k=1 coefficient {k1} != -1/48")
-    return CheckResult.ok()
+    pins = [zeta_tilde_even(1) / 2, Fraction(-1, 48)]
+    return first_defect(
+        [*diff.items(), *((2, RingElement.from_rational(k1 - pin)) for pin in pins)],
+        "pontryagin identity",
+    )
 
 
 # -- the Witten q-deformation ---------------------------------------------------------
@@ -551,11 +542,7 @@ class WittenSeries:
         """The q = 0 slice is the rational A-hat characteristic series."""
         target = half_sinh_ratio(self.x_order)
         slice0 = self.H.map_coefficients(lambda c: c.truncate_gen("q", 0))
-        return (
-            CheckResult.ok()
-            if slice0 == target
-            else CheckResult.fail(detail="q=0 slice differs from A-hat series")
-        )
+        return first_defect((slice0 - target).items(), "q=0 slice differs from A-hat series")
 
     def eisenstein_coefficient(self, k: int) -> RingElement:
         """G_2k(q) normalized by the period: 2k times the x^2k log coefficient."""
@@ -574,11 +561,7 @@ class WittenSeries:
         scale = Fraction(4 * k, math.factorial(2 * k))
         for n in range(1, self.q_order + 1):
             expected = expected + RingElement.gen("q", n, coeff=scale * _sigma(2 * k - 1, n))
-        return (
-            CheckResult.ok()
-            if got == expected
-            else CheckResult.fail(2 * k, got - expected)
-        )
+        return first_defect([(2 * k, got - expected)])
 
 
 def _pair_factor(n: int, x_order: int, q_order: int) -> Series1:
@@ -683,16 +666,14 @@ def universal_gamma(order: int) -> "dict[str, CheckResult]":
 
     law_order = min(order, 8)
     law = catalog("universal_additive", law_order)
-    integral: CheckResult = CheckResult.ok()
-    for (i, j), c in law.F.items():
-        for mono, coeff in c.terms():
-            bad_gen = any(not (n[0] == "e" and n[1:].isdigit()) for n, _ in mono)
-            if coeff.denominator != 1 or bad_gen:
-                integral = CheckResult.fail(i + j, c, detail=f"coefficient ({i},{j})")
-                break
-        if not integral.passed:
-            break
-    report["law_integral"] = integral
+    report["law_integral"] = first_defect(
+        (ij, c)
+        for ij, c in law.F.items()
+        if any(
+            coeff.denominator != 1 or any(not (n[0] == "e" and n[1:].isdigit()) for n, _ in mono)
+            for mono, coeff in c.terms()
+        )
+    )
     return report
 
 
@@ -705,13 +686,9 @@ def chi_rescaled_check(order: int) -> CheckResult:
     is recorded."""
     law = catalog("chi_rescaled", order)
     L = logarithm(law)
-    log_check = first_defect(
-        (n, L[n] - gaussian_bracket(n) * Fraction(1, n)) for n in range(1, order + 1)
-    )
-    inv = law.F.map_coefficients(
-        lambda c: c.substitute({"u": RingElement.gen("u", -1)})
-    )
-    inv_check = CheckResult.ok() if inv == law.F else CheckResult.fail(detail="u -> 1/u")
+    log_pairs = [(n, L[n] - gaussian_bracket(n) * Fraction(1, n)) for n in range(1, order + 1)]
+    u_inv = {"u": RingElement.gen("u", -1)}
+    inv_pairs = (law.F.map_coefficients(lambda c: c.substitute(u_inv)) - law.F).items()
     mixed = law.F[(1, 1)]
     plus_form = RingElement.gen("u") + RingElement.gen("u", -1)
     if mixed == plus_form:
@@ -723,10 +700,10 @@ def chi_rescaled_check(order: int) -> CheckResult:
         )
     else:
         sign_note = f"unexpected mixed term {mixed}"
-    return CheckResult.from_flag(
-        log_check.passed and inv_check.passed,
-        logarithm=log_check,
-        involution=inv_check,
+    return first_defect(
+        [*log_pairs, *inv_pairs],
+        logarithm=first_defect(log_pairs),
+        involution=first_defect(inv_pairs, "u -> 1/u"),
         mixed_term_sign=sign_note,
     )
 
@@ -768,9 +745,8 @@ def numeric_gamma_validation(
     value = series.evaluate(complex(float(z0)))
     target = 0.0 if z0 == 0 else 1.0 / math.gamma(float(z0))
     residual = abs(value - target)
-    return CheckResult.from_flag(
-        residual < tolerance, z0=str(z0), order=order, tolerance=tolerance, residual=residual
-    )
+    extra = dict(z0=str(z0), order=order, tolerance=tolerance, residual=residual)
+    return first_residual([(order, residual)], tolerance, **extra)
 
 
 # -- Hodge comparison for the deformation law --------------------------------------------------
@@ -807,34 +783,20 @@ def zeta_map_report() -> CheckResult:
     (-1)^(k+1) (2 pi)^(-2k-1) zeta(2k+1) i agrees with zeta~(2k+1) exactly,
     checked numerically to 12 digits.  Both are checked for k = 1, 2, 3.
     """
-    report: "dict[str, str]" = {}
-    even_match = all(
-        zeta_tilde_even(k) / (2 * k) == -bernoulli(2 * k) / (4 * k * math.factorial(2 * k))
-        for k in range(1, 4)
-    )
-    report["exponent_coefficient"] = (
-        "zeta~(2k)/(2k) = -B_2k/(4k(2k)!)" if even_match else "MISMATCH"
-    )
-    report["even_map_sign"] = "opposite sign to the exponent coefficient"
-    odd_ok = True
+    exact, residuals = [], []
     for k in range(1, 4):
-        lhs = (
-            RingElement.gen(f"zeta{2 * k + 1}") * RingElement.gen("ipi2", -(2 * k + 1))
-        ).evaluate()
-        rhs = (
-            (-1) ** (k + 1)
-            * math.tau ** (-(2 * k + 1))
-            * zeta_numeric(2 * k + 1)
-            * 1j
-        )
-        if abs(lhs - rhs) > 1e-12:
-            odd_ok = False
-    report["odd_map_sign"] = (
-        "matches zeta~(2k+1) to 12 digits" if odd_ok else "MISMATCH"
-    )
+        coeff = zeta_tilde_even(k) / (2 * k) + bernoulli(2 * k) / (4 * k * math.factorial(2 * k))
+        exact.append((2 * k, RingElement.from_rational(coeff)))
+        z = RingElement.gen(f"zeta{2 * k + 1}") * RingElement.gen("ipi2", -(2 * k + 1))
+        odd_map = (-1) ** (k + 1) * math.tau ** (-(2 * k + 1)) * zeta_numeric(2 * k + 1) * 1j
+        residuals.append((2 * k + 1, abs(z.evaluate() - odd_map)))
+    even, odd = first_defect(exact), first_residual(residuals, 1e-12)
     s1 = (RingElement.gen("gamma") * RingElement.gen("ipi2", -1)).evaluate()
     s1_display = -(euler_gamma() / math.tau) * 1j
-    report["s1_map_sign"] = (
-        "matches -gamma i / (2 pi)" if abs(s1 - s1_display) < 1e-12 else "MISMATCH"
-    )
-    return CheckResult.from_flag(even_match and odd_ok, **report)
+    report = {
+        "exponent_coefficient": "zeta~(2k)/(2k) = -B_2k/(4k(2k)!)" if even.passed else "MISMATCH",
+        "even_map_sign": "opposite sign to the exponent coefficient",
+        "odd_map_sign": "matches zeta~(2k+1) to 12 digits" if odd.passed else "MISMATCH",
+        "s1_map_sign": "matches -gamma i / (2 pi)" if abs(s1 - s1_display) < 1e-12 else "MISMATCH",
+    }
+    return replace(odd if even.passed else even, extra=report)

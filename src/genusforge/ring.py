@@ -487,6 +487,10 @@ class RingElement:
             self._hash = hash(value)
             return self._hash
 
+    def __reduce__(self):
+        # Packed keys are slot numbers private to this process: carry monomials by name.
+        return RingElement, (dict(self.terms()),)
+
     # -- structural operations ---------------------------------------------
 
     def substitute(self, mapping: "Mapping[str, Scalar]") -> "RingElement":

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from genusforge.check import CheckResult
+from genusforge.check import CheckResult, first_defect
 from genusforge.ring import RingElement, _monomial_weight
 from genusforge.series import Series1, exp_series, log_series
 
@@ -336,12 +336,7 @@ def symplectic_power_sum_check(m: int, k: int) -> CheckResult:
     roots = _roots(m)
     doubled = roots + [-r for r in roots]
     even = power_sum_over(doubled, 2 * k) - 2 * power_sum_over(roots, 2 * k)
-    odd = power_sum_over(doubled, 2 * k + 1)
-    if not even.is_zero():
-        return CheckResult.fail(coefficient=even, detail="even power sum mismatch")
-    if not odd.is_zero():
-        return CheckResult.fail(coefficient=odd, detail="odd power sum nonzero")
-    return CheckResult.ok()
+    return first_defect([(2 * k, even), (2 * k + 1, power_sum_over(doubled, 2 * k + 1))])
 
 
 # -- multiplicative sequences ------------------------------------------------------------

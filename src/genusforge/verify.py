@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Callable
 
 from genusforge import fgl, genus
-from genusforge.check import CheckResult, first_defect
+from genusforge.check import CheckResult, first_defect, first_residual
 from genusforge.ring import RingElement, zeta_tilde_even
 from genusforge.series import Series1, bivariate_from_exp
 from genusforge.symfun import symplectic_power_sum_check
@@ -29,14 +29,11 @@ Checks = "dict[str, CheckResult]"
 def _fgl_checks(order: int) -> Checks:
     out: Checks = {}
     for name in fgl.CATALOG:
-        report = fgl.check_axioms(fgl.catalog(name, order))
-        out[f"axioms_{name}"] = CheckResult.from_flag(report.passed, report=report.to_obj())
-    kg = fgl.kontsevich_germ_law(order)
+        out[f"axioms_{name}"] = fgl.check_axioms(fgl.catalog(name, order)).as_check()
     kc = fgl.catalog("kontsevich", order)
-    germ = first_defect((kg - kc.F).items())
-    t = RingElement.gen("t")
-    out["kontsevich_germ_vs_closed"] = (
-        CheckResult.from_flag(kc.F[(1, 1)] == 1 + t) if germ.passed else germ
+    mixed = kc.F[(1, 1)] - 1 - RingElement.gen("t")
+    out["kontsevich_germ_vs_closed"] = first_defect(
+        [*(fgl.kontsevich_germ_law(order) - kc.F).items(), ((1, 1), mixed)]
     )
 
     jac = fgl.catalog("jacobi", order, params={"delta": Fraction(-1, 8), "epsilon": 0})
@@ -86,10 +83,9 @@ def _iso_checks(order: int) -> Checks:
 
 def _gamma_checks(order: int) -> Checks:
     out: Checks = {}
+    gamma = RingElement.gen("gamma")
     glaw = fgl.catalog("gamma_raw", min(order, 8))
-    out["gamma_law_z0z1_coefficient"] = CheckResult.from_flag(
-        glaw.F[(1, 1)] == RingElement.gen("gamma") * 2
-    )
+    out["gamma_law_z0z1_coefficient"] = first_defect([((1, 1), glaw.F[(1, 1)] - 2 * gamma)])
     m_order = min(order, 10)
     for name in _MISHCHENKO_SERIES:
         out[f"mishchenko_{name}"] = genus.mishchenko_check(genus.genus_series(name, m_order))
@@ -97,21 +93,20 @@ def _gamma_checks(order: int) -> Checks:
     msp_order = min(order, 12)
     for m in (1, 2, 3):
         out[f"msp_agreement_m{m}"] = genus.msp_agreement_check(msp_order, m)
+    # Squaring H in place of conjugating it leaves 2 H_1 (x1 + x2) at degree 1.
     mutant = genus.msp_agreement_check(min(order, 6), 2, mutant=True)
-    out["msp_mutant_fails"] = CheckResult.from_flag(not mutant.passed and mutant.degree == 1)
+    weight1 = mutant.coefficient if mutant.degree == 1 else RingElement.zero()
+    x1, x2 = RingElement.gen("x1"), RingElement.gen("x2")
+    out["msp_mutant_fails"] = first_defect([(1, weight1 + 2 * gamma * (x1 + x2))])
     out["ahat_pontryagin_identity_m3"] = genus.ahat_pontryagin_identity(msp_order, 3)
 
-    table_ok = True
-    numeric_ok = True
+    exact, residuals = [], []
     for k in range(1, 9):
-        exact = zeta_tilde_even(k)
         z2k = RingElement.gen(f"zeta{2 * k}") * RingElement.gen("ipi2", -2 * k)
-        if z2k.reduce() != RingElement.from_rational(exact):
-            table_ok = False
-        if abs(z2k.evaluate() - complex(float(exact))) > 1e-12:
-            numeric_ok = False
-    out["even_zeta_table_exact"] = CheckResult.from_flag(table_ok)
-    out["even_zeta_table_numeric_1e-12"] = CheckResult.from_flag(numeric_ok)
+        exact.append((2 * k, z2k.reduce() - zeta_tilde_even(k)))
+        residuals.append((2 * k, abs(z2k.evaluate() - complex(float(zeta_tilde_even(k))))))
+    out["even_zeta_table_exact"] = first_defect(exact)
+    out["even_zeta_table_numeric_1e-12"] = first_residual(residuals, 1e-12)
 
     out["normalized_gamma_structure"] = genus.normalized_gamma_report(min(order, 10))
     out["conjugation_equivariance_cp4"] = genus.conjugation_equivariance_check(4)
@@ -119,26 +114,24 @@ def _gamma_checks(order: int) -> Checks:
     out["zeta_map_signs"] = genus.zeta_map_report()
 
     todd = genus.genus_series("todd", 6)
-    out["todd_cpn_all_one"] = CheckResult.from_flag(
-        all(genus.genus_cpn(todd, n) == RingElement.one() for n in range(7))
-    )
+    out["todd_cpn_all_one"] = first_defect((n, genus.genus_cpn(todd, n) - 1) for n in range(7))
     ahat = genus.genus_series("ahat", 4)
     expected = {2: Fraction(-1, 8), 3: Fraction(0), 4: Fraction(3, 128)}
-    out["ahat_cpn_values"] = CheckResult.from_flag(
-        all(genus.genus_cpn(ahat, n) == RingElement.from_rational(v) for n, v in expected.items())
+    out["ahat_cpn_values"] = first_defect(
+        (n, genus.genus_cpn(ahat, n) - v) for n, v in expected.items()
     )
 
-    chern_detail = {}
-    for name in genus.GENUS_SERIES:
-        g = genus.genus_series(name, 5)
-        for n in range(1, 5):
-            via_chern = genus.genus_of(
-                g, genus.ManifoldDescriptor.from_chern(n, genus.cpn_chern_numbers(n))
-            )
-            if via_chern != genus.genus_cpn(g, n):
-                chern_detail = {"series": name, "n": n}
-    out["chern_route_matches_product_route"] = CheckResult.from_flag(
-        not chern_detail, **chern_detail
+    from_chern = genus.ManifoldDescriptor.from_chern
+    cpn = {n: from_chern(n, genus.cpn_chern_numbers(n)) for n in range(1, 5)}
+    by_series = (
+        first_defect(
+            ((n, genus.genus_of(g, M) - genus.genus_cpn(g, n)) for n, M in cpn.items()),
+            f"series {g.name}",
+        )
+        for g in (genus.genus_series(name, 5) for name in genus.GENUS_SERIES)
+    )
+    out["chern_route_matches_product_route"] = next(
+        (r for r in by_series if not r.passed), CheckResult.ok()
     )
 
     out["hodge_chi_minus_t_cp5"] = genus.hodge_chi_check(5)
@@ -158,7 +151,8 @@ def _witten_checks(order: int) -> Checks:
     for k in (1, 2, 3):
         if 2 * k <= w.x_order:
             out[f"witten_divisor_sum_k{k}"] = w.divisor_check(k)
-    out["witten_x2q1_is_one"] = CheckResult.from_flag(w.log_coefficient(2, 1) == Fraction(1))
+    x2q1 = RingElement.from_rational(w.log_coefficient(2, 1))
+    out["witten_x2q1_is_one"] = first_defect([(2, x2q1 - 1)])
     return out
 
 

@@ -1,7 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from genusforge import fgl
-from genusforge.check import CheckResult, first_defect
+from genusforge.check import CheckResult, first_defect, first_residual
 from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2
 
@@ -47,12 +51,29 @@ class TestFirstDefect:
         assert (res.degree, res.coefficient) == (5, R.from_rational(Fraction(1, 2)))
 
 
+class TestFirstResidual:
+    def test_lowest_degree_not_below_tolerance_names_its_residual(self):
+        res = first_residual([(5, 0.5), (3, 1e-13), (4, 0.25), (6, 1.0)], 0.25, note="kept")
+        assert res.to_obj() == {
+            "status": "FAIL", "degree": 4, "detail": "residual 0.25 not below 0.25", "note": "kept"
+        }
+
+    def test_all_below_passes_with_extras_only(self):
+        res = first_residual([(1, 0.0), (2, 1e-13)], 1e-12, tolerance=1e-12)
+        assert res.to_obj() == {"status": "PASS", "tolerance": 1e-12}
+
+    def test_nan_is_a_failure(self):
+        res = first_residual([(2, 0.0), (3, float("nan"))], 1e-12)
+        assert (res.passed, res.degree, res.detail) == (False, 3, "residual nan not below 1e-12")
+
+
 class TestCheckResult:
     def test_extra_fields_merge_and_nest(self):
         inner = CheckResult.fail(4, gen("t"))
-        res = CheckResult.from_flag(False, sub=inner, note="n")
+        res = CheckResult.fail(2, sub=inner, note="n")
         assert res.to_obj() == {
             "status": "FAIL",
+            "degree": 2,
             "sub": {"status": "FAIL", "degree": 4, "coefficient": gen("t").to_obj()},
             "note": "n",
         }
@@ -61,3 +82,56 @@ class TestCheckResult:
         a = CheckResult.fail(1, gen("x1"), "d", note=[1])
         b = CheckResult.fail(1, gen("x1"), "d", note=[1])
         assert a == b and hash(a) == hash(b)
+
+
+def _failure_calls_without_degree(tree):
+    """CheckResult.fail(...) and CheckResult("FAIL", ...) calls in `tree` that
+    pass no degree, or None for it."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, list(node.args)
+        if isinstance(func, ast.Attribute) and func.attr == "fail":
+            is_failure = isinstance(func.value, ast.Name) and func.value.id == "CheckResult"
+        elif isinstance(func, ast.Name) and func.id == "CheckResult":
+            status = args.pop(0) if args else next(
+                (k.value for k in node.keywords if k.arg == "status"), None
+            )
+            is_failure = isinstance(status, ast.Constant) and status.value == "FAIL"
+        else:
+            continue
+        degree = args[0] if args else next(
+            (k.value for k in node.keywords if k.arg == "degree"), None
+        )
+        if is_failure and (degree is None or getattr(degree, "value", 0) is None):
+            yield node.lineno
+
+
+def test_every_failure_in_src_names_a_degree_and_from_flag_is_gone():
+    """The check shape is kept by the source itself: a failing result always
+    names a degree, and no pass/fail flag constructor exists."""
+    offences = []
+    for path in sorted(Path(fgl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        if "from_flag" in names:
+            offences.append(f"{path.name}: from_flag")
+        offences += [f"{path.name}:{line}" for line in _failure_calls_without_degree(tree)]
+    assert offences == []
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("CheckResult.fail(detail='x')", [1]),
+        ("CheckResult.fail(None, c)", [1]),
+        ("CheckResult('FAIL', extra={})", [1]),
+        ("CheckResult(status='FAIL', degree=None)", [1]),
+        ("CheckResult.fail(2 * k, c)\nCheckResult('FAIL', d)\nCheckResult.fail(degree=n)", []),
+        ("CheckResult('PASS')\nother.fail()", []),
+    ],
+)
+def test_the_degree_guard_sees_what_it_should(source, lines):
+    assert list(_failure_calls_without_degree(ast.parse(source))) == lines

@@ -670,6 +670,21 @@ class TestRationalParity:
             new, old = _both_routes(argv)
             assert new == old, argv
 
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-max-order", "above-max-order"])
+    def test_entry_weight_spread_over_many_factors(self, extra):
+        """An entry of weight MAX_ORDER, spelled as MAX_ORDER factors, is read
+        whole; one more factor is refused at that factor."""
+        entry = "*".join(["c1"] * (cli.MAX_ORDER + extra)) + "=1"
+        dim = str(cli.MAX_ORDER)
+        new, old = _both_routes(["genus", "chern", "--series", "todd", "--dim", dim, "--chern", entry])
+        assert new == old
+        code, out, err = new
+        assert (code, out) == (2, "")
+        if extra:
+            assert err == f"error: chern entry {entry!r} has weight above {cli.MAX_ORDER}\n"
+        else:
+            assert err == f"error: chern table keys {[(1,) * cli.MAX_ORDER]} != partitions of {dim}\n"
+
     @settings(max_examples=200, deadline=None)
     @given(_chern_argv())
     def test_chern_tables(self, argv):

@@ -526,6 +526,42 @@ def test_output_does_not_depend_on_slot_order():
     assert outputs[0] == outputs[1] and "True" in outputs[0]
 
 
+_PICKLED = (
+    "from genusforge import fgl\n"
+    "from genusforge.ring import RingElement as R\n"
+    "from genusforge.series import Series1\n"
+    "x = R.gen('gamma', 2, 5)\n"
+    "objects = [x, Series1([1, x, R.gen('zeta3') - x], 2), fgl.catalog('gamma_raw', 4)]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "writer, reader",
+    [(["zeta3"], []), (["zeta3"], ["gamma", "zeta3"]), (["gamma", "zeta3"], ["zeta3", "zeta2"])],
+    ids=["reader-knows-nothing", "reader-swapped-slots", "reader-other-slots"],
+)
+def test_pickle_loads_the_same_value_under_another_slot_order(writer, reader):
+    """A pickle carries monomials by name, so a process that packed its
+    generators in another order loads the element that was written."""
+    dumped = _run_script(
+        "import pickle\n"
+        "from genusforge.ring import RingElement\n"
+        f"for name in {writer!r}:\n"
+        "    RingElement.gen(name)\n" + _PICKLED + "print(pickle.dumps(objects).hex())\n"
+    )
+    loaded = _run_script(
+        "import pickle\n"
+        "from genusforge.ring import RingElement\n"
+        f"for name in {reader!r}:\n"
+        "    RingElement.gen(name)\n"
+        f"loaded = pickle.loads(bytes.fromhex({dumped.strip()!r}))\n" + _PICKLED +
+        "assert loaded == objects, (loaded, objects)\n"
+        "assert [hash(a) for a in loaded] == [hash(b) for b in objects]\n"
+        "print(loaded[0], loaded[1].to_obj() == objects[1].to_obj())\n"
+    )
+    assert loaded.split() == ["5*gamma^2", "True"]
+
+
 class TestHashAcrossRoutes:
     @given(ring_elements(), units())
     def test_unit_round_trip(self, a, u):

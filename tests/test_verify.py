@@ -1,0 +1,225 @@
+"""Fault injection over the verify report.
+
+Every check in the order-6 report but one is given a broken input, and must
+then fail in the one result shape: an integer degree, plus the offending
+coefficient for an exact check or the residual in `detail` for a numeric one.
+Each injection replaces a name at the site that reads it, and a fixture puts
+back the law and series memos and empties the value-keyed ones, so no broken
+value outlives its test.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from genusforge import fgl, genus, symfun, verify
+from genusforge.ring import RingElement
+from genusforge.series import Series1, Series2
+
+ORDER = 6
+# An adjudication record: it reports what the candidate conventions give and passes.
+ALWAYS_PASSES = {"mobius_convention_sweep"}
+NUMERIC = {"even_zeta_table_numeric_1e-12", "numeric_gamma_validation", "zeta_map_signs"}
+
+
+class _Seen:
+    """A module as one reader sees it: some attributes replaced, the rest its own."""
+
+    def __init__(self, module, **replaced):
+        self._module = module
+        vars(self).update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+def _wrap(module, attr, change):
+    """Replace module.attr by change(original, *args), for the readers of module."""
+
+    def inject(mp):
+        original = getattr(module, attr)
+        mp.setattr(module, attr, lambda *args, **kw: change(original, *args, **kw))
+
+    return inject
+
+
+def _seen_by_verify(module, attr, change):
+    """Replace module.attr by change(original, *args), for verify's reads only."""
+
+    def inject(mp):
+        original = getattr(module, attr)
+        seen = _Seen(module, **{attr: lambda *args, **kw: change(original, *args, **kw)})
+        mp.setattr(verify, module.__name__.rsplit(".", 1)[1], seen)
+
+    return inject
+
+
+def _term(k, c, order):
+    """The series c z^k."""
+    return Series1({k: c}, order)
+
+
+def _law_plus(name, bump):
+    """A catalog change that adds the terms `bump` to the F of the law `name`."""
+
+    def change(original, law_name, order, *args, **kw):
+        law = original(law_name, order, *args, **kw)
+        return replace(law, F=law.F + Series2(bump, law.order)) if law_name == name else law
+
+    return change
+
+
+def _bumped_law(name):
+    """verify reads the catalog law `name` with z0 z1 + z0 z1^2 added to F: a
+    weight-0 term at (1, 1), and F no longer commutative."""
+    return _seen_by_verify(fgl, "catalog", _law_plus(name, {(1, 1): 1, (1, 2): 1}))
+
+
+def _negation(name):
+    def change(original, law):
+        inverse = original(law)
+        return inverse + _term(2, 1, inverse.order) if law.name == name else inverse
+
+    return _seen_by_verify(fgl, "negation_series", change)
+
+
+def _plus_one_for(name):
+    """A change that adds 1 to a value read for the series called `name`."""
+    return lambda original, g, *args: original(g, *args) + (1 if g.name == name else 0)
+
+
+def _witten(change):
+    return _seen_by_verify(genus, "witten_series", lambda original, *args: change(original(*args)))
+
+
+def _bumped_series(name):
+    def change(original, series_name, order, *args):
+        g = original(series_name, order, *args)
+        return replace(g, H=g.H + _term(2, 1, order)) if series_name == name else g
+
+    return _wrap(genus, "genus_series", change)
+
+
+def _other_root_sign(m):
+    """The alphabet of m roots with x_m doubled in place of +-x_m."""
+    return lambda original, k: original(k)[:-1] + original(k)[-2:-1] if k == m else original(k)
+
+
+_GAMMA_EXP_BUMP = _wrap(
+    genus, "gamma_exponential", lambda original, n: original(n) + _term(1, Fraction(1, 1000), n)
+)
+_EVEN_ZETA_BUMP = _wrap(
+    verify, "zeta_tilde_even", lambda original, k: original(k) + Fraction(k == 4, 10**9)
+)
+
+INJECTIONS = {
+    **{f"axioms_{name}": _bumped_law(name) for name in fgl.CATALOG},
+    **{f"negation_{name}": _negation(name) for name in fgl.CATALOG},
+    **{f"log_exp_roundtrip_{name}": _bumped_law(name) for name in fgl.EXPONENTIALS},
+    "grading_gamma_raw": _bumped_law("gamma_raw"),
+    "grading_jacobi": _bumped_law("jacobi"),
+    "grading_universal": _bumped_law("universal_additive"),
+    "kontsevich_germ_vs_closed": _bumped_law("kontsevich"),
+    "jacobi_specializes_to_hyperbolic": _bumped_law("hyperbolic"),
+    "canonical_iso_kontsevich_to_multiplicative": _bumped_law("multiplicative"),
+    "gamma_law_z0z1_coefficient": _bumped_law("gamma_raw"),
+    **{
+        f"mishchenko_{name}": _wrap(genus, "genus_cpn", _plus_one_for(name))
+        for name in verify._MISHCHENKO_SERIES
+    },
+    **{f"msp_agreement_m{m}": _wrap(genus, "_roots_pm", _other_root_sign(m)) for m in (1, 2, 3)},
+    "msp_mutant_fails": _seen_by_verify(
+        genus, "msp_agreement_check", lambda original, order, m, mutant=False: original(order, m)
+    ),
+    "ahat_pontryagin_identity_m3": _wrap(
+        genus, "power_sum_over", lambda original, roots, k: original(roots, k) * 2
+    ),
+    "even_zeta_table_exact": _EVEN_ZETA_BUMP,
+    "even_zeta_table_numeric_1e-12": _EVEN_ZETA_BUMP,
+    "normalized_gamma_structure": _wrap(
+        genus, "sqrt_series", lambda original, f: original(f) + _term(2, 1, f.order)
+    ),
+    "conjugation_equivariance_cp4": _wrap(genus, "genus_cpn", _plus_one_for("gamma_conjugate")),
+    "numeric_gamma_validation": _GAMMA_EXP_BUMP,
+    "zeta_map_signs": _wrap(genus, "zeta_numeric", lambda original, k: original(k) * (1 + 1e-6)),
+    "todd_cpn_all_one": _seen_by_verify(genus, "genus_cpn", _plus_one_for("todd")),
+    "ahat_cpn_values": _seen_by_verify(genus, "genus_cpn", _plus_one_for("ahat")),
+    "chern_route_matches_product_route": _seen_by_verify(
+        genus, "genus_of", _plus_one_for("hyperbolic")
+    ),
+    "hodge_chi_minus_t_cp5": _wrap(
+        genus,
+        "hodge_chi_minus_t",
+        lambda original, n: original(n) + (RingElement.gen("t", n + 1) if n == 3 else 0),
+    ),
+    **{
+        f"symplectic_power_sums_m{m}_k{k}": _wrap(
+            symfun,
+            "power_sum_over",
+            lambda original, alphabet, j, m=m: original(alphabet, j) + (len(alphabet) == 2 * m),
+        )
+        for m, k in ((1, 1), (2, 2), (3, 2))
+    },
+    "chi_rescaled_structure": _wrap(
+        genus, "gaussian_bracket", lambda original, n: original(n) + (1 if n == 2 else 0)
+    ),
+    "witten_evenness": _witten(lambda w: replace(w, H=w.H + _term(3, 1, w.x_order))),
+    "witten_q0_is_ahat": _witten(lambda w: replace(w, H=w.H + _term(2, 1, w.x_order))),
+    **{
+        f"witten_divisor_sum_k{k}": _witten(
+            lambda w, k=k: replace(w, log_H=w.log_H + _term(2 * k, 1, w.x_order))
+        )
+        for k in (1, 2, 3)
+    },
+    "witten_x2q1_is_one": _witten(
+        lambda w: replace(w, log_H=w.log_H + _term(2, RingElement.gen("q"), w.x_order))
+    ),
+    "universal_h_coefficients": _bumped_series("universal_additive"),
+    "universal_specializes_to_gamma": _GAMMA_EXP_BUMP,
+    "universal_law_integral_z_en": _wrap(
+        genus, "catalog", _law_plus("universal_additive", {(1, 2): Fraction(1, 2)})
+    ),
+}
+
+
+@pytest.fixture(autouse=True)
+def _memos_restored():
+    built, series = dict(fgl._BUILT), dict(genus._SERIES)
+    yield
+    fgl._BUILT.clear()
+    fgl._BUILT.update(built)
+    genus._SERIES.clear()
+    genus._SERIES.update(series)
+    for memo in (genus._cpn, genus._chern_rows, genus.witten_series, symfun._chern_power_sums):
+        memo.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def unbroken():
+    """Each report record without injection, with its suite."""
+    return {
+        rec["name"]: (suite, rec)
+        for suite in verify.SUITES
+        if suite != "all"
+        for rec in verify.run_suite(suite, ORDER)["checks"]
+    }
+
+
+def test_table_covers_every_report_name_and_each_passes_unbroken(unbroken):
+    assert len(unbroken) == 66
+    assert set(INJECTIONS) == set(unbroken) - ALWAYS_PASSES
+    assert all(rec["status"] == "PASS" for _, rec in unbroken.values())
+
+
+@pytest.mark.parametrize("name", sorted(INJECTIONS))
+def test_injected_fault_names_its_degree_and_defect(name, unbroken, monkeypatch):
+    INJECTIONS[name](monkeypatch)
+    report = verify.run_suite(unbroken[name][0], ORDER)
+    record = next(rec for rec in report["checks"] if rec["name"] == name)
+    assert record["status"] == "FAIL" and name in report["failing"], record
+    assert type(record["degree"]) is int
+    if name in NUMERIC:
+        assert record["detail"].startswith("residual ") and "coefficient" not in record
+    else:
+        assert not RingElement.from_obj(record["coefficient"]).is_zero()

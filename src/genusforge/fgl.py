@@ -375,30 +375,20 @@ def exponential(law: Union[FormalGroupLaw, Series2]) -> Series1:
     return logarithm(law).revert()
 
 
-def negation_series(law: Union[FormalGroupLaw, Series2]) -> Series1:
-    """The inverse series i(z) with F(z, i(z)) = 0, solved degree by degree;
-    degree m reads only degrees <= m of F and i, so step m runs at order m."""
-    F = _law_series(law)
-    n = F.order
-    z = Series1.x(n)
-    coeffs = [_ZERO, -_ONE] + [_ZERO] * (n - 1)
-    for m in range(2, n + 1):
-        val = F.truncate(m).eval_at(z.truncate(m), Series1(coeffs, m))[m]
-        coeffs[m] = coeffs[m] - val
-    return Series1(coeffs, n)
-
-
 def n_series(law: Union[FormalGroupLaw, Series2], n: int) -> Series1:
-    """The iterated series [n](z): [0] = 0, [n] = F(z, [n-1]), [-n] = [n] o [-1]."""
-    F = _law_series(law)
-    order = F.order
-    if n < 0:
-        return n_series(law, -n).compose(negation_series(law))
-    out = Series1.zeros(order)
-    z = Series1.x(order)
-    for _ in range(n):
-        out = F.eval_at(z, out)
-    return out
+    """The n-series [n](z) = exp(n log z), for every integer n.
+
+    Over a Q-algebra a law is F(z0, z1) = exp(log z0 + log z1), so this is the
+    n-fold sum z +_F ... +_F z, and [-1] is the inverse.  For a Series2 that is
+    not a law the two routes part: [n] need not be F(z, [n-1]).
+    """
+    return exponential(law).compose(logarithm(law) * n)
+
+
+def negation_series(law: Union[FormalGroupLaw, Series2]) -> Series1:
+    """The inverse series i(z) = [-1](z) = exp(-log z); F(z, i(z)) = 0 when F
+    is a law, and verify reports the first degree where it is not."""
+    return n_series(law, -1)
 
 
 # -- strict isomorphisms ----------------------------------------------------------

@@ -263,7 +263,9 @@ class Series1(_Series):
             self._coeffs[1].inverse()
         except ArithmeticError as exc:
             raise NotRevertibleError("linear coefficient must be invertible") from exc
-        return Series1(_inverse_powers(self)[1], self.order)
+        L = _lagrange_powers(self)
+        coeffs = [L[i][i - 1] * Fraction(1, i) for i in range(1, self.order + 1)]
+        return Series1([_ZERO, *coeffs], self.order)
 
     # -- numerics / io ---------------------------------------------------------
 
@@ -508,19 +510,16 @@ def compose1_2(outer: Series1, inner: Series2) -> Series2:
     return _horner(outer, inner)
 
 
-def _inverse_powers(f: Series1) -> "list[list[RingElement]]":
-    """Coefficient lists of g^0 .. g^n for g the compositional inverse of f.
+def _lagrange_powers(f: Series1) -> "list[Series1]":
+    """(w/f(w))^0 .. (w/f(w))^n at order n - 1, for f of order n with f(0) = 0
+    and an invertible linear coefficient.
 
-    Lagrange-Buermann: [z^i] g^a = (a/i) [w^(i-a)] (w/f(w))^i for 1 <= a <= i,
-    so one division and n powers of w/f give every row without reverting f.
+    Lagrange-Buermann: the compositional inverse g of f has
+    [z^i] g^a = (a/i) [w^(i-a)] (w/f(w))^i for 1 <= a <= i, so one division
+    and n powers of w/f give any power of g without reverting f.
     """
     n = f.order
-    rows = [[_ONE] + [_ZERO] * n] + [[_ZERO] * (n + 1) for _ in range(n)]
-    base = Series1.constant(1, n - 1) / Series1(f.coefficients()[1:], n - 1)
-    for i, power in enumerate(powers(base, n)):
-        for a in range(1, i + 1):
-            rows[a][i] = power[i - a] * Fraction(a, i)
-    return rows
+    return powers(Series1.constant(1, n - 1) / Series1(f.coefficients()[1:], n - 1), n)
 
 
 def bivariate_from_exp(exp: Series1) -> Series2:
@@ -535,7 +534,11 @@ def bivariate_from_exp(exp: Series1) -> Series2:
     if not exp[0].is_zero() or not exp[1].is_one():
         raise NotRevertibleError("exponential must be z + O(z^2)")
     n, dot = exp.order, RingElement.dot
-    P = _inverse_powers(exp)
+    L = _lagrange_powers(exp)
+    P = [[_ONE] + [_ZERO] * n] + [
+        [_ZERO] * a + [L[i][i - a] * Fraction(a, i) for i in range(a, n + 1)]
+        for a in range(1, n + 1)
+    ]
     # G[a][j] = sum_{b<=j} C(a+b, a) e_{a+b} P_b[j], so F[i,j] = sum_{a<=i} P_a[i] G[a][j]
     G = []
     for a in range(n + 1):

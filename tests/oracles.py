@@ -9,7 +9,7 @@ Akiyama-Tanigawa instead of the binomial recurrence, series reversion by
 Newton iteration instead of the Lagrange formula, the normalized Gamma
 exponential by reducing every expanded coefficient instead of the argument
 of exp, group laws from an exponential by Horner composition instead of
-the bilinear form, compositions by Horner loops at the full order instead of graded ones, the negation series by a full-order evaluation per degree, products over an alphabet of Chern roots by full root
+the bilinear form, compositions by Horner loops at the full order instead of graded ones, the negation series as the root of F(z, i) = 0 by a full-order evaluation per degree instead of exp(-log z), n-series by iterating F instead of exp(n log z), products over an alphabet of Chern roots by full root
 polynomials truncated by root degree instead of a graded series,
 multiplicative sequences from that root product instead of power sums,
 symmetric functions by substituting root polynomials for their basis
@@ -302,6 +302,18 @@ def full_order_negation_series(F: Series2) -> Series1:
     for m in range(2, n + 1):
         coeffs[m] = coeffs[m] - pairwise_eval_at(F, z, Series1(coeffs, n))[m]
     return Series1(coeffs, n)
+
+
+def iterated_n_series(F: Series2, n: int) -> Series1:
+    """[n](z) by iterating F: [0] = 0, [k] = F(z, [k - 1]), and
+    [-k] = [k] o [-1] with [-1] the full-order root of F(z, i) = 0."""
+    if n < 0:
+        return horner_compose(iterated_n_series(F, -n), full_order_negation_series(F))
+    out = Series1.zeros(F.order)
+    z = Series1.x(F.order)
+    for _ in range(n):
+        out = F.eval_at(z, out)
+    return out
 
 
 def newton_revert(f: Series1) -> Series1:

@@ -785,6 +785,27 @@ class TestVerifyCommand:
         assert digest == "f33f3aba4a5959912bf210f0b3ee388ae88620080b96dbfc0156d390f5d9516f"
 
 
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (
+            ["fgl", "check", "--law", "broken-demo"],
+            1,
+            "212d5099679ec16d9c360af9f977279a04ed49294e5fda51da6a9c9f2aa5c861",
+        ),
+        (
+            ["fgl", "iso", "--from", "gamma_raw", "--to", "additive", "--order", "12"],
+            0,
+            "4c30ea8e87bde4efed1a58ced61b2d7ebab4e5d94b42eb0d4cb21a076215da8f",
+        ),
+    ],
+)
+def test_fgl_report_bytes(argv, code, digest):
+    proc = run_cli(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 class TestEnvironment:
     def test_order_env_override(self):
         env = {**_ENV, "GENUSFORGE_ORDER": "4"}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from genusforge import fgl
+from genusforge.check import first_defect
 from genusforge.fgl import (
     CATALOG,
     DEMO_LAWS,
@@ -29,6 +30,7 @@ from conftest import rationals, ring_elements
 from oracles import (
     expanded_normalized_gamma_exponential,
     full_order_negation_series,
+    iterated_n_series,
     pairwise_check_axioms,
     pairwise_eval_at,
 )
@@ -252,11 +254,19 @@ class TestNegation:
         assert law.F.eval_at(Series1.x(7), neg).is_zero()
         assert pairwise_eval_at(law.F, Series1.x(7), neg).is_zero()
 
-    @pytest.mark.parametrize("name", CATALOG + DEMO_LAWS)
+    @pytest.mark.parametrize("name", CATALOG)
     def test_against_full_order_oracle(self, name):
         for n in range(2, 9):
             law = catalog(name, n)
             assert negation_series(law) == full_order_negation_series(law.F)
+
+    def test_broken_demo_inverse_fails_at_degree_3(self):
+        # F = z0 + z1 + z0^2 z1 is not associative: its log is arctan z, so
+        # exp(-log z) = -z, and F(z, -z) = -z^3.
+        for n in range(3, 9):
+            F = catalog("broken_demo", n).F
+            defect = first_defect(F.eval_at(Series1.x(n), negation_series(F)).items())
+            assert (defect.degree, defect.coefficient) == (3, R.from_rational(-1))
 
 
 class TestNSeries:
@@ -266,12 +276,19 @@ class TestNSeries:
         two = n_series(catalog("multiplicative", n), 2)
         assert two == Series1([0, 2, 1], n)
         minus = n_series(catalog("multiplicative", n), -1)
-        assert minus == negation_series(catalog("multiplicative", n))
+        assert minus == Series1([0] + [(-1) ** k for k in range(1, n + 1)], n)  # -z / (1 + z)
 
     def test_one_is_identity(self):
         for name in CATALOG:
             law = catalog(name, 5)
             assert n_series(law, 1) == Series1.x(5)
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_against_iterated_oracle(self, name):
+        for n in range(2, 9):
+            law = catalog(name, n)
+            for k in range(-3, 5):
+                assert n_series(law, k) == iterated_n_series(law.F, k), (n, k)
 
     def test_linear_coefficient(self):
         law = catalog("kontsevich", 5)

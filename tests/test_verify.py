@@ -76,14 +76,6 @@ def _bumped_law(name):
     return _seen_by_verify(fgl, "catalog", _law_plus(name, {(1, 1): 1, (1, 2): 1}))
 
 
-def _negation(name):
-    def change(original, law):
-        inverse = original(law)
-        return inverse + _term(2, 1, inverse.order) if law.name == name else inverse
-
-    return _seen_by_verify(fgl, "negation_series", change)
-
-
 def _plus_one_for(name):
     """A change that adds 1 to a value read for the series called `name`."""
     return lambda original, g, *args: original(g, *args) + (1 if g.name == name else 0)
@@ -115,7 +107,7 @@ _EVEN_ZETA_BUMP = _wrap(
 
 INJECTIONS = {
     **{f"axioms_{name}": _bumped_law(name) for name in fgl.CATALOG},
-    **{f"negation_{name}": _negation(name) for name in fgl.CATALOG},
+    **{f"negation_{name}": _bumped_law(name) for name in fgl.CATALOG},
     **{f"log_exp_roundtrip_{name}": _bumped_law(name) for name in fgl.EXPONENTIALS},
     "grading_gamma_raw": _bumped_law("gamma_raw"),
     "grading_jacobi": _bumped_law("jacobi"),

@@ -8,8 +8,9 @@ checks pass, 1 a check failed, 2 usage error, 130 interrupted (SIGINT).  A
 usage error, argparse's included, or an interrupt is one `error: <message>`
 line on stderr and nothing on stdout: handlers raise ValueError, LookupError
 or ArithmeticError, and main alone turns them into exit 2.  So is a request
-too large to finish (MemoryError, RecursionError: exit 2) and a disagreement
-of two internal routes (genus.RouteDisagreementError: exit 1).  --presentation
+too large to finish (MemoryError, RecursionError: exit 2).  A witten request
+builds its series by one route and checks nothing; verify --suite witten
+compares the product route with the Eisenstein route.  --presentation
 selects the presentation of `gamma` only.  GENUSFORGE_ORDER overrides the
 default truncation order.  A request is parsed once, by its command's own
 parser; the full parser only reports an incomplete command path or prints
@@ -323,8 +324,6 @@ def main(argv=None) -> int:
         return _fail(EXIT_INTERRUPTED, "interrupted")
     except (MemoryError, RecursionError) as exc:
         return _fail(EXIT_USAGE, f"request too large: {str(exc) or type(exc).__name__}")
-    except genus.RouteDisagreementError as exc:
-        return _fail(EXIT_CHECK_FAILED, str(exc))
     except (ValueError, LookupError, ArithmeticError) as exc:
         return _fail(EXIT_USAGE, str(exc))
     return EXIT_OK if passed else EXIT_CHECK_FAILED

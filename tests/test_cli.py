@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from genusforge import cli, fgl, genus, verify
+from genusforge.ring import RingElement
+from genusforge.series import Series1
 
 from oracles import fraction_rational, from_chern_genus_chern
 
@@ -328,14 +330,14 @@ def _run_in_process(argv, stdin):
 def _assert_contract(code, out, err):
     """Exit 0, 1 or 2, no traceback, stdout empty or one JSON line, an exit 2
     with one error line on stderr and nothing on stdout, and an exit 1 with
-    either a JSON line (a check failed) or one error line and nothing on
-    stdout (two internal routes disagreed)."""
+    a JSON line (a check failed)."""
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if out:
         assert out.endswith("\n") and out.count("\n") == 1
         json.loads(out)
-    if code == 2 or (code == 1 and not out):
+    assert code != 1 or out
+    if code == 2:
         assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1
         assert out == ""
 
@@ -541,18 +543,13 @@ _INTERNAL_ERRORS = [
         2,
         "error: request too large: maximum recursion depth exceeded\n",
     ),
-    (
-        lambda: genus.RouteDisagreementError("product route and Eisenstein route disagree"),
-        1,
-        "error: product route and Eisenstein route disagree\n",
-    ),
 ]
 
 
 class TestArgvFuzzUnderInternalErrors:
-    """Any argv whose handler raises MemoryError, RecursionError or a route
-    disagreement keeps the contract, with that error's exit code and line;
-    an argv that does not parse is still a usage error."""
+    """Any argv whose handler raises MemoryError or RecursionError keeps the
+    contract, with that error's exit code and line; an argv that does not
+    parse is still a usage error."""
 
     @settings(max_examples=300, deadline=None)
     @given(_argv(), st.sampled_from(_SERIES_STDIN), st.sampled_from(_INTERNAL_ERRORS))
@@ -580,7 +577,7 @@ class TestArgvFuzzUnderInternalErrors:
 
 class TestInternalErrors:
     """Errors from inside the library end a request with one error line and
-    no traceback: too large a request exits 2, disagreeing routes exit 1."""
+    no traceback: too large a request exits 2."""
 
     @pytest.mark.parametrize("exc", [MemoryError(), RecursionError("maximum recursion depth exceeded")])
     def test_request_too_large_exits_two(self, exc):
@@ -598,18 +595,6 @@ class TestInternalErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: request too large: maximum recursion depth exceeded")
         assert len(err.splitlines()) == 1
-
-    def test_route_disagreement_exits_one(self):
-        genus.witten_series.cache_clear()
-        try:
-            with mock.patch.object(genus, "_exp_mixed", side_effect=lambda L, q: L):
-                code, out, err = _run_in_process(["witten", "--x-order", "3", "--q-order", "2"], "")
-                with pytest.raises(genus.RouteDisagreementError):
-                    genus.witten_series(3, 2)
-        finally:
-            genus.witten_series.cache_clear()
-        assert (code, out, err) == (1, "", "error: product route and Eisenstein route disagree\n")
-        assert not issubclass(genus.RouteDisagreementError, (ValueError, LookupError, ArithmeticError))
 
 
 # Literals for a rational value: plain integers in every spelling int and
@@ -753,6 +738,45 @@ class TestWittenCommand:
     def test_log_flag(self):
         out = run_json("witten", "--x-order", "4", "--q-order", "3", "--log")
         assert out["what"] == "log"
+
+
+class TestWittenRoutes:
+    """A witten request builds one route and checks nothing; verify compares
+    the product route with the Eisenstein route."""
+
+    @pytest.fixture(autouse=True)
+    def _memo_emptied(self):
+        genus.witten_series.cache_clear()
+        yield
+        genus.witten_series.cache_clear()
+
+    def test_broken_product_route_fails_verify_only(self):
+        real = genus._pair_factor
+
+        def broken(n, x_order, q_order):
+            # One more q^n x^2: even in x and zero at q = 0.
+            f = real(n, x_order, q_order)
+            return f + Series1({2: RingElement.gen("q", n)}, x_order) if n == 1 else f
+
+        with mock.patch.object(genus, "_pair_factor", broken):
+            code, out, err = _run_in_process(["verify", "--suite", "witten", "--order", "6"], "")
+            genus.witten_series.cache_clear()
+            served = _run_in_process(["witten", "--x-order", "6", "--q-order", "4"], "")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        failing = [rec for rec in report["checks"] if rec["status"] == "FAIL"]
+        assert [rec["name"] for rec in failing] == report["failing"] == [
+            f"witten_divisor_sum_k{k}" for k in (1, 2, 3)
+        ]
+        assert all(type(rec["degree"]) is int for rec in failing)
+        assert served[0] == 0 and served[2] == "" and json.loads(served[1])["q_order"] == 4
+
+    def test_routes_are_compared_once_per_verify_and_never_in_a_build(self):
+        with mock.patch.object(verify, "_exp_mixed", wraps=verify._exp_mixed) as spy:
+            genus.witten_series.__wrapped__(6, 4)
+            assert spy.call_count == 0
+            assert verify.run_suite("witten", 6)["status"] == "PASS"
+            assert spy.call_count == 1
 
 
 class TestVerifyCommand:

@@ -10,6 +10,7 @@ value outlives its test.
 
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -215,3 +216,43 @@ def test_injected_fault_names_its_degree_and_defect(name, unbroken, monkeypatch)
         assert record["detail"].startswith("residual ") and "coefficient" not in record
     else:
         assert not RingElement.from_obj(record["coefficient"]).is_zero()
+
+
+def test_a_fault_in_the_product_alone_fails_every_divisor_record(monkeypatch):
+    """q x^2 added to H keeps H even with its A-hat slice, and log_H unchanged;
+    only the comparison of exp(log_H) with H sees it, at degree 2 as -q."""
+    q = RingElement.gen("q")
+    _witten(lambda w: replace(w, H=w.H + _term(2, q, w.x_order)))(monkeypatch)
+    records = {rec["name"]: rec for rec in verify.run_suite("witten", ORDER)["checks"]}
+    for name in ("witten_evenness", "witten_q0_is_ahat", "witten_x2q1_is_one"):
+        assert records[name]["status"] == "PASS", name
+    for k in (1, 2, 3):
+        record = records[f"witten_divisor_sum_k{k}"]
+        assert (record["status"], record["degree"]) == ("FAIL", 2), record
+        assert RingElement.from_obj(record["coefficient"]) == -q
+
+
+def test_negation_reads_one_log_and_one_exp_per_law():
+    """With the laws built, the fgl suite derives each law's logarithm once,
+    and once more inside exponential() for the three without a stored one."""
+    verify.run_suite("fgl", ORDER)
+    with mock.patch.object(fgl, "logarithm", wraps=fgl.logarithm) as log, mock.patch.object(
+        Series1, "revert", autospec=True, side_effect=Series1.revert
+    ) as revert:
+        verify.run_suite("fgl", ORDER)
+    assert log.call_count <= 13 and revert.call_count <= 8, (log.call_count, revert.call_count)
+
+
+@pytest.mark.parametrize("name", fgl.CATALOG)
+def test_bumped_law_negation_record(name, monkeypatch):
+    """With z0 z1 + z0 z1^2 added to F, a law with a stored exponential fails
+    [1](z) = z at degree 2 with -1/2; the others fail the inverse at degree 3 with 1."""
+    _bumped_law(name)(monkeypatch)
+    record = next(
+        rec for rec in verify.run_suite("fgl", ORDER)["checks"] if rec["name"] == f"negation_{name}"
+    )
+    stored = fgl.catalog(name, ORDER).exp is not None
+    degree, value = (2, Fraction(-1, 2)) if stored else (3, Fraction(1))
+    assert (record["status"], record["degree"]) == ("FAIL", degree), record
+    assert RingElement.from_obj(record["coefficient"]) == value
+    assert record.get("detail") == ("[1](z) = z" if stored else None)

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from genusforge.genus import _exp_mixed, _pair_factor, half_sinh_ratio, witten_series
+from genusforge.genus import _pair_factor, half_sinh_ratio, witten_series
 from genusforge.ring import zeta_tilde_even
+from genusforge.verify import _exp_mixed
 
 from oracles import (
     divisor_sigma,
@@ -70,13 +71,16 @@ class TestPairFactor:
 
 
 class TestExpRecurrence:
-    """The cross-check's exp recurrence equals the sum of powers of log H."""
+    """verify's exp recurrence equals the sum of powers of log H, and takes
+    the Eisenstein route's log H back to the product H."""
 
     @pytest.mark.parametrize("x_order", range(2, 11))
     def test_matches_the_power_sum_oracle(self, x_order):
         for q_order in range(2, 9):
-            log_H = witten_series(x_order, q_order).log_H
-            assert _exp_mixed(log_H, q_order) == power_sum_exp_mixed(log_H, q_order), q_order
+            w = witten_series(x_order, q_order)
+            recon = _exp_mixed(w.log_H, q_order)
+            assert recon == power_sum_exp_mixed(w.log_H, q_order), q_order
+            assert recon == w.H, q_order
 
 
 class TestMemo:

@@ -35,7 +35,7 @@ from genusforge.ring import (
     zeta_numeric,
     zeta_tilde_even,
 )
-from genusforge.series import Series1, build_once, exp_series, log_series, sqrt_series
+from genusforge.series import Series1, _unit_power, build_once, exp_series, log_series, sqrt_series
 from genusforge.symfun import (
     SymPoly,
     convert,
@@ -74,7 +74,6 @@ __all__ = [
 
 _ZERO = RingElement.zero()
 _ONE = RingElement.one()
-_MINUS_ONE = -_ONE
 
 
 class InsufficientOrderError(ValueError):
@@ -186,14 +185,8 @@ def genus_cpn(g: GenusSeries, n: int) -> RingElement:
     CP^n has tangent Chern roots equal to n+1 copies of the hyperplane
     class, and pairing with the fundamental class extracts z^n.  It depends
     only on H_0..H_n, so it is memoised by the value of H truncated to n
-    (`_cpn`, the 256 most recent).  P = H^a, a = n + 1, comes in one pass
-    over k = 1..n from J.C.P. Miller's power recurrence for a series with
-    constant term 1 (Knuth, TAOCP vol. 2, sec. 4.7),
-
-        k P_k = sum_{j=1..k} ((a + 1) j - k) H_j P_{k-j},
-
-    computed as P_k = (a + 1)/k * S1 - S0 with S1 = sum_j j H_j P_{k-j} and
-    S0 = sum_j H_j P_{k-j}.
+    (`_cpn`, the 256 most recent).  H^(n+1) comes from series._unit_power,
+    Miller's power recurrence, which stops at degree n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -205,14 +198,7 @@ def genus_cpn(g: GenusSeries, n: int) -> RingElement:
 @lru_cache(maxsize=256)
 def _cpn(H: Series1) -> RingElement:
     """genus_cpn at n = H.order."""
-    n, H, dot = H.order, H.coefficients(), RingElement.dot
-    jH = [j * H[j] for j in range(n + 1)]
-    P = [_ONE]
-    for k in range(1, n + 1):
-        s1 = dot((jH[j], P[k - j]) for j in range(1, k + 1))
-        s0 = dot((H[j], P[k - j]) for j in range(1, k + 1))
-        P.append(dot(((s1, RingElement.from_rational(Fraction(n + 2, k))), (s0, _MINUS_ONE))))
-    return P[n]
+    return _unit_power(H.coefficients(), H.order + 1, H.order)[-1]
 
 
 def mishchenko_check(g: GenusSeries) -> CheckResult:

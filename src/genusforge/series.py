@@ -35,6 +35,7 @@ S = TypeVar("S", bound="_Series")
 
 _ZERO = RingElement.zero()
 _ONE = RingElement.one()
+_MINUS_ONE = -_ONE
 
 
 class NonUnitDivisionError(ArithmeticError):
@@ -253,19 +254,20 @@ class Series1(_Series):
         """Compositional inverse g, by the Lagrange inversion formula
         [z^i] g = (1/i) [w^(i-1)] (w/f(w))^i (Brent & Kung, J. ACM 25(4), 1978).
 
-        Requires f(0) = 0 and an invertible linear coefficient.
+        Requires f(0) = 0 and an invertible linear coefficient c.  With
+        f = c f~, (w/f)^i = c^-i (f~/w)^-i is one _unit_power to degree i - 1.
         """
         if not self._coeffs[0].is_zero():
             raise NotRevertibleError("series must vanish at 0")
         if self.order == 0:
             return self
         try:
-            self._coeffs[1].inverse()
+            inv = self._coeffs[1].inverse()
         except ArithmeticError as exc:
             raise NotRevertibleError("linear coefficient must be invertible") from exc
-        L = _lagrange_powers(self)
-        coeffs = [L[i][i - 1] * Fraction(1, i) for i in range(1, self.order + 1)]
-        return Series1([_ZERO, *coeffs], self.order)
+        n, b = self.order, [c * inv for c in self._coeffs[1:]]
+        g = [_unit_power(b, -i, i - 1)[-1] * (inv**i * Fraction(1, i)) for i in range(1, n + 1)]
+        return Series1([_ZERO, *g], n)
 
     # -- numerics / io ---------------------------------------------------------
 
@@ -492,7 +494,8 @@ def log_series(f: Series1) -> "Series1":
 
 
 def sqrt_series(f: Series1) -> "Series1":
-    """Square root of a series with constant term exactly 1."""
+    """Square root of a series with constant term exactly 1, by P^2 = f: one dot per
+    coefficient, where _unit_power at a = 1/2 takes three and ran about 1.8x slower."""
     if not f[0].is_one():
         raise BadConstantTermError("sqrt needs f(0) = 1")
     n = f.order
@@ -510,16 +513,25 @@ def compose1_2(outer: Series1, inner: Series2) -> Series2:
     return _horner(outer, inner)
 
 
-def _lagrange_powers(f: Series1) -> "list[Series1]":
-    """(w/f(w))^0 .. (w/f(w))^n at order n - 1, for f of order n with f(0) = 0
-    and an invertible linear coefficient.
+def _unit_power(b, a: Union[int, Fraction], top: int) -> "list[RingElement]":
+    """[z^0..z^top] B^a for B = b_0 + b_1 z + ... with b_0 = 1 and a rational,
+    reading b_1..b_top only, by J.C.P. Miller's power recurrence (Knuth,
+    TAOCP vol. 2, sec. 4.7),
 
-    Lagrange-Buermann: the compositional inverse g of f has
-    [z^i] g^a = (a/i) [w^(i-a)] (w/f(w))^i for 1 <= a <= i, so one division
-    and n powers of w/f give any power of g without reverting f.
+        k P_k = sum_{j=1..k} ((a + 1) j - k) b_j P_{k-j},
+
+    computed as P_k = (a + 1)/k * S1 - S0 with S1 = sum_j j b_j P_{k-j} and
+    S0 = sum_j b_j P_{k-j}.  Unlike repeated multiplication, it stops at
+    degree top, and needs no lower power of B.
     """
-    n = f.order
-    return powers(Series1.constant(1, n - 1) / Series1(f.coefficients()[1:], n - 1), n)
+    dot = RingElement.dot
+    jb = [j * b[j] for j in range(top + 1)]
+    P = [_ONE]
+    for k in range(1, top + 1):
+        s1 = dot((jb[j], P[k - j]) for j in range(1, k + 1))
+        s0 = dot((b[j], P[k - j]) for j in range(1, k + 1))
+        P.append(dot(((s1, RingElement.from_rational(Fraction(a + 1, k))), (s0, _MINUS_ONE))))
+    return P
 
 
 def bivariate_from_exp(exp: Series1) -> Series2:
@@ -527,16 +539,17 @@ def bivariate_from_exp(exp: Series1) -> Series2:
 
     Expanding exp(L0 + L1) = sum_m e_m (L0 + L1)^m binomially gives the
     bilinear form F[i,j] = sum_{a<=i, b<=j} C(a+b, a) e_{a+b} P_a[i] P_b[j]
-    with P_a = log^a.  The powers P_a come straight from exp by
-    Lagrange-Buermann (Brent & Kung, J. ACM 25(4), 1978), so nothing is
-    reverted.
+    with P_a = log^a.  Lagrange-Buermann (Brent & Kung, J. ACM 25(4), 1978):
+    [z^i] log^a = (a/i) [w^(i-a)] (w/exp(w))^i for 1 <= a <= i, so the P_a
+    come straight from exp and nothing is reverted.  Row i, (exp/w)^-i, is
+    read only to degree i - 1, and _unit_power builds it to exactly that.
     """
     if not exp[0].is_zero() or not exp[1].is_one():
         raise NotRevertibleError("exponential must be z + O(z^2)")
     n, dot = exp.order, RingElement.dot
-    L = _lagrange_powers(exp)
+    L = [_unit_power(exp.coefficients()[1:], -i, i - 1) for i in range(1, n + 1)]
     P = [[_ONE] + [_ZERO] * n] + [
-        [_ZERO] * a + [L[i][i - a] * Fraction(a, i) for i in range(a, n + 1)]
+        [_ZERO] * a + [L[i - 1][i - a] * Fraction(a, i) for i in range(a, n + 1)]
         for a in range(1, n + 1)
     ]
     # G[a][j] = sum_{b<=j} C(a+b, a) e_{a+b} P_b[j], so F[i,j] = sum_{a<=i} P_a[i] G[a][j]

@@ -42,7 +42,7 @@ from genusforge import cli, genus
 from genusforge.check import first_defect
 from genusforge.fgl import AxiomReport
 from genusforge.ring import NonUnitError, RingElement, generator_info, zeta_tilde_even
-from genusforge.series import Series1, Series2, exp_series
+from genusforge.series import Series1, Series2, exp_series, powers
 from genusforge.symfun import (
     SymPoly,
     _roots,
@@ -330,6 +330,16 @@ def newton_revert(f: Series1) -> Series1:
         dg = horner_compose(Series1(deriv.truncate(prec - 1).coefficients(), prec), g)
         g = g - err / dg
     return Series1(g.coefficients(), n)
+
+
+def lagrange_rows_by_multiplication(f: Series1) -> "list[list[RingElement]]":
+    """Row i = [w^0..w^(i-1)] (w/f(w))^i for i = 0..n, for f of order n with
+    f(0) = 0 and an invertible linear coefficient: w/f by one series
+    division at order n - 1, and its powers by n products at that full
+    order, each read only to its row's triangle."""
+    n = f.order
+    q = Series1.constant(1, n - 1) / Series1(f.coefficients()[1:], n - 1)
+    return [list(p.coefficients()[:i]) for i, p in enumerate(powers(q, n))]
 
 
 def expanded_normalized_gamma_exponential(order: int) -> Series1:

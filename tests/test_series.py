@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from genusforge.fgl import CATALOG, catalog
+from genusforge import series
+from genusforge.fgl import CATALOG, EXPONENTIALS, catalog, gamma_exponential
 from genusforge.ring import RingElement
 from genusforge.series import (
     BadConstantTermError,
@@ -11,6 +12,7 @@ from genusforge.series import (
     NotRevertibleError,
     Series1,
     Series2,
+    _unit_power,
     bivariate_from_exp,
     compose1_2,
     exp_series,
@@ -23,6 +25,7 @@ from oracles import (
     horner_bivariate_from_exp,
     horner_compose,
     horner_compose1_2,
+    lagrange_rows_by_multiplication,
     newton_revert,
     pairwise_compose,
     pairwise_eval_at,
@@ -370,6 +373,21 @@ class TestRevert:
         f = f + Series1.x(5) * (c - f[1])
         assert f.revert() == newton_revert(f)
 
+    @pytest.mark.parametrize(
+        "c", [gen("t"), 2 * gen("ipi2"), gen("u", -1) * Fraction(-1, 3)], ids=str
+    )
+    @given(f=small_series(order=8, constant=0))
+    def test_laurent_unit_linear_against_newton_oracle(self, c, f):
+        for order in range(1, 9):
+            g = f.truncate(order)
+            g = g + Series1.x(order) * (c - g[1])
+            assert g.revert() == newton_revert(g), order
+
+    def test_polynomial_linear_coefficient_is_not_revertible(self):
+        for order in (1, 4):
+            with pytest.raises(NotRevertibleError):
+                (Series1.x(order) * gen("gamma")).revert()
+
     def test_order_zero_and_one(self):
         assert Series1.zeros(0).revert() == Series1.zeros(0)
         assert Series1([0, 3], 1).revert() == Series1([0, Fraction(1, 3)], 1)
@@ -391,6 +409,57 @@ class TestRevert:
             (Series1.constant(1, 4) + Series1.x(4)).revert()
         with pytest.raises(NotRevertibleError):
             (Series1.x(4) * Series1.x(4)).revert()
+
+
+class TestLagrangeRows:
+    """Revert and bivariate_from_exp read the rows (w/f)^i to degree i - 1
+    from series._unit_power, Miller's recurrence; the oracle builds them by
+    one division and repeated full-order products."""
+
+    @given(st.data(), st.lists(ring_elements(), max_size=4), st.integers(-6, 6))
+    def test_unit_power_against_repeated_products(self, data, tail, a):
+        b = [R.one(), *tail]
+        top = data.draw(st.integers(0, len(tail)))
+        B, power = Series1(b, top), Series1.constant(1, top)
+        for _ in range(abs(a)):
+            power = pairwise_series1_mul(power, B)
+        got = Series1(_unit_power(b, a, top), top)
+        if a >= 0:
+            assert got == power
+        else:
+            assert pairwise_series1_mul(got, power) == Series1.constant(1, top)
+
+    @pytest.mark.parametrize("name", sorted(EXPONENTIALS))
+    def test_rows_read_match_repeated_multiplication(self, name, monkeypatch):
+        real, seen = _unit_power, []
+
+        def spy(b, a, top):
+            seen.append((a, top, real(b, a, top)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(series, "_unit_power", spy)
+        for order in range(2, 11):
+            exp = EXPONENTIALS[name](order)
+            want = lagrange_rows_by_multiplication(exp)
+            rows = [(-i, i - 1, want[i]) for i in range(1, order + 1)]
+            seen.clear()
+            bivariate_from_exp(exp)
+            assert seen == rows, order
+            seen.clear()
+            g = exp.revert()
+            assert seen == rows, order
+            assert all(g[i] == want[i][i - 1] * Fraction(1, i) for i in range(1, order + 1))
+
+    def test_no_series_product_or_quotient(self, monkeypatch):
+        exp, calls = gamma_exponential(10), []
+        for name in ("__mul__", "__rmul__", "_divide"):
+            real = getattr(Series1, name)
+            monkeypatch.setattr(
+                Series1, name, lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args)
+            )
+        bivariate_from_exp(exp)
+        exp.revert()
+        assert calls == []
 
 
 class TestAnalytic:

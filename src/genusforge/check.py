@@ -21,7 +21,7 @@ __all__ = ["CheckResult", "first_defect", "first_residual"]
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of an exact identity check."""
+    """Outcome of one identity check, exact or numeric."""
 
     status: str  # "PASS" | "FAIL"
     degree: Optional[int] = None
@@ -65,14 +65,15 @@ def first_defect(
 
     An index is a degree, or a tuple of exponents whose sum is the degree.
     Among nonzero differences of equal degree the lexicographically first
-    index wins, and among equal indices the first pair.  No nonzero
-    difference is a pass; `detail` is reported only on failure.
+    index wins, an integer index ordering as the 1-tuple (index,), and among
+    equal indices the first pair.  No nonzero difference is a pass; `detail`
+    is reported only on failure.
     """
     best = None
     for index, diff in pairs:
         if diff.is_zero():
             continue
-        key = (index if isinstance(index, int) else sum(index), index)
+        key = (index, (index,)) if isinstance(index, int) else (sum(index), index)
         if best is None or key < best[0]:
             best = (key, diff)
     if best is None:

@@ -38,6 +38,7 @@ from genusforge.ring import (
 from genusforge.series import Series1, _unit_power, build_once, exp_series, log_series, sqrt_series
 from genusforge.symfun import (
     SymPoly,
+    _roots,
     convert,
     multiplicative_sequence,
     power_sum_over,
@@ -405,11 +406,7 @@ def normalized_gamma_report(order: int = 10) -> CheckResult:
 
 
 def _roots_pm(m: int) -> "list[RingElement]":
-    out = []
-    for i in range(1, m + 1):
-        r = RingElement.gen(f"x{i}")
-        out.extend([r, -r])
-    return out
+    return [x for r in _roots(m) for x in (r, -r)]
 
 
 def _even_zeta_exponential(order: int) -> Series1:
@@ -433,7 +430,7 @@ def msp_agreement_check(order: int, m: int, mutant: bool = False) -> CheckResult
     if m < 1:
         raise ValueError("m must be >= 1")
     g_raw = gamma_series(order, "raw")
-    roots = [RingElement.gen(f"x{i}") for i in range(1, m + 1)]
+    roots = _roots(m)
     if mutant:
         alphabet = [r for r in roots for _ in range(2)]
     else:
@@ -459,7 +456,7 @@ def ahat_pontryagin_identity(order: int, m: int) -> CheckResult:
     by root degree, s^SO_2k at index 2k."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    roots = [RingElement.gen(f"x{i}") for i in range(1, m + 1)]
+    roots = _roots(m)
     lhs = series_product_over_alphabet(half_sinh_ratio(order), roots, order)
     arg = [_ZERO] * (order + 1)
     for k in range(1, order // 2 + 1):

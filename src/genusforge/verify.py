@@ -1,14 +1,17 @@
 """One-shot verification of every identity the package implements.
 
-Each suite maps check names to CheckResults; run_suite collects a named
-subset (fgl, iso, gamma, witten, universal, or all) into JSON records sorted
-by name.
+The checks form one table of named checks.  Each suite is a generator that
+yields (name, CheckResult) pairs in a fixed order, keeping a value that two
+checks share as a local between yields; `_collect` runs a suite into its
+dict, so it is the one place that sees each check begin and end.  run_suite
+runs a named suite (fgl, gamma, witten, universal, iso, or all) into JSON
+records sorted by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from genusforge import fgl, genus
 from genusforge.check import CheckResult, first_defect, first_residual
@@ -18,32 +21,26 @@ from genusforge.symfun import symplectic_power_sum_check
 
 __all__ = ["SUITES", "run_suite"]
 
-SUITES = ("all", "fgl", "gamma", "witten", "universal", "iso")
-
 _MISHCHENKO_SERIES = ("todd", "ahat", "gamma_raw", "kontsevich", "chi_rescaled")
 
 
-Checks = "dict[str, CheckResult]"
-
-
-def _fgl_checks(order: int) -> Checks:
-    out: Checks = {}
+def _fgl_checks(order: int) -> Iterator[tuple[str, CheckResult]]:
     for name in fgl.CATALOG:
-        out[f"axioms_{name}"] = fgl.check_axioms(fgl.catalog(name, order)).as_check()
+        yield f"axioms_{name}", fgl.check_axioms(fgl.catalog(name, order)).as_check()
     kc = fgl.catalog("kontsevich", order)
     mixed = kc.F[(1, 1)] - 1 - RingElement.gen("t")
-    out["kontsevich_germ_vs_closed"] = first_defect(
+    yield "kontsevich_germ_vs_closed", first_defect(
         [*(fgl.kontsevich_germ_law(order) - kc.F).items(), ((1, 1), mixed)]
     )
 
     jac = fgl.catalog("jacobi", order, params={"delta": Fraction(-1, 8), "epsilon": 0})
     hyp = fgl.catalog("hyperbolic", order)
-    out["jacobi_specializes_to_hyperbolic"] = first_defect((jac.F - hyp.F).items())
+    yield "jacobi_specializes_to_hyperbolic", first_defect((jac.F - hyp.F).items())
 
     g_ord = min(order, 10)
-    out["grading_gamma_raw"] = fgl.grading_check(fgl.catalog("gamma_raw", g_ord))
-    out["grading_jacobi"] = fgl.grading_check(fgl.catalog("jacobi", g_ord))
-    out["grading_universal"] = fgl.grading_check(fgl.catalog("universal_additive", g_ord))
+    yield "grading_gamma_raw", fgl.grading_check(fgl.catalog("gamma_raw", g_ord))
+    yield "grading_jacobi", fgl.grading_check(fgl.catalog("jacobi", g_ord))
+    yield "grading_universal", fgl.grading_check(fgl.catalog("universal_additive", g_ord))
 
     # [1](z) = exp(log z) and the inverse exp(-log z), from one log and one
     # exp per law; the round trip reverts that same log.
@@ -54,70 +51,65 @@ def _fgl_checks(order: int) -> Checks:
         log, exp = fgl.logarithm(law), fgl.exponential(law)
         ident = first_defect((exp.compose(log) - z).items(), "[1](z) = z")
         inverse = first_defect(law.F.eval_at(z, exp.compose(-log)).items())
-        out[f"negation_{name}"] = inverse if ident.passed else ident
+        yield f"negation_{name}", inverse if ident.passed else ident
         if name in fgl.EXPONENTIALS:
             rebuilt = bivariate_from_exp(log.revert())
-            out[f"log_exp_roundtrip_{name}"] = first_defect((rebuilt - law.F).items())
-    return out
+            yield f"log_exp_roundtrip_{name}", first_defect((rebuilt - law.F).items())
 
 
-def _iso_checks(order: int) -> Checks:
+def _iso_checks(order: int) -> Iterator[tuple[str, CheckResult]]:
     k = fgl.catalog("kontsevich", order)
     m = fgl.catalog("multiplicative", order)
     phi = fgl.canonical_strict_iso(k, m)
+    yield "canonical_iso_kontsevich_to_multiplicative", fgl.verify_iso(phi, k, m)
     sweep = fgl.mobius_sweep(min(order, 10))
-    any_pass = any(rec["status"] == "PASS" for rec in sweep)
-    return {
-        "canonical_iso_kontsevich_to_multiplicative": fgl.verify_iso(phi, k, m),
-        "mobius_convention_sweep": CheckResult.ok(
-            combinations=sweep,
-            conclusion=(
-                "a candidate convention validates"
-                if any_pass
-                else "no face-value reading of the candidate coordinate change "
-                "verifies; the canonical strict isomorphism is authoritative"
-            ),
+    yield "mobius_convention_sweep", CheckResult.ok(
+        combinations=sweep,
+        conclusion=(
+            "a candidate convention validates"
+            if any(rec["status"] == "PASS" for rec in sweep)
+            else "no face-value reading of the candidate coordinate change "
+            "verifies; the canonical strict isomorphism is authoritative"
         ),
-    }
+    )
 
 
-def _gamma_checks(order: int) -> Checks:
-    out: Checks = {}
+def _gamma_checks(order: int) -> Iterator[tuple[str, CheckResult]]:
     gamma = RingElement.gen("gamma")
     glaw = fgl.catalog("gamma_raw", min(order, 8))
-    out["gamma_law_z0z1_coefficient"] = first_defect([((1, 1), glaw.F[(1, 1)] - 2 * gamma)])
+    yield "gamma_law_z0z1_coefficient", first_defect([((1, 1), glaw.F[(1, 1)] - 2 * gamma)])
     m_order = min(order, 10)
     for name in _MISHCHENKO_SERIES:
-        out[f"mishchenko_{name}"] = genus.mishchenko_check(genus.genus_series(name, m_order))
+        yield f"mishchenko_{name}", genus.mishchenko_check(genus.genus_series(name, m_order))
 
     msp_order = min(order, 12)
     for m in (1, 2, 3):
-        out[f"msp_agreement_m{m}"] = genus.msp_agreement_check(msp_order, m)
+        yield f"msp_agreement_m{m}", genus.msp_agreement_check(msp_order, m)
     # Squaring H in place of conjugating it leaves 2 H_1 (x1 + x2) at degree 1.
     mutant = genus.msp_agreement_check(min(order, 6), 2, mutant=True)
     weight1 = mutant.coefficient if mutant.degree == 1 else RingElement.zero()
     x1, x2 = RingElement.gen("x1"), RingElement.gen("x2")
-    out["msp_mutant_fails"] = first_defect([(1, weight1 + 2 * gamma * (x1 + x2))])
-    out["ahat_pontryagin_identity_m3"] = genus.ahat_pontryagin_identity(msp_order, 3)
+    yield "msp_mutant_fails", first_defect([(1, weight1 + 2 * gamma * (x1 + x2))])
+    yield "ahat_pontryagin_identity_m3", genus.ahat_pontryagin_identity(msp_order, 3)
 
     exact, residuals = [], []
     for k in range(1, 9):
         z2k = RingElement.gen(f"zeta{2 * k}") * RingElement.gen("ipi2", -2 * k)
         exact.append((2 * k, z2k.reduce() - zeta_tilde_even(k)))
         residuals.append((2 * k, abs(z2k.evaluate() - complex(float(zeta_tilde_even(k))))))
-    out["even_zeta_table_exact"] = first_defect(exact)
-    out["even_zeta_table_numeric_1e-12"] = first_residual(residuals, 1e-12)
+    yield "even_zeta_table_exact", first_defect(exact)
+    yield "even_zeta_table_numeric_1e-12", first_residual(residuals, 1e-12)
 
-    out["normalized_gamma_structure"] = genus.normalized_gamma_report(min(order, 10))
-    out["conjugation_equivariance_cp4"] = genus.conjugation_equivariance_check(4)
-    out["numeric_gamma_validation"] = genus.numeric_gamma_validation(Fraction(1, 4), 20, 1e-10)
-    out["zeta_map_signs"] = genus.zeta_map_report()
+    yield "normalized_gamma_structure", genus.normalized_gamma_report(min(order, 10))
+    yield "conjugation_equivariance_cp4", genus.conjugation_equivariance_check(4)
+    yield "numeric_gamma_validation", genus.numeric_gamma_validation(Fraction(1, 4), 20, 1e-10)
+    yield "zeta_map_signs", genus.zeta_map_report()
 
     todd = genus.genus_series("todd", 6)
-    out["todd_cpn_all_one"] = first_defect((n, genus.genus_cpn(todd, n) - 1) for n in range(7))
+    yield "todd_cpn_all_one", first_defect((n, genus.genus_cpn(todd, n) - 1) for n in range(7))
     ahat = genus.genus_series("ahat", 4)
     expected = {2: Fraction(-1, 8), 3: Fraction(0), 4: Fraction(3, 128)}
-    out["ahat_cpn_values"] = first_defect(
+    yield "ahat_cpn_values", first_defect(
         (n, genus.genus_cpn(ahat, n) - v) for n, v in expected.items()
     )
 
@@ -130,15 +122,14 @@ def _gamma_checks(order: int) -> Checks:
         )
         for g in (genus.genus_series(name, 5) for name in genus.GENUS_SERIES)
     )
-    out["chern_route_matches_product_route"] = next(
+    yield "chern_route_matches_product_route", next(
         (r for r in by_series if not r.passed), CheckResult.ok()
     )
 
-    out["hodge_chi_minus_t_cp5"] = genus.hodge_chi_check(5)
+    yield "hodge_chi_minus_t_cp5", genus.hodge_chi_check(5)
     for m, k in ((1, 1), (2, 2), (3, 2)):
-        out[f"symplectic_power_sums_m{m}_k{k}"] = symplectic_power_sum_check(m, k)
-    out["chi_rescaled_structure"] = genus.chi_rescaled_check(min(order, 8))
-    return out
+        yield f"symplectic_power_sums_m{m}_k{k}", symplectic_power_sum_check(m, k)
+    yield "chi_rescaled_structure", genus.chi_rescaled_check(min(order, 8))
 
 
 def _exp_mixed(L: Series1, q_order: int) -> Series1:
@@ -158,40 +149,45 @@ def _exp_mixed(L: Series1, q_order: int) -> Series1:
     return Series1(out, n)
 
 
-def _witten_checks(order: int) -> Checks:
+def _witten_checks(order: int) -> Iterator[tuple[str, CheckResult]]:
     x_order = max(min(order, 10), 6)
     w = genus.witten_series(x_order, 8)
-    out: Checks = {
-        "witten_evenness": w.evenness_check(),
-        "witten_q0_is_ahat": w.q0_check(),
-    }
+    yield "witten_evenness", w.evenness_check()
+    yield "witten_q0_is_ahat", w.q0_check()
     # The divisor sums are read off log_H, so each also checks that log_H is
     # the log of the product H: the Eisenstein route against the product route.
     routes = list((_exp_mixed(w.log_H, w.q_order) - w.H).items())
     for k in (1, 2, 3):
         if 2 * k <= w.x_order:
-            out[f"witten_divisor_sum_k{k}"] = first_defect([w.divisor_pair(k), *routes])
+            yield f"witten_divisor_sum_k{k}", first_defect([w.divisor_pair(k), *routes])
     x2q1 = RingElement.from_rational(w.log_coefficient(2, 1))
-    out["witten_x2q1_is_one"] = first_defect([(2, x2q1 - 1)])
-    return out
+    yield "witten_x2q1_is_one", first_defect([(2, x2q1 - 1)])
 
 
-def _universal_checks(order: int) -> Checks:
+def _universal_checks(order: int) -> Iterator[tuple[str, CheckResult]]:
     rep = genus.universal_gamma(min(order, 10))
-    return {
-        "universal_h_coefficients": rep["h_in_e"],
-        "universal_specializes_to_gamma": rep["specializes_to_gamma"],
-        "universal_law_integral_z_en": rep["law_integral"],
-    }
+    yield "universal_h_coefficients", rep["h_in_e"]
+    yield "universal_specializes_to_gamma", rep["specializes_to_gamma"]
+    yield "universal_law_integral_z_en", rep["law_integral"]
 
 
-_SUITE_BUILDERS: "dict[str, Callable[[int], Checks]]" = {
-    "fgl": _fgl_checks,
-    "iso": _iso_checks,
-    "gamma": _gamma_checks,
-    "witten": _witten_checks,
-    "universal": _universal_checks,
+def _collect(checks: Callable[[int], Iterator[tuple[str, CheckResult]]]):
+    """A suite's builder: runs its checks to the end, into a dict by name.
+    It is called eagerly, so a timer around it times the checks."""
+    return lambda order: dict(checks(order))
+
+
+_SUITE_BUILDERS: dict[str, Callable[[int], dict[str, CheckResult]]] = {
+    suite: _collect(checks)
+    for suite, checks in (
+        ("fgl", _fgl_checks),
+        ("gamma", _gamma_checks),
+        ("witten", _witten_checks),
+        ("universal", _universal_checks),
+        ("iso", _iso_checks),
+    )
 }
+SUITES = ("all", *_SUITE_BUILDERS)
 
 
 def run_suite(suite: str = "all", order: int = 12) -> dict:
@@ -200,8 +196,8 @@ def run_suite(suite: str = "all", order: int = 12) -> dict:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if order < 2:
         raise ValueError("order must be >= 2")
-    names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-    results: Checks = {}
+    names = list(_SUITE_BUILDERS) if suite == "all" else [suite]
+    results: dict[str, CheckResult] = {}
     for name in names:
         results.update(_SUITE_BUILDERS[name](order))
     checks = [{"name": name, **results[name].to_obj()} for name in sorted(results)]

@@ -39,6 +39,14 @@ class TestFirstDefect:
         res = first_defect([(2, gen("t")), (2, gen("u")), (1, R.zero())])
         assert (res.degree, res.coefficient) == (2, gen("t"))
 
+    def test_mixed_index_kinds_order_an_integer_as_a_one_tuple(self):
+        """An integer and a tuple index of one degree compare as (2,) against
+        (1, 1) or (2, 0), in place of raising TypeError."""
+        res = first_defect([(2, gen("t")), ((2, 0), gen("x1")), ((1, 1), gen("u")), (1, R.zero())])
+        assert (res.degree, res.coefficient) == (2, gen("u"))
+        res = first_defect([((2, 0), gen("x1")), (2, gen("t"))])
+        assert (res.degree, res.coefficient) == (2, gen("t"))
+
     def test_all_zero_passes_without_detail(self):
         res = first_defect(Series2.zeros(3).items(), "unused", note="kept")
         assert res.to_obj() == {"status": "PASS", "note": "kept"}

@@ -889,12 +889,16 @@ def test_traced_benchmark_finds_what_it_wraps():
     """Every function bench/tracing.py wraps is where the tracer looks for it,
     so a traced benchmark run keeps working (bench/run.py --trace 1).  The
     monomial cache it would read is gone; the tracer's getattr fallback then
-    reports no cache ratio.  The tracer module is only loaded, not installed."""
+    reports no cache ratio.  Each suite builder it times as
+    verify.suite_<suite> runs its checks when called and returns them as a
+    dict, so the span holds the suite's work.  The tracer module is only
+    loaded, not installed."""
     import importlib
     import importlib.util
     import pathlib
 
     from genusforge import ring
+    from genusforge.check import CheckResult
 
     path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("genusforge_bench_tracing", path)
@@ -909,7 +913,12 @@ def test_traced_benchmark_finds_what_it_wraps():
             assert attr in owner.__dict__, (modname, cls, attr)
         assert callable(getattr(owner, attr)), (modname, attr)
     assert not hasattr(ring, "_mul_monomials")
-    assert verify._SUITE_BUILDERS
+    suites = set(verify.SUITES) - {"all"}
+    assert set(verify._SUITE_BUILDERS) == set(tracing.VERIFY_SUITES) == suites and len(suites) == 5
+    for suite, build in verify._SUITE_BUILDERS.items():
+        results = build(6)
+        assert type(results) is dict and results, suite
+        assert all(isinstance(r, CheckResult) for r in results.values()), suite
 
 
 def test_import_builds_nothing():

@@ -218,6 +218,34 @@ def test_injected_fault_names_its_degree_and_defect(name, unbroken, monkeypatch)
         assert not RingElement.from_obj(record["coefficient"]).is_zero()
 
 
+def test_a_mixed_term_in_chi_rescaled_fails_at_a_tie_of_index_kinds(monkeypatch):
+    """u z0 z1 added to the chi_rescaled law breaks its logarithm at degree 2
+    and its u -> 1/u symmetry at (1, 1): an integer and a tuple index tie on
+    degree, and the record names the involution's difference 1/u - u."""
+    u = RingElement.gen("u")
+    _wrap(genus, "catalog", _law_plus("chi_rescaled", {(1, 1): u}))(monkeypatch)
+    report = verify.run_suite("gamma", ORDER)
+    record = next(rec for rec in report["checks"] if rec["name"] == "chi_rescaled_structure")
+    assert (record["status"], type(record["degree"])) == ("FAIL", int), record
+    coefficient = RingElement.from_obj(record["coefficient"])
+    assert record["degree"] == 2 and not coefficient.is_zero()
+    assert coefficient == RingElement.gen("u", -1) - u
+
+
+def test_the_table_streams_and_names_each_check_once():
+    """The first pair of the fgl suite runs only the first check.  Across all
+    suites no name repeats, which collecting into a dict would hide."""
+    with mock.patch.object(fgl, "check_axioms", wraps=fgl.check_axioms) as spy:
+        name, _ = next(verify._fgl_checks(ORDER))
+    assert (name, spy.call_count) == (f"axioms_{fgl.CATALOG[0]}", 1)
+    names = [
+        name
+        for suite in verify._SUITE_BUILDERS
+        for name, _ in getattr(verify, f"_{suite}_checks")(ORDER)
+    ]
+    assert len(names) == len(set(names)) == 66
+
+
 def test_a_fault_in_the_product_alone_fails_every_divisor_record(monkeypatch):
     """q x^2 added to H keeps H even with its A-hat slice, and log_H unchanged;
     only the comparison of exp(log_H) with H sees it, at degree 2 as -q."""

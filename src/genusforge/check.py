@@ -6,28 +6,90 @@ degree.  Every check decides through one of two rules here: an exact check is
 offending coefficient; a numeric check is `first_residual` over (degree,
 residual) pairs and a failure puts the residual in `detail`.  Extra fields
 (notes, numeric residuals, sub-checks) ride along in `extra` and are merged
-into the JSON record.
+into the JSON record.  Record is the base of every value class of the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from genusforge.ring import RingElement
 
-__all__ = ["CheckResult", "first_defect", "first_residual"]
+__all__ = ["CheckResult", "Record", "first_defect", "first_residual", "replace"]
+
+_REQUIRED = object()  # the template value of a field without a default
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class Record:
+    """An immutable record of its class's annotated fields, in order; a default is a class
+    attribute, a dict one copied per record.  `__post_init__` validates, also in `replace`."""
+
+    _fields, _unhashed = (), ()
+
+    def __init_subclass__(cls):
+        own = cls.__dict__.get("__annotations__")  # none: keep the parent's fields
+        if own:
+            cls._fields = tuple(own)
+            cls._template = {name: cls.__dict__.get(name, _REQUIRED) for name in own}
+            cls._required = tuple(k for k, v in cls._template.items() if v is _REQUIRED)
+            cls._fresh = tuple(k for k, v in cls._template.items() if isinstance(v, dict))
+        cls._hashed = tuple(name for name in cls._fields if name not in cls._unhashed)
+
+    def __init__(self, *args, **kwargs):
+        fields, d = self._fields, self.__dict__
+        d.update(self._template)
+        if args:
+            d.update(zip(fields, args))
+        if kwargs:
+            d.update(kwargs)
+        ok = len(d) == len(fields) >= len(args)
+        if args and kwargs:
+            ok = ok and kwargs.keys().isdisjoint(fields[: len(args)])
+        for name in self._required:
+            ok = ok and d[name] is not _REQUIRED
+        if not ok:
+            raise TypeError(f"{type(self).__name__} takes each of the fields {fields} once")
+        for name in self._fresh:
+            if d[name] is self._template[name]:
+                d[name] = dict(d[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: a {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple([self.__dict__[name] for name in self._hashed]))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(self.__dict__.values())
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A copy of `record` with `changes` to its fields, validated again."""
+    return type(record)(**{**record.__dict__, **changes})
+
+
+class CheckResult(Record):
     """Outcome of one identity check, exact or numeric."""
 
     status: str  # "PASS" | "FAIL"
     degree: Optional[int] = None
     coefficient: Optional[RingElement] = None
     detail: Optional[str] = None
-    extra: "Mapping[str, object]" = field(default_factory=dict, hash=False)
+    extra: "Mapping[str, object]" = {}
+    _unhashed = ("extra",)
 
     @property
     def passed(self) -> bool:

@@ -9,13 +9,12 @@ quantum-integer law, and the universal additive-type law over Z[e_n].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 import math
 import re
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from genusforge.check import CheckResult, first_defect
+from genusforge.check import CheckResult, Record, first_defect, replace
 from genusforge.ring import NonUnitError, RingElement
 from genusforge.series import (
     Series1,
@@ -58,8 +57,7 @@ class UnknownLawError(KeyError):
     """Requested a law that is not in the catalog."""
 
 
-@dataclass(frozen=True)
-class FormalGroupLaw:
+class FormalGroupLaw(Record):
     """A bivariate law F(z0, z1) with catalog provenance.
 
     The unit axiom F(z, 0) = F(0, z) = z is enforced at construction; the
@@ -68,8 +66,8 @@ class FormalGroupLaw:
 
     F: Series2
     name: str
-    # Left out of the hash (a dict is unhashable); equal laws still hash equally.
-    params: "Mapping[str, RingElement]" = field(default_factory=dict, hash=False)
+    params: "Mapping[str, RingElement]" = {}
+    _unhashed = ("params",)  # a dict is unhashable; equal laws still hash equally
     construction: str = "closed-form"
     exp: Optional[Series1] = None
 
@@ -99,8 +97,7 @@ class FormalGroupLaw:
         }
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     unit: CheckResult
     commutativity: CheckResult
     associativity: CheckResult

@@ -10,12 +10,11 @@ z / H is derived from H, and a lower-order view is the truncation of H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from genusforge.check import CheckResult, first_defect, first_residual
+from genusforge.check import CheckResult, Record, first_defect, first_residual, replace
 from genusforge.fgl import (
     CATALOG,
     EXPONENTIALS,
@@ -85,8 +84,7 @@ class IncompleteChernTableError(ValueError):
     """A Chern-number table does not cover exactly the partitions of d."""
 
 
-@dataclass(frozen=True)
-class GenusSeries:
+class GenusSeries(Record):
     """A multiplicative characteristic series H, with H(0) = 1, and its name.
 
     H fixes the genus; its exponential is z / H, derived on each read, and a
@@ -242,14 +240,13 @@ def _partition_set(d: int) -> "frozenset[tuple[int, ...]]":
     return frozenset(partitions(d))
 
 
-@dataclass(frozen=True)
-class ManifoldDescriptor:
+class ManifoldDescriptor(Record):
     """Either a product of complex projective spaces or a Chern-number table."""
 
     projective: "Optional[tuple[int, ...]]" = None
     chern_dim: Optional[int] = None
-    # Left out of the hash (a dict is unhashable); equal descriptors still hash equally.
-    chern: "Optional[Mapping[tuple[int, ...], Fraction]]" = field(default=None, hash=False)
+    chern: "Optional[Mapping[tuple[int, ...], Fraction]]" = None
+    _unhashed = ("chern",)  # a dict is unhashable; equal descriptors still hash equally
 
     def __post_init__(self):
         if self.chern is not None and self.chern_dim is not None:
@@ -478,8 +475,7 @@ def _sigma(j: int, n: int) -> int:
     return sum(d**j for d in range(1, n + 1) if n % d == 0)
 
 
-@dataclass(frozen=True)
-class WittenSeries:
+class WittenSeries(Record):
     """The q-deformed A-hat series, with its logarithm from the divisor sums.
 
     H is the defining infinite product; log_H is assembled independently

@@ -575,30 +575,26 @@ class RingElement:
         t, u, delta, epsilon, q, e_n and every auxiliary generator must be
         supplied through `overrides` (UnboundGeneratorError otherwise).
         """
-        values: "dict[str, complex]" = {}
-        if overrides:
-            values.update({k: complex(v) for k, v in overrides.items()})
-        missing = set()
-        for name in self.generators():
-            if name in values:
-                continue
+        terms = sorted((_unpack(m), c) for m, c in self._terms.items())
+        factors = {factor for m, _ in terms for factor in m}
+        values = {k: complex(v) for k, v in (overrides or {}).items()}
+        names = {name for name, _ in factors}
+        for name in names - values.keys():
             if name == "gamma":
                 values[name] = euler_gamma()
             elif name == "ipi2":
                 values[name] = complex(0.0, math.tau)
             elif name.startswith("zeta") and name[4:].isdigit():
                 values[name] = zeta_numeric(int(name[4:]))
-            else:
-                missing.add(name)
+        missing = names - values.keys()
         if missing:
-            raise UnboundGeneratorError(
-                f"no value for generator(s): {', '.join(sorted(missing))}"
-            )
+            raise UnboundGeneratorError(f"no value for generator(s): {', '.join(sorted(missing))}")
+        powers = {(name, e): values[name] ** e for name, e in factors}
         total = 0j
-        for m, c in sorted((_unpack(m), c) for m, c in self._terms.items()):
+        for m, c in terms:
             val = complex(c / self._den)
-            for name, e in m:
-                val *= values[name] ** e
+            for factor in m:
+                val *= powers[factor]
             total += val
         return total
 
@@ -689,8 +685,8 @@ def zeta_tilde_even(k: int) -> Fraction:
 def zeta_fraction(k: int, precision: int = 15) -> Fraction:
     """Rational approximation to zeta(k) with |error| < 10**(-precision).
 
-    Alternating-series (eta function) acceleration with exact rational
-    arithmetic, following the Cohen-Rodriguez Villegas-Zagier scheme;
+    Alternating-series (eta function) acceleration, following the Cohen-Rodriguez
+    Villegas-Zagier scheme, summed exactly over one common denominator L;
     zeta(k) = eta(k) / (1 - 2**(1-k)).  Reliable for precision <= 30.
     """
     if k < 2:
@@ -699,20 +695,17 @@ def zeta_fraction(k: int, precision: int = 15) -> Fraction:
         raise ValueError("precision must be in 1..30")
     n = int(precision * 1.35) + 4
     d = _eta_weights(n)
-    s = Fraction(0)
-    for j in range(n):
-        term = (d[j] - d[n]) / Fraction((j + 1) ** k)
-        s += -term if j % 2 else term
-    eta = -s / d[n]
-    return eta / (1 - Fraction(2) ** (1 - k))
+    L = math.lcm(*range(1, n + 1)) ** k
+    s = sum((d[n] - d[j] if j % 2 else d[j] - d[n]) * (L // (j + 1) ** k) for j in range(n))
+    return Fraction(-s * 2 ** (k - 1), L * d[n] * (2 ** (k - 1) - 1))
 
 
 @lru_cache(maxsize=None)
-def _eta_weights(n: int) -> "tuple[Fraction, ...]":
-    """d_j = n * sum_{i<=j} (n+i-1)! 4^i / ((n-i)! (2i)!), j = 0..n, for every k."""
+def _eta_weights(n: int) -> "tuple[int, ...]":
+    """The integers d_j = n * sum_{i<=j} (n+i-1)! 4^i / ((n-i)! (2i)!), j = 0..n, for every k."""
     f = math.factorial
     terms = (Fraction(f(n + i - 1) * 4**i, f(n - i) * f(2 * i)) for i in range(n + 1))
-    return tuple(n * acc for acc in accumulate(terms))
+    return tuple(int(n * acc) for acc in accumulate(terms))
 
 
 def zeta_numeric(k: int) -> float:

@@ -15,12 +15,11 @@ here serve the symplectic check and the e-basis rewriting below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from genusforge.check import CheckResult, first_defect
+from genusforge.check import CheckResult, Record, first_defect
 from genusforge.ring import RingElement, _monomial_weight
 from genusforge.series import Series1, exp_series, log_series
 
@@ -54,8 +53,7 @@ class NotSymmetricError(ValueError):
     """A root polynomial fed to the basis converter is not symmetric."""
 
 
-@dataclass(frozen=True)
-class SymPoly:
+class SymPoly(Record):
     """A symmetric-function expression in one named basis.
 
     basis "E" uses generators e1, e2, ...; "H" uses h1, h2, ...; "P" uses the
@@ -294,8 +292,7 @@ def zeta_specialize(x: SymPoly, presentation: str = "raw") -> RingElement:
 # -- Pontryagin rewriting --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChernPolynomial:
+class ChernPolynomial(Record):
     """A polynomial in Chern classes c_k (weight k) or Pontryagin classes p_k
     (weight 2k), with RingElement coefficients."""
 

@@ -24,10 +24,12 @@ cross-check by summing powers of L instead of the exp recurrence, and genera
 of Milnor hypersurfaces from their Chern roots by bivariate products instead
 of the Chern pairing, and zeta(k) with its eta weights recomputed for each k
 instead of shared per precision, a ring element's hash recomputed on every
-call instead of kept, its JSON form through one Fraction per term instead of
-the stored integers, and a `genus chern` request through the normalizing
-ManifoldDescriptor.from_chern with every value read by Fraction instead of
-the parsed table as it stands with plain integers read by int.  The genus
+call instead of kept, its numeric value with every monomial decoded twice
+and each factor raised where it appears instead of once per call, its JSON
+form through one Fraction per term instead of the stored integers, and a
+`genus chern` request through the normalizing ManifoldDescriptor.from_chern
+with every value read by Fraction instead of the parsed table as it stands
+with plain integers read by int.  The genus
 series H = z / exp is also built here from any given exponential, outside
 the catalog of genus.genus_series.
 """
@@ -41,7 +43,16 @@ from fractions import Fraction
 from genusforge import cli, genus
 from genusforge.check import first_defect
 from genusforge.fgl import AxiomReport
-from genusforge.ring import NonUnitError, RingElement, generator_info, zeta_tilde_even
+from genusforge.ring import (
+    NonUnitError,
+    RingElement,
+    UnboundGeneratorError,
+    _unpack,
+    euler_gamma,
+    generator_info,
+    zeta_numeric,
+    zeta_tilde_even,
+)
 from genusforge.series import Series1, Series2, exp_series, powers
 from genusforge.symfun import (
     SymPoly,
@@ -629,6 +640,33 @@ def uncached_hash(x: RingElement) -> int:
     if value is None:
         return hash((frozenset(x._terms.items()), x._den))
     return hash(value)
+
+
+def term_by_term_evaluate(x: RingElement, overrides=None) -> complex:
+    """x.evaluate(overrides) with the generator set read off x.generators()
+    and each term's factors raised to their powers where they appear."""
+    values = {k: complex(v) for k, v in (overrides or {}).items()}
+    missing = set()
+    for name in x.generators():
+        if name in values:
+            continue
+        if name == "gamma":
+            values[name] = euler_gamma()
+        elif name == "ipi2":
+            values[name] = complex(0.0, math.tau)
+        elif name.startswith("zeta") and name[4:].isdigit():
+            values[name] = zeta_numeric(int(name[4:]))
+        else:
+            missing.add(name)
+    if missing:
+        raise UnboundGeneratorError(f"no value for generator(s): {', '.join(sorted(missing))}")
+    total = 0j
+    for m, c in sorted((_unpack(m), c) for m, c in x._terms.items()):
+        val = complex(c / x._den)
+        for name, e in m:
+            val *= values[name] ** e
+        total += val
+    return total
 
 
 def fraction_to_obj(x: RingElement) -> dict:

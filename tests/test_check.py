@@ -1,13 +1,18 @@
 import ast
+import copy
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from genusforge import fgl
-from genusforge.check import CheckResult, first_defect, first_residual
+from genusforge import fgl, genus
+from genusforge.check import CheckResult, Record, first_defect, first_residual, replace
+from genusforge.fgl import AxiomReport, FormalGroupLaw
+from genusforge.genus import GenusSeries, ManifoldDescriptor, WittenSeries
 from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2
+from genusforge.symfun import ChernPolynomial, SymPoly
 
 R = RingElement
 gen = RingElement.gen
@@ -143,3 +148,105 @@ def test_every_failure_in_src_names_a_degree_and_from_flag_is_gone():
 )
 def test_the_degree_guard_sees_what_it_should(source, lines):
     assert list(_failure_calls_without_degree(ast.parse(source))) == lines
+
+
+# -- the Record contract, for every record class of the package ---------------
+
+# One fresh record per class, and a value for each field named in _unhashed
+# that differs from the record's own.
+RECORDS = {
+    "CheckResult": (lambda: CheckResult.fail(2, R.from_rational(3), "why", note="n"), {"extra": {"x": 1}}),
+    "FormalGroupLaw": (lambda: fgl.catalog("multiplicative_t", 3, {"t": 2}), {"params": {}}),
+    "AxiomReport": (lambda: fgl.check_axioms(fgl.catalog("additive", 3)), {}),
+    "GenusSeries": (lambda: genus.genus_series("todd", 4), {}),
+    "ManifoldDescriptor": (
+        lambda: ManifoldDescriptor.from_chern(2, {(2,): 3, (1, 1): 4}),
+        {"chern": {(2,): Fraction(5), (1, 1): Fraction(6)}},
+    ),
+    "WittenSeries": (lambda: genus.witten_series(3, 2), {}),
+    "SymPoly": (lambda: SymPoly.e(2), {}),
+    "ChernPolynomial": (lambda: ChernPolynomial(gen("c1") * gen("c2"), "c"), {}),
+}
+
+
+@pytest.fixture(params=sorted(RECORDS))
+def record(request):
+    make, other_unhashed = RECORDS[request.param]
+    return make, other_unhashed
+
+
+class TestRecord:
+    def test_every_record_class_is_covered(self):
+        classes = {CheckResult, FormalGroupLaw, AxiomReport, GenusSeries, ManifoldDescriptor}
+        classes |= {WittenSeries, SymPoly, ChernPolynomial}
+        assert {cls.__name__ for cls in classes} == set(RECORDS)
+        assert all(issubclass(cls, Record) for cls in classes)
+        assert {type(make()) for make, _ in RECORDS.values()} == classes
+
+    def test_equal_records_hash_equally_without_the_unhashed_fields(self, record):
+        make, other_unhashed = record
+        a, b = make(), replace(make())
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert set(other_unhashed) == set(type(a)._unhashed)
+        if other_unhashed:
+            c = replace(a, **other_unhashed)
+            assert c != a and hash(c) == hash(a)
+
+    def test_another_class_with_equal_fields_is_unequal(self, record):
+        a = record[0]()
+
+        class Other(type(a)):
+            pass
+
+        b = Other(**vars(a))
+        assert vars(b) == vars(a) and b != a and a != b
+        assert a != tuple(vars(a).values())
+
+    def test_fields_can_be_neither_assigned_nor_deleted(self, record):
+        a = record[0]()
+        before = dict(vars(a))
+        for name in (*type(a)._fields, "new_attribute"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert vars(a) == before
+
+    def test_copies_and_pickles_are_equal_and_hash_equally(self, record):
+        a = record[0]()
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(b) is type(a) and b == a and hash(b) == hash(a)
+            assert list(vars(b)) == list(type(a)._fields)
+
+    def test_bad_fields_raise_type_error(self, record):
+        a = record[0]()
+        cls, fields, values = type(a), type(a)._fields, list(vars(a).values())
+        with pytest.raises(TypeError):
+            cls(**vars(a), not_a_field=1)
+        with pytest.raises(TypeError):
+            cls(values[0], **vars(a))
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            replace(a, not_a_field=1)
+        if cls is not ManifoldDescriptor:  # its every field has a default
+            with pytest.raises(TypeError):
+                cls(**{k: v for k, v in vars(a).items() if k != fields[0]})
+
+    def test_fields_keep_their_order(self, record):
+        a = record[0]()
+        assert list(vars(a)) == list(type(a)._fields)
+        assert repr(a).startswith(f"{type(a).__name__}({type(a)._fields[0]}=")
+
+    def test_replace_validates_again(self):
+        law = fgl.catalog("additive", 3)
+        with pytest.raises(ValueError, match="unit axiom"):
+            replace(law, F=law.F + Series2({(2, 0): 1}, 3))
+        s = replace(SymPoly.e(2), basis="e")
+        assert s.basis == "E" and s == SymPoly.e(2)
+
+    def test_a_dict_default_is_not_shared(self):
+        a, b = CheckResult("PASS"), CheckResult("PASS")
+        assert a.extra == {} and a.extra is not b.extra
+        assert fgl.FormalGroupLaw(F=fgl.catalog("additive", 2).F, name="x").params == {}
+        assert CheckResult.extra == {}

@@ -937,6 +937,22 @@ def test_import_builds_nothing():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_loads_no_introspection_modules():
+    """Importing the CLI loads none of dataclasses, inspect, ast, dis or
+    tokenize, each of which a fresh process would pay for on every request.
+    Site is off (-S), so only genusforge's own imports count."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import sys\n"
+        "import genusforge.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))\n"
+    )
+    env = {**_ENV, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
 def test_sigint_exits_130_without_a_traceback():
     """A SIGINT during a long request ends it with exit 130 and one stderr
     line.  The wrapper reports on stderr once the CLI is imported, so the

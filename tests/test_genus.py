@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -71,7 +70,7 @@ class TestGenusSeries:
             GenusSeries(H=Series1([0, 1], 2), name="bad")
 
     def test_a_series_is_its_h_and_name(self):
-        assert [f.name for f in dataclasses.fields(GenusSeries)] == ["H", "name"]
+        assert list(GenusSeries._fields) == ["H", "name"]
         for name in GENUS_SERIES:
             g = genus_series(name, 5)
             assert g.exp == Series1.x(5) / g.H

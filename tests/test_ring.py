@@ -25,7 +25,7 @@ from genusforge.series import Series1
 from conftest import rationals, ring_elements
 from oracles import FractionRing as F
 from oracles import bernoulli_akiyama_tanigawa, pairwise_dot, per_k_zeta_fraction, tuple_dot
-from oracles import fraction_to_obj, uncached_hash
+from oracles import fraction_to_obj, term_by_term_evaluate, uncached_hash
 
 R = RingElement
 
@@ -716,11 +716,13 @@ bound_values = st.fixed_dictionaries(
 )
 
 
+_DEFAULTED = ("gamma", "zeta2", "zeta3", "zeta5", "ipi2")
+
+
 @st.composite
-def wide_elements(draw):
+def wide_elements(draw, names=("gamma", "zeta2", "zeta3", "ipi2") + _BOUND):
     """Sums of terms over every kind of generator whose magnitudes differ by
     up to 16 digits, so that the order of a float sum shows in its value."""
-    names = ("gamma", "zeta2", "zeta3", "ipi2") + _BOUND
     out = R.zero()
     for _ in range(draw(st.integers(0, 6))):
         term = R.from_rational(draw(rationals) * 10 ** draw(st.integers(0, 16)))
@@ -766,6 +768,22 @@ class TestEvaluate:
         order = len(elements) - 1
         f, g = Series1(elements, order), Series1(reordered, order)
         assert f == g and f.evaluate(z0, overrides) == g.evaluate(z0, overrides)
+
+    @given(
+        wide_elements(_DEFAULTED) | wide_elements(),
+        st.none() | bound_values | bound_values.map(lambda v: {**v, "gamma": -0.75, "zeta3": 2.5}),
+    )
+    def test_matches_the_term_by_term_loop(self, x, overrides):
+        """The same float, bit for bit, as raising every factor where it
+        appears; and the same error when a generator has no value."""
+        try:
+            want = term_by_term_evaluate(x, overrides)
+        except UnboundGeneratorError as exc:
+            with pytest.raises(UnboundGeneratorError) as got:
+                x.evaluate(overrides)
+            assert got.value.args == exc.args
+        else:
+            assert x.evaluate(overrides) == want
 
 
 class TestSubstitute:

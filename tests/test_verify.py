@@ -8,13 +8,13 @@ back the law and series memos and empties the value-keyed ones, so no broken
 value outlives its test.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
 from genusforge import fgl, genus, symfun, verify
+from genusforge.check import replace
 from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2
 

@@ -13,8 +13,8 @@ builds its series by one route and checks nothing; verify --suite witten
 compares the product route with the Eisenstein route.  --presentation
 selects the presentation of `gamma` only.  GENUSFORGE_ORDER overrides the
 default truncation order.  A request is parsed once, by its command's own
-parser; the full parser only reports an incomplete command path or prints
-the top-level help.
+parser, built on first use; the full parser is built only to report an
+incomplete command path or print the top-level help.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from genusforge import fgl, genus, verify
 from genusforge.series import Series1, exp_series, log_series, sqrt_series
@@ -221,43 +222,47 @@ def _verify(args):
 
 # -- parser ---------------------------------------------------------------------
 
+# Each command path and its handler, in the order the full parser lists them.
+_LEAVES = {
+    ("fgl", "list"): _fgl_list,
+    ("fgl", "series"): _fgl_series,
+    ("fgl", "check"): _fgl_check,
+    ("fgl", "iso"): _fgl_iso,
+    ("genus", "cpn"): _genus_cpn,
+    ("genus", "table"): _genus_table,
+    ("genus", "chern"): _genus_chern,
+    ("witten",): _witten,
+    **{("series", name): _series for name in ("exp", "log", "sqrt", "revert")},
+    ("verify",): _verify,
+}
+_HELP = {
+    "fgl": "formal group law catalog",
+    "genus": "genus tables",
+    "witten": "Witten q-expansion",
+    "series": "series utilities on JSON input",
+    "verify": "run the identity verifier",
+}
+# revert is looked up when it runs, so a wrapper installed on Series1.revert
+# after import (the benchmark's tracer) is the one called.
+_SERIES_OPS = {"exp": exp_series, "log": log_series, "sqrt": sqrt_series,
+               "revert": lambda f: f.revert()}
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser.  Its `leaves` maps each command path, such as
-    ("genus", "chern"), to the parser the full one hands the rest of argv."""
-    parser = _Parser(
-        prog="genusforge",
-        description="Exact computer algebra for formal group laws and Hirzebruch genera.",
-    )
-    parser.leaves = {}
 
-    def leaf(sub, path, **kw):
-        return parser.leaves.setdefault(path, sub.add_parser(path[-1], **kw))
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fgl = sub.add_parser("fgl", help="formal group law catalog")
-    fgl_sub = p_fgl.add_subparsers(dest="fgl_cmd", required=True)
-    leaf(fgl_sub, ("fgl", "list")).set_defaults(run=_fgl_list)
-    for name, run in (("series", _fgl_series), ("check", _fgl_check)):
-        p = leaf(fgl_sub, ("fgl", name))
+def _arguments(p: argparse.ArgumentParser, path) -> argparse.ArgumentParser:
+    """p, the parser of a command path such as ("genus", "chern"), given its
+    arguments and its handler."""
+    command, name = path[0], path[-1]
+    if command == "fgl" and name in ("series", "check"):
         p.add_argument("--law", required=True)
         p.add_argument("--order", type=size)
         p.add_argument("--param", action="append", metavar="NAME=P/Q")
-        p.set_defaults(run=run)
-    p = leaf(fgl_sub, ("fgl", "iso"))
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--order", type=size)
-    p.set_defaults(run=_fgl_iso)
-
-    p_genus = sub.add_parser("genus", help="genus tables")
-    genus_sub = p_genus.add_subparsers(dest="genus_cmd", required=True)
-    for name, run in (("cpn", _genus_cpn), ("table", _genus_table), ("chern", _genus_chern)):
-        p = leaf(genus_sub, ("genus", name))
+    elif command == "fgl" and name == "iso":
+        p.add_argument("--from", dest="src", required=True)
+        p.add_argument("--to", dest="dst", required=True)
+        p.add_argument("--order", type=size)
+    elif command == "genus":
         p.add_argument("--series", required=True)
         p.add_argument("--presentation", choices=("raw", "normalized"))
-        p.set_defaults(run=run)
         if name == "cpn":
             n_or_max_n = p.add_mutually_exclusive_group(required=True)
             n_or_max_n.add_argument("--n", type=size)
@@ -267,33 +272,47 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--dim", type=size, required=True)
             p.add_argument("--chern", required=True)
-
-    p = leaf(sub, ("witten",), help="Witten q-expansion")
-    p.add_argument("--x-order", dest="x_order", type=size, default=10)
-    p.add_argument("--q-order", dest="q_order", type=size, default=8)
-    p.add_argument("--log", action="store_true", help="emit log of the series")
-    p.set_defaults(run=_witten)
-
-    p_series = sub.add_parser("series", help="series utilities on JSON input")
-    series_sub = p_series.add_subparsers(dest="series_cmd", required=True)
-    # revert is looked up when it runs, so a wrapper installed on
-    # Series1.revert after import (the benchmark's tracer) is the one called.
-    ops = (("exp", exp_series), ("log", log_series), ("sqrt", sqrt_series),
-           ("revert", lambda f: f.revert()))
-    for name, op in ops:
-        p = leaf(series_sub, ("series", name))
+    elif command == "witten":
+        p.add_argument("--x-order", dest="x_order", type=size, default=10)
+        p.add_argument("--q-order", dest="q_order", type=size, default=8)
+        p.add_argument("--log", action="store_true", help="emit log of the series")
+    elif command == "series":
         p.add_argument("--input", default="-", help="path to Series1 JSON (default stdin)")
-        p.set_defaults(run=_series, op=op)
+        p.set_defaults(op=_SERIES_OPS[name])
+    elif command == "verify":
+        p.add_argument("--suite", default="all")
+        p.add_argument("--order", type=size)
+    p.set_defaults(run=_LEAVES[path])
+    return p
 
-    p = leaf(sub, ("verify",), help="run the identity verifier")
-    p.add_argument("--suite", default="all")
-    p.add_argument("--order", type=size)
-    p.set_defaults(run=_verify)
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, of every command path; a leaf parser it nests is the
+    one _leaf builds alone."""
+    parser = _Parser(
+        prog="genusforge",
+        description="Exact computer algebra for formal group laws and Hirzebruch genera.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for path in _LEAVES:
+        command = path[0]
+        if len(path) == 1:
+            _arguments(sub.add_parser(command, help=_HELP[command]), path)
+            continue
+        if command not in groups:
+            group = sub.add_parser(command, help=_HELP[command])
+            groups[command] = group.add_subparsers(dest=f"{command}_cmd", required=True)
+        _arguments(groups[command].add_parser(path[1]), path)
     return parser
 
 
-_PARSER = build_parser()
+@lru_cache(maxsize=None)
+def _leaf(path) -> argparse.ArgumentParser:
+    """The parser of one command path, built on its first use."""
+    return _arguments(_Parser(prog=" ".join(("genusforge", *path))), path)
+
+
 # A message may quote raw input (argparse's "unrecognized arguments" does),
 # so every character str.splitlines breaks at is escaped to keep it one line.
 _ESCAPE_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
@@ -302,10 +321,10 @@ _ESCAPE_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\
 def _parse(argv):
     """argv parsed by the parser of its command path, else by the full one."""
     for depth in (1, 2):
-        leaf = _PARSER.leaves.get(tuple(argv[:depth]))
-        if leaf is not None:
-            return leaf.parse_args(argv[depth:])
-    return _PARSER.parse_args(argv)
+        path = tuple(argv[:depth])
+        if path in _LEAVES:
+            return _leaf(path).parse_args(argv[depth:])
+    return build_parser().parse_args(argv)
 
 
 def _fail(code: int, message: str) -> int:

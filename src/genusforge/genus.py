@@ -10,6 +10,7 @@ z / H is derived from H, and a lower-order view is the truncation of H.
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -328,19 +329,36 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
     return RingElement._make({m: c for m, c in total.items() if c}, den * cden, emax)
 
 
-@lru_cache(maxsize=64)
+_CHERN_ROWS: "dict[Series1, tuple]" = {}  # H -> _chern_rows(H), least recently used first
+_CHERN_LOCK = threading.Lock()
+
+
 def _chern_rows(H: Series1) -> "tuple[tuple[tuple[tuple[int, ...], int, int], ...], int, int]":
     """The top Hirzebruch polynomial K_d of H, d = H.order >= 1, compiled for
     pairing: one (partition, packed other factors, numerator) row per term,
     K_d's common denominator and its exponent bound.  Memoised by the value
     of H, so a series of any name or order shares its rows with every equal
-    truncation; the 64 most recent are kept."""
-    K = multiplicative_sequence(H, H.order)[-1].poly
-    rows = []
-    for m, c in K._terms.items():
-        lam, rest = _split_chern(_unpack(m))
-        rows.append((lam, _pack(rest), c))
-    return tuple(rows), K._den, K._emax
+    truncation.  K_j depends on H_j alone, so one sequence K_1..K_d fills the
+    rows of every truncation H_j, j <= d; the 64 most recently used are kept."""
+    with _CHERN_LOCK:
+        rows = _CHERN_ROWS.pop(H, None)
+        if rows is not None:
+            _CHERN_ROWS[H] = rows
+            return rows
+    fresh = []
+    for j, K in enumerate(multiplicative_sequence(H, H.order), 1):
+        K, rows = K.poly, []
+        for m, c in K._terms.items():
+            lam, rest = _split_chern(_unpack(m))
+            rows.append((lam, _pack(rest), c))
+        fresh.append((H.truncate(j), (tuple(rows), K._den, K._emax)))
+    with _CHERN_LOCK:
+        for key, rows in fresh:  # H, the last, is the most recently used
+            _CHERN_ROWS.pop(key, None)
+            _CHERN_ROWS[key] = rows
+        for key in list(_CHERN_ROWS)[:-64]:
+            del _CHERN_ROWS[key]
+    return rows
 
 
 def genus_table(

@@ -19,8 +19,10 @@ One bounded cache decodes a key to its sorted (name, exponent) tuple, the form
 in which monomials enter and leave the ring.
 
 ``RingElement.dot`` sums products of pairs into one numerator dict and reduces
-once; a product is its one-pair case, and every sum of products in the series
-and law layers goes through it.
+once; a product of two elements is its one-pair case, and every sum of
+products in the series and law layers goes through it.  A rational scalar (an
+int or a Fraction) is not made an element: it scales the numerators and the
+denominator, as FLINT's fmpq_poly does, with one gcd pass.
 
 An element is a value: the order of its stored terms means nothing.  All that
 reads terms in order (``terms()``, ``to_obj``, ``str``, ``evaluate``) sorts them
@@ -271,7 +273,8 @@ class RingElement:
 
     @staticmethod
     def from_rational(value: Rational) -> "RingElement":
-        value = Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
         if not value:
             return _ZERO
         return RingElement._make({0: value.numerator}, value.denominator, 0)
@@ -392,10 +395,20 @@ class RingElement:
         return NotImplemented if other is NotImplemented else other._plus(self, -1)
 
     def __mul__(self, other: Scalar) -> "RingElement":
-        other = RingElement._coerce(other)
-        if other is NotImplemented:
+        """self * other: a product of elements is dot's one-pair case, and a
+        rational (int or Fraction) scales the numerators and the denominator."""
+        if isinstance(other, RingElement):
+            return RingElement.dot(((self, other),))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return RingElement.dot(((self, other),))
+        num = other.numerator
+        if not num or not self._terms:
+            return _ZERO
+        g = math.gcd(num, self._den)
+        if g != 1:
+            num //= g
+        den = (self._den // g) * other.denominator
+        return RingElement._make({m: c * num for m, c in self._terms.items()}, den, self._emax)
 
     @staticmethod
     def dot(pairs: "Iterable[tuple[RingElement, RingElement]]") -> "RingElement":

@@ -35,7 +35,6 @@ S = TypeVar("S", bound="_Series")
 
 _ZERO = RingElement.zero()
 _ONE = RingElement.one()
-_MINUS_ONE = -_ONE
 
 
 class NonUnitDivisionError(ArithmeticError):
@@ -135,13 +134,17 @@ class _Series:
         return self.map_coefficients(RingElement.__neg__)
 
     def _scaled(self: S, k: Scalar) -> S:
-        """self * k for a scalar k."""
-        k = _coerce_elem(k)
+        """self * k for a scalar k; an int or Fraction k stays rational, so each
+        coefficient is scaled, not multiplied by an element."""
+        if not isinstance(k, (int, Fraction)):
+            k = _coerce_elem(k)
         return self.map_coefficients(lambda c: c * k)
 
     def __truediv__(self: S, other) -> S:
         if isinstance(other, type(self)):
             return self._divide(other)
+        if isinstance(other, (int, Fraction)) and other:
+            return self._scaled(Fraction(1, other))
         return self * _coerce_elem(other).inverse()
 
     def to_json(self) -> str:
@@ -530,7 +533,7 @@ def _unit_power(b, a: Union[int, Fraction], top: int) -> "list[RingElement]":
     for k in range(1, top + 1):
         s1 = dot((jb[j], P[k - j]) for j in range(1, k + 1))
         s0 = dot((b[j], P[k - j]) for j in range(1, k + 1))
-        P.append(dot(((s1, RingElement.from_rational(Fraction(a + 1, k))), (s0, _MINUS_ONE))))
+        P.append(s1 * Fraction(a + 1, k) - s0)
     return P
 
 

@@ -610,7 +610,7 @@ def _both_routes(argv):
     """main(argv), then main(argv) with every literal read by Fraction and a
     `genus chern` table normalized again by from_chern."""
     new = _run_in_process(argv, "")
-    leaf = cli._PARSER.leaves[("genus", "chern")]
+    leaf = cli._leaf(("genus", "chern"))
     spy = mock.Mock(side_effect=from_chern_genus_chern)
     with mock.patch.object(cli, "_rational", fraction_rational), mock.patch.dict(
         leaf._defaults, run=spy
@@ -690,6 +690,8 @@ _HELP_AND_SPELLINGS = st.sampled_from(
 )
 # Set by the nested subparsers only; no handler reads them.
 _PATH_DESTS = ("command", "fgl_cmd", "genus_cmd", "series_cmd")
+# The full nested parser, built once: main builds it only for an incomplete path.
+_FULL_PARSER = cli.build_parser()
 
 
 @st.composite
@@ -726,7 +728,7 @@ class TestLeafParsing:
     @example(["fgl", "series", "--he"])
     @given(_argv_with_help())
     def test_same_outcome_as_the_full_parser(self, argv):
-        assert _parse_outcome(cli._parse, argv) == _parse_outcome(cli._PARSER.parse_args, argv)
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(_FULL_PARSER.parse_args, argv)
 
 
 class TestWittenCommand:
@@ -878,7 +880,7 @@ class TestBenchmarkReferences:
     def test_every_request_is_parsed_by_its_command_parser(self, requests_and_refs):
         orders, refs = requests_and_refs
         full_parse = AssertionError("the full parser was asked to parse a reference request")
-        with mock.patch.object(cli._PARSER, "parse_args", side_effect=full_parse):
+        with mock.patch.object(cli, "build_parser", side_effect=full_parse):
             for req in orders["sorted"]:
                 _, rc, sha = refs[req.key]
                 code, out, _ = _run_in_process(list(req.argv), req.stdin)
@@ -928,13 +930,41 @@ def test_import_builds_nothing():
         "import genusforge.cli\n"
         "from genusforge import fgl, genus, symfun\n"
         "assert fgl._BUILT == {} and genus._SERIES == {}\n"
-        "assert genus._chern_rows.cache_info().currsize == 0\n"
+        "assert genus._CHERN_ROWS == {}\n"
         "assert genus._cpn.cache_info().currsize == 0\n"
         "assert symfun._chern_power_sums.cache_info().currsize == 0\n"
         "assert genus.witten_series.cache_info().currsize == 0\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_ENV)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_builds_no_parser():
+    """Importing the CLI builds no argparse parser: a request builds its own
+    command's parser when it is first parsed."""
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import genusforge.cli\n"
+        "assert built == [], built\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_ENV)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_request_builds_only_its_own_parser():
+    cli._leaf.cache_clear()
+    full = AssertionError("the full parser was built for a complete command path")
+    with mock.patch.object(cli, "build_parser", side_effect=full):
+        assert _run_in_process(["fgl", "list"], "")[0] == 0
+        assert _run_in_process(["verify", "--suite", "nope"], "")[0] == 2
+    assert cli._leaf.cache_info().currsize == 2
+    assert cli._leaf(("fgl", "list")).prog == "genusforge fgl list"
 
 
 def test_import_loads_no_introspection_modules():

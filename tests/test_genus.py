@@ -213,6 +213,97 @@ class TestHirzebruchMemo:
             assert len(terms) == len(rows)
             assert RingElement(terms) == multiplicative_sequence(H, d)[d - 1].poly
 
+    @pytest.fixture
+    def sequences(self, monkeypatch):
+        """An empty Chern-row memo (restored afterwards), and the orders n of
+        the multiplicative sequences it computes, in call order."""
+        monkeypatch.setattr(genus, "_CHERN_ROWS", {})
+        seen = []
+
+        def counted(H, n):
+            seen.append(n)
+            return multiplicative_sequence(H, n)
+
+        monkeypatch.setattr(genus, "multiplicative_sequence", counted)
+        return seen
+
+    @pytest.mark.parametrize("name", GENUS_SERIES)
+    def test_one_sequence_fills_every_lower_truncation(self, name, sequences):
+        H = genus_series(name, 6).H
+        top = genus._chern_rows(H)
+        assert sequences == [6] and genus._chern_rows(H) is top
+        for d in range(1, 6):
+            rows, den, _ = genus._chern_rows(H.truncate(d))
+            terms = {
+                _unpack(rest) + tuple(Counter(f"c{k}" for k in lam).items()): Fraction(num, den)
+                for lam, rest, num in rows
+            }
+            assert RingElement(terms) == multiplicative_sequence(H, d)[d - 1].poly
+        assert sequences == [6] and len(genus._CHERN_ROWS) == 6
+
+    def test_a_lone_chern_request_computes_nothing_beyond_its_dimension(self, sequences):
+        from genusforge import cli
+
+        table = ",".join(
+            "*".join(f"c{k}" for k in lam) + f"={v}" for lam, v in cpn_chern_numbers(3).items()
+        )
+        argv = ["genus", "chern", "--series", "todd", "--dim", "3", "--chern", table]
+        assert cli.main(argv) == 0
+        assert sequences == [3]
+        assert sorted(H.order for H in genus._CHERN_ROWS) == [1, 2, 3]
+
+    def test_verify_builds_one_sequence_per_series(self, sequences):
+        from genusforge import verify
+
+        results = dict(verify._gamma_checks(6))
+        assert results["chern_route_matches_product_route"].passed
+        # ahat and hyperbolic share one H, so they share its rows
+        distinct = {genus_series(name, 4).H for name in GENUS_SERIES}
+        assert sequences == [4] * len(distinct)
+
+    def test_only_the_most_recently_used_rows_are_kept(self, sequences):
+        first = genus_series("todd", 2).H
+        genus._chern_rows(first)
+        for k in range(40):
+            genus._chern_rows(Series1([1, k + 2, 1], 2))
+            genus._chern_rows(first)  # a hit makes it the most recent again
+        assert len(genus._CHERN_ROWS) == 64 and len(sequences) == 41
+        assert first in genus._CHERN_ROWS and first.truncate(1) not in genus._CHERN_ROWS
+
+    def test_threads_sharing_the_memo_read_the_serial_rows(self, monkeypatch):
+        """Eight threads ask for the rows of 90 truncations (more than the
+        memo keeps) in a shuffled order, with a short switch interval."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        monkeypatch.setattr(genus, "_CHERN_ROWS", {})
+        rng = random.Random(5)
+        tops = [
+            Series1([1, *(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))])
+            for _ in range(30)
+        ]
+        jobs = [H.truncate(d) for H in tops for d in (3, 2, 1)] * 2
+        rng.shuffle(jobs)
+
+        def poly(rows, den, _):
+            return RingElement({
+                _unpack(rest) + tuple(Counter(f"c{k}" for k in lam).items()): Fraction(num, den)
+                for lam, rest, num in rows
+            })
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(genus._chern_rows, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(switch)
+        for H, rows in zip(jobs, got):
+            assert poly(*rows) == multiplicative_sequence(H, H.order)[-1].poly
+        assert len(genus._CHERN_ROWS) == 64
+        for H, rows in genus._CHERN_ROWS.items():
+            assert poly(*rows) == multiplicative_sequence(H, H.order)[-1].poly
+
     def test_user_series_that_reuses_a_catalog_name_gets_its_own_value(self):
         todd = genus_series("todd", 4)
         ahat = genus_series("ahat", 4)

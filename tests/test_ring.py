@@ -357,6 +357,64 @@ class TestDotKernel:
         assert storage(got) == storage(pairwise_dot(pairs))
 
 
+# Rational scalars: zero, small, negative, and numerators and denominators
+# far beyond a machine word.
+scalars = st.one_of(
+    st.just(0),
+    rationals,
+    st.integers(),
+    st.fractions(),
+    st.builds(Fraction, st.integers(min_value=-(10**40), max_value=10**40), st.integers(1, 10**30)),
+)
+
+
+class TestScalingKernel:
+    """An element times an int or a Fraction scales the numerators and the
+    denominator: the value, storage, hash and exponent bound of the one-pair
+    dot with the scalar made an element."""
+
+    @given(ring_elements(), scalars)
+    @example(gen("gamma", 1, 2), Fraction(1, 2))
+    @example(gen("gamma", 1, Fraction(1, 6)) + gen("t", -2, Fraction(1, 4)), Fraction(-9, 10))
+    @example(gen("t", -3, 5), 0)
+    def test_same_as_the_coerced_product(self, x, q):
+        coerced = R.from_rational(q)
+        via_dot = R.dot([(x, coerced)])
+        assert via_dot == tuple_dot([(x, coerced)])
+        for got in (x * q, q * x):
+            assert got == via_dot and storage(got) == storage(via_dot)
+            assert_canonical(got)
+            assert got._emax == via_dot._emax
+            assert hash(got) == uncached_hash(via_dot) == hash(via_dot)
+
+    @given(ring_elements())
+    def test_zero_scalar_gives_the_zero_element(self, x):
+        for q in (0, Fraction(0), False):
+            assert (x * q) is R.zero() and (q * x) is R.zero()
+
+    @given(ring_elements())
+    def test_bool_scalar_is_an_int(self, x):
+        assert x * True == x == True * x
+        assert storage(x * True) == storage(x)
+
+    def test_float_scalar_is_refused(self):
+        with pytest.raises(TypeError):
+            gen("gamma") * 1.5
+        with pytest.raises(TypeError):
+            1.5 * gen("gamma")
+
+    def test_division_by_zero_is_not_a_unit(self):
+        for zero in (0, Fraction(0), R.zero()):
+            with pytest.raises(NonUnitError, match="^not a monomial unit: 0$"):
+                gen("gamma") / zero
+
+    def test_from_rational_keeps_the_value_it_is_given(self):
+        q = Fraction(-6, 4)
+        x = R.from_rational(q)
+        assert storage(x) == ([((), -3)], 2)
+        assert R.from_rational(7)._den == 1 and R.from_rational(Fraction(7)) == 7
+
+
 _LAURENT = ("ipi2", "t", "u")
 _MANY = tuple(f"e{k}" for k in range(1, 41)) + tuple(f"zeta{k}" for k in range(2, 31))
 _TOP = 2**23 - 1  # the largest |exponent| a packed monomial holds

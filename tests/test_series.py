@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from genusforge import series
 from genusforge.fgl import CATALOG, EXPONENTIALS, catalog, gamma_exponential
-from genusforge.ring import RingElement
+from genusforge.ring import NonUnitError, RingElement
 from genusforge.series import (
     BadConstantTermError,
     NonUnitDivisionError,
@@ -301,6 +301,23 @@ class TestCoefficientWiseCore:
         assert f * c == each(lambda k: f[k] * c)
         assert f / u == each(lambda k: f[k] * u.inverse())
         assert f.map_coefficients(square) == each(lambda k: square(f[k]))
+
+    @given(same_kind_pairs(), st.one_of(st.just(0), rationals, st.integers(), st.fractions()))
+    def test_rational_scale_and_quotient_are_the_element_route(self, pair, q):
+        f = pair[0]
+        kind, n, c = type(f), f.order, R.from_rational(q)
+        keys = _keys(kind, n)
+
+        def each(y):
+            return _build(kind, {k: R.dot([(f[k], y)]) for k in keys}, n)
+
+        assert f * q == q * f == each(c)
+        assert storage(f * q) == storage(each(c))
+        if q:
+            assert f / q == each(c.inverse()) and storage(f / q) == storage(each(c.inverse()))
+        else:
+            with pytest.raises(NonUnitError, match="^not a monomial unit: 0$"):
+                f / q
 
     @given(same_kind_pairs())
     def test_equal_series_hash_equally(self, pair):

@@ -184,8 +184,9 @@ def _memos_restored():
     fgl._BUILT.update(built)
     genus._SERIES.clear()
     genus._SERIES.update(series)
-    for memo in (genus._cpn, genus._chern_rows, genus.witten_series, symfun._chern_power_sums):
+    for memo in (genus._cpn, genus.witten_series, symfun._chern_power_sums):
         memo.cache_clear()
+    genus._CHERN_ROWS.clear()
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ from genusforge.series import (
     compose1_2,
     exp_series,
     log_series,
-    powers,
+    _law_powers,
     sqrt_series,
 )
 
@@ -329,20 +329,47 @@ def check_axioms(law: Union[FormalGroupLaw, Series2]) -> AxiomReport:
     )
     commutativity = first_defect((F - F.swap()).items())
 
-    # F(x, F(y, z)) at (a, b, c) is G(G(x, y), z) at (c, b, a) for G = F.swap(),
-    # and G == F when the commutativity check passes: then one expansion serves.
-    sides = []
-    for G in (F,) if commutativity.passed else (F, F.swap()):
-        Gp = powers(G, n)
+    # L[p, q, j], the coefficient of x^p y^q z^j in G(G(x, y), z), sums
+    # G[i, j] (G^i)[p, q].  F(x, F(y, z)) at (a, b, c) is L[c, b, a] for
+    # G = F.swap(), and G == F when the commutativity check passes: then one
+    # expansion serves, and as every F^i is symmetric, L[p, q, j] is summed
+    # only for p <= q and read as L[q, p, j] for p > q.
+    dot = RingElement.dot
+    if commutativity.passed:
+        Fp = _law_powers(F)
         pairs: "dict[tuple[int, int, int], list]" = {}
-        for (i, j), c in G.items():
-            for (p, q), v in Gp[i].items():
-                if p + q + j <= n:
+        for (i, j), c in F.items():
+            for (p, q), v in Fp[i].items():
+                if p <= q and p + q + j <= n:
                     pairs.setdefault((p, q, j), []).append((c, v))
-        sides.append({key: RingElement.dot(terms) for key, terms in pairs.items()})
-    diff = dict(sides[0])
-    for (a, b, c), v in sides[-1].items():
-        diff[c, b, a] = diff.get((c, b, a), _ZERO) - v
+        L = {key: dot(terms) for key, terms in pairs.items()}
+
+        def at(p: int, q: int, j: int) -> RingElement:
+            return L.get((p, q, j) if p <= q else (q, p, j), _ZERO)
+
+        # diff[c, b, a] = -diff[a, b, c] has the same degree, so the first
+        # defect has a < c; L[p, q, j] enters diff at its two readings
+        # (p, q, j), (q, p, j) and at their reversals.
+        keys = {
+            (a, b, c)
+            for p, q, j in L
+            for a, b, c in ((p, q, j), (q, p, j), (j, q, p), (j, p, q))
+            if a < c
+        }
+        diff = {(a, b, c): at(a, b, c) - at(c, b, a) for a, b, c in keys}
+    else:
+        sides = []
+        for G in (F, F.swap()):
+            Gp = _law_powers(G)
+            pairs = {}
+            for (i, j), c in G.items():
+                for (p, q), v in Gp[i].items():
+                    if p + q + j <= n:
+                        pairs.setdefault((p, q, j), []).append((c, v))
+            sides.append({key: dot(terms) for key, terms in pairs.items()})
+        diff = dict(sides[0])
+        for (a, b, c), v in sides[1].items():
+            diff[c, b, a] = diff.get((c, b, a), _ZERO) - v
     return AxiomReport(unit, commutativity, first_defect(diff.items()))
 
 

@@ -456,15 +456,23 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RingElement":
+        """self^n by repeated squaring.  The result starts as the power of n's
+        lowest set bit, so no product has 1 as a factor; a negative n inverts
+        a monomial unit first."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = _ONE
+        if n == 0:
+            return _ONE
         base = self
-        while n:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        while n > 1:
+            n >>= 1
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
         return result
 
     def inverse(self) -> "RingElement":

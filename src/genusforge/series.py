@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, MutableMapping, Optional, TypeVar, Union
 
 from genusforge.ring import RingElement
@@ -359,20 +360,27 @@ class Series2(_Series):
         if not isinstance(other, Series2):
             return self._scaled(other)
         n = self._match(other)
+        # A product of symmetric series is symmetric: only the (i, j) with
+        # i <= j are summed, and each (i, j) with i > j is the mirror.
+        half = self.is_symmetric() and (other is self or other.is_symmetric())
         # For each d, other's terms of total degree <= d, made once: a term of
         # self visits only the partners that stay within n, in stored order,
         # so the result keeps the index order of the all-pairs loop.
         terms = [(i2 + j2, i2, j2, c2) for (i2, j2), c2 in other._coeffs.items()]
         within: "dict[int, list]" = {}
-        pairs: "dict[tuple[int, int], list]" = {}
+        pairs: "dict[tuple[int, int], Optional[list]]" = {}
         for (i1, j1), c1 in self._coeffs.items():
             d = n - i1 - j1
             row = within.get(d)
             if row is None:
                 row = within[d] = [(i2, j2, c2) for e, i2, j2, c2 in terms if e <= d]
             for i2, j2, c2 in row:
-                pairs.setdefault((i1 + i2, j1 + j2), []).append((c1, c2))
-        return Series2({ij: RingElement.dot(ps) for ij, ps in pairs.items()}, n)
+                i, j = i1 + i2, j1 + j2
+                if half and i > j:
+                    pairs.setdefault((i, j), None)
+                else:
+                    pairs.setdefault((i, j), []).append((c1, c2))
+        return _dotted(pairs, n)
 
     __rmul__ = __mul__
 
@@ -397,25 +405,36 @@ class Series2(_Series):
 
     def compose(self, f: Series1, g: Series1) -> "Series2":
         """self(f(z0), g(z1)) at the least of the three orders, for inner
-        series with zero constant term."""
+        series with zero constant term.  When f == g one list of powers
+        serves both variables, and if self is also symmetric, so is the
+        result: only its (p, q) with p <= q are summed."""
         if not f[0].is_zero() or not g[0].is_zero():
             raise BadConstantTermError("inner series must have zero constant term")
         n = min(self.order, f.order, g.order)
-        F = self.truncate(n)
-        fp = [p.coefficients() for p in powers(f.truncate(n), F._top(0))]
-        gp = [p.coefficients() for p in powers(g.truncate(n), F._top(1))]
-        pairs: "dict[tuple[int, int], list]" = {}
+        F, f, g = self.truncate(n), f.truncate(n), g.truncate(n)
+        if f == g:
+            fp = gp = [p.coefficients() for p in powers(f, max(F._top(0), F._top(1)))]
+        else:
+            fp = [p.coefficients() for p in powers(f, F._top(0))]
+            gp = [p.coefficients() for p in powers(g, F._top(1))]
+        half = fp is gp and F.is_symmetric()
+        pairs: "dict[tuple[int, int], Optional[list]]" = {}
         for (i, j), c in F._coeffs.items():
             fi, gj = fp[i], gp[j]
             for p in range(i, n + 1 - j):
                 a = fi[p]
                 if a.is_zero():
                     continue
+                top = n + 1 - p
+                mid = min(max(j, p), top) if half else j  # below mid, q < p: a mirror
+                for q in range(j, mid):
+                    if not gj[q].is_zero():
+                        pairs.setdefault((p, q), None)
                 ca = c * a
-                for q in range(j, n + 1 - p):
+                for q in range(mid, top):
                     if not gj[q].is_zero():
                         pairs.setdefault((p, q), []).append((ca, gj[q]))
-        return Series2({ij: RingElement.dot(ps) for ij, ps in pairs.items()}, n)
+        return _dotted(pairs, n)
 
     def eval_at(self, a: Series1, b: Series1) -> Series1:
         """self(a(z), b(z)) as a univariate series (both inner in the same z):
@@ -459,15 +478,34 @@ def powers(f: S, top: int) -> "list[S]":
     return out
 
 
-def _horner(outer: Series1, inner: S) -> S:
-    """outer(inner) at the lesser order, for a Series1 or Series2 inner with
-    zero constant term, by graded Horner: the step adding outer[n - m] is
+@lru_cache(maxsize=16)
+def _law_powers(F: Series2) -> "tuple[Series2, ...]":
+    """powers(F, F.order), kept for the 16 most recent F by value:
+    check_axioms and every compose1_2 into an equal law read one set.  The
+    bound is small because an entry grows quickly with the order."""
+    return tuple(powers(F, F.order))
+
+
+def _dotted(pairs: "dict[tuple[int, int], Optional[list]]", order: int) -> Series2:
+    """The Series2 with dot(pairs[ij]) at each ij, in the order of pairs.  An
+    index whose pairs are None is the mirror of a symmetric result and takes
+    the sum at (j, i)."""
+    dot = RingElement.dot
+    sums = {ij: dot(ps) for ij, ps in pairs.items() if ps is not None}
+    out = {ij: sums[ij] if ps is not None else sums[ij[::-1]] for ij, ps in pairs.items()}
+    return Series2(out, order)
+
+
+def _horner(outer: Series1, inner: Series1) -> Series1:
+    """outer(inner) at the lesser order, for an inner series with zero
+    constant term, by graded Horner: the step adding outer[n - m] is
     multiplied n - m more times by inner, of valuation >= 1, so it is needed,
-    and computed, only to (total) order m."""
-    kind, n = type(inner), min(outer.order, inner.order)
-    result = kind.constant(outer[n], 0)
+    and computed, only to order m.  compose1_2 sums powers instead, which
+    check_axioms shares."""
+    n = min(outer.order, inner.order)
+    result = Series1.constant(outer[n], 0)
     for m in range(1, n + 1):
-        result = kind(result._coeffs, m) * inner.truncate(m) + outer[n - m]
+        result = Series1(result._coeffs, m) * inner.truncate(m) + outer[n - m]
     return result
 
 
@@ -509,11 +547,28 @@ def sqrt_series(f: Series1) -> "Series1":
 
 
 def compose1_2(outer: Series1, inner: Series2) -> Series2:
-    """outer(inner(z0, z1)) for an inner series with zero constant term (see
-    _horner)."""
+    """outer(inner(z0, z1)) = sum_k outer[k] inner^k at the lesser order n,
+    for an inner series with zero constant term: one dot per coefficient,
+    over the powers of inner truncated to n from the _law_powers memo, so a
+    law composed into again, or checked by check_axioms, is not raised to
+    its powers again.  For a symmetric inner the result is symmetric, and
+    only its (i, j) with i <= j are summed."""
     if not inner[(0, 0)].is_zero():
         raise BadConstantTermError("inner series must have zero constant term")
-    return _horner(outer, inner)
+    n = min(outer.order, inner.order)
+    inner = inner.truncate(n)
+    half = inner.is_symmetric()
+    pairs: "dict[tuple[int, int], Optional[list]]" = {}
+    for k, Pk in enumerate(_law_powers(inner)):
+        a = outer[k]
+        if a.is_zero():
+            continue
+        for (i, j), v in Pk._coeffs.items():
+            if half and i > j:
+                pairs.setdefault((i, j), None)
+            else:
+                pairs.setdefault((i, j), []).append((a, v))
+    return _dotted(pairs, n)
 
 
 def _unit_power(b, a: Union[int, Fraction], top: int) -> "list[RingElement]":

@@ -832,6 +832,29 @@ def test_fgl_report_bytes(argv, code, digest):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
+# `fgl check --law <law> --order 10` for every catalog law: each passes, so
+# these pin the whole serialized law as well as the verdict.
+_CHECK_AT_ORDER_10 = {
+    "additive": "ceaadb0358b56dbc21d0f979d5ca54fd7dfed9df8a50fa022934b46a1de767df",
+    "multiplicative": "77be5773ca7a40e7c4b6cdcb04de531c1b370c8685a14df2d710f3f080e3c793",
+    "multiplicative_t": "75eb728aee4489f1c05e21df23efd7ae071ac45da7a1ac781b3fd9d84bb42855",
+    "kontsevich": "822802a08befbb51889bf8829410f13aab6552fc49e7c6af660749990684cfff",
+    "hyperbolic": "9cb3d5af750dd8322bd806a105261fd0f653d57ae63796754e3c34a60f697330",
+    "jacobi": "1644a60f5bcd2228055dd47dfee2fa8ced372a61c99ffd72d39794f0dae5b973",
+    "gamma_raw": "f6d6c04524a1824a68bf975c0b5d0799f6a5b6f2f223bc3c0fdc913d9bf9bed1",
+    "gamma_normalized": "f872bbcc9fed8c3b7c9e05e361621c171c10d0878f3902f6e183ada4b9bd69bb",
+    "chi_rescaled": "89188af160aa9e58f756d21dfd78ecb30c5b19e50f8cff627fc9adc99714cf16",
+    "universal_additive": "db8fd6a49815b6a710f44ed759f32ee46dcf3ff1ba2e54c6921cf9081ef22a7a",
+}
+
+
+@pytest.mark.parametrize("law", fgl.CATALOG)
+def test_check_report_bytes_at_order_10(law):
+    proc = run_cli("fgl", "check", "--law", law, "--order", "10")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == _CHECK_AT_ORDER_10[law]
+
+
 class TestEnvironment:
     def test_order_env_override(self):
         env = {**_ENV, "GENUSFORGE_ORDER": "4"}
@@ -924,14 +947,15 @@ def test_traced_benchmark_finds_what_it_wraps():
 
 
 def test_import_builds_nothing():
-    """Importing the CLI builds no law, genus series, Hirzebruch polynomial,
-    CP^n genus, Newton power sums or Witten series."""
+    """Importing the CLI builds no law, law powers, genus series, Hirzebruch
+    polynomial, CP^n genus, Newton power sums or Witten series."""
     script = (
         "import genusforge.cli\n"
-        "from genusforge import fgl, genus, symfun\n"
+        "from genusforge import fgl, genus, series, symfun\n"
         "assert fgl._BUILT == {} and genus._SERIES == {}\n"
         "assert genus._CHERN_ROWS == {}\n"
         "assert genus._cpn.cache_info().currsize == 0\n"
+        "assert series._law_powers.cache_info().currsize == 0\n"
         "assert symfun._chern_power_sums.cache_info().currsize == 0\n"
         "assert genus.witten_series.cache_info().currsize == 0\n"
     )

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from genusforge import fgl
+from genusforge import fgl, series
 from genusforge.check import first_defect
 from genusforge.fgl import (
     CATALOG,
@@ -505,3 +505,74 @@ def test_law_serialization_shape():
     assert obj["name"] == "multiplicative_t"
     assert obj["order"] == 4
     assert "coeffs" in obj["F"]
+
+
+class TestHalfAccumulation:
+    """For a commutative F, check_axioms sums the expansion of F(F(x, y), z)
+    only over x^p y^q with p <= q; its first defect is still that of the
+    full two-sided expansion."""
+
+    # The 16 pairs (i, j), i <= j, with i, j >= 1 and i + j <= 8.
+    @pytest.mark.parametrize("ij", [(i, j) for i in range(1, 5) for j in range(i, 9 - i)])
+    def test_commutative_mutants_of_gamma_raw(self, ij):
+        """gamma_raw plus 1 at (i, j) and (j, i): commutative, not associative."""
+        i, j = ij
+        F = catalog("gamma_raw", 8).F + Series2({(i, j): 1, (j, i): 1}, 8)
+        report = check_axioms(F)
+        assert report.commutativity.passed and not report.associativity.passed
+        assert json.dumps(report.to_obj()) == json.dumps(pairwise_check_axioms(F).to_obj())
+
+    def test_a_commutative_law_that_fails_the_unit_axiom(self):
+        t = gen("t")
+        F = catalog("kontsevich", 7).F + Series2({(2, 0): 1, (0, 2): 1, (3, 0): t, (0, 3): t}, 7)
+        report = check_axioms(F)
+        assert not report.unit.passed and report.commutativity.passed
+        assert not report.associativity.passed
+        assert json.dumps(report.to_obj()) == json.dumps(pairwise_check_axioms(F).to_obj())
+
+
+class TestLawPowersMemo:
+    """check_axioms and compose1_2 read one set of a law's powers, kept by
+    value for the 16 most recent laws."""
+
+    @staticmethod
+    def count_products(monkeypatch):
+        mul, calls = Series2.__mul__, []
+
+        def counted(a, b):
+            calls.append(None)
+            return mul(a, b)
+
+        monkeypatch.setattr(Series2, "__mul__", counted)
+        return calls
+
+    def test_equal_laws_share_one_entry(self, monkeypatch):
+        series._law_powers.cache_clear()
+        monkeypatch.setattr(fgl, "_BUILT", {})
+        first = catalog("gamma_raw", 8)
+        monkeypatch.setattr(fgl, "_BUILT", {})
+        second = catalog("gamma_raw", 8)
+        assert first.F == second.F and first.F is not second.F
+        phi = canonical_strict_iso(second, catalog("additive", 8))
+        calls = self.count_products(monkeypatch)
+        assert check_axioms(first).passed
+        assert len(calls) == 8  # F^1 .. F^8, once
+        assert verify_iso(phi, second, catalog("additive", 8)).passed
+        assert len(calls) == 8
+        info = series._law_powers.cache_info()
+        assert (info.currsize, info.misses) == (1, 1) and info.hits >= 1
+
+    def test_orders_are_separate_entries(self):
+        series._law_powers.cache_clear()
+        for order in (8, 10):
+            check_axioms(catalog("kontsevich", order))
+        assert series._law_powers.cache_info().currsize == 2
+
+    def test_the_memo_is_bounded(self):
+        series._law_powers.cache_clear()
+        bound = series._law_powers.cache_info().maxsize
+        assert bound == 16
+        for k in range(1, 41):
+            assert check_axioms(catalog("multiplicative_t", 4, {"t": k})).passed
+            assert series._law_powers.cache_info().currsize <= bound
+        assert series._law_powers.cache_info().misses == 40

@@ -180,6 +180,39 @@ class TestArithmetic:
         assert g**0 == R.one()
         assert g**3 == g * g * g
 
+    @given(ring_elements(), st.integers(min_value=0, max_value=9))
+    def test_pow_is_the_repeated_product(self, a, n):
+        expected = R.one()
+        for _ in range(n):
+            expected = expected * a
+        assert a**n == expected
+
+    @given(units(), st.integers(min_value=1, max_value=9))
+    def test_negative_pow_of_a_unit_is_the_repeated_product_of_its_inverse(self, u, n):
+        expected = R.one()
+        for _ in range(n):
+            expected = expected * u.inverse()
+        assert u**-n == expected
+
+    def test_pow_multiplies_nothing_by_one(self, monkeypatch):
+        """Squaring starts from the lowest set bit's power, not from 1 times
+        it: x^n takes one product per squaring and one per further set bit."""
+        dot, factors = R.dot, []
+
+        def recording(pairs):
+            pairs = list(pairs)
+            factors.extend(x for pair in pairs for x in pair)
+            return dot(pairs)
+
+        monkeypatch.setattr(R, "dot", staticmethod(recording))
+        g = gen("gamma") + gen("t", -1) * Fraction(1, 2)
+        assert g**1 is g
+        for n in range(2, 10):
+            factors.clear()
+            g**n
+            assert not any(x.is_one() for x in factors), n
+            assert len(factors) == 2 * (n.bit_length() - 1 + bin(n).count("1") - 1), n
+
     def test_inverse_monomial_unit(self):
         m = gen("t", 2, Fraction(3, 5))
         assert m * m.inverse() == R.one()

@@ -205,6 +205,104 @@ class TestGradedComposition:
         assert out == F.truncate(4).compose(f, g.truncate(4))
 
 
+@st.composite
+def symmetric_series2(draw, order=4, constant=True):
+    """A symmetric series: (i, j) and (j, i) share one drawn coefficient."""
+    pool = draw(coefficient_pools)
+    coeffs = {}
+    for i in range(order + 1):
+        for j in range(i, order + 1 - i):
+            if constant or i + j:
+                coeffs[(i, j)] = coeffs[(j, i)] = draw(st.sampled_from(pool))
+    return Series2(coeffs, order)
+
+
+@st.composite
+def perturbed_series2(draw, order=4, constant=True):
+    """A symmetric series with one coefficient off its mirror by 1 or t."""
+    F = draw(symmetric_series2(order, constant))
+    i = draw(st.integers(0, (order - 1) // 2))
+    j = draw(st.integers(i + 1, order - i))
+    ij = draw(st.sampled_from([(i, j), (j, i)]))
+    return F + Series2({ij: draw(st.sampled_from([R.one(), gen("t")]))}, order)
+
+
+def summed_indices(monkeypatch):
+    """A list that gains, per Series2 built from sums of products, the
+    number of indices summed (the others are mirrored)."""
+    dotted, counts = series._dotted, []
+
+    def counted(pairs, order):
+        counts.append(sum(ps is not None for ps in pairs.values()))
+        return dotted(pairs, order)
+
+    monkeypatch.setattr(series, "_dotted", counted)
+    return counts
+
+
+class TestSymmetricHalf:
+    """A product or a composition whose result is symmetric sums only its
+    (i, j) with i <= j and mirrors the rest; it stores what adding every
+    product one at a time stores, index order included."""
+
+    @given(
+        st.one_of(symmetric_series2(), perturbed_series2(), ring_series2(order=4)),
+        st.one_of(symmetric_series2(), perturbed_series2(), ring_series2(order=4)),
+    )
+    def test_series2_mul(self, a, b):
+        product = a * b
+        assert storage(product) == storage(pairwise_series2_mul(a, b))
+        if a.is_symmetric() and b.is_symmetric():
+            assert product.is_symmetric()
+
+    def test_a_symmetric_product_sums_one_half(self, monkeypatch):
+        F = catalog("gamma_raw", 6).F
+        G = F + Series2({(1, 2): 1}, 6)
+        assert not G.is_symmetric()
+        counts = summed_indices(monkeypatch)
+        FF, GF = F * F, G * F
+        assert counts == [sum(1 for i, j in FF._coeffs if i <= j), len(GF._coeffs)]
+        assert counts[0] < len(FF._coeffs)
+
+    def test_compose1_2_into_a_symmetric_series_sums_one_half(self, monkeypatch):
+        F = catalog("gamma_raw", 6).F
+        phi = Series1([0, 1, gen("zeta3"), Fraction(1, 2), 1, -1, 2], 6)
+        series._law_powers(F)
+        counts = summed_indices(monkeypatch)
+        out = compose1_2(phi, F)
+        assert out.is_symmetric()
+        assert counts == [sum(1 for i, j in out._coeffs if i <= j)]
+
+    @given(
+        graded_series1(),
+        st.one_of(symmetric_series2(constant=False), perturbed_series2(constant=False)),
+    )
+    def test_compose1_2(self, outer, inner):
+        assert compose1_2(outer, inner) == horner_compose1_2(outer, inner)
+
+    @given(
+        st.one_of(symmetric_series2(), perturbed_series2()),
+        ring_series(order=4, constant=0),
+        ring_series(order=4, constant=0),
+    )
+    def test_series2_compose_with_one_inner_series(self, F, f, g):
+        assert storage(F.compose(f, f)) == storage(pairwise_compose(F, f, f))
+        assert storage(F.compose(f, g)) == storage(pairwise_compose(F, f, g))
+
+    @given(st.one_of(symmetric_series2(), perturbed_series2()), ring_series(order=4, constant=0))
+    def test_eval_at_one_inner_series(self, F, a):
+        assert storage(F.eval_at(a, a)) == storage(pairwise_eval_at(F, a, a))
+
+    def test_compose_with_one_inner_series_sums_one_half(self, monkeypatch):
+        F = catalog("gamma_raw", 6).F
+        f = Series1([0, 1, gen("zeta3"), Fraction(1, 2), gen("gamma"), 1, -1], 6)
+        g = f + Series1([0, 0, 0, 1], 6)
+        counts = summed_indices(monkeypatch)
+        ff, fg = F.compose(f, f), F.compose(f, g)
+        assert ff.is_symmetric() and not fg.is_symmetric()
+        assert counts == [sum(1 for i, j in ff._coeffs if i <= j), len(fg._coeffs)]
+
+
 class TestArith:
     def test_basic_identities(self):
         n = 6

@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 # Series are dense: an order beyond this would exhaust memory or never
 # finish, so it is a usage error.
@@ -67,7 +68,7 @@ def _order(args, fallback: int) -> int:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_ENCODER.encode(obj) + "\n")
 
 
 def _rational(text: str) -> Fraction:

@@ -27,7 +27,6 @@ __all__ = [
     "compose1_2",
     "exp_series",
     "log_series",
-    "powers",
     "sqrt_series",
 ]
 
@@ -249,29 +248,30 @@ class Series1(_Series):
     # -- composition ---------------------------------------------------------
 
     def compose(self, inner: "Series1") -> "Series1":
-        """self(inner(z)); inner must have zero constant term (see _horner)."""
+        """self(inner(z)) = sum_k self[k] inner^k at the lesser order, for
+        inner(0) = 0: one dot per coefficient over the power table of inner,
+        whose rows stop at self's highest nonzero index."""
         if not inner._coeffs[0].is_zero():
             raise BadConstantTermError("inner series must have zero constant term")
-        return _horner(self, inner)
+        n = min(self.order, inner.order)
+        outer, top, dot = self._coeffs, _degree(self._coeffs[: n + 1]), RingElement.dot
+        T = _power_table(list(inner._coeffs[: n + 1]), top, n)
+        out = [dot((outer[k], T[k][m]) for k in range(min(m, top) + 1)) for m in range(n + 1)]
+        return Series1._raw(tuple(out), n)
 
     def revert(self) -> "Series1":
-        """Compositional inverse g, by the Lagrange inversion formula
-        [z^i] g = (1/i) [w^(i-1)] (w/f(w))^i (Brent & Kung, J. ACM 25(4), 1978).
-
-        Requires f(0) = 0 and an invertible linear coefficient c.  With
-        f = c f~, (w/f)^i = c^-i (f~/w)^-i is one _unit_power to degree i - 1.
-        """
+        """Compositional inverse g, found while _power_table fills the table
+        of its powers; requires f(0) = 0 and an invertible f_1."""
         if not self._coeffs[0].is_zero():
             raise NotRevertibleError("series must vanish at 0")
         if self.order == 0:
             return self
         try:
-            inv = self._coeffs[1].inverse()
+            g = [_ZERO, self._coeffs[1].inverse()] + [_ZERO] * (self.order - 1)
         except ArithmeticError as exc:
             raise NotRevertibleError("linear coefficient must be invertible") from exc
-        n, b = self.order, [c * inv for c in self._coeffs[1:]]
-        g = [_unit_power(b, -i, i - 1)[-1] * (inv**i * Fraction(1, i)) for i in range(1, n + 1)]
-        return Series1([_ZERO, *g], n)
+        _power_table(g, _degree(self._coeffs), self.order, self)
+        return Series1._raw(tuple(g), self.order)
 
     # -- numerics / io ---------------------------------------------------------
 
@@ -413,10 +413,10 @@ class Series2(_Series):
         n = min(self.order, f.order, g.order)
         F, f, g = self.truncate(n), f.truncate(n), g.truncate(n)
         if f == g:
-            fp = gp = [p.coefficients() for p in powers(f, max(F._top(0), F._top(1)))]
+            fp = gp = _power_table(list(f._coeffs), max(F._top(0), F._top(1)), n)
         else:
-            fp = [p.coefficients() for p in powers(f, F._top(0))]
-            gp = [p.coefficients() for p in powers(g, F._top(1))]
+            fp = _power_table(list(f._coeffs), F._top(0), n)
+            gp = _power_table(list(g._coeffs), F._top(1), n)
         half = fp is gp and F.is_symmetric()
         pairs: "dict[tuple[int, int], Optional[list]]" = {}
         for (i, j), c in F._coeffs.items():
@@ -468,45 +468,25 @@ class Series2(_Series):
         return f"Series2[{body} + O(deg {self.order + 1})]"
 
 
-def powers(f: S, top: int) -> "list[S]":
-    """f^0 .. f^top at f's order, for a Series1 or Series2 f.  A composition
-    needs f^i only up to the top exponent its outer series uses (<= its
-    order, as f of valuation >= 1 has f^i = O(z^i))."""
-    out = [type(f).constant(1, f.order)]
-    for _ in range(top):
-        out.append(out[-1] * f)
-    return out
-
-
 @lru_cache(maxsize=16)
 def _law_powers(F: Series2) -> "tuple[Series2, ...]":
-    """powers(F, F.order), kept for the 16 most recent F by value:
+    """F^0 .. F^n at F's order n, kept for the 16 most recent F by value:
     check_axioms and every compose1_2 into an equal law read one set.  The
     bound is small because an entry grows quickly with the order."""
-    return tuple(powers(F, F.order))
+    out = [Series2.constant(1, F.order)]
+    for _ in range(F.order):
+        out.append(out[-1] * F)
+    return tuple(out)
 
 
 def _dotted(pairs: "dict[tuple[int, int], Optional[list]]", order: int) -> Series2:
-    """The Series2 with dot(pairs[ij]) at each ij, in the order of pairs.  An
-    index whose pairs are None is the mirror of a symmetric result and takes
-    the sum at (j, i)."""
+    """The Series2 with dot(pairs[ij]) at each nonzero sum, in the order of
+    pairs, stored as dot built it.  An index whose pairs are None is the
+    mirror of a symmetric result and takes the sum at (j, i)."""
     dot = RingElement.dot
     sums = {ij: dot(ps) for ij, ps in pairs.items() if ps is not None}
-    out = {ij: sums[ij] if ps is not None else sums[ij[::-1]] for ij, ps in pairs.items()}
-    return Series2(out, order)
-
-
-def _horner(outer: Series1, inner: Series1) -> Series1:
-    """outer(inner) at the lesser order, for an inner series with zero
-    constant term, by graded Horner: the step adding outer[n - m] is
-    multiplied n - m more times by inner, of valuation >= 1, so it is needed,
-    and computed, only to order m.  compose1_2 sums powers instead, which
-    check_axioms shares."""
-    n = min(outer.order, inner.order)
-    result = Series1.constant(outer[n], 0)
-    for m in range(1, n + 1):
-        result = Series1(result._coeffs, m) * inner.truncate(m) + outer[n - m]
-    return result
+    out = {ij: sums[ij if ps is not None else ij[::-1]] for ij, ps in pairs.items()}
+    return Series2._raw({ij: c for ij, c in out.items() if not c.is_zero()}, order)
 
 
 # -- analytic primitives ------------------------------------------------------
@@ -574,13 +554,9 @@ def compose1_2(outer: Series1, inner: Series2) -> Series2:
 def _unit_power(b, a: Union[int, Fraction], top: int) -> "list[RingElement]":
     """[z^0..z^top] B^a for B = b_0 + b_1 z + ... with b_0 = 1 and a rational,
     reading b_1..b_top only, by J.C.P. Miller's power recurrence (Knuth,
-    TAOCP vol. 2, sec. 4.7),
-
-        k P_k = sum_{j=1..k} ((a + 1) j - k) b_j P_{k-j},
-
-    computed as P_k = (a + 1)/k * S1 - S0 with S1 = sum_j j b_j P_{k-j} and
-    S0 = sum_j b_j P_{k-j}.  Unlike repeated multiplication, it stops at
-    degree top, and needs no lower power of B.
+    TAOCP vol. 2, sec. 4.7), k P_k = sum_{j=1..k} ((a + 1) j - k) b_j P_{k-j},
+    as P_k = (a + 1)/k * S1 - S0 with S1 = sum_j j b_j P_{k-j} and
+    S0 = sum_j b_j P_{k-j}.  genus_cpn reads [z^n] H^(n+1) from it.
     """
     dot = RingElement.dot
     jb = [j * b[j] for j in range(top + 1)]
@@ -592,24 +568,46 @@ def _unit_power(b, a: Union[int, Fraction], top: int) -> "list[RingElement]":
     return P
 
 
+def _degree(coeffs) -> int:
+    """The highest index of a nonzero coefficient, 0 for none."""
+    return max((k for k, c in enumerate(coeffs) if not c.is_zero()), default=0)
+
+
+def _power_table(g: list, top: int, n: int, inverse_of: Optional[Series1] = None) -> list:
+    """T[k][m] = [z^m] g^k for 0 <= k <= top and 0 <= m <= n, for g_0 = 0,
+    filled column by column with one dot per entry k <= m (Knuth, TAOCP
+    vol. 2, sec. 4.7; Brent & Kung, J. ACM 25(4), 1978):
+    T[k][m] = sum_{l=1..m-k+1} g_l T[k-1][m-l], and 0 for m < k.  Row 0 is
+    the unit and row 1 the list g itself.
+
+    An entry of column m with k >= 2 reads g only below degree m.  So with
+    inverse_of = f, zero above degree top, and g = [0, 1/f_1], g is f's
+    compositional inverse, solved for while the table fills: from
+    [z^m] f(g) = 0, g_m = -g_1 sum_{j=2..min(m, top)} f_j T[j][m].
+    """
+    dot = RingElement.dot
+    T = [[_ONE] + [_ZERO] * n, g] + [[_ZERO] * (n + 1) for _ in range(2, top + 1)]
+    if inverse_of is not None:
+        f, ninv = inverse_of._coeffs, -g[1]
+    for m in range(2, n + 1):
+        for k in range(2, min(m, top) + 1):
+            prev = T[k - 1]
+            T[k][m] = dot((g[l], prev[m - l]) for l in range(1, m - k + 2))
+        if inverse_of is not None:
+            g[m] = dot((f[j], T[j][m]) for j in range(2, min(m, top) + 1)) * ninv
+    return T
+
+
 def bivariate_from_exp(exp: Series1) -> Series2:
     """The group law exp(log(z0) + log(z1)) with log the reversion of exp.
 
     Expanding exp(L0 + L1) = sum_m e_m (L0 + L1)^m binomially gives the
     bilinear form F[i,j] = sum_{a<=i, b<=j} C(a+b, a) e_{a+b} P_a[i] P_b[j]
-    with P_a = log^a.  Lagrange-Buermann (Brent & Kung, J. ACM 25(4), 1978):
-    [z^i] log^a = (a/i) [w^(i-a)] (w/exp(w))^i for 1 <= a <= i, so the P_a
-    come straight from exp and nothing is reverted.  Row i, (exp/w)^-i, is
-    read only to degree i - 1, and _unit_power builds it to exactly that.
-    """
+    with P_a = log^a, the rows of the table that reverting exp builds."""
     if not exp[0].is_zero() or not exp[1].is_one():
         raise NotRevertibleError("exponential must be z + O(z^2)")
     n, dot = exp.order, RingElement.dot
-    L = [_unit_power(exp.coefficients()[1:], -i, i - 1) for i in range(1, n + 1)]
-    P = [[_ONE] + [_ZERO] * n] + [
-        [_ZERO] * a + [L[i - 1][i - a] * Fraction(a, i) for i in range(a, n + 1)]
-        for a in range(1, n + 1)
-    ]
+    P = _power_table([_ZERO, _ONE] + [_ZERO] * (n - 1), n, n, exp)
     # G[a][j] = sum_{b<=j} C(a+b, a) e_{a+b} P_b[j], so F[i,j] = sum_{a<=i} P_a[i] G[a][j]
     G = []
     for a in range(n + 1):

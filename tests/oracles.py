@@ -6,10 +6,12 @@ denominator, sums of products by adding one canonical product at a time
 instead of one fused accumulator, that accumulator on monomial tuples merged
 name by name instead of packed integer keys, Bernoulli numbers via
 Akiyama-Tanigawa instead of the binomial recurrence, series reversion by
-Newton iteration instead of the Lagrange formula, the normalized Gamma
+Newton iteration or by the Lagrange formula with one power recurrence per
+row instead of one power table, the normalized Gamma
 exponential by reducing every expanded coefficient instead of the argument
-of exp, group laws from an exponential by Horner composition instead of
-the bilinear form, compositions by Horner loops at the full order instead of graded ones, the negation series as the root of F(z, i) = 0 by a full-order evaluation per degree instead of exp(-log z), n-series by iterating F instead of exp(n log z), products over an alphabet of Chern roots by full root
+of exp, group laws from an exponential by Horner composition, or by the
+bilinear form over Lagrange-Buermann rows, instead of the bilinear form
+over the reversion's power table, compositions by Horner loops at the full order instead of sums over powers, the negation series as the root of F(z, i) = 0 by a full-order evaluation per degree instead of exp(-log z), n-series by iterating F instead of exp(n log z), products over an alphabet of Chern roots by full root
 polynomials truncated by root degree instead of a graded series,
 multiplicative sequences from that root product instead of power sums,
 symmetric functions by substituting root polynomials for their basis
@@ -53,7 +55,13 @@ from genusforge.ring import (
     zeta_numeric,
     zeta_tilde_even,
 )
-from genusforge.series import Series1, Series2, exp_series, powers
+from genusforge.series import (
+    NotRevertibleError,
+    Series1,
+    Series2,
+    _unit_power,
+    exp_series,
+)
 from genusforge.symfun import (
     SymPoly,
     _roots,
@@ -343,6 +351,47 @@ def newton_revert(f: Series1) -> Series1:
     return Series1(g.coefficients(), n)
 
 
+def miller_revert(f: Series1) -> Series1:
+    """Compositional inverse by the Lagrange inversion formula
+    [z^i] g = (1/i) [w^(i-1)] (w/f(w))^i: with f = c f~ and f~ = z + O(z^2),
+    (w/f)^i = c^-i (f~/w)^-i is one Miller power recurrence per row i."""
+    if not f[0].is_zero():
+        raise NotRevertibleError("series must vanish at 0")
+    if f.order == 0:
+        return f
+    try:
+        inv = f[1].inverse()
+    except ArithmeticError as exc:
+        raise NotRevertibleError("linear coefficient must be invertible") from exc
+    n, b = f.order, [c * inv for c in f.coefficients()[1:]]
+    g = [_unit_power(b, -i, i - 1)[-1] * (inv**i * Fraction(1, i)) for i in range(1, n + 1)]
+    return Series1([RingElement.zero(), *g], n)
+
+
+def lagrange_bivariate_from_exp(exp: Series1) -> Series2:
+    """exp(log(z0) + log(z1)) by the bilinear form
+    F[i,j] = sum_{a<=i, b<=j} C(a+b, a) e_{a+b} P_a[i] P_b[j], with
+    P_a[i] = [z^i] log^a = (a/i) [w^(i-a)] (w/exp(w))^i by Lagrange-Buermann,
+    each row (exp/w)^-i by one Miller power recurrence to degree i - 1."""
+    if not exp[0].is_zero() or not exp[1].is_one():
+        raise NotRevertibleError("exponential must be z + O(z^2)")
+    n, zero = exp.order, RingElement.zero()
+    L = [_unit_power(exp.coefficients()[1:], -i, i - 1) for i in range(1, n + 1)]
+    P = [[RingElement.one()] + [zero] * n] + [
+        [zero] * a + [L[i - 1][i - a] * Fraction(a, i) for i in range(a, n + 1)]
+        for a in range(1, n + 1)
+    ]
+    out = {}
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[(i, j)] = RingElement.dot(
+                (exp[a + b] * math.comb(a + b, a), P[a][i] * P[b][j])
+                for a in range(i + 1)
+                for b in range(j + 1)
+            )
+    return Series2(out, n)
+
+
 def lagrange_rows_by_multiplication(f: Series1) -> "list[list[RingElement]]":
     """Row i = [w^0..w^(i-1)] (w/f(w))^i for i = 0..n, for f of order n with
     f(0) = 0 and an invertible linear coefficient: w/f by one series
@@ -350,7 +399,11 @@ def lagrange_rows_by_multiplication(f: Series1) -> "list[list[RingElement]]":
     order, each read only to its row's triangle."""
     n = f.order
     q = Series1.constant(1, n - 1) / Series1(f.coefficients()[1:], n - 1)
-    return [list(p.coefficients()[:i]) for i, p in enumerate(powers(q, n))]
+    rows, p = [], Series1.constant(1, n - 1)
+    for i in range(n + 1):
+        rows.append(list(p.coefficients()[:i]))
+        p = p * q
+    return rows
 
 
 def expanded_normalized_gamma_exponential(order: int) -> Series1:

@@ -832,6 +832,23 @@ def test_fgl_report_bytes(argv, code, digest):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"b": 1, "a": [1, -2, {"z": "\u00e9\u2211", "y": None}], "c": True},
+        {"order": 2, "coeffs": {"0,1": {"terms": []}, "1,0": {"terms": [{"num": "-3"}]}}},
+        [0.5, float("inf"), 10**30, "tab\there", []],
+        "text",
+    ],
+    ids=["nested", "series2", "numbers", "string"],
+)
+def test_emit_writes_what_json_dumps_writes(obj):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(obj)
+    assert out.getvalue() == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 # `fgl check --law <law> --order 10` for every catalog law: each passes, so
 # these pin the whole serialized law as well as the verdict.
 _CHECK_AT_ORDER_10 = {

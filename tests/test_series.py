@@ -12,6 +12,7 @@ from genusforge.series import (
     NotRevertibleError,
     Series1,
     Series2,
+    _power_table,
     _unit_power,
     bivariate_from_exp,
     compose1_2,
@@ -25,7 +26,9 @@ from oracles import (
     horner_bivariate_from_exp,
     horner_compose,
     horner_compose1_2,
+    lagrange_bivariate_from_exp,
     lagrange_rows_by_multiplication,
+    miller_revert,
     newton_revert,
     pairwise_compose,
     pairwise_eval_at,
@@ -166,8 +169,9 @@ def graded_series2(draw, max_order=4):
 
 
 class TestGradedComposition:
-    """Compositions at the precision each step needs equal the full-order
-    Horner loops, for inner and outer series of any two orders."""
+    """Compositions, which compute only the precision and the powers that
+    reach their result, equal the full-order Horner loops, for inner and
+    outer series of any two orders."""
 
     @given(graded_series1(), graded_series1(constant=0))
     def test_series1_compose(self, outer, inner):
@@ -301,6 +305,37 @@ class TestSymmetricHalf:
         ff, fg = F.compose(f, f), F.compose(f, g)
         assert ff.is_symmetric() and not fg.is_symmetric()
         assert counts == [sum(1 for i, j in ff._coeffs if i <= j), len(fg._coeffs)]
+
+
+class TestNoStoredZeros:
+    """A bivariate product or composition stores no zero coefficient, the
+    mirror of a zero sum included, and keeps the index order of the
+    all-pairs loop."""
+
+    def test_cancelling_products(self):
+        a = Series2({(0, 0): 1, (1, 0): 1, (0, 1): 1}, 4)
+        b = Series2({(0, 0): 1, (1, 0): -1, (0, 1): -1}, 4)
+        c = Series2({(0, 0): 1, (1, 0): -1, (0, 1): -gen("t")}, 4)
+        assert list((a * b)._coeffs) == [(0, 0), (2, 0), (1, 1), (0, 2)]
+        assert list((a * c)._coeffs) == [(0, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+    def test_logarithm_of_the_multiplicative_law_separates(self):
+        n = 6
+        log = log_series(Series1.constant(1, n) + Series1.x(n))
+        out = compose1_2(log, catalog("multiplicative", n).F)
+        pure = [(k, 0) for k in range(1, n + 1)] + [(0, k) for k in range(1, n + 1)]
+        assert sorted(out._coeffs) == sorted(pure)
+
+    @given(
+        st.one_of(symmetric_series2(), sparse_series2(order=4)),
+        st.one_of(symmetric_series2(), sparse_series2(order=4)),
+        ring_series(order=4),
+        ring_series(order=4, constant=0),
+    )
+    def test_no_zero_is_stored(self, a, b, outer, f):
+        inner = a - a[(0, 0)]
+        for out in (a * b, compose1_2(outer, inner), a.compose(f, f), a.compose(f, f * 2)):
+            assert not any(c.is_zero() for c in out._coeffs.values())
 
 
 class TestArith:
@@ -527,9 +562,11 @@ class TestRevert:
 
 
 class TestLagrangeRows:
-    """Revert and bivariate_from_exp read the rows (w/f)^i to degree i - 1
-    from series._unit_power, Miller's recurrence; the oracle builds them by
-    one division and repeated full-order products."""
+    """Reverting an exponential builds the table of its logarithm's powers,
+    whose row a is P_a[i] = [z^i] log^a = (a/i) [w^(i-a)] (w/exp(w))^i by
+    Lagrange-Buermann; the oracle builds the rows (w/exp(w))^i by one
+    division and repeated full-order products.  series._unit_power, Miller's
+    recurrence, serves genus._cpn."""
 
     @given(st.data(), st.lists(ring_elements(), max_size=4), st.integers(-6, 6))
     def test_unit_power_against_repeated_products(self, data, tail, a):
@@ -545,25 +582,27 @@ class TestLagrangeRows:
             assert pairwise_series1_mul(got, power) == Series1.constant(1, top)
 
     @pytest.mark.parametrize("name", sorted(EXPONENTIALS))
-    def test_rows_read_match_repeated_multiplication(self, name, monkeypatch):
-        real, seen = _unit_power, []
-
-        def spy(b, a, top):
-            seen.append((a, top, real(b, a, top)))
-            return seen[-1][-1]
-
-        monkeypatch.setattr(series, "_unit_power", spy)
+    def test_rows_read_match_repeated_multiplication(self, name):
         for order in range(2, 11):
             exp = EXPONENTIALS[name](order)
-            want = lagrange_rows_by_multiplication(exp)
-            rows = [(-i, i - 1, want[i]) for i in range(1, order + 1)]
-            seen.clear()
+            rows = lagrange_rows_by_multiplication(exp)
+            P = _power_table([R.zero(), R.one()] + [R.zero()] * (order - 1), order, order, exp)
+            assert len(P) == order + 1
+            assert P[0] == [R.one()] + [R.zero()] * order
+            for a in range(1, order + 1):
+                want = [rows[i][i - a] * Fraction(a, i) for i in range(a, order + 1)]
+                assert P[a] == [R.zero()] * a + want, (order, a)
+            assert list(exp.revert().coefficients()) == P[1]
+
+    def test_revert_and_bivariate_never_call_unit_power(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_unit_power called")
+
+        monkeypatch.setattr(series, "_unit_power", refuse)
+        for build in EXPONENTIALS.values():
+            exp = build(8)
             bivariate_from_exp(exp)
-            assert seen == rows, order
-            seen.clear()
-            g = exp.revert()
-            assert seen == rows, order
-            assert all(g[i] == want[i][i - 1] * Fraction(1, i) for i in range(1, order + 1))
+            exp.revert()
 
     def test_no_series_product_or_quotient(self, monkeypatch):
         exp, calls = gamma_exponential(10), []
@@ -575,6 +614,83 @@ class TestLagrangeRows:
         bivariate_from_exp(exp)
         exp.revert()
         assert calls == []
+
+
+linear_units = st.one_of(
+    rationals.filter(bool),
+    st.sampled_from([gen("t"), gen("t", -1), gen("u"), gen("u", -1) * Fraction(-1, 3)]),
+)
+
+
+@st.composite
+def revertible_series(draw, max_order=8):
+    """c z + f_2 z^2 + ... + f_d z^d at an order n >= d, for a unit c and a
+    drawn top degree d, with each f_k zero or a rational or t-polynomial."""
+    order = draw(st.integers(1, max_order))
+    top = draw(st.integers(1, order))
+    coeffs = [0, draw(linear_units)]
+    for _ in range(2, top + 1):
+        coeffs.append(draw(st.one_of(st.just(0), rationals, t_polynomials)))
+    return Series1(coeffs, order)
+
+
+@st.composite
+def outer_series(draw, max_order=7):
+    """A series whose coefficients beyond a drawn degree are zero, so the
+    table's rows stop before the order; a constant one when that degree is 0."""
+    order = draw(st.integers(0, max_order))
+    top = draw(st.integers(0, order))
+    coeffs = [draw(st.one_of(st.just(0), rationals, t_polynomials)) for _ in range(top + 1)]
+    return Series1(coeffs, order)
+
+
+class TestPowerTable:
+    """Reversion and composition read one power table; each equals an
+    oracle that builds no such table."""
+
+    @given(revertible_series())
+    def test_revert_against_newton_and_miller(self, f):
+        g = f.revert()
+        assert g == newton_revert(f)
+        assert g == miller_revert(f)
+
+    @given(outer_series(), st.integers(0, 7), st.data())
+    def test_compose_against_horner_at_any_two_orders(self, outer, inner_order, data):
+        inner = data.draw(outer_series(max_order=inner_order).map(lambda f: f - f[0]))
+        assert outer.compose(inner) == horner_compose(outer, inner)
+
+    @given(revertible_series(max_order=6))
+    def test_bivariate_against_lagrange_rows(self, f):
+        exp = f * f[1].inverse()
+        assert bivariate_from_exp(exp) == lagrange_bivariate_from_exp(exp)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Series1([1, 1, 2], 2),
+            Series1([0, 0, 1], 2),
+            Series1([0, gen("gamma"), 1], 2),
+            Series1([gen("t"), 1], 1),
+            Series1.zeros(3),
+            Series1.constant(1, 0),
+        ],
+        ids=str,
+    )
+    def test_not_revertible(self, f):
+        with pytest.raises(NotRevertibleError):
+            f.revert()
+        with pytest.raises(NotRevertibleError):
+            miller_revert(f)
+        with pytest.raises(NotRevertibleError):
+            bivariate_from_exp(f)
+
+    @pytest.mark.parametrize(
+        "outer", [Series1.constant(3, 4), Series1.x(4), Series1.zeros(0)], ids=str
+    )
+    def test_inner_constant_term(self, outer):
+        for inner in (Series1.constant(1, 4), Series1([gen("t"), 1], 2), Series1.constant(2, 0)):
+            with pytest.raises(BadConstantTermError):
+                outer.compose(inner)
 
 
 class TestAnalytic:

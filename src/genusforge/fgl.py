@@ -19,12 +19,12 @@ from genusforge.ring import NonUnitError, RingElement
 from genusforge.series import (
     Series1,
     Series2,
+    _compose1_2,
     bivariate_from_exp,
     build_once,
     compose1_2,
     exp_series,
     log_series,
-    _law_powers,
     sqrt_series,
 )
 
@@ -137,15 +137,18 @@ CATALOG = (
 DEMO_LAWS = ("broken_demo",)
 
 # The generators each law's coefficients are drawn from, at every order; a
-# param must name one of them.  The other laws are rational.
+# param must name one of them.  The other laws are rational.  gamma_raw
+# carries zeta(k) for k >= 2, gamma_normalized only the odd ones (its even
+# zetas reduce to rationals), and universal_additive e_n for n >= 1; an index
+# is written without leading zeros.
 _LAW_GENERATORS = {
     "multiplicative_t": "t",
     "kontsevich": "t",
     "jacobi": "delta|epsilon",
-    "gamma_raw": r"gamma|zeta\d+",
-    "gamma_normalized": r"gamma|ipi2|zeta\d+",
+    "gamma_raw": r"gamma|zeta([2-9]|[1-9]\d+)",
+    "gamma_normalized": r"gamma|ipi2|zeta([3579]|[1-9]\d*[13579])",
     "chi_rescaled": "u",
-    "universal_additive": r"e\d+",
+    "universal_additive": r"e[1-9]\d*",
 }
 
 
@@ -318,7 +321,15 @@ def _law_series(law: Union[FormalGroupLaw, Series2]) -> Series2:
 
 
 def check_axioms(law: Union[FormalGroupLaw, Series2]) -> AxiomReport:
-    """Check unit, commutativity and associativity by direct expansion."""
+    """Check unit, commutativity and associativity by direct expansion.
+
+    F(F(x, y), z) = sum_j L_j(x, y) z^j, where L_j = sum_i F[i, j] F^i is
+    column j of F composed into F at order n - j.  F(x, F(y, z)) at
+    (a, b, c) is L_a[c, b] for G = F.swap(), and G == F when the
+    commutativity check passes: then the difference is antisymmetric under
+    a <-> c, at one degree, so its first defect has a < c and only those
+    triples are compared.  A constant term in F is reported, not raised.
+    """
     F = _law_series(law)
     n = F.order
 
@@ -328,49 +339,23 @@ def check_axioms(law: Union[FormalGroupLaw, Series2]) -> AxiomReport:
         for ij in ((k, 0), (0, k))
     )
     commutativity = first_defect((F - F.swap()).items())
+    commutative = commutativity.passed
 
-    # L[p, q, j], the coefficient of x^p y^q z^j in G(G(x, y), z), sums
-    # G[i, j] (G^i)[p, q].  F(x, F(y, z)) at (a, b, c) is L[c, b, a] for
-    # G = F.swap(), and G == F when the commutativity check passes: then one
-    # expansion serves, and as every F^i is symmetric, L[p, q, j] is summed
-    # only for p <= q and read as L[q, p, j] for p > q.
-    dot = RingElement.dot
-    if commutativity.passed:
-        Fp = _law_powers(F)
-        pairs: "dict[tuple[int, int, int], list]" = {}
-        for (i, j), c in F.items():
-            for (p, q), v in Fp[i].items():
-                if p <= q and p + q + j <= n:
-                    pairs.setdefault((p, q, j), []).append((c, v))
-        L = {key: dot(terms) for key, terms in pairs.items()}
+    def columns(G: Series2) -> "list[Series2]":
+        return [
+            _compose1_2(Series1([G[(i, j)] for i in range(n + 1 - j)], n - j), G, commutative)
+            for j in range(n + 1)
+        ]
 
-        def at(p: int, q: int, j: int) -> RingElement:
-            return L.get((p, q, j) if p <= q else (q, p, j), _ZERO)
-
-        # diff[c, b, a] = -diff[a, b, c] has the same degree, so the first
-        # defect has a < c; L[p, q, j] enters diff at its two readings
-        # (p, q, j), (q, p, j) and at their reversals.
-        keys = {
-            (a, b, c)
-            for p, q, j in L
-            for a, b, c in ((p, q, j), (q, p, j), (j, q, p), (j, p, q))
-            if a < c
-        }
-        diff = {(a, b, c): at(a, b, c) - at(c, b, a) for a, b, c in keys}
-    else:
-        sides = []
-        for G in (F, F.swap()):
-            Gp = _law_powers(G)
-            pairs = {}
-            for (i, j), c in G.items():
-                for (p, q), v in Gp[i].items():
-                    if p + q + j <= n:
-                        pairs.setdefault((p, q, j), []).append((c, v))
-            sides.append({key: dot(terms) for key, terms in pairs.items()})
-        diff = dict(sides[0])
-        for (a, b, c), v in sides[1].items():
-            diff[c, b, a] = diff.get((c, b, a), _ZERO) - v
-    return AxiomReport(unit, commutativity, first_defect(diff.items()))
+    left = columns(F)
+    right = left if commutative else columns(F.swap())
+    associativity = first_defect(
+        ((a, b, c), left[c][(a, b)] - right[a][(c, b)])
+        for a in range(n + 1)
+        for c in range(a + 1 if commutative else 0, n + 1 - a)
+        for b in range(n + 1 - a - c)
+    )
+    return AxiomReport(unit, commutativity, associativity)
 
 
 def grading_check(law: FormalGroupLaw) -> CheckResult:

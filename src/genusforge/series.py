@@ -316,12 +316,15 @@ class Series2(_Series):
 
     @staticmethod
     def from_series1(f: Series1, variable: int, order: Optional[int] = None) -> "Series2":
-        """Lift a univariate series into variable 0 or 1."""
+        """Lift a univariate series into variable 0 or 1, at f's order or a
+        lower one: f knows nothing beyond its own."""
         if order is None:
             order = f.order
-        if variable == 0:
-            return Series2({(n, 0): f[n] for n in range(order + 1)}, order)
-        return Series2({(0, n): f[n] for n in range(order + 1)}, order)
+        if variable not in (0, 1):
+            raise ValueError(f"variable must be 0 or 1, not {variable!r}")
+        if order > f.order:
+            raise ValueError(f"order {order} exceeds the series' order {f.order}")
+        return Series2({(0, n) if variable else (n, 0): f[n] for n in range(order + 1)}, order)
 
     # -- inspection ------------------------------------------------------------
 
@@ -471,8 +474,10 @@ class Series2(_Series):
 @lru_cache(maxsize=16)
 def _law_powers(F: Series2) -> "tuple[Series2, ...]":
     """F^0 .. F^n at F's order n, kept for the 16 most recent F by value:
-    check_axioms and every compose1_2 into an equal law read one set.  The
-    bound is small because an entry grows quickly with the order."""
+    _compose1_2 reads F^k to any lower degree from this one entry, so every
+    column of a law that check_axioms composes into it, and every compose1_2
+    into an equal law, share it.  The bound is small because an entry grows
+    quickly with the order."""
     out = [Series2.constant(1, F.order)]
     for _ in range(F.order):
         out.append(out[-1] * F)
@@ -527,23 +532,30 @@ def sqrt_series(f: Series1) -> "Series1":
 
 
 def compose1_2(outer: Series1, inner: Series2) -> Series2:
-    """outer(inner(z0, z1)) = sum_k outer[k] inner^k at the lesser order n,
-    for an inner series with zero constant term: one dot per coefficient,
-    over the powers of inner truncated to n from the _law_powers memo, so a
-    law composed into again, or checked by check_axioms, is not raised to
-    its powers again.  For a symmetric inner the result is symmetric, and
-    only its (i, j) with i <= j are summed."""
+    """outer(inner(z0, z1)) = sum_k outer[k] inner^k at the lesser order, for
+    an inner series with zero constant term (see _compose1_2)."""
     if not inner[(0, 0)].is_zero():
         raise BadConstantTermError("inner series must have zero constant term")
+    return _compose1_2(outer, inner, inner.is_symmetric())
+
+
+def _compose1_2(outer: Series1, inner: Series2, half: bool) -> Series2:
+    """sum_k outer[k] inner^k over k <= n = min(outer.order, inner.order),
+    kept to total degree n: one dot per coefficient, over the powers of the
+    whole inner from the _law_powers memo, read only to degree n.  So every
+    series composed into one law, at any order, reads one entry: check_axioms
+    composes each column of a law into it.  With a constant term in inner
+    the sum stops at k = n all the same, as check_axioms's expansion of
+    F(F(x, y), z) does.  half says that inner is symmetric; then so is the
+    result, and only its (i, j) with i <= j are summed."""
     n = min(outer.order, inner.order)
-    inner = inner.truncate(n)
-    half = inner.is_symmetric()
     pairs: "dict[tuple[int, int], Optional[list]]" = {}
-    for k, Pk in enumerate(_law_powers(inner)):
-        a = outer[k]
+    for a, Pk in zip(outer._coeffs, _law_powers(inner)):
         if a.is_zero():
             continue
         for (i, j), v in Pk._coeffs.items():
+            if i + j > n:
+                continue
             if half and i > j:
                 pairs.setdefault((i, j), None)
             else:

@@ -78,6 +78,32 @@ class TestFglCommand:
         proc = run_cli("fgl", "series", "--law", "additive", "--param", "foo=1")
         assert_usage_error(proc)
 
+    @pytest.mark.parametrize(
+        "law, param",
+        [("gamma_raw", p) for p in ("zeta0", "zeta1", "zeta02")]
+        + [("gamma_normalized", p) for p in ("zeta0", "zeta1", "zeta02", "zeta2", "zeta4", "zeta10")]
+        + [("universal_additive", p) for p in ("e0", "e01")],
+    )
+    def test_param_naming_an_index_the_law_never_carries_exits_two(self, law, param):
+        argv = ["fgl", "series", "--law", law, "--order", "4", "--param", f"{param}=1"]
+        code, out, err = _run_in_process(argv, "")
+        assert (code, out) == (2, "")
+        assert f"param {param!r} names no generator of law {law!r}" in err
+
+    @pytest.mark.parametrize(
+        "law, param",
+        [
+            ("gamma_raw", "zeta2"),
+            ("gamma_raw", "zeta10"),
+            ("gamma_normalized", "zeta3"),
+            ("gamma_normalized", "zeta11"),
+            ("universal_additive", "e10"),
+        ],
+    )
+    def test_param_naming_a_generator_exits_zero(self, law, param):
+        argv = ["fgl", "series", "--law", law, "--order", "4", "--param", f"{param}=1"]
+        assert _run_in_process(argv, "")[0] == 0
+
     def test_order_beyond_maximum_exits_two(self):
         proc = run_cli("fgl", "series", "--law", "additive", "--order", "100000000000")
         assert_usage_error(proc)

@@ -168,6 +168,19 @@ class TestAxioms:
         assert obj == {"unit": "PASS", "commutativity": "PASS", "associativity": "PASS"}
 
 
+@st.composite
+def laws_perturbed_at_any_index(draw):
+    """A catalog law of order 2..7 plus a nonzero coefficient at any index:
+    at (0, 0) it gains a constant term, and at (k, 0) or (0, k) it breaks
+    the unit axiom."""
+    n = draw(st.integers(2, 7))
+    edges = [(0, 0)] + [ij for k in range(1, n + 1) for ij in ((k, 0), (0, k))]
+    anywhere = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
+    ij = draw(st.sampled_from(edges) | st.sampled_from(anywhere))
+    c = draw(rationals.filter(bool) | ring_elements().filter(lambda c: not c.is_zero()))
+    return catalog(draw(st.sampled_from(CATALOG)), n).F + Series2({ij: c}, n)
+
+
 class TestAxiomsAgainstPairwiseExpansion:
     """check_axioms through RingElement.dot against the expansion that adds
     one product at a time: the same verdict and the same first defect."""
@@ -204,8 +217,8 @@ class TestAxiomsAgainstPairwiseExpansion:
         st.one_of(rationals.filter(bool), ring_elements()),
     )
     def test_symmetrically_perturbed_laws(self, name, ij, c):
-        # Still commutative, so one nested expansion serves both sides of
-        # associativity, which the perturbation breaks in general.
+        # Still commutative, so one set of column compositions serves both
+        # sides of associativity, which the perturbation breaks in general.
         i, j = ij
         F = catalog(name, 5).F + Series2({(i, j): c}, 5) + Series2({(j, i): c}, 5)
         assert check_axioms(F).commutativity.passed
@@ -215,6 +228,16 @@ class TestAxiomsAgainstPairwiseExpansion:
         F = catalog("additive", 5).F + Series2({(1, 2): 1, (2, 1): 1}, 5)
         report = check_axioms(F)
         assert report.commutativity.passed and not report.associativity.passed
+        self.assert_same_report(F)
+
+    @given(laws_perturbed_at_any_index())
+    def test_laws_perturbed_at_any_index(self, F):
+        self.assert_same_report(F)
+
+    def test_a_constant_term_is_reported_not_raised(self):
+        F = catalog("gamma_raw", 6).F + 1
+        report = check_axioms(F)
+        assert report.unit.degree == 0 and not report.associativity.passed
         self.assert_same_report(F)
 
 
@@ -508,9 +531,10 @@ def test_law_serialization_shape():
 
 
 class TestHalfAccumulation:
-    """For a commutative F, check_axioms sums the expansion of F(F(x, y), z)
-    only over x^p y^q with p <= q; its first defect is still that of the
-    full two-sided expansion."""
+    """For a commutative F, check_axioms composes the columns of F into F
+    once, for both sides of associativity, and compares only the triples
+    (a, b, c) with a < c; its first defect is still that of the full
+    two-sided expansion."""
 
     # The 16 pairs (i, j), i <= j, with i, j >= 1 and i + j <= 8.
     @pytest.mark.parametrize("ij", [(i, j) for i in range(1, 5) for j in range(i, 9 - i)])

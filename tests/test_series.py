@@ -200,6 +200,18 @@ class TestGradedComposition:
         assert out.order == 3 and out[(2, 2)].is_zero()
         assert out == compose1_2(Series1([0, 1, -1, 1, -1, 1, -1], 6), F).truncate(3)
 
+    def test_compose1_2_of_a_lower_order_outer_reads_the_whole_law(self):
+        """The powers are those of the whole inner law, read to the outer
+        order: one memo miss for F, and no entry for F's truncation."""
+        F = catalog("gamma_raw", 8).F
+        outer = Series1([0, 1, gen("zeta3"), Fraction(1, 2), -1, 2], 5)
+        series._law_powers.cache_clear()
+        out = compose1_2(outer, F)
+        series._law_powers(F)
+        info = series._law_powers.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert out.order == 5 and out == horner_compose1_2(outer, F)
+
     def test_series2_compose_lower_order_inner(self):
         F = Series2({(1, 0): 1, (0, 1): 1, (1, 1): gen("t")}, 6)
         f = exp_series(Series1.x(4)) - 1
@@ -788,6 +800,16 @@ class TestBivariate:
         z = Series1.x(n)
         w = F.eval_at(z, z)  # F(z, z) = 2z + z^2
         assert w == Series1([0, 2, 1], n)
+
+    def test_from_series1(self):
+        f = Series1([0, 1, 1], 2)
+        assert Series2.from_series1(f, 1) == Series2({(0, 1): 1, (0, 2): 1}, 2)
+        assert Series2.from_series1(f, 0, 1) == Series2({(1, 0): 1}, 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            Series2.from_series1(f, 0, 4)  # f knows nothing beyond z^2
+        for variable in (-1, 2, "1"):
+            with pytest.raises(ValueError, match="variable"):
+                Series2.from_series1(f, variable)
 
     def test_symmetry_probe(self):
         F = Series2({(1, 0): 1, (0, 1): 1, (2, 1): 1}, 4)

@@ -5,7 +5,9 @@ Chern-number genus tables), witten (q-expansion), series (exp/log/sqrt/revert
 on JSON series), verify (the one-shot identity verifier).  Output is always
 canonical JSON on stdout, so there is no --json flag.  Exit codes: 0 all
 checks pass, 1 a check failed, 2 usage error, 130 interrupted (SIGINT).  A
-usage error, argparse's included, or an interrupt is one `error: <message>`
+process (run) ends as soon as its output is flushed, without interpreter
+teardown; a closed stdout exits 0 and any other write error 2.  A usage error,
+argparse's included, a write error or an interrupt is one `error: <message>`
 line on stderr and nothing on stdout: handlers raise ValueError, LookupError
 or ArithmeticError, and main alone turns them into exit 2.  So is a request
 too large to finish (MemoryError, RecursionError: exit 2).  A witten request
@@ -349,5 +351,23 @@ def main(argv=None) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+def run():
+    """The process entry point: main's code, or that of the SystemExit that
+    ends --help, once stdout and stderr are flushed.  The package has no
+    atexit handler or thread, so ending without teardown loses nothing."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_OK
+    except OSError as exc:
+        code = _fail(EXIT_USAGE, str(exc))
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

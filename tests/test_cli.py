@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -1078,6 +1079,152 @@ def test_sigint_exits_130_without_a_traceback():
         proc.wait()
     assert proc.returncode == 130, err
     assert (out, err) == ("", "error: interrupted\n")
+
+
+def test_sigint_through_the_entry_function_exits_130_without_a_traceback():
+    """The same interrupt, with the process ended by cli.run: the error
+    line is flushed before the process ends without teardown."""
+    script = (
+        "import sys\n"
+        "from genusforge import cli\n"
+        "print('ready', file=sys.stderr, flush=True)\n"
+        "cli.run()\n"
+    )
+    argv = ["fgl", "check", "--law", "gamma_raw", "--order", "40"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_ENV,
+    )
+    try:
+        assert proc.stderr.readline() == "ready\n"
+        time.sleep(0.3)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130, err
+    assert (out, err) == ("", "error: interrupted\n")
+
+
+# The two ways a process enters the CLI: `python -m genusforge.cli`, and a
+# script that calls cli.run, as the `genusforge` console script does.
+_ENTRIES = {
+    "module": ["-m", "genusforge.cli"],
+    "run": ["-c", "from genusforge import cli; cli.run()"],
+}
+_SMALL_OUTPUT = ["fgl", "series", "--law", "additive", "--order", "2"]
+_LARGE_OUTPUT = ["fgl", "series", "--law", "gamma_raw", "--order", "10"]  # over 8 KiB
+_DISK_FULL = f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+
+
+def _process_cases():
+    """(argv, stdout, unbuffered, exit code, stdout sha256, stderr), where
+    stdout is a pipe that is read, a pipe whose reader has closed it, or
+    /dev/full, and no digest is given for an output that is not read."""
+    yield "pass", ["fgl", "list"], "pipe", False, 0, (
+        "9c04311b28663d46ded922fb68e6f4ed331bcf5e2c7d66885ee4298faf92155e"), ""
+    yield "check-failed", ["fgl", "check", "--law", "broken-demo"], "pipe", False, 1, (
+        "212d5099679ec16d9c360af9f977279a04ed49294e5fda51da6a9c9f2aa5c861"), ""
+    yield "usage", ["verify", "--bogus"], "pipe", False, 2, hashlib.sha256(b"").hexdigest(), (
+        "error: unrecognized arguments: --bogus\n")
+    yield "help", ["verify", "--help"], "pipe", False, 0, (
+        "76916c1293da8ebf7dd6acfccbdaf090fe44c7d219f74fc99f242c0192e4b7a0"), ""
+    # A small output is still buffered when main returns, a large one is
+    # not; unbuffered, every write reaches the descriptor inside main.
+    for unbuffered in (False, True):
+        mode = "unbuffered" if unbuffered else "buffered"
+        for size, argv in (("small", _SMALL_OUTPUT), ("large", _LARGE_OUTPUT)):
+            yield f"closed-pipe-{size}-{mode}", argv, "closed", unbuffered, 0, None, ""
+            yield f"dev-full-{size}-{mode}", argv, "/dev/full", unbuffered, 2, None, _DISK_FULL
+    # Only buffered: argparse drops an OSError from its own write of the help.
+    yield "dev-full-help-buffered", ["verify", "--help"], "/dev/full", False, 2, None, _DISK_FULL
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+@pytest.mark.parametrize(
+    "argv, stdout, unbuffered, code, digest, stderr",
+    [pytest.param(*case[1:], id=case[0]) for case in _process_cases()],
+)
+def test_process_contract(entry, argv, stdout, unbuffered, code, digest, stderr):
+    """A fresh process exits with its code, its exact stdout and at most one
+    stderr line; a closed stdout ends it quietly with exit 0, and any other
+    write error (here a full device) with exit 2 and one error line, never
+    CPython's exit 120 or a traceback."""
+    if stdout == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = {k: v for k, v in _ENV.items() if k != "PYTHONUNBUFFERED"}
+    env["COLUMNS"] = "80"
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with contextlib.ExitStack() as stack:
+        if stdout == "pipe":
+            target = subprocess.PIPE
+        elif stdout == "closed":
+            reader, target = os.pipe()
+            os.close(reader)
+            stack.callback(os.close, target)
+        else:
+            target = stack.enter_context(open(stdout, "wb"))
+        proc = subprocess.run(
+            [sys.executable, *_ENTRIES[entry], *argv],
+            stdout=target,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    assert (proc.returncode, proc.stderr.decode()) == (code, stderr)
+    if digest is not None:
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_the_cli_leaves_nothing_for_teardown_to_run():
+    """After an in-process verify, the CLI has registered no atexit handler
+    and started no thread beyond a bare interpreter's, so ending the process
+    without teardown skips nothing."""
+    probe = "import atexit, threading\nprint(atexit._ncallbacks(), threading.active_count())\n"
+    verify_first = (
+        "import contextlib, io\n"
+        "from genusforge import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--order', '6']) == 0\n"
+    )
+    bare, after = (
+        subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_ENV)
+        for script in (probe, verify_first + probe)
+    )
+    assert bare.returncode == after.returncode == 0, after.stderr
+    assert after.stdout == bare.stdout
+    assert after.stdout.split()[1] == "1"
+
+
+def _in_process_outcome(argv):
+    try:
+        return _run_in_process(argv, "")[0]
+    except SystemExit as exc:
+        return f"SystemExit({exc.code})"
+
+
+@pytest.mark.parametrize(
+    "argv, outcome",
+    [
+        (["fgl", "list"], 0),
+        (["fgl", "check", "--law", "broken-demo", "--order", "6"], 1),
+        (["verify", "--bogus"], 2),
+        (["verify", "--help"], "SystemExit(0)"),
+    ],
+)
+def test_main_never_ends_the_process(argv, outcome):
+    """cli.main returns its exit code as an int, and --help ends it by
+    argparse's SystemExit(0) as before; neither calls os._exit, so an
+    in-process caller keeps its interpreter."""
+    ended = AssertionError("cli.main called os._exit")
+    with mock.patch.object(os, "_exit", side_effect=ended):
+        result = _in_process_outcome(argv)
+    assert result == outcome and type(result) is type(outcome)
 
 
 class TestZeroDenominators:

@@ -51,6 +51,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _print_message(self, message, file=None):
+        # argparse's own drops a write error; this one lets run report it.
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def size(text) -> int:
     """An integer size or order, at most MAX_ORDER.  (argparse names a

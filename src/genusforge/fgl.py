@@ -173,11 +173,7 @@ def gaussian_bracket(n: int) -> RingElement:
     """The quantum integer (t^(n/2) - t^(-n/2)) / (t^(1/2) - t^(-1/2)) in u = t^(1/2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = _ZERO
-    for j in range(n):
-        e = n - 1 - 2 * j
-        out = out + (RingElement.gen("u", e) if e else _ONE)
-    return out
+    return RingElement.dot((RingElement.gen("u", n - 1 - 2 * j), _ONE) for j in range(n))
 
 
 def kontsevich_germ_law(order: int) -> Series2:
@@ -328,7 +324,8 @@ def check_axioms(law: Union[FormalGroupLaw, Series2]) -> AxiomReport:
     (a, b, c) is L_a[c, b] for G = F.swap(), and G == F when the
     commutativity check passes: then the difference is antisymmetric under
     a <-> c, at one degree, so its first defect has a < c and only those
-    triples are compared.  A constant term in F is reported, not raised.
+    triples are compared.  F's cached symmetry only halves each L_j's sum;
+    the report is read off the values.  A constant term is reported, not raised.
     """
     F = _law_series(law)
     n = F.order
@@ -342,10 +339,8 @@ def check_axioms(law: Union[FormalGroupLaw, Series2]) -> AxiomReport:
     commutative = commutativity.passed
 
     def columns(G: Series2) -> "list[Series2]":
-        return [
-            _compose1_2(Series1([G[(i, j)] for i in range(n + 1 - j)], n - j), G, commutative)
-            for j in range(n + 1)
-        ]
+        cols = [Series1([G[(i, j)] for i in range(n + 1 - j)], n - j) for j in range(n + 1)]
+        return [_compose1_2(col, G) for col in cols]
 
     left = columns(F)
     right = left if commutative else columns(F.swap())

@@ -551,11 +551,11 @@ class WittenSeries(Record):
         contributes zeta~(2k)/k at x^2k.
         """
         got = self.eisenstein_coefficient(k)
-        expected = RingElement.from_rational(2 * zeta_tilde_even(k))
         scale = Fraction(4 * k, math.factorial(2 * k))
-        for n in range(1, self.q_order + 1):
-            expected = expected + RingElement.gen("q", n, coeff=scale * _sigma(2 * k - 1, n))
-        return 2 * k, got - expected
+        coeffs = [2 * zeta_tilde_even(k)]
+        coeffs += (scale * _sigma(2 * k - 1, n) for n in range(1, self.q_order + 1))
+        expected = (RingElement.gen("q", n, coeff=c) for n, c in enumerate(coeffs))
+        return 2 * k, got - RingElement.dot((e, _ONE) for e in expected)
 
     def divisor_check(self, k: int) -> CheckResult:
         """The divisor-sum formula for G_2k(q) alone, as a check."""
@@ -731,10 +731,7 @@ def numeric_gamma_validation(
 
 def hodge_chi_minus_t(n: int) -> RingElement:
     """The Hodge-theoretic chi_{-t} of CP^n: sum_{q<=n} t^q (h^{p,q} = delta_pq)."""
-    out = _ONE
-    for qq in range(1, n + 1):
-        out = out + RingElement.gen("t", qq)
-    return out
+    return RingElement.dot((RingElement.gen("t", q), _ONE) for q in range(n + 1))
 
 
 def hodge_chi_check(n_max: int) -> CheckResult:

@@ -520,18 +520,16 @@ class RingElement:
         Negative exponents require the replacement to be a monomial unit.
         """
         targets = {name: RingElement._coerce(v) for name, v in mapping.items()}
-        out = _ZERO
+        images = []
         for m, c in self._terms.items():
             m = _unpack(m)
             kept = _pack(pair for pair in m if pair[0] not in targets)
-            term = RingElement._make({kept: c}, self._den, self._emax)
+            image = _ONE
             for name, e in m:
-                tgt = targets.get(name)
-                if tgt is None:
-                    continue
-                term = term * (tgt ** e)
-            out = out + term
-        return out
+                if name in targets:
+                    image = image * targets[name] ** e
+            images.append((RingElement._make({kept: c}, self._den, self._emax), image))
+        return RingElement.dot(images)
 
     def conjugate(self) -> "RingElement":
         """The ring involution ipi2 -> -ipi2 (all other generators fixed)."""

@@ -298,7 +298,7 @@ class Series1(_Series):
 class Series2(_Series):
     """Bivariate series truncated by total degree, sparse triangular storage."""
 
-    __slots__ = ()
+    __slots__ = ("_symmetric",)
     _ORIGIN = (0, 0)
 
     def __init__(self, coeffs: Mapping["tuple[int, int]", Scalar], order: int):
@@ -345,7 +345,11 @@ class Series2(_Series):
         return sorted(self._coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def is_symmetric(self) -> bool:
-        return all(self[(j, i)] == c for (i, j), c in self._coeffs.items())
+        """self[(i, j)] == self[(j, i)] for all i, j.  A value never changes, so
+        _symmetric keeps the verdict of one scan, or of the half sum (_dotted)."""
+        if not hasattr(self, "_symmetric"):
+            self._symmetric = all(i == j or self[(j, i)] == c for (i, j), c in self._coeffs.items())
+        return self._symmetric
 
     def _top(self, variable: int) -> int:
         """The highest exponent of variable 0 or 1 that occurs in self."""
@@ -365,7 +369,7 @@ class Series2(_Series):
         n = self._match(other)
         # A product of symmetric series is symmetric: only the (i, j) with
         # i <= j are summed, and each (i, j) with i > j is the mirror.
-        half = self.is_symmetric() and (other is self or other.is_symmetric())
+        half = self.is_symmetric() and other.is_symmetric()
         # For each d, other's terms of total degree <= d, made once: a term of
         # self visits only the partners that stay within n, in stored order,
         # so the result keeps the index order of the all-pairs loop.
@@ -491,7 +495,10 @@ def _dotted(pairs: "dict[tuple[int, int], Optional[list]]", order: int) -> Serie
     dot = RingElement.dot
     sums = {ij: dot(ps) for ij, ps in pairs.items() if ps is not None}
     out = {ij: sums[ij if ps is not None else ij[::-1]] for ij, ps in pairs.items()}
-    return Series2._raw({ij: c for ij, c in out.items() if not c.is_zero()}, order)
+    result = Series2._raw({ij: c for ij, c in out.items() if not c.is_zero()}, order)
+    if len(sums) < len(out):  # a mirror: symmetric by construction
+        result._symmetric = True
+    return result
 
 
 # -- analytic primitives ------------------------------------------------------
@@ -536,19 +543,19 @@ def compose1_2(outer: Series1, inner: Series2) -> Series2:
     an inner series with zero constant term (see _compose1_2)."""
     if not inner[(0, 0)].is_zero():
         raise BadConstantTermError("inner series must have zero constant term")
-    return _compose1_2(outer, inner, inner.is_symmetric())
+    return _compose1_2(outer, inner)
 
 
-def _compose1_2(outer: Series1, inner: Series2, half: bool) -> Series2:
+def _compose1_2(outer: Series1, inner: Series2) -> Series2:
     """sum_k outer[k] inner^k over k <= n = min(outer.order, inner.order),
     kept to total degree n: one dot per coefficient, over the powers of the
     whole inner from the _law_powers memo, read only to degree n.  So every
     series composed into one law, at any order, reads one entry: check_axioms
     composes each column of a law into it.  With a constant term in inner
     the sum stops at k = n all the same, as check_axioms's expansion of
-    F(F(x, y), z) does.  half says that inner is symmetric; then so is the
-    result, and only its (i, j) with i <= j are summed."""
-    n = min(outer.order, inner.order)
+    F(F(x, y), z) does.  When inner is symmetric (its own verdict, kept in
+    the value), so is the result, and only its (i, j) with i <= j are summed."""
+    n, half = min(outer.order, inner.order), inner.is_symmetric()
     pairs: "dict[tuple[int, int], Optional[list]]" = {}
     for a, Pk in zip(outer._coeffs, _law_powers(inner)):
         if a.is_zero():

@@ -175,10 +175,7 @@ def elementary_in_roots(k: int, m: int) -> RingElement:
 
 def power_sum_over(alphabet: Sequence[RingElement], k: int) -> RingElement:
     """The power sum of an explicit alphabet of ring elements."""
-    acc = _ZERO
-    for a in alphabet:
-        acc = acc + a**k
-    return acc
+    return RingElement.dot((a**k, _ONE) for a in alphabet)
 
 
 # -- symmetric root polynomials back to the e-basis --------------------------------

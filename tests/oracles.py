@@ -31,7 +31,10 @@ and each factor raised where it appears instead of once per call, its JSON
 form through one Fraction per term instead of the stored integers, and a
 `genus chern` request through the normalizing ManifoldDescriptor.from_chern
 with every value read by Fraction instead of the parsed table as it stands
-with plain integers read by int.  The genus
+with plain integers read by int, a bivariate series' symmetry by scanning
+every coefficient instead of the verdict the value keeps, and sums of ring
+elements (a power sum, a substitution) by a term-wise + fold instead of one
+RingElement.dot.  The genus
 series H = z / exp is also built here from any given exponential, outside
 the catalog of genus.genus_series.
 """
@@ -693,6 +696,32 @@ def uncached_hash(x: RingElement) -> int:
     if value is None:
         return hash((frozenset(x._terms.items()), x._den))
     return hash(value)
+
+
+def scan_is_symmetric(F: Series2) -> bool:
+    """Whether F[(j, i)] == F[(i, j)] at every stored (i, j), scanned afresh."""
+    return all(F[(j, i)] == c for (i, j), c in F._coeffs.items())
+
+
+def termwise_sum(terms) -> RingElement:
+    """sum(terms), adding one element at a time to a running sum from zero."""
+    acc = RingElement.zero()
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def termwise_substitute(x: RingElement, mapping) -> RingElement:
+    """x.substitute(mapping), each term's image built from its monomial by name
+    and added to a running sum."""
+    images = []
+    for m, c in x.terms():
+        image = RingElement({tuple(p for p in m if p[0] not in mapping): c})
+        for name, e in m:
+            if name in mapping:
+                image = image * mapping[name] ** e
+        images.append(image)
+    return termwise_sum(images)
 
 
 def term_by_term_evaluate(x: RingElement, overrides=None) -> complex:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rationals
+from conftest import rationals, ring_elements
 from genusforge import fgl, genus
 from genusforge.fgl import EXPONENTIALS, catalog, exponential, gamma_exponential, sinh_exponential
 from genusforge.genus import (
@@ -36,13 +36,15 @@ from genusforge.genus import (
 )
 from genusforge.ring import RingElement, _unpack, zeta_tilde_even
 from genusforge.series import Series1, exp_series
-from genusforge.symfun import multiplicative_sequence
+from genusforge.symfun import multiplicative_sequence, power_sum_over
 from oracles import (
+    divisor_sigma,
     fraction_chern_pairing,
     milnor_chern_numbers,
     milnor_residue_genus,
     pairwise_power_cpn,
     series_from_exponential,
+    termwise_sum,
 )
 
 R = RingElement
@@ -718,3 +720,36 @@ class TestReports:
         assert table["series"] == "todd"
         assert [row["n"] for row in table["rows"]] == [1, 2, 3]
         assert all(row["value"] == {"terms": [{"num": "1", "den": "1", "exps": {}}]} for row in table["rows"])
+
+
+class TestSumsThroughOneDot:
+    """Sums built by one RingElement.dot equal a term-wise + fold of their
+    terms; values are canonical, so the stored form is the same too."""
+
+    @given(st.lists(ring_elements(), max_size=5), st.integers(0, 4))
+    def test_power_sum_over(self, alphabet, k):
+        assert power_sum_over(alphabet, k) == termwise_sum(a**k for a in alphabet)
+
+    @given(st.integers(1, 40))
+    def test_gaussian_bracket(self, n):
+        terms = (gen("u", e) if e else R.one() for e in range(n - 1, -n, -2))
+        assert fgl.gaussian_bracket(n) == termwise_sum(terms)
+
+    @given(st.integers(0, 40))
+    def test_hodge_chi_minus_t(self, n):
+        terms = (gen("t", q) if q else R.one() for q in range(n + 1))
+        assert genus.hodge_chi_minus_t(n) == termwise_sum(terms)
+
+    @pytest.mark.parametrize("x_order, q_order", [(2, 2), (6, 5), (10, 8)])
+    def test_divisor_pair(self, x_order, q_order):
+        w = genus.witten_series(x_order, q_order)
+        for k in range(1, x_order // 2 + 1):
+            scale = Fraction(4 * k, math.factorial(2 * k))
+            expected = termwise_sum(
+                [R.from_rational(2 * zeta_tilde_even(k))]
+                + [gen("q", n, scale * divisor_sigma(2 * k - 1, n)) for n in range(1, q_order + 1)]
+            )
+            assert w.divisor_pair(k) == (2 * k, w.eisenstein_coefficient(k) - expected)
+        for k in (0, x_order // 2 + 1):
+            with pytest.raises(ValueError, match="need 1 <= k"):
+                w.divisor_pair(k)

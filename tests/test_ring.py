@@ -25,7 +25,7 @@ from genusforge.series import Series1
 from conftest import rationals, ring_elements
 from oracles import FractionRing as F
 from oracles import bernoulli_akiyama_tanigawa, pairwise_dot, per_k_zeta_fraction, tuple_dot
-from oracles import fraction_to_obj, term_by_term_evaluate, uncached_hash
+from oracles import fraction_to_obj, term_by_term_evaluate, termwise_substitute, uncached_hash
 
 R = RingElement
 
@@ -892,6 +892,12 @@ class TestSubstitute:
     def test_homomorphism(self, a, b):
         table = {"gamma": gen("zeta2") + 1}
         assert (a * b).substitute(table) == a.substitute(table) * b.substitute(table)
+
+    @given(ring_elements(), ring_elements(), ring_elements(), units())
+    def test_against_a_termwise_fold(self, a, b, c, u):
+        """One dot sums the images of the terms, as adding them one by one does."""
+        table = {"gamma": b, "zeta2": c, "t": u}
+        assert a.substitute(table) == termwise_substitute(a, table)
 
     def test_nonunit_negative_power_rejected(self):
         x = gen("t", -1)

@@ -34,6 +34,7 @@ from oracles import (
     pairwise_eval_at,
     pairwise_series1_mul,
     pairwise_series2_mul,
+    scan_is_symmetric,
 )
 
 R = RingElement
@@ -317,6 +318,86 @@ class TestSymmetricHalf:
         ff, fg = F.compose(f, f), F.compose(f, g)
         assert ff.is_symmetric() and not fg.is_symmetric()
         assert counts == [sum(1 for i, j in ff._coeffs if i <= j), len(fg._coeffs)]
+
+
+def assert_verdict(F):
+    """F's symmetry verdict is what a fresh scan finds, asked twice."""
+    expected = scan_is_symmetric(F)
+    assert F.is_symmetric() is expected
+    assert F.is_symmetric() is expected
+
+
+def eq_calls(monkeypatch):
+    """A list that gains one entry per RingElement.__eq__ call."""
+    eq, calls = RingElement.__eq__, []
+
+    def counted(self, other):
+        calls.append(None)
+        return eq(self, other)
+
+    monkeypatch.setattr(RingElement, "__eq__", counted)
+    return calls
+
+
+any_series2 = st.one_of(symmetric_series2(), perturbed_series2(), ring_series2(order=4))
+
+
+class TestSymmetryVerdict:
+    """A Series2 keeps one symmetry verdict, found by one scan or recorded by
+    the half sum that built it, and it is the verdict of a fresh scan
+    whichever operation built the value."""
+
+    @given(any_series2, any_series2, st.integers(0, 4))
+    def test_after_arithmetic(self, a, b, k):
+        for F in (Series2(dict(a._coeffs), a.order), a, b, a * b, a * a, a + b, a - b):
+            assert_verdict(F)
+        for F in (a.swap(), a.truncate(k), (a * b).swap(), (a * a).truncate(k)):
+            assert_verdict(F)
+
+    @given(
+        st.one_of(symmetric_series2(), perturbed_series2()),
+        st.one_of(symmetric_series2(constant=False), perturbed_series2(constant=False)),
+        ring_series(order=4, constant=0),
+        ring_series(order=4, constant=0),
+        graded_series1(),
+    )
+    def test_after_composition(self, F, inner, f, g, outer):
+        for G in (F.compose(f, f), F.compose(f, g), compose1_2(outer, inner)):
+            assert_verdict(G)
+        for G in (*series._law_powers(F), *series._law_powers(inner)):
+            assert_verdict(G)
+
+    @given(exponentials(t_polynomials))
+    def test_after_bivariate_from_exp(self, exp):
+        F = bivariate_from_exp(exp)
+        assert_verdict(F)
+        for G in series._law_powers(F):
+            assert_verdict(G)
+
+    @pytest.mark.parametrize("name", [*CATALOG, "broken_demo"])
+    def test_law_powers_of_each_law(self, name):
+        for G in series._law_powers.__wrapped__(catalog(name, 6).F):
+            assert_verdict(G)
+
+    def test_a_value_is_scanned_once(self, monkeypatch):
+        F = Series2(dict(catalog("gamma_raw", 6).F._coeffs), 6)
+        calls = eq_calls(monkeypatch)
+        assert F.is_symmetric() and calls
+        del calls[:]
+        assert F.is_symmetric() and not calls
+
+    def test_law_powers_scans_a_fresh_law_once(self, monkeypatch):
+        """The powers of F re-test nothing: F is scanned once, and each power
+        is built by a half sum that records its verdict."""
+        law = catalog("gamma_raw", 8).F
+        F, G = (Series2(dict(law._coeffs), law.order) for _ in range(2))
+        series._law_powers.cache_clear()
+        calls = eq_calls(monkeypatch)
+        assert G.is_symmetric()
+        one_scan = len(calls)
+        powers = series._law_powers(F)
+        assert len(calls) == 2 * one_scan > 0
+        assert all(P.is_symmetric() for P in powers) and len(calls) == 2 * one_scan
 
 
 class TestNoStoredZeros:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional, Union
 
 from genusforge.check import CheckResult, Record, first_defect, replace
@@ -271,9 +272,9 @@ def catalog(
     Each law is built once per process, at the highest order asked for so
     far; lower orders are served by truncating that build, which is exact
     because truncation is functorial (see genusforge.series).  Params are
-    substituted into the truncated law, so the cache holds only unbound laws;
-    a param that names no generator of the law, or that is not invertible
-    where the law has negative powers of it, is a ValueError.
+    substituted into the truncated law by _bind, so the cache holds only
+    unbound laws; a param that names no generator of the law, or that is not
+    invertible where the law has negative powers of it, is a ValueError.
     """
     name = name.replace("-", "_")
     if name not in CATALOG and name not in DEMO_LAWS:
@@ -291,11 +292,18 @@ def catalog(
     law = build_once(_BUILT, name, order, build)
     if not params:
         return law
-    bound = {
-        k: v if isinstance(v, RingElement) else RingElement.from_rational(v)
+    bound = sorted(
+        (k, v if isinstance(v, RingElement) else RingElement.from_rational(v))
         for k, v in params.items()
-    }
-    F, exp = law.F, law.exp
+    )
+    return _bind(law, tuple(bound))
+
+
+@lru_cache(maxsize=16)
+def _bind(law: FormalGroupLaw, params: "tuple[tuple[str, RingElement], ...]") -> FormalGroupLaw:
+    """law with its generators replaced by params, kept for the 16 most recent
+    (law, params) by value; a failed substitution raises and keeps nothing."""
+    bound, name, F, exp = dict(params), law.name, law.F, law.exp
     try:
         F = F.map_coefficients(lambda c: c.substitute(bound))
         if exp is not None:
@@ -398,10 +406,12 @@ def negation_series(law: Union[FormalGroupLaw, Series2]) -> Series1:
 # -- strict isomorphisms ----------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
 def canonical_strict_iso(
     source: Union[FormalGroupLaw, Series2], target: Union[FormalGroupLaw, Series2]
 ) -> Series1:
-    """The unique strict isomorphism exp_target o log_source."""
+    """The unique strict isomorphism exp_target o log_source, kept for the
+    16 most recent (source, target) by value."""
     return exponential(target).compose(logarithm(source))
 
 

@@ -25,8 +25,8 @@ int or a Fraction) is not made an element: it scales the numerators and the
 denominator, as FLINT's fmpq_poly does, with one gcd pass.
 
 An element is a value: the order of its stored terms means nothing.  All that
-reads terms in order (``terms()``, ``to_obj``, ``str``, ``evaluate``) sorts them
-by monomial first, so equal elements print and evaluate identically.
+reads terms in order sorts them by monomial first (``terms()``, ``to_obj`` and
+``str`` share one kept sort), so equal elements print and evaluate identically.
 """
 
 from __future__ import annotations
@@ -218,11 +218,12 @@ class RingElement:
     ``gcd(_den, *numerators) == 1``, and zero has ``_den == 1``.  Equal
     elements therefore have equal storage.  ``_emax`` bounds the largest
     |exponent| of any stored monomial; it is not part of the value.  Storage
-    never changes once built, so ``_hash`` keeps the hash of its first use (two
-    threads would store one value) and ``to_obj`` reduces each stored numerator.
+    never changes once built, so ``_hash`` and ``_order`` (the packed keys in
+    canonical order) keep what their first use found (two threads would store
+    one value), and ``to_obj`` reduces each stored numerator.
     """
 
-    __slots__ = ("_terms", "_den", "_emax", "_hash")
+    __slots__ = ("_terms", "_den", "_emax", "_hash", "_order")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Rational]] = None):
         clean: "dict[int, Fraction]" = {}
@@ -295,11 +296,14 @@ class RingElement:
     # -- inspection --------------------------------------------------------
 
     def _sorted_terms(self) -> "list[tuple[Monomial, int]]":
-        """(monomial, numerator over _den) pairs in canonical order."""
-        return sorted(
-            ((_unpack(m), c) for m, c in self._terms.items()),
-            key=lambda item: _monomial_key(item[0]),
-        )
+        """(monomial, numerator over _den) pairs in canonical order, read
+        from the packed keys that _order keeps after the first sort."""
+        try:
+            order = self._order
+        except AttributeError:
+            order = self._order = tuple(sorted(self._terms, key=lambda m: _monomial_key(_unpack(m))))
+        terms = self._terms
+        return [(_unpack(m), terms[m]) for m in order]
 
     def terms(self) -> "list[tuple[Monomial, Fraction]]":
         """Terms in canonical (graded-lexicographic) order."""
@@ -549,12 +553,12 @@ class RingElement:
         total weight of their even zetas (the case arising from normalized
         series) every even zeta is eliminated.  Idempotent.
         """
-        out = _ZERO
+        images = []
         changed = False
         for m, c in self._terms.items():
             exps = dict(_unpack(m))
             a = exps.get("ipi2", 0)
-            coeff = Fraction(c, self._den)
+            scale = _ONE
             if a < 0:
                 zetas = sorted(
                     (int(name[4:]), name)
@@ -567,15 +571,14 @@ class RingElement:
                         if not exps[name]:
                             del exps[name]
                         a += k2
-                        coeff *= zeta_tilde_even(k2 // 2)
+                        scale = scale * zeta_tilde_even(k2 // 2)
                         changed = True
             if a:
                 exps["ipi2"] = a
             elif "ipi2" in exps:
                 del exps["ipi2"]
-            m = _pack(exps.items())
-            out = out + RingElement._make({m: coeff.numerator}, coeff.denominator, self._emax)
-        return out if changed else self
+            images.append((RingElement._make({_pack(exps.items()): c}, self._den, self._emax), scale))
+        return RingElement.dot(images) if changed else self
 
     def truncate_gen(self, name: str, max_exp: int) -> "RingElement":
         """Drop every monomial where `name` appears with exponent > max_exp."""

@@ -33,8 +33,10 @@ form through one Fraction per term instead of the stored integers, and a
 with every value read by Fraction instead of the parsed table as it stands
 with plain integers read by int, a bivariate series' symmetry by scanning
 every coefficient instead of the verdict the value keeps, and sums of ring
-elements (a power sum, a substitution) by a term-wise + fold instead of one
-RingElement.dot.  The genus
+elements (a power sum, a substitution, the even-zeta reduction) by a
+term-wise + fold instead of one RingElement.dot, a ring element's terms sorted
+afresh on every read instead of in the order the element keeps, and a law
+with bound params substituted afresh instead of kept by value.  The genus
 series H = z / exp is also built here from any given exponential, outside
 the catalog of genus.genus_series.
 """
@@ -52,6 +54,8 @@ from genusforge.ring import (
     NonUnitError,
     RingElement,
     UnboundGeneratorError,
+    _monomial_key,
+    _pack,
     _unpack,
     euler_gamma,
     generator_info,
@@ -778,3 +782,87 @@ def from_chern_genus_chern(args):
     g = genus.genus_series(args.series, args.dim, args.presentation)
     value = fraction_to_obj(genus.genus_of(g, descriptor))
     return {"series": g.name, "dim": args.dim, "value": value}, True
+
+
+def sorted_terms(x: RingElement) -> "list[tuple[tuple, int]]":
+    """x's (monomial, numerator over x._den) pairs, sorted afresh by weight and
+    then monomial, as every read of terms() sorted them before the element
+    kept its order."""
+    return sorted(
+        ((_unpack(m), c) for m, c in x._terms.items()),
+        key=lambda item: _monomial_key(item[0]),
+    )
+
+
+def sorted_to_obj(x: RingElement) -> dict:
+    """x.to_obj() over sorted_terms, one Fraction per term."""
+    terms = []
+    for m, c in sorted_terms(x):
+        q = Fraction(c, x._den)
+        terms.append({"num": str(q.numerator), "den": str(q.denominator), "exps": dict(m)})
+    return {"terms": terms}
+
+
+def sorted_str(x: RingElement) -> str:
+    """str(x) over sorted_terms."""
+    if not x._terms:
+        return "0"
+    parts = []
+    for m, c in sorted_terms(x):
+        c = Fraction(c, x._den)
+        factors = []
+        if not m or c != 1:
+            factors.append(str(c) if not m or c != -1 else "-")
+        for name, e in m:
+            factors.append(name if e == 1 else f"{name}^{e}")
+        text = "*".join(factors)
+        if text.startswith("-*"):
+            text = "-" + text[2:]
+        parts.append(text)
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def folded_reduce(x: RingElement) -> RingElement:
+    """x.reduce(), adding each rewritten term to a running sum from zero."""
+    out = RingElement.zero()
+    changed = False
+    for m, c in x._terms.items():
+        exps = dict(_unpack(m))
+        a = exps.get("ipi2", 0)
+        coeff = Fraction(c, x._den)
+        if a < 0:
+            zetas = sorted(
+                (int(name[4:]), name)
+                for name in exps
+                if name.startswith("zeta") and int(name[4:]) % 2 == 0
+            )
+            for k2, name in zetas:
+                while exps.get(name, 0) > 0 and a <= -k2:
+                    exps[name] -= 1
+                    if not exps[name]:
+                        del exps[name]
+                    a += k2
+                    coeff *= zeta_tilde_even(k2 // 2)
+                    changed = True
+        if a:
+            exps["ipi2"] = a
+        elif "ipi2" in exps:
+            del exps["ipi2"]
+        m = _pack(exps.items())
+        out = out + RingElement._make({m: coeff.numerator}, coeff.denominator, x._emax)
+    return out if changed else x
+
+
+def substituted_law(law, params):
+    """The F and exponential of catalog(law.name, law.order, params), from
+    the unbound law: every coefficient substituted afresh, term by term."""
+    bound = {k: v if isinstance(v, RingElement) else RingElement.from_rational(v)
+             for k, v in params.items()}
+    F = law.F.map_coefficients(lambda c: termwise_substitute(c, bound))
+    exp = law.exp
+    if exp is not None:
+        exp = exp.map_coefficients(lambda c: termwise_substitute(c, bound))
+    return F, exp

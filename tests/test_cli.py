@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -521,17 +522,31 @@ _JUNK = st.one_of(
 )
 
 
+# The argv strategies are built once, not per draw (see conftest); an
+# insertion point into a drawn argv comes from one strategy per argv length.
+_PATHS = st.sampled_from(sorted(_COMMANDS))
+_KEEP_FLAG = st.integers(min_value=0, max_value=3)
+_GIVE_VALUE = st.integers(min_value=0, max_value=19)
+_N_JUNK = st.integers(min_value=-3, max_value=2)
+
+
+@lru_cache(maxsize=None)
+def _positions(n):
+    """st.integers(0, n): a place to insert a token into an argv of n tokens."""
+    return st.integers(min_value=0, max_value=n)
+
+
 @st.composite
 def _argv(draw):
-    path = draw(st.sampled_from(sorted(_COMMANDS)))
+    path = draw(_PATHS)
     argv = list(path)
     for flag in _COMMANDS[path]:
-        if draw(st.integers(min_value=0, max_value=3)):
+        if draw(_KEEP_FLAG):
             argv.append(flag)
-            if flag in _FLAG_VALUES and draw(st.integers(min_value=0, max_value=19)):
+            if flag in _FLAG_VALUES and draw(_GIVE_VALUE):
                 argv.append(draw(_FLAG_VALUES[flag]))
-    for _ in range(draw(st.integers(min_value=-3, max_value=2))):
-        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), draw(_JUNK))
+    for _ in range(draw(_N_JUNK)):
+        argv.insert(draw(_positions(len(argv))), draw(_JUNK))
     return argv
 
 
@@ -721,11 +736,15 @@ _PATH_DESTS = ("command", "fgl_cmd", "genus_cmd", "series_cmd")
 _FULL_PARSER = cli.build_parser()
 
 
+_ARGV = _argv()
+_N_HELP = st.integers(min_value=0, max_value=2)
+
+
 @st.composite
 def _argv_with_help(draw):
-    argv = draw(_argv())
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), draw(_HELP_AND_SPELLINGS))
+    argv = draw(_ARGV)
+    for _ in range(draw(_N_HELP)):
+        argv.insert(draw(_positions(len(argv))), draw(_HELP_AND_SPELLINGS))
     return argv
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from genusforge import fgl, series
+from genusforge import fgl, genus, series
 from genusforge.check import first_defect
 from genusforge.fgl import (
     CATALOG,
@@ -23,6 +23,7 @@ from genusforge.fgl import (
     negation_series,
     verify_iso,
 )
+from genusforge.genus import GENUS_SERIES, genus_series
 from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2, bivariate_from_exp, exp_series, log_series
 
@@ -33,6 +34,7 @@ from oracles import (
     iterated_n_series,
     pairwise_check_axioms,
     pairwise_eval_at,
+    substituted_law,
 )
 
 R = RingElement
@@ -600,3 +602,105 @@ class TestLawPowersMemo:
             assert check_axioms(catalog("multiplicative_t", 4, {"t": k})).passed
             assert series._law_powers.cache_info().currsize <= bound
         assert series._law_powers.cache_info().misses == 40
+
+
+# The memos of derived data: each hit must equal a fresh computation, and
+# each memo holds at most its bound.
+_LAW_NAMES = st.sampled_from(CATALOG)
+_ISO_ORDERS = st.integers(min_value=2, max_value=10)
+# Params of every law that takes them: chi_rescaled has negative powers of u,
+# so u must be invertible.
+_BINDINGS = st.one_of(
+    st.builds(lambda t: ("multiplicative_t", {"t": t}), rationals),
+    st.builds(lambda t: ("kontsevich", {"t": t}), rationals),
+    st.builds(lambda d, e: ("jacobi", {"delta": d, "epsilon": e}), rationals, rationals),
+    st.builds(lambda d: ("jacobi", {"delta": d}), rationals),
+    st.builds(lambda u: ("chi_rescaled", {"u": u}), rationals.filter(bool)),
+    st.builds(lambda z: ("gamma_raw", {"zeta2": z, "gamma": 0}), rationals),
+    st.builds(lambda e: ("universal_additive", {"e1": e}), rationals),
+)
+
+
+class TestDerivedDataMemos:
+    @given(_LAW_NAMES, _LAW_NAMES, _ISO_ORDERS)
+    def test_iso_equals_a_fresh_composition(self, source, target, order):
+        a, b = catalog(source, order), catalog(target, order)
+        fresh = fgl.exponential(b).compose(logarithm(a))
+        canonical_strict_iso.cache_clear()
+        first = canonical_strict_iso(a, b)
+        assert first == fresh  # a first call, computed
+        again = canonical_strict_iso(catalog(source, order), catalog(target, order))
+        assert again is first and again == fresh  # a repeated call, from the memo
+        assert canonical_strict_iso.cache_info().hits == 1
+
+    @given(_BINDINGS, st.integers(min_value=2, max_value=8))
+    def test_bound_law_equals_the_substitution(self, binding, order):
+        name, params = binding
+        law = catalog(name, order, params)
+        assert (law.F, law.exp) == substituted_law(catalog(name, order), params)
+        assert law.params == {k: R.from_rational(v) for k, v in params.items()}
+        again = catalog(name, order, dict(reversed(params.items())))
+        assert again is law  # the params' order is not part of the key
+
+    def test_a_failed_binding_raises_every_time_and_is_not_kept(self):
+        fgl._bind.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be invertible"):
+                catalog("chi_rescaled", 5, {"u": 0})
+        assert fgl._bind.cache_info().currsize == 0
+
+    @given(st.sampled_from(CATALOG + DEMO_LAWS), st.lists(st.integers(2, 10), min_size=1, max_size=4))
+    def test_repeated_law_view_is_one_object_and_the_truncation(self, name, orders):
+        for order in orders + orders:
+            law = catalog(name, order)
+            assert catalog(name, order) is law
+            top = fgl._BUILT[name]
+            assert law == top.truncate(order) and law.order == order
+            assert (law is top) == (order == top.order)
+
+    @given(st.sampled_from(GENUS_SERIES), st.lists(st.integers(0, 10), min_size=1, max_size=4))
+    def test_repeated_genus_view_is_one_object_and_the_truncation(self, name, orders):
+        for order in orders + orders:
+            g = genus_series(name, order)
+            assert genus_series(name, order) is g
+            assert g == genus._SERIES[name].truncate(order) and g.order == order
+
+    def test_a_rebuilt_top_gives_views_of_the_new_build(self):
+        """A view belongs to its build: once the cache holds another build of
+        the key (a higher order, or a cleared cache), the views are the new
+        build's, even where the two builds differ in value."""
+        values = iter(range(1, 100))
+        build = lambda n: Series1([0] + [next(values)] * n, n)  # each build another value
+        cache = {}
+        series.build_once(cache, "k", 4, build)
+        first = series.build_once(cache, "k", 2, build)
+        assert first == cache["k"].truncate(2)
+        for rebuild in (lambda: series.build_once(cache, "k", 6, build), cache.clear):
+            rebuild()
+            view = series.build_once(cache, "k", 2, build)
+            assert view == cache["k"].truncate(2) and view != first
+            first = view
+
+    def test_each_memo_holds_at_most_its_bound(self):
+        views, bound = series._VIEWS, series._VIEW_BOUND
+        cache = {}
+        for key in range(bound // 2 + 1):  # three views per key: 1.5 times the bound
+            for order in (1, 2, 3):
+                view = series.build_once(cache, key, order, lambda n: Series1.x(4))
+                assert view == Series1.x(4).truncate(order)
+                assert len(views) <= bound
+        assert len(views) == bound
+        fill = {  # memo: a call with the k-th of 40 distinct keys
+            fgl._bind: lambda k: catalog("multiplicative_t", 4, {"t": k}),
+            canonical_strict_iso: lambda k: canonical_strict_iso(
+                catalog(CATALOG[k % 10], 3), catalog(CATALOG[k // 10], 3)
+            ),
+        }
+        for memo, call in fill.items():
+            memo.cache_clear()
+            bound = memo.cache_info().maxsize
+            assert bound == 16
+            for k in range(40):
+                call(k)
+                assert memo.cache_info().currsize <= bound
+            assert memo.cache_info().currsize == bound

@@ -26,6 +26,7 @@ from conftest import rationals, ring_elements
 from oracles import FractionRing as F
 from oracles import bernoulli_akiyama_tanigawa, pairwise_dot, per_k_zeta_fraction, tuple_dot
 from oracles import fraction_to_obj, term_by_term_evaluate, termwise_substitute, uncached_hash
+from oracles import folded_reduce, sorted_str, sorted_terms, sorted_to_obj
 
 R = RingElement
 
@@ -729,7 +730,62 @@ class TestCachedHash:
             assert spy.call_count == 0, n
 
 
+class TestKeptTermOrder:
+    """An element sorts its terms on the first read and keeps the packed keys
+    in _order; terms(), to_obj() and str() read that order, and must give
+    what sorting afresh gives, before and after the first read and after a
+    pickle round trip (which carries no order)."""
+
+    @staticmethod
+    def assert_reads_match_a_fresh_sort(x):
+        terms = [(m, Fraction(c, x._den)) for m, c in sorted_terms(x)]
+        assert x.terms() == terms
+        assert x.to_obj() == sorted_to_obj(x)
+        assert str(x) == sorted_str(x)
+
+    @example(R.zero())
+    @example(gen("zeta2") + gen("gamma") + gen("t", -1) + 1)
+    @given(packed_elements)
+    def test_reads_match_a_fresh_sort(self, a):
+        fresh = R(dict(a.terms()))  # a new object, never read
+        assert not hasattr(fresh, "_order")
+        self.assert_reads_match_a_fresh_sort(fresh)  # the first read sorts
+        # Only the packed keys are kept, in the order of the fresh sort.
+        assert all(type(m) is int for m in fresh._order)
+        assert [_unpack(m) for m in fresh._order] == [m for m, _ in sorted_terms(fresh)]
+        self.assert_reads_match_a_fresh_sort(fresh)  # read back from the slot
+        loaded = pickle.loads(pickle.dumps(fresh))
+        assert loaded == fresh and not hasattr(loaded, "_order")
+        self.assert_reads_match_a_fresh_sort(loaded)
+        self.assert_reads_match_a_fresh_sort(loaded)
+
+
+# Elements over even and odd zetas, gamma and ipi2, whose ipi2 exponents
+# (down to -10) cover all, some or none of their even zetas' weight.
+_PERIOD_TERMS = st.builds(
+    lambda c, z2, z4, z6, z3, a: (
+        gen("zeta2", z2) * gen("zeta4", z4) * gen("zeta6", z6) * gen("zeta3", z3) * gen("ipi2", a, c)
+    ),
+    rationals,
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 1),
+    st.integers(0, 1),
+    st.integers(-10, 2),
+)
+period_elements = st.lists(_PERIOD_TERMS, max_size=5).map(lambda ts: sum(ts, R.zero()))
+
+
 class TestReduce:
+    @example(gen("zeta2") * gen("ipi2", -2) + Fraction(1, 24))  # cancels to zero
+    @example(gen("zeta2") * gen("ipi2", -2) + gen("zeta4") * gen("ipi2", -2))
+    @given(period_elements)
+    def test_equals_the_termwise_fold(self, x):
+        out, folded = x.reduce(), folded_reduce(x)
+        assert out == folded
+        assert (out._terms, out._den) == (folded._terms, folded._den)
+        assert (out is x) == (folded is x)
+
     def test_even_zeta_rewrites(self):
         assert (gen("zeta2") * gen("ipi2", -2)).reduce() == R.from_rational(Fraction(-1, 24))
         unred = gen("gamma") * gen("zeta3") * gen("ipi2", -3)

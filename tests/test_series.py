@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +42,21 @@ R = RingElement
 gen = R.gen
 
 
+# Every strategy is built once, not per draw (see conftest): a strategy built
+# inside a composite is made, unwrapped and validated again for every example.
+# One that depends on a drawn value is built once per value, and an element
+# of a drawn pool is drawn as its index.
+@lru_cache(maxsize=None)
+def _integers(lo, hi):
+    return st.integers(min_value=lo, max_value=hi)
+
+
+def _pick(draw, pool):
+    """draw(st.sampled_from(pool)), through an index strategy built once per
+    pool size."""
+    return pool[draw(_integers(0, len(pool) - 1))]
+
+
 @st.composite
 def small_series(draw, order=6, constant=None, unit_linear=False):
     coeffs = [draw(rationals) for _ in range(order + 1)]
@@ -60,7 +76,7 @@ t_polynomials = st.builds(
 def exponentials(draw, coefficients, universal=False):
     """z + c_2 z^2 + ... + c_n z^n with 2 <= n <= 9; with universal=True the
     coefficient of z^k is a rational multiple of the generator e_(k-1)."""
-    order = draw(st.integers(min_value=2, max_value=9))
+    order = draw(_integers(2, 9))
     coeffs = [0, 1]
     for k in range(2, order + 1):
         c = draw(coefficients)
@@ -75,7 +91,7 @@ coefficient_pools = st.lists(ring_elements(), min_size=1, max_size=4)
 @st.composite
 def ring_series(draw, order=3, constant=None):
     pool = draw(coefficient_pools)
-    coeffs = [draw(st.sampled_from(pool)) for _ in range(order + 1)]
+    coeffs = [_pick(draw, pool) for _ in range(order + 1)]
     if constant is not None:
         coeffs[0] = constant
     return Series1(coeffs, order)
@@ -85,16 +101,21 @@ def ring_series(draw, order=3, constant=None):
 def ring_series2(draw, order=3):
     pool = draw(coefficient_pools)
     ijs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
-    return Series2({ij: draw(st.sampled_from(pool)) for ij in ijs}, order)
+    return Series2({ij: _pick(draw, pool) for ij in ijs}, order)
 
 
 @st.composite
 def sparse_series2(draw, order=6):
     """Some of the indices up to total degree order, stored in a drawn order."""
     pool = draw(coefficient_pools)
-    ijs = draw(st.permutations([(i, j) for i in range(order + 1) for j in range(order + 1 - i)]))
-    kept = ijs[: draw(st.integers(min_value=0, max_value=len(ijs)))]
-    return Series2({ij: draw(st.sampled_from(pool)) for ij in kept}, order)
+    ijs = draw(_index_permutations(order))
+    kept = ijs[: draw(_integers(0, len(ijs)))]
+    return Series2({ij: _pick(draw, pool) for ij in kept}, order)
+
+
+@lru_cache(maxsize=None)
+def _index_permutations(order):
+    return st.permutations([(i, j) for i in range(order + 1) for j in range(order + 1 - i)])
 
 
 def storage(f):
@@ -149,13 +170,14 @@ class TestAgainstPairwiseAccumulation:
 # Coefficients over t, the zeta generators and the Laurent generator u.
 u_elements = st.builds(lambda c, e: c * gen("u", e), ring_elements(), st.integers(-2, 2))
 orders = st.integers(min_value=0, max_value=6)
+u_pools = st.lists(u_elements, min_size=1, max_size=3)
 
 
 @st.composite
 def graded_series1(draw, constant=None):
-    pool = draw(st.lists(u_elements, min_size=1, max_size=3))
+    pool = draw(u_pools)
     order = draw(orders)
-    coeffs = [draw(st.sampled_from(pool)) for _ in range(order + 1)]
+    coeffs = [_pick(draw, pool) for _ in range(order + 1)]
     if constant is not None:
         coeffs[0] = constant
     return Series1(coeffs, order)
@@ -163,10 +185,10 @@ def graded_series1(draw, constant=None):
 
 @st.composite
 def graded_series2(draw, max_order=4):
-    pool = draw(st.lists(u_elements, min_size=1, max_size=3))
-    order = draw(st.integers(min_value=0, max_value=max_order))
+    pool = draw(u_pools)
+    order = draw(_integers(0, max_order))
     ijs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i) if i + j]
-    return Series2({ij: draw(st.sampled_from(pool)) for ij in ijs}, order)
+    return Series2({ij: _pick(draw, pool) for ij in ijs}, order)
 
 
 class TestGradedComposition:
@@ -230,18 +252,22 @@ def symmetric_series2(draw, order=4, constant=True):
     for i in range(order + 1):
         for j in range(i, order + 1 - i):
             if constant or i + j:
-                coeffs[(i, j)] = coeffs[(j, i)] = draw(st.sampled_from(pool))
+                coeffs[(i, j)] = coeffs[(j, i)] = _pick(draw, pool)
     return Series2(coeffs, order)
 
 
 @st.composite
 def perturbed_series2(draw, order=4, constant=True):
     """A symmetric series with one coefficient off its mirror by 1 or t."""
-    F = draw(symmetric_series2(order, constant))
-    i = draw(st.integers(0, (order - 1) // 2))
-    j = draw(st.integers(i + 1, order - i))
-    ij = draw(st.sampled_from([(i, j), (j, i)]))
-    return F + Series2({ij: draw(st.sampled_from([R.one(), gen("t")]))}, order)
+    F = draw(_symmetric_series2(order, constant))
+    i = draw(_integers(0, (order - 1) // 2))
+    j = draw(_integers(i + 1, order - i))
+    ij = _pick(draw, [(i, j), (j, i)])
+    return F + Series2({ij: draw(_one_or_t)}, order)
+
+
+_symmetric_series2 = lru_cache(maxsize=None)(symmetric_series2)
+_one_or_t = st.sampled_from([R.one(), gen("t")])
 
 
 def summed_indices(monkeypatch):
@@ -477,15 +503,18 @@ def _build(kind, coeffs, order):
     return Series2(coeffs, order)
 
 
+_kinds = st.sampled_from([Series1, Series2])
+
+
 @st.composite
 def same_kind_pairs(draw):
     """Two series of one kind and one order, with coefficients from one small
     pool (zero included), so that sums and differences cancel."""
-    kind = draw(st.sampled_from([Series1, Series2]))
-    order = draw(st.integers(min_value=0, max_value=4))
+    kind = draw(_kinds)
+    order = draw(_integers(0, 4))
     pool = draw(coefficient_pools) + [R.zero()]
     f, g = (
-        _build(kind, {k: draw(st.sampled_from(pool)) for k in _keys(kind, order)}, order)
+        _build(kind, {k: _pick(draw, pool) for k in _keys(kind, order)}, order)
         for _ in range(2)
     )
     return f, g
@@ -664,7 +693,7 @@ class TestLagrangeRows:
     @given(st.data(), st.lists(ring_elements(), max_size=4), st.integers(-6, 6))
     def test_unit_power_against_repeated_products(self, data, tail, a):
         b = [R.one(), *tail]
-        top = data.draw(st.integers(0, len(tail)))
+        top = data.draw(_integers(0, len(tail)))
         B, power = Series1(b, top), Series1.constant(1, top)
         for _ in range(abs(a)):
             power = pairwise_series1_mul(power, B)
@@ -713,17 +742,18 @@ linear_units = st.one_of(
     rationals.filter(bool),
     st.sampled_from([gen("t"), gen("t", -1), gen("u"), gen("u", -1) * Fraction(-1, 3)]),
 )
+zero_rational_or_t = st.one_of(st.just(0), rationals, t_polynomials)
 
 
 @st.composite
 def revertible_series(draw, max_order=8):
     """c z + f_2 z^2 + ... + f_d z^d at an order n >= d, for a unit c and a
     drawn top degree d, with each f_k zero or a rational or t-polynomial."""
-    order = draw(st.integers(1, max_order))
-    top = draw(st.integers(1, order))
+    order = draw(_integers(1, max_order))
+    top = draw(_integers(1, order))
     coeffs = [0, draw(linear_units)]
     for _ in range(2, top + 1):
-        coeffs.append(draw(st.one_of(st.just(0), rationals, t_polynomials)))
+        coeffs.append(draw(zero_rational_or_t))
     return Series1(coeffs, order)
 
 
@@ -731,10 +761,16 @@ def revertible_series(draw, max_order=8):
 def outer_series(draw, max_order=7):
     """A series whose coefficients beyond a drawn degree are zero, so the
     table's rows stop before the order; a constant one when that degree is 0."""
-    order = draw(st.integers(0, max_order))
-    top = draw(st.integers(0, order))
-    coeffs = [draw(st.one_of(st.just(0), rationals, t_polynomials)) for _ in range(top + 1)]
+    order = draw(_integers(0, max_order))
+    top = draw(_integers(0, order))
+    coeffs = [draw(zero_rational_or_t) for _ in range(top + 1)]
     return Series1(coeffs, order)
+
+
+@lru_cache(maxsize=None)
+def _inner_series(max_order):
+    """outer_series(max_order) less its constant term."""
+    return outer_series(max_order=max_order).map(lambda f: f - f[0])
 
 
 class TestPowerTable:
@@ -749,7 +785,7 @@ class TestPowerTable:
 
     @given(outer_series(), st.integers(0, 7), st.data())
     def test_compose_against_horner_at_any_two_orders(self, outer, inner_order, data):
-        inner = data.draw(outer_series(max_order=inner_order).map(lambda f: f - f[0]))
+        inner = data.draw(_inner_series(inner_order))
         assert outer.compose(inner) == horner_compose(outer, inner)
 
     @given(revertible_series(max_order=6))

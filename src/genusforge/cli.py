@@ -96,7 +96,10 @@ def _parse_params(items) -> "dict[str, Fraction]":
         if "=" not in item:
             raise ValueError(f"bad --param {item!r}; expected name=p/q")
         name, value = item.split("=", 1)
-        params[name.strip()] = _rational(value)
+        name = name.strip()
+        if name in params:
+            raise ValueError(f"--param {item!r} repeats the name {name!r}")
+        params[name] = _rational(value)
     return params
 
 

@@ -67,8 +67,7 @@ class FormalGroupLaw(Record):
 
     F: Series2
     name: str
-    params: "Mapping[str, RingElement]" = {}
-    _unhashed = ("params",)  # a dict is unhashable; equal laws still hash equally
+    params: "tuple[tuple[str, RingElement], ...]" = ()  # sorted by name
     construction: str = "closed-form"
     exp: Optional[Series1] = None
 
@@ -92,7 +91,7 @@ class FormalGroupLaw(Record):
     def to_obj(self) -> dict:
         return {
             "name": self.name,
-            "params": {k: v.to_obj() for k, v in sorted(self.params.items())},
+            "params": {k: v.to_obj() for k, v in self.params},
             "order": self.order,
             "F": self.F.to_obj(),
         }
@@ -217,25 +216,22 @@ EXPONENTIALS = {
 }
 
 
-def _build(name: str, order: int) -> "tuple[Series2, str, Optional[Series1]]":
+def _build(name: str, order: int) -> FormalGroupLaw:
     if name in EXPONENTIALS:
         exp = EXPONENTIALS[name](order)
-        return bivariate_from_exp(exp), "from-exponential", exp
+        return FormalGroupLaw(bivariate_from_exp(exp), name, construction="from-exponential", exp=exp)
     t = RingElement.gen("t")
     if name == "additive":
-        return Series2({(1, 0): 1, (0, 1): 1}, order), "closed-form", Series1.x(order)
+        return FormalGroupLaw(Series2({(1, 0): 1, (0, 1): 1}, order), name, exp=Series1.x(order))
     if name == "multiplicative":
-        return (
-            Series2({(1, 0): 1, (0, 1): 1, (1, 1): 1}, order),
-            "closed-form",
-            exp_series(Series1.x(order)) - 1,
-        )
+        exp = exp_series(Series1.x(order)) - 1
+        return FormalGroupLaw(Series2({(1, 0): 1, (0, 1): 1, (1, 1): 1}, order), name, exp=exp)
     if name == "multiplicative_t":
-        return Series2({(1, 0): 1, (0, 1): 1, (1, 1): t}, order), "closed-form", None
+        return FormalGroupLaw(Series2({(1, 0): 1, (0, 1): 1, (1, 1): t}, order), name)
     if name == "kontsevich":
         num = Series2({(1, 0): 1, (0, 1): 1, (1, 1): 1 + t}, order)
         den = Series2({(0, 0): 1, (1, 1): -t}, order)
-        return num * den.inverse(), "closed-form", None
+        return FormalGroupLaw(num * den.inverse(), name)
     if name == "jacobi":
         delta = RingElement.gen("delta")
         eps = RingElement.gen("epsilon")
@@ -249,13 +245,9 @@ def _build(name: str, order: int) -> "tuple[Series2, str, Optional[Series1]]":
                 zR[(k, 1)] = zR.get((k, 1), _ZERO) + c
         num = Series2(zR, order)
         den = Series2({(0, 0): 1, (2, 2): -eps}, order)
-        return num * den.inverse(), "closed-form", None
+        return FormalGroupLaw(num * den.inverse(), name)
     if name == "broken_demo":
-        return (
-            Series2({(1, 0): 1, (0, 1): 1, (2, 1): 1}, order),
-            "closed-form",
-            None,
-        )
+        return FormalGroupLaw(Series2({(1, 0): 1, (0, 1): 1, (2, 1): 1}, order), name)
     raise UnknownLawError(name)
 
 
@@ -272,9 +264,11 @@ def catalog(
     Each law is built once per process, at the highest order asked for so
     far; lower orders are served by truncating that build, which is exact
     because truncation is functorial (see genusforge.series).  Params are
-    substituted into the truncated law by _bind, so the cache holds only
-    unbound laws; a param that names no generator of the law, or that is not
-    invertible where the law has negative powers of it, is a ValueError.
+    substituted into the truncated law, so _BUILT holds only unbound laws,
+    and a request is memoised by its name, order and sorted params (_law,
+    the 128 most recent).  A param that names no generator of the law, or
+    that is not invertible where the law has negative powers of it, is a
+    ValueError, raised on every call and not kept.
     """
     name = name.replace("-", "_")
     if name not in CATALOG and name not in DEMO_LAWS:
@@ -284,26 +278,20 @@ def catalog(
     for key in params or ():
         if not re.fullmatch(_LAW_GENERATORS.get(name, "(?!)"), key):
             raise ValueError(f"param {key!r} names no generator of law {name!r}")
-
-    def build(n: int) -> FormalGroupLaw:
-        F, construction, exp = _build(name, n)
-        return FormalGroupLaw(F=F, name=name, construction=construction, exp=exp)
-
-    law = build_once(_BUILT, name, order, build)
-    if not params:
-        return law
     bound = sorted(
         (k, v if isinstance(v, RingElement) else RingElement.from_rational(v))
-        for k, v in params.items()
+        for k, v in (params or {}).items()
     )
-    return _bind(law, tuple(bound))
+    return _law(name, order, tuple(bound))
 
 
-@lru_cache(maxsize=16)
-def _bind(law: FormalGroupLaw, params: "tuple[tuple[str, RingElement], ...]") -> FormalGroupLaw:
-    """law with its generators replaced by params, kept for the 16 most recent
-    (law, params) by value; a failed substitution raises and keeps nothing."""
-    bound, name, F, exp = dict(params), law.name, law.F, law.exp
+@lru_cache(maxsize=128)
+def _law(name: str, order: int, params: "tuple[tuple[str, RingElement], ...]") -> FormalGroupLaw:
+    """catalog(name, order, dict(params)) for a checked request."""
+    law = build_once(_BUILT, name, order, lambda n: _build(name, n))
+    if not params:
+        return law
+    bound, F, exp = dict(params), law.F, law.exp
     try:
         F = F.map_coefficients(lambda c: c.substitute(bound))
         if exp is not None:
@@ -314,7 +302,7 @@ def _bind(law: FormalGroupLaw, params: "tuple[tuple[str, RingElement], ...]") ->
         raise ValueError(
             f"param {bad} must be invertible: law {name!r} has negative powers of it"
         ) from None
-    return replace(law, F=F, params=bound, exp=exp)
+    return replace(law, F=F, params=params, exp=exp)
 
 
 # -- axioms ---------------------------------------------------------------------

@@ -137,7 +137,8 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
     name it must be that series' own ('normalized' for gamma_normalized,
     'raw' for the rest).  Each series is built once per process, as the law
     catalog is (series.build_once), and a lower order is the truncation of
-    its H.
+    its H.  A checked request is memoised by its canonical name and order
+    (_series, the 128 most recent); a rejected one raises on every call.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -149,6 +150,11 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
     pres = "normalized" if name.endswith("normalized") else "raw"
     if presentation not in (None, pres):
         raise ValueError(f"genus series {name!r} has no {presentation!r} presentation")
+    return _series(name, order)
+
+
+@lru_cache(maxsize=128)
+def _series(name: str, order: int) -> GenusSeries:
     return build_once(_SERIES, name, order, lambda n: _build_series(name, n))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, MutableMapping, Optional, TypeVar, Union
@@ -643,11 +642,6 @@ def bivariate_from_exp(exp: Series1) -> Series2:
 # -- build once per process ----------------------------------------------------
 
 _Built = TypeVar("_Built")
-# build_once's views by (id of their build, order), each kept with its build, so
-# no id is reused while held; the oldest goes once _VIEW_BOUND are held, by
-# one popitem call (iterating the dict could race a thread that adds to it).
-_VIEWS: "OrderedDict[tuple[int, int], tuple[object, object]]" = OrderedDict()
-_VIEW_BOUND = 128
 
 
 def build_once(
@@ -661,17 +655,9 @@ def build_once(
     The cache keeps the build at the highest order asked for so far, and a
     lower order is that build's truncate(order); this is exact because
     truncation is functorial (see the module docstring).  A build must have
-    .order == order and a truncate method.  A repeated (key, order) returns
-    the same view, from _VIEWS.
+    .order == order and a truncate method.
     """
     top = cache.get(key)
     if top is None or top.order < order:
         top = cache[key] = build(order)
-    if order >= top.order:
-        return top
-    view = _VIEWS.get((id(top), order))
-    if view is None:
-        if len(_VIEWS) >= _VIEW_BOUND:
-            _VIEWS.popitem(last=False)
-        view = _VIEWS[id(top), order] = (top, top.truncate(order))
-    return view[1]
+    return top.truncate(order)

@@ -1,8 +1,12 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+import genusforge
+from genusforge import fgl, genus
 from genusforge.ring import RingElement
 
 settings.register_profile(
@@ -49,6 +53,35 @@ def ring_elements(draw):
     for _ in range(n_terms):
         out = out + draw(_MONOMIALS) * draw(rationals)
     return out
+
+
+# Every module of the package, so that clear_memos reaches each one's memos.
+MODULES = [
+    importlib.import_module(f"genusforge.{info.name}")
+    for info in pkgutil.iter_modules(genusforge.__path__)
+]
+
+
+def clear_memos():
+    """Empty every memo of the package: the one build per name of the law
+    catalog and of the genus series, the Chern rows and every lru_cache of
+    its modules, so that a test sees the route and not a memo, and no value
+    built under a test's patches outlives it."""
+    fgl._BUILT.clear()
+    genus._SERIES.clear()
+    genus._CHERN_ROWS.clear()
+    for module in MODULES:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.fixture
+def cold():
+    """A test that starts, and leaves the package, with every memo empty."""
+    clear_memos()
+    yield
+    clear_memos()
 
 
 @pytest.fixture(scope="session")

@@ -156,7 +156,7 @@ def test_the_degree_guard_sees_what_it_should(source, lines):
 # that differs from the record's own.
 RECORDS = {
     "CheckResult": (lambda: CheckResult.fail(2, R.from_rational(3), "why", note="n"), {"extra": {"x": 1}}),
-    "FormalGroupLaw": (lambda: fgl.catalog("multiplicative_t", 3, {"t": 2}), {"params": {}}),
+    "FormalGroupLaw": (lambda: fgl.catalog("multiplicative_t", 3, {"t": 2}), {}),
     "AxiomReport": (lambda: fgl.check_axioms(fgl.catalog("additive", 3)), {}),
     "GenusSeries": (lambda: genus.genus_series("todd", 4), {}),
     "ManifoldDescriptor": (
@@ -248,5 +248,5 @@ class TestRecord:
     def test_a_dict_default_is_not_shared(self):
         a, b = CheckResult("PASS"), CheckResult("PASS")
         assert a.extra == {} and a.extra is not b.extra
-        assert fgl.FormalGroupLaw(F=fgl.catalog("additive", 2).F, name="x").params == {}
+        assert fgl.FormalGroupLaw(F=fgl.catalog("additive", 2).F, name="x").params == ()
         assert CheckResult.extra == {}

@@ -18,6 +18,7 @@ from genusforge import cli, fgl, genus, verify
 from genusforge.ring import RingElement
 from genusforge.series import Series1
 
+from conftest import MODULES, clear_memos
 from oracles import fraction_rational, from_chern_genus_chern
 
 _ENV = {**os.environ}
@@ -121,6 +122,16 @@ class TestFglCommand:
         )
         hyp = run_json("fgl", "series", "--law", "hyperbolic", "--order", "4")
         assert out["F"] == hyp["F"]
+
+    @pytest.mark.parametrize("command", ["series", "check"])
+    @pytest.mark.parametrize(
+        "params", [("delta=1", "delta=2"), ("delta=1", "epsilon=0", " delta =1")]
+    )
+    def test_repeated_param_name_exits_two(self, command, params):
+        argv = ["fgl", command, "--law", "jacobi", "--order", "3"]
+        proc = run_cli(*argv, *(arg for param in params for arg in ("--param", param)))
+        assert_usage_error(proc)
+        assert proc.stderr.count("\n") == 1 and "repeats the name 'delta'" in proc.stderr
 
     @pytest.mark.parametrize("command", ["series", "check"])
     @pytest.mark.parametrize("law, param", [("gamma_normalized", "ipi2"), ("chi_rescaled", "u")])
@@ -1042,6 +1053,61 @@ def test_import_builds_no_parser():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_ENV)
     assert proc.returncode == 0, proc.stderr
+
+
+# The module-level containers of the package, by name, with their sizes.
+_CONTAINER_SIZES = (
+    "import importlib, pkgutil, genusforge\n"
+    "sizes = {}\n"
+    "for info in pkgutil.iter_modules(genusforge.__path__):\n"
+    "    module = importlib.import_module('genusforge.' + info.name)\n"
+    "    for attr, value in vars(module).items():\n"
+    "        if isinstance(value, (dict, list, set)):\n"
+    "            sizes[f'{module.__name__}.{attr}'] = len(value)\n"
+)
+# Containers that grow but hold no result of a request: the generator slots
+# that every packed monomial key depends on, the registry of generators with
+# the family members resolved so far, and the append-only Bernoulli table.
+_NOT_MEMOS = ("genusforge.ring._NAMES", "genusforge.ring._SLOTS", "genusforge.ring._REGISTRY",
+              "genusforge.ring._BERNOULLI")
+
+
+def test_the_cold_state_empties_every_memo_of_the_package(cold):
+    """After requests of every command and a verify, clear_memos leaves each
+    lru_cache of the package empty and each module-level container at its
+    size on a fresh import, so a memo added later cannot escape the tests
+    that ask for a cold state."""
+    script = _CONTAINER_SIZES + "import json\nprint(json.dumps(sizes))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_ENV)
+    assert proc.returncode == 0, proc.stderr
+    fresh = json.loads(proc.stdout)
+    one = {"terms": [{"num": "1", "den": "1", "exps": {}}]}
+    series = json.dumps({"order": 3, "coeffs": [{"terms": []}, one]})
+    for argv in (
+        ["fgl", "series", "--law", "jacobi", "--order", "6", "--param", "delta=1/3"],
+        ["fgl", "iso", "--from", "kontsevich", "--to", "multiplicative", "--order", "6"],
+        ["genus", "chern", "--series", "gamma", "--dim", "3", "--chern", "c1^3=1,c1*c2=2,c3=3"],
+        ["genus", "table", "--series", "todd", "--max-n", "4"],
+        ["witten", "--x-order", "4", "--q-order", "2"],
+        ["series", "revert"],
+    ):
+        assert _run_in_process(argv, series)[0] == 0, argv
+    verify.run_suite("all", 4)
+    assert fgl._BUILT and genus._SERIES and genus._CHERN_ROWS
+    clear_memos()
+    names = {}
+    exec(_CONTAINER_SIZES, names)
+    sizes = names["sizes"]
+    for name in _NOT_MEMOS:
+        assert sizes.pop(name) >= fresh.pop(name)
+    assert sizes == fresh
+    held = [
+        f"{module.__name__}.{attr}"
+        for module in MODULES
+        for attr, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.cache_info().currsize
+    ]
+    assert held == []
 
 
 def test_a_request_builds_only_its_own_parser():

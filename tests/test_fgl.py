@@ -1,11 +1,12 @@
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from genusforge import fgl, genus, series
-from genusforge.check import first_defect
+from genusforge.check import first_defect, replace
 from genusforge.fgl import (
     CATALOG,
     DEMO_LAWS,
@@ -27,7 +28,7 @@ from genusforge.genus import GENUS_SERIES, genus_series
 from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2, bivariate_from_exp, exp_series, log_series
 
-from conftest import rationals, ring_elements
+from conftest import clear_memos, rationals, ring_elements
 from oracles import (
     expanded_normalized_gamma_exponential,
     full_order_negation_series,
@@ -431,22 +432,15 @@ class TestGrading:
         assert not grading_check(law).passed
 
 
-@pytest.fixture
-def cold_cache():
-    fgl._BUILT.clear()
-    yield
-    fgl._BUILT.clear()
-
-
 def _cold(name, order):
-    fgl._BUILT.clear()
+    clear_memos()
     law = catalog(name, order)
     return law.F, law.exp
 
 
 class TestLawCache:
     @pytest.mark.parametrize("name", CATALOG)
-    def test_lower_orders_are_truncations_of_one_build(self, name, cold_cache):
+    def test_lower_orders_are_truncations_of_one_build(self, name, cold):
         top = _cold(name, 10)
         for order in range(2, 10):
             cold = _cold(name, order)
@@ -455,17 +449,17 @@ class TestLawCache:
             law = catalog(name, order)  # the top first, then a low order
             assert (law.F, law.exp) == cold
 
-    def test_one_entry_per_law_at_the_highest_order(self, cold_cache):
+    def test_one_entry_per_law_at_the_highest_order(self, cold):
         for order in (4, 8, 6):
             catalog("hyperbolic", order)
         assert list(fgl._BUILT) == ["hyperbolic"]
         assert fgl._BUILT["hyperbolic"].order == 8
 
-    def test_params_do_not_leak_into_the_cache(self, cold_cache):
+    def test_params_do_not_leak_into_the_cache(self, cold):
         bound = catalog("jacobi", 6, params={"delta": Fraction(-1, 8), "epsilon": 0})
         assert bound.F == catalog("hyperbolic", 6).F
         free = catalog("jacobi", 6)
-        assert free.params == {}
+        assert free.params == ()
         gens = set().union(*(c.generators() for _, c in free.F.items()))
         assert {"delta", "epsilon"} <= gens
 
@@ -485,6 +479,42 @@ class TestLawHash:
         assert a == b and hash(a) == hash(b)
         assert json.dumps(a.to_obj()) == json.dumps(b.to_obj())
         assert a != catalog("jacobi", 6, params={"delta": 1, "epsilon": 0})
+
+
+class TestLawParams:
+    """A law's params are a tuple of (name, element) pairs sorted by name:
+    a served law cannot be changed, and it hashes and pickles with them."""
+
+    PARAMS = {"epsilon": 0, "delta": Fraction(-1, 8)}
+    BOUND = (("delta", R.from_rational(Fraction(-1, 8))), ("epsilon", R.zero()))
+
+    @pytest.mark.parametrize(
+        "args, params", [(("additive", 12), ()), (("jacobi", 6, PARAMS), BOUND)]
+    )
+    def test_a_served_law_cannot_be_changed(self, args, params):
+        law = catalog(*args)
+        with pytest.raises(TypeError):
+            law.params["t"] = 1
+        with pytest.raises(AttributeError):
+            law.params = (("t", R.one()),)
+        again = catalog(*args)
+        assert again is law and again.params == params
+        assert again.to_obj()["params"] == {k: v.to_obj() for k, v in params}
+
+    def test_a_bound_law_survives_a_pickle_round_trip(self):
+        law = catalog("jacobi", 6, self.PARAMS)
+        loaded = pickle.loads(pickle.dumps(law))
+        assert loaded == law and hash(loaded) == hash(law)
+        assert loaded.params == law.params == self.BOUND and hash(loaded.params) == hash(law.params)
+        assert json.dumps(loaded.to_obj()) == json.dumps(law.to_obj())
+
+    def test_equal_laws_with_params_hash_equally(self):
+        served = catalog("jacobi", 6, self.PARAMS)
+        made = FormalGroupLaw(served.F, "jacobi", self.BOUND)
+        assert made is not served and made == served
+        assert hash(made) == hash(served) and hash(made.params) == hash(served.params)
+        other = replace(made, params=(("delta", R.one()),))
+        assert len({served, made, other}) == 2
 
 
 class TestExponentialTable:
@@ -573,10 +603,9 @@ class TestLawPowersMemo:
         return calls
 
     def test_equal_laws_share_one_entry(self, monkeypatch):
-        series._law_powers.cache_clear()
-        monkeypatch.setattr(fgl, "_BUILT", {})
+        clear_memos()
         first = catalog("gamma_raw", 8)
-        monkeypatch.setattr(fgl, "_BUILT", {})
+        clear_memos()
         second = catalog("gamma_raw", 8)
         assert first.F == second.F and first.F is not second.F
         phi = canonical_strict_iso(second, catalog("additive", 8))
@@ -604,8 +633,8 @@ class TestLawPowersMemo:
         assert series._law_powers.cache_info().misses == 40
 
 
-# The memos of derived data: each hit must equal a fresh computation, and
-# each memo holds at most its bound.
+# The memos of requests and of derived data: each hit must equal a fresh
+# computation, and each memo holds at most its bound.
 _LAW_NAMES = st.sampled_from(CATALOG)
 _ISO_ORDERS = st.integers(min_value=2, max_value=10)
 # Params of every law that takes them: chi_rescaled has negative powers of u,
@@ -619,6 +648,32 @@ _BINDINGS = st.one_of(
     st.builds(lambda z: ("gamma_raw", {"zeta2": z, "gamma": 0}), rationals),
     st.builds(lambda e: ("universal_additive", {"e1": e}), rationals),
 )
+_REQUESTS = st.lists(
+    st.tuples(st.one_of(_BINDINGS, st.sampled_from(CATALOG + DEMO_LAWS).map(lambda n: (n, {}))),
+              st.integers(min_value=2, max_value=8)),
+    min_size=1,
+    max_size=5,
+)
+# Requests that fail: an unknown law, an order below 2, a param that names no
+# generator of the law, or one that is not invertible where the law has
+# negative powers of it.  And the same for genus series.
+_FAILING_LAWS = st.one_of(
+    st.tuples(st.sampled_from(("elliptic", "todd", "gamma", "")), _ISO_ORDERS, st.just({})),
+    st.tuples(st.sampled_from(CATALOG + DEMO_LAWS), st.integers(-2, 1), st.just({})),
+    st.tuples(_LAW_NAMES, _ISO_ORDERS, st.sampled_from(({"foo": 1}, {"zeta1": 1}, {"e0": 1}))),
+    st.tuples(st.just("chi_rescaled"), _ISO_ORDERS, st.just({"u": 0})),
+    st.tuples(st.just("gamma_normalized"), _ISO_ORDERS, st.just({"ipi2": 0, "gamma": 1})),
+)
+_FAILING_SERIES = st.one_of(
+    st.tuples(st.sampled_from(("elliptic", "broken_demo", "")), _ISO_ORDERS, st.none()),
+    st.tuples(st.sampled_from(GENUS_SERIES + ("gamma",)), st.integers(-3, -1), st.none()),
+    st.tuples(st.sampled_from(("todd", "gamma_raw")), _ISO_ORDERS, st.just("normalized")),
+    st.tuples(st.sampled_from(("gamma", "gamma_normalized")), _ISO_ORDERS, st.just("bogus")),
+)
+
+
+def _sorted_params(params):
+    return tuple(sorted((k, R.from_rational(v)) for k, v in params.items()))
 
 
 class TestDerivedDataMemos:
@@ -638,19 +693,53 @@ class TestDerivedDataMemos:
         name, params = binding
         law = catalog(name, order, params)
         assert (law.F, law.exp) == substituted_law(catalog(name, order), params)
-        assert law.params == {k: R.from_rational(v) for k, v in params.items()}
+        assert law.params == _sorted_params(params)
         again = catalog(name, order, dict(reversed(params.items())))
         assert again is law  # the params' order is not part of the key
 
     def test_a_failed_binding_raises_every_time_and_is_not_kept(self):
-        fgl._bind.cache_clear()
+        clear_memos()
         for _ in range(2):
             with pytest.raises(ValueError, match="must be invertible"):
                 catalog("chi_rescaled", 5, {"u": 0})
-        assert fgl._bind.cache_info().currsize == 0
+        assert fgl._law.cache_info().currsize == 0
+
+    @given(_REQUESTS, st.booleans())
+    def test_any_request_sequence_equals_a_cold_substitution(self, requests, descending):
+        """Requests by ascending or descending order, from an empty memo:
+        each law is the substitution into a build of its own order, made
+        outside every memo, and a repeated request is the same object."""
+        clear_memos()
+        cold = {}
+        for (name, params), order in sorted(requests, key=lambda r: r[1], reverse=descending):
+            law = catalog(name, order, params)
+            if (name, order) not in cold:
+                cold[name, order] = fgl._build(name, order)
+            build = cold[name, order]
+            assert (law.F, law.exp) == substituted_law(build, params)
+            assert (law.name, law.params, law.construction) == (
+                name, _sorted_params(params), build.construction
+            )
+            assert catalog(name.replace("_", "-"), order, dict(reversed(params.items()))) is law
+
+    @given(st.one_of(
+        st.tuples(st.just(catalog), _FAILING_LAWS),
+        st.tuples(st.just(genus_series), _FAILING_SERIES),
+    ))
+    def test_a_failing_request_raises_every_time_and_is_not_kept(self, request):
+        call, args = request
+        clear_memos()
+        catalog("additive", 4)
+        genus_series("todd", 4)
+        sizes = fgl._law.cache_info().currsize, genus._series.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises((ValueError, LookupError)):
+                call(*args)
+        assert (fgl._law.cache_info().currsize, genus._series.cache_info().currsize) == sizes
 
     @given(st.sampled_from(CATALOG + DEMO_LAWS), st.lists(st.integers(2, 10), min_size=1, max_size=4))
     def test_repeated_law_view_is_one_object_and_the_truncation(self, name, orders):
+        clear_memos()
         for order in orders + orders:
             law = catalog(name, order)
             assert catalog(name, order) is law
@@ -660,15 +749,16 @@ class TestDerivedDataMemos:
 
     @given(st.sampled_from(GENUS_SERIES), st.lists(st.integers(0, 10), min_size=1, max_size=4))
     def test_repeated_genus_view_is_one_object_and_the_truncation(self, name, orders):
+        clear_memos()
         for order in orders + orders:
             g = genus_series(name, order)
             assert genus_series(name, order) is g
             assert g == genus._SERIES[name].truncate(order) and g.order == order
 
     def test_a_rebuilt_top_gives_views_of_the_new_build(self):
-        """A view belongs to its build: once the cache holds another build of
-        the key (a higher order, or a cleared cache), the views are the new
-        build's, even where the two builds differ in value."""
+        """Once the cache holds another build of the key (a higher order, or
+        a cleared cache), a lower order is the new build's truncation, even
+        where the two builds differ in value."""
         values = iter(range(1, 100))
         build = lambda n: Series1([0] + [next(values)] * n, n)  # each build another value
         cache = {}
@@ -682,25 +772,17 @@ class TestDerivedDataMemos:
             first = view
 
     def test_each_memo_holds_at_most_its_bound(self):
-        views, bound = series._VIEWS, series._VIEW_BOUND
-        cache = {}
-        for key in range(bound // 2 + 1):  # three views per key: 1.5 times the bound
-            for order in (1, 2, 3):
-                view = series.build_once(cache, key, order, lambda n: Series1.x(4))
-                assert view == Series1.x(4).truncate(order)
-                assert len(views) <= bound
-        assert len(views) == bound
-        fill = {  # memo: a call with the k-th of 40 distinct keys
-            fgl._bind: lambda k: catalog("multiplicative_t", 4, {"t": k}),
-            canonical_strict_iso: lambda k: canonical_strict_iso(
+        fill = {  # memo: (its bound, a call with the k-th of 1.5 times that many distinct keys)
+            fgl._law: (128, lambda k: catalog("multiplicative_t", 2 + k % 3, {"t": k})),
+            genus._series: (128, lambda k: genus_series(("todd", "ahat")[k % 2], 95 - k // 2)),
+            canonical_strict_iso: (16, lambda k: canonical_strict_iso(
                 catalog(CATALOG[k % 10], 3), catalog(CATALOG[k // 10], 3)
-            ),
+            )),
         }
-        for memo, call in fill.items():
+        for memo, (bound, call) in fill.items():
             memo.cache_clear()
-            bound = memo.cache_info().maxsize
-            assert bound == 16
-            for k in range(40):
+            assert memo.cache_info().maxsize == bound
+            for k in range(bound * 3 // 2):
                 call(k)
                 assert memo.cache_info().currsize <= bound
             assert memo.cache_info().currsize == bound

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rationals, ring_elements
+from conftest import clear_memos, rationals, ring_elements
 from genusforge import fgl, genus
 from genusforge.fgl import EXPONENTIALS, catalog, exponential, gamma_exponential, sinh_exponential
 from genusforge.genus import (
@@ -136,20 +136,10 @@ class TestGenusSeries:
             genus_series(name, -1)
 
 
-@pytest.fixture
-def cold_series(monkeypatch):
-    """An empty genus-series memo, so a test sees the route and not the memo."""
-    monkeypatch.setattr(genus, "_SERIES", {})
-
-
 def _uncached(name, order, presentation=None):
-    """genus_series(name, order, presentation) built from an empty memo."""
-    saved = genus._SERIES
-    genus._SERIES = {}
-    try:
-        return genus_series(name, order, presentation)
-    finally:
-        genus._SERIES = saved
+    """genus_series(name, order, presentation) built from empty memos."""
+    clear_memos()
+    return genus_series(name, order, presentation)
 
 
 class TestSeriesMemo:
@@ -162,14 +152,14 @@ class TestSeriesMemo:
     ]
 
     @pytest.mark.parametrize("name, presentation", CASES)
-    def test_served_series_equals_an_uncached_build(self, name, presentation, cold_series):
-        cold = {n: _uncached(name, n, presentation) for n in range(9)}
+    def test_served_series_equals_an_uncached_build(self, name, presentation, cold):
+        uncached = {n: _uncached(name, n, presentation) for n in range(9)}
         for orders in (range(9), range(8, -1, -1)):
-            genus._SERIES.clear()
+            clear_memos()
             for n in orders:
-                assert genus_series(name, n, presentation) == cold[n]
+                assert genus_series(name, n, presentation) == uncached[n]
 
-    def test_one_entry_per_canonical_name_at_the_highest_order(self, cold_series):
+    def test_one_entry_per_canonical_name_at_the_highest_order(self, cold):
         for n in (4, 8, 6):
             genus_series("gamma", n, "normalized")
             genus_series("gamma_raw", n)
@@ -183,14 +173,14 @@ class TestSeriesMemo:
          ("gamma", -3, "raw")],
     )
     def test_rejected_requests_raise_every_time_and_cache_nothing(
-        self, name, order, presentation, cold_series
+        self, name, order, presentation, cold
     ):
         for _ in range(2):
             with pytest.raises(ValueError):
                 genus_series(name, order, presentation)
-        assert genus._SERIES == {}
+        assert genus._SERIES == {} and genus._series.cache_info().currsize == 0
 
-    def test_truncated_view_does_no_series_arithmetic(self, cold_series, monkeypatch):
+    def test_truncated_view_does_no_series_arithmetic(self, cold, monkeypatch):
         top = genus_series("todd", 8)
 
         def refuse(*args):
@@ -321,7 +311,7 @@ class TestHirzebruchMemo:
         assert genus_of(g, M) == genus_cpn(g, 2)
 
 
-@pytest.mark.usefixtures("cold_series")
+@pytest.mark.usefixtures("cold")
 class TestExponentialTableRoute:
     """Laws in fgl.EXPONENTIALS give their genus series without a law build."""
 
@@ -338,13 +328,11 @@ class TestExponentialTableRoute:
             assert half_sinh_ratio(n) == ahat.H
 
     @pytest.mark.parametrize("name", sorted(EXPONENTIALS) + ["ahat"])
-    def test_builds_no_law(self, name, monkeypatch):
-        monkeypatch.setattr(fgl, "_BUILT", {})
+    def test_builds_no_law(self, name):
         genus_series(name, 6)
         assert fgl._BUILT == {}
 
-    def test_closed_form_laws_still_go_through_the_catalog(self, monkeypatch):
-        monkeypatch.setattr(fgl, "_BUILT", {})
+    def test_closed_form_laws_still_go_through_the_catalog(self):
         genus_series("kontsevich", 6)
         assert list(fgl._BUILT) == ["kontsevich"]
 

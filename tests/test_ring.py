@@ -35,12 +35,19 @@ def gen(name, exp=1, coeff=1):
     return R.gen(name, exp, coeff)
 
 
+# The strategies a composite draws from are built once, here or beside it,
+# not per draw: a strategy built inside a composite is made, unwrapped and
+# validated again for every example.
+_NONZERO = rationals.filter(bool)
+_UNIT_EXPONENTS = st.integers(min_value=-3, max_value=3)
+
+
 @st.composite
 def units(draw):
     """A nonzero rational times a Laurent monomial in ipi2 and t."""
-    out = R.from_rational(draw(rationals.filter(bool)))
+    out = R.from_rational(draw(_NONZERO))
     for name in ("ipi2", "t"):
-        out = out * gen(name, draw(st.integers(min_value=-3, max_value=3)))
+        out = out * gen(name, draw(_UNIT_EXPONENTS))
     return out
 
 
@@ -311,14 +318,22 @@ class TestCanonicalForm:
         assert y._den == 3 and decoded(y) == {(("zeta2", 1),): 1}
 
 
+_RING = ring_elements()
+_PAIRS = st.lists(st.tuples(_RING, _RING), max_size=5)
+# A drawn pool is drawn from by index, through a strategy built once per pool
+# size: up to 5 pairs, and 7 once two are repeated.
+_REPEATS = {n: st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2) for n in range(1, 6)}
+_PERMUTATIONS = {n: st.permutations(range(n)) for n in range(8)}
+
+
 @st.composite
 def product_sums(draw):
     """Pairs of ring elements, with some pairs repeated negated so that whole
     products cancel, in a drawn order."""
-    pairs = draw(st.lists(st.tuples(ring_elements(), ring_elements()), max_size=5))
+    pairs = draw(_PAIRS)
     if pairs:
-        pairs += [(-x, y) for x, y in draw(st.lists(st.sampled_from(pairs), max_size=2))]
-    return draw(st.permutations(pairs))
+        pairs += [(-pairs[i][0], pairs[i][1]) for i in draw(_REPEATS[len(pairs)])]
+    return [pairs[i] for i in draw(_PERMUTATIONS[len(pairs)])]
 
 
 def decoded(x):
@@ -454,15 +469,20 @@ _MANY = tuple(f"e{k}" for k in range(1, 41)) + tuple(f"zeta{k}" for k in range(2
 _TOP = 2**23 - 1  # the largest |exponent| a packed monomial holds
 
 
+_UP_TO_4 = st.integers(min_value=0, max_value=4)
+_LAURENT_NAMES = st.sets(st.sampled_from(_LAURENT), max_size=3)
+_LAURENT_EXPONENTS = st.integers(min_value=-40, max_value=40)
+_MANY_NAMES = st.sets(st.sampled_from(_MANY), max_size=4)
+_MANY_EXPONENTS = st.integers(min_value=1, max_value=6)
+
+
 @st.composite
 def laurent_elements(draw):
     """Up to 4 terms in the Laurent generators, exponents in [-40, 40]."""
     terms = {}
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        names = draw(st.sets(st.sampled_from(_LAURENT), max_size=3))
-        terms[tuple((n, draw(st.integers(min_value=-40, max_value=40))) for n in names)] = draw(
-            rationals
-        )
+    for _ in range(draw(_UP_TO_4)):
+        names = draw(_LAURENT_NAMES)
+        terms[tuple((n, draw(_LAURENT_EXPONENTS)) for n in names)] = draw(rationals)
     return R(terms)
 
 
@@ -470,22 +490,22 @@ def laurent_elements(draw):
 def many_generator_elements(draw):
     """Up to 4 terms over e1..e40 and zeta2..zeta30, so keys span many slots."""
     terms = {}
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        names = draw(st.sets(st.sampled_from(_MANY), max_size=4))
-        terms[tuple((n, draw(st.integers(min_value=1, max_value=6))) for n in names)] = draw(
-            rationals
-        )
+    for _ in range(draw(_UP_TO_4)):
+        names = draw(_MANY_NAMES)
+        terms[tuple((n, draw(_MANY_EXPONENTS)) for n in names)] = draw(rationals)
     return R(terms)
 
 
 packed_elements = st.one_of(laurent_elements(), many_generator_elements(), ring_elements())
 
 
+_WIDE_UNIT_EXPONENTS = st.integers(min_value=-1000, max_value=1000)
+
+
 @st.composite
 def laurent_units(draw):
     """A nonzero rational times ipi2^a t^b u^c, |a|, |b|, |c| <= 1000."""
-    exps = st.integers(min_value=-1000, max_value=1000)
-    return R({tuple((n, draw(exps)) for n in _LAURENT): draw(rationals.filter(bool))})
+    return R({tuple((n, draw(_WIDE_UNIT_EXPONENTS)) for n in _LAURENT): draw(_NONZERO)})
 
 
 class TestPackedMonomials:
@@ -866,18 +886,28 @@ bound_values = st.fixed_dictionaries(
 _DEFAULTED = ("gamma", "zeta2", "zeta3", "zeta5", "ipi2")
 
 
-@st.composite
-def wide_elements(draw, names=("gamma", "zeta2", "zeta3", "ipi2") + _BOUND):
+_WIDE_TERMS = st.integers(0, 6)
+_MAGNITUDES = st.integers(0, 16)
+_WIDE_EXPONENTS = {lo: st.integers(lo, 3).filter(bool) for lo in (-2, 1)}
+
+
+def wide_elements(names=("gamma", "zeta2", "zeta3", "ipi2") + _BOUND):
     """Sums of terms over every kind of generator whose magnitudes differ by
     up to 16 digits, so that the order of a float sum shows in its value."""
-    out = R.zero()
-    for _ in range(draw(st.integers(0, 6))):
-        term = R.from_rational(draw(rationals) * 10 ** draw(st.integers(0, 16)))
-        for name in draw(st.sets(st.sampled_from(names), max_size=3)):
-            lo = -2 if generator_info(name).laurent else 1
-            term = term * gen(name, draw(st.integers(lo, 3).filter(bool)))
-        out = out + term
-    return out
+    name_sets = st.sets(st.sampled_from(names), max_size=3)
+
+    @st.composite
+    def elements(draw):
+        out = R.zero()
+        for _ in range(draw(_WIDE_TERMS)):
+            term = R.from_rational(draw(rationals) * 10 ** draw(_MAGNITUDES))
+            for name in draw(name_sets):
+                lo = -2 if generator_info(name).laurent else 1
+                term = term * gen(name, draw(_WIDE_EXPONENTS[lo]))
+            out = out + term
+        return out
+
+    return elements()
 
 
 class TestEvaluate:
@@ -965,21 +995,25 @@ _SERIAL_GENERATORS = ("u", "ipi2", "t", "gamma", "zeta3", "e2", "delta")
 _SERIAL_LAURENT = ("u", "ipi2", "t")
 
 
+_UP_TO_5 = st.integers(min_value=0, max_value=5)
+_SERIAL_NAMES = st.sets(st.sampled_from(_SERIAL_GENERATORS), max_size=4)
+_SERIAL_EXPONENTS = {
+    True: st.integers(min_value=-6, max_value=6).filter(bool),
+    False: st.integers(min_value=1, max_value=6),
+}
+_SERIAL_NUMERATORS = st.integers(min_value=-(10**30), max_value=10**30)
+_SERIAL_DENOMINATORS = st.integers(min_value=1, max_value=10**30)
+
+
 @st.composite
 def serializable_elements(draw):
     """Up to 5 terms with numerators of either sign and denominators up to
     10**30, over several generators, Laurent ones with negative exponents."""
     terms = {}
-    for _ in range(draw(st.integers(min_value=0, max_value=5))):
-        names = draw(st.sets(st.sampled_from(_SERIAL_GENERATORS), max_size=4))
-        m = tuple(
-            (n, draw(st.integers(min_value=-6, max_value=6).filter(bool)))
-            if n in _SERIAL_LAURENT
-            else (n, draw(st.integers(min_value=1, max_value=6)))
-            for n in names
-        )
-        num = draw(st.integers(min_value=-(10**30), max_value=10**30))
-        terms[m] = Fraction(num, draw(st.integers(min_value=1, max_value=10**30)))
+    for _ in range(draw(_UP_TO_5)):
+        names = draw(_SERIAL_NAMES)
+        m = tuple((n, draw(_SERIAL_EXPONENTS[n in _SERIAL_LAURENT])) for n in names)
+        terms[m] = Fraction(draw(_SERIAL_NUMERATORS), draw(_SERIAL_DENOMINATORS))
     return R(terms)
 
 

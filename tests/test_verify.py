@@ -3,9 +3,9 @@
 Every check in the order-6 report but one is given a broken input, and must
 then fail in the one result shape: an integer degree, plus the offending
 coefficient for an exact check or the residual in `detail` for a numeric one.
-Each injection replaces a name at the site that reads it, and a fixture puts
-back the law and series memos and empties the value-keyed ones, so no broken
-value outlives its test.
+Each injection replaces a name at the site that reads it, and every test
+starts and ends with the package's memos empty, so no broken value outlives
+its test.
 """
 
 from fractions import Fraction
@@ -17,6 +17,8 @@ from genusforge import fgl, genus, symfun, verify
 from genusforge.check import replace
 from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2
+
+pytestmark = pytest.mark.usefixtures("cold")
 
 ORDER = 6
 # An adjudication record: it reports what the candidate conventions give and passes.
@@ -174,19 +176,6 @@ INJECTIONS = {
         genus, "catalog", _law_plus("universal_additive", {(1, 2): Fraction(1, 2)})
     ),
 }
-
-
-@pytest.fixture(autouse=True)
-def _memos_restored():
-    built, series = dict(fgl._BUILT), dict(genus._SERIES)
-    yield
-    fgl._BUILT.clear()
-    fgl._BUILT.update(built)
-    genus._SERIES.clear()
-    genus._SERIES.update(series)
-    for memo in (genus._cpn, genus.witten_series, symfun._chern_power_sums):
-        memo.cache_clear()
-    genus._CHERN_ROWS.clear()
 
 
 @pytest.fixture(scope="module")

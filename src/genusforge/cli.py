@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from genusforge import fgl, genus, verify
+from genusforge.ring import _json_int
 from genusforge.series import Series1, exp_series, log_series, sqrt_series
 
 EXIT_OK = 0
@@ -218,7 +219,7 @@ def _series(args):
             with open(args.input) as handle:
                 text = handle.read()
         obj = json.loads(text)
-        size(obj["order"])
+        size(_json_int(obj["order"], "order"))
         f = Series1.from_obj(obj)
     except (OSError, TypeError, AttributeError, RecursionError,
             ValueError, LookupError, ArithmeticError) as exc:

@@ -403,12 +403,15 @@ def canonical_strict_iso(
     return exponential(target).compose(logarithm(source))
 
 
+@lru_cache(maxsize=16)
 def verify_iso(
     phi: Series1,
     source: Union[FormalGroupLaw, Series2],
     target: Union[FormalGroupLaw, Series2],
 ) -> CheckResult:
-    """Check phi(F(z0,z1)) == G(phi(z0), phi(z1)) to the common order."""
+    """Check phi(F(z0,z1)) == G(phi(z0), phi(z1)) to the common order; the
+    verdict is kept for the 16 most recent (phi, source, target) by value,
+    so equal requests share one CheckResult."""
     F = _law_series(source)
     G = _law_series(target)
     phi = phi.truncate(min(F.order, G.order, phi.order))

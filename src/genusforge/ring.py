@@ -18,6 +18,10 @@ product that could leave that range raises ``ValueError`` instead of wrapping.
 One bounded cache decodes a key to its sorted (name, exponent) tuple, the form
 in which monomials enter and leave the ring.
 
+The constructors work the same way: ``RingElement(terms)`` and ``from_obj``
+bring each term's integer numerator over the lcm of the denominators, sum by
+packed key and reduce once by the gcd, with no Fraction per term.
+
 ``RingElement.dot`` sums products of pairs into one numerator dict and reduces
 once; a product of two elements is its one-pair case, and every sum of
 products in the series and law layers goes through it.  A rational scalar (an
@@ -210,6 +214,23 @@ def _check_exponents(m: Monomial, error: type = ValueError) -> int:
     return top
 
 
+def _ratios(terms: Mapping[Monomial, Rational]):
+    """(monomial, numerator, denominator) of each term of a constructor's
+    mapping, one term at a time; an int or a Fraction is read as it stands."""
+    for m, c in terms.items():
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        yield m, c.numerator, c.denominator
+
+
+def _json_int(value, what: str) -> int:
+    """int(value) for a field of a JSON form; a bool or a float, which int
+    would truncate, is refused."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{what} must be an int or a str, not {type(value).__name__}")
+    return int(value)
+
+
 class RingElement:
     """An exact element of the coefficient ring, immutable and hashable.
 
@@ -226,24 +247,36 @@ class RingElement:
     __slots__ = ("_terms", "_den", "_emax", "_hash", "_order")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Rational]] = None):
-        clean: "dict[int, Fraction]" = {}
+        x = RingElement._sum(_ratios(terms or {}))
+        self._terms, self._den, self._emax = x._terms, x._den, x._emax
+
+    @staticmethod
+    def _sum(terms: "Iterable[tuple[Iterable[tuple[str, int]], int, int]]") -> "RingElement":
+        """sum(num / den * m) over (m, num, den) triples with den != 0.  Each
+        term with num != 0 has its repeated names merged and its zero
+        exponents dropped, then its monomial checked (generator, Laurent,
+        range) in turn; the numerators are brought over the lcm of the
+        denominators and summed by packed key, and _make reduces once."""
+        keyed = []
         emax = 0
-        for m, c in (terms or {}).items():
-            c = Fraction(c)
-            if not c:
+        for m, num, den in terms:
+            if not num:
                 continue
             exps: "dict[str, int]" = {}
             for n, e in m:
                 exps[n] = exps.get(n, 0) + int(e)
             m = tuple(sorted((n, e) for n, e in exps.items() if e))
             emax = max(emax, _check_exponents(m))
-            key = _pack(m)
-            clean[key] = clean.get(key, Fraction(0)) + c
-        clean = {m: c for m, c in clean.items() if c}
-        den = math.lcm(*(c.denominator for c in clean.values()))
-        self._terms = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
-        self._den = den
-        self._emax = emax
+            keyed.append((_pack(m), num, den))
+        lcm = math.lcm(*[den for _, _, den in keyed])
+        out: "dict[int, int]" = {}
+        for key, num, den in keyed:
+            acc = out.get(key, 0) + num * (lcm // den)
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+        return RingElement._make(out, lcm, emax)
 
     @staticmethod
     def _make(terms: "dict[int, int]", den: int, emax: int) -> "RingElement":
@@ -632,12 +665,21 @@ class RingElement:
 
     @staticmethod
     def from_obj(obj: Mapping) -> "RingElement":
-        terms: "dict[Monomial, Fraction]" = {}
+        """The element of a to_obj form.  Every num, den and exponent is an int
+        or a str that int reads; terms with equal exps are summed first."""
+        terms: "dict[Monomial, tuple[Monomial, int, int]]" = {}
         for term in obj["terms"]:
-            c = Fraction(int(term["num"]), int(term["den"]))
-            m = tuple(sorted((str(n), int(e)) for n, e in term["exps"].items()))
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return RingElement(terms)
+            num = _json_int(term["num"], "num")
+            den = _json_int(term["den"], "den")
+            if not den:
+                raise ZeroDivisionError(f"Fraction({num}, 0)")
+            exps = term["exps"].items()
+            m = tuple(sorted((str(n), _json_int(e, "exponent")) for n, e in exps))
+            if m in terms:
+                _, n0, d0 = terms[m]
+                num, den = n0 * den + num * d0, d0 * den
+            terms[m] = m, num, den
+        return RingElement._sum(terms.values())
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
@@ -669,7 +711,8 @@ class RingElement:
         return out
 
 
-_ZERO = RingElement()
+_ZERO = object.__new__(RingElement)  # what _make returns for no terms
+_ZERO._terms, _ZERO._den, _ZERO._emax = {}, 1, 0
 _ONE = RingElement({(): 1})
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, MutableMapping, Optional, TypeVar, Union
 
-from genusforge.ring import RingElement
+from genusforge.ring import RingElement, _json_int
 
 __all__ = [
     "Series1",
@@ -287,7 +287,8 @@ class Series1(_Series):
 
     @staticmethod
     def from_obj(obj: Mapping) -> "Series1":
-        return Series1([RingElement.from_obj(c) for c in obj["coeffs"]], int(obj["order"]))
+        coeffs = [RingElement.from_obj(c) for c in obj["coeffs"]]
+        return Series1(coeffs, _json_int(obj["order"], "order"))
 
     def __repr__(self) -> str:
         parts = [f"({c})*z^{n}" if n else f"({c})" for n, c in self.items()]
@@ -467,7 +468,7 @@ class Series2(_Series):
         for key, c in obj["coeffs"].items():
             i, j = key.split(",")
             coeffs[(int(i), int(j))] = RingElement.from_obj(c)
-        return Series2(coeffs, int(obj["order"]))
+        return Series2(coeffs, _json_int(obj["order"], "order"))
 
     def __repr__(self) -> str:
         parts = [f"({c})*z0^{i}*z1^{j}" for (i, j), c in self.items()]

@@ -36,7 +36,10 @@ every coefficient instead of the verdict the value keeps, and sums of ring
 elements (a power sum, a substitution, the even-zeta reduction) by a
 term-wise + fold instead of one RingElement.dot, a ring element's terms sorted
 afresh on every read instead of in the order the element keeps, and a law
-with bound params substituted afresh instead of kept by value.  The genus
+with bound params substituted afresh instead of kept by value, and a ring
+element built from its terms, or read from its JSON form, by one Fraction per
+term summed into a Fraction dict instead of integer numerators over one lcm
+denominator.  The genus
 series H = z / exp is also built here from any given exponential, outside
 the catalog of genus.genus_series.
 """
@@ -54,6 +57,7 @@ from genusforge.ring import (
     NonUnitError,
     RingElement,
     UnboundGeneratorError,
+    _check_exponents,
     _monomial_key,
     _pack,
     _unpack,
@@ -866,3 +870,41 @@ def substituted_law(law, params):
     if exp is not None:
         exp = exp.map_coefficients(lambda c: termwise_substitute(c, bound))
     return F, exp
+
+
+def fraction_ring_element(terms=None) -> RingElement:
+    """RingElement(terms) with every coefficient read by Fraction and summed
+    per packed monomial as a Fraction, then put over the lcm of the sums'
+    denominators."""
+    clean = {}
+    emax = 0
+    for m, c in (terms or {}).items():
+        c = Fraction(c)
+        if not c:
+            continue
+        exps = {}
+        for n, e in m:
+            exps[n] = exps.get(n, 0) + int(e)
+        m = tuple(sorted((n, e) for n, e in exps.items() if e))
+        emax = max(emax, _check_exponents(m))
+        key = _pack(m)
+        clean[key] = clean.get(key, Fraction(0)) + c
+    clean = {m: c for m, c in clean.items() if c}
+    den = math.lcm(*(c.denominator for c in clean.values()))
+    out = object.__new__(RingElement)
+    out._terms = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+    out._den = den
+    out._emax = emax
+    return out
+
+
+def fraction_from_obj(obj) -> RingElement:
+    """RingElement.from_obj(obj) with each term read as a Fraction, terms of
+    equal exps summed as Fractions, and the sum built by fraction_ring_element.
+    int reads every num, den and exponent, so a bool or a float is truncated."""
+    terms = {}
+    for term in obj["terms"]:
+        c = Fraction(int(term["num"]), int(term["den"]))
+        m = tuple(sorted((str(n), int(e)) for n, e in term["exps"].items()))
+        terms[m] = terms.get(m, Fraction(0)) + c
+    return fraction_ring_element(terms)

@@ -349,6 +349,38 @@ class TestSeriesCommand:
         assert_usage_error(proc)
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"order":3,"coeffs":[{"terms":[]},{"terms":[{"num":1.9,"den":"1","exps":{}}]},'
+             '{"terms":[{"num":"1","den":2.5,"exps":{"t":1.7}}]}]}', "num must be an int or a str, not float"),
+            ('{"order":2,"coeffs":[{"terms":[]},{"terms":[{"num":"1","den":2.5,"exps":{}}]}]}',
+             "den must be an int or a str, not float"),
+            ('{"order":2,"coeffs":[{"terms":[]},{"terms":[{"num":"1","den":"1","exps":{"t":1.7}}]}]}',
+             "exponent must be an int or a str, not float"),
+            ('{"order":2.9,"coeffs":[{"terms":[]},{"terms":[{"num":"1","den":"1","exps":{}}]}]}',
+             "order must be an int or a str, not float"),
+            ('{"order":1e10,"coeffs":[]}', "order must be an int or a str, not float"),
+            ('{"order":true,"coeffs":[{"terms":[]}]}', "order must be an int or a str, not bool"),
+            ('{"order":2,"coeffs":[{"terms":[]},{"terms":[{"num":true,"den":"1","exps":{}}]}]}',
+             "num must be an int or a str, not bool"),
+            ('{"order":2,"coeffs":[{"terms":[]},{"terms":[{"num":"1","den":false,"exps":{}}]}]}',
+             "den must be an int or a str, not bool"),
+            ('{"order":2,"coeffs":[{"terms":[]},{"terms":[{"num":"1","den":"1","exps":{"t":true}}]}]}',
+             "exponent must be an int or a str, not bool"),
+        ],
+    )
+    def test_a_float_or_bool_number_exits_two(self, text, message):
+        """A non-integer JSON number is refused, not truncated."""
+        proc = run_cli("series", "revert", stdin=text)
+        assert_usage_error(proc)
+        assert proc.stderr == f"error: bad series input: {message}\n"
+
+    def test_integer_strings_are_read_as_ints(self):
+        f = {"order": "2", "coeffs": [{"terms": []}, {"terms": [{"num": 2, "den": "-4", "exps": {"t": "1"}}]}]}
+        out = run_json("series", "revert", stdin=json.dumps(f))
+        assert out["coeffs"][1] == {"terms": [{"num": "-2", "den": "1", "exps": {"t": -1}}]}
+
     def test_result_beyond_int_digit_limit_exits_two(self):
         big = {"terms": [{"num": "9" * 1000, "den": "1", "exps": {}}]}
         f = {"order": 6, "coeffs": [{"terms": []}, big]}

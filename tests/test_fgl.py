@@ -344,6 +344,8 @@ class TestIso:
         res = verify_iso(Series1.x(6), a, m)
         assert not res.passed
         assert res.degree == 2
+        again = verify_iso(Series1.x(6), catalog("additive", 6), catalog("multiplicative", 6))
+        assert not again.passed and again == res  # a second call, from the memo
 
     @pytest.mark.parametrize(
         "source, target",
@@ -687,6 +689,30 @@ class TestDerivedDataMemos:
         again = canonical_strict_iso(catalog(source, order), catalog(target, order))
         assert again is first and again == fresh  # a repeated call, from the memo
         assert canonical_strict_iso.cache_info().hits == 1
+
+    @given(_LAW_NAMES, _LAW_NAMES, _ISO_ORDERS)
+    def test_iso_verdict_equals_a_fresh_check(self, source, target, order):
+        a, b = catalog(source, order), catalog(target, order)
+        phi = canonical_strict_iso(a, b)
+        fresh = verify_iso.__wrapped__(phi, a, b)
+        verify_iso.cache_clear()
+        first = verify_iso(phi, a, b)
+        assert first == fresh and first.to_obj() == fresh.to_obj()  # computed
+        again = verify_iso(Series1.from_obj(phi.to_obj()), catalog(source, order), b.F)
+        assert again == fresh and verify_iso.cache_info().hits == 0  # a law and its F differ
+        third = verify_iso(Series1.from_obj(phi.to_obj()), catalog(source, order), b)
+        assert third is first  # an equal phi by value, from the memo
+        assert verify_iso.cache_info().hits == 1
+
+    def test_the_iso_verdict_memo_is_bounded(self):
+        verify_iso.cache_clear()
+        assert verify_iso.cache_info().maxsize == 16
+        a, m = catalog("additive", 4), catalog("multiplicative", 4)
+        for k in range(1, 41):
+            phi = Series1([0, 1, Fraction(k, 2)], 4)
+            assert verify_iso(phi, a, m).degree == (3 if k == 1 else 2)
+            assert verify_iso.cache_info().currsize <= 16
+        assert verify_iso.cache_info().misses == 40
 
     @given(_BINDINGS, st.integers(min_value=2, max_value=8))
     def test_bound_law_equals_the_substitution(self, binding, order):

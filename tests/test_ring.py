@@ -27,6 +27,7 @@ from oracles import FractionRing as F
 from oracles import bernoulli_akiyama_tanigawa, pairwise_dot, per_k_zeta_fraction, tuple_dot
 from oracles import fraction_to_obj, term_by_term_evaluate, termwise_substitute, uncached_hash
 from oracles import folded_reduce, sorted_str, sorted_terms, sorted_to_obj
+from oracles import fraction_from_obj, fraction_ring_element
 
 R = RingElement
 
@@ -1044,6 +1045,124 @@ class TestSerialization:
         itself; it must give what one Fraction per term gives."""
         assert x.to_obj() == fraction_to_obj(x)
         assert R.from_obj(x.to_obj()) == x
+
+
+# Constructor inputs: names repeat inside a monomial and exponents may be
+# zero; only the Laurent generators take negative ones.
+_INPUT_PAIRS = st.one_of(
+    st.tuples(st.sampled_from(("t", "u", "ipi2")), st.integers(min_value=-2, max_value=2)),
+    st.tuples(st.sampled_from(("gamma", "zeta2", "delta")), st.integers(min_value=0, max_value=2)),
+)
+_INPUT_MONOMIALS = st.lists(_INPUT_PAIRS, max_size=3).map(tuple)
+_INPUT_COEFFS = st.one_of(
+    st.integers(min_value=-6, max_value=6), rationals, rationals.map(str), st.just(0)
+)
+_INPUT_TERMS = st.lists(st.tuples(_INPUT_MONOMIALS, _INPUT_COEFFS, st.booleans()), max_size=5)
+_AS_TEXT = st.booleans()
+
+
+@st.composite
+def constructor_inputs(draw):
+    """A mapping for RingElement(); a term flagged True gets a twin that
+    cancels it, keyed by its pairs reversed and a zero exponent of u."""
+    terms = {}
+    for m, c, cancel in draw(_INPUT_TERMS):
+        terms[m] = c
+        if cancel:
+            terms[m[::-1] + (("u", 0),)] = -Fraction(c)
+    return terms
+
+
+@st.composite
+def json_inputs(draw):
+    """A to_obj form: num and den as int or str, a negative den for a
+    negated num, str exponents, and a term flagged True followed by one that
+    cancels it."""
+    terms = []
+    for m, c, cancel in draw(_INPUT_TERMS):
+        c = Fraction(c)
+        num, den = (c.numerator, c.denominator) if draw(_AS_TEXT) else (-c.numerator, -c.denominator)
+        exps = {n: str(e) if draw(_AS_TEXT) else e for n, e in m}
+        num, den = (str(x) if draw(_AS_TEXT) else x for x in (num, den))
+        terms.append({"num": num, "den": den, "exps": exps})
+        if cancel:
+            terms.append({"num": str(-int(num)), "den": den, "exps": dict(exps)})
+    return {"terms": terms}
+
+
+def _outcome(build, arg):
+    """The storage, value and hash build(arg) gives, or its exception's
+    type and message."""
+    try:
+        x = build(arg)
+    except Exception as exc:  # the routes must fail alike
+        return type(exc), str(exc)
+    return x._terms, x._den, x, hash(x)
+
+
+_BAD_TERMS = (
+    ((("foo", 1),), 1),  # unknown generator
+    ((("gamma", -1),), 1),  # negative exponent, not Laurent
+    ((("t", 2**23),), 1),  # beyond the packing range
+    ((("t", 2**22), ("t", 2**22)), 1),  # beyond it once merged
+)
+
+
+class TestConstructorsAgainstFractionFold:
+    """RingElement() and from_obj sum integer numerators over one lcm; they
+    must store, value and hash what the Fraction fold gives, and fail alike."""
+
+    @example({(("t", 1), ("t", -1)): 2, (("gamma", 1),): "3/4", (("gamma", 1), ("u", 0)): -0.75})
+    @example({(("gamma", 1),): 1, (("gamma", 1), ("delta", 0)): -1})
+    @given(constructor_inputs())
+    def test_constructor(self, terms):
+        assert _outcome(R, terms) == _outcome(fraction_ring_element, terms)
+        x = R(terms)
+        assert_canonical(x)
+        exponents = [abs(e) for m in x._terms for _, e in _unpack(m)]
+        assert max(exponents, default=0) <= x._emax <= fraction_ring_element(terms)._emax
+
+    @example({"terms": [{"num": "1", "den": "-2", "exps": {"t": 0}}, {"num": 1, "den": 2, "exps": {}}]})
+    @example({"terms": [{"num": 3, "den": 4, "exps": {"foo": 1}}, {"num": -3, "den": 4, "exps": {"foo": 1}}]})
+    @given(json_inputs())
+    def test_from_obj(self, obj):
+        assert _outcome(R.from_obj, obj) == _outcome(fraction_from_obj, obj)
+        x = R.from_obj(obj)
+        assert_canonical(x)
+        assert max((abs(e) for m in x._terms for _, e in _unpack(m)), default=0) <= x._emax
+
+    @pytest.mark.parametrize("m, c", [*_BAD_TERMS, ((("t", 1),), "1/0")])
+    def test_constructor_errors_alike(self, m, c):
+        for terms in ({m: c}, {(("t", 1),): 1, m: c}):
+            new, old = _outcome(R, terms), _outcome(fraction_ring_element, terms)
+            assert isinstance(new[0], type) and new == old
+
+    @pytest.mark.parametrize("m, c", [*_BAD_TERMS[:3], ((("t", 1),), 0)])
+    @pytest.mark.parametrize("num", [1, -7, 0])
+    def test_from_obj_errors_alike(self, m, c, num):
+        """A zero den is reported as Fraction(num, 0) reports it."""
+        den = "1" if c else "0"
+        obj = {"terms": [{"num": str(num), "den": den, "exps": dict(m)}]}
+        new, old = _outcome(R.from_obj, obj), _outcome(fraction_from_obj, obj)
+        if num or not c:
+            assert isinstance(new[0], type)
+        assert new == old
+
+    @pytest.mark.parametrize("field", ["num", "den", "exps"])
+    @pytest.mark.parametrize("bad", [1.0, 2.5, True, False])
+    def test_from_obj_refuses_floats_and_bools(self, field, bad):
+        """int would truncate a float and read a bool as 0 or 1; from_obj
+        refuses both and names the field."""
+        term = {"num": "1", "den": "2", "exps": {"t": 1}}
+        term[field] = {"t": bad} if field == "exps" else bad
+        what = "exponent" if field == "exps" else field
+        with pytest.raises(TypeError, match=f"^{what} must be an int or a str, not {type(bad).__name__}$"):
+            R.from_obj({"terms": [term]})
+
+    @pytest.mark.parametrize("bad", [3.0, True])
+    def test_series_from_obj_refuses_a_float_or_bool_order(self, bad):
+        with pytest.raises(TypeError, match="^order must be an int or a str"):
+            Series1.from_obj({"order": bad, "coeffs": []})
 
 
 @given(ring_elements())

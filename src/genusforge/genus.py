@@ -35,11 +35,14 @@ from genusforge.ring import (
     zeta_numeric,
     zeta_tilde_even,
 )
-from genusforge.series import Series1, _unit_power, build_once, exp_series, log_series, sqrt_series
+from genusforge.series import (
+    InsufficientOrderError, Series1, _unit_power, build_once, exp_series, log_series, sqrt_series
+)
 from genusforge.symfun import (
     SymPoly,
     _roots,
     convert,
+    exp_of_power_sums,
     multiplicative_sequence,
     power_sum_over,
     series_product_over_alphabet,
@@ -75,10 +78,6 @@ __all__ = [
 
 _ZERO = RingElement.zero()
 _ONE = RingElement.one()
-
-
-class InsufficientOrderError(ValueError):
-    """The series order is too small for the requested evaluation."""
 
 
 class IncompleteChernTableError(ValueError):
@@ -430,15 +429,6 @@ def _roots_pm(m: int) -> "list[RingElement]":
     return [x for r in _roots(m) for x in (r, -r)]
 
 
-def _even_zeta_exponential(order: int) -> Series1:
-    """exp(sum_j zeta(2j) x^(2j) / j): the raw even-zeta expansion of
-    Gamma(1+x)Gamma(1-x)."""
-    arg = [_ZERO] * (order + 1)
-    for j in range(1, order // 2 + 1):
-        arg[2 * j] = RingElement.gen(f"zeta{2 * j}", coeff=Fraction(1, j))
-    return exp_series(Series1(arg, order))
-
-
 def msp_agreement_check(order: int, m: int, mutant: bool = False) -> CheckResult:
     """Conjugated product of Gamma series against the A-hat series.
 
@@ -457,8 +447,11 @@ def msp_agreement_check(order: int, m: int, mutant: bool = False) -> CheckResult
     else:
         alphabet = _roots_pm(m)
     lhs = series_product_over_alphabet(g_raw.H, alphabet, order)
-    target = _even_zeta_exponential(order)
-    raw = lhs - series_product_over_alphabet(target, roots, order)
+    zeta_log = [_ZERO] * (order + 1)  # Gamma(1+x) Gamma(1-x) = exp(sum_j zeta(2j) x^2j / j)
+    for j in range(1, order // 2 + 1):
+        zeta_log[2 * j] = RingElement.gen(f"zeta{2 * j}", coeff=Fraction(1, j))
+    sums = [power_sum_over(roots, k) for k in range(1, order + 1)]
+    raw = lhs - exp_of_power_sums(zeta_log, sums, order)
     defect = first_defect(raw.items(), "raw layer")
     if not defect.passed:
         return defect
@@ -479,11 +472,11 @@ def ahat_pontryagin_identity(order: int, m: int) -> CheckResult:
         raise ValueError("m must be >= 1")
     roots = _roots(m)
     lhs = series_product_over_alphabet(half_sinh_ratio(order), roots, order)
-    arg = [_ZERO] * (order + 1)
+    b, s_so = [0] * (order + 1), [_ZERO] * order
     for k in range(1, order // 2 + 1):
-        s_so = power_sum_over(roots, 2 * k) * 2
-        arg[2 * k] = s_so * (-bernoulli(2 * k) / (math.factorial(2 * k) * 4 * k))
-    diff = lhs - exp_series(Series1(arg, order))
+        b[2 * k] = -bernoulli(2 * k) / (math.factorial(2 * k) * 4 * k)
+        s_so[2 * k - 1] = power_sum_over(roots, 2 * k) * 2
+    diff = lhs - exp_of_power_sums(b, s_so, order)
     k1 = -bernoulli(2) / (math.factorial(2) * 4)
     pins = [zeta_tilde_even(1) / 2, Fraction(-1, 48)]
     return first_defect(

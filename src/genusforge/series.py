@@ -20,6 +20,7 @@ __all__ = [
     "Series1",
     "Series2",
     "BadConstantTermError",
+    "InsufficientOrderError",
     "NonUnitDivisionError",
     "NotRevertibleError",
     "bivariate_from_exp",
@@ -47,6 +48,10 @@ class NotRevertibleError(ArithmeticError):
 
 class BadConstantTermError(ArithmeticError):
     """exp/log/sqrt/compose input has the wrong constant term."""
+
+
+class InsufficientOrderError(ValueError):
+    """The series order is too small for the requested evaluation."""
 
 
 def _coerce_elem(value: Scalar) -> RingElement:

@@ -1,16 +1,20 @@
 """Symmetric functions in the elementary / complete / power-sum bases.
 
-Conversions run through the generating-function identities
+One engine, exp_of_power_sums, serves every product over an alphabet: with
+log H(t) = sum_k b_k t^k and s_k the alphabet's power sums, Pi_a H(a t) =
+exp(sum_k b_k s_k t^k) (Hirzebruch, Topological Methods in Algebraic
+Geometry, sec. 1).  Basis conversions are its instances H = 1 + t and
+H = 1 / (1 - t), with the duality between them:
 
     sum_k e_k z^k = exp(sum_n (-1)^(n+1) s_n z^n / n),
     sum_k h_k z^k = exp(sum_n s_n z^n / n),
     (sum_k h_k z^k) * (sum_k e_k (-z)^k) = 1,
 
-so a single engine serves basis changes, the zeta-value specialization, the
-Chern-to-Pontryagin rewriting in the squared alphabet, and Hirzebruch
-multiplicative sequences.  Root expansions over x_1..x_m, the independent
-oracle for all of it, live in the test oracles; the root polynomials kept
-here serve the symplectic check and the e-basis rewriting below.
+and so are products over explicit roots and Hirzebruch multiplicative
+sequences (s_k in the Chern classes by Newton's identity).  Root expansions
+over x_1..x_m, the independent oracle for all of it, live in the test
+oracles; the root polynomials kept here serve the symplectic check and the
+e-basis rewriting below.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 from genusforge.check import CheckResult, Record, first_defect
 from genusforge.ring import RingElement, _monomial_weight
-from genusforge.series import Series1, exp_series, log_series
+from genusforge.series import InsufficientOrderError, Series1, exp_series, log_series
 
 __all__ = [
     "ChernPolynomial",
@@ -29,6 +33,7 @@ __all__ = [
     "NotSymmetricError",
     "SymPoly",
     "convert",
+    "exp_of_power_sums",
     "multiplicative_sequence",
     "pontryagin_from_chern",
     "power_sum_over",
@@ -113,15 +118,6 @@ class SymPoly(Record):
 # -- basis conversion tables ----------------------------------------------------
 
 
-def _p_series(degree: int, signs: bool) -> Series1:
-    """sum_n ((-1)^(n+1) if signs else 1) s_n z^n / n to the given degree."""
-    coeffs = [_ZERO]
-    for n in range(1, degree + 1):
-        sign = (-1) ** (n + 1) if signs else 1
-        coeffs.append(RingElement.gen(f"s{n}", coeff=Fraction(sign, n)))
-    return Series1(coeffs, degree)
-
-
 def _gen_series(prefix: str, degree: int, sign: int = 1) -> Series1:
     """1 + sum_k sign^k g_k z^k for the generators g_k = prefix + k."""
     gens = [RingElement.gen(f"{prefix}{k}", coeff=sign**k) for k in range(1, degree + 1)]
@@ -135,7 +131,9 @@ def _conversion_table(src: str, dst: str, degree: int) -> "dict[str, RingElement
     names = [f"{_BASIS_PREFIX[src]}{k}" for k in range(1, degree + 1)]
     if dst == "P":
         # E(z) = exp(sum (-1)^(n+1) s_n z^n / n), H(z) = exp(sum s_n z^n / n)
-        series = exp_series(_p_series(degree, signs=src == "E"))
+        b = [0] + [Fraction((-1) ** (n + 1) if src == "E" else 1, n) for n in range(1, degree + 1)]
+        sums = [RingElement.gen(f"s{n}") for n in range(1, degree + 1)]
+        series = exp_of_power_sums(b, sums, degree)
         return {name: series[k] for k, name in enumerate(names, 1)}
     if src == "P":
         # the inverse: s_k = k [z^k] log H(z) = (-1)^(k+1) k [z^k] log E(z)
@@ -166,11 +164,8 @@ def _roots(m: int) -> "list[RingElement]":
 
 
 def elementary_in_roots(k: int, m: int) -> RingElement:
-    """e_k(x_1..x_m) via the product Pi (1 + x_i z)."""
-    prod = Series1.constant(1, k)
-    for r in _roots(m):
-        prod = prod * Series1([_ONE, r], k)
-    return prod[k]
+    """e_k(x_1..x_m), the z^k coefficient of Pi (1 + x_i z)."""
+    return series_product_over_alphabet(Series1([1, 1], k), _roots(m), k)[k]
 
 
 def power_sum_over(alphabet: Sequence[RingElement], k: int) -> RingElement:
@@ -209,9 +204,9 @@ def _split_roots(f: RingElement, m: int):
 def truncate_roots(f: RingElement, cap: int) -> RingElement:
     """Drop monomials of root degree greater than cap.
 
-    The library no longer calls this (alphabet products truncate by their
-    grading); it is kept because the benchmark tracer wraps it by name, and
-    the test oracle for alphabet products uses it.
+    The library no longer calls this (an alphabet product is an exponential
+    of power sums, exp_of_power_sums); it is kept because the benchmark
+    tracer wraps it by name, and the test oracle for alphabet products uses it.
     """
     keep = {}
     for mono, c in f.terms():
@@ -333,38 +328,42 @@ def symplectic_power_sum_check(m: int, k: int) -> CheckResult:
     return first_defect([(2 * k, even), (2 * k + 1, power_sum_over(doubled, 2 * k + 1))])
 
 
-# -- multiplicative sequences ------------------------------------------------------------
+# -- products over an alphabet ------------------------------------------------------------
 
 
-def series_product_over_alphabet(
-    H: Series1, alphabet: Sequence[RingElement], cap: int
-) -> Series1:
-    """Pi_a H(a t) truncated at t^cap, in a grading variable t.
+def exp_of_power_sums(b, sums: Sequence[RingElement], n: int) -> Series1:
+    """exp(sum_{k<=n} b_k s_k t^k) for b_k = b[k], rational or a ring
+    element, and s_k = sums[k - 1]: Pi_a H(a t) to t^n over an alphabet with
+    power sums s_k, for log H = sum_k b_k t^k (see the module docstring)."""
+    return exp_series(Series1([_ZERO] + [sums[k - 1] * b[k] for k in range(1, n + 1)], n))
 
-    The factor for a has coefficient H[k] a^k at t^k.  Every alphabet entry
-    used here is a root +-x_i of root degree 1, so the t^k coefficient of the
-    product is exactly its root-degree-k part, and truncating in t is
-    truncating by root degree.
-    """
-    result = Series1.constant(1, cap)
-    for a in alphabet:
-        result = result * Series1([H[k] * a**k for k in range(cap + 1)], cap)
-    return result
+
+def _characteristic_log(H: Series1, n: int) -> Series1:
+    """log H to order n: the engine's entry check for a caller holding H.
+    H must start at 1 (else ValueError) and be known to order n (else
+    InsufficientOrderError: no product reads an unknown coefficient as 0)."""
+    if not H[0].is_one():
+        raise ValueError("characteristic series must have constant term 1")
+    if H.order < n:
+        raise InsufficientOrderError(f"series order {H.order} < n = {n}")
+    return log_series(H.truncate(n))
+
+
+def series_product_over_alphabet(H: Series1, alphabet: Sequence[RingElement], cap: int) -> Series1:
+    """Pi_a H(a t) to t^cap, in a grading variable t, for H(0) = 1 and H known
+    to order cap: exp(sum_k b_k p_k(alphabet) t^k) for log H = sum_k b_k t^k.
+    Over roots +-x_i, the t^k coefficient is the root-degree-k part."""
+    b = _characteristic_log(H, cap)
+    return exp_of_power_sums(b, [power_sum_over(alphabet, k) for k in range(1, cap + 1)], cap)
 
 
 def multiplicative_sequence(H: Series1, n: int) -> "list[ChernPolynomial]":
-    """The Hirzebruch sequence K_1..K_n of a characteristic series H (H(0)=1).
-
-    With log H(x) = sum_k b_k x^k, the product Pi_i H(x_i) over the Chern
-    roots is exp(sum_k b_k s_k), so K_j is the graded coefficient j of that
-    exponential, with each power sum s_k written in c_1..c_k by Newton's
-    identity.  No roots are introduced.
+    """The Hirzebruch sequence K_1..K_n of a characteristic series H (H(0)=1)
+    known to order n: K_j is the graded coefficient j of the product over the
+    Chern roots, exp(sum_k b_k s_k) with log H(x) = sum_k b_k x^k, each power
+    sum s_k written in c_1..c_k by Newton's identity.  No roots are introduced.
     """
-    if not H[0].is_one():
-        raise ValueError("characteristic series must have constant term 1")
-    b = log_series(Series1([H[k] for k in range(n + 1)], n))
-    exponent = [_ZERO] + [b[k] * s for k, s in enumerate(_chern_power_sums(n), 1)]
-    K = exp_series(Series1(exponent, n))
+    K = exp_of_power_sums(_characteristic_log(H, n), _chern_power_sums(n), n)
     return [ChernPolynomial(K[j], "c") for j in range(1, n + 1)]
 
 

@@ -12,7 +12,8 @@ exponential by reducing every expanded coefficient instead of the argument
 of exp, group laws from an exponential by Horner composition, or by the
 bilinear form over Lagrange-Buermann rows, instead of the bilinear form
 over the reversion's power table, compositions by Horner loops at the full order instead of sums over powers, the negation series as the root of F(z, i) = 0 by a full-order evaluation per degree instead of exp(-log z), n-series by iterating F instead of exp(n log z), products over an alphabet of Chern roots by full root
-polynomials truncated by root degree instead of a graded series,
+polynomials truncated by root degree after every factor instead of one
+exponential of power sums,
 multiplicative sequences from that root product instead of power sums,
 symmetric functions by substituting root polynomials for their basis
 generators instead of the generating-function conversions, elementary

@@ -43,6 +43,8 @@ from oracles import (
     milnor_chern_numbers,
     milnor_residue_genus,
     pairwise_power_cpn,
+    root_degree_part,
+    root_product,
     series_from_exponential,
     termwise_sum,
 )
@@ -597,6 +599,27 @@ class TestMspAgreement:
         # the surviving weight-1 defect is -2 gamma (x1 + x2)
         expected = -2 * gen("gamma") * (gen("x1") + gen("x2"))
         assert res.coefficient == expected
+
+
+def _root_route(H, alphabet, cap):
+    """series_product_over_alphabet by the root oracle: the root product,
+    truncated by root degree after every factor, split into its degrees."""
+    prod = root_product(H, alphabet, cap)
+    return Series1([root_degree_part(prod, k) for k in range(cap + 1)], cap)
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_msp_and_ahat_records_match_the_root_route(order, monkeypatch):
+    """The records verify reads from msp_agreement_check (m = 1, 2, 3 and the
+    mutant) and ahat_pontryagin_identity are those of the root product."""
+    checks = [lambda m=m: msp_agreement_check(order, m) for m in (1, 2, 3)] + [
+        lambda: msp_agreement_check(order, 2, mutant=True),
+        lambda: ahat_pontryagin_identity(order, 3),
+    ]
+    engine = [check() for check in checks]
+    monkeypatch.setattr(genus, "series_product_over_alphabet", _root_route)
+    assert [check() for check in checks] == engine
+    assert [r.passed for r in engine] == [True, True, True, False, True]
 
 
 class TestAhatPontryagin:

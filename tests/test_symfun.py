@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from genusforge import symfun
+from genusforge import genus, series, symfun
 from genusforge.ring import RingElement
-from genusforge.series import Series1, exp_series
+from genusforge.series import InsufficientOrderError, Series1, exp_series
 from genusforge.symfun import (
     NotSymmetricError,
     OddContentError,
@@ -222,6 +222,15 @@ class TestMultiplicativeSequence:
         with pytest.raises(ValueError):
             multiplicative_sequence(Series1.x(4), 4)
 
+    def test_reads_no_coefficient_beyond_the_order(self):
+        """Todd known to order 2 has no K_4; read as zeros, H_3 and H_4 gave
+        1/144*c1*c3 + 1/144*c2^2 - 1/144*c4."""
+        with pytest.raises(InsufficientOrderError, match="series order 2 < n = 4"):
+            multiplicative_sequence(self._todd(4).truncate(2), 4)
+        assert multiplicative_sequence(self._todd(4).truncate(2), 2) == (
+            multiplicative_sequence(self._todd(4), 2)
+        )
+
     def test_cached_power_sums_match_a_fresh_substitution(self):
         for n in range(1, 9):
             chern = {f"e{k}": gen(f"c{k}") for k in range(1, n + 1)}
@@ -262,12 +271,20 @@ def scalars(draw, universal=False):
 
 
 @st.composite
-def char_series(draw, unit=False, universal=False):
-    order = draw(st.integers(min_value=0, max_value=6))
+def char_series(draw, unit=False, universal=False, min_order=0):
+    order = draw(st.integers(min_value=min_order, max_value=6))
     coeffs = draw(st.lists(scalars(universal), min_size=order + 1, max_size=order + 1))
     if unit:
         coeffs[0] = R.one()
     return Series1(coeffs, order)
+
+
+@st.composite
+def within_order(draw, low, high, universal=False):
+    """(H, n): n drawn from low..high, then a characteristic series H known to
+    order n or more, since no product reads a coefficient beyond H's order."""
+    n = draw(st.integers(min_value=low, max_value=high))
+    return draw(char_series(unit=True, universal=universal, min_order=n)), n
 
 
 @st.composite
@@ -288,29 +305,74 @@ def graded_root_series(draw):
 
 
 class TestGradedAgainstRootOracles:
-    @given(
-        char_series(),
-        st.lists(_signed_roots, max_size=4),
-        st.integers(min_value=0, max_value=6),
-    )
-    def test_alphabet_product(self, H, alphabet, cap):
+    @given(within_order(0, 6), st.lists(_signed_roots, max_size=4))
+    def test_alphabet_product(self, H_cap, alphabet):
+        H, cap = H_cap
         graded = series_product_over_alphabet(H, alphabet, cap)
         oracle = root_product(H, alphabet, cap)
         assert graded.order == cap
         for k in range(cap + 1):
             assert graded[k] == root_degree_part(oracle, k), k
 
-    @given(char_series(unit=True, universal=True), st.integers(min_value=1, max_value=4))
-    def test_multiplicative_sequence(self, H, n):
+    @given(within_order(1, 4, universal=True))
+    def test_multiplicative_sequence(self, H_n):
+        H, n = H_n
         got = [k.poly for k in multiplicative_sequence(H, n)]
         assert got == root_multiplicative_sequence(H, n)
 
     # The root oracle costs up to seconds per example at rank 6.
     @settings(max_examples=4)
-    @given(char_series(unit=True, universal=True), st.integers(min_value=5, max_value=6))
-    def test_multiplicative_sequence_at_ranks_5_and_6(self, H, n):
+    @given(within_order(5, 6, universal=True))
+    def test_multiplicative_sequence_at_ranks_5_and_6(self, H_n):
+        H, n = H_n
         got = [k.poly for k in multiplicative_sequence(H, n)]
         assert got == root_multiplicative_sequence(H, n)
+
+    @given(st.booleans(), char_series(), st.lists(_signed_roots, max_size=4), st.integers(0, 6))
+    def test_alphabet_product_checks_its_entry(self, unit, H, alphabet, cap):
+        """Only a characteristic series known to order cap has a product."""
+        if unit:
+            H = Series1([1, *H.coefficients()[1:]], H.order)
+        if not H[0].is_one():
+            with pytest.raises(ValueError, match="constant term 1"):
+                series_product_over_alphabet(H, alphabet, cap)
+        elif cap > H.order:
+            with pytest.raises(InsufficientOrderError, match=f"series order {H.order} < n = {cap}"):
+                series_product_over_alphabet(H, alphabet, cap)
+        else:
+            assert series_product_over_alphabet(H, alphabet, cap).order == cap
+
+    def test_a_product_reads_no_coefficient_beyond_the_order(self):
+        todd = genus.genus_series("todd", 4).H
+        alphabet = [gen("x1"), -gen("x1")]
+        with pytest.raises(InsufficientOrderError, match="series order 2 < n = 4"):
+            series_product_over_alphabet(todd.truncate(2), alphabet, 4)
+        assert series_product_over_alphabet(todd.truncate(2), alphabet, 2) == (
+            series_product_over_alphabet(todd, alphabet, 4).truncate(2)
+        )
+
+    def test_one_error_class_in_series_and_genus(self):
+        assert genus.InsufficientOrderError is series.InsufficientOrderError
+        assert symfun.InsufficientOrderError is series.InsufficientOrderError
+        assert issubclass(InsufficientOrderError, ValueError)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_a_product_is_one_log_and_one_exp(self, m, monkeypatch):
+        """Over 2m roots: one log_series, one exp_series and no Series1
+        product, so a fallback to multiplying factor by factor fails."""
+        H = genus.genus_series("gamma_raw", 8).H
+        calls = []
+
+        def counted(name, original):
+            return lambda *args: calls.append(name) or original(*args)
+
+        for name in ("log_series", "exp_series"):
+            monkeypatch.setattr(symfun, name, counted(name, getattr(symfun, name)))
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(Series1, name, counted("mul", getattr(Series1, name)))
+        alphabet = [x for r in roots(m) for x in (r, -r)]
+        series_product_over_alphabet(H, alphabet, 8)
+        assert calls == ["log_series", "exp_series"]
 
     def test_universal_sequence_keeps_both_alphabets(self):
         from genusforge.genus import genus_series

@@ -33,9 +33,9 @@ print("verify:", verify_iso(phi, closed, target).status)
 print()
 
 print("sweep of the candidate coordinate change:")
-for rec in mobius_sweep(8):
+for trial in mobius_sweep(8):
     print(
-        f"   {rec['convention']:12s} -> {rec['target']:16s} "
-        f"{rec['status']}"
-        + (f" (degree {rec['fail_degree']})" if rec["fail_degree"] else "")
+        f"   {trial.convention:12s} -> {trial.target:16s} "
+        f"{trial.status}"
+        + (f" (degree {trial.fail_degree})" if trial.fail_degree else "")
     )

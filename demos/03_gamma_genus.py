@@ -37,7 +37,11 @@ for n in range(1, 5):
 print()
 
 print("Mishchenko logarithm identity:", mishchenko_check(raw).status)
-print("structure of the normalized series:", normalized_gamma_report(8).to_obj())
+report = normalized_gamma_report(8)
+parts = dict(report.extra)  # its three parts, shown in the order they are checked
+shown = {"status": report.status}
+shown.update((k, parts[k]) for k in ("linear_term", "even_part_is_sqrt_sinh", "odd_sum_sign"))
+print("structure of the normalized series:", shown)
 print()
 
 for m in (1, 2, 3):
@@ -48,4 +52,4 @@ print()
 print("numeric cross-check against 1/Gamma:")
 for z0 in (Fraction(1, 4), Fraction(1, 2), Fraction(-1, 3)):
     rep = numeric_gamma_validation(z0, 20, 1e-8)
-    print(f"   z0 = {z0}: {rep.status} (residual {rep.extra['residual']:.2e})")
+    print(f"   z0 = {z0}: {rep.status} (residual {dict(rep.extra)['residual']:.2e})")

@@ -5,13 +5,14 @@ degree.  Every check decides through one of two rules here: an exact check is
 `first_defect` over (index, difference) pairs and a failure also carries the
 offending coefficient; a numeric check is `first_residual` over (degree,
 residual) pairs and a failure puts the residual in `detail`.  Extra fields
-(notes, numeric residuals, sub-checks) ride along in `extra` and are merged
-into the JSON record.  Record is the base of every value class of the package.
+(notes, numeric residuals, sub-checks) ride along in `extra` as sorted (key,
+value) pairs and are merged into the JSON record.  Record is the base of every
+value class of the package; a field holds only immutable values.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from genusforge.ring import RingElement
 
@@ -21,10 +22,12 @@ _REQUIRED = object()  # the template value of a field without a default
 
 
 class Record:
-    """An immutable record of its class's annotated fields, in order; a default is a class
-    attribute, a dict one copied per record.  `__post_init__` validates, also in `replace`."""
+    """An immutable record of its class's annotated fields, in order, each an immutable
+    value (a number, a string, None, a record, a tuple of these or another hashable value);
+    a default is a class attribute.  Equality, the hash and pickling read every field alike,
+    and `__post_init__` validates, also in `replace`."""
 
-    _fields, _unhashed = (), ()
+    _fields = ()
 
     def __init_subclass__(cls):
         own = cls.__dict__.get("__annotations__")  # none: keep the parent's fields
@@ -32,8 +35,6 @@ class Record:
             cls._fields = tuple(own)
             cls._template = {name: cls.__dict__.get(name, _REQUIRED) for name in own}
             cls._required = tuple(k for k, v in cls._template.items() if v is _REQUIRED)
-            cls._fresh = tuple(k for k, v in cls._template.items() if isinstance(v, dict))
-        cls._hashed = tuple(name for name in cls._fields if name not in cls._unhashed)
 
     def __init__(self, *args, **kwargs):
         fields, d = self._fields, self.__dict__
@@ -49,9 +50,6 @@ class Record:
             ok = ok and d[name] is not _REQUIRED
         if not ok:
             raise TypeError(f"{type(self).__name__} takes each of the fields {fields} once")
-        for name in self._fresh:
-            if d[name] is self._template[name]:
-                d[name] = dict(d[name])
         self.__post_init__()
 
     def __post_init__(self):
@@ -66,7 +64,7 @@ class Record:
         return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(tuple([self.__dict__[name] for name in self._hashed]))
+        return hash(tuple(self.__dict__.values()))
 
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
@@ -88,8 +86,7 @@ class CheckResult(Record):
     degree: Optional[int] = None
     coefficient: Optional[RingElement] = None
     detail: Optional[str] = None
-    extra: "Mapping[str, object]" = {}
-    _unhashed = ("extra",)
+    extra: "tuple[tuple[str, object], ...]" = ()  # sorted by key
 
     @property
     def passed(self) -> bool:
@@ -104,17 +101,23 @@ class CheckResult(Record):
                 obj["coefficient"] = self.coefficient.to_obj()
         if self.detail:
             obj["detail"] = self.detail
-        for key, value in self.extra.items():
-            obj[key] = value.to_obj() if isinstance(value, CheckResult) else value
+        obj.update((key, _plain(value)) for key, value in self.extra)
         return obj
 
     @staticmethod
     def ok(**extra) -> "CheckResult":
-        return CheckResult("PASS", extra=extra)
+        return CheckResult("PASS", extra=tuple(sorted(extra.items())))
 
     @staticmethod
     def fail(degree: int, coefficient=None, detail=None, **extra) -> "CheckResult":
-        return CheckResult("FAIL", degree, coefficient, detail, extra)
+        return CheckResult("FAIL", degree, coefficient, detail, tuple(sorted(extra.items())))
+
+
+def _plain(value):
+    """An extra value's JSON form, in new containers: a record's to_obj, a tuple's list."""
+    if isinstance(value, Record):
+        return value.to_obj()
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 Index = Union[int, Tuple[int, ...]]

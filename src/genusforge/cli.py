@@ -191,8 +191,9 @@ def _genus_cpn(args):
 
 def _genus_chern(args):
     # The descriptor checks the table, so a bad one is rejected before the
-    # series, the costly part, is built.  _parse_chern gives from_chern's form.
-    descriptor = genus.ManifoldDescriptor(chern_dim=args.dim, chern=_parse_chern(args.chern))
+    # series, the costly part, is built.  _parse_chern gives from_chern's keys and values.
+    chern = tuple(sorted(_parse_chern(args.chern).items()))
+    descriptor = genus.ManifoldDescriptor(chern_dim=args.dim, chern=chern)
     g = genus.genus_series(args.series, args.dim, args.presentation)
     value = genus.genus_of(g, descriptor).to_obj()
     return {"series": g.name, "dim": args.dim, "value": value}, True

@@ -32,6 +32,7 @@ from genusforge.series import (
 __all__ = [
     "AxiomReport",
     "FormalGroupLaw",
+    "MobiusTrial",
     "UnknownLawError",
     "CATALOG",
     "EXPONENTIALS",
@@ -111,8 +112,8 @@ class AxiomReport(Record):
         named in `detail`, with the whole report as the `report` extra."""
         for name, part in vars(self).items():
             if not part.passed:
-                return CheckResult.fail(part.degree, part.coefficient, name, report=self.to_obj())
-        return CheckResult.ok(report=self.to_obj())
+                return CheckResult.fail(part.degree, part.coefficient, name, report=self)
+        return CheckResult.ok(report=self)
 
     def to_obj(self) -> dict:
         return {name: "PASS" if part.passed else part.to_obj() for name, part in vars(self).items()}
@@ -236,14 +237,8 @@ def _build(name: str, order: int) -> FormalGroupLaw:
         delta = RingElement.gen("delta")
         eps = RingElement.gen("epsilon")
         quartic = Series1([1, 0, -2 * delta, 0, eps], order)
-        R = sqrt_series(quartic)
-        zR: "dict[tuple[int, int], RingElement]" = {}
-        for k in range(order):
-            c = R[k]
-            if not c.is_zero():
-                zR[(1, k)] = zR.get((1, k), _ZERO) + c
-                zR[(k, 1)] = zR.get((k, 1), _ZERO) + c
-        num = Series2(zR, order)
+        half = Series2({(1, 0): 1}, order) * Series2.from_series1(sqrt_series(quartic), 1)
+        num = half + half.swap()  # z0 R(z1) + z1 R(z0), R the square root of the quartic
         den = Series2({(0, 0): 1, (2, 2): -eps}, order)
         return FormalGroupLaw(num * den.inverse(), name)
     if name == "broken_demo":
@@ -435,22 +430,36 @@ _MOBIUS_TARGETS = {
 }
 
 
-def mobius_sweep(order: int = 12) -> "list[dict]":
+class MobiusTrial(Record):
+    """One reading of the candidate coordinate change tried onto one target."""
+
+    convention: str
+    target: str
+    normalized_unit: bool
+    strict_linear_term: bool
+    status: str
+    fail_degree: Optional[int]
+
+    def to_obj(self) -> dict:
+        return dict(vars(self))
+
+
+def mobius_sweep(order: int = 12) -> "tuple[MobiusTrial, ...]":
     """Adjudicate the candidate coordinate change for the deformation law.
 
     For each reading of the fractional-linear action (row/column, matrix or
     its inverse) the candidate phi(z) = (1+t)^{-1} log w(z) is tested as a
-    strict isomorphism from the deformation law onto each of three targets.
-    The scale (1+t)^{-1} is handled by clearing denominators: for a target
-    y0 + y1 + m*y0*y1 the identity is (1+t) L(F) == (1+t)(L0 + L1) + m L0 L1,
-    with L = log of the (unit-normalized) Moebius image.  Each record also
+    strict isomorphism from the deformation law onto each of three targets, one
+    MobiusTrial each.  The scale (1+t)^{-1} is handled by clearing denominators:
+    for a target y0 + y1 + m*y0*y1 the identity is (1+t) L(F) == (1+t)(L0 + L1)
+    + m L0 L1, with L = log of the (unit-normalized) Moebius image.  Each trial also
     notes whether the Moebius image needed normalizing (w(0) != 1) and
     whether phi is strict (phi'(0) == 1, i.e. L'(0) == 1+t).
     """
     t = RingElement.gen("t")
     c_scale = 1 + t
     F = catalog("kontsevich", order).F
-    records = []
+    out = []
     for conv_name, (a, b, c, d) in _MOBIUS_CONVENTIONS.items():
         lift = lambda v: RingElement.gen("t") if v == "t" else RingElement.from_rational(v)
         num = Series1([lift(b), lift(a)], order)
@@ -470,14 +479,6 @@ def mobius_sweep(order: int = 12) -> "list[dict]":
             m_elem = RingElement.gen("t") if m == "t" else RingElement.from_rational(m)
             rhs = base + cross * m_elem
             defect = first_defect((lhs - rhs).items())
-            records.append(
-                {
-                    "convention": conv_name,
-                    "target": target_name,
-                    "normalized_unit": normalized,
-                    "strict_linear_term": strict,
-                    "status": defect.status,
-                    "fail_degree": defect.degree,
-                }
-            )
-    return records
+            trial = (conv_name, target_name, normalized, strict, defect.status, defect.degree)
+            out.append(MobiusTrial(*trial))
+    return tuple(out)

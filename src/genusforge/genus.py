@@ -251,12 +251,23 @@ class ManifoldDescriptor(Record):
 
     projective: "Optional[tuple[int, ...]]" = None
     chern_dim: Optional[int] = None
-    chern: "Optional[Mapping[tuple[int, ...], Fraction]]" = None
-    _unhashed = ("chern",)  # a dict is unhashable; equal descriptors still hash equally
+    chern: "Optional[tuple[tuple[tuple[int, ...], Fraction], ...]]" = None  # sorted pairs
 
     def __post_init__(self):
-        if self.chern is not None and self.chern_dim is not None:
-            _check_chern_table(self.chern_dim, set(self.chern))
+        """Reject a table whose keys are not the partitions of d, each once: weights
+        and the count p(d) first, so a bad table is rejected before listing partitions."""
+        d, table = self.chern_dim, self.chern
+        if table is None or d is None:
+            return
+        if type(table) is not tuple:
+            raise TypeError("chern is a tuple of (partition, value) pairs; see from_chern")
+        keys = [lam for lam, _ in table]
+        if (
+            any(sum(key) != d for key in keys)
+            or len(keys) != _partition_count(d)
+            or set(keys) != _partition_set(d)
+        ):
+            raise IncompleteChernTableError(f"chern table keys {sorted(keys)} != partitions of {d}")
 
     @staticmethod
     def projective_product(dims: Sequence[int]) -> "ManifoldDescriptor":
@@ -268,20 +279,7 @@ class ManifoldDescriptor(Record):
             tuple(sorted((int(k) for k in key), reverse=True)): Fraction(v)
             for key, v in table.items()
         }
-        return ManifoldDescriptor(chern_dim=int(d), chern=clean)
-
-
-def _check_chern_table(d: int, keys: "set[tuple[int, ...]]") -> None:
-    """Reject keys that are not exactly the partitions of d: weights and the
-    count p(d) first, so a bad table is rejected before listing partitions."""
-    if (
-        any(sum(key) != d for key in keys)
-        or len(keys) != _partition_count(d)
-        or keys != _partition_set(d)
-    ):
-        raise IncompleteChernTableError(
-            f"chern table keys {sorted(keys)} != partitions of {d}"
-        )
+        return ManifoldDescriptor(chern_dim=int(d), chern=tuple(sorted(clean.items())))
 
 
 def cpn_chern_numbers(n: int) -> "dict[tuple[int, ...], Fraction]":
@@ -321,13 +319,13 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
     if M.chern_dim is None or M.chern is None:
         raise ValueError("descriptor carries neither projective nor chern data")
     d = M.chern_dim
-    if d == 0:  # K_0 = 1 pairs with the point count c_()
-        return RingElement.from_rational(M.chern[()])
+    if d == 0:  # K_0 = 1 pairs with the point count c_(), the one pair's value
+        return RingElement.from_rational(M.chern[0][1])
     if g.H.order < d:
         raise InsufficientOrderError(f"series order {g.H.order} < dim = {d}")
     rows, den, emax = _chern_rows(g.H.truncate(d))
-    cden = math.lcm(*(v.denominator for v in M.chern.values()))
-    chern = {lam: v.numerator * (cden // v.denominator) for lam, v in M.chern.items()}
+    cden = math.lcm(*(v.denominator for _, v in M.chern))
+    chern = {lam: v.numerator * (cden // v.denominator) for lam, v in M.chern}
     total: "dict[int, int]" = {}
     for lam, rest, num in rows:
         total[rest] = total.get(rest, 0) + num * chern[lam]
@@ -442,10 +440,7 @@ def msp_agreement_check(order: int, m: int, mutant: bool = False) -> CheckResult
         raise ValueError("m must be >= 1")
     g_raw = gamma_series(order, "raw")
     roots = _roots(m)
-    if mutant:
-        alphabet = [r for r in roots for _ in range(2)]
-    else:
-        alphabet = _roots_pm(m)
+    alphabet = [r for r in roots for _ in range(2)] if mutant else _roots_pm(m)
     lhs = series_product_over_alphabet(g_raw.H, alphabet, order)
     zeta_log = [_ZERO] * (order + 1)  # Gamma(1+x) Gamma(1-x) = exp(sum_j zeta(2j) x^2j / j)
     for j in range(1, order // 2 + 1):
@@ -508,24 +503,20 @@ class WittenSeries(Record):
 
     @staticmethod
     def _q_slice(elem: RingElement, q_pow: int) -> Fraction:
-        for mono, c in elem.terms():
-            if dict(mono).get("q", 0) == q_pow and all(n == "q" for n, _ in mono):
-                return c
-        return Fraction(0)
+        return elem.coefficient((("q", q_pow),) if q_pow else ())
 
-    def _in_range(self, x_pow: int, q_pow: int) -> None:
+    def _rational(self, series: Series1, x_pow: int, q_pow: int) -> Fraction:
         if not (0 <= x_pow <= self.x_order and 0 <= q_pow <= self.q_order):
             raise ValueError("need 0 <= x_pow <= x_order and 0 <= q_pow <= q_order")
+        return self._q_slice(series[x_pow], q_pow)
 
     def coefficient(self, x_pow: int, q_pow: int) -> Fraction:
         """The rational [x^a q^b] coefficient of the series, inside the truncation."""
-        self._in_range(x_pow, q_pow)
-        return self._q_slice(self.H[x_pow], q_pow)
+        return self._rational(self.H, x_pow, q_pow)
 
     def log_coefficient(self, x_pow: int, q_pow: int) -> Fraction:
         """The rational [x^a q^b] coefficient of log H, inside the truncation."""
-        self._in_range(x_pow, q_pow)
-        return self._q_slice(self.log_H[x_pow], q_pow)
+        return self._rational(self.log_H, x_pow, q_pow)
 
     def evenness_check(self) -> CheckResult:
         return first_defect((k, self.H[k]) for k in range(1, self.x_order + 1, 2))
@@ -772,4 +763,4 @@ def zeta_map_report() -> CheckResult:
         "odd_map_sign": "matches zeta~(2k+1) to 12 digits" if odd.passed else "MISMATCH",
         "s1_map_sign": "matches -gamma i / (2 pi)" if abs(s1 - s1_display) < 1e-12 else "MISMATCH",
     }
-    return replace(odd if even.passed else even, extra=report)
+    return replace(odd if even.passed else even, extra=tuple(sorted(report.items())))

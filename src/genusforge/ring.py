@@ -116,16 +116,9 @@ _REGISTRY: "dict[str, Generator]" = {
 
 # Indexed families, resolved on demand: zeta values (index >= 2), elementary /
 # complete / power-sum symmetric generators, Chern roots x_i, Chern classes
-# c_k and Pontryagin classes p_k.
-_FAMILIES = (
-    (re.compile(r"^zeta([1-9]\d*)$"), lambda k: k),
-    (re.compile(r"^e([1-9]\d*)$"), lambda k: k),
-    (re.compile(r"^h([1-9]\d*)$"), lambda k: k),
-    (re.compile(r"^s([1-9]\d*)$"), lambda k: k),
-    (re.compile(r"^x([1-9]\d*)$"), lambda k: 1),
-    (re.compile(r"^c([1-9]\d*)$"), lambda k: k),
-    (re.compile(r"^p([1-9]\d*)$"), lambda k: 2 * k),
-)
+# c_k and Pontryagin classes p_k.  A member's weight is its index k, except
+# 2k for p_k and 1 for a root x_i.
+_FAMILY = re.compile(r"^(zeta|[ehsxcp])([1-9]\d*)$")
 
 
 def generator_info(name: str) -> Generator:
@@ -133,17 +126,14 @@ def generator_info(name: str) -> Generator:
     gen = _REGISTRY.get(name)
     if gen is not None:
         return gen
-    for pattern, weight_of in _FAMILIES:
-        m = pattern.match(name)
-        if m:
-            index = int(m.group(1))
-            if name.startswith("zeta") and index < 2:
-                break
-            gen = Generator(name, weight_of(index))
-            # Benign if two threads race: both compute the identical record.
-            _REGISTRY[name] = gen
-            return gen
-    raise KeyError(f"unknown generator {name!r}")
+    m = _FAMILY.match(name)
+    if m is None or m[0] == "zeta1":
+        raise KeyError(f"unknown generator {name!r}")
+    k = int(m[2])
+    gen = Generator(name, {"x": 1, "p": 2 * k}.get(m[1], k))
+    # Benign if two threads race: both compute the identical record.
+    _REGISTRY[name] = gen
+    return gen
 
 
 _NAMES: "list[str]" = []  # slot -> generator name, append-only
@@ -229,6 +219,20 @@ def _json_int(value, what: str) -> int:
     if isinstance(value, (bool, float)):
         raise TypeError(f"{what} must be an int or a str, not {type(value).__name__}")
     return int(value)
+
+
+def _decimal(q: Rational) -> str:
+    """str(q) for an int or a Fraction, also past the interpreter's limit on
+    int-to-str digits: an int that str refuses is split at a power of ten."""
+    try:
+        return str(q)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        if isinstance(q, Fraction):
+            num = _decimal(q.numerator)
+            return num if q.denominator == 1 else f"{num}/{_decimal(q.denominator)}"
+        k = abs(q).bit_length() * 3 // 20  # under half the digits: log10(2) / 2 > 0.15
+        hi, lo = divmod(abs(q), 10**k)
+        return "-" * (q < 0) + _decimal(hi) + _decimal(lo).zfill(k)
 
 
 class RingElement:
@@ -660,7 +664,7 @@ class RingElement:
         terms = []
         for m, c in self._sorted_terms():
             g = gcd(c, den)
-            terms.append({"num": str(c // g), "den": str(den // g), "exps": dict(m)})
+            terms.append({"num": _decimal(c // g), "den": _decimal(den // g), "exps": dict(m)})
         return {"terms": terms}
 
     @staticmethod
@@ -698,7 +702,7 @@ class RingElement:
         for m, c in self.terms():
             factors = []
             if not m or c != 1:
-                factors.append(str(c) if not m or c != -1 else "-")
+                factors.append(_decimal(c) if not m or c != -1 else "-")
             for name, e in m:
                 factors.append(name if e == 1 else f"{name}^{e}")
             text = "*".join(factors)

@@ -67,7 +67,7 @@ def _iso_checks(order: int) -> Iterator[tuple[str, CheckResult]]:
         combinations=sweep,
         conclusion=(
             "a candidate convention validates"
-            if any(rec["status"] == "PASS" for rec in sweep)
+            if any(trial.status == "PASS" for trial in sweep)
             else "no face-value reading of the candidate coordinate change "
             "verifies; the canonical strict isomorphism is authoritative"
         ),

@@ -1,5 +1,7 @@
+import contextlib
 import importlib
 import pkgutil
+import sys
 from fractions import Fraction
 
 import pytest
@@ -82,6 +84,18 @@ def cold():
     clear_memos()
     yield
     clear_memos()
+
+
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    """Set the interpreter's limit on int/str conversion digits (0: none) for
+    the body of a with statement, and restore it."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 @pytest.fixture(scope="session")

@@ -57,8 +57,8 @@ def test_criterion_03_iso_adjudication():
     phi = fgl.canonical_strict_iso(k, m)
     canonical_ok = fgl.verify_iso(phi, k, m).passed
     sweep = fgl.mobius_sweep(10)
-    sweep_ok = len(sweep) == 12 and all(r["status"] in ("PASS", "FAIL") for r in sweep)
-    definitive = all(r["status"] == "FAIL" and r["fail_degree"] == 2 for r in sweep)
+    sweep_ok = len(sweep) == 12 and all(r.status in ("PASS", "FAIL") for r in sweep)
+    definitive = all(r.status == "FAIL" and r.fail_degree == 2 for r in sweep)
     _criterion(
         3,
         "canonical strict iso verifies at order 12; 4 conventions x 3 targets adjudicated",
@@ -105,7 +105,7 @@ def test_criterion_07_numeric_gamma():
         7,
         "order-20 reciprocal-Gamma exponential at 1/4 vs stdlib Gamma within 1e-10",
         rep.passed,
-        f"residual {rep.extra['residual']:.2e}",
+        f"residual {dict(rep.extra)['residual']:.2e}",
     )
 
 

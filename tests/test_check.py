@@ -1,14 +1,15 @@
 import ast
 import copy
+import json
 import pickle
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from genusforge import fgl, genus
+from genusforge import fgl, genus, verify
 from genusforge.check import CheckResult, Record, first_defect, first_residual, replace
-from genusforge.fgl import AxiomReport, FormalGroupLaw
+from genusforge.fgl import AxiomReport, FormalGroupLaw, MobiusTrial
 from genusforge.genus import GenusSeries, ManifoldDescriptor, WittenSeries
 from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2
@@ -92,9 +93,15 @@ class TestCheckResult:
         }
 
     def test_equal_results_hash_equally(self):
-        a = CheckResult.fail(1, gen("x1"), "d", note=[1])
-        b = CheckResult.fail(1, gen("x1"), "d", note=[1])
+        a = CheckResult.fail(1, gen("x1"), "d", note=(1,))
+        b = CheckResult.fail(1, gen("x1"), "d", note=(1,))
         assert a == b and hash(a) == hash(b)
+
+    def test_extras_are_pairs_sorted_by_key(self):
+        a = CheckResult.ok(note="n", count=2, sub=CheckResult("PASS"))
+        assert a.extra == (("count", 2), ("note", "n"), ("sub", CheckResult("PASS")))
+        assert a == CheckResult.ok(sub=CheckResult("PASS"), count=2, note="n")
+        assert dict(a.extra)["note"] == "n"
 
 
 def _failure_calls_without_degree(tree):
@@ -152,45 +159,66 @@ def test_the_degree_guard_sees_what_it_should(source, lines):
 
 # -- the Record contract, for every record class of the package ---------------
 
-# One fresh record per class, and a value for each field named in _unhashed
-# that differs from the record's own.
+# One fresh record per class, and a value for one of its fields that differs
+# from the record's own.
 RECORDS = {
-    "CheckResult": (lambda: CheckResult.fail(2, R.from_rational(3), "why", note="n"), {"extra": {"x": 1}}),
-    "FormalGroupLaw": (lambda: fgl.catalog("multiplicative_t", 3, {"t": 2}), {}),
-    "AxiomReport": (lambda: fgl.check_axioms(fgl.catalog("additive", 3)), {}),
-    "GenusSeries": (lambda: genus.genus_series("todd", 4), {}),
+    "CheckResult": (lambda: CheckResult.fail(2, R.from_rational(3), "why", note="n"), {"extra": (("x", 1),)}),
+    "FormalGroupLaw": (lambda: fgl.catalog("multiplicative_t", 3, {"t": 2}), {"construction": "other"}),
+    "AxiomReport": (lambda: fgl.check_axioms(fgl.catalog("additive", 3)), {"unit": CheckResult.fail(1)}),
+    "MobiusTrial": (lambda: fgl.mobius_sweep(3)[0], {"fail_degree": 3}),
+    "GenusSeries": (lambda: genus.genus_series("todd", 4), {"name": "other"}),
     "ManifoldDescriptor": (
         lambda: ManifoldDescriptor.from_chern(2, {(2,): 3, (1, 1): 4}),
-        {"chern": {(2,): Fraction(5), (1, 1): Fraction(6)}},
+        {"chern": (((1, 1), Fraction(6)), ((2,), Fraction(5)))},
     ),
-    "WittenSeries": (lambda: genus.witten_series(3, 2), {}),
-    "SymPoly": (lambda: SymPoly.e(2), {}),
-    "ChernPolynomial": (lambda: ChernPolynomial(gen("c1") * gen("c2"), "c"), {}),
+    "WittenSeries": (lambda: genus.witten_series(3, 2), {"q_order": 3}),
+    "SymPoly": (lambda: SymPoly.e(2), {"poly": gen("e1")}),
+    "ChernPolynomial": (lambda: ChernPolynomial(gen("c1") * gen("c2"), "c"), {"poly": gen("c3")}),
 }
 
 
 @pytest.fixture(params=sorted(RECORDS))
 def record(request):
-    make, other_unhashed = RECORDS[request.param]
-    return make, other_unhashed
+    make, change = RECORDS[request.param]
+    return make, change
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+def _mutable_parts(value, path):
+    """The paths under `value`, through record fields and tuple items, that
+    hold a dict, a list or a set."""
+    if isinstance(value, (dict, list, set)):
+        yield path
+    elif isinstance(value, Record):
+        for name, v in vars(value).items():
+            yield from _mutable_parts(v, f"{path}.{name}")
+    elif isinstance(value, tuple):
+        for i, v in enumerate(value):
+            yield from _mutable_parts(v, f"{path}[{i}]")
 
 
 class TestRecord:
     def test_every_record_class_is_covered(self):
-        classes = {CheckResult, FormalGroupLaw, AxiomReport, GenusSeries, ManifoldDescriptor}
-        classes |= {WittenSeries, SymPoly, ChernPolynomial}
+        classes = {CheckResult, FormalGroupLaw, AxiomReport, MobiusTrial, GenusSeries}
+        classes |= {ManifoldDescriptor, WittenSeries, SymPoly, ChernPolynomial}
         assert {cls.__name__ for cls in classes} == set(RECORDS)
         assert all(issubclass(cls, Record) for cls in classes)
         assert {type(make()) for make, _ in RECORDS.values()} == classes
 
     def test_equal_records_hash_equally_without_the_unhashed_fields(self, record):
-        make, other_unhashed = record
+        """No field is left out of the hash: it is the hash of every field
+        value, in order, and a change to one field changes it."""
+        make, change = record
         a, b = make(), replace(make())
         assert a is not b and a == b and hash(a) == hash(b)
-        assert set(other_unhashed) == set(type(a)._unhashed)
-        if other_unhashed:
-            c = replace(a, **other_unhashed)
-            assert c != a and hash(c) == hash(a)
+        assert hash(a) == hash(tuple(vars(a).values()))
+        c = replace(a, **change)
+        assert c != a and hash(c) != hash(a)
 
     def test_another_class_with_equal_fields_is_unequal(self, record):
         a = record[0]()
@@ -245,8 +273,51 @@ class TestRecord:
         s = replace(SymPoly.e(2), basis="e")
         assert s.basis == "E" and s == SymPoly.e(2)
 
-    def test_a_dict_default_is_not_shared(self):
-        a, b = CheckResult("PASS"), CheckResult("PASS")
-        assert a.extra == {} and a.extra is not b.extra
-        assert fgl.FormalGroupLaw(F=fgl.catalog("additive", 2).F, name="x").params == ()
-        assert CheckResult.extra == {}
+    def test_no_field_holds_a_dict_list_or_set(self):
+        """Each field holds an immutable value: the defaults of every record
+        class, the records each memo serves and every CheckResult of a verify
+        run, walked through nested records and tuples."""
+        offences = []
+        for cls in _all_subclasses(Record):
+            offences += _mutable_parts(tuple(cls._template.values()), f"{cls.__name__} defaults")
+        a, m = fgl.catalog("additive", 4), fgl.catalog("multiplicative", 4)
+        served = {"verify_iso": fgl.verify_iso(fgl.canonical_strict_iso(a, m), a, m)}
+        served.update((f"catalog {name}", fgl.catalog(name, 4)) for name in fgl.CATALOG)
+        served.update((f"genus_series {name}", genus.genus_series(name, 4)) for name in genus.GENUS_SERIES)
+        served["witten_series"] = genus.witten_series(4, 3)
+        for builder in verify._SUITE_BUILDERS.values():
+            served.update(builder(6))
+        for name, value in served.items():
+            offences += _mutable_parts(value, name)
+        assert "mobius_convention_sweep" in served and "axioms_additive" in served
+        assert offences == []
+
+    def test_pickles_keep_a_nested_report_and_a_sweep(self):
+        nested = fgl.check_axioms(fgl.catalog("broken_demo", 4)).as_check()
+        sweep = CheckResult.ok(combinations=fgl.mobius_sweep(3), conclusion="none")
+        for a in (nested, sweep):
+            b = pickle.loads(pickle.dumps(a))
+            assert b == a and hash(b) == hash(a) and b.to_obj() == a.to_obj()
+        assert isinstance(dict(nested.extra)["report"], AxiomReport)
+
+
+class TestServedRecordsStayPut:
+    """A memo hands one record to every caller, so no caller can change what
+    the next one reads."""
+
+    def test_an_iso_verdict_has_no_mutable_extra(self):
+        a, m = fgl.catalog("additive", 4), fgl.catalog("multiplicative", 4)
+        phi = fgl.canonical_strict_iso(a, m)
+        with pytest.raises(TypeError):
+            fgl.verify_iso(phi, a, m).extra["note"] = "x"
+        assert fgl.verify_iso(phi, a, m).to_obj() == {"status": "PASS"}
+
+    def test_to_obj_builds_new_containers_on_every_call(self):
+        report = fgl.check_axioms(fgl.catalog("additive", 3)).as_check()
+        sweep = CheckResult.ok(combinations=fgl.mobius_sweep(3))
+        before = [json.dumps(r.to_obj(), sort_keys=True) for r in (report, sweep)]
+        report.to_obj()["report"]["unit"] = "FAIL"
+        report.to_obj()["report"].clear()
+        sweep.to_obj()["combinations"][0]["status"] = "PASS"
+        sweep.to_obj()["combinations"].clear()
+        assert [json.dumps(r.to_obj(), sort_keys=True) for r in (report, sweep)] == before

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
 
@@ -18,7 +19,7 @@ from genusforge import cli, fgl, genus, verify
 from genusforge.ring import RingElement
 from genusforge.series import Series1
 
-from conftest import MODULES, clear_memos
+from conftest import MODULES, clear_memos, int_max_str_digits
 from oracles import fraction_rational, from_chern_genus_chern
 
 _ENV = {**os.environ}
@@ -381,10 +382,37 @@ class TestSeriesCommand:
         out = run_json("series", "revert", stdin=json.dumps(f))
         assert out["coeffs"][1] == {"terms": [{"num": "-2", "den": "1", "exps": {"t": -1}}]}
 
-    def test_result_beyond_int_digit_limit_exits_two(self):
+    def test_result_beyond_int_digit_limit_is_printed(self):
+        """exp(N z) at order 6 has the 5995-digit z^6 coefficient N^6/720,
+        past the interpreter's 4300-digit limit, and prints exactly."""
         big = {"terms": [{"num": "9" * 1000, "den": "1", "exps": {}}]}
         f = {"order": 6, "coeffs": [{"terms": []}, big]}
-        assert_usage_error(run_cli("series", "exp", stdin=json.dumps(f)))
+        proc = run_cli("series", "exp", stdin=json.dumps(f))
+        assert proc.returncode == 0 and proc.stderr == ""
+        with int_max_str_digits(0):
+            (term,) = json.loads(proc.stdout)["coeffs"][6]["terms"]
+            assert Fraction(int(term["num"]), int(term["den"])) == Fraction((10**1000 - 1) ** 6, 720)
+
+    def test_revert_of_a_3000_digit_coefficient_prints(self):
+        """z + N z^2 with N of 3000 nines reverts to z - N z^2 + 2 N^2 z^3,
+        whose 6000-digit coefficient is past the interpreter's limit."""
+        text = (
+            '{"order":3,"coeffs":[{"terms":[]},{"terms":[{"num":"1","den":"1","exps":{}}]},'
+            '{"terms":[{"num":"' + "9" * 3000 + '","den":"1","exps":{}}]}]}'
+        )
+        proc = run_cli("series", "revert", stdin=text)
+        assert proc.returncode == 0 and proc.stderr == ""
+        with int_max_str_digits(0):
+            n = int(json.loads(text)["coeffs"][2]["terms"][0]["num"])
+            (term,) = json.loads(proc.stdout)["coeffs"][3]["terms"]
+            assert (int(term["num"]), term["den"]) == (2 * n * n, "1")
+
+    def test_input_number_beyond_int_digit_limit_exits_two(self):
+        big = {"terms": [{"num": "9" * 4301, "den": "1", "exps": {}}]}
+        f = {"order": 2, "coeffs": [{"terms": []}, big]}
+        proc = run_cli("series", "exp", stdin=json.dumps(f))
+        assert_usage_error(proc)
+        assert len(proc.stderr.splitlines()) == 1
 
 
 def _run_in_process(argv, stdin):

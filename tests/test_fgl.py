@@ -11,6 +11,7 @@ from genusforge.fgl import (
     CATALOG,
     DEMO_LAWS,
     FormalGroupLaw,
+    MobiusTrial,
     UnknownLawError,
     canonical_strict_iso,
     catalog,
@@ -383,21 +384,33 @@ class TestMobiusSweep:
     def test_definitive_report(self):
         records = mobius_sweep(8)
         assert len(records) == 12
-        conventions = {rec["convention"] for rec in records}
+        conventions = {rec.convention for rec in records}
         assert conventions == {"row_matrix", "row_inverse", "col_matrix", "col_inverse"}
-        targets = {rec["target"] for rec in records}
+        targets = {rec.target for rec in records}
         assert targets == {"additive", "multiplicative", "multiplicative_t"}
         for rec in records:
-            assert rec["status"] in ("PASS", "FAIL")
+            assert rec.status in ("PASS", "FAIL")
         # adjudication outcome: the face-value readings all fail at degree 2
-        assert all(rec["status"] == "FAIL" for rec in records)
-        assert all(rec["fail_degree"] == 2 for rec in records)
+        assert all(rec.status == "FAIL" for rec in records)
+        assert all(rec.fail_degree == 2 for rec in records)
 
     def test_row_matrix_is_strict(self):
         records = mobius_sweep(6)
-        rm = [r for r in records if r["convention"] == "row_matrix"]
-        assert all(r["strict_linear_term"] for r in rm)
-        assert all(not r["normalized_unit"] for r in rm)
+        rm = [r for r in records if r.convention == "row_matrix"]
+        assert all(r.strict_linear_term for r in rm)
+        assert all(not r.normalized_unit for r in rm)
+
+    def test_a_trial_prints_as_a_dict_of_its_fields(self):
+        trial = mobius_sweep(4)[0]
+        assert trial.to_obj() == {
+            "convention": "row_matrix",
+            "target": "additive",
+            "normalized_unit": False,
+            "strict_linear_term": True,
+            "status": "FAIL",
+            "fail_degree": 2,
+        }
+        assert list(trial.to_obj()) == list(MobiusTrial._fields)
 
 
 class TestGaussianBracket:

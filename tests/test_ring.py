@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -19,10 +20,10 @@ from genusforge.ring import (
     zeta_numeric,
     zeta_tilde_even,
 )
-from genusforge.ring import _unpack
+from genusforge.ring import _decimal, _unpack
 from genusforge.series import Series1
 
-from conftest import rationals, ring_elements
+from conftest import rationals, ring_elements, int_max_str_digits
 from oracles import FractionRing as F
 from oracles import bernoulli_akiyama_tanigawa, pairwise_dot, per_k_zeta_fraction, tuple_dot
 from oracles import fraction_to_obj, term_by_term_evaluate, termwise_substitute, uncached_hash
@@ -1045,6 +1046,33 @@ class TestSerialization:
         itself; it must give what one Fraction per term gives."""
         assert x.to_obj() == fraction_to_obj(x)
         assert R.from_obj(x.to_obj()) == x
+
+    def test_numbers_past_the_int_digit_limit_print(self):
+        """str, repr, to_obj and to_json write every exact value, however long,
+        without touching the interpreter's limit; reading one back past it
+        still needs the limit lifted."""
+        limit = sys.get_int_max_str_digits()
+        x = R.from_rational(10**3000) ** 2
+        y = R.from_rational(Fraction(-(7**12000), 3)) * gen("gamma") + x
+        texts = [str(x), repr(x), x.to_json(), str(y), repr(y), y.to_json()]
+        objs = [x.to_obj(), y.to_obj()]
+        assert sys.get_int_max_str_digits() == limit
+        assert texts[0] == "1" + "0" * 6000 and texts[1] == f"RingElement({texts[0]})"
+        assert json.loads(texts[2]) == objs[0] == {"terms": [{"num": texts[0], "den": "1", "exps": {}}]}
+        with int_max_str_digits(0):
+            want = str(Fraction(-(7**12000), 3))
+            assert texts[3] == f"{texts[0]} {want[0]} {want[1:]}*gamma"
+            assert texts[4] == f"RingElement({texts[3]})"
+            assert objs[1]["terms"][1]["num"] == str(-(7**12000))
+            assert R.from_obj(objs[1]) == R.from_json(texts[5]) == y
+
+    @pytest.mark.parametrize("limit", [640, 4300, 0])
+    @given(n=st.integers(min_value=-(10**3000), max_value=10**3000) | st.sampled_from([10**6000, -(10**4300)]))
+    def test_decimal_is_str_under_any_limit(self, limit, n):
+        with int_max_str_digits(0):
+            want = str(n)
+        with int_max_str_digits(limit):
+            assert _decimal(n) == want
 
 
 # Constructor inputs: names repeat inside a monomial and exponents may be

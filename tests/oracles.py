@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 from genusforge import cli, genus
@@ -761,13 +762,19 @@ def term_by_term_evaluate(x: RingElement, overrides=None) -> complex:
 
 
 def fraction_to_obj(x: RingElement) -> dict:
-    """x.to_obj() read off terms(), one Fraction per term."""
-    return {
-        "terms": [
-            {"num": str(c.numerator), "den": str(c.denominator), "exps": {n: e for n, e in m}}
-            for m, c in x.terms()
-        ]
-    }
+    """x.to_obj() read off terms(), one Fraction per term, each printed by str
+    with the interpreter's limit on int-to-str digits lifted for the call."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return {
+            "terms": [
+                {"num": str(c.numerator), "den": str(c.denominator), "exps": {n: e for n, e in m}}
+                for m, c in x.terms()
+            ]
+        }
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def fraction_rational(text: str) -> Fraction:

@@ -783,6 +783,16 @@ class TestRationalParity:
         else:
             assert err == f"error: chern table keys {[(1,) * cli.MAX_ORDER]} != partitions of {dim}\n"
 
+    def test_value_past_int_digit_limit(self):
+        """A 4300-digit entry, within the input limit, gives a 4301-digit
+        numerator: both routes print it whole and exit 0."""
+        argv = ["genus", "chern", "--series", "gamma_raw", "--dim", "2", "--chern", "c2=-3,c1*c1=" + "9" * 4300]
+        new, old = _both_routes(argv)
+        assert new == old
+        code, out, _ = new
+        assert code == 0
+        assert max(len(t["num"].lstrip("-")) for t in json.loads(out)["value"]["terms"]) == 4301
+
     @settings(max_examples=200, deadline=None)
     @given(_chern_argv())
     def test_chern_tables(self, argv):

@@ -28,8 +28,6 @@ from genusforge.fgl import (
 )
 from genusforge.ring import (
     RingElement,
-    _pack,
-    _unpack,
     bernoulli,
     euler_gamma,
     zeta_numeric,
@@ -275,10 +273,14 @@ class ManifoldDescriptor(Record):
 
     @staticmethod
     def from_chern(d: int, table: "Mapping[tuple[int, ...], Union[int, Fraction]]") -> "ManifoldDescriptor":
-        clean = {
-            tuple(sorted((int(k) for k in key), reverse=True)): Fraction(v)
-            for key, v in table.items()
-        }
+        """The descriptor of a {partition: Chern number} table; each key is
+        read as a sorted partition, and two keys naming one raise ValueError."""
+        clean: "dict[tuple[int, ...], Fraction]" = {}
+        for key, v in table.items():
+            lam = tuple(sorted((int(k) for k in key), reverse=True))
+            if lam in clean:
+                raise ValueError(f"chern table repeats the partition {lam}")
+            clean[lam] = Fraction(v)
         return ManifoldDescriptor(chern_dim=int(d), chern=tuple(sorted(clean.items())))
 
 
@@ -291,18 +293,6 @@ def cpn_chern_numbers(n: int) -> "dict[tuple[int, ...], Fraction]":
             val *= math.comb(n + 1, part)
         out[lam] = Fraction(val)
     return out
-
-
-def _split_chern(mono) -> "tuple[tuple[int, ...], tuple]":
-    """A monomial's Chern classes as a partition, and its other factors."""
-    parts: "list[int]" = []
-    rest = []
-    for name, e in mono:
-        if name[0] == "c" and name[1:].isdigit():
-            parts.extend([int(name[1:])] * e)
-        else:
-            rest.append((name, e))
-    return tuple(sorted(parts, reverse=True)), tuple(rest)
 
 
 def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
@@ -323,26 +313,21 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
         return RingElement.from_rational(M.chern[0][1])
     if g.H.order < d:
         raise InsufficientOrderError(f"series order {g.H.order} < dim = {d}")
-    rows, den, emax = _chern_rows(g.H.truncate(d))
-    cden = math.lcm(*(v.denominator for _, v in M.chern))
-    chern = {lam: v.numerator * (cden // v.denominator) for lam, v in M.chern}
-    total: "dict[int, int]" = {}
-    for lam, rest, num in rows:
-        total[rest] = total.get(rest, 0) + num * chern[lam]
-    return RingElement._make({m: c for m, c in total.items() if c}, den * cden, emax)
+    chern = {lam: RingElement.from_rational(v) for lam, v in M.chern}
+    return RingElement.dot((c, chern[lam]) for lam, c in _chern_rows(g.H.truncate(d)))
 
 
 _CHERN_ROWS: "dict[Series1, tuple]" = {}  # H -> _chern_rows(H), least recently used first
 _CHERN_LOCK = threading.Lock()
 
 
-def _chern_rows(H: Series1) -> "tuple[tuple[tuple[tuple[int, ...], int, int], ...], int, int]":
-    """The top Hirzebruch polynomial K_d of H, d = H.order >= 1, compiled for
-    pairing: one (partition, packed other factors, numerator) row per term,
-    K_d's common denominator and its exponent bound.  Memoised by the value
-    of H, so a series of any name or order shares its rows with every equal
-    truncation.  K_j depends on H_j alone, so one sequence K_1..K_d fills the
-    rows of every truncation H_j, j <= d; the 64 most recently used are kept."""
+def _chern_rows(H: Series1) -> "tuple[tuple[tuple[int, ...], RingElement], ...]":
+    """The top Hirzebruch polynomial K_d of H, d = H.order >= 1, split for
+    pairing: one (partition, coefficient free of Chern classes) row per
+    monomial in c_1..c_d.  Memoised by the value of H, so a series of any
+    name or order shares its rows with every equal truncation.  K_j depends
+    on H_j alone, so one sequence K_1..K_d fills the rows of every
+    truncation H_j, j <= d; the 64 most recently used are kept."""
     with _CHERN_LOCK:
         rows = _CHERN_ROWS.pop(H, None)
         if rows is not None:
@@ -350,11 +335,11 @@ def _chern_rows(H: Series1) -> "tuple[tuple[tuple[tuple[int, ...], int, int], ..
             return rows
     fresh = []
     for j, K in enumerate(multiplicative_sequence(H, H.order), 1):
-        K, rows = K.poly, []
-        for m, c in K._terms.items():
-            lam, rest = _split_chern(_unpack(m))
-            rows.append((lam, _pack(rest), c))
-        fresh.append((H.truncate(j), (tuple(rows), K._den, K._emax)))
+        rows = tuple(
+            (tuple(sorted((int(n[1:]) for n, e in m for _ in range(e)), reverse=True)), c)
+            for m, c in K.poly.split("c").items()
+        )
+        fresh.append((H.truncate(j), rows))
     with _CHERN_LOCK:
         for key, rows in fresh:  # H, the last, is the most recently used
             _CHERN_ROWS.pop(key, None)

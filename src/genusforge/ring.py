@@ -25,8 +25,11 @@ packed key and reduce once by the gcd, with no Fraction per term.
 ``RingElement.dot`` sums products of pairs into one numerator dict and reduces
 once; a product of two elements is its one-pair case, and every sum of
 products in the series and law layers goes through it.  A rational scalar (an
-int or a Fraction) is not made an element: it scales the numerators and the
-denominator, as FLINT's fmpq_poly does, with one gcd pass.
+int or a Fraction) is not made an element: a product or a quotient by it
+scales the numerators and the denominator, as FLINT's fmpq_poly does, with
+one gcd pass.  ``split(family)`` writes an element as a polynomial in one
+indexed family of generators (``c1, c2, ...``) with coefficients free of it,
+so that no other module reads the packed keys.
 
 An element is a value: the order of its stored terms means nothing.  All that
 reads terms in order sorts them by monomial first (``terms()``, ``to_obj`` and
@@ -118,7 +121,7 @@ _REGISTRY: "dict[str, Generator]" = {
 # complete / power-sum symmetric generators, Chern roots x_i, Chern classes
 # c_k and Pontryagin classes p_k.  A member's weight is its index k, except
 # 2k for p_k and 1 for a root x_i.
-_FAMILY = re.compile(r"^(zeta|[ehsxcp])([1-9]\d*)$")
+_FAMILY = re.compile(r"(zeta|[ehsxcp])([1-9][0-9]*)")
 
 
 def generator_info(name: str) -> Generator:
@@ -126,7 +129,7 @@ def generator_info(name: str) -> Generator:
     gen = _REGISTRY.get(name)
     if gen is not None:
         return gen
-    m = _FAMILY.match(name)
+    m = _FAMILY.fullmatch(name)
     if m is None or m[0] == "zeta1":
         raise KeyError(f"unknown generator {name!r}")
     k = int(m[2])
@@ -526,8 +529,13 @@ class RingElement:
         return RingElement._make({-m: self._den if c > 0 else -self._den}, abs(c), self._emax)
 
     def __truediv__(self, other: Scalar) -> "RingElement":
-        other = RingElement._coerce(other)
-        if other is NotImplemented:
+        """self / other: a rational divisor scales as __mul__ does, and an
+        element divisor must be a monomial unit."""
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise NonUnitError("not a monomial unit: 0")
+            return self * Fraction(other.denominator, other.numerator)
+        if not isinstance(other, RingElement):
             return NotImplemented
         return self * other.inverse()
 
@@ -616,6 +624,19 @@ class RingElement:
                 del exps["ipi2"]
             images.append((RingElement._make({_pack(exps.items()): c}, self._den, self._emax), scale))
         return RingElement.dot(images) if changed else self
+
+    def split(self, family: str) -> "dict[Monomial, RingElement]":
+        """{monomial in the generators family1, family2, ... of an indexed
+        family (zeta, e, h, s, x, c or p): its coefficient, free of them}.
+        The sum of their products is self, and zero splits into {}."""
+        parts: "dict[Monomial, dict[int, int]]" = {}
+        for key, c in self._terms.items():
+            inner, rest = [], []
+            for name, e in _unpack(key):
+                f = _FAMILY.fullmatch(name)
+                (inner if f and f[1] == family else rest).append((name, e))
+            parts.setdefault(tuple(inner), {})[_pack(rest)] = c
+        return {m: RingElement._make(t, self._den, self._emax) for m, t in parts.items()}
 
     def truncate_gen(self, name: str, max_exp: int) -> "RingElement":
         """Drop every monomial where `name` appears with exponent > max_exp."""

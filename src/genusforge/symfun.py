@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from genusforge.check import CheckResult, Record, first_defect
 from genusforge.ring import RingElement, _monomial_weight
@@ -176,29 +176,18 @@ def power_sum_over(alphabet: Sequence[RingElement], k: int) -> RingElement:
 # -- symmetric root polynomials back to the e-basis --------------------------------
 
 
-def _root_index(name: str) -> Optional[int]:
-    """i for the root generator x_i, None for any other generator."""
-    return int(name[1:]) if name.startswith("x") and name[1:].isdigit() else None
-
-
 def _split_roots(f: RingElement, m: int):
     """Split into {root exponent vector: coefficient free of roots}."""
     table: "dict[tuple[int, ...], RingElement]" = {}
-    for mono, c in f.terms():
+    for mono, c in f.split("x").items():
         exps = [0] * m
-        rest = []
         for name, e in mono:
-            i = _root_index(name)
-            if i is not None:
-                if i > m:
-                    raise ValueError(f"root {name} outside x1..x{m}")
-                exps[i - 1] = e
-            else:
-                rest.append((name, e))
-        key = tuple(exps)
-        add = RingElement({tuple(rest): c})
-        table[key] = table.get(key, _ZERO) + add
-    return {k: v for k, v in table.items() if not v.is_zero()}
+            i = int(name[1:])
+            if i > m:
+                raise ValueError(f"root {name} outside x1..x{m}")
+            exps[i - 1] = e
+        table[tuple(exps)] = c
+    return table
 
 
 def truncate_roots(f: RingElement, cap: int) -> RingElement:
@@ -208,11 +197,8 @@ def truncate_roots(f: RingElement, cap: int) -> RingElement:
     of power sums, exp_of_power_sums); it is kept because the benchmark
     tracer wraps it by name, and the test oracle for alphabet products uses it.
     """
-    keep = {}
-    for mono, c in f.terms():
-        if sum(e for name, e in mono if _root_index(name) is not None) <= cap:
-            keep[mono] = c
-    return RingElement(keep)
+    parts = f.split("x").items()
+    return RingElement.dot((RingElement({m: 1}), c) for m, c in parts if sum(e for _, e in m) <= cap)
 
 
 def symmetric_in_elementary(f: RingElement, m: int, out_prefix: str = "e") -> RingElement:

@@ -21,7 +21,8 @@ symmetric polynomials by brute-force subset enumeration, CP^n
 Chern numbers by literal polynomial expansion of (1 + x)^(n+1), the Witten
 product from two geometric factors per n built on exp_series tables instead of
 one closed-form pair factor, Chern pairings by one Fraction product per term of
-K_d instead of integer rows, genera of CP^n from H^(n+1) built by repeated
+K_d, or by integer rows of packed keys summed on Python ints, instead of one
+dot over the rows that RingElement.split gives, genera of CP^n from H^(n+1) built by repeated
 products instead of the power recurrence, the mixed exp of the Witten
 cross-check by summing powers of L instead of the exp recurrence, and genera
 of Milnor hypersurfaces from their Chern roots by bivariate products instead
@@ -79,6 +80,7 @@ from genusforge.symfun import (
     SymPoly,
     _roots,
     elementary_in_roots,
+    multiplicative_sequence,
     power_sum_over,
     symmetric_in_elementary,
     truncate_roots,
@@ -583,20 +585,46 @@ def witten_product_oracle(x_order: int, q_order: int) -> Series1:
     return H
 
 
+def _split_chern(mono) -> "tuple[tuple[int, ...], tuple]":
+    """A monomial's Chern classes as a partition, and its other factors."""
+    parts: "list[int]" = []
+    rest = []
+    for name, e in mono:
+        if name[0] == "c" and name[1:].isdigit():
+            parts.extend([int(name[1:])] * e)
+        else:
+            rest.append((name, e))
+    return tuple(sorted(parts, reverse=True)), tuple(rest)
+
+
 def fraction_chern_pairing(K: RingElement, chern) -> RingElement:
     """The polynomial K in c_1, c_2, ... paired with a Chern-number table
     {partition: value}, one Fraction product per term of K."""
     total: "dict" = {}
     for mono, coeff in K.terms():
-        parts, rest = [], []
-        for name, e in mono:
-            if name[0] == "c" and name[1:].isdigit():
-                parts.extend([int(name[1:])] * e)
-            else:
-                rest.append((name, e))
-        key = tuple(rest)
-        total[key] = total.get(key, 0) + coeff * chern[tuple(sorted(parts, reverse=True))]
+        lam, rest = _split_chern(mono)
+        total[rest] = total.get(rest, 0) + coeff * chern[lam]
     return RingElement(total)
+
+
+def integer_row_genus_of(g, M) -> RingElement:
+    """genus_of on a Chern table of dimension d >= 1 by integer rows: K_d
+    compiled to one (partition, packed other factors, numerator over K_d's
+    denominator) row per stored term, the table scaled to one integer
+    denominator, and num * c[lambda] summed on Python ints, instead of one
+    RingElement.dot over the rows of RingElement.split."""
+    d = M.chern_dim
+    K = multiplicative_sequence(g.H, d)[d - 1].poly
+    rows = []
+    for m, c in K._terms.items():
+        lam, rest = _split_chern(_unpack(m))
+        rows.append((lam, _pack(rest), c))
+    cden = math.lcm(*(v.denominator for _, v in M.chern))
+    chern = {lam: v.numerator * (cden // v.denominator) for lam, v in M.chern}
+    total: "dict[int, int]" = {}
+    for lam, rest, num in rows:
+        total[rest] = total.get(rest, 0) + num * chern[lam]
+    return RingElement._make({m: c for m, c in total.items() if c}, K._den * cden, K._emax)
 
 
 def pairwise_power_cpn(H: Series1, n: int) -> RingElement:

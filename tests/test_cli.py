@@ -415,6 +415,15 @@ class TestSeriesCommand:
         assert len(proc.stderr.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("name", ["e1\n", "zeta3\n", "x1\u0661"])
+    def test_generator_name_past_its_index_exits_two(self, name):
+        one = {"terms": [{"num": "1", "den": "1", "exps": {}}]}
+        c = {"terms": [{"num": "1", "den": "1", "exps": {name: 1}}]}
+        proc = run_cli("series", "exp", stdin=json.dumps({"order": 2, "coeffs": [{"terms": []}, one, c]}))
+        assert_usage_error(proc)
+        assert len(proc.stderr.splitlines()) == 1 and "unknown generator" in proc.stderr
+
+
 def _run_in_process(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
     saved, sys.stdin = sys.stdin, io.StringIO(stdin)

@@ -34,12 +34,13 @@ from genusforge.genus import (
     universal_gamma,
     zeta_map_report,
 )
-from genusforge.ring import RingElement, _unpack, zeta_tilde_even
+from genusforge.ring import RingElement, zeta_tilde_even
 from genusforge.series import Series1, exp_series
 from genusforge.symfun import multiplicative_sequence, power_sum_over
 from oracles import (
     divisor_sigma,
     fraction_chern_pairing,
+    integer_row_genus_of,
     milnor_chern_numbers,
     milnor_residue_genus,
     pairwise_power_cpn,
@@ -193,19 +194,27 @@ class TestSeriesMemo:
         assert genus_series("todd", 3).H == top.H.truncate(3)
 
 
+def _rows_poly(rows) -> RingElement:
+    """The polynomial that (partition, coefficient) Chern rows stand for,
+    after checking that each partition comes once and that no coefficient
+    carries a Chern class."""
+    assert len({lam for lam, _ in rows}) == len(rows)
+    for _, c in rows:
+        assert not c.is_zero() and not any(n[0] == "c" and n[1:].isdigit() for n in c.generators())
+    return RingElement.dot(
+        (RingElement({tuple(Counter(f"c{k}" for k in lam).items()): 1}), c) for lam, c in rows
+    )
+
+
 class TestHirzebruchMemo:
     @pytest.mark.parametrize("name", GENUS_SERIES)
     def test_memoised_polynomial_is_the_top_of_the_sequence(self, name):
         g = genus_series(name, 6)
         for d in range(1, 7):
             H = g.H.truncate(d)
-            rows, den, _ = genus._chern_rows(H)
-            terms = {
-                _unpack(rest) + tuple(Counter(f"c{k}" for k in lam).items()): Fraction(num, den)
-                for lam, rest, num in rows
-            }
-            assert len(terms) == len(rows)
-            assert RingElement(terms) == multiplicative_sequence(H, d)[d - 1].poly
+            rows = genus._chern_rows(H)
+            assert all(sum(lam) == d for lam, _ in rows)
+            assert _rows_poly(rows) == multiplicative_sequence(H, d)[d - 1].poly
 
     @pytest.fixture
     def sequences(self, monkeypatch):
@@ -227,12 +236,8 @@ class TestHirzebruchMemo:
         top = genus._chern_rows(H)
         assert sequences == [6] and genus._chern_rows(H) is top
         for d in range(1, 6):
-            rows, den, _ = genus._chern_rows(H.truncate(d))
-            terms = {
-                _unpack(rest) + tuple(Counter(f"c{k}" for k in lam).items()): Fraction(num, den)
-                for lam, rest, num in rows
-            }
-            assert RingElement(terms) == multiplicative_sequence(H, d)[d - 1].poly
+            rows = genus._chern_rows(H.truncate(d))
+            assert _rows_poly(rows) == multiplicative_sequence(H, d)[d - 1].poly
         assert sequences == [6] and len(genus._CHERN_ROWS) == 6
 
     def test_a_lone_chern_request_computes_nothing_beyond_its_dimension(self, sequences):
@@ -279,12 +284,6 @@ class TestHirzebruchMemo:
         jobs = [H.truncate(d) for H in tops for d in (3, 2, 1)] * 2
         rng.shuffle(jobs)
 
-        def poly(rows, den, _):
-            return RingElement({
-                _unpack(rest) + tuple(Counter(f"c{k}" for k in lam).items()): Fraction(num, den)
-                for lam, rest, num in rows
-            })
-
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -293,10 +292,10 @@ class TestHirzebruchMemo:
         finally:
             sys.setswitchinterval(switch)
         for H, rows in zip(jobs, got):
-            assert poly(*rows) == multiplicative_sequence(H, H.order)[-1].poly
+            assert _rows_poly(rows) == multiplicative_sequence(H, H.order)[-1].poly
         assert len(genus._CHERN_ROWS) == 64
         for H, rows in genus._CHERN_ROWS.items():
-            assert poly(*rows) == multiplicative_sequence(H, H.order)[-1].poly
+            assert _rows_poly(rows) == multiplicative_sequence(H, H.order)[-1].poly
 
     def test_user_series_that_reuses_a_catalog_name_gets_its_own_value(self):
         todd = genus_series("todd", 4)
@@ -480,6 +479,15 @@ class TestGenusOf:
         want = fraction_chern_pairing(multiplicative_sequence(g.H, d)[d - 1].poly, table)
         assert got == want
 
+    @pytest.mark.parametrize("name", GENUS_SERIES)
+    @given(d=st.integers(1, 5), data=st.data())
+    def test_pairing_against_the_integer_row_oracle(self, name, d, data):
+        values = st.one_of(st.just(Fraction(0)), rationals)
+        table = {lam: data.draw(values) for lam in partitions(d)}
+        g = genus_series(name, d)
+        M = ManifoldDescriptor.from_chern(d, table)
+        assert genus_of(g, M) == integer_row_genus_of(g, M)
+
     def test_chern_numbers_against_polynomial_oracle(self):
         from oracles import cpn_chern_numbers_oracle
 
@@ -505,6 +513,13 @@ class TestGenusOf:
         assert genus_of(genus_series("todd", 2), d) == R.one()  # (c1^2 + c2) / 12
         with pytest.raises(TypeError, match="pairs"):
             ManifoldDescriptor(chern_dim=2, chern={(2,): 3, (1, 1): 9})
+
+    def test_from_chern_normalizes_keys_and_refuses_a_repeated_partition(self):
+        d = ManifoldDescriptor.from_chern(3, {(1, 2): 1, (3,): 2, ("1", 1, 1): Fraction(1, 2)})
+        assert d.chern == (((1, 1, 1), Fraction(1, 2)), ((2, 1), Fraction(1)), ((3,), Fraction(2)))
+        table = {(1, 2): 1, (2, 1): 5, (3,): 1, (1, 1, 1): 1}
+        with pytest.raises(ValueError, match=r"repeats the partition \(2, 1\)"):
+            ManifoldDescriptor.from_chern(3, table)
 
     def test_equal_descriptors_hash_equally(self):
         a = ManifoldDescriptor.from_chern(2, {(1, 1): 9, (2,): 3})

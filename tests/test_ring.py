@@ -1,9 +1,11 @@
+import ast
 import copy
 import json
 import math
 import pickle
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,10 +22,11 @@ from genusforge.ring import (
     zeta_numeric,
     zeta_tilde_even,
 )
+from genusforge import ring
 from genusforge.ring import _decimal, _unpack
 from genusforge.series import Series1
 
-from conftest import rationals, ring_elements, int_max_str_digits
+from conftest import monomials, rationals, ring_elements, int_max_str_digits
 from oracles import FractionRing as F
 from oracles import bernoulli_akiyama_tanigawa, pairwise_dot, per_k_zeta_fraction, tuple_dot
 from oracles import fraction_to_obj, term_by_term_evaluate, termwise_substitute, uncached_hash
@@ -150,7 +153,8 @@ class TestGenerators:
             assert not generator_info(name).laurent
 
     def test_unknown_names(self):
-        for name in ("zeta1", "foo", "e0", "x0"):
+        # A final newline or a non-ASCII digit does not make an index.
+        for name in ("zeta1", "foo", "e0", "x0", "e1\n", "zeta2\n", "c1\u0661", "p\u0662"):
             with pytest.raises(KeyError):
                 generator_info(name)
             with pytest.raises(KeyError):
@@ -455,9 +459,21 @@ class TestScalingKernel:
             1.5 * gen("gamma")
 
     def test_division_by_zero_is_not_a_unit(self):
-        for zero in (0, Fraction(0), R.zero()):
+        for zero in (0, Fraction(0), R.zero(), False):
             with pytest.raises(NonUnitError, match="^not a monomial unit: 0$"):
                 gen("gamma") / zero
+
+    @given(ring_elements(), scalars.filter(bool))
+    @example(gen("gamma", 1, 2) + gen("t", -1, Fraction(1, 3)), -2)
+    @example(gen("zeta3", 1, Fraction(4, 9)), Fraction(-8, 3))
+    def test_division_by_a_rational_scales(self, x, q):
+        """x / q is x * (1/q), stored alike, and no element is made of q."""
+        with mock.patch.object(R, "inverse", side_effect=AssertionError("inverted")):
+            got = x / q
+        want = x * Fraction(1, q)
+        assert got == want and storage(got) == storage(want)
+        assert_canonical(got)
+        assert got._emax == x._emax
 
     def test_from_rational_keeps_the_value_it_is_given(self):
         q = Fraction(-6, 4)
@@ -965,6 +981,57 @@ class TestEvaluate:
             assert x.evaluate(overrides) == want
 
 
+_FAMILY_GENERATORS = ("e1", "e2", "e10", "epsilon", "c1", "c3", "zeta2", "zeta3", "x2")
+_FAMILY_NAMES = st.sets(st.sampled_from(_FAMILY_GENERATORS), max_size=3)
+_FAMILY_EXPONENTS = st.integers(1, 3)
+_FAMILY_TERMS = st.integers(0, 4)
+_IPI2_POWERS = st.integers(-3, 0)
+_MONOMIALS = monomials()
+
+
+@st.composite
+def family_elements(draw):
+    """Sums of a ring_elements monomial, ipi2**-k, and a monomial in members
+    of several indexed families and in epsilon, times a rational."""
+    out = R.zero()
+    for _ in range(draw(_FAMILY_TERMS)):
+        term = draw(_MONOMIALS) * gen("ipi2", draw(_IPI2_POWERS)) * draw(rationals)
+        for name in draw(_FAMILY_NAMES):
+            term = term * gen(name, draw(_FAMILY_EXPONENTS))
+        out = out + term
+    return out
+
+
+def _is_member(name, family):
+    return name.startswith(family) and name[len(family):].isdigit()
+
+
+class TestSplit:
+    @given(family_elements(), st.sampled_from(("e", "c", "zeta", "x", "h")))
+    @example(R.zero(), "e")
+    @example(R.from_rational(Fraction(-3, 7)), "c")
+    @example(gen("ipi2", -2, Fraction(1, 6)) * gen("e1") + gen("ipi2", -3), "e")
+    def test_rebuilds_its_element_from_coefficients_free_of_the_family(self, x, family):
+        parts = x.split(family)
+        rebuilt = R.dot((R({m: 1}), c) for m, c in parts.items())
+        assert rebuilt == x and storage(rebuilt) == storage(x)
+        assert (parts == {}) == x.is_zero()
+        for m, c in parts.items():
+            assert m == tuple(sorted(m)) and all(_is_member(name, family) and e for name, e in m)
+            assert not c.is_zero() and not any(_is_member(n, family) for n in c.generators())
+            assert_canonical(c)
+
+    def test_members_are_whole_names(self):
+        x = gen("e1") * gen("e10", 2) * gen("epsilon") + gen("epsilon", 3) + gen("e1", 1, 4)
+        assert x.split("e") == {
+            (("e1", 1), ("e10", 2)): gen("epsilon"),
+            (("e1", 1),): R.from_rational(4),
+            (): gen("epsilon", 3),
+        }
+        # e1 is a member of e, not a family that would catch e10.
+        assert x.split("e1") == {(): x}
+
+
 class TestSubstitute:
     def test_simple(self):
         x = gen("t", 2) + gen("t") * gen("gamma")
@@ -1224,3 +1291,53 @@ def test_bernoulli_concurrent_fill():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(bernoulli(120))
+
+
+# Names through which code reaches the packed monomial: the key codec and the
+# raw constructor, and the storage fields of an element.
+_PACKED_NAMES = {"_pack", "_unpack", "_make"}
+_PACKED_FIELDS = {"_terms", "_den", "_emax"}
+
+
+def _packed_monomial_uses(tree):
+    """(line, name) of each use in `tree` of a name in _PACKED_NAMES (as a
+    name, an attribute or an import) or of an attribute in _PACKED_FIELDS,
+    and of either as a string (getattr)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in _PACKED_NAMES or (name in _PACKED_FIELDS and not isinstance(node, ast.Name)):
+            yield node.lineno, name
+
+
+def test_only_the_ring_module_knows_the_packed_monomial():
+    """Every other module works on elements through their public operations
+    (split, dot, terms, ...), so the storage can change in ring.py alone."""
+    offences = []
+    for path in sorted(Path(ring.__file__).parent.glob("*.py")):
+        if path.name != "ring.py":
+            tree = ast.parse(path.read_text(), str(path))
+            offences += [f"{path.name}:{line} {name}" for line, name in _packed_monomial_uses(tree)]
+    assert offences == []
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("from genusforge.ring import RingElement, _pack, _unpack as u", ["_pack", "_unpack"]),
+        ("RingElement._make(t, d, e)\nring._unpack(k)", ["_make", "_unpack"]),
+        ("x._terms.items()\ny = x._den * z._emax", ["_terms", "_den", "_emax"]),
+        ("getattr(x, '_terms')", ["_terms"]),
+        ("x.terms()\nx.split('c')\n_den = 1\nRingElement.dot(p)", []),
+    ],
+)
+def test_the_packed_monomial_guard_sees_what_it_should(source, names):
+    assert sorted(name for _, name in _packed_monomial_uses(ast.parse(source))) == sorted(names)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -104,6 +105,11 @@ def _parse_params(items) -> "dict[str, Fraction]":
     return params
 
 
+# A factor c<index>[^<exponent>]: the index as the ring reads a family
+# member's, the exponent in ASCII digits (a sign only to refuse it by name).
+_CHERN_FACTOR = re.compile(r"c([1-9][0-9]*)(?:\^(-?[0-9]+))?")
+
+
 def _parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
     """Parse a table like "c1^2=9,c2=3" into {partition: value}.
 
@@ -122,14 +128,10 @@ def _parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
         parts: "list[int]" = []
         weight = 0
         for factor in mono.replace("*", " ").split():
-            if "^" in factor:
-                base, exp = factor.split("^", 1)
-                exp = int(exp)
-            else:
-                base, exp = factor, 1
-            index = int(base[1:]) if base.startswith("c") and base[1:].isdigit() else 0
-            if index < 1:
+            m = _CHERN_FACTOR.fullmatch(factor)
+            if m is None:
                 raise ValueError(f"bad chern class {factor!r}")
+            index, exp = int(m[1]), int(m[2] or 1)
             if exp < 1:
                 raise ValueError(f"exponent in {factor!r} must be >= 1")
             weight += index * exp

@@ -29,7 +29,9 @@ int or a Fraction) is not made an element: a product or a quotient by it
 scales the numerators and the denominator, as FLINT's fmpq_poly does, with
 one gcd pass.  ``split(family)`` writes an element as a polynomial in one
 indexed family of generators (``c1, c2, ...``) with coefficients free of it,
-so that no other module reads the packed keys.
+so that no other module reads the packed keys.  ``conjugate`` is the
+substitution ``ipi2 -> -ipi2``, a homomorphism like any other
+``substitute``, and ``bernoulli`` is one ``lru_cache`` memo.
 
 An element is a value: the order of its stored terms means nothing.  All that
 reads terms in order sorts them by monomial first (``terms()``, ``to_obj`` and
@@ -582,11 +584,7 @@ class RingElement:
 
     def conjugate(self) -> "RingElement":
         """The ring involution ipi2 -> -ipi2 (all other generators fixed)."""
-        out: "dict[int, int]" = {}
-        for m, c in self._terms.items():
-            e = dict(_unpack(m)).get("ipi2", 0)
-            out[m] = -c if e % 2 else c
-        return RingElement._make(out, self._den, self._emax)
+        return self.substitute({"ipi2": -RingElement.gen("ipi2")})
 
     def reduce(self) -> "RingElement":
         """Rewrite every even-zeta period to its rational value.
@@ -743,24 +741,16 @@ _ONE = RingElement({(): 1})
 
 # -- named constants ---------------------------------------------------------
 
-_BERNOULLI: "list[Fraction]" = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (convention B_1 = -1/2), exact and memoized."""
+    """Bernoulli number B_n (convention B_1 = -1/2), exact and memoized.
+    B_n sums B_0 .. B_{n-1} in increasing order, so a cold call recurses
+    two frames deep, however large n is."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n < len(_BERNOULLI):  # entries are append-only, so this read is safe
-        return _BERNOULLI[n]
-    with _BERNOULLI_LOCK:
-        while len(_BERNOULLI) <= n:
-            m = len(_BERNOULLI)
-            s = Fraction(0)
-            for j in range(m):
-                s += math.comb(m + 1, j) * _BERNOULLI[j]
-            _BERNOULLI.append(-s / (m + 1))
-    return _BERNOULLI[n]
+    if n == 0:
+        return Fraction(1)
+    return -sum((math.comb(n + 1, j) * bernoulli(j) for j in range(n)), Fraction(0)) / (n + 1)
 
 
 @lru_cache(maxsize=None)

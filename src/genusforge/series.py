@@ -4,6 +4,11 @@ Series1 is a dense univariate series c_0 + c_1 z + ... + c_N z^N; Series2 is
 a bivariate series truncated by total degree.  All operations truncate to the
 order of their inputs and never consult coefficients beyond it, so
 truncate_M(op(a, b)) == op(truncate_M(a), truncate_M(b)) for M <= N.
+
+Every bivariate product and composition lists the coefficient pairs of
+each index and passes _dotted one verdict, that the result is symmetric;
+_dotted alone then sums the (i, j) with i <= j and gives each (i, j) with
+i > j the sum at (j, i).
 """
 
 from __future__ import annotations
@@ -373,27 +378,21 @@ class Series2(_Series):
         if not isinstance(other, Series2):
             return self._scaled(other)
         n = self._match(other)
-        # A product of symmetric series is symmetric: only the (i, j) with
-        # i <= j are summed, and each (i, j) with i > j is the mirror.
-        half = self.is_symmetric() and other.is_symmetric()
         # For each d, other's terms of total degree <= d, made once: a term of
         # self visits only the partners that stay within n, in stored order,
         # so the result keeps the index order of the all-pairs loop.
         terms = [(i2 + j2, i2, j2, c2) for (i2, j2), c2 in other._coeffs.items()]
         within: "dict[int, list]" = {}
-        pairs: "dict[tuple[int, int], Optional[list]]" = {}
+        pairs: "dict[tuple[int, int], list]" = {}
         for (i1, j1), c1 in self._coeffs.items():
             d = n - i1 - j1
             row = within.get(d)
             if row is None:
                 row = within[d] = [(i2, j2, c2) for e, i2, j2, c2 in terms if e <= d]
             for i2, j2, c2 in row:
-                i, j = i1 + i2, j1 + j2
-                if half and i > j:
-                    pairs.setdefault((i, j), None)
-                else:
-                    pairs.setdefault((i, j), []).append((c1, c2))
-        return _dotted(pairs, n)
+                pairs.setdefault((i1 + i2, j1 + j2), []).append((c1, c2))
+        # A product of symmetric series is symmetric.
+        return _dotted(pairs, n, self.is_symmetric() and other.is_symmetric())
 
     __rmul__ = __mul__
 
@@ -420,7 +419,7 @@ class Series2(_Series):
         """self(f(z0), g(z1)) at the least of the three orders, for inner
         series with zero constant term.  When f == g one list of powers
         serves both variables, and if self is also symmetric, so is the
-        result: only its (p, q) with p <= q are summed."""
+        result."""
         if not f[0].is_zero() or not g[0].is_zero():
             raise BadConstantTermError("inner series must have zero constant term")
         n = min(self.order, f.order, g.order)
@@ -430,24 +429,18 @@ class Series2(_Series):
         else:
             fp = _power_table(list(f._coeffs), F._top(0), n)
             gp = _power_table(list(g._coeffs), F._top(1), n)
-        half = fp is gp and F.is_symmetric()
-        pairs: "dict[tuple[int, int], Optional[list]]" = {}
+        pairs: "dict[tuple[int, int], list]" = {}
         for (i, j), c in F._coeffs.items():
             fi, gj = fp[i], gp[j]
             for p in range(i, n + 1 - j):
                 a = fi[p]
                 if a.is_zero():
                     continue
-                top = n + 1 - p
-                mid = min(max(j, p), top) if half else j  # below mid, q < p: a mirror
-                for q in range(j, mid):
-                    if not gj[q].is_zero():
-                        pairs.setdefault((p, q), None)
                 ca = c * a
-                for q in range(mid, top):
+                for q in range(j, n + 1 - p):
                     if not gj[q].is_zero():
                         pairs.setdefault((p, q), []).append((ca, gj[q]))
-        return _dotted(pairs, n)
+        return _dotted(pairs, n, fp is gp and F.is_symmetric())
 
     def eval_at(self, a: Series1, b: Series1) -> Series1:
         """self(a(z), b(z)) as a univariate series (both inner in the same z):
@@ -494,15 +487,17 @@ def _law_powers(F: Series2) -> "tuple[Series2, ...]":
     return tuple(out)
 
 
-def _dotted(pairs: "dict[tuple[int, int], Optional[list]]", order: int) -> Series2:
+def _dotted(pairs: "dict[tuple[int, int], list]", order: int, symmetric: bool) -> Series2:
     """The Series2 with dot(pairs[ij]) at each nonzero sum, in the order of
-    pairs, stored as dot built it.  An index whose pairs are None is the
-    mirror of a symmetric result and takes the sum at (j, i)."""
+    pairs, stored as dot built it.  The one place that sums half: when the
+    caller knows the result is symmetric, only the (i, j) with i <= j are
+    summed, each (i, j) with i > j takes the sum at (j, i), and the result
+    records its verdict."""
     dot = RingElement.dot
-    sums = {ij: dot(ps) for ij, ps in pairs.items() if ps is not None}
-    out = {ij: sums[ij if ps is not None else ij[::-1]] for ij, ps in pairs.items()}
+    sums = {ij: dot(ps) for ij, ps in pairs.items() if not symmetric or ij[0] <= ij[1]}
+    out = {ij: sums[ij if ij in sums else ij[::-1]] for ij in pairs}
     result = Series2._raw({ij: c for ij, c in out.items() if not c.is_zero()}, order)
-    if len(sums) < len(out):  # a mirror: symmetric by construction
+    if symmetric:
         result._symmetric = True
     return result
 
@@ -560,20 +555,16 @@ def _compose1_2(outer: Series1, inner: Series2) -> Series2:
     composes each column of a law into it.  With a constant term in inner
     the sum stops at k = n all the same, as check_axioms's expansion of
     F(F(x, y), z) does.  When inner is symmetric (its own verdict, kept in
-    the value), so is the result, and only its (i, j) with i <= j are summed."""
-    n, half = min(outer.order, inner.order), inner.is_symmetric()
-    pairs: "dict[tuple[int, int], Optional[list]]" = {}
+    the value), so is the result."""
+    n = min(outer.order, inner.order)
+    pairs: "dict[tuple[int, int], list]" = {}
     for a, Pk in zip(outer._coeffs, _law_powers(inner)):
         if a.is_zero():
             continue
         for (i, j), v in Pk._coeffs.items():
-            if i + j > n:
-                continue
-            if half and i > j:
-                pairs.setdefault((i, j), None)
-            else:
+            if i + j <= n:
                 pairs.setdefault((i, j), []).append((a, v))
-    return _dotted(pairs, n)
+    return _dotted(pairs, n, inner.is_symmetric())
 
 
 def _unit_power(b, a: Union[int, Fraction], top: int) -> "list[RingElement]":

@@ -224,6 +224,16 @@ class TestGenusCommand:
         proc = run_cli("genus", "chern", "--series", "todd", "--dim", "2", "--chern", chern)
         assert_usage_error(proc)
 
+    @pytest.mark.parametrize(
+        "chern, factor", [("c01=2", "c01"), ("c١=2", "c١"), ("c1^+1=2", "c1^+1"), ("c1^١=2", "c1^١")]
+    )
+    def test_a_class_the_ring_refuses_exits_two(self, chern, factor):
+        """A class index is read as the ring reads a family member's
+        ([1-9][0-9]*), and an exponent in ASCII digits only."""
+        proc = run_cli("genus", "chern", "--series", "todd", "--dim", "1", "--chern", chern)
+        assert_usage_error(proc)
+        assert proc.stderr == f"error: bad chern class {factor!r}\n"
+
     @pytest.mark.parametrize("chern", ["c1^2=1,c2=3,c1^2=9", "c1*c1=1,c2=3,c1^2=9"])
     def test_repeated_partition_exits_two(self, chern):
         proc = run_cli("genus", "chern", "--series", "todd", "--dim", "2", "--chern", chern)
@@ -1145,10 +1155,9 @@ _CONTAINER_SIZES = (
     "            sizes[f'{module.__name__}.{attr}'] = len(value)\n"
 )
 # Containers that grow but hold no result of a request: the generator slots
-# that every packed monomial key depends on, the registry of generators with
-# the family members resolved so far, and the append-only Bernoulli table.
-_NOT_MEMOS = ("genusforge.ring._NAMES", "genusforge.ring._SLOTS", "genusforge.ring._REGISTRY",
-              "genusforge.ring._BERNOULLI")
+# that every packed monomial key depends on, and the registry of generators
+# with the family members resolved so far.
+_NOT_MEMOS = ("genusforge.ring._NAMES", "genusforge.ring._SLOTS", "genusforge.ring._REGISTRY")
 
 
 def test_the_cold_state_empties_every_memo_of_the_package(cold):

@@ -85,6 +85,21 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             bernoulli(-1)
 
+    def test_a_cold_call_recurses_only_a_few_frames(self):
+        """B_n reads B_0 .. B_{n-1} in increasing order, so a cold B_200 runs
+        within 50 frames of its caller."""
+        bernoulli.cache_clear()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            value = bernoulli(200)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == bernoulli_akiyama_tanigawa(200)
+
 
 class TestZetaTilde:
     def test_values(self):

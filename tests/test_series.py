@@ -272,12 +272,22 @@ _one_or_t = st.sampled_from([R.one(), gen("t")])
 
 def summed_indices(monkeypatch):
     """A list that gains, per Series2 built from sums of products, the
-    number of indices summed (the others are mirrored)."""
-    dotted, counts = series._dotted, []
+    number of indices summed (the others are mirrored): the RingElement.dot
+    calls made inside that one _dotted call."""
+    dotted, dot, counts = series._dotted, RingElement.dot, []
 
-    def counted(pairs, order):
-        counts.append(sum(ps is not None for ps in pairs.values()))
-        return dotted(pairs, order)
+    def counted(pairs, order, symmetric):
+        calls = []
+
+        def counted_dot(ps):
+            calls.append(None)
+            return dot(ps)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RingElement, "dot", staticmethod(counted_dot))
+            result = dotted(pairs, order, symmetric)
+        counts.append(len(calls))
+        return result
 
     monkeypatch.setattr(series, "_dotted", counted)
     return counts

@@ -80,19 +80,20 @@ def _emit(obj) -> None:
     sys.stdout.write(_ENCODER.encode(obj) + "\n")
 
 
-def _rational(text: str) -> Fraction:
-    """A rational literal: int reads a plain integer, Fraction anything else."""
+def _rational(text: str) -> "int | Fraction":
+    """A rational literal: a plain ASCII integer as an int, anything else as a
+    Fraction."""
     text = text.strip()
     digits = text[1:] if text[:1] in ("+", "-") else text
     if digits.isascii() and digits.isdigit():
-        return Fraction(int(text))
+        return int(text)
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _parse_params(items) -> "dict[str, Fraction]":
+def _parse_params(items) -> "dict[str, int | Fraction]":
     params = {}
     for item in items or ():
         if "=" not in item:
@@ -107,17 +108,48 @@ def _parse_params(items) -> "dict[str, Fraction]":
 
 # A factor c<index>[^<exponent>]: the index as the ring reads a family
 # member's, the exponent in ASCII digits (a sign only to refuse it by name).
-_CHERN_FACTOR = re.compile(r"c([1-9][0-9]*)(?:\^(-?[0-9]+))?")
+_CHERN_FACTOR = re.compile(r"c([1-9][0-9]*)(?:\^(-?)([0-9]+))?")
 
 
-def _parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
+def _bounded(digits: str) -> int:
+    """ASCII digits read as an int, any value above MAX_ORDER as MAX_ORDER + 1:
+    digits longer than MAX_ORDER's never reach int, whose digit limit would
+    refuse them with its own message."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(MAX_ORDER)) else MAX_ORDER + 1
+
+
+@lru_cache(maxsize=256)
+def _monomial(text: str) -> "tuple[int, ...] | None":
+    """The partition that a monomial such as "c1^2*c2" names, parts in
+    decreasing order (c1*c1 and c1^2 are the same one), or None when its
+    weight exceeds MAX_ORDER.  Factors are read in order, so the first bad
+    one is named and the weight bound is met before the parts are listed.
+    Memoised by the text (the 256 most recent), since the tables of one
+    dimension share their monomials; an error is raised again each time."""
+    parts: "list[int]" = []
+    weight = 0
+    for factor in text.replace("*", " ").split():
+        m = _CHERN_FACTOR.fullmatch(factor)
+        if m is None:
+            raise ValueError(f"bad chern class {factor!r}")
+        index, exp = _bounded(m[1]), _bounded(m[3]) if m[3] else 1
+        if m[2] or exp < 1:
+            raise ValueError(f"exponent in {factor!r} must be >= 1")
+        weight += index * exp
+        if weight > MAX_ORDER:
+            return None
+        parts.extend([index] * exp)
+    return tuple(sorted(parts, reverse=True))
+
+
+def _parse_chern(text: str) -> "dict[tuple[int, ...], int | Fraction]":
     """Parse a table like "c1^2=9,c2=3" into {partition: value}.
 
     Classes and exponents are positive, an entry's weight is bounded by
-    MAX_ORDER before its parts are listed, and no partition is given twice
-    (c1*c1 and c1^2 are the same one).
+    MAX_ORDER, and no partition is given twice.
     """
-    table: "dict[tuple[int, ...], Fraction]" = {}
+    table: "dict[tuple[int, ...], int | Fraction]" = {}
     for entry in text.split(","):
         entry = entry.strip()
         if not entry:
@@ -125,20 +157,9 @@ def _parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
         if "=" not in entry:
             raise ValueError(f"bad chern entry {entry!r}")
         mono, value = entry.split("=", 1)
-        parts: "list[int]" = []
-        weight = 0
-        for factor in mono.replace("*", " ").split():
-            m = _CHERN_FACTOR.fullmatch(factor)
-            if m is None:
-                raise ValueError(f"bad chern class {factor!r}")
-            index, exp = int(m[1]), int(m[2] or 1)
-            if exp < 1:
-                raise ValueError(f"exponent in {factor!r} must be >= 1")
-            weight += index * exp
-            if weight > MAX_ORDER:
-                raise ValueError(f"chern entry {entry!r} has weight above {MAX_ORDER}")
-            parts.extend([index] * exp)
-        key = tuple(sorted(parts, reverse=True))
+        key = _monomial(mono)
+        if key is None:
+            raise ValueError(f"chern entry {entry!r} has weight above {MAX_ORDER}")
         if key in table:
             raise ValueError(f"chern entry {entry!r} repeats the partition {key}")
         table[key] = _rational(value)
@@ -193,7 +214,8 @@ def _genus_cpn(args):
 
 def _genus_chern(args):
     # The descriptor checks the table, so a bad one is rejected before the
-    # series, the costly part, is built.  _parse_chern gives from_chern's keys and values.
+    # series, the costly part, is built.  _parse_chern gives from_chern's keys,
+    # and genus_of pairs its int and Fraction values as they stand.
     chern = tuple(sorted(_parse_chern(args.chern).items()))
     descriptor = genus.ManifoldDescriptor(chern_dim=args.dim, chern=chern)
     g = genus.genus_series(args.series, args.dim, args.presentation)

@@ -174,7 +174,7 @@ def gaussian_bracket(n: int) -> RingElement:
     """The quantum integer (t^(n/2) - t^(-n/2)) / (t^(1/2) - t^(-1/2)) in u = t^(1/2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return RingElement.dot((RingElement.gen("u", n - 1 - 2 * j), _ONE) for j in range(n))
+    return RingElement.dot((RingElement.gen("u", n - 1 - 2 * j), 1) for j in range(n))
 
 
 def kontsevich_germ_law(order: int) -> Series2:

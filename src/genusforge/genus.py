@@ -249,7 +249,8 @@ class ManifoldDescriptor(Record):
 
     projective: "Optional[tuple[int, ...]]" = None
     chern_dim: Optional[int] = None
-    chern: "Optional[tuple[tuple[tuple[int, ...], Fraction], ...]]" = None  # sorted pairs
+    # (partition, Chern number) pairs sorted by partition, a number an int or a Fraction
+    chern: "Optional[tuple[tuple[tuple[int, ...], Union[int, Fraction]], ...]]" = None
 
     def __post_init__(self):
         """Reject a table whose keys are not the partitions of d, each once: weights
@@ -299,7 +300,8 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
     """Evaluate the genus on a manifold descriptor.
 
     Projective products use multiplicativity; Chern tables pair the weight-d
-    Hirzebruch polynomial K_d with the supplied Chern numbers.
+    Hirzebruch polynomial K_d with the supplied Chern numbers through one dot,
+    each number (an int or a Fraction) a scalar factor, never an element.
     """
     if M.projective is not None:
         out = _ONE
@@ -310,10 +312,10 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
         raise ValueError("descriptor carries neither projective nor chern data")
     d = M.chern_dim
     if d == 0:  # K_0 = 1 pairs with the point count c_(), the one pair's value
-        return RingElement.from_rational(M.chern[0][1])
+        return _ONE * M.chern[0][1]
     if g.H.order < d:
         raise InsufficientOrderError(f"series order {g.H.order} < dim = {d}")
-    chern = {lam: RingElement.from_rational(v) for lam, v in M.chern}
+    chern = dict(M.chern)
     return RingElement.dot((c, chern[lam]) for lam, c in _chern_rows(g.H.truncate(d)))
 
 
@@ -530,7 +532,7 @@ class WittenSeries(Record):
         coeffs = [2 * zeta_tilde_even(k)]
         coeffs += (scale * _sigma(2 * k - 1, n) for n in range(1, self.q_order + 1))
         expected = (RingElement.gen("q", n, coeff=c) for n, c in enumerate(coeffs))
-        return 2 * k, got - RingElement.dot((e, _ONE) for e in expected)
+        return 2 * k, got - RingElement.dot((e, 1) for e in expected)
 
     def divisor_check(self, k: int) -> CheckResult:
         """The divisor-sum formula for G_2k(q) alone, as a check."""
@@ -706,7 +708,7 @@ def numeric_gamma_validation(
 
 def hodge_chi_minus_t(n: int) -> RingElement:
     """The Hodge-theoretic chi_{-t} of CP^n: sum_{q<=n} t^q (h^{p,q} = delta_pq)."""
-    return RingElement.dot((RingElement.gen("t", q), _ONE) for q in range(n + 1))
+    return RingElement.dot((RingElement.gen("t", q), 1) for q in range(n + 1))
 
 
 def hodge_chi_check(n_max: int) -> CheckResult:

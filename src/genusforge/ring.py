@@ -25,11 +25,12 @@ packed key and reduce once by the gcd, with no Fraction per term.
 ``RingElement.dot`` sums products of pairs into one numerator dict and reduces
 once; a product of two elements is its one-pair case, and every sum of
 products in the series and law layers goes through it.  A rational scalar (an
-int or a Fraction) is not made an element: a product or a quotient by it
-scales the numerators and the denominator, as FLINT's fmpq_poly does, with
-one gcd pass.  ``split(family)`` writes an element as a polynomial in one
-indexed family of generators (``c1, c2, ...``) with coefficients free of it,
-so that no other module reads the packed keys.  ``conjugate`` is the
+int or a Fraction) is not made an element: a product or a quotient by it,
+or a dot pair that has it as second factor, scales the numerators and the
+denominator, as FLINT's fmpq_poly does, with one gcd pass.
+``split(family)`` writes an element as a polynomial in one indexed family of
+generators (``c1, c2, ...``) with coefficients free of it, so that no other
+module reads the packed keys.  ``conjugate`` is the
 substitution ``ipi2 -> -ipi2``, a homomorphism like any other
 ``substitute``, and ``bernoulli`` is one ``lru_cache`` memo.
 
@@ -457,7 +458,7 @@ class RingElement:
         return RingElement._make({m: c * num for m, c in self._terms.items()}, den, self._emax)
 
     @staticmethod
-    def dot(pairs: "Iterable[tuple[RingElement, RingElement]]") -> "RingElement":
+    def dot(pairs: "Iterable[tuple[RingElement, Scalar]]") -> "RingElement":
         """sum(x * y for x, y in pairs), the one multiply-accumulate kernel.
 
         Term products go into one {packed monomial: int} dict over a running
@@ -465,14 +466,23 @@ class RingElement:
         it, with one gcd pass at the end; a sum that reaches zero is dropped at
         once.  A monomial product is the sum of the two keys, made only after
         the pair's exponent bounds show that no digit can leave its range.
+        A pair's second factor may be a rational scalar (an int or a Fraction):
+        as in __mul__ it is not made an element, and it scales x's numerators
+        by its numerator and the pair's denominator by its own.
         """
         out: "dict[int, int]" = {}
         get, den, emax = out.get, 1, 0
         for x, y in pairs:
-            a, b = x._terms, y._terms
+            if type(y) is RingElement:
+                b, e, d = y._terms, y._emax, y._den
+            elif isinstance(y, (int, Fraction)):  # one term, the unit monomial
+                b, e, d = {0: y.numerator} if y else None, 0, y.denominator
+            else:
+                raise TypeError(f"a dot factor is an element or rational, not {type(y).__name__}")
+            a = x._terms
             if not a or not b:
                 continue
-            e = x._emax + y._emax
+            e += x._emax
             if e > emax:
                 if e >= _LIMIT:
                     raise ValueError(
@@ -481,7 +491,7 @@ class RingElement:
                 emax = e
             if len(a) > len(b):
                 a, b = b, a
-            d = x._den * y._den
+            d *= x._den
             if den % d:
                 s = d // math.gcd(den, d)
                 for m in out:

@@ -449,7 +449,7 @@ class Series2(_Series):
         c = self.compose(a, b)
         diagonal: "list[list]" = [[] for _ in range(c.order + 1)]
         for (p, q), v in c._coeffs.items():
-            diagonal[p + q].append((v, _ONE))
+            diagonal[p + q].append((v, 1))
         return Series1([RingElement.dot(ps) for ps in diagonal], c.order)
 
     # -- io ------------------------------------------------------------------

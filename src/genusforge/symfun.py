@@ -170,7 +170,7 @@ def elementary_in_roots(k: int, m: int) -> RingElement:
 
 def power_sum_over(alphabet: Sequence[RingElement], k: int) -> RingElement:
     """The power sum of an explicit alphabet of ring elements."""
-    return RingElement.dot((a**k, _ONE) for a in alphabet)
+    return RingElement.dot((a**k, 1) for a in alphabet)
 
 
 # -- symmetric root polynomials back to the e-basis --------------------------------

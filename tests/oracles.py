@@ -33,8 +33,9 @@ and each factor raised where it appears instead of once per call, its JSON
 form through one Fraction per term instead of the stored integers, and a
 `genus chern` request through the normalizing ManifoldDescriptor.from_chern
 with every value read by Fraction instead of the parsed table as it stands
-with plain integers read by int, a bivariate series' symmetry by scanning
-every coefficient instead of the verdict the value keeps, and sums of ring
+with plain integers read by int, a Chern table with every factor of every
+monomial read afresh instead of each monomial text once, a bivariate
+series' symmetry by scanning every coefficient instead of the verdict the value keeps, and sums of ring
 elements (a power sum, a substitution, the even-zeta reduction) by a
 term-wise + fold instead of one RingElement.dot, a ring element's terms sorted
 afresh on every read instead of in the order the element keeps, and a law
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -812,6 +814,43 @@ def fraction_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+_CHERN_FACTOR = re.compile(r"c([1-9][0-9]*)(?:\^(-?[0-9]+))?")
+
+
+def factorwise_parse_chern(text: str) -> "dict[tuple[int, ...], Fraction]":
+    """cli._parse_chern with every factor of every entry read afresh by int
+    and each value by fraction_rational, instead of one memo of monomial
+    texts over digit strings compared with MAX_ORDER's before int.  Past the
+    interpreter's int digit limit it raises int's own error; with the limit
+    off it names the entry's weight as cli._parse_chern does."""
+    table: "dict[tuple[int, ...], Fraction]" = {}
+    for entry in text.split(","):
+        entry = entry.strip()
+        if not entry:
+            continue
+        if "=" not in entry:
+            raise ValueError(f"bad chern entry {entry!r}")
+        mono, value = entry.split("=", 1)
+        parts: "list[int]" = []
+        weight = 0
+        for factor in mono.replace("*", " ").split():
+            m = _CHERN_FACTOR.fullmatch(factor)
+            if m is None:
+                raise ValueError(f"bad chern class {factor!r}")
+            index, exp = int(m[1]), int(m[2] or 1)
+            if exp < 1:
+                raise ValueError(f"exponent in {factor!r} must be >= 1")
+            weight += index * exp
+            if weight > cli.MAX_ORDER:
+                raise ValueError(f"chern entry {entry!r} has weight above {cli.MAX_ORDER}")
+            parts.extend([index] * exp)
+        key = tuple(sorted(parts, reverse=True))
+        if key in table:
+            raise ValueError(f"chern entry {entry!r} repeats the partition {key}")
+        table[key] = fraction_rational(value)
+    return table
 
 
 def from_chern_genus_chern(args):

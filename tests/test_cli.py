@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from genusforge.ring import RingElement
 from genusforge.series import Series1
 
 from conftest import MODULES, clear_memos, int_max_str_digits
-from oracles import fraction_rational, from_chern_genus_chern
+from oracles import factorwise_parse_chern, fraction_rational, from_chern_genus_chern
 
 _ENV = {**os.environ}
 _ENV.pop("GENUSFORGE_ORDER", None)
@@ -218,6 +219,15 @@ class TestGenusCommand:
             "genus", "chern", "--series", "todd", "--dim", "2", "--chern", "c1^100000000000=1"
         )
         assert_usage_error(proc)
+
+    @pytest.mark.parametrize("factor", ["c" + "1" * 5000, "c1^" + "1" * 5000], ids=["index", "exponent"])
+    def test_a_class_past_the_int_digit_limit_names_the_weight_bound(self, factor):
+        """An index or exponent longer than the interpreter's int digit limit
+        is over the weight bound, and is named so, not by int's own message."""
+        entry = f"{factor}=1"
+        proc = run_cli("genus", "chern", "--series", "todd", "--dim", "1", "--chern", entry)
+        assert_usage_error(proc)
+        assert proc.stderr == f"error: chern entry {entry!r} has weight above {cli.MAX_ORDER}\n"
 
     @pytest.mark.parametrize("chern", ["c1^-1=1", "c1^0=1,c2=3"])
     def test_non_positive_chern_exponent_exits_two(self, chern):
@@ -827,6 +837,80 @@ class TestRationalParity:
         assert new == old
 
 
+# Monomial texts for the Chern parser: factors it reads, factors that each of
+# its rules refuses, the spellings of a product and weights past MAX_ORDER,
+# some with more digits than the interpreter's int digit limit.
+_CHERN_FACTORS = st.sampled_from([
+    "c1", "c2", "c3", "c12", "c1^2", "c2^1", "c1^03", "c1^" + "0" * 5000 + "2",
+    "c1001", "c500^3", "c1^1000", "c" + "1" * 5000, "c1^" + "1" * 5000, "c1^-" + "1" * 5000,
+    "c01", "c0", "c", "c1^0", "c1^-1", "c1^-0", "c1^+1", "c1^", "c1^2^3", "C1", "b2",
+    "\u0661", "c\u0661", "c1^\u0662", "c\uff11", "c1**2",
+])
+_CHERN_VALUE_TEXTS = st.sampled_from(
+    ["1", "-2", "+3", "007", "3/4", " 5 ", "1/0", "x", "", "\u0663", "\u00b2", "1e2"]
+)
+
+
+@st.composite
+def _chern_texts(draw):
+    """A --chern argument: entries of up to three factors joined by "*",
+    spaces or "**", each with a value, or with no "=", or empty."""
+    entries = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        factors = draw(st.lists(_CHERN_FACTORS, min_size=0, max_size=3))
+        mono = draw(st.sampled_from(["*", " * ", " ", "**"])).join(factors)
+        form = draw(st.sampled_from(["value", "value", "value", "bare", "empty"]))
+        entries.append(
+            f" {mono} = {draw(_CHERN_VALUE_TEXTS)}" if form == "value" else mono if form == "bare" else " "
+        )
+    return ",".join(entries)
+
+
+def _outcome(read, text):
+    """What read makes of text, or the message of its ValueError."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestChernParsing:
+    """cli._parse_chern reads each monomial text once (cli._monomial) and
+    gives the table, or the exact error, of the factor-by-factor oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_chern_texts())
+    @example("c1=1,c1^2=2")
+    @example("c2*c1=1,c1*c2=2")
+    @example("c1=1,c1*c1=2,c1^2=3")
+    def test_against_the_factorwise_oracle_cold_and_warm(self, text):
+        with int_max_str_digits(0):  # the oracle's int reads every digit string
+            want = _outcome(factorwise_parse_chern, text)
+        cli._monomial.cache_clear()
+        for _ in ("cold", "warm"):
+            got = _outcome(cli._parse_chern, text)
+            assert got == want
+            if type(got) is dict:
+                assert all(type(key) is tuple and all(type(p) is int for p in key) for key in got)
+
+    @pytest.mark.parametrize("text", _LITERALS)
+    def test_rational_reads_only_an_ascii_integer_with_int(self, text):
+        """A plain ASCII integer is an int, any other literal a Fraction of
+        the same value, or the same error."""
+        got = _outcome(cli._rational, text)
+        assert got == _outcome(fraction_rational, text)
+        if type(got) is not str:
+            plain = re.fullmatch(r"[+-]?[0-9]+", text.strip()) is not None
+            assert type(got) is (int if plain else Fraction), text
+
+    def test_the_monomial_memo_is_bounded_and_holds_partitions(self, cold):
+        for k in range(1, 301):
+            assert cli._monomial(f"c{k}*c1") == (k, 1)
+        assert cli._monomial("c1001") is None
+        info = cli._monomial.cache_info()
+        assert info.maxsize == 256 and info.currsize == 256
+
+
 _HELP_AND_SPELLINGS = st.sampled_from(
     ["-h", "--help", "--he", "--ser", "--series=todd", "--order=3", "--"]
 )
@@ -1175,6 +1259,7 @@ def test_the_cold_state_empties_every_memo_of_the_package(cold):
         ["fgl", "series", "--law", "jacobi", "--order", "6", "--param", "delta=1/3"],
         ["fgl", "iso", "--from", "kontsevich", "--to", "multiplicative", "--order", "6"],
         ["genus", "chern", "--series", "gamma", "--dim", "3", "--chern", "c1^3=1,c1*c2=2,c3=3"],
+        ["genus", "chern", "--series", "todd", "--dim", "3", "--chern", "c3=1,c1^3=-2,c1*c2=1/2"],
         ["genus", "table", "--series", "todd", "--max-n", "4"],
         ["witten", "--x-order", "4", "--q-order", "2"],
         ["series", "revert"],
@@ -1182,6 +1267,7 @@ def test_the_cold_state_empties_every_memo_of_the_package(cold):
         assert _run_in_process(argv, series)[0] == 0, argv
     verify.run_suite("all", 4)
     assert fgl._BUILT and genus._SERIES and genus._CHERN_ROWS
+    assert cli._monomial.cache_info().hits == 3  # the second table's monomials
     clear_memos()
     names = {}
     exec(_CONTAINER_SIZES, names)

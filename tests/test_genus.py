@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -447,6 +448,14 @@ class TestMishchenko:
         assert not mishchenko_check(bad).passed
 
 
+# A Chern table's values: all ints, all Fractions, or each drawn from both.
+_CHERN_VALUES = {
+    "int": st.one_of(st.just(0), st.integers()),
+    "fraction": st.one_of(st.just(Fraction(0)), rationals, st.fractions()),
+}
+_CHERN_VALUES["mixed"] = st.one_of(_CHERN_VALUES["int"], _CHERN_VALUES["fraction"])
+
+
 class TestGenusOf:
     def test_multiplicativity(self):
         g = genus_series("ahat", 6)
@@ -470,23 +479,42 @@ class TestGenusOf:
                 assert genus_of(g, M) == genus_cpn(g, n), (name, n)
 
     @pytest.mark.parametrize("name", GENUS_SERIES)
-    @given(d=st.integers(1, 5), data=st.data())
-    def test_pairing_against_the_fraction_oracle(self, name, d, data):
-        values = st.one_of(st.just(Fraction(0)), rationals)
-        table = {lam: data.draw(values) for lam in partitions(d)}
+    @given(d=st.integers(1, 5), kind=st.sampled_from(sorted(_CHERN_VALUES)), data=st.data())
+    def test_pairing_against_the_fraction_oracle(self, name, d, kind, data):
+        table = {lam: data.draw(_CHERN_VALUES[kind]) for lam in partitions(d)}
         g = genus_series(name, d)
         got = genus_of(g, ManifoldDescriptor(chern_dim=d, chern=tuple(sorted(table.items()))))
         want = fraction_chern_pairing(multiplicative_sequence(g.H, d)[d - 1].poly, table)
         assert got == want
 
     @pytest.mark.parametrize("name", GENUS_SERIES)
-    @given(d=st.integers(1, 5), data=st.data())
-    def test_pairing_against_the_integer_row_oracle(self, name, d, data):
-        values = st.one_of(st.just(Fraction(0)), rationals)
-        table = {lam: data.draw(values) for lam in partitions(d)}
+    @given(d=st.integers(1, 5), kind=st.sampled_from(sorted(_CHERN_VALUES)), data=st.data())
+    def test_pairing_against_the_integer_row_oracle(self, name, d, kind, data):
+        table = {lam: data.draw(_CHERN_VALUES[kind]) for lam in partitions(d)}
         g = genus_series(name, d)
-        M = ManifoldDescriptor.from_chern(d, table)
+        M = ManifoldDescriptor(chern_dim=d, chern=tuple(sorted(table.items())))
         assert genus_of(g, M) == integer_row_genus_of(g, M)
+
+    def test_a_chern_table_is_paired_without_making_its_numbers_elements(self):
+        """genus_of pairs a table's ints and Fractions as they stand: once the
+        rows are built, no Chern number becomes a ring element."""
+        g = genus_series("gamma_raw", 3)
+        tables = [
+            ManifoldDescriptor(chern_dim=d, chern=tuple(sorted(t.items())))
+            for d, t in [
+                (0, {(): 7}),
+                (0, {(): Fraction(-2, 3)}),
+                (1, {(1,): 2}),
+                (2, {(1, 1): 9, (2,): Fraction(3, 4)}),
+                (3, {(1, 1, 1): Fraction(1, 2), (2, 1): -5, (3,): Fraction(7)}),
+            ]
+        ]
+        want = [genus_of(g, M) for M in tables]
+        with mock.patch.object(RingElement, "from_rational", wraps=RingElement.from_rational) as spy:
+            got = [genus_of(g, M) for M in tables]
+        assert spy.call_count == 0
+        assert got == want
+        assert want[0] == 7 and want[1] == Fraction(-2, 3)
 
     def test_chern_numbers_against_polynomial_oracle(self):
         from oracles import cpn_chern_numbers_oracle

@@ -457,6 +457,21 @@ class TestScalingKernel:
             assert got._emax == via_dot._emax
             assert hash(got) == uncached_hash(via_dot) == hash(via_dot)
 
+    @given(st.lists(st.tuples(ring_elements(), st.one_of(ring_elements(), scalars)), max_size=4))
+    @example([(gen("gamma", 1, 2), Fraction(1, 2)), (gen("t", -1), Fraction(-3, 4))])
+    def test_a_dot_pair_may_have_a_rational_second_factor(self, pairs):
+        """A scalar second factor of a dot pair scales as the product does:
+        the storage and exponent bound of the dot with it made an element."""
+        coerced = [(x, y if isinstance(y, R) else R.from_rational(y)) for x, y in pairs]
+        got = R.dot(pairs)
+        assert storage(got) == storage(pairwise_dot(coerced))
+        assert got._emax == R.dot(coerced)._emax
+        assert_canonical(got)
+
+    def test_a_dot_pair_refuses_a_float(self):
+        with pytest.raises(TypeError, match="is an element or rational, not float"):
+            R.dot([(gen("gamma"), 1.5)])
+
     @given(ring_elements())
     def test_zero_scalar_gives_the_zero_element(self, x):
         for q in (0, Fraction(0), False):

@@ -200,7 +200,7 @@ def sinh_exponential(order: int) -> Series1:
 def _chi_rescaled_exponential(order: int) -> Series1:
     """The reversion of the logarithm sum_n [n](u) z^n / n."""
     log = Series1(
-        [0] + [gaussian_bracket(n) * Fraction(1, n) for n in range(1, order + 1)], order
+        [0] + [gaussian_bracket(n) / n for n in range(1, order + 1)], order
     )
     return log.revert()
 
@@ -355,8 +355,10 @@ def grading_check(law: FormalGroupLaw) -> CheckResult:
 # -- logarithm, inverse, n-series ------------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def logarithm(law: Union[FormalGroupLaw, Series2]) -> Series1:
-    """The logarithm, from the invariant differential dL = dz / F_2(z, 0)."""
+    """The logarithm, from the invariant differential dL = dz / F_2(z, 0),
+    kept for the 32 most recent laws by value."""
     F = _law_series(law)
     n = F.order
     dlog = Series1([F[(i, 1)] for i in range(n)], n - 1)

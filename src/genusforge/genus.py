@@ -208,7 +208,7 @@ def mishchenko_check(g: GenusSeries) -> CheckResult:
     """log(v) == sum_{n>=1} genus(CP^{n-1}) v^n / n, coefficientwise."""
     log = g.exp.revert()
     return first_defect(
-        (n, log[n] - genus_cpn(g, n - 1) * Fraction(1, n)) for n in range(1, g.order + 1)
+        (n, log[n] - genus_cpn(g, n - 1) / n) for n in range(1, g.order + 1)
     )
 
 
@@ -253,8 +253,18 @@ class ManifoldDescriptor(Record):
     chern: "Optional[tuple[tuple[tuple[int, ...], Union[int, Fraction]], ...]]" = None
 
     def __post_init__(self):
-        """Reject a table whose keys are not the partitions of d, each once: weights
-        and the count p(d) first, so a bad table is rejected before listing partitions."""
+        """Reject a projective dimension that is not an int >= 0, a Chern number
+        that is not an int or a Fraction (a bool included), and a table whose keys
+        are not the partitions of d, each once: weights and the count p(d)
+        first, so a bad table is rejected before listing partitions."""
+        if self.projective is not None:
+            if type(self.projective) is not tuple:
+                raise TypeError("projective is a tuple of dimensions; see projective_product")
+            for n in self.projective:
+                if type(n) is not int:
+                    raise TypeError(f"a projective dimension is an int, not {type(n).__name__}")
+                if n < 0:
+                    raise ValueError(f"a projective dimension is >= 0, not {n}")
         d, table = self.chern_dim, self.chern
         if table is None or d is None:
             return
@@ -267,6 +277,10 @@ class ManifoldDescriptor(Record):
             or set(keys) != _partition_set(d)
         ):
             raise IncompleteChernTableError(f"chern table keys {sorted(keys)} != partitions of {d}")
+        for lam, v in table:
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                kind = type(v).__name__
+                raise TypeError(f"the Chern number of {lam} is an int or a Fraction, not {kind}")
 
     @staticmethod
     def projective_product(dims: Sequence[int]) -> "ManifoldDescriptor":
@@ -640,7 +654,7 @@ def chi_rescaled_check(order: int) -> CheckResult:
     is recorded."""
     law = catalog("chi_rescaled", order)
     L = logarithm(law)
-    log_pairs = [(n, L[n] - gaussian_bracket(n) * Fraction(1, n)) for n in range(1, order + 1)]
+    log_pairs = [(n, L[n] - gaussian_bracket(n) / n) for n in range(1, order + 1)]
     u_inv = {"u": RingElement.gen("u", -1)}
     inv_pairs = (law.F.map_coefficients(lambda c: c.substitute(u_inv)) - law.F).items()
     mixed = law.F[(1, 1)]

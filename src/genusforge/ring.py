@@ -16,7 +16,10 @@ inverse is ``-key``.  The packing is injective while every ``|e_k| < 2**23``;
 each element carries a bound on its largest ``|exponent|``, and an input or a
 product that could leave that range raises ``ValueError`` instead of wrapping.
 One bounded cache decodes a key to its sorted (name, exponent) tuple, the form
-in which monomials enter and leave the ring.
+in which monomials enter and leave the ring; ``evaluate`` decodes each key
+of its element once, past that cache.  ``split`` and ``truncate_gen`` decode
+none: with ``_LIMIT`` added to every digit (``_bias``) no digit borrows from
+the next, so a mask reads the digits they need.
 
 The constructors work the same way: ``RingElement(terms)`` and ``from_obj``
 bring each term's integer numerator over the lcm of the denominators, sum by
@@ -25,9 +28,9 @@ packed key and reduce once by the gcd, with no Fraction per term.
 ``RingElement.dot`` sums products of pairs into one numerator dict and reduces
 once; a product of two elements is its one-pair case, and every sum of
 products in the series and law layers goes through it.  A rational scalar (an
-int or a Fraction) is not made an element: a product or a quotient by it,
-or a dot pair that has it as second factor, scales the numerators and the
-denominator, as FLINT's fmpq_poly does, with one gcd pass.
+int or a Fraction) is not made an element, nor an int a Fraction: a product
+or a quotient by it, or a dot pair that has it as second factor, scales the
+numerators and the denominator, as FLINT's fmpq_poly does, with one gcd pass.
 ``split(family)`` writes an element as a polynomial in one indexed family of
 generators (``c1, c2, ...``) with coefficients free of it, so that no other
 module reads the packed keys.  ``conjugate`` is the
@@ -166,23 +169,39 @@ def _pack(m: "Iterable[tuple[str, int]]") -> int:
     return sum(e << (_W * _slot(name)) for name, e in m)
 
 
+def _monomials(keys: "Iterable[int]") -> "list[Monomial]":
+    """The sorted (name, exponent) tuple of each packed key, in turn."""
+    out = []
+    for key in keys:
+        m = []
+        k = 0
+        while key:
+            # Step over the zero digits below the lowest set bit at once.
+            skip = ((key & -key).bit_length() - 1) // _W
+            key >>= _W * skip
+            k += skip
+            e = key & _MASK
+            if e >= _LIMIT:
+                e -= 1 << _W
+            m.append((_NAMES[k], e))
+            key = (key - e) >> _W
+            k += 1
+        m.sort()
+        out.append(tuple(m))
+    return out
+
+
 @lru_cache(maxsize=1 << 16)
 def _unpack(key: int) -> Monomial:
     """The sorted (name, exponent) tuple of a packed key."""
-    out = []
-    k = 0
-    while key:
-        # Step over the zero digits below the lowest set bit at once.
-        skip = ((key & -key).bit_length() - 1) // _W
-        key >>= _W * skip
-        k += skip
-        e = key & _MASK
-        if e >= _LIMIT:
-            e -= 1 << _W
-        out.append((_NAMES[k], e))
-        key = (key - e) >> _W
-        k += 1
-    return tuple(sorted(out))
+    return _monomials((key,))[0]
+
+
+def _bias(n: int) -> int:
+    """The key with digit _LIMIT in each of slots 0..n-1.  Added to a key of
+    those slots it makes every digit nonnegative, so no digit borrows from the
+    next and each reads off by a shift and a mask, minus _LIMIT."""
+    return _LIMIT * ((1 << _W * n) - 1) // _MASK
 
 
 @lru_cache(maxsize=1 << 16)
@@ -327,7 +346,8 @@ class RingElement:
     def gen(name: str, exp: int = 1, coeff: Rational = 1) -> "RingElement":
         """The monomial coeff * name**exp."""
         generator_info(name)
-        coeff = Fraction(coeff)
+        if not isinstance(coeff, (int, Fraction)):
+            coeff = Fraction(coeff)
         if not coeff:
             return _ZERO
         if exp == 0:
@@ -448,13 +468,17 @@ class RingElement:
             return RingElement.dot(((self, other),))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        num = other.numerator
+        return self._scaled(other.numerator, other.denominator)
+
+    def _scaled(self, num: int, den: int) -> "RingElement":
+        """self * num / den for coprime ints num and den > 0: the numerators
+        scale by num and the denominator by den, and _make reduces once."""
         if not num or not self._terms:
             return _ZERO
         g = math.gcd(num, self._den)
         if g != 1:
             num //= g
-        den = (self._den // g) * other.denominator
+        den *= self._den // g
         return RingElement._make({m: c * num for m, c in self._terms.items()}, den, self._emax)
 
     @staticmethod
@@ -544,9 +568,10 @@ class RingElement:
         """self / other: a rational divisor scales as __mul__ does, and an
         element divisor must be a monomial unit."""
         if isinstance(other, (int, Fraction)):
-            if not other:
+            num, den = other.denominator, other.numerator
+            if not den:
                 raise NonUnitError("not a monomial unit: 0")
-            return self * Fraction(other.denominator, other.numerator)
+            return self._scaled(num, den) if den > 0 else self._scaled(-num, -den)
         if not isinstance(other, RingElement):
             return NotImplemented
         return self * other.inverse()
@@ -637,18 +662,32 @@ class RingElement:
         """{monomial in the generators family1, family2, ... of an indexed
         family (zeta, e, h, s, x, c or p): its coefficient, free of them}.
         The sum of their products is self, and zero splits into {}."""
-        parts: "dict[Monomial, dict[int, int]]" = {}
+        bias = _bias(len(_NAMES))
+        used = 0  # the nonzero digits of any key
+        for key in self._terms:
+            used |= (key + bias) ^ bias
+        mask = 0  # the digits of the family's slots among them
+        while used:
+            k = ((used & -used).bit_length() - 1) // _W
+            digit = _MASK << _W * k
+            f = _FAMILY.fullmatch(_NAMES[k])
+            if f and f[1] == family:
+                mask |= digit
+            used &= ~digit
+        low = bias & mask
+        parts: "dict[int, dict[int, int]]" = {}
         for key, c in self._terms.items():
-            inner, rest = [], []
-            for name, e in _unpack(key):
-                f = _FAMILY.fullmatch(name)
-                (inner if f and f[1] == family else rest).append((name, e))
-            parts.setdefault(tuple(inner), {})[_pack(rest)] = c
-        return {m: RingElement._make(t, self._den, self._emax) for m, t in parts.items()}
+            inner = ((key + bias) & mask) - low  # the family's digits of key
+            parts.setdefault(inner, {})[key - inner] = c
+        return {_unpack(m): RingElement._make(t, self._den, self._emax) for m, t in parts.items()}
 
     def truncate_gen(self, name: str, max_exp: int) -> "RingElement":
         """Drop every monomial where `name` appears with exponent > max_exp."""
-        out = {m: c for m, c in self._terms.items() if dict(_unpack(m)).get(name, 0) <= max_exp}
+        k = _SLOTS.get(name)
+        if k is None:  # no key has a digit for name: its exponent is 0 in each
+            return self if max_exp >= 0 else _ZERO
+        bias, shift, top = _bias(k + 1), _W * k, max_exp + _LIMIT  # top: max_exp, biased
+        out = {m: c for m, c in self._terms.items() if ((m + bias) >> shift & _MASK) <= top}
         if len(out) == len(self._terms):
             return self
         return RingElement._make(out, self._den, self._emax)
@@ -663,7 +702,7 @@ class RingElement:
         t, u, delta, epsilon, q, e_n and every auxiliary generator must be
         supplied through `overrides` (UnboundGeneratorError otherwise).
         """
-        terms = sorted((_unpack(m), c) for m, c in self._terms.items())
+        terms = sorted(zip(_monomials(self._terms), self._terms.values()))
         factors = {factor for m, _ in terms for factor in m}
         values = {k: complex(v) for k, v in (overrides or {}).items()}
         names = {name for name, _ in factors}
@@ -753,14 +792,18 @@ _ONE = RingElement({(): 1})
 
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (convention B_1 = -1/2), exact and memoized.
-    B_n sums B_0 .. B_{n-1} in increasing order, so a cold call recurses
-    two frames deep, however large n is."""
+    """Bernoulli number B_n (convention B_1 = -1/2), exact and memoized:
+    B_n = -sum_{j<n} C(n+1, j) B_j / (n+1), summed in integers over the lcm
+    of the denominators of B_0 .. B_{n-1}.  It reads them in increasing
+    order, so a cold call recurses two frames deep, however large n is."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return Fraction(1)
-    return -sum((math.comb(n + 1, j) * bernoulli(j) for j in range(n)), Fraction(0)) / (n + 1)
+    b = [bernoulli(j) for j in range(n)]
+    den = math.lcm(*[x.denominator for x in b])
+    total = sum(math.comb(n + 1, j) * x.numerator * (den // x.denominator) for j, x in enumerate(b))
+    return Fraction(-total, den * (n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -811,8 +854,11 @@ def euler_gamma() -> float:
     capped by the float log at ~1e-16, ample for the numeric cross-checks.
     """
     N, K = 25, 9
-    h = sum(Fraction(1, j) for j in range(1, N + 1))
-    tail = -Fraction(1, 2 * N)
+    # H_N - 1/(2N) + sum_k B_2k / (2k N^2k) as (numerator, denominator) pairs
+    parts = [(1, j) for j in range(1, N + 1)] + [(-1, 2 * N)]
     for k in range(1, K + 1):
-        tail += bernoulli(2 * k) / (2 * k * Fraction(N) ** (2 * k))
-    return float(h + tail) - math.log(N)
+        b = bernoulli(2 * k)
+        parts.append((b.numerator, b.denominator * 2 * k * N ** (2 * k)))
+    den = math.lcm(*[d for _, d in parts])
+    # int / int rounds correctly, as float() of the reduced Fraction does
+    return sum(a * (den // d) for a, d in parts) / den - math.log(N)

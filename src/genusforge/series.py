@@ -154,7 +154,7 @@ class _Series:
         if isinstance(other, type(self)):
             return self._divide(other)
         if isinstance(other, (int, Fraction)) and other:
-            return self._scaled(Fraction(1, other))
+            return self.map_coefficients(lambda c: c / other)
         return self * _coerce_elem(other).inverse()
 
     def to_json(self) -> str:
@@ -252,7 +252,7 @@ class Series1(_Series):
         """Formal antiderivative with zero constant; order one more."""
         out = [_ZERO]
         for n, c in enumerate(self._coeffs):
-            out.append(c * Fraction(1, n + 1))
+            out.append(c / (n + 1))
         return Series1(out, self.order + 1)
 
     # -- composition ---------------------------------------------------------
@@ -513,7 +513,7 @@ def exp_series(f: Series1) -> "Series1":
     kf = [k * f[k] for k in range(n + 1)]
     out = [_ONE] + [_ZERO] * n
     for m in range(1, n + 1):
-        out[m] = RingElement.dot((kf[k], out[m - k]) for k in range(1, m + 1)) * Fraction(1, m)
+        out[m] = RingElement.dot((kf[k], out[m - k]) for k in range(1, m + 1)) / m
     return Series1(out, n)
 
 

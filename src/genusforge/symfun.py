@@ -324,10 +324,12 @@ def exp_of_power_sums(b, sums: Sequence[RingElement], n: int) -> Series1:
     return exp_series(Series1([_ZERO] + [sums[k - 1] * b[k] for k in range(1, n + 1)], n))
 
 
+@lru_cache(maxsize=32)
 def _characteristic_log(H: Series1, n: int) -> Series1:
     """log H to order n: the engine's entry check for a caller holding H.
     H must start at 1 (else ValueError) and be known to order n (else
-    InsufficientOrderError: no product reads an unknown coefficient as 0)."""
+    InsufficientOrderError: no product reads an unknown coefficient as 0).
+    Kept for the 32 most recent (H, n) by value."""
     if not H[0].is_one():
         raise ValueError("characteristic series must have constant term 1")
     if H.order < n:

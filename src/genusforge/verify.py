@@ -146,7 +146,7 @@ def _exp_mixed(L: Series1, q_order: int) -> Series1:
     out = [sum(exp_series(Series1(parts, q_order)).coefficients(), RingElement.zero())]
     for m in range(1, n + 1):
         acc = RingElement.dot((kL[k], out[m - k]) for k in range(1, m + 1))
-        out.append(acc.truncate_gen("q", q_order) * Fraction(1, m))
+        out.append(acc.truncate_gen("q", q_order) / m)
     return Series1(out, n)
 
 

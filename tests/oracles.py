@@ -5,7 +5,12 @@ dicts of Fraction coefficients instead of integer numerators over a common
 denominator, sums of products by adding one canonical product at a time
 instead of one fused accumulator, that accumulator on monomial tuples merged
 name by name instead of packed integer keys, Bernoulli numbers via
-Akiyama-Tanigawa instead of the binomial recurrence, series reversion by
+Akiyama-Tanigawa, or by the binomial recurrence summed in Fractions, instead
+of that recurrence summed in integers over one denominator, Euler's constant
+by its Euler-Maclaurin sum in Fractions instead of in integers, an element
+split by a family, or truncated in one generator, with every key decoded
+and every factor's name read instead of the digits picked out by masks,
+series reversion by
 Newton iteration or by the Lagrange formula with one power recurrence per
 row instead of one power table, the normalized Gamma
 exponential by reducing every expanded coefficient instead of the argument
@@ -62,6 +67,7 @@ from genusforge.ring import (
     NonUnitError,
     RingElement,
     UnboundGeneratorError,
+    _FAMILY,
     _check_exponents,
     _monomial_key,
     _pack,
@@ -308,6 +314,47 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
     if n == 1:
         value = -value
     return value
+
+
+def recurrence_bernoulli(n: int) -> Fraction:
+    """B_n by the binomial recurrence B_m = -sum_{j<m} C(m+1, j) B_j / (m+1),
+    summed in Fractions with no memo: the route ring.bernoulli replaced by
+    integer sums over one lcm denominator."""
+    B = [Fraction(1)]
+    for m in range(1, n + 1):
+        B.append(-sum((math.comb(m + 1, j) * B[j] for j in range(m)), Fraction(0)) / (m + 1))
+    return B[n]
+
+
+def fraction_euler_gamma() -> float:
+    """euler_gamma() by the Euler-Maclaurin sum H_N - 1/(2N) + sum_k B_2k /
+    (2k N^2k) in Fractions, B_2k by Akiyama-Tanigawa, then float()."""
+    N, K = 25, 9
+    h = sum(Fraction(1, j) for j in range(1, N + 1))
+    tail = -Fraction(1, 2 * N)
+    for k in range(1, K + 1):
+        tail += bernoulli_akiyama_tanigawa(2 * k) / (2 * k * Fraction(N) ** (2 * k))
+    return float(h + tail) - math.log(N)
+
+
+def regex_split(x: RingElement, family: str) -> "dict[tuple, RingElement]":
+    """x.split(family) with every key decoded and each factor's name matched
+    against the family pattern, instead of the family's digits read by one mask."""
+    parts: "dict[tuple, dict[int, int]]" = {}
+    for key, c in x._terms.items():
+        inner, rest = [], []
+        for name, e in _unpack(key):
+            f = _FAMILY.fullmatch(name)
+            (inner if f and f[1] == family else rest).append((name, e))
+        parts.setdefault(tuple(inner), {})[_pack(rest)] = c
+    return {m: RingElement._make(t, x._den, x._emax) for m, t in parts.items()}
+
+
+def decoded_truncate_gen(x: RingElement, name: str, max_exp: int) -> RingElement:
+    """x.truncate_gen(name, max_exp) with every key decoded to read the
+    exponent of name, instead of its one digit read by a mask."""
+    out = {m: c for m, c in x._terms.items() if dict(_unpack(m)).get(name, 0) <= max_exp}
+    return RingElement._make(out, x._den, x._emax)
 
 
 def horner_compose(outer: Series1, inner: Series1) -> Series1:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from genusforge import fgl, genus, series
+from genusforge import fgl, genus, series, symfun
 from genusforge.check import first_defect, replace
 from genusforge.fgl import (
     CATALOG,
@@ -717,6 +717,20 @@ class TestDerivedDataMemos:
         assert third is first  # an equal phi by value, from the memo
         assert verify_iso.cache_info().hits == 1
 
+    @given(_LAW_NAMES, _ISO_ORDERS, st.booleans())
+    def test_a_logarithm_hit_equals_a_fresh_derivation(self, name, order, as_series):
+        """logarithm is kept by the value of its law or series: an equal one
+        built apart is a hit, and equals the logarithm derived afresh."""
+        law = catalog(name, order)
+        key = law.F if as_series else law
+        fresh = logarithm.__wrapped__(key)
+        logarithm.cache_clear()
+        first = logarithm(key)
+        F = Series2.from_obj(law.F.to_obj())
+        again = logarithm(F if as_series else replace(law, F=F))
+        assert again is first and first == fresh
+        assert (logarithm.cache_info().hits, logarithm.cache_info().misses) == (1, 1)
+
     def test_the_iso_verdict_memo_is_bounded(self):
         verify_iso.cache_clear()
         assert verify_iso.cache_info().maxsize == 16
@@ -816,6 +830,10 @@ class TestDerivedDataMemos:
             genus._series: (128, lambda k: genus_series(("todd", "ahat")[k % 2], 95 - k // 2)),
             canonical_strict_iso: (16, lambda k: canonical_strict_iso(
                 catalog(CATALOG[k % 10], 3), catalog(CATALOG[k // 10], 3)
+            )),
+            logarithm: (32, lambda k: logarithm(catalog("multiplicative_t", 3, {"t": k}))),
+            symfun._characteristic_log: (32, lambda k: symfun._characteristic_log(
+                Series1([1, k, 1], 2), 1 + k % 2
             )),
         }
         for memo, (bound, call) in fill.items():

@@ -549,6 +549,34 @@ class TestGenusOf:
         with pytest.raises(ValueError, match=r"repeats the partition \(2, 1\)"):
             ManifoldDescriptor.from_chern(3, table)
 
+    @pytest.mark.parametrize("value", [True, False, 1.5, "1", None, 1j])
+    def test_a_chern_number_is_an_int_or_a_fraction(self, value):
+        """Any other value, a bool included, is refused when the record is
+        made, at every dimension, before any series is built."""
+        for d, table in (
+            (0, (((), value),)),
+            (1, (((1,), value),)),
+            (2, (((1, 1), 3), ((2,), value))),
+        ):
+            with pytest.raises(TypeError, match=r"is an int or a Fraction, not"):
+                ManifoldDescriptor(chern_dim=d, chern=table)
+        half = ManifoldDescriptor(chern_dim=1, chern=(((1,), Fraction(1, 2)),))
+        assert genus_of(genus_series("todd", 1), half) == Fraction(1, 4)  # c1 / 2
+
+    @pytest.mark.parametrize(
+        "dims, error",
+        [((2, -1), ValueError), ((-3,), ValueError), ((2.0,), TypeError), ((True,), TypeError),
+         (("2",), TypeError), ([2, 3], TypeError)],
+    )
+    def test_a_projective_dimension_is_an_int_at_least_zero(self, dims, error):
+        with pytest.raises(error, match="projective"):
+            ManifoldDescriptor(projective=dims)
+
+    def test_projective_product_reads_its_dimensions_by_int(self):
+        assert ManifoldDescriptor.projective_product(["2", 0, 3.0]).projective == (2, 0, 3)
+        with pytest.raises(ValueError, match=">= 0, not -1"):
+            ManifoldDescriptor.projective_product([2, -1])
+
     def test_equal_descriptors_hash_equally(self):
         a = ManifoldDescriptor.from_chern(2, {(1, 1): 9, (2,): 3})
         b = ManifoldDescriptor.from_chern(2, {(2,): 3, (1, 1): 9})

@@ -32,6 +32,7 @@ from oracles import bernoulli_akiyama_tanigawa, pairwise_dot, per_k_zeta_fractio
 from oracles import fraction_to_obj, term_by_term_evaluate, termwise_substitute, uncached_hash
 from oracles import folded_reduce, sorted_str, sorted_terms, sorted_to_obj
 from oracles import fraction_from_obj, fraction_ring_element
+from oracles import decoded_truncate_gen, fraction_euler_gamma, recurrence_bernoulli, regex_split
 
 R = RingElement
 
@@ -77,6 +78,20 @@ class TestBernoulli:
         for n in range(0, 25):
             expected = bernoulli_akiyama_tanigawa(n)
             assert bernoulli(n) == expected, n
+
+    def test_every_value_to_60_against_both_fraction_routes(self):
+        """Integer sums over one denominator give the rationals of the
+        Fraction recurrence and of the Akiyama-Tanigawa triangle."""
+        bernoulli.cache_clear()
+        for n in range(61):
+            want = recurrence_bernoulli(n)
+            assert bernoulli(n) == want == bernoulli_akiyama_tanigawa(n), n
+            assert type(bernoulli(n)) is Fraction
+
+    @given(st.integers(0, 60))
+    def test_a_cold_call_against_both_fraction_routes(self, n):
+        bernoulli.cache_clear()
+        assert bernoulli(n) == recurrence_bernoulli(n) == bernoulli_akiyama_tanigawa(n)
 
     def test_memo_stable(self):
         assert bernoulli(20) == bernoulli(20)
@@ -144,6 +159,12 @@ class TestZetaNumeric:
                 assert zeta_fraction.__wrapped__(k, precision) == want, (k, precision)
 
 
+def test_euler_gamma_is_the_float_of_the_fraction_route():
+    """One integer sum over one denominator rounds to the float of the
+    Fraction sum it replaced."""
+    assert euler_gamma.__wrapped__() == fraction_euler_gamma() == euler_gamma()
+
+
 def test_euler_gamma_digits(mp):
     mp.mp.dps = 30
     assert abs(euler_gamma() - float(mp.euler)) < 5e-16
@@ -166,6 +187,15 @@ class TestGenerators:
             assert generator_info(name).laurent
         for name in ("gamma", "zeta2", "delta", "q", "e1"):
             assert not generator_info(name).laurent
+
+    def test_gen_keeps_an_int_coefficient_an_int(self):
+        made = AssertionError("a Fraction was made")
+        with mock.patch.object(Fraction, "__new__", side_effect=made):
+            xs = [gen("gamma", 2, -3), gen("t", -1, 4), gen("zeta3", 0, 5), gen("u", 1, True)]
+        assert [x.terms() for x in xs] == [
+            [((("gamma", 2),), -3)], [((("t", -1),), 4)], [((), 5)], [((("u", 1),), 1)]
+        ]
+        assert all(type(c) is int and x._den == 1 for x in xs for c in x._terms.values())
 
     def test_unknown_names(self):
         # A final newline or a non-ASCII digit does not make an index.
@@ -495,11 +525,16 @@ class TestScalingKernel:
 
     @given(ring_elements(), scalars.filter(bool))
     @example(gen("gamma", 1, 2) + gen("t", -1, Fraction(1, 3)), -2)
+    @example(gen("gamma", 1, 6) + gen("t", -1, Fraction(1, 3)), 4)
     @example(gen("zeta3", 1, Fraction(4, 9)), Fraction(-8, 3))
+    @example(gen("zeta3", 1, Fraction(4, 9)), Fraction(2, 3))
     def test_division_by_a_rational_scales(self, x, q):
-        """x / q is x * (1/q), stored alike, and no element is made of q."""
-        with mock.patch.object(R, "inverse", side_effect=AssertionError("inverted")):
-            got = x / q
+        """x / q is x * (1/q), stored alike; neither an element nor a
+        Fraction is made of q."""
+        made = AssertionError("made")
+        with mock.patch.object(R, "inverse", side_effect=made):
+            with mock.patch.object(Fraction, "__new__", side_effect=made):
+                got = x / q
         want = x * Fraction(1, q)
         assert got == want and storage(got) == storage(want)
         assert_canonical(got)
@@ -978,6 +1013,13 @@ class TestEvaluate:
     def test_ipi2_default(self):
         assert abs(gen("ipi2").evaluate() - 2j * math.pi) < 1e-15
 
+    def test_evaluation_decodes_its_keys_past_the_key_cache(self):
+        x = (gen("gamma", 3) + gen("zeta5") * gen("ipi2", -2) + Fraction(1, 3)) ** 3
+        want = term_by_term_evaluate(x)
+        _unpack.cache_clear()
+        assert x.evaluate() == want
+        assert _unpack.cache_info().currsize == 0
+
     def test_equal_elements_evaluate_identically(self):
         a = gen("zeta2") * 10**16 + 1 + gen("gamma")
         b = gen("gamma") + 1 + gen("zeta2") * 10**16
@@ -1060,6 +1102,72 @@ class TestSplit:
         }
         # e1 is a member of e, not a family that would catch e10.
         assert x.split("e1") == {(): x}
+
+
+_SPLIT_LAURENT_EXPONENTS = st.integers(-3, 3)
+_SPLIT_FAMILIES = st.sampled_from(("e", "c", "zeta", "x", "h", "ipi", "e1"))
+_SPLIT_NAMES = st.sampled_from(_FAMILY_GENERATORS + _LAURENT + ("gamma", "q", "e7", "nope"))
+
+
+@st.composite
+def laurent_family_elements(draw):
+    """Sums of terms in ipi2, t and u at exponents in [-3, 3] times members of
+    several indexed families, so that a negative Laurent digit sits beside
+    family digits in lower and in higher slots."""
+    terms = {}
+    for _ in range(draw(_FAMILY_TERMS)):
+        m = [(n, draw(_SPLIT_LAURENT_EXPONENTS)) for n in _LAURENT]
+        m += [(n, draw(_FAMILY_EXPONENTS)) for n in draw(_FAMILY_NAMES)]
+        terms[tuple(m)] = draw(rationals)
+    return R(terms)
+
+
+def _split_and_truncate_match_their_oracles(x, family, name, max_exp):
+    got, want = x.split(family), regex_split(x, family)
+    assert list(got) == list(want)
+    assert [(list(c._terms.items()), c._den) for c in got.values()] == [
+        (list(c._terms.items()), c._den) for c in want.values()
+    ]
+    cut, kept = x.truncate_gen(name, max_exp), decoded_truncate_gen(x, name, max_exp)
+    assert list(cut._terms.items()) == list(kept._terms.items()) and cut._den == kept._den
+    assert_canonical(cut)
+
+
+class TestSplitAndTruncateAgainstDecoding:
+    """split and truncate_gen read digits by masks over keys biased by
+    _LIMIT in every slot; decoding every key and matching every name agrees,
+    term for term and in the same order."""
+
+    @given(
+        laurent_family_elements() | family_elements(),
+        _SPLIT_FAMILIES,
+        _SPLIT_NAMES,
+        _SPLIT_LAURENT_EXPONENTS,
+    )
+    @example(gen("t", -1) * gen("c1") + gen("ipi2", -3) * gen("u", -2), "c", "u", -2)
+    @example(gen("c3") * gen("u", -1) + gen("t", 3), "c", "nope", -1)
+    @example(R.zero(), "c", "t", 0)
+    def test_against_the_decoding_routes(self, x, family, name, max_exp):
+        _split_and_truncate_match_their_oracles(x, family, name, max_exp)
+
+    def test_under_slots_interleaved_with_negative_laurent_digits(self):
+        """In a fresh process whose slots alternate family members and Laurent
+        generators, with the Laurent ones both below and above each member."""
+        order = ["t", "c1", "ipi2", "x2", "u", "c3", "e1", "zeta3", "e10", "c2"]
+        script = (
+            f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from genusforge import ring\n"
+            f"for name in {order!r}:\n"
+            "    ring.RingElement.gen(name)\n"
+            f"assert ring._NAMES == {order!r}, ring._NAMES\n"
+            "from hypothesis import given, settings\n"
+            "import test_ring as t\n"
+            "settings(database=None, max_examples=200)(given(\n"
+            "    t.laurent_family_elements(), t._SPLIT_FAMILIES, t._SPLIT_NAMES,\n"
+            "    t._SPLIT_LAURENT_EXPONENTS)(t._split_and_truncate_match_their_oracles))()\n"
+            f"print(ring._NAMES[:{len(order)}] == {order!r})\n"
+        )
+        assert _run_script(script).split() == ["True"]
 
 
 class TestSubstitute:

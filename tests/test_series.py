@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -583,6 +584,21 @@ class TestCoefficientWiseCore:
         else:
             with pytest.raises(NonUnitError, match="^not a monomial unit: 0$"):
                 f / q
+
+    def test_an_int_divisor_makes_no_fraction(self):
+        """exp_series, integrate, sqrt_series and a quotient by an int divide
+        each coefficient by the int through the ring's scaling: no Fraction
+        is made, and each result is the one a Fraction reciprocal gives."""
+        f = Series1([0, R.gen("gamma", 1, 3), R.gen("t", -1, Fraction(1, 2)), 5], 3)
+        g = Series2({(1, 0): 1, (0, 1): 1, (1, 1): R.gen("gamma")}, 3)
+        made = AssertionError("a Fraction was made")
+        with mock.patch.object(Fraction, "__new__", side_effect=made):
+            got = [exp_series(f), f.integrate(), sqrt_series(f + 1), f / 6, f / -4, g / 3]
+        integral = [0] + [c * Fraction(1, n + 1) for n, c in enumerate(f.coefficients())]
+        integral = Series1(integral, 4)
+        assert got[1] == integral
+        assert got[3:] == [f * Fraction(1, 6), f * Fraction(-1, 4), g * Fraction(1, 3)]
+        assert got[:3] == [exp_series(f), integral, sqrt_series(f + 1)]
 
     @given(same_kind_pairs())
     def test_equal_series_hash_equally(self, pair):

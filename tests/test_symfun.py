@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from genusforge import genus, series, symfun
 from genusforge.ring import RingElement
-from genusforge.series import InsufficientOrderError, Series1, exp_series
+from genusforge.series import InsufficientOrderError, Series1, exp_series, log_series
 from genusforge.symfun import (
     NotSymmetricError,
     OddContentError,
@@ -304,6 +304,33 @@ def graded_root_series(draw):
     return Series1(coeffs, cap)
 
 
+_LOG_ORDERS = st.integers(1, 8)
+
+
+class TestCharacteristicLogMemo:
+    """_characteristic_log is kept by the value of (H, n)."""
+
+    @given(st.sampled_from(genus.GENUS_SERIES), _LOG_ORDERS)
+    def test_a_hit_equals_a_fresh_log(self, name, n):
+        H = genus.genus_series(name, n).H
+        fresh = symfun._characteristic_log.__wrapped__(H, n)
+        symfun._characteristic_log.cache_clear()
+        first = symfun._characteristic_log(H, n)
+        again = symfun._characteristic_log(Series1.from_obj(H.to_obj()), n)
+        assert again is first and first == fresh == log_series(H.truncate(n))
+        info = symfun._characteristic_log.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_a_refused_series_raises_every_time_and_is_not_kept(self):
+        symfun._characteristic_log.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="constant term 1"):
+                symfun._characteristic_log(Series1([2, 1], 1), 1)
+            with pytest.raises(InsufficientOrderError):
+                symfun._characteristic_log(Series1([1, 1], 1), 2)
+        assert symfun._characteristic_log.cache_info().currsize == 0
+
+
 class TestGradedAgainstRootOracles:
     @given(within_order(0, 6), st.lists(_signed_roots, max_size=4))
     def test_alphabet_product(self, H_cap, alphabet):
@@ -357,7 +384,7 @@ class TestGradedAgainstRootOracles:
         assert issubclass(InsufficientOrderError, ValueError)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_a_product_is_one_log_and_one_exp(self, m, monkeypatch):
+    def test_a_product_is_one_log_and_one_exp(self, m, monkeypatch, cold):
         """Over 2m roots: one log_series, one exp_series and no Series1
         product, so a fallback to multiplying factor by factor fails."""
         H = genus.genus_series("gamma_raw", 8).H

@@ -18,6 +18,8 @@ from genusforge.check import replace
 from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2
 
+from conftest import clear_memos
+
 pytestmark = pytest.mark.usefixtures("cold")
 
 ORDER = 6
@@ -259,6 +261,17 @@ def test_negation_reads_one_log_and_one_exp_per_law():
     ) as revert:
         verify.run_suite("fgl", ORDER)
     assert log.call_count <= 13 and revert.call_count <= 8, (log.call_count, revert.call_count)
+
+
+def test_one_verify_derives_each_logarithm_once():
+    """From empty memos, an order-6 verify derives 11 law logarithms and 14
+    characteristic logarithms, and reads the 7 and 8 repeats from the memos;
+    clear_memos empties both."""
+    verify.run_suite("all", 6)
+    memos = (fgl.logarithm, symfun._characteristic_log)
+    assert [(m.cache_info().hits, m.cache_info().misses) for m in memos] == [(7, 11), (8, 14)]
+    clear_memos()
+    assert [m.cache_info().currsize for m in memos] == [0, 0]
 
 
 @pytest.mark.parametrize("name", fgl.CATALOG)

@@ -8,7 +8,8 @@ reciprocal-Gamma data.
 
 from genusforge.fgl import catalog
 from genusforge.genus import universal_gamma
-from genusforge.symfun import SymPoly, convert, zeta_specialize
+from genusforge.ring import RingElement
+from genusforge.symfun import convert, zeta_specialize
 
 law = catalog("universal_additive", 6)
 print("law coefficients (all integral in Z[e_n]):")
@@ -19,13 +20,13 @@ print()
 
 print("complete symmetric functions in the elementary basis:")
 for k in range(1, 5):
-    print(f"   h_{k} = {convert(SymPoly.h(k), 'E').poly}")
+    print(f"   h_{k} = {convert(RingElement.gen(f'h{k}'), 'E')}")
 print()
 
 print("zeta specialization of the first exponential coefficients:")
 for k in range(1, 5):
     coeff = law.exp[k + 1]
-    print(f"   e_{k} -> {zeta_specialize(SymPoly('E', coeff))}")
+    print(f"   e_{k} -> {zeta_specialize(coeff)}")
 print()
 
 print("full report:", {k: v.status for k, v in universal_gamma(8).items()})

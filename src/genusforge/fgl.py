@@ -141,15 +141,15 @@ DEMO_LAWS = ("broken_demo",)
 # param must name one of them.  The other laws are rational.  gamma_raw
 # carries zeta(k) for k >= 2, gamma_normalized only the odd ones (its even
 # zetas reduce to rationals), and universal_additive e_n for n >= 1; an index
-# is written without leading zeros.
+# is written in ASCII digits without leading zeros.
 _LAW_GENERATORS = {
     "multiplicative_t": "t",
     "kontsevich": "t",
     "jacobi": "delta|epsilon",
-    "gamma_raw": r"gamma|zeta([2-9]|[1-9]\d+)",
-    "gamma_normalized": r"gamma|ipi2|zeta([3579]|[1-9]\d*[13579])",
+    "gamma_raw": "gamma|zeta([2-9]|[1-9][0-9]+)",
+    "gamma_normalized": "gamma|ipi2|zeta([3579]|[1-9][0-9]*[13579])",
     "chi_rescaled": "u",
-    "universal_additive": r"e[1-9]\d*",
+    "universal_additive": "e[1-9][0-9]*",
 }
 
 

@@ -37,7 +37,6 @@ from genusforge.series import (
     InsufficientOrderError, Series1, _unit_power, build_once, exp_series, log_series, sqrt_series
 )
 from genusforge.symfun import (
-    SymPoly,
     _roots,
     convert,
     exp_of_power_sums,
@@ -284,18 +283,25 @@ class ManifoldDescriptor(Record):
 
     @staticmethod
     def projective_product(dims: Sequence[int]) -> "ManifoldDescriptor":
-        return ManifoldDescriptor(projective=tuple(int(n) for n in dims))
+        """Each dimension read by int, but a bool or a float that is not
+        integral is left for the record to refuse."""
+        return ManifoldDescriptor(projective=tuple(
+            n if isinstance(n, bool) or isinstance(n, float) and not n.is_integer() else int(n)
+            for n in dims
+        ))
 
     @staticmethod
     def from_chern(d: int, table: "Mapping[tuple[int, ...], Union[int, Fraction]]") -> "ManifoldDescriptor":
         """The descriptor of a {partition: Chern number} table; each key is
-        read as a sorted partition, and two keys naming one raise ValueError."""
+        read as a sorted partition, and two keys naming one raise ValueError.
+        Each value is read by Fraction, but a bool or a float is left for the
+        record to refuse."""
         clean: "dict[tuple[int, ...], Fraction]" = {}
         for key, v in table.items():
             lam = tuple(sorted((int(k) for k in key), reverse=True))
             if lam in clean:
                 raise ValueError(f"chern table repeats the partition {lam}")
-            clean[lam] = Fraction(v)
+            clean[lam] = v if isinstance(v, (bool, float)) else Fraction(v)
         return ManifoldDescriptor(chern_dim=int(d), chern=tuple(sorted(clean.items())))
 
 
@@ -353,7 +359,7 @@ def _chern_rows(H: Series1) -> "tuple[tuple[tuple[int, ...], RingElement], ...]"
     for j, K in enumerate(multiplicative_sequence(H, H.order), 1):
         rows = tuple(
             (tuple(sorted((int(n[1:]) for n, e in m for _ in range(e)), reverse=True)), c)
-            for m, c in K.poly.split("c").items()
+            for m, c in K.split("c").items()
         )
         fresh.append((H.truncate(j), rows))
     with _CHERN_LOCK:
@@ -619,15 +625,12 @@ def universal_gamma(order: int) -> "dict[str, CheckResult]":
 
     # g.H[k] (-1)^k is the coefficient of (-z)^k
     report["h_in_e"] = first_defect(
-        (k, g.H[k] * Fraction((-1) ** k) - convert(SymPoly.h(k), "E").poly)
+        (k, g.H[k] * Fraction((-1) ** k) - convert(RingElement.gen(f"h{k}"), "E"))
         for k in range(1, order + 1)
     )
 
     gamma_exp = gamma_exponential(order)
-    specialized = [
-        zeta_specialize(SymPoly("E", c), "raw") if not c.is_zero() else _ZERO
-        for c in g.exp.coefficients()
-    ]
+    specialized = [zeta_specialize(c, "raw") for c in g.exp.coefficients()]
     report["specializes_to_gamma"] = first_defect(
         (k, s - gamma_exp[k]) for k, s in enumerate(specialized)
     )

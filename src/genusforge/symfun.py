@@ -21,17 +21,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
-from genusforge.check import CheckResult, Record, first_defect
+from genusforge.check import CheckResult, first_defect
 from genusforge.ring import RingElement, _monomial_weight
 from genusforge.series import InsufficientOrderError, Series1, exp_series, log_series
 
 __all__ = [
-    "ChernPolynomial",
     "OddContentError",
     "NotSymmetricError",
-    "SymPoly",
     "convert",
     "exp_of_power_sums",
     "multiplicative_sequence",
@@ -56,63 +54,6 @@ class OddContentError(ValueError):
 
 class NotSymmetricError(ValueError):
     """A root polynomial fed to the basis converter is not symmetric."""
-
-
-class SymPoly(Record):
-    """A symmetric-function expression in one named basis.
-
-    basis "E" uses generators e1, e2, ...; "H" uses h1, h2, ...; "P" uses the
-    power sums s1, s2, ....  Coefficients are rational.
-    """
-
-    basis: str
-    poly: RingElement
-
-    def __post_init__(self):
-        basis = self.basis.upper()
-        if basis not in _BASIS_PREFIX:
-            raise ValueError(f"basis must be one of E, H, P, not {self.basis!r}")
-        object.__setattr__(self, "basis", basis)
-        prefix = _BASIS_PREFIX[basis]
-        for name in self.poly.generators():
-            if not (name.startswith(prefix) and name[len(prefix):].isdigit()):
-                raise ValueError(f"generator {name!r} invalid in basis {basis}")
-
-    @property
-    def degree(self) -> int:
-        return max((_monomial_weight(m) for m, _ in self.poly.terms()), default=0)
-
-    @staticmethod
-    def e(k: int) -> "SymPoly":
-        return SymPoly("E", RingElement.gen(f"e{k}"))
-
-    @staticmethod
-    def h(k: int) -> "SymPoly":
-        return SymPoly("H", RingElement.gen(f"h{k}"))
-
-    @staticmethod
-    def p(k: int) -> "SymPoly":
-        return SymPoly("P", RingElement.gen(f"s{k}"))
-
-    def _plus(self, other: "SymPoly", sign: int = 1) -> "SymPoly":
-        """self + sign * other, term-wise (see RingElement._plus)."""
-        if self.basis != other.basis:
-            raise ValueError("mixed bases; convert first")
-        return SymPoly(self.basis, self.poly._plus(other.poly, sign))
-
-    __add__ = _plus
-
-    def __mul__(self, other: Union["SymPoly", int, Fraction]) -> "SymPoly":
-        if isinstance(other, SymPoly):
-            if self.basis != other.basis:
-                raise ValueError("mixed bases; convert first")
-            return SymPoly(self.basis, self.poly * other.poly)
-        return SymPoly(self.basis, self.poly * other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self._plus(other, -1)
 
 
 # -- basis conversion tables ----------------------------------------------------
@@ -145,15 +86,28 @@ def _conversion_table(src: str, dst: str, degree: int) -> "dict[str, RingElement
     return {name: inv[k] for k, name in enumerate(names, 1)}
 
 
-def convert(x: SymPoly, target: str) -> SymPoly:
-    """Change basis; mutually inverse across all pairs."""
+def _basis(x: RingElement) -> "tuple[str, int]":
+    """The first of the bases E, H, P in whose generators x is a rational
+    polynomial (a rational is in each), and the degree of x, its largest
+    monomial weight.  ValueError if there is none: e and h mixed, or another
+    generator such as zeta3 or epsilon."""
+    for basis, prefix in _BASIS_PREFIX.items():
+        parts = x.split(prefix)
+        if all(c.as_rational() is not None for c in parts.values()):
+            return basis, max(map(_monomial_weight, parts), default=0)
+    raise ValueError(f"{x} mixes bases or has a generator outside e_k, h_k and s_k")
+
+
+def convert(x: RingElement, target: str) -> RingElement:
+    """Rewrite x, a rational polynomial in e_k, h_k or s_k, in the target
+    basis E, H or P; mutually inverse across all pairs."""
     target = target.upper()
     if target not in _BASIS_PREFIX:
         raise ValueError(f"unknown basis {target!r}")
-    if target == x.basis:
+    basis, degree = _basis(x)
+    if target == basis:
         return x
-    table = _conversion_table(x.basis, target, x.degree)
-    return SymPoly(target, x.poly.substitute(table))
+    return x.substitute(_conversion_table(basis, target, degree))
 
 
 # -- root polynomials ------------------------------------------------------------
@@ -211,8 +165,8 @@ def symmetric_in_elementary(f: RingElement, m: int, out_prefix: str = "e") -> Ri
     ring), pass a different out_prefix to keep the alphabets apart.
     Raises NotSymmetricError when the leading exponent is not sorted.
 
-    The library no longer calls this (pontryagin_from_chern takes SymPoly
-    input only); it is kept because the benchmark tracer wraps it by name,
+    The library no longer calls this (pontryagin_from_chern takes input in
+    e_k, h_k or s_k only); it is kept because the benchmark tracer wraps it by name,
     and the test oracle for multiplicative sequences uses it.
     """
     remaining = _split_roots(f, m)
@@ -247,14 +201,14 @@ def symmetric_in_elementary(f: RingElement, m: int, out_prefix: str = "e") -> Ri
 # -- zeta specialization ------------------------------------------------------------
 
 
-def zeta_specialize(x: SymPoly, presentation: str = "raw") -> RingElement:
+def zeta_specialize(x: RingElement, presentation: str = "raw") -> RingElement:
     """Send s_1 to gamma and s_k to zeta(k); normalized variant divides by
     the k-th power of the period and reduces even zetas to rationals."""
     if presentation not in ("raw", "normalized"):
         raise ValueError("presentation must be 'raw' or 'normalized'")
     p = convert(x, "P")
     table: "dict[str, RingElement]" = {}
-    for name in p.poly.generators():
+    for name in p.generators():
         k = int(name[1:])
         if k == 1:
             value = RingElement.gen("gamma")
@@ -263,26 +217,14 @@ def zeta_specialize(x: SymPoly, presentation: str = "raw") -> RingElement:
         if presentation == "normalized":
             value = value * RingElement.gen("ipi2", -k)
         table[name] = value
-    out = p.poly.substitute(table)
+    out = p.substitute(table)
     return out.reduce() if presentation == "normalized" else out
 
 
 # -- Pontryagin rewriting --------------------------------------------------------------
 
 
-class ChernPolynomial(Record):
-    """A polynomial in Chern classes c_k (weight k) or Pontryagin classes p_k
-    (weight 2k), with RingElement coefficients."""
-
-    poly: RingElement
-    classes: str = "c"
-
-    def __post_init__(self):
-        if self.classes not in ("c", "p"):
-            raise ValueError("classes must be 'c' or 'p'")
-
-
-def pontryagin_from_chern(f: SymPoly) -> ChernPolynomial:
+def pontryagin_from_chern(f: RingElement) -> RingElement:
     """Rewrite an even symmetric expression as a polynomial in p_k = e_k(x_i^2).
 
     Power sums become the squared-alphabet power sums s_{2k} -> s_k,
@@ -292,17 +234,14 @@ def pontryagin_from_chern(f: SymPoly) -> ChernPolynomial:
     """
     p = convert(f, "P")
     squared: "dict[str, RingElement]" = {}
-    for name in p.poly.generators():
+    for name in p.generators():
         k = int(name[1:])
         if k % 2:
             raise OddContentError(f"odd power sum s{k} present")
         squared[name] = RingElement.gen(f"s{k // 2}")
-    halved = SymPoly("P", p.poly.substitute(squared))
-    in_e = convert(halved, "E")
-    rename = {
-        name: RingElement.gen(f"p{name[1:]}") for name in in_e.poly.generators()
-    }
-    return ChernPolynomial(in_e.poly.substitute(rename), "p")
+    in_e = convert(p.substitute(squared), "E")
+    rename = {name: RingElement.gen(f"p{name[1:]}") for name in in_e.generators()}
+    return in_e.substitute(rename)
 
 
 def symplectic_power_sum_check(m: int, k: int) -> CheckResult:
@@ -345,14 +284,14 @@ def series_product_over_alphabet(H: Series1, alphabet: Sequence[RingElement], ca
     return exp_of_power_sums(b, [power_sum_over(alphabet, k) for k in range(1, cap + 1)], cap)
 
 
-def multiplicative_sequence(H: Series1, n: int) -> "list[ChernPolynomial]":
+def multiplicative_sequence(H: Series1, n: int) -> "list[RingElement]":
     """The Hirzebruch sequence K_1..K_n of a characteristic series H (H(0)=1)
     known to order n: K_j is the graded coefficient j of the product over the
     Chern roots, exp(sum_k b_k s_k) with log H(x) = sum_k b_k x^k, each power
     sum s_k written in c_1..c_k by Newton's identity.  No roots are introduced.
     """
     K = exp_of_power_sums(_characteristic_log(H, n), _chern_power_sums(n), n)
-    return [ChernPolynomial(K[j], "c") for j in range(1, n + 1)]
+    return [K[j] for j in range(1, n + 1)]
 
 
 @lru_cache(maxsize=64)

@@ -21,7 +21,9 @@ polynomials truncated by root degree after every factor instead of one
 exponential of power sums,
 multiplicative sequences from that root product instead of power sums,
 symmetric functions by substituting root polynomials for their basis
-generators instead of the generating-function conversions, elementary
+generators instead of the generating-function conversions, the basis of
+such an expression by the names of its generators instead of by splitting
+it into families, elementary
 symmetric polynomials by brute-force subset enumeration, CP^n
 Chern numbers by literal polynomial expansion of (1 + x)^(n+1), the Witten
 product from two geometric factors per n built on exp_series tables instead of
@@ -85,7 +87,6 @@ from genusforge.series import (
     exp_series,
 )
 from genusforge.symfun import (
-    SymPoly,
     _roots,
     elementary_in_roots,
     multiplicative_sequence,
@@ -548,19 +549,40 @@ def complete_in_roots(k: int, m: int) -> RingElement:
     return (Series1.constant(1, k) / prod)[k]
 
 
-def expand_in_roots(x: SymPoly, m: int) -> RingElement:
+_SYMMETRIC_PREFIX = {"E": "e", "H": "h", "P": "s"}
+
+
+def symmetric_basis(x: RingElement) -> str:
+    """The basis of a symmetric-function expression by the names of its
+    generators: the first of E, H, P whose prefix, followed by ASCII digits
+    alone, names every one (so a rational is in E), instead of splitting x by
+    family.  ValueError if none does."""
+    names = x.generators()
+    for basis, prefix in _SYMMETRIC_PREFIX.items():
+        if all(re.fullmatch(f"{prefix}[0-9]+", name) for name in names):
+            return basis
+    raise ValueError(f"no basis holds every generator of {sorted(names)}")
+
+
+def symmetric_degree(x: RingElement) -> int:
+    """The largest weight of a monomial in e_k, h_k or s_k, each of weight k,
+    read from the digits of each name."""
+    return max((sum(int(name[1:]) * e for name, e in m) for m, _ in x.terms()), default=0)
+
+
+def expand_in_roots(x: RingElement, m: int) -> RingElement:
     """Substitute explicit root polynomials for the basis generators."""
+    basis = symmetric_basis(x)
     table: "dict[str, RingElement]" = {}
-    prefix = {"E": "e", "H": "h", "P": "s"}[x.basis]
-    for k in range(1, x.degree + 1):
-        name = f"{prefix}{k}"
-        if x.basis == "E":
+    for k in range(1, symmetric_degree(x) + 1):
+        name = f"{_SYMMETRIC_PREFIX[basis]}{k}"
+        if basis == "E":
             table[name] = elementary_in_roots(k, m)
-        elif x.basis == "H":
+        elif basis == "H":
             table[name] = complete_in_roots(k, m)
         else:
             table[name] = power_sum_over(_roots(m), k)
-    return x.poly.substitute(table)
+    return x.substitute(table)
 
 
 def elementary_bruteforce(k: int, roots) -> RingElement:
@@ -663,7 +685,7 @@ def integer_row_genus_of(g, M) -> RingElement:
     denominator, and num * c[lambda] summed on Python ints, instead of one
     RingElement.dot over the rows of RingElement.split."""
     d = M.chern_dim
-    K = multiplicative_sequence(g.H, d)[d - 1].poly
+    K = multiplicative_sequence(g.H, d)[d - 1]
     rows = []
     for m, c in K._terms.items():
         lam, rest = _split_chern(_unpack(m))

@@ -13,7 +13,6 @@ from genusforge.fgl import AxiomReport, FormalGroupLaw, MobiusTrial
 from genusforge.genus import GenusSeries, ManifoldDescriptor, WittenSeries
 from genusforge.ring import RingElement
 from genusforge.series import Series1, Series2
-from genusforge.symfun import ChernPolynomial, SymPoly
 
 R = RingElement
 gen = RingElement.gen
@@ -172,8 +171,6 @@ RECORDS = {
         {"chern": (((1, 1), Fraction(6)), ((2,), Fraction(5)))},
     ),
     "WittenSeries": (lambda: genus.witten_series(3, 2), {"q_order": 3}),
-    "SymPoly": (lambda: SymPoly.e(2), {"poly": gen("e1")}),
-    "ChernPolynomial": (lambda: ChernPolynomial(gen("c1") * gen("c2"), "c"), {"poly": gen("c3")}),
 }
 
 
@@ -205,7 +202,7 @@ def _mutable_parts(value, path):
 class TestRecord:
     def test_every_record_class_is_covered(self):
         classes = {CheckResult, FormalGroupLaw, AxiomReport, MobiusTrial, GenusSeries}
-        classes |= {ManifoldDescriptor, WittenSeries, SymPoly, ChernPolynomial}
+        classes |= {ManifoldDescriptor, WittenSeries}
         assert {cls.__name__ for cls in classes} == set(RECORDS)
         assert all(issubclass(cls, Record) for cls in classes)
         assert {type(make()) for make, _ in RECORDS.values()} == classes
@@ -270,8 +267,9 @@ class TestRecord:
         law = fgl.catalog("additive", 3)
         with pytest.raises(ValueError, match="unit axiom"):
             replace(law, F=law.F + Series2({(2, 0): 1}, 3))
-        s = replace(SymPoly.e(2), basis="e")
-        assert s.basis == "E" and s == SymPoly.e(2)
+        table = ManifoldDescriptor.from_chern(2, {(2,): 3, (1, 1): 4})
+        with pytest.raises(genus.IncompleteChernTableError):
+            replace(table, chern_dim=3)
 
     def test_no_field_holds_a_dict_list_or_set(self):
         """Each field holds an immutable value: the defaults of every record

@@ -87,7 +87,9 @@ class TestFglCommand:
         "law, param",
         [("gamma_raw", p) for p in ("zeta0", "zeta1", "zeta02")]
         + [("gamma_normalized", p) for p in ("zeta0", "zeta1", "zeta02", "zeta2", "zeta4", "zeta10")]
-        + [("universal_additive", p) for p in ("e0", "e01")],
+        + [("universal_additive", p) for p in ("e0", "e01")]
+        # an index in non-ASCII digits (ARABIC-INDIC DIGIT ONE) names no generator
+        + [("gamma_raw", "zeta1\u0661"), ("gamma_normalized", "zeta1\u06613"), ("universal_additive", "e1\u0661")],
     )
     def test_param_naming_an_index_the_law_never_carries_exits_two(self, law, param):
         argv = ["fgl", "series", "--law", law, "--order", "4", "--param", f"{param}=1"]

@@ -215,7 +215,7 @@ class TestHirzebruchMemo:
             H = g.H.truncate(d)
             rows = genus._chern_rows(H)
             assert all(sum(lam) == d for lam, _ in rows)
-            assert _rows_poly(rows) == multiplicative_sequence(H, d)[d - 1].poly
+            assert _rows_poly(rows) == multiplicative_sequence(H, d)[d - 1]
 
     @pytest.fixture
     def sequences(self, monkeypatch):
@@ -238,7 +238,7 @@ class TestHirzebruchMemo:
         assert sequences == [6] and genus._chern_rows(H) is top
         for d in range(1, 6):
             rows = genus._chern_rows(H.truncate(d))
-            assert _rows_poly(rows) == multiplicative_sequence(H, d)[d - 1].poly
+            assert _rows_poly(rows) == multiplicative_sequence(H, d)[d - 1]
         assert sequences == [6] and len(genus._CHERN_ROWS) == 6
 
     def test_a_lone_chern_request_computes_nothing_beyond_its_dimension(self, sequences):
@@ -293,10 +293,10 @@ class TestHirzebruchMemo:
         finally:
             sys.setswitchinterval(switch)
         for H, rows in zip(jobs, got):
-            assert _rows_poly(rows) == multiplicative_sequence(H, H.order)[-1].poly
+            assert _rows_poly(rows) == multiplicative_sequence(H, H.order)[-1]
         assert len(genus._CHERN_ROWS) == 64
         for H, rows in genus._CHERN_ROWS.items():
-            assert _rows_poly(rows) == multiplicative_sequence(H, H.order)[-1].poly
+            assert _rows_poly(rows) == multiplicative_sequence(H, H.order)[-1]
 
     def test_user_series_that_reuses_a_catalog_name_gets_its_own_value(self):
         todd = genus_series("todd", 4)
@@ -484,7 +484,7 @@ class TestGenusOf:
         table = {lam: data.draw(_CHERN_VALUES[kind]) for lam in partitions(d)}
         g = genus_series(name, d)
         got = genus_of(g, ManifoldDescriptor(chern_dim=d, chern=tuple(sorted(table.items()))))
-        want = fraction_chern_pairing(multiplicative_sequence(g.H, d)[d - 1].poly, table)
+        want = fraction_chern_pairing(multiplicative_sequence(g.H, d)[d - 1], table)
         assert got == want
 
     @pytest.mark.parametrize("name", GENUS_SERIES)
@@ -545,6 +545,7 @@ class TestGenusOf:
     def test_from_chern_normalizes_keys_and_refuses_a_repeated_partition(self):
         d = ManifoldDescriptor.from_chern(3, {(1, 2): 1, (3,): 2, ("1", 1, 1): Fraction(1, 2)})
         assert d.chern == (((1, 1, 1), Fraction(1, 2)), ((2, 1), Fraction(1)), ((3,), Fraction(2)))
+        assert ManifoldDescriptor.from_chern(1, {(1,): "1/10"}).chern == (((1,), Fraction(1, 10)),)
         table = {(1, 2): 1, (2, 1): 5, (3,): 1, (1, 1, 1): 1}
         with pytest.raises(ValueError, match=r"repeats the partition \(2, 1\)"):
             ManifoldDescriptor.from_chern(3, table)
@@ -576,6 +577,24 @@ class TestGenusOf:
         assert ManifoldDescriptor.projective_product(["2", 0, 3.0]).projective == (2, 0, 3)
         with pytest.raises(ValueError, match=">= 0, not -1"):
             ManifoldDescriptor.projective_product([2, -1])
+
+    @pytest.mark.parametrize("dim", [2.7, 0.5, -1.5, float("inf"), float("nan"), True, False])
+    def test_projective_product_refuses_a_bool_or_a_float_that_is_not_integral(self, dim):
+        """int() would read 2.7 as CP^2 and True as CP^1; the record's own
+        TypeError refuses them instead."""
+        kind = type(dim).__name__
+        with pytest.raises(TypeError, match=f"a projective dimension is an int, not {kind}"):
+            ManifoldDescriptor.projective_product([1, dim])
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, False])
+    def test_from_chern_refuses_a_bool_or_a_float(self, value):
+        """Fraction() would read 0.1 as the binary float and True as 1; the
+        record's own TypeError refuses them instead."""
+        kind = type(value).__name__
+        with pytest.raises(TypeError, match=rf"the Chern number of \(1,\) is an int or a Fraction, not {kind}"):
+            ManifoldDescriptor.from_chern(1, {(1,): value})
+        with pytest.raises(TypeError, match=rf"the Chern number of \(2,\) is an int or a Fraction, not {kind}"):
+            ManifoldDescriptor.from_chern(2, {(1, 1): 3, (2,): value})
 
     def test_equal_descriptors_hash_equally(self):
         a = ManifoldDescriptor.from_chern(2, {(1, 1): 9, (2,): 3})
@@ -797,9 +816,9 @@ class TestUniversal:
 
     def test_specialization_linear_term(self):
         # z^2 coefficient of the universal exponential specializes to gamma
-        from genusforge.symfun import SymPoly, zeta_specialize
+        from genusforge.symfun import zeta_specialize
 
-        assert zeta_specialize(SymPoly("E", gen("e1"))) == gen("gamma")
+        assert zeta_specialize(gen("e1")) == gen("gamma")
 
 
 class TestReports:

@@ -10,7 +10,6 @@ from genusforge.series import InsufficientOrderError, Series1, exp_series, log_s
 from genusforge.symfun import (
     NotSymmetricError,
     OddContentError,
-    SymPoly,
     convert,
     elementary_in_roots,
     multiplicative_sequence,
@@ -29,6 +28,8 @@ from oracles import (
     root_degree_part,
     root_multiplicative_sequence,
     root_product,
+    symmetric_basis,
+    symmetric_degree,
 )
 
 R = RingElement
@@ -48,39 +49,98 @@ def sym_polys(draw, basis="P", max_index=4):
         for idx in draw(st.sets(st.integers(min_value=1, max_value=max_index), max_size=2)):
             mono = mono * gen(f"{prefix}{idx}", draw(st.integers(min_value=1, max_value=2)))
         poly = poly + mono * draw(rationals)
-    return SymPoly(basis, poly)
+    return poly
+
+
+# Generators by family: the three bases and three generators foreign to them
+# (epsilon, which split("e") keeps apart from e_k, a zeta value and gamma).
+_MIXABLE = {
+    "e": ("e1", "e2", "e3"),
+    "h": ("h1", "h2"),
+    "s": ("s1", "s3"),
+    "epsilon": ("epsilon",),
+    "zeta3": ("zeta3",),
+    "gamma": ("gamma",),
+}
+_FAMILY_SETS = st.lists(st.sampled_from(sorted(_MIXABLE)), min_size=1, max_size=3, unique=True)
+_TERM_COUNTS = st.integers(min_value=0, max_value=3)
+
+
+@st.composite
+def mixed_expressions(draw):
+    """A rational plus up to three terms, each a rational times up to two
+    generators drawn from one to three families."""
+    names = st.sampled_from([name for family in draw(_FAMILY_SETS) for name in _MIXABLE[family]])
+    x = R.from_rational(draw(rationals))
+    for _ in range(draw(_TERM_COUNTS)):
+        mono = R.one()
+        for name in draw(st.lists(names, max_size=2)):
+            mono = mono * gen(name)
+        x = x + mono * draw(rationals)
+    return x
 
 
 class TestConvert:
     def test_newton_identities(self):
-        assert convert(SymPoly.p(2), "E").poly == gen("e1") ** 2 - 2 * gen("e2")
-        assert convert(SymPoly.e(2), "P").poly == (gen("s1") ** 2 - gen("s2")) * Fraction(1, 2)
-        assert convert(SymPoly.h(2), "E").poly == gen("e1") ** 2 - gen("e2")
+        assert convert(gen("s2"), "E") == gen("e1") ** 2 - 2 * gen("e2")
+        assert convert(gen("e2"), "P") == (gen("s1") ** 2 - gen("s2")) * Fraction(1, 2)
+        assert convert(gen("h2"), "E") == gen("e1") ** 2 - gen("e2")
 
     @pytest.mark.parametrize("src,dst", list(itertools.permutations("EHP", 2)))
     def test_round_trips(self, src, dst):
         for k in range(1, 7):
             prefix = {"E": "e", "H": "h", "P": "s"}[src]
-            x = SymPoly(src, gen(f"{prefix}{k}"))
-            assert convert(convert(x, dst), src).poly == x.poly
+            x = gen(f"{prefix}{k}")
+            assert convert(convert(x, dst), src) == x
 
     @given(sym_polys())
     def test_round_trip_random(self, x):
         for dst in ("E", "H"):
-            assert convert(convert(x, dst), "P").poly == x.poly
+            assert convert(convert(x, dst), "P") == x
 
     @given(sym_polys(basis="E", max_index=3))
     def test_oracle_agreement(self, x):
-        assume(x.degree <= 5)
-        m = max(x.degree, 1) + 1
+        assume(symmetric_degree(x) <= 5)
+        m = max(symmetric_degree(x), 1) + 1
         for dst in ("H", "P"):
             assert expand_in_roots(x, m) == expand_in_roots(convert(x, dst), m)
+
+    @given(mixed_expressions())
+    def test_basis_agrees_with_the_name_oracle(self, x):
+        try:
+            want = symmetric_basis(x), symmetric_degree(x)
+        except ValueError:
+            with pytest.raises(ValueError, match="mixes bases"):
+                symfun._basis(x)
+        else:
+            assert symfun._basis(x) == want
+
+    @pytest.mark.parametrize(
+        "x", [gen("e1") + gen("h1"), gen("e2") * gen("h1"), gen("zeta3"), gen("epsilon"), gen("s1") * gen("gamma")]
+    )
+    @pytest.mark.parametrize("target", ["E", "H", "P"])
+    def test_mixed_or_foreign_input_is_refused(self, x, target):
+        with pytest.raises(ValueError, match="mixes bases or has a generator outside e_k, h_k and s_k"):
+            convert(x, target)
+
+    @pytest.mark.parametrize("target", ["E", "H", "P"])
+    def test_a_rational_is_in_every_basis(self, target):
+        for c in (R.zero(), R.one(), R.from_rational(Fraction(-3, 7))):
+            assert convert(c, target) == c
+
+    def test_the_degree_is_the_largest_monomial_weight(self):
+        """e1^3 + e2 has degree 3, though its largest index is 2."""
+        x = gen("e1") ** 3 + gen("e2")
+        assert symfun._basis(x) == ("E", 3)
+        assert convert(convert(x, "P"), "E") == x
+        assert convert(x, "H") == gen("h1") ** 3 + gen("h1") ** 2 - gen("h2")
+
 
 class TestDuality:
     def test_he_product_is_one(self):
         """sum h_k z^k * sum e_k (-z)^k = 1 once h is written in the e basis."""
         n = 12
-        h_in_e = [R.one()] + [convert(SymPoly.h(k), "E").poly for k in range(1, n + 1)]
+        h_in_e = [R.one()] + [convert(gen(f"h{k}"), "E") for k in range(1, n + 1)]
         h_series = Series1(h_in_e, n)
         e_neg = Series1([R.one()] + [gen(f"e{k}", coeff=(-1) ** k) for k in range(1, n + 1)], n)
         assert h_series * e_neg == Series1.constant(1, n)
@@ -88,11 +148,11 @@ class TestDuality:
 
 class TestRootOracle:
     def test_definitions(self):
-        assert expand_in_roots(SymPoly.e(2), 3) == (
+        assert expand_in_roots(gen("e2"), 3) == (
             gen("x1") * gen("x2") + gen("x1") * gen("x3") + gen("x2") * gen("x3")
         )
-        assert expand_in_roots(SymPoly.p(2), 2) == gen("x1") ** 2 + gen("x2") ** 2
-        newton = SymPoly("E", gen("e1") ** 2 - 2 * gen("e2"))
+        assert expand_in_roots(gen("s2"), 2) == gen("x1") ** 2 + gen("x2") ** 2
+        newton = gen("e1") ** 2 - 2 * gen("e2")
         assert expand_in_roots(newton, 2) == gen("x1") ** 2 + gen("x2") ** 2
 
     def test_elementary_against_bruteforce(self):
@@ -107,7 +167,7 @@ class TestRootOracle:
 
     def test_symmetric_in_elementary_round_trip(self):
         m = 3
-        f = expand_in_roots(SymPoly("E", gen("e1") * gen("e2") + 2 * gen("e3")), m)
+        f = expand_in_roots(gen("e1") * gen("e2") + 2 * gen("e3"), m)
         back = symmetric_in_elementary(f, m)
         assert back == gen("e1") * gen("e2") + 2 * gen("e3")
 
@@ -118,14 +178,14 @@ class TestRootOracle:
 
 class TestZetaSpecialize:
     def test_zeta_values(self):
-        assert zeta_specialize(SymPoly.p(2)) == gen("zeta2")
-        assert zeta_specialize(SymPoly.p(2), "normalized") == R.from_rational(Fraction(-1, 24))
-        e2 = zeta_specialize(SymPoly.e(2))
+        assert zeta_specialize(gen("s2")) == gen("zeta2")
+        assert zeta_specialize(gen("s2"), "normalized") == R.from_rational(Fraction(-1, 24))
+        e2 = zeta_specialize(gen("e2"))
         assert e2 == (gen("gamma") ** 2 - gen("zeta2")) * Fraction(1, 2)
 
     def test_s1_maps_to_gamma(self):
-        assert zeta_specialize(SymPoly.p(1)) == gen("gamma")
-        norm = zeta_specialize(SymPoly.p(1), "normalized")
+        assert zeta_specialize(gen("s1")) == gen("gamma")
+        norm = zeta_specialize(gen("s1"), "normalized")
         assert norm == gen("gamma") * gen("ipi2", -1)
 
     @given(sym_polys(), sym_polys())
@@ -134,41 +194,41 @@ class TestZetaSpecialize:
 
     def test_invalid_presentation(self):
         with pytest.raises(ValueError):
-            zeta_specialize(SymPoly.p(2), "weird")
+            zeta_specialize(gen("s2"), "weird")
 
 
 class TestPontryagin:
     def test_power_sums_in_p(self):
-        assert pontryagin_from_chern(SymPoly.p(2)).poly == gen("p1")
-        assert pontryagin_from_chern(SymPoly.p(4)).poly == gen("p1") ** 2 - 2 * gen("p2")
+        assert pontryagin_from_chern(gen("s2")) == gen("p1")
+        assert pontryagin_from_chern(gen("s4")) == gen("p1") ** 2 - 2 * gen("p2")
 
     def test_odd_content_rejected(self):
         with pytest.raises(OddContentError):
-            pontryagin_from_chern(SymPoly.p(3))
+            pontryagin_from_chern(gen("s3"))
         with pytest.raises(OddContentError):
-            pontryagin_from_chern(SymPoly.e(1))
+            pontryagin_from_chern(gen("e1"))
 
     def test_against_doubled_root_oracle(self):
         # p_k = e_k(x_i^2): verify the rewriting on the +-x_i alphabet
         m = 3
-        for expr in (SymPoly.p(2), SymPoly.p(4), SymPoly("P", gen("s2") ** 2)):
+        for expr in (gen("s2"), gen("s4"), gen("s2") ** 2):
             rewritten = pontryagin_from_chern(expr)
             squares = [r * r for r in roots(m)]
             table = {}
-            for name in rewritten.poly.generators():
+            for name in rewritten.generators():
                 k = int(name[1:])
                 from oracles import elementary_bruteforce
 
                 table[name] = elementary_bruteforce(k, squares)
-            via_p = rewritten.poly.substitute(table)
+            via_p = rewritten.substitute(table)
             direct = expand_in_roots(convert(expr, "P"), m)
             assert via_p == direct
 
     def test_root_polynomial_input(self):
         m = 2
         f = power_sum_over(roots(m), 2)
-        in_e = SymPoly("E", symmetric_in_elementary(f, m))
-        assert pontryagin_from_chern(in_e).poly == gen("p1")
+        in_e = symmetric_in_elementary(f, m)
+        assert pontryagin_from_chern(in_e) == gen("p1")
 
 
 class TestSymplectic:
@@ -193,13 +253,13 @@ class TestMultiplicativeSequence:
     def test_todd_values(self):
         K = multiplicative_sequence(self._todd(3), 3)
         c1, c2 = gen("c1"), gen("c2")
-        assert K[0].poly == c1 * Fraction(1, 2)
-        assert K[1].poly == (c1 ** 2 + c2) * Fraction(1, 12)
-        assert K[2].poly == c1 * c2 * Fraction(1, 24)
+        assert K[0] == c1 * Fraction(1, 2)
+        assert K[1] == (c1 ** 2 + c2) * Fraction(1, 12)
+        assert K[2] == c1 * c2 * Fraction(1, 24)
 
     def test_trivial_series(self):
         K = multiplicative_sequence(Series1.constant(1, 4), 4)
-        assert all(k.poly.is_zero() for k in K)
+        assert all(k.is_zero() for k in K)
 
     def test_multiplicativity_convolution(self):
         """The sequence of H*H' is the convolution of the sequences, weight <= 6."""
@@ -208,9 +268,9 @@ class TestMultiplicativeSequence:
         from genusforge.genus import half_sinh_ratio
 
         H2 = half_sinh_ratio(n)
-        K1 = [R.one()] + [k.poly for k in multiplicative_sequence(H1, n)]
-        K2 = [R.one()] + [k.poly for k in multiplicative_sequence(H2, n)]
-        K12 = [R.one()] + [k.poly for k in multiplicative_sequence(H1 * H2, n)]
+        K1 = [R.one(), *multiplicative_sequence(H1, n)]
+        K2 = [R.one(), *multiplicative_sequence(H2, n)]
+        K12 = [R.one(), *multiplicative_sequence(H1 * H2, n)]
         for j in range(n + 1):
             conv = R.zero()
             for a in range(j + 1):
@@ -344,7 +404,7 @@ class TestGradedAgainstRootOracles:
     @given(within_order(1, 4, universal=True))
     def test_multiplicative_sequence(self, H_n):
         H, n = H_n
-        got = [k.poly for k in multiplicative_sequence(H, n)]
+        got = multiplicative_sequence(H, n)
         assert got == root_multiplicative_sequence(H, n)
 
     # The root oracle costs up to seconds per example at rank 6.
@@ -352,7 +412,7 @@ class TestGradedAgainstRootOracles:
     @given(within_order(5, 6, universal=True))
     def test_multiplicative_sequence_at_ranks_5_and_6(self, H_n):
         H, n = H_n
-        got = [k.poly for k in multiplicative_sequence(H, n)]
+        got = multiplicative_sequence(H, n)
         assert got == root_multiplicative_sequence(H, n)
 
     @given(st.booleans(), char_series(), st.lists(_signed_roots, max_size=4), st.integers(0, 6))
@@ -405,7 +465,7 @@ class TestGradedAgainstRootOracles:
         from genusforge.genus import genus_series
 
         H = genus_series("universal_additive", 2).H
-        K2 = multiplicative_sequence(H, 2)[1].poly
+        K2 = multiplicative_sequence(H, 2)[1]
         names = K2.generators()
         assert {"c1", "c2"} <= names and {"e1", "e2"} <= names
         assert K2 == root_multiplicative_sequence(H, 2)[1]

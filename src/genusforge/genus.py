@@ -10,7 +10,6 @@ z / H is derived from H, and a lower-order view is the truncation of H.
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -252,10 +251,13 @@ class ManifoldDescriptor(Record):
     chern: "Optional[tuple[tuple[tuple[int, ...], Union[int, Fraction]], ...]]" = None
 
     def __post_init__(self):
-        """Reject a projective dimension that is not an int >= 0, a Chern number
-        that is not an int or a Fraction (a bool included), and a table whose keys
-        are not the partitions of d, each once: weights and the count p(d)
-        first, so a bad table is rejected before listing partitions."""
+        """Reject a descriptor without exactly one kind of data, a dimension or
+        a partition part that is not an int, a Chern number that is not an int
+        or a Fraction (a bool is neither), and a table whose keys are not the
+        partitions of d, each once: weights and p(d) first, before listing them."""
+        given = [v is not None for v in (self.projective, self.chern_dim, self.chern)]
+        if given not in ([True, False, False], [False, True, True]):
+            raise ValueError("a descriptor holds either projective or both chern_dim and chern")
         if self.projective is not None:
             if type(self.projective) is not tuple:
                 raise TypeError("projective is a tuple of dimensions; see projective_product")
@@ -264,12 +266,16 @@ class ManifoldDescriptor(Record):
                     raise TypeError(f"a projective dimension is an int, not {type(n).__name__}")
                 if n < 0:
                     raise ValueError(f"a projective dimension is >= 0, not {n}")
-        d, table = self.chern_dim, self.chern
-        if table is None or d is None:
             return
+        d, table = self.chern_dim, self.chern
+        if type(d) is not int:
+            raise TypeError(f"chern_dim is an int, not {type(d).__name__}")
         if type(table) is not tuple:
             raise TypeError("chern is a tuple of (partition, value) pairs; see from_chern")
         keys = [lam for lam, _ in table]
+        for key in keys:
+            if type(key) is not tuple or any(type(k) is not int for k in key):
+                raise TypeError(f"a partition is a tuple of ints, not {key!r}")
         if (
             any(sum(key) != d for key in keys)
             or len(keys) != _partition_count(d)
@@ -283,26 +289,26 @@ class ManifoldDescriptor(Record):
 
     @staticmethod
     def projective_product(dims: Sequence[int]) -> "ManifoldDescriptor":
-        """Each dimension read by int, but a bool or a float that is not
-        integral is left for the record to refuse."""
-        return ManifoldDescriptor(projective=tuple(
-            n if isinstance(n, bool) or isinstance(n, float) and not n.is_integer() else int(n)
-            for n in dims
-        ))
+        """Each dimension read by _read_int."""
+        return ManifoldDescriptor(projective=tuple(_read_int(n) for n in dims))
 
     @staticmethod
     def from_chern(d: int, table: "Mapping[tuple[int, ...], Union[int, Fraction]]") -> "ManifoldDescriptor":
-        """The descriptor of a {partition: Chern number} table; each key is
-        read as a sorted partition, and two keys naming one raise ValueError.
-        Each value is read by Fraction, but a bool or a float is left for the
-        record to refuse."""
+        """The descriptor of a {partition: Chern number} table: d and each key
+        part read by _read_int, each key sorted (two naming one partition raise
+        ValueError), each value by Fraction unless a bool or a float."""
         clean: "dict[tuple[int, ...], Fraction]" = {}
         for key, v in table.items():
-            lam = tuple(sorted((int(k) for k in key), reverse=True))
+            lam = tuple(sorted((_read_int(k) for k in key), reverse=True))
             if lam in clean:
                 raise ValueError(f"chern table repeats the partition {lam}")
             clean[lam] = v if isinstance(v, (bool, float)) else Fraction(v)
-        return ManifoldDescriptor(chern_dim=int(d), chern=tuple(sorted(clean.items())))
+        return ManifoldDescriptor(chern_dim=_read_int(d), chern=tuple(sorted(clean.items())))
+
+
+def _read_int(n):
+    """int(n), but a bool or a non-integral float is left for the record to refuse."""
+    return n if isinstance(n, bool) or isinstance(n, float) and not n.is_integer() else int(n)
 
 
 def cpn_chern_numbers(n: int) -> "dict[tuple[int, ...], Fraction]":
@@ -328,8 +334,6 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
         for n in M.projective:
             out = out * genus_cpn(g, n)
         return out
-    if M.chern_dim is None or M.chern is None:
-        raise ValueError("descriptor carries neither projective nor chern data")
     d = M.chern_dim
     if d == 0:  # K_0 = 1 pairs with the point count c_(), the one pair's value
         return _ONE * M.chern[0][1]
@@ -339,36 +343,17 @@ def genus_of(g: GenusSeries, M: ManifoldDescriptor) -> RingElement:
     return RingElement.dot((c, chern[lam]) for lam, c in _chern_rows(g.H.truncate(d)))
 
 
-_CHERN_ROWS: "dict[Series1, tuple]" = {}  # H -> _chern_rows(H), least recently used first
-_CHERN_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=64)
 def _chern_rows(H: Series1) -> "tuple[tuple[tuple[int, ...], RingElement], ...]":
     """The top Hirzebruch polynomial K_d of H, d = H.order >= 1, split for
     pairing: one (partition, coefficient free of Chern classes) row per
-    monomial in c_1..c_d.  Memoised by the value of H, so a series of any
-    name or order shares its rows with every equal truncation.  K_j depends
-    on H_j alone, so one sequence K_1..K_d fills the rows of every
-    truncation H_j, j <= d; the 64 most recently used are kept."""
-    with _CHERN_LOCK:
-        rows = _CHERN_ROWS.pop(H, None)
-        if rows is not None:
-            _CHERN_ROWS[H] = rows
-            return rows
-    fresh = []
-    for j, K in enumerate(multiplicative_sequence(H, H.order), 1):
-        rows = tuple(
-            (tuple(sorted((int(n[1:]) for n, e in m for _ in range(e)), reverse=True)), c)
-            for m, c in K.split("c").items()
-        )
-        fresh.append((H.truncate(j), rows))
-    with _CHERN_LOCK:
-        for key, rows in fresh:  # H, the last, is the most recently used
-            _CHERN_ROWS.pop(key, None)
-            _CHERN_ROWS[key] = rows
-        for key in list(_CHERN_ROWS)[:-64]:
-            del _CHERN_ROWS[key]
-    return rows
+    monomial in c_1..c_d.  Memoised by the value of H (the 64 most recent),
+    so equal truncations of any name or order share their rows."""
+    K = multiplicative_sequence(H, H.order)[-1]
+    return tuple(
+        (tuple(sorted((int(n[1:]) for n, e in m for _ in range(e)), reverse=True)), c)
+        for m, c in K.split("c").items()
+    )
 
 
 def genus_table(
@@ -500,13 +485,20 @@ class WittenSeries(Record):
     H is the defining infinite product; log_H is assembled independently
     from the explicit expansion of -log(1 - q^n e^(+-x)).  Construction
     compares nothing: verify checks exp(log_H) == H, tying the two routes
-    together.
+    together.  The x order is that of H, and log_H has the same.
     """
 
-    x_order: int
     q_order: int
     H: Series1
     log_H: Series1
+
+    def __post_init__(self):
+        if self.log_H.order != self.H.order:
+            raise ValueError(f"log_H has order {self.log_H.order}, H has {self.H.order}")
+
+    @property
+    def x_order(self) -> int:
+        return self.H.order
 
     @staticmethod
     def _q_slice(elem: RingElement, q_pow: int) -> Fraction:
@@ -610,7 +602,7 @@ def witten_series(x_order: int, q_order: int) -> WittenSeries:
                 extra[k] = extra[k] + qc * Fraction(2 * j**k, math.factorial(k))
     log_H = log_H + Series1(extra, x_order)
 
-    return WittenSeries(x_order=x_order, q_order=q_order, H=H, log_H=log_H)
+    return WittenSeries(q_order=q_order, H=H, log_H=log_H)
 
 
 # -- the universal lift -----------------------------------------------------------------

@@ -114,8 +114,7 @@ def _gamma_checks(order: int) -> Iterator[tuple[str, CheckResult]]:
     )
 
     from_chern = genus.ManifoldDescriptor.from_chern
-    # Top-down: the dim-4 Chern rows of a series fill those of dims 1-3.
-    cpn = {n: from_chern(n, genus.cpn_chern_numbers(n)) for n in range(4, 0, -1)}
+    cpn = {n: from_chern(n, genus.cpn_chern_numbers(n)) for n in range(1, 5)}
     by_series = (
         first_defect(
             ((n, genus.genus_of(g, M) - genus.genus_cpn(g, n)) for n, M in cpn.items()),

@@ -66,12 +66,11 @@ MODULES = [
 
 def clear_memos():
     """Empty every memo of the package: the one build per name of the law
-    catalog and of the genus series, the Chern rows and every lru_cache of
-    its modules, so that a test sees the route and not a memo, and no value
-    built under a test's patches outlives it."""
+    catalog and of the genus series, and every lru_cache of its modules, so
+    that a test sees the route and not a memo, and no value built under a
+    test's patches outlives it."""
     fgl._BUILT.clear()
     genus._SERIES.clear()
-    genus._CHERN_ROWS.clear()
     for module in MODULES:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):

@@ -1202,7 +1202,7 @@ def test_import_builds_nothing():
         "import genusforge.cli\n"
         "from genusforge import fgl, genus, series, symfun\n"
         "assert fgl._BUILT == {} and genus._SERIES == {}\n"
-        "assert genus._CHERN_ROWS == {}\n"
+        "assert genus._chern_rows.cache_info().currsize == 0\n"
         "assert genus._cpn.cache_info().currsize == 0\n"
         "assert series._law_powers.cache_info().currsize == 0\n"
         "assert symfun._chern_power_sums.cache_info().currsize == 0\n"
@@ -1268,7 +1268,7 @@ def test_the_cold_state_empties_every_memo_of_the_package(cold):
     ):
         assert _run_in_process(argv, series)[0] == 0, argv
     verify.run_suite("all", 4)
-    assert fgl._BUILT and genus._SERIES and genus._CHERN_ROWS
+    assert fgl._BUILT and genus._SERIES and genus._chern_rows.cache_info().currsize
     assert cli._monomial.cache_info().hits == 3  # the second table's monomials
     clear_memos()
     names = {}

@@ -835,6 +835,7 @@ class TestDerivedDataMemos:
             symfun._characteristic_log: (32, lambda k: symfun._characteristic_log(
                 Series1([1, k, 1], 2), 1 + k % 2
             )),
+            genus._chern_rows: (64, lambda k: genus._chern_rows(Series1([1, k, 1], 2))),
         }
         for memo, (bound, call) in fill.items():
             memo.cache_clear()

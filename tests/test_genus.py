@@ -219,9 +219,9 @@ class TestHirzebruchMemo:
 
     @pytest.fixture
     def sequences(self, monkeypatch):
-        """An empty Chern-row memo (restored afterwards), and the orders n of
-        the multiplicative sequences it computes, in call order."""
-        monkeypatch.setattr(genus, "_CHERN_ROWS", {})
+        """An empty Chern-row memo (emptied again afterwards), and the orders n
+        of the multiplicative sequences it computes, in call order."""
+        genus._chern_rows.cache_clear()
         seen = []
 
         def counted(H, n):
@@ -229,19 +229,12 @@ class TestHirzebruchMemo:
             return multiplicative_sequence(H, n)
 
         monkeypatch.setattr(genus, "multiplicative_sequence", counted)
-        return seen
-
-    @pytest.mark.parametrize("name", GENUS_SERIES)
-    def test_one_sequence_fills_every_lower_truncation(self, name, sequences):
-        H = genus_series(name, 6).H
-        top = genus._chern_rows(H)
-        assert sequences == [6] and genus._chern_rows(H) is top
-        for d in range(1, 6):
-            rows = genus._chern_rows(H.truncate(d))
-            assert _rows_poly(rows) == multiplicative_sequence(H, d)[d - 1]
-        assert sequences == [6] and len(genus._CHERN_ROWS) == 6
+        yield seen
+        genus._chern_rows.cache_clear()
 
     def test_a_lone_chern_request_computes_nothing_beyond_its_dimension(self, sequences):
+        """A dim-3 request computes K_3 alone, and a higher-order series asked
+        for dim 3 is truncated first, so it reads the same rows."""
         from genusforge import cli
 
         table = ",".join(
@@ -249,34 +242,30 @@ class TestHirzebruchMemo:
         )
         argv = ["genus", "chern", "--series", "todd", "--dim", "3", "--chern", table]
         assert cli.main(argv) == 0
-        assert sequences == [3]
-        assert sorted(H.order for H in genus._CHERN_ROWS) == [1, 2, 3]
+        assert sequences == [3] and genus._chern_rows.cache_info().currsize == 1
+        M = ManifoldDescriptor.from_chern(3, cpn_chern_numbers(3))
+        assert genus_of(genus_series("todd", 6), M) == 1
+        assert sequences == [3] and genus._chern_rows.cache_info().currsize == 1
 
     def test_verify_builds_one_sequence_per_series(self, sequences):
+        """One sequence per distinct truncation H_n that the Chern check reads."""
         from genusforge import verify
 
         results = dict(verify._gamma_checks(6))
         assert results["chern_route_matches_product_route"].passed
         # ahat and hyperbolic share one H, so they share its rows
-        distinct = {genus_series(name, 4).H for name in GENUS_SERIES}
-        assert sequences == [4] * len(distinct)
+        distinct = {
+            genus_series(name, 5).H.truncate(n) for name in GENUS_SERIES for n in range(1, 5)
+        }
+        assert sorted(sequences) == sorted(H.order for H in distinct)
+        assert genus._chern_rows.cache_info().currsize == len(distinct)
 
-    def test_only_the_most_recently_used_rows_are_kept(self, sequences):
-        first = genus_series("todd", 2).H
-        genus._chern_rows(first)
-        for k in range(40):
-            genus._chern_rows(Series1([1, k + 2, 1], 2))
-            genus._chern_rows(first)  # a hit makes it the most recent again
-        assert len(genus._CHERN_ROWS) == 64 and len(sequences) == 41
-        assert first in genus._CHERN_ROWS and first.truncate(1) not in genus._CHERN_ROWS
-
-    def test_threads_sharing_the_memo_read_the_serial_rows(self, monkeypatch):
+    def test_threads_sharing_the_memo_read_the_serial_rows(self, sequences):
         """Eight threads ask for the rows of 90 truncations (more than the
         memo keeps) in a shuffled order, with a short switch interval."""
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        monkeypatch.setattr(genus, "_CHERN_ROWS", {})
         rng = random.Random(5)
         tops = [
             Series1([1, *(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))])
@@ -292,11 +281,10 @@ class TestHirzebruchMemo:
                 got = list(pool.map(genus._chern_rows, jobs, timeout=120))
         finally:
             sys.setswitchinterval(switch)
+        assert len(sequences) >= 90 and genus._chern_rows.cache_info().currsize == 64
         for H, rows in zip(jobs, got):
             assert _rows_poly(rows) == multiplicative_sequence(H, H.order)[-1]
-        assert len(genus._CHERN_ROWS) == 64
-        for H, rows in genus._CHERN_ROWS.items():
-            assert _rows_poly(rows) == multiplicative_sequence(H, H.order)[-1]
+            assert genus._chern_rows(H) == rows
 
     def test_user_series_that_reuses_a_catalog_name_gets_its_own_value(self):
         todd = genus_series("todd", 4)
@@ -546,6 +534,8 @@ class TestGenusOf:
         d = ManifoldDescriptor.from_chern(3, {(1, 2): 1, (3,): 2, ("1", 1, 1): Fraction(1, 2)})
         assert d.chern == (((1, 1, 1), Fraction(1, 2)), ((2, 1), Fraction(1)), ((3,), Fraction(2)))
         assert ManifoldDescriptor.from_chern(1, {(1,): "1/10"}).chern == (((1,), Fraction(1, 10)),)
+        integral = ManifoldDescriptor.from_chern(2.0, {(1.0, 1): 9, ("2",): 3})
+        assert integral == ManifoldDescriptor.from_chern(2, {(1, 1): 9, (2,): 3})
         table = {(1, 2): 1, (2, 1): 5, (3,): 1, (1, 1, 1): 1}
         with pytest.raises(ValueError, match=r"repeats the partition \(2, 1\)"):
             ManifoldDescriptor.from_chern(3, table)
@@ -595,6 +585,50 @@ class TestGenusOf:
             ManifoldDescriptor.from_chern(1, {(1,): value})
         with pytest.raises(TypeError, match=rf"the Chern number of \(2,\) is an int or a Fraction, not {kind}"):
             ManifoldDescriptor.from_chern(2, {(1, 1): 3, (2,): value})
+
+    @pytest.mark.parametrize(
+        "d, table, refused",
+        [(2.7, {(2,): 3, (1, 1): 9}, "chern_dim is an int, not float"),
+         (True, {(True,): 2}, "chern_dim is an int, not bool"),
+         (1, {(True,): 2}, r"a partition is a tuple of ints, not \(True,\)"),
+         (2, {(1.9, 1.2): 9, (2,): 3}, r"a partition is a tuple of ints, not \(1.9, 1.2\)"),
+         (2, {(1, 1): 9, (2.5,): 3}, r"a partition is a tuple of ints, not \(2.5,\)")],
+    )
+    def test_from_chern_refuses_a_bool_or_a_float_dimension_or_part(self, d, table, refused):
+        """int() would read 2.7 as dimension 2, (1.9, 1.2) as (1, 1) and True
+        as 1; the record's own TypeError refuses them instead."""
+        with pytest.raises(TypeError, match=refused):
+            ManifoldDescriptor.from_chern(d, table)
+
+    @pytest.mark.parametrize("d", [2.0, True, "2"])
+    def test_the_record_checks_the_dimension_before_the_partitions(self, d):
+        table = (((1,), 9),) if d is True else (((1, 1), 9), ((2,), 3))
+        with pytest.raises(TypeError, match="chern_dim is an int, not"):
+            ManifoldDescriptor(chern_dim=d, chern=table)
+
+    @pytest.mark.parametrize(
+        "table",
+        [(((1.0, 1.0), 9), ((2,), 3)), (((1, 1), 9), ((2.0,), 3)), (((True, True), 9), ((2,), 3)),
+         ((7, 9), ((2,), 3)), ((((1, 1), 9), 9), ((2,), 3))],
+    )
+    def test_the_record_refuses_a_partition_part_that_is_not_an_int(self, table):
+        """(1.0, 1.0) and (True, True) hash like (1, 1), so only a type check
+        tells them apart."""
+        with pytest.raises(TypeError, match="a partition is a tuple of ints, not"):
+            ManifoldDescriptor(chern_dim=2, chern=table)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{}, {"chern_dim": 2}, {"chern": (((1,), 5),)}, {"projective": (1,), "chern_dim": 1},
+         {"projective": (1,), "chern": (((1,), 5),)},
+         {"projective": (1,), "chern_dim": 1, "chern": (((1,), 5),)}],
+    )
+    def test_a_descriptor_holds_exactly_one_kind_of_data(self, fields):
+        """Refused when made, not in genus_of: a table beside projective
+        dimensions was ignored, and half a table failed only when evaluated."""
+        with pytest.raises(ValueError, match="either projective or both chern_dim and chern"):
+            ManifoldDescriptor(**fields)
+        assert genus_of(genus_series("todd", 1), ManifoldDescriptor(projective=())) == 1
 
     def test_equal_descriptors_hash_equally(self):
         a = ManifoldDescriptor.from_chern(2, {(1, 1): 9, (2,): 3})

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from genusforge.genus import _pair_factor, half_sinh_ratio, witten_series
+from genusforge.check import replace
+from genusforge.genus import WittenSeries, _pair_factor, half_sinh_ratio, witten_series
 from genusforge.ring import zeta_tilde_even
 from genusforge.verify import _exp_mixed
 
@@ -52,6 +53,26 @@ class TestWittenStructure:
             w108.coefficient(x_pow, q_pow)
         with pytest.raises(ValueError):
             w108.log_coefficient(x_pow, q_pow)
+
+    def test_the_x_order_is_that_of_the_series(self):
+        """x_order is read off H, so no record claims more x-coefficients than
+        it holds, and a log_H of another order is refused."""
+        w = witten_series(4, 2)
+        assert w.x_order == 4 and "x_order" not in w._fields
+        with pytest.raises(TypeError):
+            WittenSeries(x_order=20, q_order=2, H=w.H, log_H=w.log_H)
+        rebuilt = WittenSeries(q_order=2, H=w.H, log_H=w.log_H)
+        assert rebuilt == w and rebuilt.x_order == 4
+        for read in (lambda: w.coefficient(10, 0), lambda: w.log_coefficient(12, 1),
+                     lambda: w.eisenstein_coefficient(5)):
+            with pytest.raises(ValueError):
+                read()
+        longer = witten_series(6, 2)
+        for H, log_H in ((w.H, longer.log_H), (longer.H, w.log_H)):
+            with pytest.raises(ValueError, match="log_H has order"):
+                WittenSeries(q_order=2, H=H, log_H=log_H)
+        with pytest.raises(ValueError, match="log_H has order"):
+            replace(w, H=longer.H)
 
 
 class TestPairFactor:

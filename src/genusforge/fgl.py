@@ -158,9 +158,8 @@ def gamma_exponential(order: int, normalized: bool = False) -> Series1:
 
     With normalized=True the variable is rescaled by the inverse period
     (z = x / ipi2) and even zeta values are reduced to rationals.  Both act on
-    the argument of exp, term by term: each coefficient of x^k there is one
-    weight-k monomial times ipi2^(-k), of weight 0, and on those reduce is a
-    ring map, so reducing the argument reduces every expanded coefficient.
+    the argument of exp: reduce is a ring map, so reducing the argument
+    reduces every expanded coefficient.
     """
     arg = [_ZERO, RingElement.gen("gamma")]
     for k in range(2, order):

@@ -33,7 +33,8 @@ from genusforge.ring import (
     zeta_tilde_even,
 )
 from genusforge.series import (
-    InsufficientOrderError, Series1, _unit_power, build_once, exp_series, log_series, sqrt_series
+    InsufficientOrderError, Series1, _check_order, _unit_power, build_once, exp_series, log_series,
+    sqrt_series,
 )
 from genusforge.symfun import (
     _roots,
@@ -135,8 +136,7 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
     its H.  A checked request is memoised by its canonical name and order
     (_series, the 128 most recent); a rejected one raises on every call.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _check_order(order)  # before the memo, where True and 2.0 would hit 1 and 2
     name = name.replace("-", "_")
     if name == "gamma":
         name = "gamma_normalized" if presentation == "normalized" else "gamma_raw"
@@ -424,9 +424,10 @@ def msp_agreement_check(order: int, m: int, mutant: bool = False) -> CheckResult
 
     Layer 1 (raw): Pi H(x_i) H(-x_i) equals the even-zeta exponential per
     root, so gamma and odd zeta content cancels identically.  Layer 2
-    (normalized): the same product with reduced coefficients equals
-    Pi (x_i/2)/sinh(x_i/2) exactly.  The mutant variant squares H instead of
-    conjugating and must fail at weight 1.
+    (normalized): the same product of the normalized series, whose even
+    zetas are reduced where it is built, equals Pi (x_i/2)/sinh(x_i/2)
+    exactly.  The mutant variant squares H instead of conjugating and must
+    fail at weight 1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -446,8 +447,7 @@ def msp_agreement_check(order: int, m: int, mutant: bool = False) -> CheckResult
     g_norm = gamma_series(order, "normalized")
     lhs_norm = series_product_over_alphabet(g_norm.H, alphabet, order)
     rhs_norm = series_product_over_alphabet(half_sinh_ratio(order), roots, order)
-    normalized = (lhs_norm - rhs_norm).map_coefficients(RingElement.reduce)
-    return first_defect(normalized.items(), "normalized layer")
+    return first_defect((lhs_norm - rhs_norm).items(), "normalized layer")
 
 
 def ahat_pontryagin_identity(order: int, m: int) -> CheckResult:
@@ -485,20 +485,30 @@ class WittenSeries(Record):
     H is the defining infinite product; log_H is assembled independently
     from the explicit expansion of -log(1 - q^n e^(+-x)).  Construction
     compares nothing: verify checks exp(log_H) == H, tying the two routes
-    together.  The x order is that of H, and log_H has the same.
+    together.  The x order is that of H, the q order the top power of q in
+    H[0] (each power up to it has a positive coefficient); log_H has both.
     """
 
-    q_order: int
     H: Series1
     log_H: Series1
 
     def __post_init__(self):
         if self.log_H.order != self.H.order:
             raise ValueError(f"log_H has order {self.log_H.order}, H has {self.H.order}")
+        if (top := self._top_q(self.log_H[0])) != self.q_order:
+            raise ValueError(f"log_H has q order {top}, H has {self.q_order}")
 
     @property
     def x_order(self) -> int:
         return self.H.order
+
+    @property
+    def q_order(self) -> int:
+        return self._top_q(self.H[0])
+
+    @staticmethod
+    def _top_q(elem: RingElement) -> int:
+        return max((dict(m).get("q", 0) for m, _ in elem.terms()), default=0)
 
     @staticmethod
     def _q_slice(elem: RingElement, q_pow: int) -> Fraction:
@@ -602,7 +612,7 @@ def witten_series(x_order: int, q_order: int) -> WittenSeries:
                 extra[k] = extra[k] + qc * Fraction(2 * j**k, math.factorial(k))
     log_H = log_H + Series1(extra, x_order)
 
-    return WittenSeries(q_order=q_order, H=H, log_H=log_H)
+    return WittenSeries(H=H, log_H=log_H)
 
 
 # -- the universal lift -----------------------------------------------------------------
@@ -684,7 +694,7 @@ def conjugation_equivariance_check(n_max: int) -> CheckResult:
     H_conj = Series1([-c if k % 2 else c for k, c in enumerate(g.H.coefficients())], n_max)
     g_conj = GenusSeries(H=H_conj, name="gamma_conjugate")
     return first_defect(
-        (n, genus_cpn(g, n).conjugate().reduce() - genus_cpn(g_conj, n).reduce())
+        (n, genus_cpn(g, n).conjugate() - genus_cpn(g_conj, n))
         for n in range(1, n_max + 1)
     )
 

@@ -33,9 +33,9 @@ or a quotient by it, or a dot pair that has it as second factor, scales the
 numerators and the denominator, as FLINT's fmpq_poly does, with one gcd pass.
 ``split(family)`` writes an element as a polynomial in one indexed family of
 generators (``c1, c2, ...``) with coefficients free of it, so that no other
-module reads the packed keys.  ``conjugate`` is the
-substitution ``ipi2 -> -ipi2``, a homomorphism like any other
-``substitute``, and ``bernoulli`` is one ``lru_cache`` memo.
+module reads the packed keys.  ``conjugate`` (``ipi2 -> -ipi2``) and ``reduce``
+(each even ``zeta{2k} -> zeta~(2k) ipi2**(2k)``) are substitutions, ring maps
+like any other, and ``bernoulli`` is one ``lru_cache`` memo.
 
 An element is a value: the order of its stored terms means nothing.  All that
 reads terms in order sorts them by monomial first (``terms()``, ``to_obj`` and
@@ -622,41 +622,16 @@ class RingElement:
         return self.substitute({"ipi2": -RingElement.gen("ipi2")})
 
     def reduce(self) -> "RingElement":
-        """Rewrite every even-zeta period to its rational value.
-
-        Each factor zeta(2k) * ipi2**(-2k) in a monomial is replaced by the
-        exact rational -B_{2k} / (2 (2k)!).  Zeta factors are consumed in
-        ascending k while the available ipi2**(-1) budget lasts; on elements
-        whose monomials carry at least as many inverse powers of ipi2 as the
-        total weight of their even zetas (the case arising from normalized
-        series) every even zeta is eliminated.  Idempotent.
-        """
-        images = []
-        changed = False
-        for m, c in self._terms.items():
-            exps = dict(_unpack(m))
-            a = exps.get("ipi2", 0)
-            scale = _ONE
-            if a < 0:
-                zetas = sorted(
-                    (int(name[4:]), name)
-                    for name in exps
-                    if name.startswith("zeta") and int(name[4:]) % 2 == 0
-                )
-                for k2, name in zetas:
-                    while exps.get(name, 0) > 0 and a <= -k2:
-                        exps[name] -= 1
-                        if not exps[name]:
-                            del exps[name]
-                        a += k2
-                        scale = scale * zeta_tilde_even(k2 // 2)
-                        changed = True
-            if a:
-                exps["ipi2"] = a
-            elif "ipi2" in exps:
-                del exps["ipi2"]
-            images.append((RingElement._make({_pack(exps.items()): c}, self._den, self._emax), scale))
-        return RingElement.dot(images) if changed else self
+        """Euler's zeta(2k) = zeta~(2k) (2 pi i)^(2k), zeta~(2k) = -B_2k / (2 (2k)!)
+        rational, as one substitution: each even zeta zeta{2k} -> zeta~(2k) *
+        ipi2**(2k).  A ring map like ``conjugate``, idempotent, leaving no even
+        zeta; an element with none is returned as it is."""
+        evens = {
+            name: RingElement.gen("ipi2", k, zeta_tilde_even(k // 2))
+            for name in self.generators()
+            if name.startswith("zeta") and (k := int(name[4:])) % 2 == 0
+        }
+        return self.substitute(evens) if evens else self
 
     def split(self, family: str) -> "dict[Monomial, RingElement]":
         """{monomial in the generators family1, family2, ... of an indexed

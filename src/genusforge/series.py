@@ -65,6 +65,13 @@ def _coerce_elem(value: Scalar) -> RingElement:
     return RingElement.from_rational(value)
 
 
+def _check_order(order) -> None:
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise TypeError(f"order must be an int, not {type(order).__name__}")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+
+
 class _Series:
     """The coefficient-wise core of Series1 and Series2.
 
@@ -177,8 +184,7 @@ class Series1(_Series):
         coeffs = [_coerce_elem(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        _check_order(order)
         coeffs = coeffs[: order + 1]
         coeffs += [_ZERO] * (order + 1 - len(coeffs))
         self.order = order
@@ -313,8 +319,7 @@ class Series2(_Series):
     _ORIGIN = (0, 0)
 
     def __init__(self, coeffs: Mapping["tuple[int, int]", Scalar], order: int):
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        _check_order(order)
         self.order = order
         clean: "dict[tuple[int, int], RingElement]" = {}
         for (i, j), c in coeffs.items():

@@ -202,8 +202,8 @@ def symmetric_in_elementary(f: RingElement, m: int, out_prefix: str = "e") -> Ri
 
 
 def zeta_specialize(x: RingElement, presentation: str = "raw") -> RingElement:
-    """Send s_1 to gamma and s_k to zeta(k); normalized variant divides by
-    the k-th power of the period and reduces even zetas to rationals."""
+    """Send s_1 to gamma and s_k to zeta(k); the normalized table divides each
+    by ipi2^k and reduces it, which reduces the result as reduce is a ring map."""
     if presentation not in ("raw", "normalized"):
         raise ValueError("presentation must be 'raw' or 'normalized'")
     p = convert(x, "P")
@@ -215,10 +215,9 @@ def zeta_specialize(x: RingElement, presentation: str = "raw") -> RingElement:
         else:
             value = RingElement.gen(f"zeta{k}")
         if presentation == "normalized":
-            value = value * RingElement.gen("ipi2", -k)
+            value = (value * RingElement.gen("ipi2", -k)).reduce()
         table[name] = value
-    out = p.substitute(table)
-    return out.reduce() if presentation == "normalized" else out
+    return p.substitute(table)
 
 
 # -- Pontryagin rewriting --------------------------------------------------------------

@@ -166,17 +166,16 @@ class FractionRing:
 
     @staticmethod
     def reduce(a: dict) -> dict:
-        """Each zeta(2k) * ipi2^(-2k) -> zeta~(2k), smallest k first, while
-        the ipi2^(-1) budget lasts."""
+        """Each zeta(2k)^e -> zeta~(2k)^e * ipi2^(2ke), term by term."""
         out: "dict" = {}
         for m, c in a.items():
             exps = dict(m)
-            for name in sorted((n for n in exps if n.startswith("zeta")), key=lambda n: int(n[4:])):
-                k2 = int(name[4:])
-                while k2 % 2 == 0 and exps[name] and exps.get("ipi2", 0) <= -k2:
-                    exps[name] -= 1
-                    exps["ipi2"] += k2
-                    c *= zeta_tilde_even(k2 // 2)
+            for name, e in m:
+                if name.startswith("zeta") and int(name[4:]) % 2 == 0:
+                    k2 = int(name[4:])
+                    del exps[name]
+                    exps["ipi2"] = exps.get("ipi2", 0) + k2 * e
+                    c *= zeta_tilde_even(k2 // 2) ** e
             m = tuple(sorted((n, e) for n, e in exps.items() if e))
             out = FractionRing.add(out, {m: c})
         return out
@@ -974,7 +973,10 @@ def sorted_str(x: RingElement) -> str:
 
 
 def folded_reduce(x: RingElement) -> RingElement:
-    """x.reduce(), adding each rewritten term to a running sum from zero."""
+    """Each zeta(2k) * ipi2^(-2k) in a term -> zeta~(2k), smallest k first,
+    while the term's ipi2^(-1) budget lasts, adding each rewritten term to a
+    running sum from zero.  Where every term's budget covers the weight of
+    its even zetas this is x.reduce(); elsewhere it leaves even zetas."""
     out = RingElement.zero()
     changed = False
     for m, c in x._terms.items():

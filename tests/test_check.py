@@ -170,7 +170,7 @@ RECORDS = {
         lambda: ManifoldDescriptor.from_chern(2, {(2,): 3, (1, 1): 4}),
         {"chern": (((1, 1), Fraction(6)), ((2,), Fraction(5)))},
     ),
-    "WittenSeries": (lambda: genus.witten_series(3, 2), {"q_order": 3}),
+    "WittenSeries": (lambda: genus.witten_series(3, 2), {"log_H": Series1([gen("q", 2)], 3)}),
 }
 
 

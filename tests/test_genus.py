@@ -95,6 +95,15 @@ class TestGenusSeries:
             with pytest.raises(ValueError, match="unknown genus series"):
                 genus_series(name, 4)
 
+    def test_a_bool_order_is_refused_before_the_memo(self):
+        """True == 1 as a memo key: a bool order is refused before the memo,
+        so it neither fills the entry of order 1 nor is served from it."""
+        with pytest.raises(TypeError, match="order must be an int"):
+            genus_series("todd", True)
+        assert type(genus_series("todd", 1).H.order) is int
+        with pytest.raises(TypeError, match="order must be an int"):
+            genus_series("todd", True)
+
     def test_presentation_selects_gamma_and_matches_every_other_name(self):
         assert genus_series("gamma", 3, "normalized") == genus_series("gamma_normalized", 3)
         assert genus_series("gamma", 3, "raw") == genus_series("gamma_raw", 3)

@@ -863,38 +863,66 @@ class TestKeptTermOrder:
         self.assert_reads_match_a_fresh_sort(loaded)
 
 
-# Elements over even and odd zetas, gamma and ipi2, whose ipi2 exponents
+def _period_term(c, z2, z4, z6, z3, a):
+    zetas = gen("zeta2", z2) * gen("zeta4", z4) * gen("zeta6", z6) * gen("zeta3", z3)
+    return zetas * gen("ipi2", a, c)
+
+
+_TERM_PARTS = (rationals, *(st.integers(0, n) for n in (2, 2, 1, 1)))
+# Elements over even and odd zetas and ipi2, whose ipi2 exponents
 # (down to -10) cover all, some or none of their even zetas' weight.
-_PERIOD_TERMS = st.builds(
-    lambda c, z2, z4, z6, z3, a: (
-        gen("zeta2", z2) * gen("zeta4", z4) * gen("zeta6", z6) * gen("zeta3", z3) * gen("ipi2", a, c)
+period_elements = st.lists(
+    st.builds(_period_term, *_TERM_PARTS, st.integers(-10, 2)), max_size=5
+).map(lambda ts: sum(ts, R.zero()))
+# Balanced ones: each term's ipi2 exponent is at most minus the weight of
+# its even zetas, as in every element the package reduces.
+balanced_elements = st.lists(
+    st.builds(
+        lambda c, z2, z4, z6, z3, a: _period_term(c, z2, z4, z6, z3, a - 2 * z2 - 4 * z4 - 6 * z6),
+        *_TERM_PARTS,
+        st.integers(-4, 0),
     ),
-    rationals,
-    st.integers(0, 2),
-    st.integers(0, 2),
-    st.integers(0, 1),
-    st.integers(0, 1),
-    st.integers(-10, 2),
-)
-period_elements = st.lists(_PERIOD_TERMS, max_size=5).map(lambda ts: sum(ts, R.zero()))
+    max_size=5,
+).map(lambda ts: sum(ts, R.zero()))
+
+
+def _even_zetas(x):
+    return {name for name in x.generators() if name.startswith("zeta") and int(name[4:]) % 2 == 0}
 
 
 class TestReduce:
-    @example(gen("zeta2") * gen("ipi2", -2) + Fraction(1, 24))  # cancels to zero
-    @example(gen("zeta2") * gen("ipi2", -2) + gen("zeta4") * gen("ipi2", -2))
-    @given(period_elements)
+    @given(balanced_elements)
     def test_equals_the_termwise_fold(self, x):
+        """On balanced elements the substitution is the ipi2-budget fold,
+        stored form and all."""
         out, folded = x.reduce(), folded_reduce(x)
         assert out == folded
         assert (out._terms, out._den) == (folded._terms, folded._den)
         assert (out is x) == (folded is x)
 
+    @example(gen("zeta2") * gen("ipi2", -2) + Fraction(1, 24))  # cancels to zero
+    @example(gen("zeta2") * gen("ipi2", -2) + gen("zeta4") * gen("ipi2", -2))
+    @given(period_elements)
+    def test_equals_the_termwise_substitution(self, x):
+        """Balanced or not, reduce is the term-wise substitution, idempotent,
+        leaves no even zeta and returns x itself when it has none."""
+        out = x.reduce()
+        assert F.of(out) == F.reduce(F.of(x))
+        assert_canonical(out)
+        assert not _even_zetas(out) and out.reduce() is out
+        assert (out is x) == (not _even_zetas(x))
+
     def test_even_zeta_rewrites(self):
         assert (gen("zeta2") * gen("ipi2", -2)).reduce() == R.from_rational(Fraction(-1, 24))
         unred = gen("gamma") * gen("zeta3") * gen("ipi2", -3)
-        assert unred.reduce() == unred
+        assert unred.reduce() is unred
         sq = gen("zeta2", 2) * gen("ipi2", -4)
         assert sq.reduce() == R.from_rational(Fraction(1, 576))
+
+    def test_an_even_zeta_without_its_period_is_substituted(self):
+        assert gen("zeta2").reduce() == gen("ipi2", 2, Fraction(-1, 24))
+        assert (gen("zeta2") * gen("ipi2", -1)).reduce() == gen("ipi2", 1, Fraction(-1, 24))
+        assert gen("zeta4", 1, 3).reduce() == gen("ipi2", 4, 3 * zeta_tilde_even(2))
 
     def test_idempotent(self):
         x = gen("zeta4") * gen("zeta2") * gen("ipi2", -6) + gen("gamma") * gen("zeta2") * gen("ipi2", -3)
@@ -905,12 +933,12 @@ class TestReduce:
         out = x.reduce()
         assert out == R.from_rational(zeta_tilde_even(1) ** 2 * zeta_tilde_even(2))
 
-    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
-    def test_commutes_with_product_on_balanced(self, j, k):
-        # elements whose ipi2 budget covers their even-zeta weight
-        a = gen(f"zeta{2 * j}") * gen("ipi2", -2 * j) * gen("gamma")
-        b = gen(f"zeta{2 * k}") * gen("ipi2", -2 * k) + 3
-        assert (a * b).reduce() == (a.reduce() * b.reduce()).reduce()
+    @example(gen("zeta2"), gen("zeta4") * gen("ipi2", -1) + gen("zeta3"))
+    @given(period_elements, period_elements)
+    def test_commutes_with_sum_and_product(self, a, b):
+        """A ring map on every element, not only on balanced ones."""
+        assert (a * b).reduce() == a.reduce() * b.reduce()
+        assert (a + b).reduce() == a.reduce() + b.reduce()
 
     def test_numeric_agreement(self):
         x = gen("zeta6") * gen("zeta2") * gen("ipi2", -8)

@@ -979,6 +979,15 @@ class TestJson:
         F = Series2({(1, 0): 1, (0, 1): 1}, 5)
         assert set(F.to_obj()["coeffs"]) == {"1,0", "0,1"}
 
+    def test_an_order_is_an_int(self):
+        """A bool or a float is no order, so no series writes an order that
+        from_obj refuses."""
+        for order in (True, False, 2.0, "2"):
+            with pytest.raises(TypeError, match="order must be an int"):
+                Series1([1, 2, 3], order)
+            with pytest.raises(TypeError, match="order must be an int"):
+                Series2({(1, 0): 1}, order)
+
 
 class TestTruncationFunctoriality:
     @given(small_series(constant=0), st.integers(min_value=1, max_value=6))

@@ -192,6 +192,16 @@ class TestZetaSpecialize:
     def test_ring_homomorphism(self, a, b):
         assert zeta_specialize(a * b) == zeta_specialize(a) * zeta_specialize(b)
 
+    @given(st.one_of(sym_polys("E"), sym_polys("P")))
+    def test_normalized_is_the_reduced_substitution(self, x):
+        """Reducing the table is reducing the result, as reduce is a ring map."""
+        p = convert(x, "P")
+        table = {}
+        for name in p.generators():
+            k = int(name[1:])
+            table[name] = gen(f"zeta{k}" if k > 1 else "gamma") * gen("ipi2", -k)
+        assert zeta_specialize(x, "normalized") == p.substitute(table).reduce()
+
     def test_invalid_presentation(self):
         with pytest.raises(ValueError):
             zeta_specialize(gen("s2"), "weird")

@@ -252,6 +252,31 @@ def test_a_fault_in_the_product_alone_fails_every_divisor_record(monkeypatch):
         assert RingElement.from_obj(record["coefficient"]) == -q
 
 
+def _unreduced(original, order, normalized=False):
+    """The normalized Gamma exponential with its even zetas left unreduced:
+    each x^k coefficient of the raw one times ipi2^(1-k)."""
+    raw = original(order)
+    if not normalized:
+        return raw
+    ipi2 = RingElement.gen("ipi2")
+    return Series1([c * ipi2 ** (1 - k) for k, c in enumerate(raw.coefficients())], order)
+
+
+def test_an_unreduced_normalized_series_fails_the_msp_records(monkeypatch):
+    """The msp records read the normalized series as built, reducing nothing
+    themselves, so zeta(2) ipi2^-2 left in H fails each at degree 2 with the
+    structure record."""
+    _wrap(fgl, "gamma_exponential", _unreduced)(monkeypatch)
+    records = {rec["name"]: rec for rec in verify.run_suite("gamma", ORDER)["checks"]}
+    left = RingElement.gen("zeta2") * RingElement.gen("ipi2", -2) + Fraction(1, 24)
+    for m in (1, 2, 3):
+        record = records[f"msp_agreement_m{m}"]
+        assert (record["status"], record["degree"]) == ("FAIL", 2), record
+        squares = sum((RingElement.gen(f"x{i}", 2) for i in range(1, m + 1)), RingElement.zero())
+        assert RingElement.from_obj(record["coefficient"]) == left * squares
+    assert records["normalized_gamma_structure"]["status"] == "FAIL"
+
+
 def test_negation_reads_one_log_and_one_exp_per_law():
     """With the laws built, the fgl suite derives each law's logarithm once,
     and once more inside exponential() for the three without a stored one."""

@@ -61,7 +61,7 @@ class TestWittenStructure:
         assert w.x_order == 4 and "x_order" not in w._fields
         with pytest.raises(TypeError):
             WittenSeries(x_order=20, q_order=2, H=w.H, log_H=w.log_H)
-        rebuilt = WittenSeries(q_order=2, H=w.H, log_H=w.log_H)
+        rebuilt = WittenSeries(H=w.H, log_H=w.log_H)
         assert rebuilt == w and rebuilt.x_order == 4
         for read in (lambda: w.coefficient(10, 0), lambda: w.log_coefficient(12, 1),
                      lambda: w.eisenstein_coefficient(5)):
@@ -70,9 +70,28 @@ class TestWittenStructure:
         longer = witten_series(6, 2)
         for H, log_H in ((w.H, longer.log_H), (longer.H, w.log_H)):
             with pytest.raises(ValueError, match="log_H has order"):
-                WittenSeries(q_order=2, H=H, log_H=log_H)
+                WittenSeries(H=H, log_H=log_H)
         with pytest.raises(ValueError, match="log_H has order"):
             replace(w, H=longer.H)
+
+    def test_the_q_order_is_that_of_the_series(self):
+        """q_order is the top power of q in H[0], so no record claims more
+        q-coefficients than it holds, and a log_H of another q order is refused."""
+        w = witten_series(4, 2)
+        assert w.q_order == 2 and "q_order" not in w._fields
+        with pytest.raises(TypeError):
+            WittenSeries(q_order=20, H=w.H, log_H=w.log_H)
+        rebuilt = WittenSeries(H=w.H, log_H=w.log_H)
+        assert rebuilt == w and rebuilt.q_order == 2
+        for read in (lambda: w.coefficient(0, 15), lambda: w.log_coefficient(2, 9)):
+            with pytest.raises(ValueError):
+                read()
+        assert w.divisor_check(1).passed
+        deeper = witten_series(4, 3)
+        assert deeper.q_order == 3
+        for H, log_H in ((w.H, deeper.log_H), (deeper.H, w.log_H)):
+            with pytest.raises(ValueError, match="log_H has q order"):
+                WittenSeries(H=H, log_H=log_H)
 
 
 class TestPairFactor:

@@ -82,11 +82,14 @@ def _emit(obj) -> None:
 
 def _rational(text: str) -> "int | Fraction":
     """A rational literal: a plain ASCII integer as an int, anything else as a
-    Fraction."""
+    Fraction, an exponent past the int digit limit refused before it is computed."""
     text = text.strip()
     digits = text[1:] if text[:1] in ("+", "-") else text
     if digits.isascii() and digits.isdigit():
         return int(text)
+    exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)\Z", text)
+    if exponent and 0 < (limit := sys.get_int_max_str_digits()) < int(exponent[1]):
+        raise ValueError(f"exponent in {text!r} exceeds the int digit limit {limit}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Union
 
 from genusforge.check import CheckResult, Record, first_defect, replace
-from genusforge.ring import NonUnitError, RingElement
+from genusforge.ring import NonUnitError, RingElement, _check_order
 from genusforge.series import (
     Series1,
     Series2,
@@ -171,8 +171,7 @@ def gamma_exponential(order: int, normalized: bool = False) -> Series1:
 
 def gaussian_bracket(n: int) -> RingElement:
     """The quantum integer (t^(n/2) - t^(-n/2)) / (t^(1/2) - t^(-1/2)) in u = t^(1/2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_order(n, 1, "n")
     return RingElement.dot((RingElement.gen("u", n - 1 - 2 * j), 1) for j in range(n))
 
 
@@ -267,8 +266,7 @@ def catalog(
     name = name.replace("-", "_")
     if name not in CATALOG and name not in DEMO_LAWS:
         raise UnknownLawError(name)
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    _check_order(order, 2)
     for key in params or ():
         if not re.fullmatch(_LAW_GENERATORS.get(name, "(?!)"), key):
             raise ValueError(f"param {key!r} names no generator of law {name!r}")

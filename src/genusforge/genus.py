@@ -26,14 +26,10 @@ from genusforge.fgl import (
     sinh_exponential,
 )
 from genusforge.ring import (
-    RingElement,
-    bernoulli,
-    euler_gamma,
-    zeta_numeric,
-    zeta_tilde_even,
+    RingElement, _check_order, bernoulli, euler_gamma, zeta_numeric, zeta_tilde_even,
 )
 from genusforge.series import (
-    InsufficientOrderError, Series1, _check_order, _unit_power, build_once, exp_series, log_series,
+    InsufficientOrderError, Series1, _unit_power, build_once, exp_series, log_series,
     sqrt_series,
 )
 from genusforge.symfun import (
@@ -136,7 +132,7 @@ def genus_series(name: str, order: int, presentation: Optional[str] = None) -> G
     its H.  A checked request is memoised by its canonical name and order
     (_series, the 128 most recent); a rejected one raises on every call.
     """
-    _check_order(order)  # before the memo, where True and 2.0 would hit 1 and 2
+    _check_order(order)  # the one rule, before the memo, where True and 2.0 would hit 1 and 2
     name = name.replace("-", "_")
     if name == "gamma":
         name = "gamma_normalized" if presentation == "normalized" else "gamma_raw"
@@ -189,8 +185,7 @@ def genus_cpn(g: GenusSeries, n: int) -> RingElement:
     (`_cpn`, the 256 most recent).  H^(n+1) comes from series._unit_power,
     Miller's power recurrence, which stops at degree n.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_order(n, 0, "n")
     if g.H.order < n:
         raise InsufficientOrderError(f"series order {g.H.order} < n = {n}")
     return _cpn(g.H.truncate(n))
@@ -262,14 +257,10 @@ class ManifoldDescriptor(Record):
             if type(self.projective) is not tuple:
                 raise TypeError("projective is a tuple of dimensions; see projective_product")
             for n in self.projective:
-                if type(n) is not int:
-                    raise TypeError(f"a projective dimension is an int, not {type(n).__name__}")
-                if n < 0:
-                    raise ValueError(f"a projective dimension is >= 0, not {n}")
+                _check_order(n, 0, "a projective dimension")
             return
         d, table = self.chern_dim, self.chern
-        if type(d) is not int:
-            raise TypeError(f"chern_dim is an int, not {type(d).__name__}")
+        _check_order(d, 0, "chern_dim")
         if type(table) is not tuple:
             raise TypeError("chern is a tuple of (partition, value) pairs; see from_chern")
         keys = [lam for lam, _ in table]
@@ -359,8 +350,7 @@ def _chern_rows(H: Series1) -> "tuple[tuple[tuple[int, ...], RingElement], ...]"
 def genus_table(
     name: str, max_n: int, presentation: Optional[str] = None
 ) -> "dict[str, object]":
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    _check_order(max_n, 1, "max_n")
     g = genus_series(name, max_n, presentation)
     rows = [{"n": n, "value": genus_cpn(g, n).to_obj()} for n in range(1, max_n + 1)]
     return {"series": g.name, "rows": rows}
@@ -429,8 +419,7 @@ def msp_agreement_check(order: int, m: int, mutant: bool = False) -> CheckResult
     exactly.  The mutant variant squares H instead of conjugating and must
     fail at weight 1.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_order(m, 1, "m")
     g_raw = gamma_series(order, "raw")
     roots = _roots(m)
     alphabet = [r for r in roots for _ in range(2)] if mutant else _roots_pm(m)
@@ -455,8 +444,7 @@ def ahat_pontryagin_identity(order: int, m: int) -> CheckResult:
     s^SO_2k the power sums of the doubled alphabet {x_i, -x_i}; also pins the
     k=1 exponent coefficient to zeta~(2)/2 = -1/48.  The exponent is graded
     by root degree, s^SO_2k at index 2k."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_order(m, 1, "m")
     roots = _roots(m)
     lhs = series_product_over_alphabet(half_sinh_ratio(order), roots, order)
     b, s_so = [0] * (order + 1), [_ZERO] * order
@@ -579,7 +567,7 @@ def _pair_factor(n: int, x_order: int, q_order: int) -> Series1:
     )
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def witten_series(x_order: int, q_order: int) -> WittenSeries:
     """The series (x/2)/sinh(x/2) * Pi_n [(1-q^n e^x)(1-q^n e^-x)]^(-1)
     truncated at the given x and q orders.
@@ -589,11 +577,12 @@ def witten_series(x_order: int, q_order: int) -> WittenSeries:
         (1-q^n e^x)^(-1) (1-q^n e^-x)^(-1) = Sum_j q^(nj) Sum_{a=0..j} e^((2a-j)x),
 
     whose x^k coefficient at q^(nj) is the rational Sum_{a=0..j} (2a-j)^k / k!
-    (zero for odd k).  Memoised by (x_order, q_order); the 32 most recent
-    are kept, and witten_series.__wrapped__ is the uncached build.
+    (zero for odd k).  Both orders are checked by ring._check_order under a
+    typed memo of the 32 most recent, so 4.0 or True misses the int entry and
+    is refused; witten_series.__wrapped__ is the uncached build.
     """
-    if x_order < 2 or q_order < 2:
-        raise ValueError("x_order and q_order must be >= 2")
+    _check_order(x_order, 2, "x_order")
+    _check_order(q_order, 2, "q_order")
     H = half_sinh_ratio(x_order)
     for n in range(1, q_order + 1):
         H = (H * _pair_factor(n, x_order, q_order)).map_coefficients(
@@ -688,8 +677,7 @@ def conjugation_equivariance_check(n_max: int) -> CheckResult:
     """conjugate(genus(CP^n)) equals the genus from the conjugated
     orientation exponential -exp(-x), for the normalized presentation.  The
     series of -exp(-x) is x / -exp(-x) = H(-x): H with (-1)^k on x^k."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_order(n_max, 1, "n_max")
     g = gamma_series(n_max, "normalized")
     H_conj = Series1([-c if k % 2 else c for k, c in enumerate(g.H.coefficients())], n_max)
     g_conj = GenusSeries(H=H_conj, name="gamma_conjugate")
@@ -709,8 +697,7 @@ def numeric_gamma_validation(
 ) -> CheckResult:
     """Truncated exponential of the reciprocal Gamma function against the
     stdlib Gamma as an independent oracle."""
-    if order < 10:
-        raise ValueError("order must be >= 10")
+    _check_order(order, 10)
     z0 = Fraction(z0)
     if abs(z0) > Fraction(1, 2):
         raise ValueError("|z0| must be <= 1/2")

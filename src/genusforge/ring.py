@@ -35,7 +35,8 @@ numerators and the denominator, as FLINT's fmpq_poly does, with one gcd pass.
 generators (``c1, c2, ...``) with coefficients free of it, so that no other
 module reads the packed keys.  ``conjugate`` (``ipi2 -> -ipi2``) and ``reduce``
 (each even ``zeta{2k} -> zeta~(2k) ipi2**(2k)``) are substitutions, ring maps
-like any other, and ``bernoulli`` is one ``lru_cache`` memo.
+like any other.  ``_check_order`` is the one check of an order, size or index,
+made before a memo answers (``bernoulli``'s and the zetas' are typed ``lru_cache``s).
 
 An element is a value: the order of its stored terms means nothing.  All that
 reads terms in order sorts them by monomial first (``terms()``, ``to_obj`` and
@@ -244,6 +245,14 @@ def _json_int(value, what: str) -> int:
     if isinstance(value, (bool, float)):
         raise TypeError(f"{what} must be an int or a str, not {type(value).__name__}")
     return int(value)
+
+
+def _check_order(value, least: int = 0, what: str = "order") -> None:
+    """The one check of an order, size, dimension or index: an int, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, not {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, not {value}")
 
 
 def _decimal(q: Rational) -> str:
@@ -765,14 +774,13 @@ _ONE = RingElement({(): 1})
 
 # -- named constants ---------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (convention B_1 = -1/2), exact and memoized:
     B_n = -sum_{j<n} C(n+1, j) B_j / (n+1), summed in integers over the lcm
     of the denominators of B_0 .. B_{n-1}.  It reads them in increasing
     order, so a cold call recurses two frames deep, however large n is."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_order(n, 0, "n")
     if n == 0:
         return Fraction(1)
     b = [bernoulli(j) for j in range(n)]
@@ -781,15 +789,14 @@ def bernoulli(n: int) -> Fraction:
     return Fraction(-total, den * (n + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def zeta_tilde_even(k: int) -> Fraction:
     """The rational normalized zeta value zeta(2k)/(2*pi*i)**(2k) = -B_{2k}/(2(2k)!)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_order(k, 1, "k")
     return -bernoulli(2 * k) / (2 * math.factorial(2 * k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def zeta_fraction(k: int, precision: int = 15) -> Fraction:
     """Rational approximation to zeta(k) with |error| < 10**(-precision).
 
@@ -797,8 +804,7 @@ def zeta_fraction(k: int, precision: int = 15) -> Fraction:
     Villegas-Zagier scheme, summed exactly over one common denominator L;
     zeta(k) = eta(k) / (1 - 2**(1-k)).  Reliable for precision <= 30.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    _check_order(k, 2, "k")
     if precision < 1 or precision > 30:
         raise ValueError("precision must be in 1..30")
     n = int(precision * 1.35) + 4

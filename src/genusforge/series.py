@@ -4,6 +4,8 @@ Series1 is a dense univariate series c_0 + c_1 z + ... + c_N z^N; Series2 is
 a bivariate series truncated by total degree.  All operations truncate to the
 order of their inputs and never consult coefficients beyond it, so
 truncate_M(op(a, b)) == op(truncate_M(a), truncate_M(b)) for M <= N.
+A constructor's order goes through ring._check_order; truncate, called only
+with orders of values already checked, does not check again.
 
 Every bivariate product and composition lists the coefficient pairs of
 each index and passes _dotted one verdict, that the result is symmetric;
@@ -19,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, MutableMapping, Optional, TypeVar, Union
 
-from genusforge.ring import RingElement, _json_int
+from genusforge.ring import RingElement, _check_order, _json_int
 
 __all__ = [
     "Series1",
@@ -63,13 +65,6 @@ def _coerce_elem(value: Scalar) -> RingElement:
     if isinstance(value, RingElement):
         return value
     return RingElement.from_rational(value)
-
-
-def _check_order(order) -> None:
-    if isinstance(order, bool) or not isinstance(order, int):
-        raise TypeError(f"order must be an int, not {type(order).__name__}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
 
 
 class _Series:

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 from genusforge import fgl, genus
 from genusforge.check import CheckResult, first_defect, first_residual
-from genusforge.ring import RingElement, zeta_tilde_even
+from genusforge.ring import RingElement, _check_order, zeta_tilde_even
 from genusforge.series import Series1, bivariate_from_exp, exp_series
 from genusforge.symfun import symplectic_power_sum_check
 
@@ -194,8 +194,7 @@ def run_suite(suite: str = "all", order: int = 12) -> dict:
     """Run the named check suite; returns a deterministic JSON-ready report."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    _check_order(order, 2)
     names = list(_SUITE_BUILDERS) if suite == "all" else [suite]
     results: dict[str, CheckResult] = {}
     for name in names:

@@ -231,6 +231,35 @@ class TestGenusCommand:
         assert_usage_error(proc)
         assert proc.stderr == f"error: chern entry {entry!r} has weight above {cli.MAX_ORDER}\n"
 
+    def test_a_negative_dimension_is_refused_by_the_order_rule(self):
+        """--dim is bounded above by the CLI and below by the record, whose
+        check runs before the table's partitions are counted."""
+        proc = run_cli("genus", "chern", "--series", "todd", "--dim", "-2", "--chern", "")
+        assert_usage_error(proc)
+        assert proc.stderr == "error: chern_dim must be >= 0, not -2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fgl", "series", "--law", "multiplicative_t", "--order", "3", "--param", "t=1e10000000"),
+            ("genus", "chern", "--series", "todd", "--dim", "1", "--chern", "c1=1e10000000"),
+            ("genus", "chern", "--series", "todd", "--dim", "1", "--chern", "c1=1e-10000000"),
+            ("genus", "chern", "--series", "todd", "--dim", "1", "--chern", "c1=2.5E100000000"),
+        ],
+        ids=["param", "chern", "chern-negative", "chern-decimal"],
+    )
+    def test_a_literal_exponent_past_the_int_digit_limit_exits_two_quickly(self, argv):
+        """Fraction would compute 10**exponent, which takes seconds for
+        1e10000000; the literal is refused before it is read."""
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "genusforge.cli", *argv],
+            capture_output=True, text=True, env=_ENV, timeout=30,
+        )
+        assert time.perf_counter() - start < 2
+        assert_usage_error(proc)
+        assert proc.stderr.count("\n") == 1 and "exceeds the int digit limit" in proc.stderr
+
     @pytest.mark.parametrize("chern", ["c1^-1=1", "c1^0=1,c2=3"])
     def test_non_positive_chern_exponent_exits_two(self, chern):
         proc = run_cli("genus", "chern", "--series", "todd", "--dim", "2", "--chern", chern)
@@ -904,6 +933,19 @@ class TestChernParsing:
         if type(got) is not str:
             plain = re.fullmatch(r"[+-]?[0-9]+", text.strip()) is not None
             assert type(got) is (int if plain else Fraction), text
+
+    def test_rational_bounds_an_exponent_by_the_int_digit_limit(self):
+        """An exponent of magnitude up to the limit is read; past it, the
+        literal is refused before Fraction computes it; with no limit, read."""
+        limit = sys.get_int_max_str_digits()
+        assert cli._rational(f"1e{limit}") == 10**limit
+        assert cli._rational(f"-2.5E-{limit}") == Fraction(-25, 10 ** (limit + 1))
+        assert cli._rational(f"1e0_{limit}") == 10**limit
+        for text in (f"1e{limit + 1}", f"1e-{limit + 1}", f"2.5E+{limit + 1}", f"1e{limit + 1:_}"):
+            with pytest.raises(ValueError, match=f"exponent in .* exceeds the int digit limit {limit}$"):
+                cli._rational(text)
+        with int_max_str_digits(0):
+            assert cli._rational("1e5000") == 10**5000
 
     def test_the_monomial_memo_is_bounded_and_holds_partitions(self, cold):
         for k in range(1, 301):

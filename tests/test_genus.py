@@ -582,7 +582,7 @@ class TestGenusOf:
         """int() would read 2.7 as CP^2 and True as CP^1; the record's own
         TypeError refuses them instead."""
         kind = type(dim).__name__
-        with pytest.raises(TypeError, match=f"a projective dimension is an int, not {kind}"):
+        with pytest.raises(TypeError, match=f"a projective dimension must be an int, not {kind}"):
             ManifoldDescriptor.projective_product([1, dim])
 
     @pytest.mark.parametrize("value", [0.1, 1.0, True, False])
@@ -597,8 +597,8 @@ class TestGenusOf:
 
     @pytest.mark.parametrize(
         "d, table, refused",
-        [(2.7, {(2,): 3, (1, 1): 9}, "chern_dim is an int, not float"),
-         (True, {(True,): 2}, "chern_dim is an int, not bool"),
+        [(2.7, {(2,): 3, (1, 1): 9}, "chern_dim must be an int, not float"),
+         (True, {(True,): 2}, "chern_dim must be an int, not bool"),
          (1, {(True,): 2}, r"a partition is a tuple of ints, not \(True,\)"),
          (2, {(1.9, 1.2): 9, (2,): 3}, r"a partition is a tuple of ints, not \(1.9, 1.2\)"),
          (2, {(1, 1): 9, (2.5,): 3}, r"a partition is a tuple of ints, not \(2.5,\)")],
@@ -612,7 +612,7 @@ class TestGenusOf:
     @pytest.mark.parametrize("d", [2.0, True, "2"])
     def test_the_record_checks_the_dimension_before_the_partitions(self, d):
         table = (((1,), 9),) if d is True else (((1, 1), 9), ((2,), 3))
-        with pytest.raises(TypeError, match="chern_dim is an int, not"):
+        with pytest.raises(TypeError, match="chern_dim must be an int, not"):
             ManifoldDescriptor(chern_dim=d, chern=table)
 
     @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from genusforge import fgl, genus, verify
-from genusforge.ring import _json_int
+from genusforge.ring import _fraction, _json_int
 from genusforge.series import Series1, exp_series, log_series, sqrt_series
 
 EXIT_OK = 0
@@ -81,17 +81,14 @@ def _emit(obj) -> None:
 
 
 def _rational(text: str) -> "int | Fraction":
-    """A rational literal: a plain ASCII integer as an int, anything else as a
-    Fraction, an exponent past the int digit limit refused before it is computed."""
+    """A rational literal: a plain ASCII integer as an int, anything else as
+    ring._fraction reads it, a zero denominator named as a usage error."""
     text = text.strip()
     digits = text[1:] if text[:1] in ("+", "-") else text
     if digits.isascii() and digits.isdigit():
         return int(text)
-    exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)\Z", text)
-    if exponent and 0 < (limit := sys.get_int_max_str_digits()) < int(exponent[1]):
-        raise ValueError(f"exponent in {text!r} exceeds the int digit limit {limit}")
     try:
-        return Fraction(text)
+        return _fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

@@ -20,6 +20,7 @@ from genusforge.ring import NonUnitError, RingElement, _check_order
 from genusforge.series import (
     Series1,
     Series2,
+    _coerce_elem,
     _compose1_2,
     bivariate_from_exp,
     build_once,
@@ -270,10 +271,7 @@ def catalog(
     for key in params or ():
         if not re.fullmatch(_LAW_GENERATORS.get(name, "(?!)"), key):
             raise ValueError(f"param {key!r} names no generator of law {name!r}")
-    bound = sorted(
-        (k, v if isinstance(v, RingElement) else RingElement.from_rational(v))
-        for k, v in (params or {}).items()
-    )
+    bound = sorted((k, _coerce_elem(v)) for k, v in (params or {}).items())
     return _law(name, order, tuple(bound))
 
 
@@ -459,8 +457,8 @@ def mobius_sweep(order: int = 12) -> "tuple[MobiusTrial, ...]":
     c_scale = 1 + t
     F = catalog("kontsevich", order).F
     out = []
+    lift = lambda v: t if v == "t" else v
     for conv_name, (a, b, c, d) in _MOBIUS_CONVENTIONS.items():
-        lift = lambda v: RingElement.gen("t") if v == "t" else RingElement.from_rational(v)
         num = Series1([lift(b), lift(a)], order)
         den = Series1([lift(d), lift(c)], order)
         w = num / den
@@ -475,8 +473,7 @@ def mobius_sweep(order: int = 12) -> "tuple[MobiusTrial, ...]":
         base = (L0 + L1) * c_scale
         cross = L0 * L1
         for target_name, m in _MOBIUS_TARGETS.items():
-            m_elem = RingElement.gen("t") if m == "t" else RingElement.from_rational(m)
-            rhs = base + cross * m_elem
+            rhs = base + cross * lift(m)
             defect = first_defect((lhs - rhs).items())
             trial = (conv_name, target_name, normalized, strict, defect.status, defect.degree)
             out.append(MobiusTrial(*trial))

@@ -26,7 +26,7 @@ from genusforge.fgl import (
     sinh_exponential,
 )
 from genusforge.ring import (
-    RingElement, _check_order, bernoulli, euler_gamma, zeta_numeric, zeta_tilde_even,
+    RingElement, _check_order, _fraction, bernoulli, euler_gamma, zeta_numeric, zeta_tilde_even,
 )
 from genusforge.series import (
     InsufficientOrderError, Series1, _unit_power, build_once, exp_series, log_series,
@@ -287,13 +287,13 @@ class ManifoldDescriptor(Record):
     def from_chern(d: int, table: "Mapping[tuple[int, ...], Union[int, Fraction]]") -> "ManifoldDescriptor":
         """The descriptor of a {partition: Chern number} table: d and each key
         part read by _read_int, each key sorted (two naming one partition raise
-        ValueError), each value by Fraction unless a bool or a float."""
+        ValueError), each value by ring._fraction unless a bool or a float."""
         clean: "dict[tuple[int, ...], Fraction]" = {}
         for key, v in table.items():
             lam = tuple(sorted((_read_int(k) for k in key), reverse=True))
             if lam in clean:
                 raise ValueError(f"chern table repeats the partition {lam}")
-            clean[lam] = v if isinstance(v, (bool, float)) else Fraction(v)
+            clean[lam] = v if isinstance(v, (bool, float)) else _fraction(v)
         return ManifoldDescriptor(chern_dim=_read_int(d), chern=tuple(sorted(clean.items())))
 
 
@@ -698,7 +698,7 @@ def numeric_gamma_validation(
     """Truncated exponential of the reciprocal Gamma function against the
     stdlib Gamma as an independent oracle."""
     _check_order(order, 10)
-    z0 = Fraction(z0)
+    z0 = _fraction(z0)
     if abs(z0) > Fraction(1, 2):
         raise ValueError("|z0| must be <= 1/2")
     series = gamma_exponential(order)

@@ -23,7 +23,9 @@ the next, so a mask reads the digits they need.
 
 The constructors work the same way: ``RingElement(terms)`` and ``from_obj``
 bring each term's integer numerator over the lcm of the denominators, sum by
-packed key and reduce once by the gcd, with no Fraction per term.
+packed key and reduce once by the gcd, with no Fraction per term.  Any other
+scalar, from any module, is read by ``_fraction``, the one reader, which
+refuses a str whose exponent is past the int digit limit at once.
 
 ``RingElement.dot`` sums products of pairs into one numerator dict and reduces
 once; a product of two elements is its one-pair case, and every sum of
@@ -48,6 +50,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -230,12 +233,21 @@ def _check_exponents(m: Monomial, error: type = ValueError) -> int:
     return top
 
 
+def _fraction(value) -> Fraction:
+    """Fraction(value), the one reader of a scalar from outside the ring: a str
+    whose exponent exceeds the int digit limit is refused before Fraction
+    computes 10**exponent, which for 1e10000000 takes seconds."""
+    exponent = isinstance(value, str) and re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z", value)
+    if exponent and 0 < (limit := sys.get_int_max_str_digits()) < int(exponent[1]):
+        raise ValueError(f"exponent in {value!r} exceeds the int digit limit {limit}")
+    return Fraction(value)
+
+
 def _ratios(terms: Mapping[Monomial, Rational]):
     """(monomial, numerator, denominator) of each term of a constructor's
     mapping, one term at a time; an int or a Fraction is read as it stands."""
     for m, c in terms.items():
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
+        c = c if isinstance(c, (int, Fraction)) else _fraction(c)
         yield m, c.numerator, c.denominator
 
 
@@ -345,18 +357,14 @@ class RingElement:
 
     @staticmethod
     def from_rational(value: Rational) -> "RingElement":
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
-        if not value:
-            return _ZERO
-        return RingElement._make({0: value.numerator}, value.denominator, 0)
+        value = value if isinstance(value, (int, Fraction)) else _fraction(value)
+        return RingElement._make({0: value.numerator} if value else {}, value.denominator, 0)
 
     @staticmethod
     def gen(name: str, exp: int = 1, coeff: Rational = 1) -> "RingElement":
         """The monomial coeff * name**exp."""
         generator_info(name)
-        if not isinstance(coeff, (int, Fraction)):
-            coeff = Fraction(coeff)
+        coeff = coeff if isinstance(coeff, (int, Fraction)) else _fraction(coeff)
         if not coeff:
             return _ZERO
         if exp == 0:
@@ -384,6 +392,9 @@ class RingElement:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def __bool__(self) -> bool:  # False for zero alone, as bool(0) and bool(Fraction(0))
+        return bool(self._terms)
 
     def is_one(self) -> bool:
         return self._den == 1 and self._terms == {0: 1}

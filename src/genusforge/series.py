@@ -5,7 +5,8 @@ a bivariate series truncated by total degree.  All operations truncate to the
 order of their inputs and never consult coefficients beyond it, so
 truncate_M(op(a, b)) == op(truncate_M(a), truncate_M(b)) for M <= N.
 A constructor's order goes through ring._check_order; truncate, called only
-with orders of values already checked, does not check again.
+with orders of values already checked, does not check again.  A scalar
+coefficient goes through _coerce_elem, and so through ring._fraction.
 
 Every bivariate product and composition lists the coefficient pairs of
 each index and passes _dotted one verdict, that the result is symmetric;
@@ -73,10 +74,10 @@ class _Series:
     A subclass stores its coefficients by key (degree n, or bidegree (i, j))
     and supplies _ORIGIN, the key of the constant term, _keyed(), its (key,
     coefficient) pairs, a constructor that takes a {key: coefficient} dict
-    and an order, _with_constant(c), self with constant term c, _divide for
-    the series quotient, and to_obj/from_obj.
+    and an order, _divide for the series quotient, and to_obj/from_obj.
     Everything here acts on each coefficient alone, so it is written once
-    for both kinds and builds only type(self).
+    for both kinds and builds only type(self).  A scalar in a sum or a
+    difference is the series constant(scalar, order).
     """
 
     __slots__ = ("order", "_coeffs")
@@ -123,11 +124,11 @@ class _Series:
 
     def _plus(self: S, other, sign: int = 1) -> S:
         """self + sign * other, for sign = 1 or -1 and other a series of the
-        same kind and order or a scalar (which changes the constant term
-        alone).  Each coefficient goes through RingElement._plus, so a
-        difference builds no negated copy of other."""
+        same kind and order or a scalar, the series constant(other, order).
+        Each coefficient goes through RingElement._plus, so a difference
+        builds no negated copy of other."""
         if not isinstance(other, type(self)):
-            return self._with_constant(self[self._ORIGIN]._plus(_coerce_elem(other), sign))
+            other = self.constant(other, self.order)
         self._match(other)
         out = dict(self._keyed())
         for k, c in other._keyed():
@@ -197,14 +198,15 @@ class Series1(_Series):
             return self._coeffs[n]
         return _ZERO
 
+    def __iter__(self):
+        """The order + 1 stored coefficients, so Series1(s) copies s."""
+        return iter(self._coeffs)
+
     def coefficients(self) -> "tuple[RingElement, ...]":
         return self._coeffs
 
     def _keyed(self):
         return enumerate(self._coeffs)
-
-    def _with_constant(self, c: RingElement) -> "Series1":
-        return self._raw((c,) + self._coeffs[1:], self.order)
 
     def items(self) -> "list[tuple[int, RingElement]]":
         """(degree, coefficient) for the nonzero coefficients, as Series2.items."""
@@ -342,15 +344,10 @@ class Series2(_Series):
     def __getitem__(self, ij: "tuple[int, int]") -> RingElement:
         return self._coeffs.get(ij, _ZERO)
 
+    __iter__ = None  # not iterable: __getitem__ alone would iterate forever
+
     def _keyed(self):
         return self._coeffs.items()
-
-    def _with_constant(self, c: RingElement) -> "Series2":
-        out = dict(self._coeffs)
-        out[(0, 0)] = c
-        if c.is_zero():
-            del out[(0, 0)]
-        return self._raw(out, self.order)
 
     def items(self):
         return sorted(self._coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))

@@ -67,8 +67,6 @@ def _gen_series(prefix: str, degree: int, sign: int = 1) -> Series1:
 
 def _conversion_table(src: str, dst: str, degree: int) -> "dict[str, RingElement]":
     """Express src-basis generators up to `degree` in the dst basis (src != dst)."""
-    if degree < 1:
-        return {}
     names = [f"{_BASIS_PREFIX[src]}{k}" for k in range(1, degree + 1)]
     if dst == "P":
         # E(z) = exp(sum (-1)^(n+1) s_n z^n / n), H(z) = exp(sum s_n z^n / n)

@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import pkgutil
+import signal
 import sys
 from fractions import Fraction
 
@@ -95,6 +96,31 @@ def int_max_str_digits(limit):
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+@contextlib.contextmanager
+def deadline(seconds=2):
+    """Raise TimeoutError in the body of a with statement that runs past
+    `seconds` (SIGALRM), so a call that never returns fails its test instead
+    of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    saved = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, saved)
+
+
+@pytest.fixture
+def alarm():
+    """The test under a 2-s deadline."""
+    with deadline(2):
+        yield
 
 
 @pytest.fixture(scope="session")

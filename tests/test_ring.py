@@ -229,6 +229,12 @@ class TestArithmetic:
         assert a - a == R.zero()
         assert a * 0 == R.zero()
 
+    @given(ring_elements())
+    def test_an_element_is_false_exactly_when_zero(self, a):
+        """bool follows ==, as bool(0) and bool(Fraction(0)) do."""
+        assert bool(a) == (a != 0)
+        assert bool(a) is not a.is_zero()
+
     def test_scalar_coercion(self):
         g = gen("gamma")
         assert 2 * g == g + g

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -23,7 +24,7 @@ from genusforge.series import (
     sqrt_series,
 )
 
-from conftest import rationals, ring_elements
+from conftest import deadline, rationals, ring_elements
 from oracles import (
     horner_bivariate_from_exp,
     horner_compose,
@@ -621,6 +622,32 @@ class TestCoefficientWiseCore:
         f, g = kind.constant(1, 3), kind.constant(1, 4)
         for op in (lambda: f + g, lambda: f - g, lambda: g - f, lambda: f * g, lambda: f / g):
             with pytest.raises(ValueError):
+                op()
+
+
+class TestIteration:
+    """A Series1 iterates its order + 1 stored coefficients; a Series2 is not
+    iterable, since __getitem__ alone would make Python's legacy protocol
+    walk its indices forever.  Each test runs under a 2-s alarm, and reads a
+    bounded slice first, so that a regression fails without filling memory."""
+
+    @given(ring_series(order=4))
+    def test_series1_iterates_its_stored_coefficients(self, f):
+        with deadline():
+            assert list(islice(f, f.order + 2)) == list(f.coefficients())
+            assert Series1(f) == f and sum(1 for _ in f) == f.order + 1 and f[0] in f
+
+    def test_membership_and_copy_end(self, alarm):
+        s = Series1([0, 1], 3)
+        assert list(islice(s, 5)) == [0, 1, 0, 0]
+        assert 1 in s and 0 in s and 2 not in s
+        assert Series1(s) == s and Series1(s) is not s
+
+    def test_series2_is_not_iterable(self, alarm):
+        """iter(F) raises, so list(F) does too."""
+        F = catalog("additive", 3).F
+        for op in (lambda: iter(F), lambda: 5 in F):
+            with pytest.raises(TypeError, match="not iterable"):
                 op()
 
 

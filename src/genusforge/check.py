@@ -7,7 +7,9 @@ offending coefficient; a numeric check is `first_residual` over (degree,
 residual) pairs and a failure puts the residual in `detail`.  Extra fields
 (notes, numeric residuals, sub-checks) ride along in `extra` as sorted (key,
 value) pairs and are merged into the JSON record.  Record is the base of every
-value class of the package; a field holds only immutable values.
+value class of the package; a field holds only immutable values.  It stands
+in for dataclasses, whose import (inspect, ast, dis, tokenize) was about half
+of what a fresh CLI process paid to import the package.
 """
 
 from __future__ import annotations

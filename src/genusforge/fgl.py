@@ -4,7 +4,11 @@ The catalog covers the additive and multiplicative laws, the one-parameter
 multiplicative deformation, the Moebius-type deformation with its two
 construction routes, the hyperbolic law, the Jacobi-quartic law, the
 Gamma-function law in raw and normalized presentations, the rescaled
-quantum-integer law, and the universal additive-type law over Z[e_n].
+quantum-integer law, and the universal additive-type law over Z[e_n].  The
+five built from an exponential read it from one table, EXPONENTIALS, as the
+genus series and verify do.  Every law but broken_demo is commutative, as is
+every one-dimensional law over a torsion-free ring (Lazard), so the series
+layer sums one half of each symmetric product.
 """
 
 from __future__ import annotations

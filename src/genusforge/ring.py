@@ -25,7 +25,7 @@ The constructors work the same way: ``RingElement(terms)`` and ``from_obj``
 bring each term's integer numerator over the lcm of the denominators, sum by
 packed key and reduce once by the gcd, with no Fraction per term.  Any other
 scalar, from any module, is read by ``_fraction``, the one reader, which
-refuses a str whose exponent is past the int digit limit at once.
+refuses a str, or a Decimal read as its str, past the int digit limit at once.
 
 ``RingElement.dot`` sums products of pairs into one numerator dict and reduces
 once; a product of two elements is its one-pair case, and every sum of
@@ -43,6 +43,7 @@ made before a memo answers (``bernoulli``'s and the zetas' are typed ``lru_cache
 An element is a value: the order of its stored terms means nothing.  All that
 reads terms in order sorts them by monomial first (``terms()``, ``to_obj`` and
 ``str`` share one kept sort), so equal elements print and evaluate identically.
+Nothing changes an element once built, so its hash, too, is computed once.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import math
 import re
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -234,9 +236,11 @@ def _check_exponents(m: Monomial, error: type = ValueError) -> int:
 
 
 def _fraction(value) -> Fraction:
-    """Fraction(value), the one reader of a scalar from outside the ring: a str
-    whose exponent exceeds the int digit limit is refused before Fraction
-    computes 10**exponent, which for 1e10000000 takes seconds."""
+    """Fraction(value), the one reader of a scalar from outside the ring: a str,
+    or a Decimal read as its str, whose exponent exceeds the int digit limit is
+    refused before Fraction computes 10**exponent, which for 1e10000000 takes
+    seconds; int refuses one with more digits than the limit."""
+    value = str(value) if isinstance(value, Decimal) else value
     exponent = isinstance(value, str) and re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z", value)
     if exponent and 0 < (limit := sys.get_int_max_str_digits()) < int(exponent[1]):
         raise ValueError(f"exponent in {value!r} exceeds the int digit limit {limit}")

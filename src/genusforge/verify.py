@@ -5,7 +5,8 @@ yields (name, CheckResult) pairs in a fixed order, keeping a value that two
 checks share as a local between yields; `_collect` runs a suite into its
 dict, so it is the one place that sees each check begin and end.  run_suite
 runs a named suite (fgl, gamma, witten, universal, iso, or all) into JSON
-records sorted by name.
+records sorted by name.  mishchenko_<series> sets two algorithms against
+each other: the table reversion of the exponential and Miller's H^(n+1).
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
 """Every scalar that enters the algebra is read by one reader, ring._fraction:
 each library entry and each CLI option below refuses a literal whose exponent
 is past the int digit limit at once, reads one at the limit, and keeps its
-own error for a zero denominator.  Each test runs under a 2-s alarm, so a
-literal read the slow way fails instead of stalling the suite."""
+own error for a zero denominator.  A decimal.Decimal is read as its str, so
+its exponent and its digits are bounded as a literal's are.  Each test runs
+under a 2-s alarm, so a literal read the slow way fails instead of stalling
+the suite."""
 
 import contextlib
 import io
 import json
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -35,6 +38,7 @@ _OPTIONS = {
 }
 
 _PAST_THE_LIMIT = ["1e2000000", "1e10000000"]
+_DECIMALS_PAST_THE_LIMIT = [Decimal(text) for text in [*_PAST_THE_LIMIT, "1e-10000000"]]
 
 
 def _outcome(read, value):
@@ -55,17 +59,23 @@ def _main(argv):
 
 @pytest.mark.parametrize("name", _ENTRIES)
 class TestLibraryEntries:
-    @pytest.mark.parametrize("text", _PAST_THE_LIMIT)
-    def test_an_exponent_past_the_limit_is_refused_at_once(self, alarm, name, text):
+    @pytest.mark.parametrize("value", [*_PAST_THE_LIMIT, *_DECIMALS_PAST_THE_LIMIT], ids=str)
+    def test_an_exponent_past_the_limit_is_refused_at_once(self, alarm, name, value):
         limit = sys.get_int_max_str_digits()
-        message = f"exponent in {text!r} exceeds the int digit limit {limit}"
-        assert _outcome(_ENTRIES[name], text) == (ValueError, message)
+        message = f"exponent in {str(value)!r} exceeds the int digit limit {limit}"
+        assert _outcome(_ENTRIES[name], value) == (ValueError, message)
+
+    def test_more_digits_than_the_limit_are_refused_in_a_decimal_as_in_a_str(self, alarm, name):
+        digits = "7" * 5000
+        assert _outcome(_ENTRIES[name], digits)[0] is ValueError
+        assert _outcome(_ENTRIES[name], Decimal(digits)) == _outcome(_ENTRIES[name], digits)
 
     def test_an_exponent_at_the_limit_is_read(self, alarm, name):
-        """"1e4300" reads as the int 10**4300: each entry makes of it what it
-        makes of that int (numeric_gamma_validation refuses both as too large)."""
+        """"1e4300" and its Decimal read as the int 10**4300: each entry makes of
+        them what it makes of that int (numeric_gamma_validation refuses all as
+        too large)."""
         entry = _ENTRIES[name]
-        assert _outcome(entry, "1e4300") == _outcome(entry, 10**4300)
+        assert _outcome(entry, "1e4300") == _outcome(entry, Decimal("1e4300")) == _outcome(entry, 10**4300)
 
     def test_a_zero_denominator_keeps_the_fraction_error(self, alarm, name):
         assert _outcome(_ENTRIES[name], "1/0") == (ZeroDivisionError, "Fraction(1, 0)")

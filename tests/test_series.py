@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from genusforge import series
 from genusforge.fgl import CATALOG, EXPONENTIALS, catalog, gamma_exponential
+from genusforge.genus import GenusSeries
 from genusforge.ring import NonUnitError, RingElement
 from genusforge.series import (
     BadConstantTermError,
@@ -649,6 +650,18 @@ class TestIteration:
         for op in (lambda: iter(F), lambda: 5 in F):
             with pytest.raises(TypeError, match="not iterable"):
                 op()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [exp_series, log_series, sqrt_series, bivariate_from_exp, lambda s: GenusSeries(s, "x")],
+    ids=["exp_series", "log_series", "sqrt_series", "bivariate_from_exp", "GenusSeries"],
+)
+def test_a_list_for_a_series_raises_at_once(alarm, call):
+    """A series argument that is not a Series1 is unsupported, as README's API
+    notes say: it raises one of the errors they name, with no kind check."""
+    with pytest.raises((TypeError, AttributeError, IndexError)):
+        call([])
 
 
 class TestCompose:

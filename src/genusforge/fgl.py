@@ -20,11 +20,10 @@ from functools import lru_cache
 from typing import Mapping, Optional, Union
 
 from genusforge.check import CheckResult, Record, first_defect, replace
-from genusforge.ring import NonUnitError, RingElement, _check_order
+from genusforge.ring import NonUnitError, RingElement, _check_order, _coerce_elem
 from genusforge.series import (
     Series1,
     Series2,
-    _coerce_elem,
     _compose1_2,
     bivariate_from_exp,
     build_once,
@@ -360,6 +359,7 @@ def logarithm(law: Union[FormalGroupLaw, Series2]) -> Series1:
     kept for the 32 most recent laws by value."""
     F = _law_series(law)
     n = F.order
+    _check_order(n, 1, "law order")
     dlog = Series1([F[(i, 1)] for i in range(n)], n - 1)
     return (Series1.constant(1, n - 1) / dlog).integrate()
 

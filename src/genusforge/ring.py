@@ -271,6 +271,12 @@ def _check_order(value, least: int = 0, what: str = "order") -> None:
         raise ValueError(f"{what} must be >= {least}, not {value}")
 
 
+def _coerce_elem(value: Scalar) -> "RingElement":
+    """value as an element, the one coercion of a scalar the API takes as one (a
+    series coefficient, a law param, a substitution's value), by _fraction."""
+    return value if isinstance(value, RingElement) else RingElement.from_rational(value)
+
+
 def _decimal(q: Rational) -> str:
     """str(q) for an int or a Fraction, also past the interpreter's limit on
     int-to-str digits: an int that str refuses is split at a power of ten."""
@@ -627,9 +633,10 @@ class RingElement:
     def substitute(self, mapping: "Mapping[str, Scalar]") -> "RingElement":
         """Replace generators by ring elements (a ring homomorphism).
 
-        Negative exponents require the replacement to be a monomial unit.
+        Every value goes through _coerce_elem, also one for a generator self
+        lacks.  Negative exponents require the replacement to be a monomial unit.
         """
-        targets = {name: RingElement._coerce(v) for name, v in mapping.items()}
+        targets = {name: _coerce_elem(v) for name, v in mapping.items()}
         images = []
         for m, c in self._terms.items():
             m = _unpack(m)

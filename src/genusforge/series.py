@@ -7,6 +7,9 @@ truncate_M(op(a, b)) == op(truncate_M(a), truncate_M(b)) for M <= N.
 A constructor's order goes through ring._check_order; truncate, called only
 with orders of values already checked, does not check again.  A scalar
 coefficient goes through _coerce_elem, and so through ring._fraction.
+Each univariate function is one recurrence (Knuth, TAOCP vol. 2, sec. 4.7):
+exp, log, sqrt and the quotient a / b solve E' = f' E, f L' = f', P^2 = f and
+b Q = a with one dot per coefficient; the power B^a (_unit_power) takes two.
 
 Every bivariate product and composition lists the coefficient pairs of
 each index and passes _dotted one verdict, that the result is symmetric;
@@ -22,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, MutableMapping, Optional, TypeVar, Union
 
-from genusforge.ring import RingElement, _check_order, _json_int
+from genusforge.ring import RingElement, Scalar, _check_order, _coerce_elem, _json_int
 
 __all__ = [
     "Series1",
@@ -39,7 +42,6 @@ __all__ = [
     "sqrt_series",
 ]
 
-Scalar = Union[int, Fraction, RingElement]
 S = TypeVar("S", bound="_Series")
 
 _ZERO = RingElement.zero()
@@ -60,12 +62,6 @@ class BadConstantTermError(ArithmeticError):
 
 class InsufficientOrderError(ValueError):
     """The series order is too small for the requested evaluation."""
-
-
-def _coerce_elem(value: Scalar) -> RingElement:
-    if isinstance(value, RingElement):
-        return value
-    return RingElement.from_rational(value)
 
 
 class _Series:
@@ -515,13 +511,15 @@ def exp_series(f: Series1) -> "Series1":
 
 
 def log_series(f: Series1) -> "Series1":
-    """log of a series with constant term exactly 1."""
+    """log L of a series with constant term exactly 1, by f L' = f': one dot
+    per coefficient, m L_m = m f_m - sum_{k<m} k L_k f_{m-k}."""
     if not f[0].is_one():
         raise BadConstantTermError("log needs f(0) = 1")
-    if f.order == 0:
-        return Series1.zeros(0)
-    d = f.differentiate() / Series1(f.coefficients(), f.order - 1)
-    return d.integrate()
+    n = f.order
+    kL = [_ZERO] * (n + 1)
+    for m in range(1, n + 1):
+        kL[m] = m * f[m] - RingElement.dot((kL[k], f[m - k]) for k in range(1, m))
+    return Series1([_ZERO] + [kL[m] / m for m in range(1, n + 1)], n)
 
 
 def sqrt_series(f: Series1) -> "Series1":

@@ -31,7 +31,10 @@ one closed-form pair factor, Chern pairings by one Fraction product per term of
 K_d, or by integer rows of packed keys summed on Python ints, instead of one
 dot over the rows that RingElement.split gives, genera of CP^n from H^(n+1) built by repeated
 products instead of the power recurrence, the mixed exp of the Witten
-cross-check by summing powers of L instead of the exp recurrence, and genera
+cross-check by summing powers of L, or by the exp recurrence truncated in q
+after each dot (recurrence_exp_mixed), instead of exp_series truncated once,
+the logarithm as the integral of the quotient f'/f (quotient_log) instead of
+one dot per coefficient, and genera
 of Milnor hypersurfaces from their Chern roots by bivariate products instead
 of the Chern pairing, and zeta(k) with its eta weights recomputed for each k
 instead of shared per precision, a ring element's hash recomputed on every
@@ -738,6 +741,30 @@ def power_sum_exp_mixed(L: Series1, q_order: int) -> Series1:
             break
         out = out + term
     return out
+
+
+def recurrence_exp_mixed(L: Series1, q_order: int) -> Series1:
+    """exp of a series vanishing at (x, q) = (0, 0), with q truncation: the
+    exp recurrence in x, m E_m = sum_{k=1..m} k L_k E_{m-k}, truncated in q
+    after each dot, from E_0 = exp(L_0), the same recurrence in q run by
+    exp_series over the q-degree parts of the q-only constant term L_0."""
+    n, L0 = L.order, L[0]
+    parts = [L0.truncate_gen("q", i) - L0.truncate_gen("q", i - 1) for i in range(q_order + 1)]
+    kL = [k * L[k] for k in range(n + 1)]
+    out = [sum(exp_series(Series1(parts, q_order)).coefficients(), RingElement.zero())]
+    for m in range(1, n + 1):
+        acc = RingElement.dot((kL[k], out[m - k]) for k in range(1, m + 1))
+        out.append(acc.truncate_gen("q", q_order) / m)
+    return Series1(out, n)
+
+
+def quotient_log(f: Series1) -> Series1:
+    """log of a series with constant term 1 as the integral of f' / f, the
+    quotient taken at order one less."""
+    if f.order == 0:
+        return Series1.zeros(0)
+    d = f.differentiate() / Series1(f.coefficients(), f.order - 1)
+    return d.integrate()
 
 
 def milnor_chern_numbers(i: int, j: int) -> "dict[tuple[int, ...], int]":

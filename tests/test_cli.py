@@ -172,6 +172,13 @@ class TestGenusCommand:
         one = {"terms": [{"num": "1", "den": "1", "exps": {}}]}
         assert all(row["value"] == one for row in out["rows"])
 
+    @pytest.mark.parametrize("series", ["todd", "ahat", "gamma_raw", "kontsevich", "chi_rescaled"])
+    def test_cpn_max_n_prints_the_table(self, series):
+        """genus cpn --max-n and genus table are one request: the same bytes."""
+        cpn = _run_in_process(["genus", "cpn", "--series", series, "--max-n", "5"], "")
+        table = _run_in_process(["genus", "table", "--series", series, "--max-n", "5"], "")
+        assert cpn == table and cpn[0] == 0 and cpn[1]
+
     def test_gamma_raw_cp1(self):
         out = run_json("genus", "cpn", "--series", "gamma_raw", "--n", "1")
         assert out["rows"][0]["value"] == {

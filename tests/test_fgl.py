@@ -262,6 +262,24 @@ class TestLogarithm:
         rebuilt = bivariate_from_exp(logarithm(law).revert())
         assert rebuilt == law.F
 
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            logarithm,
+            fgl.exponential,
+            lambda F: n_series(F, 2),
+            negation_series,
+            lambda F: canonical_strict_iso(F, catalog("additive", 4).F),
+            lambda F: canonical_strict_iso(catalog("additive", 4).F, F),
+        ],
+        ids=["logarithm", "exponential", "n_series", "negation_series", "iso_from", "iso_to"],
+    )
+    def test_an_order_zero_law_names_its_order(self, derive):
+        """A law of order 0 has no logarithm: the error names the law's order,
+        not the order one less that the derivation would build."""
+        with pytest.raises(ValueError, match=r"^law order must be >= 1, not 0$"):
+            derive(Series2({(0, 0): 0}, 0))
+
 
 class TestNegation:
     def test_known_inverses(self):

@@ -1226,6 +1226,18 @@ class TestSubstitute:
         table = {"gamma": b, "zeta2": c, "t": u}
         assert a.substitute(table) == termwise_substitute(a, table)
 
+    def test_a_literal_value_is_read_as_its_scalar(self):
+        """A mapping value is coerced as a catalog param is: a str literal is
+        its number, and one that is no number raises, even for a generator
+        the element lacks."""
+        assert gen("t").substitute({"t": "2"}) == R.from_rational(2)
+        assert gen("t", 2).substitute({"t": "1/3"}) == R.from_rational(Fraction(1, 9))
+        for mapping in ({"q": "junk"}, {"t": "junk"}):
+            with pytest.raises(ValueError):
+                gen("t").substitute(mapping)
+        with pytest.raises(TypeError):
+            gen("t").substitute({"q": object()})
+
     def test_nonunit_negative_power_rejected(self):
         x = gen("t", -1)
         with pytest.raises(NonUnitError):

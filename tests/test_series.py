@@ -38,6 +38,7 @@ from oracles import (
     pairwise_eval_at,
     pairwise_series1_mul,
     pairwise_series2_mul,
+    quotient_log,
     scan_is_symmetric,
 )
 
@@ -927,6 +928,44 @@ class TestAnalytic:
             log_series(Series1.x(3))
         with pytest.raises(BadConstantTermError):
             sqrt_series(Series1.x(3))
+
+
+# Coefficients of one kind per series: rational, Laurent in t, or over zetas.
+_unit_coefficients = [
+    rationals,
+    st.builds(lambda a, b, e: a + b * gen("t", e), rationals, rationals, st.integers(-2, 2)),
+    st.builds(lambda a, b, k: a + b * gen(f"zeta{k}"), rationals, rationals, st.integers(2, 4)),
+]
+
+
+@st.composite
+def unit_series(draw):
+    """1 + f_1 z + ... + f_n z^n at an order 0 <= n <= 10, each f_k of one
+    drawn kind."""
+    order = draw(_integers(0, 10))
+    kind = _pick(draw, _unit_coefficients)
+    return Series1([1] + [draw(kind) for _ in range(order)], order)
+
+
+class TestLogRecurrence:
+    """log_series is one dot per coefficient, m L_m = m f_m - sum_{k<m} k L_k
+    f_{m-k}; the oracle integrates the quotient f'/f."""
+
+    @given(unit_series())
+    def test_against_the_quotient_oracle(self, f):
+        assert log_series(f) == quotient_log(f)
+
+    def test_order_zero_is_the_recurrence_with_no_step(self):
+        for c in (1, R.one()):
+            assert log_series(Series1.constant(c, 0)) == Series1.zeros(0)
+
+    def test_builds_no_derivative_or_integral(self):
+        f = Series1([1, gen("t"), Fraction(1, 2), gen("zeta3")], 3)
+        calls = []
+        with mock.patch.object(Series1, "differentiate", lambda s: calls.append("d")), \
+                mock.patch.object(Series1, "integrate", lambda s: calls.append("i")):
+            log_series(f)
+        assert calls == []
 
 
 class TestBivariate:

@@ -278,24 +278,28 @@ def test_an_unreduced_normalized_series_fails_the_msp_records(monkeypatch):
 
 
 def test_negation_reads_one_log_and_one_exp_per_law():
-    """With the laws built, the fgl suite derives each law's logarithm once,
-    and once more inside exponential() for the three without a stored one."""
+    """With the laws built, the fgl suite derives no logarithm anew: n_series,
+    negation_series and the round trip read each law's from the memo.  A law
+    without a stored exponential has its logarithm reverted by exponential()
+    in [1](z) and in [-1](z), and a law built from one in the round trip."""
     verify.run_suite("fgl", ORDER)
-    with mock.patch.object(fgl, "logarithm", wraps=fgl.logarithm) as log, mock.patch.object(
-        Series1, "revert", autospec=True, side_effect=Series1.revert
-    ) as revert:
+    derived = fgl.logarithm.cache_info().misses
+    with mock.patch.object(Series1, "revert", autospec=True, side_effect=Series1.revert) as revert:
         verify.run_suite("fgl", ORDER)
-    assert log.call_count <= 13 and revert.call_count <= 8, (log.call_count, revert.call_count)
+    assert fgl.logarithm.cache_info().misses == derived
+    unstored = [name for name in fgl.CATALOG if fgl.catalog(name, ORDER).exp is None]
+    assert revert.call_count == 2 * len(unstored) + len(fgl.EXPONENTIALS), revert.call_count
 
 
 def test_one_verify_derives_each_logarithm_once():
     """From empty memos, an order-6 verify derives 11 law logarithms and 45
     characteristic logarithms (31 of them for the Chern rows of a distinct
-    truncation H_n), and reads the 7 and 8 repeats from the memos;
+    truncation H_n), and reads the 25 and 8 repeats from the memos (the fgl
+    suite reads each law's logarithm through n_series and negation_series);
     clear_memos empties both."""
     verify.run_suite("all", 6)
     memos = (fgl.logarithm, symfun._characteristic_log)
-    assert [(m.cache_info().hits, m.cache_info().misses) for m in memos] == [(7, 11), (8, 45)]
+    assert [(m.cache_info().hits, m.cache_info().misses) for m in memos] == [(25, 11), (8, 45)]
     clear_memos()
     assert [m.cache_info().currsize for m in memos] == [0, 0]
 

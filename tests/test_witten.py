@@ -1,17 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from genusforge.check import replace
 from genusforge.genus import WittenSeries, _pair_factor, half_sinh_ratio, witten_series
-from genusforge.ring import zeta_tilde_even
+from genusforge.ring import RingElement, zeta_tilde_even
+from genusforge.series import Series1
 from genusforge.verify import _exp_mixed
 
+from conftest import rationals
 from oracles import (
     divisor_sigma,
     euler_product_inv_sq,
     geometric_factor,
     power_sum_exp_mixed,
+    recurrence_exp_mixed,
     witten_product_oracle,
 )
 
@@ -121,6 +125,36 @@ class TestExpRecurrence:
             recon = _exp_mixed(w.log_H, q_order)
             assert recon == power_sum_exp_mixed(w.log_H, q_order), q_order
             assert recon == w.H, q_order
+
+
+_GRID_X = st.integers(min_value=2, max_value=10)
+_GRID_Q = st.integers(min_value=2, max_value=8)
+_Q_TERMS = st.lists(st.tuples(st.integers(min_value=0, max_value=8), rationals), max_size=3)
+
+
+@st.composite
+def mixed_logs(draw):
+    """(L, q_order): Witten's log H at a drawn point of the 2-10 x 2-8 grid of
+    x and q orders, plus a drawn polynomial in q at each degree in x, with no
+    constant term at x^0, so L still vanishes at (x, q) = (0, 0)."""
+    x_order, q_order = draw(_GRID_X), draw(_GRID_Q)
+    shift = []
+    for k in range(x_order + 1):
+        terms = [RingElement.gen("q", e) * c for e, c in draw(_Q_TERMS) if e or k]
+        shift.append(sum(terms, RingElement.zero()))
+    return witten_series(x_order, q_order).log_H + Series1(shift, x_order), q_order
+
+
+class TestExpMixedOracles:
+    """verify's mixed exp, exp_series truncated in q once, equals the exp
+    recurrence truncated in q after each dot and the sum of powers of L."""
+
+    @given(mixed_logs())
+    def test_against_the_recurrence_and_power_sum_oracles(self, drawn):
+        L, q_order = drawn
+        got = _exp_mixed(L, q_order)
+        assert got == recurrence_exp_mixed(L, q_order)
+        assert got == power_sum_exp_mixed(L, q_order)
 
 
 class TestMemo:
